@@ -5,7 +5,11 @@ Four independent pieces:
 * Schur-multiplier channels M -> e o M, with complete positivity
   certified through the Choi matrix (CP holds iff the multiplier is
   positive semidefinite, and the Choi spectrum makes that visible: it is
-  the multiplier's spectrum padded with zeros).
+  the multiplier's spectrum padded with zeros).  The Choi matrix is never
+  formed densely for certification: it is assembled in coordinate form
+  from the channel's definition, split into the connected components of
+  its support, and its spectrum is the union of the block spectra plus
+  one zero for each pair index the support never touches.
 * Unitary dilation of a probability vector p: an orthogonal matrix whose
   first row is (sqrt(p_0), ..., sqrt(p_{d-1})).
 * Entangled transition expectations E(X) = V' X V for the isometry
@@ -13,9 +17,12 @@ Four independent pieces:
   unital and completely positive by construction (Stinespring form), with
   the equivalent entrywise closed form M o (sqrtP N sqrtP^T) exposed for
   cross-checking.  The classical chain sits on the diagonal:
-  E(I (x) diag(v)) = diag(P v).
+  E(I (x) diag(v)) = diag(P v).  The Stinespring route evaluates
+  (M (x) N) V column by column as vec(M X_j N^T) and never forms M (x) N.
 * The Szegedy walk unitary U = S(2 A A' - I) on the pair space of a
-  stochastic matrix.
+  stochastic matrix.  The swap S is applied as an index permutation, and
+  unitarity follows from the n x n certificate A'A = I (see
+  `szegedy_walk`).
 
 Stochasticity conventions: transition expectations take row-stochastic
 matrices; `szegedy_walk` accepts either convention via a flag and works
@@ -32,9 +39,9 @@ from .errors import CertificationError, ValidationError
 
 _PSD_TOL = 1e-10
 _STOCHASTIC_TOL = 1e-12
-# Pair-space operators are dense (n^2 x n^2); refuse sizes that would
-# silently eat gigabytes.
-_SZEGEDY_MAX_VERTICES = 64
+# Dense pair-space operators are n^2 x n^2; refuse sizes that would
+# silently eat gigabytes (64 vertices: 128 MB per float64 operator).
+_PAIR_SPACE_MAX_VERTICES = 64
 
 
 def _require_square(m: np.ndarray, what: str) -> np.ndarray:
@@ -81,27 +88,130 @@ def schur_channel_apply(c: SchurChannel, m: np.ndarray) -> np.ndarray:
     return c.multiplier * a
 
 
-def choi_matrix(c: SchurChannel) -> np.ndarray:
-    """Choi matrix sum_ab E_ab (x) T(E_ab) of the Schur channel.
+def _choi_coordinates(c: SchurChannel):
+    """Choi matrix sum_ab E_ab (x) T(E_ab) in coordinate form.
 
-    T(E_ab) = e[a][b] E_ab, so the Choi matrix is the multiplier spread
-    onto the (a*n+a, b*n+b) positions of the pair space.
+    T(E_ab) = e[a][b] E_ab, so each (a, b) gives the single entry e[a][b]
+    at pair-space position (a*n+a, b*n+b).  Returns (rows, cols, values).
     """
     n = c.dim
-    choi = np.zeros((n * n, n * n), dtype=np.complex128)
     idx = np.arange(n) * (n + 1)
-    choi[np.ix_(idx, idx)] = c.multiplier
+    rows = np.repeat(idx, n)
+    cols = np.tile(idx, n)
+    return rows, cols, c.multiplier.ravel()
+
+
+def choi_matrix(c: SchurChannel) -> np.ndarray:
+    """Dense Choi matrix sum_ab E_ab (x) T(E_ab) of the Schur channel.
+
+    The multiplier spread onto the (a*n+a, b*n+b) positions of the pair
+    space.  This is a 16 n^4-byte array, so it is refused above
+    `_PAIR_SPACE_MAX_VERTICES` vertices; `certify_cp` never builds it.
+    """
+    n = c.dim
+    if n > _PAIR_SPACE_MAX_VERTICES:
+        raise ValidationError(
+            f"dense Choi matrix of a {n}-dimensional channel is {n * n}x{n * n}; "
+            f"capped at {_PAIR_SPACE_MAX_VERTICES} dimensions"
+        )
+    choi = np.zeros((n * n, n * n), dtype=np.complex128)
+    rows, cols, values = _choi_coordinates(c)
+    choi[rows, cols] = values
     return choi
+
+
+def _support_components(size: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Label each of `size` indices by the connected component of the
+    support graph with edges (rows[k], cols[k]).
+
+    Min-label propagation with pointer jumping.  Labels only decrease and
+    only travel along edges, so each label is an index of its own
+    component; at the fixed point the two ends of every edge agree and
+    every label is a root, so a label names exactly one component.
+    """
+    labels = np.arange(size)
+    while True:
+        low = np.minimum(labels[rows], labels[cols])
+        nxt = labels.copy()
+        np.minimum.at(nxt, rows, low)
+        np.minimum.at(nxt, cols, low)
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, labels):
+            return labels
+        labels = nxt
+
+
+def _block_spectrum(size: int, rows: np.ndarray, cols: np.ndarray,
+                    values: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Ascending spectrum of the Hermitian size x size matrix with the given
+    coordinate entries, diagonalised block by block.
+
+    `labels` assigns each index to a block.  Every entry must lie inside
+    one block (both ends carry the same label), or CertificationError
+    names the first that does not; then the matrix is block diagonal up
+    to a permutation and its spectrum is the union of the block spectra.
+    Indices no entry touches form zero rows and columns and contribute one
+    zero each.  Repeated coordinates are summed.  As with `eigvalsh`, only
+    the lower triangle of each block is read.
+    """
+    outside = np.flatnonzero(labels[rows] != labels[cols])
+    if outside.size:
+        k = int(outside[0])
+        raise CertificationError(
+            f"entry ({int(rows[k])}, {int(cols[k])}) lies outside its block "
+            f"(labels {int(labels[rows[k]])} and {int(labels[cols[k]])})"
+        )
+    touched = np.zeros(size, dtype=bool)
+    touched[rows] = True
+    touched[cols] = True
+    nodes = np.flatnonzero(touched)
+    # Group entries and indices by block; the stable sort keeps each
+    # block's indices ascending, so its lower triangle is the matrix's.
+    order = np.argsort(labels[rows], kind="stable")
+    rows, cols, values = rows[order], cols[order], values[order]
+    nodes = nodes[np.argsort(labels[nodes], kind="stable")]
+    _, entry_starts = np.unique(labels[rows], return_index=True)
+    _, node_starts = np.unique(labels[nodes], return_index=True)
+    entry_bounds = np.append(entry_starts, rows.size)
+    node_bounds = np.append(node_starts, nodes.size)
+    local = np.empty(size, dtype=np.intp)
+    spectra = [np.zeros(size - nodes.size)]
+    for b in range(node_starts.size):
+        members = nodes[node_bounds[b]:node_bounds[b + 1]]
+        local[members] = np.arange(members.size)
+        entries = slice(entry_bounds[b], entry_bounds[b + 1])
+        block = np.zeros((members.size, members.size), dtype=values.dtype)
+        np.add.at(block, (local[rows[entries]], local[cols[entries]]), values[entries])
+        spectra.append(np.linalg.eigvalsh(block))
+    return np.sort(np.concatenate(spectra))
 
 
 def certify_cp(c: SchurChannel, tolerance: float = _PSD_TOL) -> CPReport:
     """Certify complete positivity two ways and report both verdicts.
 
-    The direct route eigendecomposes the Choi matrix; the criterion route
-    checks the multiplier's own spectrum.  For Schur channels they must
-    agree; the report says whether they do rather than assuming it.
+    The direct route diagonalises the Choi matrix; the criterion route
+    checks the multiplier's own spectrum with a separate `eigvalsh`.  For
+    Schur channels they must agree; the report says whether they do
+    rather than assuming it.
+
+    The Choi matrix is taken in coordinate form from the channel's
+    definition (one entry e[a][b] at (a*n+a, b*n+b)), never as a dense
+    n^2 x n^2 array.  Its nonzero entries are split into the connected
+    components of their support, each component is filled and
+    diagonalised as a dense block, and a check confirms that every entry
+    lies inside its block.  A Hermitian matrix that is block diagonal up
+    to a permutation has the union of its block spectra as spectrum, and
+    each pair index the support never touches adds one zero (Choi, Linear
+    Algebra Appl. 10, 1975).  Hence a PSD multiplier touching fewer than
+    n^2 pair indices reports `choi_min_eigenvalue` exactly 0.0, where a
+    dense eigensolver returns round-off of order -1e-16.
     """
-    choi_min = float(np.linalg.eigvalsh(choi_matrix(c)).min())
+    rows, cols, values = _choi_coordinates(c)
+    nonzero = values != 0
+    rows, cols, values = rows[nonzero], cols[nonzero], values[nonzero]
+    size = c.dim * c.dim
+    labels = _support_components(size, rows, cols)
+    choi_min = float(_block_spectrum(size, rows, cols, values, labels)[0])
     mult_min = float(np.linalg.eigvalsh(c.multiplier).min())
     is_cp = choi_min >= -tolerance
     mult_psd = mult_min >= -tolerance
@@ -184,12 +294,21 @@ def _check_sites(te: TransitionExpectation, m: np.ndarray, n: np.ndarray):
 
 
 def apply_transition_expectation(te: TransitionExpectation, m, n) -> np.ndarray:
-    """E(M (x) N) = V' (M (x) N) V (the Stinespring evaluation path)."""
+    """E(M (x) N) = V' (M (x) N) V (the Stinespring evaluation path).
+
+    Column j of V, reshaped row-major to the d x d matrix X_j, satisfies
+    (M (x) N) vec(X_j) = vec(M X_j N^T), so the product is evaluated in
+    O(d^4) time and O(d^3) memory without forming the d^2 x d^2 Kronecker
+    product.  Only the generic isometry is used, not its sparsity.
+    """
     a = np.asarray(m)
     b = np.asarray(n)
     _check_sites(te, a, b)
     v = te.isometry_V
-    return v.conj().T @ np.kron(a, b) @ v
+    d = te.dim
+    columns = v.T.reshape(d, d, d)                 # columns[j] = X_j
+    images = (a @ columns @ b.T).reshape(d, d * d)  # images[j] = vec(M X_j N^T)
+    return v.conj().T @ images.T
 
 
 def transition_expectation_closed_form(te: TransitionExpectation, m, n) -> np.ndarray:
@@ -303,6 +422,23 @@ def szegedy_walk(d_matrix, convention: str = "column") -> WalkOperator:
     `convention` says how to read the input ("column": D[w][v] is the
     probability v -> w, columns sum to 1; "row": rows sum to 1 and the
     transpose is used).  Pair index (v, w) -> v*n + w.
+
+    Pi is block diagonal, one rank-one n x n block per vertex, and is
+    built block by block.  S is the index permutation `perm` with
+    perm[v*n + w] = w*n + v, so U is 2 Pi - I with its rows permuted; no
+    n^2 x n^2 product is formed.  All of `A_op`, `projector`, the dense
+    `swap` and `U` are returned as arrays.
+
+    Certificates: A'A = I within 1e-12 (an n x n check) and
+    perm[perm] = id exactly (S is an involution).  They imply the rest.
+    S is a permutation, so S'S = I, and Pi = AA' is symmetric, hence
+    U'U - I = (2 Pi - I)^2 - I = 4(Pi^2 - Pi) = 4 A(A'A - I)A'.  Each row
+    of A has a single entry, the square root of a probability and so at
+    most 1, hence every entry of U'U - I is 4 times one entry of A'A - I
+    times two such factors: max|U'U - I| <= 4 max|A'A - I| <= 4e-12, and
+    likewise max|Pi^2 - Pi| <= max|A'A - I|.  The bounds hold for the
+    operator S(2AA' - I) exactly; the stored entries of Pi and U are each
+    one rounded product of A's entries.
     """
     mat = _require_square(np.asarray(d_matrix, dtype=np.float64), "stochastic matrix")
     if convention not in ("column", "row"):
@@ -317,29 +453,35 @@ def szegedy_walk(d_matrix, convention: str = "column") -> WalkOperator:
             f"matrix is not {convention}-stochastic (mass per state: {sums})"
         )
     n = col.shape[0]
-    if n > _SZEGEDY_MAX_VERTICES:
+    if n > _PAIR_SPACE_MAX_VERTICES:
         raise ValidationError(
             f"walk on {n} vertices needs a {n * n}x{n * n} dense pair space; "
-            f"capped at {_SZEGEDY_MAX_VERTICES} vertices"
+            f"capped at {_PAIR_SPACE_MAX_VERTICES} vertices"
         )
 
-    a_op = np.zeros((n * n, n))
-    root = np.sqrt(col)
-    for v in range(n):
-        a_op[v * n: (v + 1) * n, v] = root[:, v]
-    projector = a_op @ a_op.T
-    perm = np.arange(n * n).reshape(n, n).T.ravel()
-    swap = np.eye(n * n)[perm]
-    u = swap @ (2.0 * projector - np.eye(n * n))
+    nn = n * n
+    pairs = np.arange(nn)
+    vertices = np.arange(n)
+    root_t = np.sqrt(col).T                      # root_t[v, w] = sqrt(D[w][v])
+    a_op = np.zeros((nn, n))
+    a_op[pairs, np.repeat(vertices, n)] = root_t.ravel()
+    projector = np.zeros((nn, nn))
+    # View [v, w, v', w']; block v is the outer product of A's column v.
+    projector.reshape(n, n, n, n)[vertices, :, vertices, :] = (
+        root_t[:, :, None] * root_t[:, None, :]
+    )
+    perm = pairs.reshape(n, n).T.ravel()
+    swap = np.zeros((nn, nn))
+    swap[pairs, perm] = 1.0
+    u = projector[perm]
+    u *= 2.0
+    u[pairs, perm] -= 1.0
 
-    for residual, bound, label in (
-        (float(np.max(np.abs(a_op.T @ a_op - np.eye(n)))), 1e-12, "A'A = I"),
-        (float(np.max(np.abs(projector @ projector - projector))), 1e-12, "Pi^2 = Pi"),
-        (float(np.max(np.abs(swap @ swap - np.eye(n * n)))), 0.0, "S^2 = I"),
-        (float(np.max(np.abs(u.T @ u - np.eye(n * n)))), 1e-10, "U'U = I"),
-    ):
-        if residual > bound:
-            raise CertificationError(f"{label} fails with residual {residual:.3e}")
+    residual = float(np.max(np.abs(a_op.T @ a_op - np.eye(n))))
+    if residual > 1e-12:
+        raise CertificationError(f"A'A = I fails with residual {residual:.3e}")
+    if not np.array_equal(perm[perm], pairs):
+        raise CertificationError("S^2 = I fails: the pair swap is not an involution")
 
     return WalkOperator(
         dim_v=n, column_stochastic=col, A_op=a_op, projector=projector, swap=swap, U=u

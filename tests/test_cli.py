@@ -204,3 +204,17 @@ def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert run(["scheme", "--help"]) == 0
     capsys.readouterr()
+
+
+def test_qmc_schur_on_a_scheme_beyond_the_pair_space_cap(tmp_path, capsys):
+    # J(10,3) has n = 120: its dense Choi matrix would take 3.3 GB
+    scheme_path = tmp_path / "j103.json"
+    assert run(["scheme", "build", "--family", "johnson", "--v", "10", "--k", "3",
+                "--out", str(scheme_path)]) == 0
+    rho_path = tmp_path / "rho.json"
+    rho_path.write_text(json.dumps((np.eye(120) / 120).tolist()))
+    code = run(["qmc", "schur", "--scheme", str(scheme_path), "--coin", "1",
+                "--rho", str(rho_path), "--steps", "2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "trace factors" in out

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schemewalk import (
     CertificationError,
@@ -18,6 +20,7 @@ from schemewalk import (
     transition_expectation_closed_form,
     transition_expectation_dual,
 )
+from schemewalk.qmc import _block_spectrum, _support_components
 
 RNG = np.random.default_rng(20240817)
 
@@ -327,3 +330,145 @@ def test_szegedy_rejects_nonstochastic_and_oversized():
         szegedy_walk(np.array([[0.5, 0.2], [0.2, 0.5]]))
     with pytest.raises(ValidationError, match="64"):
         szegedy_walk(np.full((65, 65), 1 / 65))
+
+
+# ------------------------------------------- dense oracles of the old routes
+
+def dense_szegedy_oracle(d, convention):
+    """U = S(2 Pi - I) by dense matmul, Pi = AA', S a dense permutation."""
+    col = np.clip(np.asarray(d, dtype=np.float64), 0.0, None)
+    col = col if convention == "column" else col.T
+    n = col.shape[0]
+    a_op = np.zeros((n * n, n))
+    root = np.sqrt(col)
+    for v in range(n):
+        a_op[v * n: (v + 1) * n, v] = root[:, v]
+    projector = a_op @ a_op.T
+    swap = np.eye(n * n)[np.arange(n * n).reshape(n, n).T.ravel()]
+    return a_op, projector, swap, swap @ (2.0 * projector - np.eye(n * n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), convention=st.sampled_from(["column", "row"]),
+       seed=st.integers(0, 2**32 - 1), sparse=st.booleans())
+def test_szegedy_matches_dense_oracle(n, convention, seed, sparse):
+    rng = np.random.default_rng(seed)
+    d = rng.dirichlet(np.ones(n), size=n)  # row-stochastic
+    if sparse:
+        d[rng.random((n, n)) < 0.5] = 0.0
+        d[np.arange(n), rng.integers(0, n, size=n)] += 1e-3
+        d /= d.sum(axis=1, keepdims=True)
+    if convention == "column":
+        d = d.T
+    w = szegedy_walk(d, convention=convention)
+    a_op, projector, swap, u = dense_szegedy_oracle(d, convention)
+    assert np.array_equal(w.A_op, a_op)
+    assert np.array_equal(w.projector, projector)
+    assert np.array_equal(w.swap, swap)
+    assert np.array_equal(w.U, u)
+
+
+def _multiplier_cases(rng, n):
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    psd = g @ g.conj().T / n
+    low_rank = g[:, :1] @ g[:, :1].conj().T
+    complex_herm = (g + g.conj().T) / 2
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    spectrum = rng.uniform(0.1, 1.0, size=n)
+    spectrum[0] = -0.5
+    indefinite = (q * spectrum) @ q.T  # minimum eigenvalue constructed as -0.5
+    zero_row = psd.copy()
+    zero_row[0, :] = 0.0
+    zero_row[:, 0] = 0.0
+    return {"psd": psd, "low_rank": low_rank, "complex_hermitian": complex_herm,
+            "indefinite": indefinite, "zero_row": zero_row}
+
+
+def test_certify_cp_matches_dense_choi_oracle():
+    rng = np.random.default_rng(101)
+    for _ in range(15):
+        n = int(rng.integers(1, 9))
+        for kind, mult in _multiplier_cases(rng, n).items():
+            ch = SchurChannel(mult)
+            rep = certify_cp(ch)
+            dense_min = float(np.linalg.eigvalsh(choi_matrix(ch)).min())
+            assert rep.is_cp == (dense_min >= -rep.tolerance), kind
+            assert rep.verdicts_agree, kind
+            assert abs(rep.choi_min_eigenvalue - dense_min) < 1e-12, kind
+            if kind == "indefinite" and n > 1:
+                assert not rep.is_cp
+                assert abs(rep.choi_min_eigenvalue + 0.5) < 1e-9
+
+
+def test_certify_cp_psd_multiplier_pads_with_exact_zeros():
+    rep = certify_cp(SchurChannel(np.eye(3) / 3 + 0.1))
+    assert rep.is_cp and rep.choi_min_eigenvalue == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_transition_expectation_matches_kronecker_oracle(n, seed):
+    rng = np.random.default_rng(seed)
+    te = make_transition_expectation(rng.dirichlet(np.ones(n), size=n))
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    nn = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    v = te.isometry_V
+    oracle = v.conj().T @ np.kron(m, nn) @ v
+    assert np.max(np.abs(apply_transition_expectation(te, m, nn) - oracle)) < 1e-13
+
+
+def test_choi_matrix_refuses_above_pair_space_cap():
+    with pytest.raises(ValidationError, match="64"):
+        choi_matrix(SchurChannel(np.eye(65)))
+    rep = certify_cp(SchurChannel(np.eye(65)))
+    assert rep.is_cp and rep.verdicts_agree
+
+
+# ------------------------------------------------------- block finder
+
+def _coordinates(dense):
+    rows, cols = np.nonzero(dense)
+    return rows, cols, dense[rows, cols]
+
+
+def test_block_finder_two_blocks_and_untouched_indices():
+    size = 9
+    block_a = np.array([[2.0, 1.0], [1.0, 3.0]])
+    block_b = np.array([[1.0, -1j, 0.0], [1j, 1.0, 0.5], [0.0, 0.5, -2.0]])
+    dense = np.zeros((size, size), dtype=np.complex128)
+    ia, ib = [1, 6], [2, 4, 8]  # indices 0, 3, 5, 7 are never touched
+    dense[np.ix_(ia, ia)] = block_a
+    dense[np.ix_(ib, ib)] = block_b
+    rows, cols, values = _coordinates(dense)
+    labels = _support_components(size, rows, cols)
+    assert len(set(labels[ia])) == 1 and len(set(labels[ib])) == 1
+    assert labels[ia[0]] != labels[ib[0]]
+    assert len(set(labels.tolist())) == 2 + 4
+    spectrum = _block_spectrum(size, rows, cols, values, labels)
+    expected = np.sort(np.concatenate([np.linalg.eigvalsh(block_a),
+                                       np.linalg.eigvalsh(block_b), np.zeros(4)]))
+    assert np.max(np.abs(spectrum - expected)) < 1e-14
+    assert np.max(np.abs(spectrum - np.linalg.eigvalsh(dense))) < 1e-12
+
+
+def test_block_finder_chain_merges_into_one_component():
+    size = 7
+    dense = np.diag(np.arange(1.0, size + 1))
+    order = [6, 2, 5, 0, 3, 1, 4]  # a path that visits indices out of order
+    for x, y in zip(order, order[1:]):
+        dense[x, y] = dense[y, x] = 0.25
+    rows, cols, values = _coordinates(dense)
+    labels = _support_components(size, rows, cols)
+    assert np.all(labels == 0)
+    spectrum = _block_spectrum(size, rows, cols, values, labels)
+    assert np.max(np.abs(spectrum - np.linalg.eigvalsh(dense))) < 1e-12
+
+
+def test_block_finder_reports_entry_outside_its_block():
+    size = 4
+    rows = np.array([0, 1, 1, 0, 2, 3, 3])
+    cols = np.array([0, 1, 0, 1, 2, 3, 0])  # (3, 0) crosses the blocks
+    values = np.ones(rows.size)
+    labels = np.array([0, 0, 2, 2])
+    with pytest.raises(CertificationError, match=r"\(3, 0\)"):
+        _block_spectrum(size, rows, cols, values, labels)
