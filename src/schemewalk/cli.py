@@ -104,6 +104,7 @@ def _inline_or_file(value: str, kind: str):
 
 def _load_scheme_for(path: str, need_commutative: bool = False):
     scheme = load(path, "scheme")
+    # `load` verified the scheme, so this reads the report kept on it
     if need_commutative and not verify_axioms(scheme).commutative:
         raise ValidationError(f"scheme in {path} is not commutative")
     return scheme

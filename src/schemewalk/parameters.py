@@ -22,14 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationError, ValidationError
-from .schemes import AssociationScheme
+from .errors import CertificationError
+from .schemes import AssociationScheme, require_axioms
 from .spectral import BoseMesnerDecomposition
-
-# Full every-representative verification of the intersection counts is
-# O(n^2 d^2); run it exhaustively up to this many vertices, by sampling
-# above.
-_FULL_CHECK_MAX_N = 64
 
 KREIN_TOLERANCE = 1e-9
 _TRACE_IDENTITY_TOL = 1e-8
@@ -65,55 +60,15 @@ class KreinReport:
     tolerance: float
 
 
-def _pair_histogram(rel: np.ndarray, d: int, x: int, y: int) -> np.ndarray:
-    """counts[i][j] = #{z : (x,z) in R_i and (z,y) in R_j}."""
-    counts = np.zeros((d + 1, d + 1), dtype=np.int64)
-    np.add.at(counts, (rel[x, :], rel[:, y]), 1)
-    return counts
-
-
 def intersection_numbers(s: AssociationScheme) -> IntersectionTensor:
-    """Exact intersection numbers, verified representative-independent.
+    """Exact intersection numbers, certified on every pair.
 
-    Counts are taken combinatorially from one representative pair per
-    class.  For n <= 64 the full matrix identity A_i A_j = sum p A_k is
-    then checked in integer arithmetic (equivalent to checking every
-    representative); larger schemes check three extra representatives
-    per class.  Any disagreement means the input was not a scheme.
+    They come out of the axiom-4 pass of `verify_axioms`, which checks
+    A_i A_j = sum_k p_{ij}^k A_k entrywise for every i and j; a scheme
+    that was already verified returns its kept tensor.  Raises
+    ValidationError when the input is not an association scheme.
     """
-    rel = s.relation
-    n, d = s.n, s.d
-    p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
-    reps = []
-    for k in range(d + 1):
-        xs, ys = np.nonzero(rel == k)
-        if xs.size == 0:
-            raise ValidationError(f"relation class {k} is empty")
-        reps.append((int(xs[0]), int(ys[0])))
-        p[:, :, k] = _pair_histogram(rel, d, *reps[-1])
-
-    if n <= _FULL_CHECK_MAX_N:
-        mats = np.stack(s.adjacency_matrices())
-        for i in range(d + 1):
-            for j in range(d + 1):
-                expected = np.tensordot(p[i, j], mats, axes=1)
-                if not np.array_equal(mats[i] @ mats[j], expected):
-                    raise ValidationError(
-                        f"intersection counts depend on the representative pair for "
-                        f"A_{i} A_{j}; input is not an association scheme"
-                    )
-    else:
-        rng = np.random.default_rng(2024)
-        for k in range(d + 1):
-            xs, ys = np.nonzero(rel == k)
-            for pick in rng.choice(xs.size, size=min(3, xs.size), replace=False):
-                alt = _pair_histogram(rel, d, int(xs[pick]), int(ys[pick]))
-                if not np.array_equal(alt, p[:, :, k]):
-                    raise ValidationError(
-                        f"intersection counts for class {k} depend on the "
-                        f"representative pair; input is not an association scheme"
-                    )
-    return IntersectionTensor(d=d, p=p)
+    return IntersectionTensor(d=s.d, p=require_axioms(s).p)
 
 
 def krein_parameters(dec: BoseMesnerDecomposition) -> KreinTensor:

@@ -12,13 +12,18 @@ and the scheme is commutative when additionally A_i A_j = A_j A_i.
 
 The canonical representation here is the n x n `relation` matrix of class
 indices (relation[x][y] = j iff (x, y) in R_j); adjacency matrices are
-derived 0/1 views.  All axiom checks run in exact integer arithmetic.
+derived 0/1 views.  All axiom checks are exact.  Axiom 4 multiplies the
+0/1 adjacency matrices as float64 through BLAS: every partial sum is a
+vertex count <= n < 2^53, so each product entry is computed exactly in
+any summation order.  That one pass also yields the intersection numbers
+p_ij^k, through A_i A_j = sum_k p_ij^k A_k, and the scheme is commutative
+exactly when p_ij^k = p_ji^k (Bannai & Ito 1984, Section II.2).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
@@ -45,15 +50,20 @@ class AssociationScheme:
         n x n integer matrix, relation[x][y] = class of the pair (x, y).
     labels : tuple of str, optional
         Per-class display names.
+
+    The relation matrix is copied on construction, so the scheme never
+    shares memory with the caller.  The first `verify_axioms` call keeps
+    its report (and with it the intersection tensor) on the scheme.
     """
 
     n: int
     d: int
     relation: np.ndarray
     labels: tuple[str, ...] | None = None
+    _axioms: AxiomReport | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rel = np.asarray(self.relation, dtype=np.int64)
+        rel = np.array(self.relation, dtype=np.int64)
         rel.setflags(write=False)
         object.__setattr__(self, "relation", rel)
         if rel.shape != (self.n, self.n):
@@ -83,12 +93,15 @@ class AssociationScheme:
 class AxiomReport:
     """Result of verify_axioms: violations carry (axiom id, witness indices).
 
-    `commutative` is only meaningful when `passed` is True.
+    `commutative` is only meaningful when `passed` is True.  `p` is the
+    certified intersection tensor, p[i, j, k] = p_ij^k (read-only int64),
+    or None when the check fails.
     """
 
     passed: bool
     violations: tuple[tuple[int, tuple[int, ...]], ...]
     commutative: bool
+    p: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def verify_axioms(s: AssociationScheme) -> AxiomReport:
@@ -98,7 +111,27 @@ def verify_axioms(s: AssociationScheme) -> AxiomReport:
     axiom 3 -> (x, y, x', y') with relation[x][y] = relation[x'][y'] but
     transposed classes differing, axiom 4 -> (i, j, x, y, x', y') where the
     product count differs between two pairs in one class.
+
+    The report is kept on the scheme, whose relation matrix is read-only,
+    so later calls on the same scheme return it without checking again.
     """
+    if s._axioms is None:
+        object.__setattr__(s, "_axioms", _check_axioms(s))
+    return s._axioms
+
+
+def require_axioms(s: AssociationScheme) -> AxiomReport:
+    """The report of `verify_axioms`; raises ValidationError if an axiom fails."""
+    report = verify_axioms(s)
+    if not report.passed:
+        axiom, witness = report.violations[0]
+        raise ValidationError(
+            f"relation matrix violates scheme axiom ({axiom}); witness {witness}"
+        )
+    return report
+
+
+def _check_axioms(s: AssociationScheme) -> AxiomReport:
     rel = s.relation
     n, d = s.n, s.d
     violations: list[tuple[int, tuple[int, ...]]] = []
@@ -117,57 +150,62 @@ def verify_axioms(s: AssociationScheme) -> AxiomReport:
         if j not in present:
             violations.append((2, (j,)))
 
-    # axiom 3: the transpose of class j must be exactly one class
-    transpose_of = [None] * (d + 1)
+    # axiom 3: the transpose of class j must be exactly one class.  The
+    # first pair of each class in row-major order is its representative.
+    reps = []
     ok3 = True
     for j in range(d + 1):
         xs, ys = np.nonzero(rel == j)
         if xs.size == 0:
             continue
+        reps.append((int(xs[0]), int(ys[0])))
         back = rel[ys, xs]
-        j2 = int(back[0])
-        mismatch = np.nonzero(back != j2)[0]
+        mismatch = np.nonzero(back != back[0])[0]
         if mismatch.size:
             m = int(mismatch[0])
             violations.append((3, (int(xs[0]), int(ys[0]), int(xs[m]), int(ys[m]))))
             ok3 = False
-        else:
-            transpose_of[j] = j2
 
-    ok4 = True
+    p = None
     if ok3 and not violations:
-        mats = np.stack(s.adjacency_matrices())
-        masks = [rel == k for k in range(d + 1)]
-        for i in range(d + 1):
-            if not ok4:
-                break
-            for j in range(d + 1):
-                prod = mats[i] @ mats[j]
-                for k in range(d + 1):
-                    vals = prod[masks[k]]
-                    if vals.size and (vals != vals[0]).any():
-                        xs, ys = np.nonzero(masks[k])
-                        m = int(np.nonzero(vals != vals[0])[0][0])
-                        violations.append(
-                            (4, (i, j, int(xs[0]), int(ys[0]), int(xs[m]), int(ys[m])))
-                        )
-                        ok4 = False
-                        break
-                if not ok4:
-                    break
+        p, witness = _product_pass(rel, d, reps)
+        if witness is not None:
+            violations.append((4, witness))
+    if violations:
+        return AxiomReport(passed=False, violations=tuple(violations), commutative=False)
+    return AxiomReport(passed=True, violations=(),
+                       commutative=bool(np.array_equal(p, p.swapaxes(0, 1))), p=p)
 
-    passed = not violations
-    commutative = False
-    if passed:
-        commutative = True
-        for i in range(d + 1):
-            for j in range(i + 1, d + 1):
-                if not np.array_equal(mats[i] @ mats[j], mats[j] @ mats[i]):
-                    commutative = False
-                    break
-            if not commutative:
-                break
-    return AxiomReport(passed=passed, violations=tuple(violations), commutative=commutative)
+
+def _product_pass(rel: np.ndarray, d: int, reps: list[tuple[int, int]]):
+    """Axiom 4 as one BLAS product A_i [A_0 ... A_d] per class i.
+
+    p_ij^k is read at the representative reps[k]; the whole product block
+    is then compared with sum_k p_ij^k A_k, so every pair is checked.
+    Returns (p, None) on success, else (None, (i, j, x, y, x', y')): the
+    first product A_i A_j, in (i, j) order, that is not constant on some
+    class k, with (x, y) = reps[k] and (x', y') the first pair of class k,
+    in row-major order, whose count differs.
+    """
+    n = rel.shape[0]
+    # stack[z, j, y] = A_j[z, y]; exact in float64 (see the module docstring)
+    stack = (rel[:, None, :] == np.arange(d + 1)[:, None]).astype(np.float64)
+    wide = stack.reshape(n, (d + 1) * n)
+    rx, ry = np.array(reps).T
+    p = np.empty((d + 1, d + 1, d + 1), dtype=np.int64)
+    for i in range(d + 1):
+        # prod[j, x, y] = (A_i A_j)[x, y]
+        prod = (stack[:, i, :] @ wide).reshape(n, d + 1, n).transpose(1, 0, 2)
+        p_i = prod[:, rx, ry]
+        bad = prod != p_i[:, rel]
+        if bad.any():
+            j = int(np.argmax(bad.any(axis=(1, 2))))
+            k = int(rel[bad[j]].min())
+            x2, y2 = np.argwhere(bad[j] & (rel == k))[0]
+            return None, (i, j, *reps[k], int(x2), int(y2))
+        p[i] = p_i
+    p.setflags(write=False)
+    return p, None
 
 
 def _class_order_with_identity_first(identity: int, count: int) -> list[int]:

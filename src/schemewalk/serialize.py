@@ -19,7 +19,7 @@ from . import groups
 from .anyons import make_fusion_system
 from .errors import ValidationError
 from .parameters import IntersectionTensor, KreinTensor
-from .schemes import AssociationScheme, verify_axioms
+from .schemes import AssociationScheme, require_axioms
 from .spectral import BoseMesnerDecomposition
 
 KINDS = ("scheme", "cayley", "matrix", "tensor", "fusion-system", "distribution")
@@ -121,12 +121,7 @@ def from_jsonable(kind: str, data, validate: bool = True):
             relation=np.array(data["relation"], dtype=np.int64), labels=labels,
         )
         if validate:
-            report = verify_axioms(scheme)
-            if not report.passed:
-                axiom, witness = report.violations[0]
-                raise ValidationError(
-                    f"relation matrix violates scheme axiom ({axiom}); witness {witness}"
-                )
+            require_axioms(scheme)
         return scheme
     if kind == "cayley":
         if not isinstance(data, dict) or not {"order", "cayley"} <= set(data):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError, ValidationError
-from .schemes import AssociationScheme
+from .schemes import AssociationScheme, require_axioms
 
 # Seed for the generic-combination coefficients.  Fixed so that repeated
 # runs produce bit-identical decompositions.
@@ -104,19 +104,22 @@ def decompose(s: AssociationScheme) -> BoseMesnerDecomposition:
     are sorted by descending real part, then descending imaginary part,
     of their A_1-eigenvalue, with ties broken by A_2, A_3, ...
 
-    Raises ValidationError for non-commutative schemes and
-    CertificationError when any reconstruction or consistency residual
-    exceeds tolerance.
+    Commutativity is read from the intersection numbers that
+    `verify_axioms` certifies (A_i A_j = A_j A_i iff p_ij^k = p_ji^k).
+
+    Raises ValidationError for inputs that fail the scheme axioms or are
+    not commutative, and CertificationError when any reconstruction or
+    consistency residual exceeds tolerance.
     """
+    report = require_axioms(s)
+    if not report.commutative:
+        i, j, _ = np.argwhere(report.p != report.p.swapaxes(0, 1))[0]
+        raise ValidationError(
+            f"scheme is not commutative (A_{i} and A_{j} do not commute); "
+            "only commutative schemes can be decomposed"
+        )
     n, d = s.n, s.d
     mats = [a.astype(np.float64) for a in s.adjacency_matrices()]
-    for i in range(d + 1):
-        for j in range(i + 1, d + 1):
-            if not np.allclose(mats[i] @ mats[j], mats[j] @ mats[i], atol=1e-12):
-                raise ValidationError(
-                    f"scheme is not commutative (A_{i} and A_{j} do not commute); "
-                    "only commutative schemes can be decomposed"
-                )
 
     rng = np.random.default_rng(_GENERIC_SEED)
     generic = np.zeros((n, n), dtype=np.complex128)

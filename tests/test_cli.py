@@ -218,3 +218,30 @@ def test_qmc_schur_on_a_scheme_beyond_the_pair_space_cap(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "trace factors" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["scheme", "verify", "SCHEME"],
+    ["scheme", "spectrum", "SCHEME"],
+    ["scheme", "params", "SCHEME", "--kind", "intersection"],
+    ["scheme", "params", "SCHEME", "--kind", "krein"],
+    ["walk", "hypergroup", "SCHEME", "--coin", "1", "--start", "0", "--steps", "1"],
+    ["qmc", "schur", "--scheme", "SCHEME", "--coin", "1",
+     "--rho", json.dumps((np.eye(6) / 6).tolist()), "--steps", "1"],
+    ["anyon", "bridge", "--scheme", "SCHEME", "--system", "ising"],
+])
+def test_each_verb_runs_one_axiom_pass(argv, j42_file, monkeypatch, capsys):
+    import schemewalk.schemes as schemes
+
+    calls = []
+    original = schemes._product_pass
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(schemes, "_product_pass", counted)
+    code = run([str(j42_file) if a == "SCHEME" else a for a in argv])
+    capsys.readouterr()
+    assert code == 0
+    assert len(calls) == 1
