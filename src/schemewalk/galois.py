@@ -5,11 +5,19 @@ residue; for prime powers it encodes the coefficient vector of the
 polynomial basis in base p (so GF(4) element 3 = x + 1).  Multiplication
 goes through log/antilog tables built from a fixed primitive element, so
 all arithmetic stays exact integer table lookups.
+
+`subspace_points` lists the projective points of many subspaces at once
+through NumPy copies of the add/mul tables; it is what `build_grassmann`
+uses.  `rref`, `rank` and `intersection_dim` work one basis at a time in
+Python and remain as the reference those vectorised builds are tested
+against.
 """
 
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -91,6 +99,10 @@ class GF:
         for i, v in enumerate(seen):
             self.log[v] = i
         self._poly_mul = poly_mul
+        # NumPy copies of the tables, for arithmetic on whole arrays of elements
+        self.add_table = np.array(self._add, dtype=np.int64)
+        self.mul_table = np.array([[self.mul(a, b) for b in range(q)] for a in range(q)],
+                                  dtype=np.int64)
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
@@ -110,6 +122,34 @@ class GF:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in a field")
         return self.antilog[(-self.log[a]) % (self.q - 1)]
+
+
+def subspace_points(q: int, bases) -> np.ndarray:
+    """The projective points of each subspace, from its RREF basis.
+
+    `bases` holds n subspaces of GF(q)^v as d x v RREF bases (the output of
+    `enumerate_subspaces`).  Row s of the (n, [d,1]_q) result lists the
+    points of subspace s.  A point is a nonzero vector scaled so that its
+    first nonzero coordinate is 1, encoded as the base-q integer of its
+    coordinates.
+
+    For an RREF basis B, the first nonzero coordinate of c B is c_r, at the
+    pivot of the first row r with c_r != 0.  The points of the span are
+    therefore exactly the c B whose first nonzero coefficient is 1, and
+    there are (q^d - 1)/(q - 1) of them.
+    """
+    field = GF(q)
+    bases = np.asarray(bases, dtype=np.int64)
+    n, d, v = bases.shape
+    coeffs = np.array([(0,) * r + (1,) + rest for r in range(d)
+                       for rest in itertools.product(range(q), repeat=d - r - 1)],
+                      dtype=np.int64)
+    # terms[s, c, r, :] = coeffs[c, r] * bases[s, r, :]
+    terms = field.mul_table[coeffs[None, :, :, None], bases[:, None, :, :]]
+    vectors = terms[:, :, 0, :]
+    for r in range(1, d):
+        vectors = field.add_table[vectors, terms[:, :, r, :]]
+    return vectors @ q ** np.arange(v - 1, -1, -1, dtype=np.int64)
 
 
 def gaussian_binomial(v: int, d: int, q: int) -> int:

@@ -18,6 +18,11 @@ vertex count <= n < 2^53, so each product entry is computed exactly in
 any summation order.  That one pass also yields the intersection numbers
 p_ij^k, through A_i A_j = sum_k p_ij^k A_k, and the scheme is commutative
 exactly when p_ij^k = p_ji^k (Bannai & Ito 1984, Section II.2).
+
+The table-driven builders form the relation matrix without a loop over
+pairs: Johnson and Grassmann schemes from one float64 product M M^T of a
+0/1 incidence matrix, group and conjugacy schemes from one gather through
+the Cayley table.
 """
 
 from __future__ import annotations
@@ -29,14 +34,15 @@ from math import comb
 import numpy as np
 
 from . import galois
-from .errors import ValidationError
+from .errors import CertificationError, ValidationError
 from .groups import FiniteGroup
 
-# Grassmann vertex counts above this need an explicit opt-in.
+# Johnson schemes may not exceed this many vertices; Grassmann schemes
+# above it need an explicit `vertex_cap`.
 DEFAULT_VERTEX_CAP = 5000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssociationScheme:
     """An association scheme stored as its relation matrix.
 
@@ -54,13 +60,17 @@ class AssociationScheme:
     The relation matrix is copied on construction, so the scheme never
     shares memory with the caller.  The first `verify_axioms` call keeps
     its report (and with it the intersection tensor) on the scheme.
+
+    Two schemes are equal when n, d, labels and the relation matrix agree;
+    the kept report plays no part.  The read-only relation matrix makes the
+    hash stable.
     """
 
     n: int
     d: int
     relation: np.ndarray
     labels: tuple[str, ...] | None = None
-    _axioms: AxiomReport | None = field(default=None, init=False, repr=False, compare=False)
+    _axioms: AxiomReport | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         rel = np.array(self.relation, dtype=np.int64)
@@ -72,8 +82,19 @@ class AssociationScheme:
             raise ValidationError(
                 f"class indices must lie in 0..{self.d}, found {rel.min()}..{rel.max()}"
             )
-        if self.labels is not None and len(self.labels) != self.d + 1:
-            raise ValidationError("labels must list one name per class")
+        if self.labels is not None:
+            if len(self.labels) != self.d + 1:
+                raise ValidationError("labels must list one name per class")
+            object.__setattr__(self, "labels", tuple(self.labels))
+
+    def __eq__(self, other):
+        if not isinstance(other, AssociationScheme):
+            return NotImplemented
+        return ((self.n, self.d, self.labels) == (other.n, other.d, other.labels)
+                and np.array_equal(self.relation, other.relation))
+
+    def __hash__(self):
+        return hash((self.n, self.d, self.labels, self.relation.tobytes()))
 
     def adjacency(self, j: int) -> np.ndarray:
         """The 0/1 adjacency matrix A_j (a fresh integer array)."""
@@ -220,6 +241,12 @@ def _class_order_with_identity_first(identity: int, count: int) -> list[int]:
     return mapping
 
 
+def _quotient_classes(g: FiniteGroup, class_of) -> np.ndarray:
+    """rel[y, z] = class_of[y * z^-1], gathered through the Cayley table."""
+    cayley = np.array(g.cayley, dtype=np.intp)
+    return np.asarray(class_of, dtype=np.int64)[cayley[:, np.array(g.inverse, dtype=np.intp)]]
+
+
 def build_group_scheme(g: FiniteGroup) -> AssociationScheme:
     """The scheme of left translations: (y, z) lies in the class of y * z^-1.
 
@@ -227,11 +254,7 @@ def build_group_scheme(g: FiniteGroup) -> AssociationScheme:
     and A_x A_y = A_{xy}, A_x^T = A_{x^-1}.
     """
     n = g.order
-    class_of = _class_order_with_identity_first(g.identity, n)
-    rel = np.empty((n, n), dtype=np.int64)
-    for y in range(n):
-        for z in range(n):
-            rel[y, z] = class_of[g.cayley[y][g.inverse[z]]]
+    rel = _quotient_classes(g, _class_order_with_identity_first(g.identity, n))
     return AssociationScheme(n=n, d=n - 1, relation=rel)
 
 
@@ -247,10 +270,7 @@ def build_conjugacy_scheme(g: FiniteGroup) -> AssociationScheme:
     for idx, cl in enumerate(classes):
         for x in cl:
             class_of_elt[x] = idx
-    rel = np.empty((n, n), dtype=np.int64)
-    for y in range(n):
-        for z in range(n):
-            rel[y, z] = class_of_elt[g.cayley[y][g.inverse[z]]]
+    rel = _quotient_classes(g, class_of_elt)
     return AssociationScheme(n=n, d=len(classes) - 1, relation=rel)
 
 
@@ -328,16 +348,25 @@ def build_johnson(v: int, k: int) -> AssociationScheme:
     """Johnson scheme J(v, k) on the k-subsets of a v-set.
 
     Subsets a, b get class k - |a n b|.  Requires k <= v - k (J(v, k) and
-    J(v, v-k) are isomorphic, so nothing is lost).
+    J(v, v-k) are isomorphic, so nothing is lost) and at most
+    DEFAULT_VERTEX_CAP vertices.  Vertices are the subsets in
+    `itertools.combinations` order.
+
+    With M the n x v 0/1 incidence matrix of subsets against points,
+    |a n b| = (M M^T)[a, b].  The product runs in float64 and is exact:
+    every partial sum is a count <= k.
     """
     if k <= 0 or 2 * k > v:
         raise ValidationError(f"Johnson scheme needs 0 < k <= v/2, got v={v}, k={k}")
-    subsets = [frozenset(c) for c in itertools.combinations(range(v), k)]
     n = comb(v, k)
-    rel = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            rel[a, b] = k - len(subsets[a] & subsets[b])
+    if n > DEFAULT_VERTEX_CAP:
+        raise ValidationError(
+            f"J({v},{k}) has {n} vertices, above the cap of {DEFAULT_VERTEX_CAP}"
+        )
+    members = np.array(list(itertools.combinations(range(v), k)), dtype=np.intp)
+    inc = np.zeros((n, v))
+    np.put_along_axis(inc, members, 1.0, axis=1)
+    rel = k - (inc @ inc.T).astype(np.int64)
     return AssociationScheme(n=n, d=k, relation=rel)
 
 
@@ -346,7 +375,16 @@ def build_grassmann(q: int, v: int, d: int,
     """Grassmann scheme J_q(v, d) on the d-dim subspaces of GF(q)^v.
 
     Subspaces a, b get class d - dim(a n b), so class 0 is the identity
-    relation (pairs with full intersection are equal subspaces).
+    relation (pairs with full intersection are equal subspaces).  Vertices
+    are the subspaces in the canonical RREF order of
+    `galois.enumerate_subspaces`.
+
+    With M the 0/1 incidence matrix of subspaces against the projective
+    points of GF(q)^v, (M M^T)[a, b] counts the points of a n b, which is
+    [k,1]_q = (q^k - 1)/(q - 1) for k = dim(a n b) (Brouwer, Cohen &
+    Neumaier 1989, Section 9.3).  The product runs in float64 and is exact:
+    every partial sum is a count <= [d,1]_q.  M has [v,1]_q <= n columns
+    for 0 < d <= v/2, so it is never larger than the relation matrix.
     """
     if q not in galois.SUPPORTED_ORDERS:
         raise ValidationError(
@@ -359,13 +397,20 @@ def build_grassmann(q: int, v: int, d: int,
         raise ValidationError(
             f"J_{q}({v},{d}) has {n} vertices, above the cap of {vertex_cap}"
         )
-    field = galois.GF(q)
-    bases = galois.enumerate_subspaces(q, v, d)
-    rel = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        rel[a, a] = 0
-        for b in range(a + 1, n):
-            j = d - galois.intersection_dim(field, bases[a], bases[b])
-            rel[a, b] = j
-            rel[b, a] = j
+    points = galois.subspace_points(q, galois.enumerate_subspaces(q, v, d))
+    per_subspace = points.shape[1]
+    _, cols = np.unique(points, return_inverse=True)
+    inc = np.zeros((n, int(cols.max()) + 1))
+    inc[np.arange(n)[:, None], cols.reshape(n, per_subspace)] = 1.0
+    # class of each possible point count: [k,1]_q -> d - k, any other -> -1
+    class_of_count = np.full(per_subspace + 1, -1, dtype=np.int64)
+    for k in range(d + 1):
+        class_of_count[(q**k - 1) // (q - 1)] = d - k
+    rel = class_of_count[(inc @ inc.T).astype(np.intp)]
+    if rel.min() < 0:
+        a, b = np.argwhere(rel < 0)[0]
+        raise CertificationError(
+            f"J_{q}({v},{d}): subspaces {a} and {b} share {int(inc[a] @ inc[b])} points, "
+            f"which is no subspace size"
+        )
     return AssociationScheme(n=n, d=d, relation=rel)

@@ -36,9 +36,12 @@ _RESIDUAL_TOL = 1e-8
 _INTEGRALITY_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoseMesnerDecomposition:
-    """Primitive idempotents of a commutative scheme, with spectral data."""
+    """Primitive idempotents of a commutative scheme, with spectral data.
+
+    Equality is identity: float idempotents have no exact value equality.
+    """
 
     scheme: AssociationScheme
     idempotents: tuple[np.ndarray, ...]

@@ -98,6 +98,14 @@ def test_scheme_build_grassmann(tmp_path, capsys):
     assert load(out_path, "scheme").n == 7
 
 
+def test_scheme_build_johnson_above_vertex_cap_exits_1(tmp_path, capsys):
+    code = run(["scheme", "build", "--family", "johnson", "--v", "40", "--k", "20",
+                "--out", str(tmp_path / "big.json")])
+    assert code == 1
+    assert "above the cap" in capsys.readouterr().err
+    assert not (tmp_path / "big.json").exists()
+
+
 def test_walk_csv(tmp_path, j42_file, capsys):
     csv_path = tmp_path / "walk.csv"
     code = run(["walk", "hypergroup", str(j42_file), "--coin", "1", "--start", "0",

@@ -107,9 +107,9 @@ def test_intersection_row_sums(name, builtin_schemes):
 
 
 def test_sampled_path_matches_full_check():
-    """Above the full-check size cutoff the sampled verification still
-    certifies a correct tensor; re-verify it exactly here."""
-    s = build_johnson(12, 2)  # n = 66 > 64 triggers sampling
+    """Above 64 vertices the tensor kept by axiom verification still
+    satisfies A_i A_j = sum_k p_ij^k A_k; re-verify it exactly here."""
+    s = build_johnson(12, 2)  # n = 66, above the size where checks once sampled
     it = intersection_numbers(s)
     mats = s.adjacency_matrices()
     for i in range(s.d + 1):

@@ -8,9 +8,11 @@ from schemewalk import (
     build_group_scheme,
     build_johnson,
     build_orbit_scheme,
+    decompose,
     groups,
     verify_axioms,
 )
+from schemewalk.schemes import AssociationScheme
 from tests.conftest import BUILTIN_NAMES, COMMUTATIVE_NAMES, NONCOMMUTATIVE
 
 EXPECTED_SIZES = {
@@ -114,6 +116,34 @@ def test_grassmann_vertex_cap():
     # explicit cap override allows slightly bigger instances
     s = build_grassmann(2, 5, 2, vertex_cap=200)
     assert s.n == 155
+
+
+def test_johnson_vertex_cap_fails_before_enumerating():
+    # C(40, 20) is about 1.4e11 subsets; the cap must refuse before listing any
+    with pytest.raises(ValidationError, match="J\\(40,20\\) has 137846528820 vertices, above the cap"):
+        build_johnson(40, 20)
+
+
+def test_scheme_equality_and_hash():
+    a, b = build_johnson(4, 2), build_johnson(4, 2)
+    verify_axioms(a)  # the kept report plays no part in equality
+    assert a == b and hash(a) == hash(b)
+    assert a != build_johnson(5, 2)
+    assert a != "johnson"
+    perm = np.array([1, 0, 2, 3, 4, 5])
+    relabelled = AssociationScheme(n=6, d=2, relation=a.relation[np.ix_(perm, perm)])
+    assert relabelled != a
+    named = AssociationScheme(n=6, d=2, relation=a.relation, labels=["0", "1", "2"])
+    assert named != a and named.labels == ("0", "1", "2")
+    assert named == AssociationScheme(n=6, d=2, relation=a.relation, labels=("0", "1", "2"))
+    assert len({a, b, relabelled}) == 2
+
+
+def test_decomposition_equality_is_identity():
+    s = build_johnson(4, 2)
+    first, second = decompose(s), decompose(s)
+    assert first == first and first != second
+    assert len({first, second}) == 2
 
 
 def test_grassmann_unsupported_field():
