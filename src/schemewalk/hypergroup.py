@@ -1,7 +1,8 @@
 """The commutative hypergroup induced on normalized idempotents.
 
 The normalized idempotents e_j = E_j / m_j of a commutative scheme close
-under the entrywise product:
+under the entrywise product.  The weights come from the multiplicities
+and the Krein tensor alone, so the E_j themselves are never formed here:
 
     e_i o e_j = sum_k (e_i * e_j)(k) e_k,
     (e_i * e_j)(k) = (m_k / (m_i m_j)) q_{ij}^k,
@@ -36,17 +37,14 @@ _DIST_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Hypergroup:
-    """Convolution tensor on indices {0..d} plus the idempotent data."""
+    """Convolution tensor on indices {0..d} plus the multiplicities."""
 
     size: int
     convolution: np.ndarray
     multiplicities: tuple[int, ...]
-    normalized_idempotents: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         self.convolution.setflags(write=False)
-        for e in self.normalized_idempotents:
-            e.setflags(write=False)
 
     def plancherel(self) -> np.ndarray:
         m = np.array(self.multiplicities, dtype=np.float64)
@@ -89,20 +87,15 @@ def hypergroup_from(dec: BoseMesnerDecomposition, q: KreinTensor) -> Hypergroup:
         raise CertificationError("index 0 does not act as the hypergroup identity")
     conv[0] = delta
     conv[:, 0, :] = delta
-
-    normalized = tuple(e / mult for e, mult in zip(dec.idempotents, dec.multiplicities))
-    return Hypergroup(
-        size=d + 1,
-        convolution=conv,
-        multiplicities=dec.multiplicities,
-        normalized_idempotents=normalized,
-    )
+    return Hypergroup(size=d + 1, convolution=conv, multiplicities=dec.multiplicities)
 
 
 def _as_distribution(vec, size: int, what: str) -> np.ndarray:
     v = np.asarray(vec, dtype=np.float64)
     if v.shape != (size,):
         raise ValidationError(f"{what} must have length {size}, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValidationError(f"{what} has a non-finite entry")
     if v.min() < -_DIST_TOL:
         raise ValidationError(f"{what} has a negative entry: {v.min()!r}")
     if abs(v.sum() - 1.0) > _DIST_TOL:

@@ -9,11 +9,17 @@ are the structure constants under ordinary matrix multiplication,
 Krein parameters q_{ij}^k are the structure constants of the idempotent
 basis under the entrywise product, in the convention
 
-    E_i o E_j = (1/n) sum_k q_{ij}^k E_k,
+    E_i o E_j = (1/n) sum_k q_{ij}^k E_k.
 
-extracted by the trace pairing q_{ij}^k = (n/m_k) tr((E_i o E_j) E_k).
-They are real and, for genuine schemes, nonnegative (the Krein
-condition); nonnegativity is certified here, not assumed.
+Since E_j takes the value Q[l][j] / n on relation l, and P Q = n I, they
+have the closed form in the eigenmatrices
+
+    q_{ij}^k = (1/n) sum_l Q[l][i] Q[l][j] P[k][l]
+             = (m_i m_j / n) sum_l conj(P[i][l]) conj(P[j][l]) P[k][l] / k_l^2,
+
+a (d+1)^4 sum that never touches an n x n matrix.  They are real and, for
+genuine schemes, nonnegative (the Krein condition); nonnegativity is
+certified here, not assumed.
 """
 
 from __future__ import annotations
@@ -72,30 +78,23 @@ def intersection_numbers(s: AssociationScheme) -> IntersectionTensor:
 
 
 def krein_parameters(dec: BoseMesnerDecomposition) -> KreinTensor:
-    """Krein parameters via the trace pairing, with certification.
+    """Krein parameters from the closed form in P and Q, with certification.
 
     Raises CertificationError if any entry falls below the nonnegativity
     tolerance, if an entry has a non-real residue, or if the trace
     identity sum_k m_k q_{ij}^k = m_i m_j fails.
     """
-    n, d = dec.n, dec.d
-    ems = dec.idempotents
+    eq = dec.eigenmatrix_Q
     m = np.array(dec.multiplicities, dtype=np.float64)
-    q = np.empty((d + 1, d + 1, d + 1), dtype=np.float64)
-    worst_imag = 0.0
-    for i in range(d + 1):
-        for j in range(i, d + 1):
-            had = ems[i] * ems[j]
-            for k in range(d + 1):
-                # tr(X E_k) with E_k Hermitian: sum over entries of X * conj(E_k)
-                val = complex(np.sum(had * ems[k].conj())) * (n / m[k])
-                worst_imag = max(worst_imag, abs(val.imag))
-                q[i, j, k] = val.real
-                q[j, i, k] = val.real
-    if worst_imag > KREIN_TOLERANCE:
+    products = eq[:, :, np.newaxis] * eq[:, np.newaxis, :]  # Q[l][i] Q[l][j]
+    raw = np.tensordot(products, dec.eigenmatrix_P, axes=([0], [1])) / dec.n
+    raw = (raw + raw.swapaxes(0, 1)) / 2  # exactly symmetric in i and j
+    worst_imag = float(np.max(np.abs(raw.imag)))
+    if not worst_imag <= KREIN_TOLERANCE:
         raise CertificationError(
             f"Krein parameter with imaginary residue {worst_imag:.3e}; decomposition suspect"
         )
+    q = raw.real.copy()
 
     flat = q.reshape(-1)
     arg = int(np.argmin(flat))
@@ -113,13 +112,11 @@ def krein_parameters(dec: BoseMesnerDecomposition) -> KreinTensor:
         raise CertificationError(
             f"trace identity sum_k m_k q_ij^k = m_i m_j fails with residual {residual:.3e}"
         )
-    return KreinTensor(d=d, q=q, tolerance_used=KREIN_TOLERANCE)
+    return KreinTensor(d=dec.d, q=q, tolerance_used=KREIN_TOLERANCE)
 
 
 def check_krein_condition(q: KreinTensor, tolerance: float = KREIN_TOLERANCE) -> KreinReport:
     """List every entry below -tolerance; empty for valid schemes."""
-    violations = []
-    for (i, j, k), val in np.ndenumerate(q.q):
-        if val < -tolerance:
-            violations.append((int(i), int(j), int(k), float(val)))
-    return KreinReport(passed=not violations, violations=tuple(violations), tolerance=tolerance)
+    violations = tuple((int(i), int(j), int(k), float(q.q[i, j, k]))
+                       for i, j, k in np.argwhere(q.q < -tolerance))
+    return KreinReport(passed=not violations, violations=violations, tolerance=tolerance)

@@ -48,6 +48,8 @@ def _require_square(m: np.ndarray, what: str) -> np.ndarray:
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{what} must be a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"{what} has a non-finite entry")
     return a
 
 
@@ -235,6 +237,8 @@ def dilation_unitary(p) -> np.ndarray:
     vec = np.asarray(p, dtype=np.float64)
     if vec.ndim != 1 or vec.size < 1:
         raise ValidationError("distribution must be a non-empty vector")
+    if not np.all(np.isfinite(vec)):
+        raise ValidationError("distribution has a non-finite entry")
     if vec.min() < 0.0:
         raise ValidationError(f"distribution has a negative entry: {vec.min()!r}")
     if abs(vec.sum() - 1.0) > _STOCHASTIC_TOL:

@@ -177,6 +177,8 @@ def from_jsonable(kind: str, data, validate: bool = True):
             raise ValidationError("distribution entries must be numbers")
         vec = np.array(data, dtype=np.float64)
         if validate:
+            if not np.all(np.isfinite(vec)):
+                raise ValidationError("distribution has a non-finite entry")
             if vec.min() < 0.0:
                 raise ValidationError(f"distribution has a negative entry: {vec.min()!r}")
             if abs(vec.sum() - 1.0) > 1e-9:

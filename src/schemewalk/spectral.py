@@ -3,20 +3,32 @@
 For a commutative association scheme the adjacency matrices A_0..A_d are
 simultaneously diagonalizable; the algebra they span has a second basis of
 primitive idempotents E_0..E_d (orthogonal projections onto the maximal
-common eigenspaces).  `decompose` produces that basis along with the
-multiplicities m_j = rank E_j and the two change-of-basis matrices
+common eigenspaces).  `decompose` produces the multiplicities
+m_j = rank E_j and the two change-of-basis matrices
 
     A_j = sum_i P[i][j] E_i        (eigenmatrix P)
     E_j = (1/n) sum_i Q[i][j] A_i  (eigenmatrix Q)
 
+entirely in the (d+1)-dimensional algebra, from the intersection numbers
+that `verify_axioms` certifies.  Row t of P is a character of the
+algebra, P[t][i] P[t][j] = sum_k p_ij^k P[t][k]; the multiplicities and Q
+follow from the orthogonality relations (Bannai & Ito 1984, Sections
+II.3-4),
+
+    m_t = n / sum_j |P[t][j]|^2 / k_j,   Q[j][t] = m_t conj(P[t][j]) / k_j.
+
+The n x n idempotents are gathered from Q and the relation matrix only
+when `BoseMesnerDecomposition.idempotents` is first read.
+
 Everything is complex throughout: non-symmetric commutative schemes (e.g.
-cyclic group schemes) genuinely need complex idempotents, and symmetric
-ones simply come out real within tolerance.
+cyclic group schemes) genuinely have complex characters, and symmetric
+ones come out real.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,31 +39,27 @@ from .schemes import AssociationScheme, require_axioms
 # runs produce bit-identical decompositions.
 _GENERIC_SEED = 1729
 
-# Two eigenvalues are considered equal when they differ by less than
-# _GROUP_RTOL times the spectral scale (scheme eigenvalues are algebraic
-# integers, well separated at the sizes in scope).
-_GROUP_RTOL = 1e-8
-
+# Character identities are checked relative to k_i k_j, the size of
+# P[t][i] P[t][j]; P Q = n I relative to n.
 _RESIDUAL_TOL = 1e-8
 _INTEGRALITY_TOL = 1e-6
+_VALENCY_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
 class BoseMesnerDecomposition:
-    """Primitive idempotents of a commutative scheme, with spectral data.
+    """Spectral data of a commutative scheme: m, P and Q.
 
-    Equality is identity: float idempotents have no exact value equality.
+    The primitive idempotents are computed on first access and kept.
+    Equality is identity: float eigenmatrices have no exact value equality.
     """
 
     scheme: AssociationScheme
-    idempotents: tuple[np.ndarray, ...]
     multiplicities: tuple[int, ...]
     eigenmatrix_P: np.ndarray
     eigenmatrix_Q: np.ndarray
 
     def __post_init__(self):
-        for e in self.idempotents:
-            e.setflags(write=False)
         self.eigenmatrix_P.setflags(write=False)
         self.eigenmatrix_Q.setflags(write=False)
 
@@ -62,6 +70,13 @@ class BoseMesnerDecomposition:
     @property
     def d(self) -> int:
         return self.scheme.d
+
+    @cached_property
+    def idempotents(self) -> tuple[np.ndarray, ...]:
+        """Read-only E_0..E_d, gathered as E_j[x][y] = Q[relation[x][y]][j] / n."""
+        stack = (self.eigenmatrix_Q.T / self.n)[:, self.scheme.relation]
+        stack.setflags(write=False)
+        return tuple(stack)
 
 
 def schur(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
@@ -79,164 +94,91 @@ def schur_identity(n: int) -> np.ndarray:
     return np.ones((n, n))
 
 
-def _cluster(values: np.ndarray) -> list[np.ndarray]:
-    """Group indices of a real vector into runs of nearly equal values."""
-    order = np.argsort(values)
-    tol = _GROUP_RTOL * max(1.0, float(np.abs(values).max()))
-    groups: list[list[int]] = [[int(order[0])]]
-    for idx in order[1:]:
-        if values[idx] - values[groups[-1][-1]] < tol:
-            groups[-1].append(int(idx))
-        else:
-            groups.append([int(idx)])
-    return [np.array(g) for g in groups]
+def _generic_weights(count: int) -> np.ndarray:
+    """Seeded complex coefficients of the generic combination."""
+    c = np.random.default_rng(_GENERIC_SEED).standard_normal((count, 2))
+    return c[:, 0] + 1j * c[:, 1]
 
 
 def decompose(s: AssociationScheme) -> BoseMesnerDecomposition:
-    """Simultaneously diagonalize the adjacency matrices of `s`.
+    """Characters, multiplicities and eigenmatrices of a commutative scheme.
 
-    Strategy: eigendecompose one Hermitian generic combination of the
-    A_j and their transposes, then refine each eigenspace against the
-    Hermitian and anti-Hermitian parts of every A_j until all act as
-    scalars.  Refinement uses `eigh` throughout, so bases stay
-    orthonormal, and subspaces whose full eigenvalue vectors agree are
-    merged (guards against accidental splits at the clustering
-    tolerance).
+    Reads only the certified intersection numbers p_ij^k and the
+    valencies k_j.  A row of P is a common eigenvector of the matrices
+    p_i = (p_ij^k)_jk, scaled so that its entry 0 is 1.  Conjugated by
+    diag(sqrt k), p_i turns into S_i with S_i^T = S_i' (i' the transposed
+    class), so for one seeded generic combination G = sum c_i S_i the
+    matrix G + G^H is Hermitian, its eigenvalues separate the d+1
+    characters, and `eigh` returns them in an orthonormal basis.
 
-    Ordering: the all-ones eigenspace (E_0 = J/n) comes first; the rest
+    Ordering: E_0 (the row equal to the valencies) comes first; the rest
     are sorted by descending real part, then descending imaginary part,
-    of their A_1-eigenvalue, with ties broken by A_2, A_3, ...
-
-    Commutativity is read from the intersection numbers that
-    `verify_axioms` certifies (A_i A_j = A_j A_i iff p_ij^k = p_ji^k).
+    of their A_1-eigenvalue P[t][1], with ties broken by A_2, A_3, ...
 
     Raises ValidationError for inputs that fail the scheme axioms or are
-    not commutative, and CertificationError when any reconstruction or
-    consistency residual exceeds tolerance.
+    not commutative (p_ij^k != p_ji^k), and CertificationError when the
+    character identities, the integrality of the multiplicities, the
+    identification of E_0 or P Q = n I fail.
     """
     report = require_axioms(s)
+    p = report.p
     if not report.commutative:
-        i, j, _ = np.argwhere(report.p != report.p.swapaxes(0, 1))[0]
+        i, j, _ = np.argwhere(p != p.swapaxes(0, 1))[0]
         raise ValidationError(
             f"scheme is not commutative (A_{i} and A_{j} do not commute); "
             "only commutative schemes can be decomposed"
         )
     n, d = s.n, s.d
-    mats = [a.astype(np.float64) for a in s.adjacency_matrices()]
+    k = s.valencies()
 
-    rng = np.random.default_rng(_GENERIC_SEED)
-    generic = np.zeros((n, n), dtype=np.complex128)
-    for a in mats:
-        c, cp = rng.standard_normal(2)
-        generic += c * (a + a.T) + cp * 1j * (a - a.T)
-    eigvals, eigvecs = np.linalg.eigh(generic)
-
-    subspaces = [eigvecs[:, idx] for idx in _cluster(eigvals)]
-
-    # Hermitian/anti-Hermitian parts of each A_j; both Hermitian, both in
-    # the (complexified) algebra, so their eigenspaces refine compatibly.
-    parts = []
-    for a in mats:
-        parts.append((a + a.T) / 2.0)
-        parts.append(-0.5j * (a - a.T))
-    for part in parts:
-        refined = []
-        for basis in subspaces:
-            if basis.shape[1] == 1:
-                refined.append(basis)
-                continue
-            comp = basis.conj().T @ part @ basis
-            vals, vecs = np.linalg.eigh(comp)
-            clusters = _cluster(vals)
-            if len(clusters) == 1:
-                refined.append(basis)
-            else:
-                refined.extend(basis @ vecs[:, idx] for idx in clusters)
-        subspaces = refined
-
-    # eigenvalue vector of each subspace, then merge equal vectors
-    def eig_vector(basis: np.ndarray) -> np.ndarray:
-        return np.array(
-            [np.trace(basis.conj().T @ a @ basis) / basis.shape[1] for a in mats]
-        )
-
-    merged: list[tuple[np.ndarray, list[np.ndarray]]] = []
-    for basis in subspaces:
-        vec = eig_vector(basis)
-        for known, bases in merged:
-            if np.max(np.abs(known - vec)) < 1e-7:
-                bases.append(basis)
-                break
-        else:
-            merged.append((vec, [basis]))
-
-    if len(merged) != d + 1:
+    # S_i[j][k] = p_ij^k k_k / sqrt(k_j k_k).  The numerators are exact
+    # integers with k_k p_ij^k = k_j p_i'k^j, so S_i^T = S_i' bit for bit
+    # and a symmetric scheme gives a real symmetric G + G^H.
+    g = np.tensordot(_generic_weights(d + 1), p * k, axes=1) / np.sqrt(np.outer(k, k))
+    _, vecs = np.linalg.eigh(g + g.conj().T)
+    rows = vecs.T * np.sqrt(k)
+    # P[t][i] P[t][j] = sum_k p_ij^k P[t][k].  A degenerate combination can
+    # leave a row with entry 0 equal to 0; its NaN residual fails too.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chars = rows / rows[:, :1]
+        residual = np.abs(chars[:, :, np.newaxis] * chars[:, np.newaxis, :]
+                          - np.tensordot(chars, p, axes=([1], [2])))
+        worst = float(np.max(residual / np.outer(k, k)))
+    if not worst <= _RESIDUAL_TOL:
         raise CertificationError(
-            f"eigenspace refinement found {len(merged)} common eigenspaces, "
-            f"expected {d + 1}"
+            f"character identities fail with relative residual {worst:.3e}; "
+            "the generic combination did not separate the characters"
         )
 
-    spaces = [(vec, np.hstack(bases)) for vec, bases in merged]
-
-    # identify the all-ones eigenspace (eigenvalue vector = valencies)
-    valencies = s.valencies().astype(np.float64)
-    first = [t for t, (vec, basis) in enumerate(spaces)
-             if basis.shape[1] == 1 and np.max(np.abs(vec - valencies)) < 1e-6]
+    first = np.flatnonzero(np.max(np.abs(chars - k), axis=1) < _VALENCY_TOL).tolist()
     if len(first) != 1:
         raise CertificationError("could not identify the all-ones eigenspace E_0 = J/n")
+    # sort key of row t: [-Re P[t][1], -Im P[t][1], -Re P[t][2], ...], rounded
+    rounded = np.round(chars[:, 1:], 9)
+    keys = np.stack([-rounded.real, -rounded.imag], axis=2).reshape(d + 1, -1).tolist()
+    rest = sorted(set(range(d + 1)) - set(first), key=keys.__getitem__)
+    eigmat_p = chars[first + rest]
 
-    rest = [t for t in range(d + 1) if t != first[0]]
-    rest.sort(key=lambda t: tuple(
-        (-round(spaces[t][0][j].real, 9), -round(spaces[t][0][j].imag, 9))
-        for j in range(1, d + 1)
-    ))
-    order = first + rest
-
-    idempotents = []
-    multiplicities = []
-    eigmat_p = np.empty((d + 1, d + 1), dtype=np.complex128)
-    for row, t in enumerate(order):
-        vec, basis = spaces[t]
-        e = basis @ basis.conj().T
-        idempotents.append(e)
-        eigmat_p[row] = vec
-        tr = float(np.trace(e).real)
-        if abs(tr - round(tr)) > _INTEGRALITY_TOL:
-            raise CertificationError(
-                f"trace of idempotent {row} is {tr}, not integral within {_INTEGRALITY_TOL}"
-            )
-        multiplicities.append(int(round(tr)))
+    mult = n / np.sum(np.abs(eigmat_p) ** 2 / k, axis=1)
+    multiplicities = tuple(int(round(float(m))) for m in mult)
+    drift = float(np.max(np.abs(mult - multiplicities)))
+    if drift > _INTEGRALITY_TOL:
+        raise CertificationError(
+            f"multiplicities {mult.tolist()} are not integral within {_INTEGRALITY_TOL}"
+        )
     if sum(multiplicities) != n:
         raise CertificationError(
-            f"multiplicities {multiplicities} do not sum to n={n}"
+            f"multiplicities {list(multiplicities)} do not sum to n={n}"
         )
 
-    # certify the reconstruction A_j = sum_i P[i][j] E_i
-    stack = np.stack(idempotents)
-    for j in range(d + 1):
-        approx = np.tensordot(eigmat_p[:, j], stack, axes=1)
-        residual = float(np.max(np.abs(mats[j] - approx)))
-        if residual > _RESIDUAL_TOL:
-            raise CertificationError(
-                f"eigenspace refinement failed: A_{j} reconstruction residual {residual:.3e}"
-            )
-
-    # Q by class-averaging idempotent entries: E_j is constant on each
-    # relation class, so Q[i][j] = n * (that constant).
-    eigmat_q = np.empty((d + 1, d + 1), dtype=np.complex128)
-    rel = s.relation
-    for i in range(d + 1):
-        mask = rel == i
-        for j in range(d + 1):
-            eigmat_q[i, j] = n * idempotents[j][mask].mean()
+    eigmat_q = np.array(multiplicities) * eigmat_p.conj().T / k[:, np.newaxis]
     pq_residual = float(np.max(np.abs(eigmat_p @ eigmat_q - n * np.eye(d + 1))))
-    if pq_residual > _RESIDUAL_TOL:
+    if pq_residual > _RESIDUAL_TOL * n:
         raise CertificationError(f"PQ = nI fails with residual {pq_residual:.3e}")
 
     return BoseMesnerDecomposition(
         scheme=s,
-        idempotents=tuple(idempotents),
-        multiplicities=tuple(multiplicities),
+        multiplicities=multiplicities,
         eigenmatrix_P=eigmat_p,
         eigenmatrix_Q=eigmat_q,
     )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from schemewalk import (
+    KreinTensor,
     ValidationError,
     build_group_scheme,
     build_johnson,
@@ -152,6 +153,19 @@ def test_krein_violation_report_shape(j42_krein):
     rep = check_krein_condition(j42_krein)
     assert rep.passed
     assert rep.tolerance == 1e-9
+
+
+def test_krein_violations_are_listed_in_row_major_order():
+    q = np.zeros((2, 2, 2))
+    q[1, 0, 1] = -0.5
+    q[0, 1, 0] = -2e-9
+    q[1, 1, 0] = -3.0
+    q[0, 0, 1] = -1e-10  # within tolerance
+    rep = check_krein_condition(KreinTensor(d=1, q=q))
+    assert not rep.passed
+    assert rep.violations == ((0, 1, 0, -2e-9), (1, 0, 1, -0.5), (1, 1, 0, -3.0))
+    assert all(type(v) is int for viol in rep.violations for v in viol[:3])
+    assert all(type(viol[3]) is float for viol in rep.violations)
 
 
 def test_intersection_rejects_noncommutative_free():
