@@ -1,124 +1,153 @@
 """Finite groups given by explicit Cayley tables.
 
-Elements are integers ``0..order-1``; ``cayley[x][y]`` is the index of the
+Elements are integers ``0..order-1``; ``table[x, y]`` is the index of the
 product x*y.  Built-in constructors cover the cyclic, symmetric, dihedral
 and quaternion families; anything else can be supplied as a raw table.
+
+Every table is checked in full.  Associativity is Light's test (Clifford &
+Preston, The Algebraic Theory of Semigroups I, 1961, Section 1.2): the
+elements a with (xa)z = x(az) for all x, z include the identity and are
+closed under the product, as (x(ab))z = ((xa)b)z = (xa)(bz) = x(a(bz)) =
+x((ab)z).  So testing a generating set, of at most log2(order) elements
+for a group, covers every triple; each generator costs two gathers.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .errors import ValidationError
+import numpy as np
 
-# Full associativity is cubic in the order; beyond this we trust the
-# permutation/identity/inverse checks.
-_ASSOC_CHECK_MAX_ORDER = 64
+from .errors import ValidationError, numeric_array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """A finite group as a Cayley table.
 
     Attributes
     ----------
-    order : int
-        Number of elements.
-    cayley : tuple of tuples
-        ``cayley[x][y]`` = index of the product x*y.
+    table : np.ndarray
+        Read-only int64 copy of the given integer table; ``table[x, y]`` = x*y.
     name : str
         Human-readable tag used in error messages and CLI output.
     identity : int
         Index of the neutral element (derived).
     inverse : tuple of int
         ``inverse[x]`` = index of x**-1 (derived).
+
+    Groups compare and hash by name and table.
     """
 
-    order: int
-    cayley: tuple[tuple[int, ...], ...]
+    table: np.ndarray
     name: str = "group"
     identity: int = field(init=False)
     inverse: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        n = self.order
-        if n <= 0:
-            raise ValidationError("group order must be positive")
-        if len(self.cayley) != n or any(len(row) != n for row in self.cayley):
-            raise ValidationError(f"Cayley table must be {n}x{n}")
-        for x, row in enumerate(self.cayley):
-            if sorted(row) != list(range(n)):
-                raise ValidationError(f"row {x} of the Cayley table is not a permutation")
-        for y in range(n):
-            col = [self.cayley[x][y] for x in range(n)]
-            if sorted(col) != list(range(n)):
-                raise ValidationError(f"column {y} of the Cayley table is not a permutation")
+        c = np.array(numeric_array(self.table, "Cayley table"), dtype=np.int64)
+        c.setflags(write=False)
+        object.__setattr__(self, "table", c)
+        if c.ndim != 2 or c.shape[0] != c.shape[1] or c.size == 0:
+            raise ValidationError(
+                f"Cayley table must be a non-empty square array, got shape {c.shape}"
+            )
+        n = c.shape[0]
+        elements = np.arange(n)
+        for axis, what in ((1, "row"), (0, "column")):
+            bad = np.flatnonzero((np.sort(c, axis=axis) != np.expand_dims(elements, 1 - axis))
+                                 .any(axis=axis))
+            if bad.size:
+                raise ValidationError(
+                    f"{what} {bad[0]} of the Cayley table is not a permutation"
+                )
 
-        identity = None
-        for e in range(n):
-            if all(self.cayley[e][x] == x and self.cayley[x][e] == x for x in range(n)):
-                identity = e
-                break
-        if identity is None:
+        neutral = np.flatnonzero((c == elements).all(axis=1) & (c.T == elements).all(axis=1))
+        if neutral.size == 0:
             raise ValidationError("Cayley table has no identity element")
+        identity = int(neutral[0])
+        # in a Latin square row x meets the identity in exactly one column
+        inverse = np.argmax(c == identity, axis=1)
+        bad = np.flatnonzero(c[inverse, elements] != identity)
+        if bad.size:
+            raise ValidationError(f"element {bad[0]} has no inverse")
 
-        inverse = [None] * n
-        for x in range(n):
-            for y in range(n):
-                if self.cayley[x][y] == identity and self.cayley[y][x] == identity:
-                    inverse[x] = y
-                    break
-            if inverse[x] is None:
-                raise ValidationError(f"element {x} has no inverse")
-
-        if n <= _ASSOC_CHECK_MAX_ORDER:
-            c = self.cayley
-            for x, y, z in itertools.product(range(n), repeat=3):
-                if c[c[x][y]][z] != c[x][c[y][z]]:
-                    raise ValidationError(
-                        f"associativity fails on triple ({x}, {y}, {z}): "
-                        f"({x}*{y})*{z} = {c[c[x][y]][z]} != {c[x][c[y][z]]} = {x}*({y}*{z})"
-                    )
+        for g in _generators(c, identity):
+            left, right = c[c[:, g]], c[:, c[g]]
+            if not np.array_equal(left, right):
+                x, z = (int(v) for v in np.argwhere(left != right)[0])
+                raise ValidationError(
+                    f"associativity fails on triple ({x}, {g}, {z}): "
+                    f"({x}*{g})*{z} = {left[x, z]} != {right[x, z]} = {x}*({g}*{z})"
+                )
 
         object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "inverse", tuple(inverse))
+        object.__setattr__(self, "inverse", tuple(inverse.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteGroup):
+            return NotImplemented
+        return self.name == other.name and np.array_equal(self.table, other.table)
+
+    def __hash__(self):
+        return hash((self.name, self.table.tobytes()))
+
+    @property
+    def order(self) -> int:
+        return self.table.shape[0]
+
+    @cached_property
+    def cayley(self) -> tuple[tuple[int, ...], ...]:
+        """The table as a tuple of row tuples, ``cayley[x][y]`` = x*y."""
+        return tuple(map(tuple, self.table.tolist()))
 
     def mul(self, x: int, y: int) -> int:
-        return self.cayley[x][y]
+        return int(self.table[x, y])
 
     def is_abelian(self) -> bool:
-        c = self.cayley
-        return all(c[x][y] == c[y][x] for x in range(self.order) for y in range(x + 1, self.order))
+        return bool(np.array_equal(self.table, self.table.T))
 
     def conjugacy_classes(self) -> list[list[int]]:
         """Conjugacy classes, identity class first, then by smallest member."""
-        c, n = self.cayley, self.order
-        seen = [False] * n
-        classes = []
-        for x in range(n):
-            if seen[x]:
-                continue
-            orbit = sorted({c[c[g][x]][self.inverse[g]] for g in range(n)})
-            for y in orbit:
-                seen[y] = True
-            classes.append(orbit)
+        c = self.table
+        # conj[g, x] = g x g^-1; each class is named by its smallest member
+        smallest = c[c, np.array(self.inverse)[:, None]].min(axis=0)
+        members = np.argsort(smallest, kind="stable")
+        cuts = np.flatnonzero(np.diff(smallest[members])) + 1
+        classes = [cl.tolist() for cl in np.split(members, cuts)]
         classes.sort(key=lambda cl: (cl != [self.identity], cl[0]))
         return classes
 
 
+def _generators(c: np.ndarray, identity: int) -> list[int]:
+    """A generating set: each generator is the first element not yet reached
+    from the identity by right multiplication with the generators so far."""
+    reached = np.zeros(c.shape[0], dtype=bool)
+    reached[identity] = True
+    gens: list[int] = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            step = np.unique(c[np.ix_(frontier, gens)])
+            frontier = step[~reached[step]]
+            reached[frontier] = True
+    return gens
+
+
 def from_table(cayley, name: str = "group") -> FiniteGroup:
-    """Build and validate a group from a nested-list Cayley table."""
-    table = tuple(tuple(int(v) for v in row) for row in cayley)
-    return FiniteGroup(order=len(table), cayley=table, name=name)
+    """Build and validate a group from a nested-list or array Cayley table."""
+    return FiniteGroup(cayley, name=name)
 
 
 def cyclic(n: int) -> FiniteGroup:
     """Z_n with addition mod n; element k is the residue k."""
     if n < 1:
         raise ValidationError("cyclic group needs n >= 1")
-    table = [[(x + y) % n for y in range(n)] for x in range(n)]
-    return from_table(table, name=f"Z_{n}")
+    k = np.arange(n)
+    return FiniteGroup((k[:, None] + k) % n, name=f"Z_{n}")
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -127,49 +156,33 @@ def symmetric(n: int) -> FiniteGroup:
         raise ValidationError("symmetric group needs n >= 1")
     if n > 5:
         raise ValidationError("symmetric group supported up to n = 5 (order 120)")
-    perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    # (p*q)(i) = p(q(i)): apply q first, then p.
-    table = [[index[tuple(p[q[i]] for i in range(n))] for q in perms] for p in perms]
-    return from_table(table, name=f"S_{n}")
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
+    # (p*q)(i) = p(q(i)): apply q first, then p.  composed[p, q] = p o q.
+    composed = perms[:, perms]
+    # base-n codes of the lexicographic order ascend, so searchsorted ranks them
+    place = n ** np.arange(n - 1, -1, -1)
+    return FiniteGroup(np.searchsorted(perms @ place, composed @ place), name=f"S_{n}")
 
 
 def dihedral(n: int) -> FiniteGroup:
     """D_n of order 2n: indices 0..n-1 are rotations r^i, n..2n-1 are s*r^i."""
     if n < 1:
         raise ValidationError("dihedral group needs n >= 1")
-
-    def mul(a, b):
-        ka, ia = divmod(a, n)[0], a % n
-        kb, ib = divmod(b, n)[0], b % n
-        if kb == 0:
-            return ka * n + (ia + ib) % n
-        return (ka ^ 1) * n + (ib - ia) % n
-
-    table = [[mul(a, b) for b in range(2 * n)] for a in range(2 * n)]
-    return from_table(table, name=f"D_{n}")
+    ka, ia = np.divmod(np.arange(2 * n), n)
+    kb, ib = ka[None, :], ia[None, :]
+    ka, ia = ka[:, None], ia[:, None]
+    table = np.where(kb == 0, ka * n + (ia + ib) % n, (ka ^ 1) * n + (ib - ia) % n)
+    return FiniteGroup(table, name=f"D_{n}")
 
 
 def quaternion() -> FiniteGroup:
     """Q_8 = {1, -1, i, -i, j, -j, k, -k} in that element order."""
-    # (sign, axis) with axis 0='1', 1='i', 2='j', 3='k'; index = 2*axis + (sign<0)
-    axis_mul = {
-        (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
-        (1, 0): (1, 1), (2, 0): (1, 2), (3, 0): (1, 3),
-        (1, 1): (-1, 0), (2, 2): (-1, 0), (3, 3): (-1, 0),
-        (1, 2): (1, 3), (2, 3): (1, 1), (3, 1): (1, 2),
-        (2, 1): (-1, 3), (3, 2): (-1, 1), (1, 3): (-1, 2),
-    }
-
-    def mul(a, b):
-        ax_a, neg_a = divmod(a, 2)[0], a % 2
-        ax_b, neg_b = divmod(b, 2)[0], b % 2
-        sign, axis = axis_mul[(ax_a, ax_b)]
-        neg = (neg_a + neg_b + (sign < 0)) % 2
-        return 2 * axis + neg
-
-    table = [[mul(a, b) for b in range(8)] for a in range(8)]
-    return from_table(table, name="Q_8")
+    # index = 2*axis + negative, axis 0='1', 1='i', 2='j', 3='k'; the axes
+    # multiply as XOR, and the sign flips for i^2, j^2, k^2 and for ji, kj, ik
+    axis, negative = np.divmod(np.arange(8), 2)
+    a, b = axis[:, None], axis[None, :]
+    flip = ((a == b) | ((b - a) % 3 == 2)) & (a > 0) & (b > 0)
+    return FiniteGroup(2 * (a ^ b) + (negative[:, None] ^ negative ^ flip), name="Q_8")
 
 
 _BUILTIN_FACTORIES = {

@@ -39,6 +39,9 @@ from .errors import CertificationError, ValidationError
 
 _PSD_TOL = 1e-10
 _STOCHASTIC_TOL = 1e-12
+# `eig` is backward stable: a unit eigenvector of a stochastic P has
+# residual |P pi - pi| of order n*eps, far below 1e-9 at any size used here.
+_STATIONARY_TOL = 1e-9
 # Dense pair-space operators are n^2 x n^2; refuse sizes that would
 # silently eat gigabytes (64 vertices: 128 MB per float64 operator).
 _PAIR_SPACE_MAX_VERTICES = 64
@@ -51,6 +54,24 @@ def _require_square(m: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"{what} has a non-finite entry")
     return a
+
+
+def _column_stochastic(d_matrix, convention: str) -> np.ndarray:
+    """The input, transposed if `convention` is "row", checked to be
+    column-stochastic within _STOCHASTIC_TOL and clipped at 0."""
+    mat = _require_square(np.asarray(d_matrix, dtype=np.float64), "stochastic matrix")
+    if convention not in ("column", "row"):
+        raise ValidationError(f"convention must be 'column' or 'row', got {convention!r}")
+    if mat.min() < -_STOCHASTIC_TOL:
+        raise ValidationError(f"stochastic matrix has a negative entry: {mat.min()!r}")
+    mat = np.clip(mat, 0.0, None)
+    col = mat if convention == "column" else mat.T
+    sums = col.sum(axis=0)
+    if np.max(np.abs(sums - 1.0)) > _STOCHASTIC_TOL:
+        raise ValidationError(
+            f"matrix is not {convention}-stochastic (mass per state: {sums})"
+        )
+    return col
 
 
 @dataclass(frozen=True)
@@ -270,15 +291,7 @@ def make_transition_expectation(p) -> TransitionExpectation:
 
     V is (d^2) x d; V'V = diag(row sums of P) = I, certified at 1e-12.
     """
-    mat = _require_square(np.asarray(p, dtype=np.float64), "transition matrix")
-    if mat.min() < -_STOCHASTIC_TOL:
-        raise ValidationError(f"transition matrix has a negative entry: {mat.min()!r}")
-    mat = np.clip(mat, 0.0, None)
-    rows = mat.sum(axis=1)
-    if np.max(np.abs(rows - 1.0)) > _STOCHASTIC_TOL:
-        raise ValidationError(
-            f"transition matrix is not row-stochastic (row sums {rows})"
-        )
+    mat = _column_stochastic(p, "row").T
     d = mat.shape[0]
     v = np.zeros((d * d, d))
     root = np.sqrt(mat)
@@ -331,8 +344,11 @@ def transition_expectation_dual(te: TransitionExpectation, rho: np.ndarray) -> n
     entrywise root of row i of P.  Trace-preserving (each |r_i> is a unit
     vector) and embeds the classical chain on the diagonal.
     """
+    r = np.asarray(rho)
+    if r.shape != (te.dim, te.dim):
+        raise ValidationError(f"density matrix must be {te.dim}x{te.dim}, got shape {r.shape}")
     root = np.sqrt(te.transition)
-    return np.einsum("i,ij,ik->jk", np.diagonal(rho), root, root)
+    return np.einsum("i,ij,ik->jk", np.diagonal(r), root, root)
 
 
 @dataclass(frozen=True)
@@ -444,18 +460,7 @@ def szegedy_walk(d_matrix, convention: str = "column") -> WalkOperator:
     operator S(2AA' - I) exactly; the stored entries of Pi and U are each
     one rounded product of A's entries.
     """
-    mat = _require_square(np.asarray(d_matrix, dtype=np.float64), "stochastic matrix")
-    if convention not in ("column", "row"):
-        raise ValidationError(f"convention must be 'column' or 'row', got {convention!r}")
-    if mat.min() < -_STOCHASTIC_TOL:
-        raise ValidationError(f"stochastic matrix has a negative entry: {mat.min()!r}")
-    mat = np.clip(mat, 0.0, None)
-    col = mat if convention == "column" else mat.T
-    sums = col.sum(axis=0)
-    if np.max(np.abs(sums - 1.0)) > _STOCHASTIC_TOL:
-        raise ValidationError(
-            f"matrix is not {convention}-stochastic (mass per state: {sums})"
-        )
+    col = _column_stochastic(d_matrix, convention)
     n = col.shape[0]
     if n > _PAIR_SPACE_MAX_VERTICES:
         raise ValidationError(
@@ -493,13 +498,18 @@ def szegedy_walk(d_matrix, convention: str = "column") -> WalkOperator:
 
 
 def stationary_distribution(column_stochastic) -> np.ndarray:
-    """Stationary law of a column-stochastic matrix via its unit eigenvector."""
-    mat = _require_square(np.asarray(column_stochastic, dtype=np.float64), "stochastic matrix")
+    """Stationary law of a column-stochastic matrix via its unit eigenvector,
+    certified by max|P pi - pi| <= _STATIONARY_TOL."""
+    mat = _column_stochastic(column_stochastic, "column")
     vals, vecs = np.linalg.eig(mat)
     pick = int(np.argmin(np.abs(vals - 1.0)))
     v = vecs[:, pick]
     v = np.real_if_close(v / v.sum(), tol=1e6)
     pi = np.real(v)
-    if np.min(pi) < -1e-9 or abs(pi.sum() - 1.0) > 1e-9:
+    if np.min(pi) < -_STATIONARY_TOL or abs(pi.sum() - 1.0) > _STATIONARY_TOL:
         raise CertificationError("unit eigenvector is not a probability distribution")
-    return np.clip(pi, 0.0, None)
+    pi = np.clip(pi, 0.0, None)
+    residual = float(np.max(np.abs(mat @ pi - pi)))
+    if residual > _STATIONARY_TOL:
+        raise CertificationError(f"P pi = pi fails with residual {residual:.3e}")
+    return pi

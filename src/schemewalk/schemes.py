@@ -34,8 +34,9 @@ from math import comb
 import numpy as np
 
 from . import galois
-from .errors import CertificationError, ValidationError
+from .errors import CertificationError, ValidationError, numeric_array
 from .groups import FiniteGroup
+from .qmc import _support_components
 
 # Johnson schemes may not exceed this many vertices; Grassmann schemes
 # above it need an explicit `vertex_cap`.
@@ -73,7 +74,7 @@ class AssociationScheme:
     _axioms: AxiomReport | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        rel = np.array(self.relation, dtype=np.int64)
+        rel = np.array(numeric_array(self.relation, "relation matrix"), dtype=np.int64)
         rel.setflags(write=False)
         object.__setattr__(self, "relation", rel)
         if rel.shape != (self.n, self.n):
@@ -229,22 +230,16 @@ def _product_pass(rel: np.ndarray, d: int, reps: list[tuple[int, int]]):
     return p, None
 
 
-def _class_order_with_identity_first(identity: int, count: int) -> list[int]:
+def _class_order_with_identity_first(identity: int, count: int) -> np.ndarray:
     """Class index for each raw label: identity -> 0, others keep their order."""
-    mapping = [None] * count
+    mapping = np.arange(count) + (np.arange(count) < identity)
     mapping[identity] = 0
-    nxt = 1
-    for x in range(count):
-        if x != identity:
-            mapping[x] = nxt
-            nxt += 1
     return mapping
 
 
 def _quotient_classes(g: FiniteGroup, class_of) -> np.ndarray:
     """rel[y, z] = class_of[y * z^-1], gathered through the Cayley table."""
-    cayley = np.array(g.cayley, dtype=np.intp)
-    return np.asarray(class_of, dtype=np.int64)[cayley[:, np.array(g.inverse, dtype=np.intp)]]
+    return np.asarray(class_of, dtype=np.int64)[g.table[:, np.array(g.inverse)]]
 
 
 def build_group_scheme(g: FiniteGroup) -> AssociationScheme:
@@ -264,14 +259,12 @@ def build_conjugacy_scheme(g: FiniteGroup) -> AssociationScheme:
     The class matrices B_j = sum_{x in C_j} A_x span the center of the
     group algebra, so the result is always commutative.
     """
-    n = g.order
     classes = g.conjugacy_classes()
-    class_of_elt = [None] * n
+    class_of_elt = np.empty(g.order, dtype=np.int64)
     for idx, cl in enumerate(classes):
-        for x in cl:
-            class_of_elt[x] = idx
+        class_of_elt[cl] = idx
     rel = _quotient_classes(g, class_of_elt)
-    return AssociationScheme(n=n, d=len(classes) - 1, relation=rel)
+    return AssociationScheme(n=g.order, d=len(classes) - 1, relation=rel)
 
 
 def build_orbit_scheme(generators: list[list[int]], n: int) -> AssociationScheme:
@@ -279,69 +272,42 @@ def build_orbit_scheme(generators: list[list[int]], n: int) -> AssociationScheme
 
     Classes are the orbits of the generated group acting diagonally on
     pairs; the diagonal orbit gets class 0.  Remaining classes are ordered
-    by their lexicographically smallest pair.
+    by their lexicographically smallest pair.  At most DEFAULT_VERTEX_CAP
+    points.
+
+    The orbitals are the connected components of the graph on pairs
+    x*n + y with an edge to g(x)*n + g(y) for every generator g.  Each
+    component is labelled by its smallest node, which is the orbital's
+    smallest pair, so ranking the labels gives the class order.  The
+    diagonal carries the point orbits: (x, x) is labelled z*(n+1) for the
+    smallest point z in the orbit of x.
     """
     if n < 1:
         raise ValidationError("point count must be positive")
-    gens = []
-    for p in generators:
-        perm = [int(v) for v in p]
-        if sorted(perm) != list(range(n)):
-            raise ValidationError(f"{p} is not a permutation of 0..{n - 1}")
-        gens.append(perm)
-    if not gens:
+    if n > DEFAULT_VERTEX_CAP:
+        raise ValidationError(
+            f"orbit scheme has {n} vertices, above the cap of {DEFAULT_VERTEX_CAP}"
+        )
+    if not isinstance(generators, (list, tuple, np.ndarray)) or len(generators) == 0:
         raise ValidationError("need at least one generator")
+    gens = numeric_array(generators, "generators")
+    points = np.arange(n)
+    if gens.ndim != 2 or gens.shape[1] != n:
+        raise ValidationError(
+            f"generators must be permutations of 0..{n - 1}, got shape {gens.shape}"
+        )
+    bad = np.flatnonzero((np.sort(gens, axis=1) != points).any(axis=1))
+    if bad.size:
+        raise ValidationError(f"{gens[bad[0]].tolist()} is not a permutation of 0..{n - 1}")
 
-    # point orbits, for the transitivity precondition
-    seen = [False] * n
-    stack, orbit0 = [0], []
-    seen[0] = True
-    while stack:
-        x = stack.pop()
-        orbit0.append(x)
-        for p in gens:
-            if not seen[p[x]]:
-                seen[p[x]] = True
-                stack.append(p[x])
-    if len(orbit0) != n:
-        partition = []
-        assigned = [False] * n
-        for x in range(n):
-            if assigned[x]:
-                continue
-            block, frontier = [], [x]
-            assigned[x] = True
-            while frontier:
-                y = frontier.pop()
-                block.append(y)
-                for p in gens:
-                    if not assigned[p[y]]:
-                        assigned[p[y]] = True
-                        frontier.append(p[y])
-            partition.append(sorted(block))
+    images = (gens[:, :, None] * n + gens[:, None, :]).ravel()
+    labels = _support_components(n * n, np.tile(np.arange(n * n), len(gens)), images)
+    diagonal = labels[points * (n + 1)]
+    if diagonal.any():
+        partition = [np.flatnonzero(diagonal == z).tolist() for z in np.unique(diagonal)]
         raise ValidationError(f"action is not transitive; point orbits: {partition}")
-
-    rel = np.full((n, n), -1, dtype=np.int64)
-    orbit_reps = []
-    for x0, y0 in itertools.product(range(n), repeat=2):
-        if rel[x0, y0] >= 0:
-            continue
-        members = [(x0, y0)]
-        rel[x0, y0] = len(orbit_reps)
-        while members:
-            x, y = members.pop()
-            for p in gens:
-                if rel[p[x], p[y]] < 0:
-                    rel[p[x], p[y]] = len(orbit_reps)
-                    members.append((p[x], p[y]))
-        orbit_reps.append((x0, y0))
-    # renumber: diagonal orbit first, then by smallest representative
-    order = sorted(range(len(orbit_reps)), key=lambda t: (orbit_reps[t] != (0, 0), orbit_reps[t]))
-    renumber = np.empty(len(orbit_reps), dtype=np.int64)
-    for new, old in enumerate(order):
-        renumber[old] = new
-    rel = renumber[rel]
-    return AssociationScheme(n=n, d=len(orbit_reps) - 1, relation=rel)
+    classes, rel = np.unique(labels, return_inverse=True)
+    return AssociationScheme(n=n, d=classes.size - 1, relation=rel.reshape(n, n))
 
 
 def build_johnson(v: int, k: int) -> AssociationScheme:

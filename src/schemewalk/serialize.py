@@ -17,7 +17,7 @@ import numpy as np
 
 from . import groups
 from .anyons import make_fusion_system
-from .errors import ValidationError
+from .errors import ValidationError, numeric_array
 from .parameters import IntersectionTensor, KreinTensor
 from .schemes import AssociationScheme, require_axioms
 from .spectral import BoseMesnerDecomposition
@@ -35,25 +35,14 @@ def encode_matrix(arr: np.ndarray) -> list:
 
 
 def decode_matrix(data) -> np.ndarray:
-    if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
-        raise ValidationError("matrix must be a non-empty list of rows")
-    width = len(data[0])
-    if width == 0 or any(len(r) != width for r in data):
-        raise ValidationError("matrix rows must be non-empty and equal length")
-    first = data[0][0]
-    if isinstance(first, list):
-        def entry(v):
-            if not (isinstance(v, list) and len(v) == 2
-                    and all(isinstance(p, (int, float)) for p in v)):
-                raise ValidationError(f"complex entry must be a [re, im] pair, got {v!r}")
-            return complex(v[0], v[1])
-        return np.array([[entry(v) for v in row] for row in data], dtype=np.complex128)
-    flat = [v for row in data for v in row]
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in flat):
-        raise ValidationError("matrix entries must be numbers or [re, im] pairs")
-    if all(isinstance(v, int) for v in flat):
-        return np.array(data, dtype=np.int64)
-    return np.array(data, dtype=np.float64)
+    arr = numeric_array(data, "matrix", kinds="if")
+    if arr.ndim == 3 and arr.shape[2] == 2:
+        arr = arr[..., 0] + 1j * arr[..., 1]
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValidationError(
+            "matrix must be a non-empty list of equal-length rows of numbers or [re, im] pairs"
+        )
+    return arr.astype(np.int64) if arr.dtype.kind == "i" else arr
 
 
 def _encode_complex(z: complex) -> list:
@@ -68,6 +57,13 @@ def _decode_complex(v) -> complex:
     raise ValidationError(f"expected a number or [re, im] pair, got {v!r}")
 
 
+def _json_int(data: dict, key: str) -> int:
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f'"{key}" must be an integer, got {value!r}')
+    return value
+
+
 def to_jsonable(kind: str, obj):
     if kind == "scheme":
         out = {"n": obj.n, "d": obj.d, "relation": [[int(v) for v in row] for row in obj.relation]}
@@ -75,7 +71,7 @@ def to_jsonable(kind: str, obj):
             out["labels"] = list(obj.labels)
         return out
     if kind == "cayley":
-        out = {"order": obj.order, "cayley": [[int(v) for v in row] for row in obj.cayley]}
+        out = {"order": obj.order, "cayley": obj.table.tolist()}
         if obj.name:
             out["name"] = obj.name
         return out
@@ -115,10 +111,12 @@ def from_jsonable(kind: str, data, validate: bool = True):
     if kind == "scheme":
         if not isinstance(data, dict) or not {"n", "d", "relation"} <= set(data):
             raise ValidationError('scheme JSON must have keys "n", "d", "relation"')
-        labels = tuple(data["labels"]) if "labels" in data else None
+        labels = data.get("labels")
+        if labels is not None and not isinstance(labels, list):
+            raise ValidationError('"labels" must be a list of class names')
         scheme = AssociationScheme(
-            n=int(data["n"]), d=int(data["d"]),
-            relation=np.array(data["relation"], dtype=np.int64), labels=labels,
+            n=_json_int(data, "n"), d=_json_int(data, "d"), relation=data["relation"],
+            labels=None if labels is None else tuple(labels),
         )
         if validate:
             require_axioms(scheme)
@@ -126,25 +124,17 @@ def from_jsonable(kind: str, data, validate: bool = True):
     if kind == "cayley":
         if not isinstance(data, dict) or not {"order", "cayley"} <= set(data):
             raise ValidationError('cayley JSON must have keys "order", "cayley"')
-        if int(data["order"]) != len(data["cayley"]):
+        group = groups.from_table(data["cayley"], name=data.get("name", "group"))
+        if _json_int(data, "order") != group.order:
             raise ValidationError("declared order does not match the table size")
-        return groups.from_table(data["cayley"], name=data.get("name", "group"))
+        return group
     if kind == "matrix":
         return decode_matrix(data)
     if kind == "tensor":
         if not isinstance(data, dict) or not {"d", "entries"} <= set(data):
             raise ValidationError('tensor JSON must have keys "d", "entries"')
-        d = int(data["d"])
-        entries = data["entries"]
-        flat = []
-        try:
-            for slab in entries:
-                for row in slab:
-                    flat.extend(row)
-        except TypeError:
-            raise ValidationError("tensor entries must be triply nested lists") from None
-        arr = np.array(entries,
-                       dtype=np.int64 if all(isinstance(v, int) for v in flat) else np.float64)
+        d = _json_int(data, "d")
+        arr = numeric_array(data["entries"], "tensor", kinds="if")
         if arr.shape != (d + 1, d + 1, d + 1):
             raise ValidationError(f"tensor must have shape {(d + 1,) * 3}, got {arr.shape}")
         return arr

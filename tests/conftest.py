@@ -2,10 +2,17 @@
 
 Decompositions are reused across test modules through session-scoped
 fixtures so the whole suite stays fast.
+
+The hypothesis profile named by HYPOTHESIS_PROFILE is loaded; "ci" draws
+its examples from a fixed seed, so a red CI run reproduces locally with
+HYPOTHESIS_PROFILE=ci.
 """
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from schemewalk import (
     build_conjugacy_scheme,
@@ -17,6 +24,9 @@ from schemewalk import (
     hypergroup_from,
     krein_parameters,
 )
+
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def _builtin_constructors():

@@ -2,7 +2,8 @@
 
 `_grassmann_oracle` runs the RREF intersection dimension on every pair of
 subspaces, `_johnson_oracle` intersects frozensets pair by pair and
-`_cayley_oracle` walks the Cayley table y, z by y, z.  The builders in
+`_cayley_oracle` walks the Cayley table y, z by y, z, and `_orbit_oracle`
+grows each orbital by a breadth-first search over pairs.  The builders in
 `schemes` must reproduce their relation matrices exactly: same vertex
 order, int64.
 """
@@ -13,16 +14,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from schemewalk import (
     CertificationError,
+    ValidationError,
     build_conjugacy_scheme,
     build_grassmann,
     build_group_scheme,
     build_johnson,
+    build_orbit_scheme,
     galois,
     groups,
 )
-from schemewalk.schemes import _class_order_with_identity_first
+from schemewalk.schemes import DEFAULT_VERTEX_CAP, _class_order_with_identity_first
 
 
 def _grassmann_oracle(q, v, d):
@@ -45,6 +51,45 @@ def _cayley_oracle(g, class_of):
     n = g.order
     return np.array([[class_of[g.cayley[y][g.inverse[z]]] for z in range(n)]
                      for y in range(n)], dtype=np.int64)
+
+
+def _orbit_oracle(gens, n):
+    """Point orbits by search (ValidationError if there are several), then
+    each orbital by a search from its first pair in row-major order."""
+    orbit_of = [None] * n
+    partition = []
+    for x in range(n):
+        if orbit_of[x] is None:
+            block, frontier = [], [x]
+            orbit_of[x] = len(partition)
+            while frontier:
+                y = frontier.pop()
+                block.append(y)
+                for p in gens:
+                    if orbit_of[p[y]] is None:
+                        orbit_of[p[y]] = len(partition)
+                        frontier.append(p[y])
+            partition.append(sorted(block))
+    if len(partition) > 1:
+        raise ValidationError(f"action is not transitive; point orbits: {partition}")
+    rel = np.full((n, n), -1, dtype=np.int64)
+    count = 0
+    for x0, y0 in itertools.product(range(n), repeat=2):
+        if rel[x0, y0] < 0:
+            rel[x0, y0] = count
+            members = [(x0, y0)]
+            while members:
+                x, y = members.pop()
+                for p in gens:
+                    if rel[p[x], p[y]] < 0:
+                        rel[p[x], p[y]] = count
+                        members.append((p[x], p[y]))
+            count += 1
+    return rel
+
+
+def _dihedral_action(n):
+    return [[(i + 1) % n for i in range(n)], [(-i) % n for i in range(n)]]
 
 
 def _conjugacy_class_of(g):
@@ -140,3 +185,63 @@ def test_grassmann_peak_memory_stays_within_five_relation_matrices():
         tracemalloc.stop()
     assert np.array_equal(s.relation, 1 - np.eye(n, dtype=np.int64))
     assert peak < 5 * 8 * n * n
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 31, 64, 97, 200])
+def test_orbit_schemes_of_cycles_match_the_pair_search(n):
+    rotation = [[(i + 1) % n for i in range(n)]]
+    _assert_same(build_orbit_scheme(rotation, n), _orbit_oracle(rotation, n))
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 25, 64, 100])
+def test_orbit_schemes_of_dihedral_actions_match_the_pair_search(n):
+    _assert_same(build_orbit_scheme(_dihedral_action(n), n),
+                 _orbit_oracle(_dihedral_action(n), n))
+
+
+@given(st.integers(1, 9).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)))
+@settings(max_examples=100, deadline=None)
+def test_orbit_schemes_of_random_actions_match_the_pair_search(gens):
+    n = len(gens[0])
+    try:
+        expected = _orbit_oracle(gens, n)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as info:
+            build_orbit_scheme(gens, n)
+        assert str(info.value) == str(exc)
+    else:
+        _assert_same(build_orbit_scheme(gens, n), expected)
+
+
+@pytest.mark.parametrize("gens", [[[0, 1, 2.0]], [[0, 1], [1]], [[0, 1, 3]], [[0, 0, 1]], [], 5])
+def test_orbit_scheme_refuses_malformed_generators(gens):
+    with pytest.raises(ValidationError):
+        build_orbit_scheme(gens, 3)
+
+
+def test_orbit_scheme_refuses_more_points_than_the_cap_before_allocating():
+    n = DEFAULT_VERTEX_CAP + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="above the cap"):
+            build_orbit_scheme([list(range(n))], n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n // 100
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_orbit_scheme_peak_memory_is_linear_in_the_generators(k):
+    n = 150
+    gens = (_dihedral_action(n) + [[(7 * i) % n for i in range(n)]])[:k]
+    tracemalloc.start()
+    try:
+        s = build_orbit_scheme(gens, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.n == n
+    # pair labels, the k edge lists and their gathers: 6k + 1 words per pair measured
+    assert peak < (6 * k + 6) * 8 * n * n

@@ -46,6 +46,13 @@ def test_verify_fails_on_corrupted_scheme(tmp_path, j42_file, capsys):
     assert "axiom (1)" in out
 
 
+@pytest.mark.parametrize("relation", [[[0, 1], [1]], "abc", [[0, 1.5], [1.5, 0]]])
+def test_verify_refuses_malformed_relation(tmp_path, relation, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 2, "d": 1, "relation": relation}))
+    assert run(["scheme", "verify", str(bad)]) == 1
+
+
 def test_spectrum_output(j42_file, capsys):
     code = run(["scheme", "spectrum", str(j42_file)])
     out = capsys.readouterr().out

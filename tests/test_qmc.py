@@ -205,6 +205,13 @@ def test_dual_channel_preserves_trace_and_classical_marginal():
     assert np.max(np.abs(np.diag(sigma) - np.diag(rho) @ p)) < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (4,), (2, 4, 4)])
+def test_dual_channel_refuses_a_state_of_the_wrong_shape(shape):
+    te = make_transition_expectation(np.full((4, 4), 0.25))
+    with pytest.raises(ValidationError, match="4x4"):
+        transition_expectation_dual(te, np.full(shape, 0.1))
+
+
 def test_make_transition_rejects_nonstochastic():
     with pytest.raises(ValidationError):
         make_transition_expectation(np.array([[0.7, 0.7], [0.5, 0.5]]))
@@ -323,6 +330,28 @@ def test_stationary_distribution_matches_weights():
     d = wts / wts.sum(axis=0, keepdims=True)
     pi = stationary_distribution(d)
     assert np.max(np.abs(pi - [0.5, 0.5])) < 1e-12
+
+
+@pytest.mark.parametrize("mat", [0.5 * np.eye(2), [[2.0, -1.0], [-1.0, 2.0]],
+                                 [[0.5, 0.5], [0.5, 0.6]], [[1.5, -0.5], [-0.5, 1.5]]])
+def test_stationary_distribution_refuses_nonstochastic_input(mat):
+    with pytest.raises(ValidationError):
+        stationary_distribution(mat)
+
+
+def test_stationary_distribution_certifies_the_fixed_point(monkeypatch):
+    d = np.array([[0.9, 0.2], [0.1, 0.8]])
+    assert np.max(np.abs(d @ stationary_distribution(d) - stationary_distribution(d))) < 1e-15
+
+    real_eig = np.linalg.eig
+
+    def skewed(mat):
+        vals, vecs = real_eig(mat)
+        return vals, vecs + np.array([[1e-6], [0.0]])
+
+    monkeypatch.setattr(np.linalg, "eig", skewed)
+    with pytest.raises(CertificationError, match="P pi = pi"):
+        stationary_distribution(d)
 
 
 def test_szegedy_rejects_nonstochastic_and_oversized():

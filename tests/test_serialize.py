@@ -50,6 +50,35 @@ def test_scheme_load_validates_axioms():
     assert loaded.relation[0][0] == 1
 
 
+J42 = to_jsonable("scheme", build_johnson(4, 2))
+# the class index of (0, 1) plus one half, which a cast to int would drop
+HALF = [list(row) for row in J42["relation"]]
+HALF[0][1] += 0.5
+
+
+@pytest.mark.parametrize("kind,data", [
+    ("scheme", {**J42, "relation": HALF}),
+    ("scheme", {**J42, "relation": [[0, 1]] + J42["relation"][1:]}),
+    ("scheme", {**J42, "relation": "abc"}),
+    ("scheme", {**J42, "relation": [["0"] * 6] * 6}),
+    ("scheme", {**J42, "n": "6"}),
+    ("scheme", {**J42, "d": 2.0}),
+    ("scheme", {**J42, "labels": 3}),
+    ("tensor", {"d": 1, "entries": [[[1, 0], [0, 1]], [[0, 1]]]}),
+    ("tensor", {"d": 1, "entries": [[["a", 0], [0, 1]], [[0, 1], [1, 0]]]}),
+    ("tensor", {"d": "1", "entries": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]}),
+    ("cayley", {"order": 1, "cayley": 5}),
+    ("cayley", {"order": 2, "cayley": [[0, 1.7], [1, 0]]}),
+    ("cayley", {"order": 2, "cayley": [[0, 1], [1]]}),
+    ("cayley", {"order": 2.0, "cayley": [[0, 1], [1, 0]]}),
+])
+def test_malformed_json_is_a_validation_error(kind, data):
+    with pytest.raises(ValidationError):
+        from_jsonable(kind, data)
+    with pytest.raises(ValidationError):
+        from_jsonable(kind, data, validate=False)
+
+
 def test_cayley_roundtrip():
     for g in (groups.cyclic(6), groups.quaternion(), groups.symmetric(3)):
         back = roundtrip("cayley", g)
