@@ -341,14 +341,15 @@ def transition_expectation_dual(te: TransitionExpectation, rho: np.ndarray) -> n
     """One site-to-site step of the chain in the state picture.
 
     rho -> Tr_1(V rho V') = sum_i rho_ii |r_i><r_i| with |r_i> the
-    entrywise root of row i of P.  Trace-preserving (each |r_i> is a unit
+    entrywise root of row i of P, evaluated as the one product
+    (sqrtP^T diag(rho)) sqrtP.  Trace-preserving (each |r_i> is a unit
     vector) and embeds the classical chain on the diagonal.
     """
     r = np.asarray(rho)
     if r.shape != (te.dim, te.dim):
         raise ValidationError(f"density matrix must be {te.dim}x{te.dim}, got shape {r.shape}")
     root = np.sqrt(te.transition)
-    return np.einsum("i,ij,ik->jk", np.diagonal(r), root, root)
+    return (root.T * np.diagonal(r)) @ root
 
 
 @dataclass(frozen=True)
@@ -357,7 +358,8 @@ class ChannelTrajectory:
     trace_factors: tuple[float, ...]
 
 
-def _check_density(rho: np.ndarray, dim: int) -> np.ndarray:
+def _check_density(rho: np.ndarray, dim: int) -> tuple[np.ndarray, float]:
+    """The validated density matrix as complex128, and its least eigenvalue."""
     r = _require_square(rho, "density matrix").astype(np.complex128)
     if r.shape[0] != dim:
         raise ValidationError(f"density matrix must be {dim}x{dim}, got {r.shape}")
@@ -368,7 +370,7 @@ def _check_density(rho: np.ndarray, dim: int) -> np.ndarray:
     low = float(np.linalg.eigvalsh(r).min())
     if low < -_PSD_TOL:
         raise ValidationError(f"density matrix has eigenvalue {low:.3e} < 0")
-    return r
+    return r, low
 
 
 def iterate_channel(channel, rho0, steps: int) -> ChannelTrajectory:
@@ -376,44 +378,88 @@ def iterate_channel(channel, rho0, steps: int) -> ChannelTrajectory:
 
     `channel` is a SchurChannel (state picture: rho -> e o rho, not
     generally trace-preserving, so each step's trace is divided out and
-    reported) or a TransitionExpectation (its state-picture dual, which
-    is trace-preserving; factors come out 1).  Complete positivity is a
-    precondition and is certified before iterating.
+    reported) or a TransitionExpectation (its state-picture dual
+    `transition_expectation_dual`, which is trace-preserving; factors
+    come out 1).  Complete positivity is a precondition and is certified
+    before iterating.
+
+    Every state is certified to have least eigenvalue >= -_PSD_TOL (as
+    `eigvalsh` reads it, from the lower triangle) without a per-step
+    eigensolve.  A bound eps >= -lambda_min(rho) is carried from step to
+    step, starting from the eigenvalue `_check_density` computes:
+
+    * Schur step.  With eps_M = max(0, -lambda_min(M)) from the entry
+      check, write M = M+ - eps_M I and rho = rho+ - eps I with M+, rho+
+      PSD.  M+ o rho+ is PSD (Schur product theorem, Horn & Johnson,
+      Matrix Analysis, Thm 7.5.3), so lambda_min(M o rho) >=
+      -(eps max_x M_xx + eps_M max_x rho_xx + eps eps_M), less
+      max_x |Im M_xx Im rho_xx| for the imaginary diagonal parts that
+      `eigvalsh` ignores.
+    * Transition-expectation step.  The image is the Gram form
+      sum_i rho_ii |r_i><r_i| with unit vectors |r_i>, so lambda_min >=
+      sum_i min(Re rho_ii, 0) - sum_i |Im rho_ii|.
+
+    The bound is divided by the step's trace and gains 2(n + 4) units of
+    round-off.  That covers, in spectral norm, the rounding of the step
+    and of the division, because eps <= _PSD_TOL keeps the trace norm of
+    every state below 2.  A step whose bound
+    exceeds _PSD_TOL runs `eigvalsh` as the fallback: a least eigenvalue
+    below -_PSD_TOL raises "state lost positivity at step k", and
+    otherwise resets eps.  The final state always gets one `eigvalsh` as
+    the guard on rounding.
     """
     if steps < 0:
         raise ValidationError("steps must be >= 0")
     if isinstance(channel, SchurChannel):
-        if float(np.linalg.eigvalsh(channel.multiplier).min()) < -_PSD_TOL:
+        mult_low = float(np.linalg.eigvalsh(channel.multiplier).min())
+        if mult_low < -_PSD_TOL:
             raise CertificationError(
                 "channel is not completely positive (multiplier has a negative eigenvalue)"
             )
         dim = channel.dim
-        step = lambda rho: schur_channel_apply(channel, rho)  # noqa: E731
+        eps_m = max(0.0, -mult_low)
+        m_diag = np.diagonal(channel.multiplier)
+        m_top = float(m_diag.real.max())
+
+        def step(rho, eps):
+            diag = np.diagonal(rho)
+            bound = (eps * m_top + eps_m * float(diag.real.max()) + eps * eps_m
+                     + float(np.abs(m_diag.imag * diag.imag).max()))
+            return schur_channel_apply(channel, rho), bound
     elif isinstance(channel, TransitionExpectation):
         dim = channel.dim
-        step = lambda rho: transition_expectation_dual(channel, rho)  # noqa: E731
+
+        def step(rho, eps):
+            diag = np.diagonal(rho)
+            bound = float(np.maximum(-diag.real, 0.0).sum() + np.abs(diag.imag).sum())
+            return transition_expectation_dual(channel, rho), bound
     else:
         raise ValidationError(
             f"cannot iterate {type(channel).__name__}; "
             "expected SchurChannel or TransitionExpectation"
         )
 
-    rho = _check_density(np.asarray(rho0), dim)
+    rho, low = _check_density(np.asarray(rho0), dim)
+    eps = max(0.0, -low)
+    rounding = 2 * (dim + 4) * np.finfo(np.float64).eps
     states = [rho]
     factors = []
-    for _ in range(steps):
-        nxt = step(rho)
+    for k in range(1, steps + 1):
+        nxt, bound = step(rho, eps)
         tr = complex(np.trace(nxt)).real
         if tr < 1e-14:
             raise CertificationError(
-                f"channel absorbed the state (trace {tr:.3e} after step {len(factors) + 1})"
+                f"channel absorbed the state (trace {tr:.3e} after step {k})"
             )
         rho = nxt / tr
-        low = float(np.linalg.eigvalsh(rho).min())
-        if low < -_PSD_TOL:
-            raise CertificationError(
-                f"state lost positivity at step {len(factors) + 1} (eigenvalue {low:.3e})"
-            )
+        eps = bound / tr + rounding
+        if eps > _PSD_TOL or k == steps:
+            low = float(np.linalg.eigvalsh(rho).min())
+            if low < -_PSD_TOL:
+                raise CertificationError(
+                    f"state lost positivity at step {k} (eigenvalue {low:.3e})"
+                )
+            eps = max(0.0, -low)
         states.append(rho)
         factors.append(tr)
     return ChannelTrajectory(states=tuple(states), trace_factors=tuple(factors))

@@ -41,6 +41,10 @@ from .qmc import _support_components
 # Johnson schemes may not exceed this many vertices; Grassmann schemes
 # above it need an explicit `vertex_cap`.
 DEFAULT_VERTEX_CAP = 5000
+# The orbital pass of `build_orbit_scheme` holds about 6k + 1 int64 words
+# per pair for k generators (pair labels, edge lists and their gathers);
+# it may use as much as one relation matrix at DEFAULT_VERTEX_CAP (200 MB).
+_ORBIT_PASS_WORDS = DEFAULT_VERTEX_CAP ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,7 +277,9 @@ def build_orbit_scheme(generators: list[list[int]], n: int) -> AssociationScheme
     Classes are the orbits of the generated group acting diagonally on
     pairs; the diagonal orbit gets class 0.  Remaining classes are ordered
     by their lexicographically smallest pair.  At most DEFAULT_VERTEX_CAP
-    points.
+    points, and duplicate generators are dropped.  The action is refused
+    before any n^2 allocation when (6k + 1) n^2 words, for k distinct
+    generators, exceed `_ORBIT_PASS_WORDS`.
 
     The orbitals are the connected components of the graph on pairs
     x*n + y with an edge to g(x)*n + g(y) for every generator g.  Each
@@ -299,9 +305,16 @@ def build_orbit_scheme(generators: list[list[int]], n: int) -> AssociationScheme
     bad = np.flatnonzero((np.sort(gens, axis=1) != points).any(axis=1))
     if bad.size:
         raise ValidationError(f"{gens[bad[0]].tolist()} is not a permutation of 0..{n - 1}")
+    gens = np.unique(gens, axis=0)
+    k = len(gens)
+    if (6 * k + 1) * n * n > _ORBIT_PASS_WORDS:
+        raise ValidationError(
+            f"orbital pass over {n} points with {k} distinct generators needs "
+            f"{(6 * k + 1) * n * n} int64 words, above the bound of {_ORBIT_PASS_WORDS}"
+        )
 
     images = (gens[:, :, None] * n + gens[:, None, :]).ravel()
-    labels = _support_components(n * n, np.tile(np.arange(n * n), len(gens)), images)
+    labels = _support_components(n * n, np.tile(np.arange(n * n), k), images)
     diagonal = labels[points * (n + 1)]
     if diagonal.any():
         partition = [np.flatnonzero(diagonal == z).tolist() for z in np.unique(diagonal)]

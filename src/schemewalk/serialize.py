@@ -28,10 +28,10 @@ KINDS = ("scheme", "cayley", "matrix", "tensor", "fusion-system", "distribution"
 def encode_matrix(arr: np.ndarray) -> list:
     a = np.asarray(arr)
     if np.iscomplexobj(a):
-        return [[[float(v.real), float(v.imag)] for v in row] for row in a]
+        return np.stack((a.real, a.imag), -1).astype(np.float64).tolist()
     if a.dtype.kind in "iu":
-        return [[int(v) for v in row] for row in a]
-    return [[float(v) for v in row] for row in a]
+        return a.tolist()
+    return a.astype(np.float64).tolist()
 
 
 def decode_matrix(data) -> np.ndarray:
@@ -66,7 +66,7 @@ def _json_int(data: dict, key: str) -> int:
 
 def to_jsonable(kind: str, obj):
     if kind == "scheme":
-        out = {"n": obj.n, "d": obj.d, "relation": [[int(v) for v in row] for row in obj.relation]}
+        out = {"n": obj.n, "d": obj.d, "relation": obj.relation.tolist()}
         if obj.labels is not None:
             out["labels"] = list(obj.labels)
         return out
@@ -86,13 +86,11 @@ def to_jsonable(kind: str, obj):
             entries = np.asarray(obj)
             d = entries.shape[0] - 1
         if entries.dtype.kind in "iu":
-            nested = [[[int(v) for v in row] for row in slab] for slab in entries]
-        else:
-            nested = [[[float(v) for v in row] for row in slab] for slab in entries]
-        return {"d": int(d), "entries": nested}
+            return {"d": int(d), "entries": entries.tolist()}
+        return {"d": int(d), "entries": entries.astype(np.float64).tolist()}
     if kind == "fusion-system":
         out = {"labels": list(obj.labels),
-               "N": [[[int(v) for v in row] for row in slab] for slab in obj.N]}
+               "N": obj.N.tolist()}
         if obj.F:
             out["F"] = {",".join(map(str, key)): encode_matrix(mat)
                         for key, mat in obj.F.items()}

@@ -232,6 +232,21 @@ def test_orbit_scheme_refuses_more_points_than_the_cap_before_allocating():
     assert peak < 8 * n * n // 100
 
 
+def test_orbit_scheme_refuses_a_large_orbital_pass_before_allocating():
+    n = 1500
+    rotation, reflection = _dihedral_action(n)
+    gens = [rotation, reflection, rotation, list(rotation)]  # 2 distinct generators
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError,
+                           match=r"1500 points with 2 distinct generators .* 25000000"):
+            build_orbit_scheme(gens, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_orbit_scheme_peak_memory_is_linear_in_the_generators(k):
     n = 150

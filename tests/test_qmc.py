@@ -20,7 +20,7 @@ from schemewalk import (
     transition_expectation_closed_form,
     transition_expectation_dual,
 )
-from schemewalk.qmc import _block_spectrum, _support_components
+from schemewalk.qmc import _block_spectrum, _check_density, _support_components
 
 RNG = np.random.default_rng(20240817)
 
@@ -270,6 +270,134 @@ def test_z2_idempotent_channel_alternates_sign():
     for state in traj.states:
         assert np.max(np.abs(np.diag(state) - 0.5)) < 1e-12
     assert traj.states[1][0, 1] < 0 < traj.states[2][0, 1]
+
+
+# ------------------------------------------- iterate: stepping oracle
+
+def _dual_einsum_oracle(te, rho):
+    root = np.sqrt(te.transition)
+    return np.einsum("i,ij,ik->jk", np.diagonal(rho), root, root)
+
+
+def iterate_oracle(channel, rho0, steps):
+    """The stepping loop with an `eigvalsh` of the state after every step."""
+    if isinstance(channel, SchurChannel):
+        if float(np.linalg.eigvalsh(channel.multiplier).min()) < -1e-10:
+            raise CertificationError(
+                "channel is not completely positive (multiplier has a negative eigenvalue)"
+            )
+        step = lambda rho: schur_channel_apply(channel, rho)  # noqa: E731
+    else:
+        step = lambda rho: _dual_einsum_oracle(channel, rho)  # noqa: E731
+    rho = _check_density(np.asarray(rho0), channel.dim)[0]
+    states = [rho]
+    factors = []
+    for _ in range(steps):
+        nxt = step(rho)
+        tr = complex(np.trace(nxt)).real
+        if tr < 1e-14:
+            raise CertificationError(
+                f"channel absorbed the state (trace {tr:.3e} after step {len(factors) + 1})"
+            )
+        rho = nxt / tr
+        low = float(np.linalg.eigvalsh(rho).min())
+        if low < -1e-10:
+            raise CertificationError(
+                f"state lost positivity at step {len(factors) + 1} (eigenvalue {low:.3e})"
+            )
+        states.append(rho)
+        factors.append(tr)
+    return states, factors
+
+
+def random_density(rng, n, rank=None):
+    g = rng.normal(size=(n, rank or n)) + 1j * rng.normal(size=(n, rank or n))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def assert_same_trajectory(channel, rho0, steps, tol=0.0):
+    states, factors = iterate_oracle(channel, rho0, steps)
+    traj = iterate_channel(channel, rho0, steps)
+    assert len(traj.states) == len(states) == steps + 1
+    for got, want in zip(traj.states, states):
+        assert got.dtype == want.dtype
+        assert np.max(np.abs(got - want)) <= tol
+    assert np.max(np.abs(np.subtract(traj.trace_factors, factors)), initial=0.0) <= tol
+
+
+def test_iterate_matches_oracle_on_idempotent_multipliers(decompositions):
+    rng = np.random.default_rng(41)
+    for name in ("johnson_6_3", "group_z5"):
+        dec = decompositions[name]
+        for e, m in zip(dec.idempotents, dec.multiplicities):
+            for rank in (None, 1):
+                assert_same_trajectory(SchurChannel(e / m), random_density(rng, dec.n, rank), 12)
+    z2 = SchurChannel(np.array([[0.5, -0.5], [-0.5, 0.5]]))
+    assert_same_trajectory(z2, np.array([[0.5, 0.3], [0.3, 0.5]]), 7)
+
+
+def test_iterate_matches_oracle_on_random_transition_expectations():
+    rng = np.random.default_rng(43)
+    for n in range(2, 49):
+        p = rng.dirichlet(np.ones(n), size=n)
+        if n % 2:
+            p[rng.random((n, n)) < 0.5] = 0.0
+            p[np.arange(n), rng.integers(0, n, size=n)] += 1e-3
+            p /= p.sum(axis=1, keepdims=True)
+        te = make_transition_expectation(p)
+        assert_same_trajectory(te, random_density(rng, n, rank=1 + n % 3), 10, tol=1e-14)
+
+
+def test_iterate_falls_back_to_eigvalsh_when_the_bound_is_loose():
+    # lambda_min(M) = -0.9e-10 passes the entry check; the trace 1e-6 of
+    # M o rho0 magnifies it to -4.5e-05 after one step.
+    a = 1e-6
+    mult = np.array([[a, a + 0.9e-10], [a + 0.9e-10, a]])
+    message = r"state lost positivity at step 1 \(eigenvalue -4\.500e-05\)"
+    for run in (iterate_oracle, iterate_channel):
+        with pytest.raises(CertificationError, match=message):
+            run(SchurChannel(mult), np.full((2, 2), 0.5), 3)
+
+
+def test_iterate_runs_no_per_step_eigensolve(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    rho0 = random_density(np.random.default_rng(47), 6)
+    iterate_channel(SchurChannel(np.full((6, 6), 0.5) + 0.5 * np.eye(6)), rho0, 50)
+    assert len(calls) == 3  # multiplier, initial state, final state
+    calls.clear()
+    iterate_channel(make_transition_expectation(random_row_stochastic(6)), rho0, 50)
+    assert len(calls) == 2  # initial state, final state
+
+
+def _outcome(run, channel, rho0, steps):
+    try:
+        return run(channel, rho0, steps)
+    except CertificationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 8), rank=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       shift=st.floats(0.0, 2e-10), steps=st.integers(0, 6))
+def test_iterate_matches_oracle_on_unit_diagonal_multipliers(n, rank, seed, shift, steps):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(n, min(rank, n))) + 1j * rng.normal(size=(n, min(rank, n)))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    # A unit-diagonal Gram matrix moved towards indefiniteness by `shift`.
+    mult = (g @ g.conj().T - shift * np.eye(n)) / (1.0 - shift)
+    channel = SchurChannel(mult)
+    rho0 = random_density(rng, n, rank=int(rng.integers(1, n + 1)))
+    want = _outcome(iterate_oracle, channel, rho0, steps)
+    got = _outcome(iterate_channel, channel, rho0, steps)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert all(np.array_equal(a, b) for a, b in zip(got.states, want[0]))
+        assert list(got.trace_factors) == want[1]
 
 
 # -------------------------------------------------------------- szegedy

@@ -195,3 +195,39 @@ def test_decomposition_export():
     assert data["multiplicities"] == [1, 3, 2]
     assert len(data["idempotents"]) == 3
     json.dumps(data)  # fully serializable
+
+
+# ------------------------------------------- loop encoders as the oracle
+
+def _loop_matrix(a):
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        return [[[float(v.real), float(v.imag)] for v in row] for row in a]
+    if a.dtype.kind in "iu":
+        return [[int(v) for v in row] for row in a]
+    return [[float(v) for v in row] for row in a]
+
+
+def _loop_tensor(entries):
+    cast = int if entries.dtype.kind in "iu" else float
+    return [[[cast(v) for v in row] for row in slab] for slab in entries]
+
+
+def test_encoders_match_the_loop_encoders(builtin_schemes, krein_tensors):
+    for s in builtin_schemes.values():
+        loop = {"n": s.n, "d": s.d, "relation": _loop_matrix(s.relation)}
+        assert json.dumps(to_jsonable("scheme", s)) == json.dumps(loop)
+    g = RNG.normal(size=(5, 4)) + 1j * RNG.normal(size=(5, 4))
+    g[0, 0] = complex(-0.0, -0.0)
+    signed_zero = np.array([[-0.0, 0.0, 1e-300], [-1.5, 2.0 / 3.0, -0.0]])
+    for m in (g, signed_zero, np.arange(12).reshape(3, 4)):
+        assert json.dumps(encode_matrix(m)) == json.dumps(_loop_matrix(m))
+    assert "-0.0" in json.dumps(encode_matrix(signed_zero))
+    krein = krein_tensors["johnson_6_3"]
+    loop = {"d": krein.d, "entries": _loop_tensor(krein.q)}
+    assert json.dumps(to_jsonable("tensor", krein)) == json.dumps(loop)
+    inter = intersection_numbers(builtin_schemes["johnson_6_3"])
+    loop = {"d": inter.d, "entries": _loop_tensor(inter.p)}
+    assert json.dumps(to_jsonable("tensor", inter)) == json.dumps(loop)
+    fs = builtin_fusion_system("ising")
+    assert to_jsonable("fusion-system", fs)["N"] == _loop_tensor(fs.N)
