@@ -12,7 +12,10 @@ F-matrices are stored sparsely: only blocks of dimension >= 2 and
 1-dimensional blocks with a non-trivial sign need entries; every other
 admissible block defaults to 1 (the gauge fixed here).  The stored data
 is never trusted blindly -- `verify_pentagon` (and, for rank-2 systems,
-`verify_hexagon`) recertify it.
+`verify_hexagon`) recertify it.  Each expands the blocks once into a
+dense array F[a,b,c,e,x,y] (rank^6 entries, at most 729 under the rank
+caps) and evaluates its identity as one masked einsum over the
+admissible fusion trees.
 
 `scheme_fusion_bridge` compares a scheme's Krein tensor against fusion
 multiplicities up to label bijection and per-index positive rescaling,
@@ -28,7 +31,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, numeric_array
 from .parameters import KreinTensor
 from .spectral import BoseMesnerDecomposition
 
@@ -122,18 +125,32 @@ def _tree_cols(n, a, b, c, e):
     return tuple(y for y in range(n.shape[0]) if n[b, c, y] and n[a, y, e])
 
 
+def _label_key(key, length: int, what: str, rank: int) -> tuple[int, ...]:
+    """`key` as a tuple of `length` label indices, each in 0..rank-1."""
+    parts = tuple(key) if isinstance(key, (tuple, list)) else ()
+    if len(parts) != length or not all(
+        isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < rank
+        for v in parts
+    ):
+        raise ValidationError(
+            f"{what} key {key!r} must be {length} label indices in 0..{rank - 1}"
+        )
+    return tuple(int(v) for v in parts)
+
+
 def make_fusion_system(labels, n_tensor, f_data=None, r_data=None, twist=None) -> FusionSystem:
     """Validate and assemble a FusionSystem.
 
-    Checks: vacuum unit law, commutativity, associativity, existence of
-    duals, quantum-dimension consistency, unitarity of every F block,
-    unit modulus of every R phase.
+    Checks: integer multiplicities, vacuum unit law, commutativity,
+    associativity, existence of duals, quantum-dimension consistency, F
+    keys (a,b,c,e) and R keys (a,b,c) of label indices, finite entries,
+    unitarity of every F block, unit modulus of every R phase.
     """
     labels = tuple(str(x) for x in labels)
     if not labels or len(set(labels)) != len(labels):
         raise ValidationError("labels must be non-empty and distinct")
     rank = len(labels)
-    n = np.asarray(n_tensor, dtype=np.int64)
+    n = numeric_array(n_tensor, "fusion tensor").astype(np.int64)
     if n.shape != (rank, rank, rank):
         raise ValidationError(f"fusion tensor must be {rank}^3, got {n.shape}")
     if n.min() < 0:
@@ -163,10 +180,12 @@ def make_fusion_system(labels, n_tensor, f_data=None, r_data=None, twist=None) -
 
     f_table = {}
     for key, mat in (f_data or {}).items():
-        a, b, c, e = (int(v) for v in key)
+        a, b, c, e = key = _label_key(key, 4, "F", rank)
         rows = _tree_rows(n, a, b, c, e)
         cols = _tree_cols(n, a, b, c, e)
-        block = np.asarray(mat, dtype=np.complex128)
+        block = numeric_array(mat, f"F block {key}", kinds="iufc").astype(np.complex128)
+        if not np.all(np.isfinite(block)):
+            raise ValidationError(f"F block {key} has a non-finite entry")
         if block.shape != (len(rows), len(cols)):
             raise ValidationError(
                 f"F block {key} must have shape {(len(rows), len(cols))}, got {block.shape}"
@@ -176,22 +195,30 @@ def make_fusion_system(labels, n_tensor, f_data=None, r_data=None, twist=None) -
         if np.max(np.abs(block.conj().T @ block - np.eye(len(rows)))) > _UNITARITY_TOL:
             raise ValidationError(f"F block {key} is not unitary")
         block.setflags(write=False)
-        f_table[(a, b, c, e)] = block
+        f_table[key] = block
 
     r_table = {}
     for key, phase in (r_data or {}).items():
-        a, b, c = (int(v) for v in key)
-        if not n[a, b, c]:
+        key = _label_key(key, 3, "R", rank)
+        if not n[key]:
             raise ValidationError(f"R phase given for forbidden channel {key}")
-        val = complex(phase)
+        val = numeric_array(phase, f"R phase {key}", kinds="iufc")
+        if val.ndim != 0:
+            raise ValidationError(f"R phase {key} must be a single number")
+        if not np.isfinite(val):
+            raise ValidationError(f"R phase {key} is non-finite")
+        val = complex(val)
         if abs(abs(val) - 1.0) > _UNITARITY_TOL:
             raise ValidationError(f"R phase {key} has modulus {abs(val)!r}, not 1")
-        r_table[(a, b, c)] = val
+        r_table[key] = val
 
     if twist is not None:
-        twist = tuple(complex(t) for t in twist)
-        if len(twist) != rank:
+        twist = numeric_array(twist, "twist", kinds="iufc")
+        if twist.shape != (rank,):
             raise ValidationError("twist must list one phase per label")
+        if not np.all(np.isfinite(twist)):
+            raise ValidationError("twist has a non-finite entry")
+        twist = tuple(complex(t) for t in twist)
 
     return FusionSystem(
         labels=labels,
@@ -260,9 +287,8 @@ def cyclic_fusion_system(order: int) -> FusionSystem:
         raise ValidationError("order must be >= 1")
     labels = tuple("1" if a == 0 else f"g{a}" for a in range(order))
     n = np.zeros((order, order, order), dtype=np.int64)
-    for a in range(order):
-        for b in range(order):
-            n[a, b, (a + b) % order] = 1
+    a, b = np.indices((order, order))
+    n[a, b, (a + b) % order] = 1
     return make_fusion_system(labels, n)
 
 
@@ -289,13 +315,14 @@ def _f_block(fs: FusionSystem, a, b, c, e):
     return rows, cols, np.eye(len(rows), dtype=np.complex128)
 
 
-def _f_entry(fs: FusionSystem, a, b, c, e, x, y) -> complex:
-    """[F^{abc}_e]_{xy}; zero when either fusion tree is inadmissible."""
-    n = fs.N
-    if not (n[a, b, x] and n[x, c, e] and n[b, c, y] and n[a, y, e]):
-        return 0.0
-    rows, cols, mat = _f_block(fs, a, b, c, e)
-    return complex(mat[rows.index(x), cols.index(y)])
+def _f_tensor(fs: FusionSystem) -> np.ndarray:
+    """Every block in one array F[a,b,c,e,x,y] = [F^{abc}_e]_{xy}, zero where
+    either fusion tree is inadmissible; rank^6 entries, so callers cap the rank."""
+    f = np.zeros((fs.rank,) * 6, dtype=np.complex128)
+    for a, b, c, e in itertools.product(range(fs.rank), repeat=4):
+        rows, cols, mat = _f_block(fs, a, b, c, e)
+        f[a, b, c, e][np.ix_(rows, cols)] = mat
+    return f
 
 
 def _r_phase(fs: FusionSystem, a, b, c) -> complex:
@@ -403,44 +430,16 @@ def verify_pentagon(fs: FusionSystem) -> PentagonReport:
 
       F[xcd;e]_{yw} F[abw;e]_{xv} = sum_z F[abc;y]_{xz} F[azd;e]_{yv} F[bcd;v]_{zw}
 
-    Missing F blocks of dimension >= 2 are reported before evaluation.
+    on every admissible pair of outer trees; the others read 0 = 0.
     """
     _require_small_multiplicity_free(fs, "pentagon", max_rank=3)
-    rank = fs.rank
-    missing = []
-    for a, b, c, e in itertools.product(range(rank), repeat=4):
-        rows = _tree_rows(fs.N, a, b, c, e)
-        cols = _tree_cols(fs.N, a, b, c, e)
-        if len(rows) != len(cols):
-            raise ValidationError(
-                f"block ({a},{b},{c};{e}) is {len(rows)}x{len(cols)}; data inconsistent"
-            )
-        if len(rows) > 1 and (a, b, c, e) not in fs.F:
-            missing.append((a, b, c, e))
-    if missing:
-        raise ValidationError(f"incomplete F data; missing blocks: {missing}")
-
     n = fs.N
-    worst = 0.0
-    checked = 0
-    for a, b, c, d, e in itertools.product(range(rank), repeat=5):
-        for x in range(rank):
-            for y, w, v in itertools.product(range(rank), repeat=3):
-                # restrict to admissible outer trees; others are 0 = 0
-                if not (n[a, b, x] and n[x, c, y] and n[y, d, e]):
-                    continue
-                if not (n[c, d, w] and n[b, w, v] and n[a, v, e]):
-                    continue
-                lhs = _f_entry(fs, x, c, d, e, y, w) * _f_entry(fs, a, b, w, e, x, v)
-                rhs = sum(
-                    _f_entry(fs, a, b, c, y, x, z)
-                    * _f_entry(fs, a, z, d, e, y, v)
-                    * _f_entry(fs, b, c, d, v, z, w)
-                    for z in range(rank)
-                )
-                worst = max(worst, abs(lhs - rhs))
-                checked += 1
-    return PentagonReport(max_residual=worst, identities_checked=checked)
+    f = _f_tensor(fs)
+    trees = np.einsum("abx,xcy,yde,cdw,bwv,ave->abcdexywv", n, n, n, n, n, n) > 0
+    lhs = np.einsum("xcdeyw,abwexv->abcdexywv", f, f)
+    rhs = np.einsum("abcyxz,azdeyv,bcdvzw->abcdexywv", f, f, f)
+    worst = float(np.max(np.abs(lhs - rhs)[trees], initial=0.0))
+    return PentagonReport(max_residual=worst, identities_checked=int(trees.sum()))
 
 
 @dataclass(frozen=True)
@@ -467,34 +466,20 @@ def verify_hexagon(fs: FusionSystem) -> HexagonReport:
     """
     _require_small_multiplicity_free(fs, "hexagon", max_rank=2)
     n = fs.N
-    rank = fs.rank
-    residuals = [0.0, 0.0]
-    checked = 0
-    for conjugate in (False, True):
-        def phase(i, j, k):
-            val = _r_phase(fs, i, j, k)
-            return val.conjugate() if conjugate else val
-
-        worst = 0.0
-        for a, b, c, d in itertools.product(range(rank), repeat=4):
-            for e, g in itertools.product(range(rank), repeat=2):
-                if not (n[c, a, e] and n[e, b, d] and n[c, b, g] and n[a, g, d]):
-                    continue
-                lhs = phase(c, a, e) * _f_entry(fs, a, c, b, d, e, g) * phase(c, b, g)
-                rhs = sum(
-                    _f_entry(fs, c, a, b, d, e, f_mid)
-                    * phase(c, f_mid, d)
-                    * _f_entry(fs, a, b, c, d, f_mid, g)
-                    for f_mid in range(rank)
-                    if n[a, b, f_mid] and n[c, f_mid, d]
-                )
-                worst = max(worst, abs(lhs - rhs))
-                checked += 1
-        residuals[int(conjugate)] = worst
+    r = np.zeros(n.shape, dtype=np.complex128)
+    for a, b, c in np.argwhere(n).tolist():
+        r[a, b, c] = _r_phase(fs, a, b, c)
+    f = _f_tensor(fs)
+    trees = np.einsum("cae,ebd,cbg,agd->abcdeg", n, n, n, n) > 0
+    residuals = []
+    for phase in (r, r.conj()):
+        lhs = np.einsum("cae,acbdeg,cbg->abcdeg", phase, f, phase)
+        rhs = np.einsum("cabdef,cfd,abcdfg->abcdeg", f, phase, f)
+        residuals.append(float(np.max(np.abs(lhs - rhs)[trees], initial=0.0)))
     return HexagonReport(
         max_residual=residuals[0],
         max_residual_inverse=residuals[1],
-        identities_checked=checked,
+        identities_checked=2 * int(trees.sum()),
     )
 
 

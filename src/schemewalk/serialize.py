@@ -50,11 +50,26 @@ def _encode_complex(z: complex) -> list:
 
 
 def _decode_complex(v) -> complex:
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2:
-        return complex(v[0], v[1])
-    raise ValidationError(f"expected a number or [re, im] pair, got {v!r}")
+    parts = v if isinstance(v, list) and len(v) == 2 else [v]
+    if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
+        raise ValidationError(f"expected a number or [re, im] pair, got {v!r}")
+    return complex(*parts)
+
+
+def _decode_keyed(data, name: str, form: str, decode) -> dict:
+    """A JSON object {"i,j,...": value} as {(i, j, ...): decode(value)}."""
+    if not isinstance(data, dict):
+        raise ValidationError(f'"{name}" must be an object keyed by "{form}"')
+    out = {}
+    for key, value in data.items():
+        try:
+            parts = tuple(int(p) for p in key.split(","))
+        except ValueError:
+            parts = ()
+        if len(parts) != form.count(",") + 1:
+            raise ValidationError(f'{name} key must be "{form}" with integer parts, got {key!r}')
+        out[parts] = decode(value)
+    return out
 
 
 def _json_int(data: dict, key: str) -> int:
@@ -85,6 +100,8 @@ def to_jsonable(kind: str, obj):
         else:
             entries = np.asarray(obj)
             d = entries.shape[0] - 1
+        if np.iscomplexobj(entries):
+            raise ValidationError("tensor entries must be real; the tensor kind has no complex form")
         if entries.dtype.kind in "iu":
             return {"d": int(d), "entries": entries.tolist()}
         return {"d": int(d), "entries": entries.astype(np.float64).tolist()}
@@ -139,25 +156,13 @@ def from_jsonable(kind: str, data, validate: bool = True):
     if kind == "fusion-system":
         if not isinstance(data, dict) or not {"labels", "N"} <= set(data):
             raise ValidationError('fusion-system JSON must have keys "labels", "N"')
-        f_data = None
-        if "F" in data:
-            f_data = {}
-            for key, mat in data["F"].items():
-                parts = key.split(",")
-                if len(parts) != 4:
-                    raise ValidationError(f'F key must be "a,b,c,e", got {key!r}')
-                f_data[tuple(int(p) for p in parts)] = decode_matrix(mat)
-        r_data = None
-        if "R" in data:
-            r_data = {}
-            for key, val in data["R"].items():
-                parts = key.split(",")
-                if len(parts) != 3:
-                    raise ValidationError(f'R key must be "a,b,c", got {key!r}')
-                r_data[tuple(int(p) for p in parts)] = _decode_complex(val)
+        for name in ("labels", "twist"):
+            if name in data and not isinstance(data[name], list):
+                raise ValidationError(f'"{name}" must be a list')
+        f_data = _decode_keyed(data["F"], "F", "a,b,c,e", decode_matrix) if "F" in data else None
+        r_data = _decode_keyed(data["R"], "R", "a,b,c", _decode_complex) if "R" in data else None
         twist = [_decode_complex(t) for t in data["twist"]] if "twist" in data else None
-        return make_fusion_system(data["labels"], np.array(data["N"], dtype=np.int64),
-                                  f_data, r_data, twist)
+        return make_fusion_system(data["labels"], data["N"], f_data, r_data, twist)
     if kind == "distribution":
         if not isinstance(data, list) or not data:
             raise ValidationError("distribution must be a non-empty JSON array")

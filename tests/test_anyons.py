@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schemewalk import (
     GOLDEN_RATIO,
@@ -17,6 +21,15 @@ from schemewalk import (
     scheme_fusion_bridge,
     verify_hexagon,
     verify_pentagon,
+)
+from schemewalk.anyons import (
+    HexagonReport,
+    PentagonReport,
+    _f_block,
+    _r_phase,
+    _require_small_multiplicity_free,
+    _tree_cols,
+    _tree_rows,
 )
 
 ISING = builtin_fusion_system("ising")
@@ -176,6 +189,186 @@ def test_hexagon_fibonacci():
     assert rep.identities_checked > 0
 
 
+# The entry-by-entry loops that verify_pentagon and verify_hexagon replaced,
+# kept as the oracle for the masked einsum identities.
+
+def _oracle_f_entry(fs, a, b, c, e, x, y):
+    n = fs.N
+    if not (n[a, b, x] and n[x, c, e] and n[b, c, y] and n[a, y, e]):
+        return 0.0
+    rows, cols, mat = _f_block(fs, a, b, c, e)
+    return complex(mat[rows.index(x), cols.index(y)])
+
+
+def oracle_pentagon(fs):
+    _require_small_multiplicity_free(fs, "pentagon", max_rank=3)
+    rank = fs.rank
+    missing = []
+    for a, b, c, e in itertools.product(range(rank), repeat=4):
+        rows = _tree_rows(fs.N, a, b, c, e)
+        cols = _tree_cols(fs.N, a, b, c, e)
+        if len(rows) != len(cols):
+            raise ValidationError(
+                f"block ({a},{b},{c};{e}) is {len(rows)}x{len(cols)}; data inconsistent"
+            )
+        if len(rows) > 1 and (a, b, c, e) not in fs.F:
+            missing.append((a, b, c, e))
+    if missing:
+        raise ValidationError(f"incomplete F data; missing blocks: {missing}")
+
+    n = fs.N
+    f = _oracle_f_entry
+    worst = 0.0
+    checked = 0
+    for a, b, c, d, e in itertools.product(range(rank), repeat=5):
+        for x in range(rank):
+            for y, w, v in itertools.product(range(rank), repeat=3):
+                if not (n[a, b, x] and n[x, c, y] and n[y, d, e]):
+                    continue
+                if not (n[c, d, w] and n[b, w, v] and n[a, v, e]):
+                    continue
+                lhs = f(fs, x, c, d, e, y, w) * f(fs, a, b, w, e, x, v)
+                rhs = sum(
+                    f(fs, a, b, c, y, x, z) * f(fs, a, z, d, e, y, v) * f(fs, b, c, d, v, z, w)
+                    for z in range(rank)
+                )
+                worst = max(worst, abs(lhs - rhs))
+                checked += 1
+    return PentagonReport(max_residual=worst, identities_checked=checked)
+
+
+def oracle_hexagon(fs):
+    _require_small_multiplicity_free(fs, "hexagon", max_rank=2)
+    n = fs.N
+    f = _oracle_f_entry
+    rank = fs.rank
+    residuals = [0.0, 0.0]
+    checked = 0
+    for conjugate in (False, True):
+        def phase(i, j, k):
+            val = _r_phase(fs, i, j, k)
+            return val.conjugate() if conjugate else val
+
+        worst = 0.0
+        for a, b, c, d in itertools.product(range(rank), repeat=4):
+            for e, g in itertools.product(range(rank), repeat=2):
+                if not (n[c, a, e] and n[e, b, d] and n[c, b, g] and n[a, g, d]):
+                    continue
+                lhs = phase(c, a, e) * f(fs, a, c, b, d, e, g) * phase(c, b, g)
+                rhs = sum(
+                    f(fs, c, a, b, d, e, m) * phase(c, m, d) * f(fs, a, b, c, d, m, g)
+                    for m in range(rank)
+                    if n[a, b, m] and n[c, m, d]
+                )
+                worst = max(worst, abs(lhs - rhs))
+                checked += 1
+        residuals[int(conjugate)] = worst
+    return HexagonReport(
+        max_residual=residuals[0],
+        max_residual_inverse=residuals[1],
+        identities_checked=checked,
+    )
+
+
+def _rebuilt(fs, f_data=None, r_data=None):
+    return make_fusion_system(fs.labels, fs.N,
+                              dict(fs.F) if f_data is None else f_data,
+                              dict(fs.R) if r_data is None else r_data)
+
+
+def _outcome(check, fs):
+    try:
+        return check(fs)
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+def _assert_same(new, old):
+    if isinstance(old, str):
+        assert new == old
+        return
+    assert type(new) is type(old)
+    assert new.identities_checked == old.identities_checked
+    assert abs(new.max_residual - old.max_residual) <= 1e-14
+    if isinstance(old, HexagonReport):
+        assert abs(new.max_residual_inverse - old.max_residual_inverse) <= 1e-14
+    assert new.passed == old.passed
+
+
+_ROTATION = np.array([[0.6, 0.8], [-0.8, 0.6]])
+ORACLE_SYSTEMS = {
+    "ising": ISING,
+    "fibonacci": FIB,
+    "z1": cyclic_fusion_system(1),
+    "z2": cyclic_fusion_system(2),
+    "z3": cyclic_fusion_system(3),
+    "ising_psi_sigma_psi_flipped": _rebuilt(ISING, {**ISING.F, (2, 1, 2, 1): np.array([[1.0]])}),
+    "ising_rotated_block": _rebuilt(ISING, {**ISING.F, (1, 1, 1, 1): _ROTATION}),
+    "fibonacci_wrong_r": _rebuilt(FIB, r_data={(1, 1, 0): 1j, (1, 1, 1): -1.0}),
+    "fibonacci_without_f": _rebuilt(FIB, f_data={}),
+    "fibonacci_missing_r": _rebuilt(FIB, r_data={(1, 1, 1): FIB.R[(1, 1, 1)]}),
+    "fibonacci_without_f_or_r": _rebuilt(FIB, f_data={}, r_data={}),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_SYSTEMS)
+def test_pentagon_matches_the_loop_oracle(name):
+    fs = ORACLE_SYSTEMS[name]
+    new, old = _outcome(verify_pentagon, fs), _outcome(oracle_pentagon, fs)
+    if name.startswith("fibonacci_without_f"):
+        # the one intended change: the missing block is named by _f_block
+        assert old == "ValidationError: incomplete F data; missing blocks: [(1, 1, 1, 1)]"
+        assert new == "ValidationError: missing F data: block (1,1,1;1) has dimension 2"
+        return
+    _assert_same(new, old)
+
+
+@pytest.mark.parametrize("name", ORACLE_SYSTEMS)
+def test_hexagon_matches_the_loop_oracle(name):
+    fs = ORACLE_SYSTEMS[name]
+    _assert_same(_outcome(verify_hexagon, fs), _outcome(oracle_hexagon, fs))
+
+
+def test_oracle_systems_cover_pass_fail_and_refusal():
+    pentagon = {name: _outcome(verify_pentagon, fs) for name, fs in ORACLE_SYSTEMS.items()}
+    assert pentagon["z3"].passed and pentagon["z3"].max_residual == 0.0
+    assert not pentagon["ising_psi_sigma_psi_flipped"].passed
+    assert not pentagon["ising_rotated_block"].passed
+    hexagon = {name: _outcome(verify_hexagon, fs) for name, fs in ORACLE_SYSTEMS.items()}
+    assert hexagon["fibonacci"].identities_checked == 30
+    assert not hexagon["fibonacci_wrong_r"].passed
+    assert hexagon["fibonacci_missing_r"] == (
+        "ValidationError: missing R data for channel (1, 1, 0)")
+    assert "rank <= 2" in hexagon["z3"]
+
+
+def _unit(angle):
+    return complex(np.cos(angle), np.sin(angle))
+
+
+_ANGLE = st.floats(min_value=0.0, max_value=2 * np.pi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["ising", "fibonacci"]), data=st.data())
+def test_random_gauge_data_matches_the_loop_oracle(name, data):
+    # a phase on every 1x1 block and every admissible channel, stored or
+    # defaulted, so that no symmetry of the built-in data hides an index
+    fs = builtin_fusion_system(name)
+    f_data = {key: np.array([[_unit(data.draw(_ANGLE))]])
+              for key in itertools.product(range(fs.rank), repeat=4)
+              if len(_tree_rows(fs.N, *key)) == 1}
+    theta, alpha, beta, gamma = (data.draw(_ANGLE) for _ in range(4))
+    f_data[(1, 1, 1, 1)] = _unit(alpha) * np.array([
+        [_unit(beta) * np.cos(theta), _unit(gamma) * np.sin(theta)],
+        [-_unit(-gamma) * np.sin(theta), _unit(-beta) * np.cos(theta)],
+    ])
+    r_data = {tuple(key): _unit(data.draw(_ANGLE)) for key in np.argwhere(fs.N).tolist()}
+    varied = make_fusion_system(fs.labels, fs.N, f_data, r_data)
+    _assert_same(verify_pentagon(varied), oracle_pentagon(varied))
+    _assert_same(_outcome(verify_hexagon, varied), _outcome(oracle_hexagon, varied))
+
+
 def test_hexagon_rank_guard():
     with pytest.raises(ValidationError, match="rank"):
         verify_hexagon(ISING)
@@ -212,6 +405,33 @@ def test_make_fusion_system_rejects_non_unit_r():
     n = cyclic_fusion_system(2).N
     with pytest.raises(ValidationError, match="modulus"):
         make_fusion_system(("1", "g"), n, r_data=r)
+
+
+Z2_N = cyclic_fusion_system(2).N
+
+
+@pytest.mark.parametrize("n_tensor", [
+    Z2_N * 1.7,                                   # would truncate to Z_2
+    [[[1, 0], [0, 1]], [[0, 1]]],                 # ragged
+    [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]],
+], ids=["float", "ragged", "strings"])
+def test_make_fusion_system_reads_n_as_integers(n_tensor):
+    with pytest.raises(ValidationError, match="fusion tensor"):
+        make_fusion_system(("1", "g"), n_tensor)
+
+
+@pytest.mark.parametrize("f_data,r_data", [
+    ({(1, 1, 0, 7): [[1.0]]}, None),              # index beyond the labels
+    ({(1, 1, 1, -1): [[1.0]]}, None),             # would wrap to the last label
+    ({(1, 1, 1): [[1.0]]}, None),                 # three indices for F
+    ({(1, 1, 1, 1.0): [[1.0]]}, None),
+    (None, {(1, 1, 0, 0): 1.0}),                  # four indices for R
+    (None, {(1, 1, 5): 1.0}),
+    (None, {(1, -1, 0): 1.0}),
+], ids=["f-range", "f-negative", "f-length", "f-float", "r-length", "r-range", "r-negative"])
+def test_make_fusion_system_checks_keys(f_data, r_data):
+    with pytest.raises(ValidationError, match="key"):
+        make_fusion_system(("1", "g"), Z2_N, f_data=f_data, r_data=r_data)
 
 
 def test_cyclic_system_is_group_like():

@@ -188,6 +188,21 @@ def test_anyon_pentagon_and_hexagon(capsys):
     assert out.count("PASS") == 2
 
 
+@pytest.mark.parametrize("system", [
+    {"labels": "1g", "N": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]},
+    {"labels": ["1", "g"], "N": [[[1, 0], [0, 1]], [[0, 1]]]},
+    {"labels": ["1", "g"], "N": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]], "F": {"1,1,0,7": [[1]]}},
+    {"labels": ["1", "g"], "N": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]], "R": [1, 0]},
+], ids=["labels-string", "ragged-n", "f-key-range", "r-list"])
+def test_anyon_malformed_system_file_exits_1(tmp_path, system, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(system))
+    code = run(["anyon", "--system", str(path), "--op", "dims"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+
+
 def test_anyon_bridge(j42_file, capsys):
     code = run(["anyon", "bridge", "--scheme", str(j42_file), "--system", "ising"])
     out = capsys.readouterr().out

@@ -8,14 +8,18 @@ from schemewalk import (
     SchurChannel,
     ValidationError,
     convolve,
+    cyclic_fusion_system,
     dilation_unitary,
     iterate_channel,
+    make_fusion_system,
     make_transition_expectation,
     serialize,
     stationary_distribution,
     szegedy_walk,
     walk,
 )
+
+Z2 = cyclic_fusion_system(2)
 
 ENTRY_POINTS = {
     "serialize.loads distribution":
@@ -31,6 +35,12 @@ ENTRY_POINTS = {
         lambda h, x: iterate_channel(SchurChannel(np.eye(2)), np.array([[x, 0.0], [0.0, 0.5]]), 2),
     "stationary_distribution": lambda h, x: stationary_distribution([[x, 0.5], [0.5, 0.5]]),
     "szegedy_walk": lambda h, x: szegedy_walk([[x, 0.5], [0.5, 0.5]]),
+    "make_fusion_system F":
+        lambda h, x: make_fusion_system(Z2.labels, Z2.N, f_data={(1, 1, 1, 1): [[x]]}),
+    "make_fusion_system R":
+        lambda h, x: make_fusion_system(Z2.labels, Z2.N, r_data={(1, 1, 0): x}),
+    "make_fusion_system twist":
+        lambda h, x: make_fusion_system(Z2.labels, Z2.N, twist=(1.0, x)),
 }
 
 

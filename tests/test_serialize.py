@@ -51,6 +51,7 @@ def test_scheme_load_validates_axioms():
 
 
 J42 = to_jsonable("scheme", build_johnson(4, 2))
+Z2 = to_jsonable("fusion-system", cyclic_fusion_system(2))
 # the class index of (0, 1) plus one half, which a cast to int would drop
 HALF = [list(row) for row in J42["relation"]]
 HALF[0][1] += 0.5
@@ -71,6 +72,14 @@ HALF[0][1] += 0.5
     ("cayley", {"order": 2, "cayley": [[0, 1.7], [1, 0]]}),
     ("cayley", {"order": 2, "cayley": [[0, 1], [1]]}),
     ("cayley", {"order": 2.0, "cayley": [[0, 1], [1, 0]]}),
+    ("fusion-system", {**Z2, "labels": "1g"}),
+    ("fusion-system", {**Z2, "N": [[[1, 0], [0, 1]], [[0, 1]]]}),
+    ("fusion-system", {**Z2, "N": [[[1, 0], [0, 1]], [[0, 1.7], [1, 0]]]}),
+    ("fusion-system", {**Z2, "F": [[1.0]]}),
+    ("fusion-system", {**Z2, "F": {"1,1,x,1": [[1.0]]}}),
+    ("fusion-system", {**Z2, "R": "1,1,0"}),
+    ("fusion-system", {**Z2, "R": {"1,1,0": ["a", 0]}}),
+    ("fusion-system", {**Z2, "twist": 5}),
 ])
 def test_malformed_json_is_a_validation_error(kind, data):
     with pytest.raises(ValidationError):
@@ -130,6 +139,14 @@ def test_tensor_roundtrip():
 
     arr = RNG.normal(size=(3, 3, 3))
     assert np.array_equal(roundtrip("tensor", arr), arr)
+
+
+def test_complex_tensor_is_refused():
+    # the tensor kind stores real entries only; dropping 2j would not round-trip
+    arr = np.ones((2, 2, 2), dtype=np.complex128)
+    arr[0, 1, 1] = 1 + 2j
+    with pytest.raises(ValidationError, match="real"):
+        to_jsonable("tensor", arr)
 
 
 def test_tensor_shape_validation():
