@@ -20,13 +20,21 @@ admissible fusion trees.
 `scheme_fusion_bridge` compares a scheme's Krein tensor against fusion
 multiplicities up to label bijection and per-index positive rescaling,
 which is the precise sense in which Krein parameters of small group
-schemes "are" fusion rules.
+schemes "are" fusion rules.  It does not fit every bijection: a search
+over vacuum-fixing label maps, one label at a time (the pruned search of
+McKay & Piperno, "Practical graph isomorphism, II", 2014), cuts a
+partial map as soon as the support pattern q_ij^k > 1e-8 <=> N_ij^k >= 1
+breaks on its labels, and only complete maps that keep it are fitted.
+That answers matched pairs up to rank 32.  An unmatched pair falls back
+to fitting all (rank-1)! bijections, which is capped at rank 9, and the
+search itself stops with ValidationError past 2^17 partial maps.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from types import MappingProxyType
 
 import numpy as np
@@ -40,6 +48,16 @@ _DIM_CONSISTENCY_TOL = 1e-10
 PENTAGON_THRESHOLD = 1e-10
 HEXAGON_THRESHOLD = 1e-10
 BRIDGE_THRESHOLD = 1e-6
+_BRIDGE_SUPPORT_TOL = 1e-8
+_BRIDGE_MAX_RANK = 32
+# Unmatched pairs are answered by fitting all (rank-1)! bijections.
+_BRIDGE_ENUMERATION_MAX_RANK = 9
+# Above 109,601 = sum_m 8!/(8-m)!, the whole rank-9 search tree, so the cap
+# only ever stops searches above the enumeration's rank.
+_BRIDGE_NODE_CAP = 1 << 17
+# Extensions whose support is compared in one gather: at rank 32 a chunk
+# holds 3 * 1024 * 32^2 booleans.
+_BRIDGE_CHUNK = 1024
 
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -144,7 +162,7 @@ def make_fusion_system(labels, n_tensor, f_data=None, r_data=None, twist=None) -
     Checks: integer multiplicities, vacuum unit law, commutativity,
     associativity, existence of duals, quantum-dimension consistency, F
     keys (a,b,c,e) and R keys (a,b,c) of label indices, finite entries,
-    unitarity of every F block, unit modulus of every R phase.
+    unitarity of every F block, unit modulus of every R phase and twist.
     """
     labels = tuple(str(x) for x in labels)
     if not labels or len(set(labels)) != len(labels):
@@ -219,6 +237,9 @@ def make_fusion_system(labels, n_tensor, f_data=None, r_data=None, twist=None) -
         if not np.all(np.isfinite(twist)):
             raise ValidationError("twist has a non-finite entry")
         twist = tuple(complex(t) for t in twist)
+        for a, t in enumerate(twist):
+            if abs(abs(t) - 1.0) > _UNITARITY_TOL:
+                raise ValidationError(f"twist {a} has modulus {abs(t)!r}, not 1")
 
     return FusionSystem(
         labels=labels,
@@ -492,15 +513,85 @@ class BridgeReport:
     threshold: float = BRIDGE_THRESHOLD
 
 
+def _bridge_fit(q: np.ndarray, n: np.ndarray, perm: tuple[int, ...]):
+    """(deviation, perm, scalars) for one vacuum-fixing label map.
+
+    Positive scalars s (s_0 = 1) are fitted by least squares in log space
+    so that q_ij^k s_i s_j / s_k approximates N over the matched labels,
+    one equation per triple with N >= 1 and q > 1e-8, in row-major order.
+    """
+    rank = q.shape[0]
+    target = n[np.ix_(perm, perm, perm)]
+    hits = np.argwhere((target >= 0.5) & (q > _BRIDGE_SUPPORT_TOL))
+    x = np.zeros(rank - 1)
+    if hits.size:
+        coeffs = np.zeros((len(hits), rank))
+        np.add.at(coeffs, (np.arange(len(hits))[:, None], hits), [1.0, 1.0, -1.0])
+        i, j, k = hits.T
+        rhs = np.log(target[i, j, k]) - np.log(q[i, j, k])
+        x, *_ = np.linalg.lstsq(coeffs[:, 1:], rhs, rcond=None)
+    log_s = np.concatenate(([0.0], x))
+    scale = np.exp(log_s[:, None, None] + log_s[None, :, None] - log_s[None, None, :])
+    deviation = float(np.max(np.abs(q * scale - target)))
+    return deviation, perm, tuple(np.exp(log_s))
+
+
+def _support_maps(q_support: np.ndarray, n_support: np.ndarray) -> np.ndarray:
+    """Every vacuum-fixing label map under which q_support equals
+    n_support[perm][:, perm][:, :, perm], one per row, in the order
+    `itertools.permutations` lists them.
+
+    Labels 1, 2, ... are assigned in turn, one tree level at a time: each
+    partial map is extended by every label it has not used, in ascending
+    order, and an extension is kept only if the pattern agrees on the
+    triples that involve the newest label (the others were checked on
+    earlier levels).  Every node, the root included, counts against
+    _BRIDGE_NODE_CAP before its level is built.
+    """
+    rank = q_support.shape[0]
+    maps = np.zeros((1, 1), dtype=np.intp)
+    nodes = 1
+    for m in range(1, rank):
+        used = np.zeros((len(maps), rank), dtype=bool)
+        np.put_along_axis(used, maps, True, axis=1)
+        parent, label = np.nonzero(~used)
+        nodes += len(label)
+        if nodes > _BRIDGE_NODE_CAP:
+            raise ValidationError(
+                f"bridge search at rank {rank} passed {_BRIDGE_NODE_CAP} label-map nodes"
+            )
+        ext = np.concatenate([maps[parent], label[:, None]], axis=1)
+        keep = np.empty(len(ext), dtype=bool)
+        for start in range(0, len(ext), _BRIDGE_CHUNK):
+            block = ext[start:start + _BRIDGE_CHUNK]
+            new, rows, cols = block[:, m, None, None], block[:, :, None], block[:, None, :]
+            keep[start:start + _BRIDGE_CHUNK] = (
+                (n_support[new, rows, cols] == q_support[m, :m + 1, :m + 1]).all(axis=(1, 2))
+                & (n_support[rows, new, cols] == q_support[:m + 1, m, :m + 1]).all(axis=(1, 2))
+                & (n_support[rows, cols, new] == q_support[:m + 1, :m + 1, m]).all(axis=(1, 2)))
+        maps = ext[keep]
+    return maps
+
+
 def scheme_fusion_bridge(dec: BoseMesnerDecomposition, q: KreinTensor,
                          fs: FusionSystem) -> BridgeReport:
     """Match a Krein tensor against fusion multiplicities.
 
-    For every label bijection fixing the vacuum, positive per-index
-    scalars s (s_0 = 1) are fitted by least squares in log space so that
+    For a label bijection fixing the vacuum, positive per-index scalars s
+    (s_0 = 1) are fitted by least squares in log space so that
     q_{ij}^k s_i s_j / s_k approximates N over the matched labels; the
-    best bijection, its scalars, and the max deviation from N are
-    reported.  `matched` requires deviation below 1e-6.
+    best bijection (the first with the least max deviation from N), its
+    scalars and that deviation are reported.  `matched` requires
+    deviation below 1e-6.
+
+    Only maps that keep the support pattern, q_ij^k > 1e-8 exactly where
+    N_ij^k >= 1, are fitted: the search assigns labels 1, 2, ... in turn
+    and cuts a partial map as soon as the pattern breaks on the labels it
+    has assigned, so matched pairs are answered up to rank 32.  If no
+    such map matches, every bijection is fitted instead, up to rank 9,
+    so an unmatched pair reports its closest bijection; above rank 9 it
+    is refused.  A search that passes 2^17 partial maps is refused too
+    (any search at rank <= 9 stays below that), as are ranks above 32.
     """
     if q.d != dec.d:
         raise ValidationError("Krein tensor and decomposition disagree on d")
@@ -509,36 +600,22 @@ def scheme_fusion_bridge(dec: BoseMesnerDecomposition, q: KreinTensor,
         raise ValidationError(
             f"rank mismatch: scheme has {rank} idempotents, fusion system has {fs.rank} labels"
         )
-    if rank > 9:
-        raise ValidationError("bridge search enumerates bijections; rank capped at 9")
+    if rank > _BRIDGE_MAX_RANK:
+        raise ValidationError(f"bridge search supports rank <= {_BRIDGE_MAX_RANK}; got rank {rank}")
 
     q_arr = q.q
     n_arr = fs.N.astype(np.float64)
-    best = None
-    for perm_rest in itertools.permutations(range(1, rank)):
-        perm = (0,) + perm_rest
-        target = n_arr[np.ix_(perm, perm, perm)]
-
-        rows = []
-        rhs = []
-        for (i, j, k), t_val in np.ndenumerate(target):
-            q_val = q_arr[i, j, k]
-            if t_val >= 0.5 and q_val > 1e-8:
-                row = np.zeros(rank - 1)
-                for idx, sign in ((i, 1.0), (j, 1.0), (k, -1.0)):
-                    if idx > 0:
-                        row[idx - 1] += sign
-                rows.append(row)
-                rhs.append(np.log(t_val) - np.log(q_val))
-        if rows:
-            x, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
-        else:
-            x = np.zeros(rank - 1)
-        log_s = np.concatenate(([0.0], x))
-        scale = np.exp(log_s[:, None, None] + log_s[None, :, None] - log_s[None, None, :])
-        deviation = float(np.max(np.abs(q_arr * scale - target)))
-        if best is None or deviation < best[0]:
-            best = (deviation, perm, tuple(np.exp(log_s)))
+    fits = (_bridge_fit(q_arr, n_arr, tuple(perm))
+            for perm in _support_maps(q_arr > _BRIDGE_SUPPORT_TOL, fs.N >= 1).tolist())
+    best = min(fits, key=itemgetter(0), default=None)
+    if best is None or not best[0] < BRIDGE_THRESHOLD:
+        if rank > _BRIDGE_ENUMERATION_MAX_RANK:
+            raise ValidationError(
+                f"no support-consistent label map matches at rank {rank}; unmatched "
+                f"pairs are reported only up to rank {_BRIDGE_ENUMERATION_MAX_RANK}"
+            )
+        best = min((_bridge_fit(q_arr, n_arr, (0,) + rest)
+                    for rest in itertools.permutations(range(1, rank))), key=itemgetter(0))
 
     deviation, perm, scalars = best
     return BridgeReport(

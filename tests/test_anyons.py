@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from schemewalk import (
     verify_hexagon,
     verify_pentagon,
 )
+from schemewalk import anyons
 from schemewalk.anyons import (
     HexagonReport,
     PentagonReport,
@@ -31,6 +33,7 @@ from schemewalk.anyons import (
     _tree_cols,
     _tree_rows,
 )
+from schemewalk.parameters import KreinTensor
 
 ISING = builtin_fusion_system("ising")
 FIB = builtin_fusion_system("fibonacci")
@@ -407,6 +410,12 @@ def test_make_fusion_system_rejects_non_unit_r():
         make_fusion_system(("1", "g"), n, r_data=r)
 
 
+def test_make_fusion_system_rejects_non_unit_twist():
+    z2 = cyclic_fusion_system(2)
+    with pytest.raises(ValidationError, match="twist 1 has modulus 5.0, not 1"):
+        make_fusion_system(z2.labels, z2.N, twist=(1.0, 5.0))
+
+
 Z2_N = cyclic_fusion_system(2).N
 
 
@@ -444,16 +453,154 @@ def test_cyclic_system_is_group_like():
 
 # ----------------------------------------------------------------- bridge
 
+def _enumerated_bridge(dec, q, fs):
+    """Reference: fit every vacuum-fixing bijection, one row per triple."""
+    rank = dec.d + 1
+    q_arr = q.q
+    n_arr = fs.N.astype(np.float64)
+    best = None
+    for perm_rest in itertools.permutations(range(1, rank)):
+        perm = (0,) + perm_rest
+        target = n_arr[np.ix_(perm, perm, perm)]
+
+        rows = []
+        rhs = []
+        for (i, j, k), t_val in np.ndenumerate(target):
+            q_val = q_arr[i, j, k]
+            if t_val >= 0.5 and q_val > 1e-8:
+                row = np.zeros(rank - 1)
+                for idx, sign in ((i, 1.0), (j, 1.0), (k, -1.0)):
+                    if idx > 0:
+                        row[idx - 1] += sign
+                rows.append(row)
+                rhs.append(np.log(t_val) - np.log(q_val))
+        if rows:
+            x, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
+        else:
+            x = np.zeros(rank - 1)
+        log_s = np.concatenate(([0.0], x))
+        scale = np.exp(log_s[:, None, None] + log_s[None, :, None] - log_s[None, None, :])
+        deviation = float(np.max(np.abs(q_arr * scale - target)))
+        if best is None or deviation < best[0]:
+            best = (deviation, perm, tuple(np.exp(log_s)))
+    return best
+
+
+def _cyclic_krein(order):
+    dec = decompose(build_group_scheme(groups.cyclic(order)))
+    return dec, krein_parameters(dec)
+
+
+def _relabelled(q, perm):
+    """The Krein tensor with idempotent perm[i] renamed i."""
+    perm = list(perm)
+    return KreinTensor(d=q.d, q=q.q[np.ix_(perm, perm, perm)].copy())
+
+
+def _relabelled_ring(fs, perm):
+    perm = list(perm)
+    return make_fusion_system([fs.labels[p] for p in perm], fs.N[np.ix_(perm, perm, perm)])
+
+
+def _product_ring(*orders):
+    """Fusion ring of Z_o1 x Z_o2 x ..., elements in mixed-radix order."""
+    elems = list(itertools.product(*(range(o) for o in orders)))
+    n = np.zeros((len(elems),) * 3, dtype=np.int64)
+    for a, ea in enumerate(elems):
+        for b, eb in enumerate(elems):
+            n[a, b, elems.index(tuple((x + y) % o for x, y, o in zip(ea, eb, orders)))] = 1
+    return make_fusion_system(["".join(map(str, e)) for e in elems], n)
+
+
+def _assert_same_as_enumeration(dec, q, fs):
+    rep = scheme_fusion_bridge(dec, q, fs)
+    deviation, perm, scalars = _enumerated_bridge(dec, q, fs)
+    assert rep.bijection == perm
+    assert rep.scalars == scalars
+    assert rep.deviation == deviation
+    assert rep.matched == (deviation < rep.threshold)
+    return rep
+
+
 def test_bridge_matches_cyclic_groups():
     for order in (2, 3):
-        scheme = build_group_scheme(groups.cyclic(order))
-        dec = decompose(scheme)
-        kt = krein_parameters(dec)
+        dec, kt = _cyclic_krein(order)
         rep = scheme_fusion_bridge(dec, kt, cyclic_fusion_system(order))
         assert rep.matched
         assert rep.deviation < 1e-10
         assert rep.bijection == tuple(range(order))
         assert np.max(np.abs(np.array(rep.scalars) - 1)) < 1e-9
+
+
+@pytest.mark.parametrize("order", range(1, 8))
+def test_bridge_equals_enumeration_on_cyclic_rings(order):
+    dec, kt = _cyclic_krein(order)
+    assert _assert_same_as_enumeration(dec, kt, cyclic_fusion_system(order)).matched
+
+
+@pytest.mark.parametrize("order", [4, 5, 6, 7])
+def test_bridge_equals_enumeration_on_relabelled_krein_tensors(order):
+    dec, kt = _cyclic_krein(order)
+    fs = cyclic_fusion_system(order)
+    rng = np.random.default_rng(order)
+    for _ in range(3):
+        perm = (0,) + tuple(int(v) + 1 for v in rng.permutation(order - 1))
+        assert _assert_same_as_enumeration(dec, _relabelled(kt, perm), fs).matched
+
+
+def test_bridge_equals_enumeration_on_unmatched_pairs(j42_dec, j42_krein):
+    z2_dec, z2_krein = _cyclic_krein(2)
+    z3_dec, z3_krein = _cyclic_krein(3)
+    for dec, kt, fs in ((j42_dec, j42_krein, ISING), (z3_dec, z3_krein, ISING),
+                        (z2_dec, z2_krein, FIB)):
+        assert not _assert_same_as_enumeration(dec, kt, fs).matched
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda order: st.tuples(
+    st.just(order),
+    st.permutations(range(1, order)),
+    st.permutations(range(1, order)),
+)))
+def test_bridge_equals_enumeration_under_relabelling(case):
+    order, q_rest, n_rest = case
+    dec, kt = _cyclic_krein(order)
+    fs = _relabelled_ring(cyclic_fusion_system(order), (0,) + tuple(n_rest))
+    _assert_same_as_enumeration(dec, _relabelled(kt, (0,) + tuple(q_rest)), fs)
+
+
+@pytest.mark.parametrize("order", [9, 16, 32])
+def test_bridge_matches_cyclic_groups_above_the_enumeration_rank(order):
+    dec, kt = _cyclic_krein(order)
+    rep = scheme_fusion_bridge(dec, kt, cyclic_fusion_system(order))
+    assert rep.matched
+    assert rep.bijection[0] == 0
+    assert sorted(rep.bijection) == list(range(order))
+    assert rep.deviation < 1e-10
+
+
+def test_bridge_refuses_an_unmatched_pair_above_rank_9():
+    # a support-consistent map Z_12 -> Z_2 x Z_6 would be a group isomorphism
+    dec, kt = _cyclic_krein(12)
+    with pytest.raises(ValidationError, match="rank 12"):
+        scheme_fusion_bridge(dec, kt, _product_ring(2, 6))
+
+
+def test_bridge_refuses_rank_above_32():
+    dec, kt = _cyclic_krein(33)
+    with pytest.raises(ValidationError, match="rank 33"):
+        scheme_fusion_bridge(dec, kt, cyclic_fusion_system(33))
+
+
+def test_bridge_node_cap_covers_the_rank_9_tree():
+    assert anyons._BRIDGE_NODE_CAP >= sum(math.perm(8, m) for m in range(9)) == 109_601
+
+
+def test_bridge_node_cap_refuses(monkeypatch):
+    dec, kt = _cyclic_krein(9)
+    monkeypatch.setattr(anyons, "_BRIDGE_NODE_CAP", 20)
+    with pytest.raises(ValidationError, match="passed 20 label-map nodes"):
+        scheme_fusion_bridge(dec, kt, cyclic_fusion_system(9))
 
 
 def test_bridge_rejects_johnson_vs_ising(j42_dec, j42_krein):

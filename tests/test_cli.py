@@ -210,6 +210,22 @@ def test_anyon_bridge(j42_file, capsys):
     assert "no integral match" in out
 
 
+def test_anyon_bridge_above_rank_9(tmp_path, capsys):
+    from schemewalk import cyclic_fusion_system
+    from schemewalk.serialize import save
+
+    scheme_path = tmp_path / "z12.json"
+    assert run(["scheme", "build", "--family", "group", "--group", "z12",
+                "--out", str(scheme_path)]) == 0
+    system_path = tmp_path / "z12-fusion.json"
+    save(system_path, "fusion-system", cyclic_fusion_system(12))
+    capsys.readouterr()
+    code = run(["anyon", "bridge", "--scheme", str(scheme_path), "--system", str(system_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("match:")
+
+
 def test_exit_codes(tmp_path, capsys):
     # validation problems exit 1
     assert run(["scheme", "verify", str(tmp_path / "missing.json")]) == 1

@@ -80,6 +80,7 @@ HALF[0][1] += 0.5
     ("fusion-system", {**Z2, "R": "1,1,0"}),
     ("fusion-system", {**Z2, "R": {"1,1,0": ["a", 0]}}),
     ("fusion-system", {**Z2, "twist": 5}),
+    ("fusion-system", {**Z2, "twist": [1, [0, 5]]}),
 ])
 def test_malformed_json_is_a_validation_error(kind, data):
     with pytest.raises(ValidationError):
