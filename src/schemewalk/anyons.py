@@ -26,8 +26,9 @@ McKay & Piperno, "Practical graph isomorphism, II", 2014), cuts a
 partial map as soon as the support pattern q_ij^k > 1e-8 <=> N_ij^k >= 1
 breaks on its labels, and only complete maps that keep it are fitted.
 That answers matched pairs up to rank 32.  An unmatched pair falls back
-to fitting all (rank-1)! bijections, which is capped at rank 9, and the
-search itself stops with ValidationError past 2^17 partial maps.
+to the same search on an all-true pattern, which lists every bijection;
+the search stops with ValidationError past 2^17 partial maps, so that
+fallback answers up to rank 9.
 """
 
 from __future__ import annotations
@@ -50,10 +51,9 @@ HEXAGON_THRESHOLD = 1e-10
 BRIDGE_THRESHOLD = 1e-6
 _BRIDGE_SUPPORT_TOL = 1e-8
 _BRIDGE_MAX_RANK = 32
-# Unmatched pairs are answered by fitting all (rank-1)! bijections.
-_BRIDGE_ENUMERATION_MAX_RANK = 9
-# Above 109,601 = sum_m 8!/(8-m)!, the whole rank-9 search tree, so the cap
-# only ever stops searches above the enumeration's rank.
+# Above 109,601 = sum_m 8!/(8-m)!, the whole rank-9 search tree, so every
+# search at rank <= 9 finishes, the all-bijection fallback included, and no
+# unpruned search above rank 9 does.
 _BRIDGE_NODE_CAP = 1 << 17
 # Extensions whose support is compared in one gather: at rank 32 a chunk
 # holds 3 * 1024 * 32^2 booleans.
@@ -97,7 +97,7 @@ class FusionSystem:
         raise ValidationError(f"unknown label {label!r}; labels are {self.labels}")
 
 
-def _dims_from_tensor(n_tensor: np.ndarray, labels: tuple[str, ...]) -> np.ndarray:
+def _dims_from_tensor(n_tensor: np.ndarray) -> np.ndarray:
     """Quantum dimensions: d_a = spectral radius of (N_a)_{bc} = N_{ab}^c."""
     rank = n_tensor.shape[0]
     dims = np.array(
@@ -107,23 +107,6 @@ def _dims_from_tensor(n_tensor: np.ndarray, labels: tuple[str, ...]) -> np.ndarr
     products = np.einsum("abc,c->ab", n_tensor.astype(np.float64), dims)
     residual = float(np.max(np.abs(np.outer(dims, dims) - products)))
     if residual > _DIM_CONSISTENCY_TOL:
-        # diagnose: a label not connected to the vacuum cannot carry a
-        # consistent dimension
-        reach = {0}
-        frontier = [0]
-        while frontier:
-            b = frontier.pop()
-            for a in range(rank):
-                for c in range(rank):
-                    if n_tensor[a, b, c] > 0 and c not in reach:
-                        reach.add(c)
-                        frontier.append(c)
-        stranded = [labels[c] for c in range(rank) if c not in reach]
-        if stranded:
-            raise ValidationError(
-                f"fusion tensor is reducible: label {stranded[0]!r} is not "
-                f"connected to the vacuum"
-            )
         raise ValidationError(
             f"no consistent quantum dimensions: d_a d_b = sum_c N_ab^c d_c "
             f"fails with residual {residual:.3e}"
@@ -132,7 +115,7 @@ def _dims_from_tensor(n_tensor: np.ndarray, labels: tuple[str, ...]) -> np.ndarr
 
 
 def quantum_dimensions(fs: FusionSystem) -> np.ndarray:
-    return _dims_from_tensor(fs.N, fs.labels)
+    return _dims_from_tensor(fs.N)
 
 
 def _tree_rows(n, a, b, c, e):
@@ -194,7 +177,7 @@ def make_fusion_system(labels, n_tensor, f_data=None, r_data=None, twist=None) -
             raise ValidationError(f"label {labels[a]!r} has no unique dual")
         dual.append(int(mates[0]))
 
-    dims = _dims_from_tensor(n, labels)
+    dims = _dims_from_tensor(n)
 
     f_table = {}
     for key, mat in (f_data or {}).items():
@@ -381,10 +364,7 @@ def braid_generators(fs: FusionSystem, label=None) -> BraidGenerators:
     evaluated up to a global phase and the residual reported.
     """
     if label is None:
-        candidates = [
-            a for a in range(1, fs.rank)
-            if len([x for x in range(fs.rank) if fs.N[a, a, x] and fs.N[x, a, a]]) == 2
-        ]
+        candidates = [a for a in range(1, fs.rank) if len(_tree_rows(fs.N, a, a, a, a)) == 2]
         if not candidates:
             raise ValidationError(
                 "no label has a 2-dimensional three-anyon fusion space"
@@ -392,14 +372,12 @@ def braid_generators(fs: FusionSystem, label=None) -> BraidGenerators:
         a = candidates[0]
     else:
         a = fs.label_index(label)
-    channels = [x for x in range(fs.rank) if fs.N[a, a, x] and fs.N[x, a, a]]
+    channels = _tree_rows(fs.N, a, a, a, a)
     if not channels:
         raise ValidationError(f"label {fs.labels[a]!r} has an empty three-anyon space")
 
     sigma1 = np.diag([_r_phase(fs, a, a, x) for x in channels])
-    rows, cols, f_mat = _f_block(fs, a, a, a, a)
-    if list(rows) != channels:
-        raise ValidationError("F block channels disagree with the R channels")
+    _, _, f_mat = _f_block(fs, a, a, a, a)
     f_inv = np.linalg.inv(f_mat)
     sigma2 = f_mat @ sigma1 @ f_inv
     b_matrix = f_mat @ sigma1 @ sigma1 @ f_inv
@@ -588,10 +566,12 @@ def scheme_fusion_bridge(dec: BoseMesnerDecomposition, q: KreinTensor,
     N_ij^k >= 1, are fitted: the search assigns labels 1, 2, ... in turn
     and cuts a partial map as soon as the pattern breaks on the labels it
     has assigned, so matched pairs are answered up to rank 32.  If no
-    such map matches, every bijection is fitted instead, up to rank 9,
-    so an unmatched pair reports its closest bijection; above rank 9 it
-    is refused.  A search that passes 2^17 partial maps is refused too
-    (any search at rank <= 9 stays below that), as are ranks above 32.
+    such map matches, the same search runs on an all-true pattern, which
+    keeps every bijection, so an unmatched pair reports its closest
+    bijection.  A search that passes 2^17 partial maps is refused: every
+    search at rank <= 9 stays below that, and the all-true search at any
+    higher rank passes it, so unmatched pairs above rank 9 are refused.
+    Ranks above 32 are refused outright.
     """
     if q.d != dec.d:
         raise ValidationError("Krein tensor and decomposition disagree on d")
@@ -605,17 +585,16 @@ def scheme_fusion_bridge(dec: BoseMesnerDecomposition, q: KreinTensor,
 
     q_arr = q.q
     n_arr = fs.N.astype(np.float64)
-    fits = (_bridge_fit(q_arr, n_arr, tuple(perm))
-            for perm in _support_maps(q_arr > _BRIDGE_SUPPORT_TOL, fs.N >= 1).tolist())
-    best = min(fits, key=itemgetter(0), default=None)
+
+    def best_fit(q_support, n_support):
+        return min((_bridge_fit(q_arr, n_arr, tuple(perm))
+                    for perm in _support_maps(q_support, n_support).tolist()),
+                   key=itemgetter(0), default=None)
+
+    best = best_fit(q_arr > _BRIDGE_SUPPORT_TOL, fs.N >= 1)
     if best is None or not best[0] < BRIDGE_THRESHOLD:
-        if rank > _BRIDGE_ENUMERATION_MAX_RANK:
-            raise ValidationError(
-                f"no support-consistent label map matches at rank {rank}; unmatched "
-                f"pairs are reported only up to rank {_BRIDGE_ENUMERATION_MAX_RANK}"
-            )
-        best = min((_bridge_fit(q_arr, n_arr, (0,) + rest)
-                    for rest in itertools.permutations(range(1, rank))), key=itemgetter(0))
+        everything = np.ones(q_arr.shape, dtype=bool)
+        best = best_fit(everything, everything)
 
     deviation, perm, scalars = best
     return BridgeReport(

@@ -51,7 +51,6 @@ from .schemes import (
 from .serialize import (
     decomposition_to_jsonable,
     encode_matrix,
-    from_jsonable,
     load,
     loads,
     save,

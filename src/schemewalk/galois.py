@@ -2,15 +2,13 @@
 
 Field elements are integers 0..q-1.  For prime q the integer IS the
 residue; for prime powers it encodes the coefficient vector of the
-polynomial basis in base p (so GF(4) element 3 = x + 1).  Multiplication
-goes through log/antilog tables built from a fixed primitive element, so
+polynomial basis in base p (so GF(4) element 3 = x + 1).  A field is its
+two q x q int64 tables, `add_table` (digit-wise sums mod p) and
+`mul_table` (polynomial products reduced by the defining relation), so
 all arithmetic stays exact integer table lookups.
 
 `subspace_points` lists the projective points of many subspaces at once
-through NumPy copies of the add/mul tables; it is what `build_grassmann`
-uses.  `rref`, `rank` and `intersection_dim` work one basis at a time in
-Python and remain as the reference those vectorised builds are tested
-against.
+through those tables; it is what `build_grassmann` uses.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ SUPPORTED_ORDERS = tuple(sorted(_FIELD_SPECS))
 
 
 class GF:
-    """GF(q) with table-driven add/mul; instances are cached per order."""
+    """GF(q) as read-only add/mul tables; instances are cached per order."""
 
     _cache: dict[int, "GF"] = {}
 
@@ -55,73 +53,38 @@ class GF:
         self.q = q
         self.p = p
         self.degree = k
-
-        def digits(a):
-            return tuple((a // p**i) % p for i in range(k))
-
-        def undigits(vec):
-            return sum(v * p**i for i, v in enumerate(vec))
-
-        self._add = [[undigits(tuple((x + y) % p for x, y in zip(digits(a), digits(b))))
-                      for b in range(q)] for a in range(q)]
-        self._neg = [undigits(tuple((-x) % p for x in digits(a))) for a in range(q)]
-
-        def poly_mul(a, b):
-            # schoolbook product of the coefficient vectors, reduced by the
-            # defining relation x^k = -(c_0 + c_1 x + ... + c_{k-1} x^{k-1})
-            da, db = digits(a), digits(b)
-            prod = [0] * (2 * k - 1)
-            for i, x in enumerate(da):
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-            for deg in range(2 * k - 2, k - 1, -1):
-                c = prod[deg]
-                if c:
-                    prod[deg] = 0
-                    for i, ci in enumerate(poly):
-                        prod[deg - k + i] = (prod[deg - k + i] - c * ci) % p
-            return undigits(tuple(prod[:k]))
-
-        # find a primitive element and fill log/antilog (for q = 2 the
-        # multiplicative group is trivial and 1 generates it)
-        for g in range(1 if q == 2 else 2, q):
-            power, seen = 1, []
-            for _ in range(q - 1):
-                seen.append(power)
-                power = poly_mul(power, g)
-            if len(set(seen)) == q - 1:
-                break
-        else:  # pragma: no cover - the listed fields all have generators
-            raise ValidationError(f"no primitive element found for GF({q})")
-
-        self.antilog = seen                       # antilog[i] = g**i
-        self.log = [0] * q                        # log[antilog[i]] = i
-        for i, v in enumerate(seen):
-            self.log[v] = i
-        self._poly_mul = poly_mul
-        # NumPy copies of the tables, for arithmetic on whole arrays of elements
-        self.add_table = np.array(self._add, dtype=np.int64)
-        self.mul_table = np.array([[self.mul(a, b) for b in range(q)] for a in range(q)],
-                                  dtype=np.int64)
+        weights = p ** np.arange(k)
+        digits = np.arange(q)[:, None] // weights % p          # digits[a, i] = coefficient of x^i
+        self.add_table = (digits[:, None, :] + digits[None, :, :]) % p @ weights
+        # schoolbook product of the coefficient vectors, then the degrees
+        # 2k-2 .. k reduced by x^k = -(c_0 + c_1 x + ... + c_{k-1} x^{k-1})
+        prod = np.zeros((q, q, 2 * k - 1), dtype=np.int64)
+        for i in range(k):
+            prod[:, :, i:i + k] += digits[:, None, i, None] * digits[None, :, :]
+        for deg in range(2 * k - 2, k - 1, -1):
+            for i, ci in enumerate(poly):
+                prod[:, :, deg - k + i] -= prod[:, :, deg] * ci
+        self.mul_table = prod[:, :, :k] % p @ weights
+        self.add_table.setflags(write=False)
+        self.mul_table.setflags(write=False)
 
     def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
+        return self.add_table.item(a, b)
 
     def neg(self, a: int) -> int:
-        return self._neg[a]
+        # the element p - 1 is the constant polynomial -1
+        return self.mul_table.item(self.p - 1, a)
 
     def sub(self, a: int, b: int) -> int:
-        return self._add[a][self._neg[b]]
+        return self.add_table.item(a, self.mul_table.item(self.p - 1, b))
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.antilog[(self.log[a] + self.log[b]) % (self.q - 1)]
+        return self.mul_table.item(a, b)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in a field")
-        return self.antilog[(-self.log[a]) % (self.q - 1)]
+        return int(np.argmax(self.mul_table[a] == 1))
 
 
 def subspace_points(q: int, bases) -> np.ndarray:
@@ -163,40 +126,13 @@ def gaussian_binomial(v: int, d: int, q: int) -> int:
     return num // den
 
 
-def rref(field: GF, rows: list[list[int]]) -> list[list[int]]:
-    """Reduced row echelon form over `field`; returns only the nonzero rows."""
-    m = [row[:] for row in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    pivot_row = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(pivot_row, n_rows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[pivot_row], m[pivot] = m[pivot], m[pivot_row]
-        scale = field.inv(m[pivot_row][col])
-        m[pivot_row] = [field.mul(scale, x) for x in m[pivot_row]]
-        for r in range(n_rows):
-            if r != pivot_row and m[r][col] != 0:
-                c = m[r][col]
-                m[r] = [field.sub(x, field.mul(c, y)) for x, y in zip(m[r], m[pivot_row])]
-        pivot_row += 1
-        if pivot_row == n_rows:
-            break
-    return [row for row in m[:pivot_row] if any(row)]
-
-
-def rank(field: GF, rows: list[list[int]]) -> int:
-    return len(rref(field, rows))
-
-
 def enumerate_subspaces(q: int, v: int, d: int) -> list[tuple[tuple[int, ...], ...]]:
     """All d-dimensional subspaces of GF(q)^v as canonical RREF bases.
 
     Deterministic order: pivot columns lexicographically, then free entries
     counted in base q, row-major.
     """
-    field = GF(q)
+    GF(q)  # refuses an unsupported order
     if d == 0:
         return [()]
     out = []
@@ -212,9 +148,3 @@ def enumerate_subspaces(q: int, v: int, d: int) -> list[tuple[tuple[int, ...], .
             out.append(tuple(tuple(row) for row in mat))
     assert len(out) == gaussian_binomial(v, d, q)
     return out
-
-
-def intersection_dim(field: GF, basis_a, basis_b) -> int:
-    """dim(A ∩ B) = dim A + dim B - rank of the stacked bases."""
-    stacked = [list(row) for row in basis_a] + [list(row) for row in basis_b]
-    return len(basis_a) + len(basis_b) - rank(field, stacked)

@@ -6,10 +6,10 @@ Four independent pieces:
   certified through the Choi matrix (CP holds iff the multiplier is
   positive semidefinite, and the Choi spectrum makes that visible: it is
   the multiplier's spectrum padded with zeros).  The Choi matrix is never
-  formed densely for certification: it is assembled in coordinate form
-  from the channel's definition, split into the connected components of
-  its support, and its spectrum is the union of the block spectra plus
-  one zero for each pair index the support never touches.
+  formed densely for certification: its only nonzero entries are the
+  multiplier's, on the pair indices (a, a), so its spectrum is the
+  multiplier's, taken block by block over the connected components of
+  the multiplier's support on n points, plus n^2 - n zeros.
 * Unitary dilation of a probability vector p: an orthogonal matrix whose
   first row is (sqrt(p_0), ..., sqrt(p_{d-1})).
 * Entangled transition expectations E(X) = V' X V for the isometry
@@ -20,7 +20,8 @@ Four independent pieces:
   E(I (x) diag(v)) = diag(P v).  The Stinespring route evaluates
   (M (x) N) V column by column as vec(M X_j N^T) and never forms M (x) N.
 * The Szegedy walk unitary U = S(2 A A' - I) on the pair space of a
-  stochastic matrix.  The swap S is applied as an index permutation, and
+  stochastic matrix.  A is the same pair-space isometry as V, built by
+  the same helper.  The swap S is applied as an index permutation, and
   unitarity follows from the n x n certificate A'A = I (see
   `szegedy_walk`).
 
@@ -49,8 +50,8 @@ _PAIR_SPACE_MAX_VERTICES = 64
 
 def _require_square(m: np.ndarray, what: str) -> np.ndarray:
     a = np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"{what} must be a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise ValidationError(f"{what} must be a non-empty square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"{what} has a non-finite entry")
     return a
@@ -111,25 +112,13 @@ def schur_channel_apply(c: SchurChannel, m: np.ndarray) -> np.ndarray:
     return c.multiplier * a
 
 
-def _choi_coordinates(c: SchurChannel):
-    """Choi matrix sum_ab E_ab (x) T(E_ab) in coordinate form.
-
-    T(E_ab) = e[a][b] E_ab, so each (a, b) gives the single entry e[a][b]
-    at pair-space position (a*n+a, b*n+b).  Returns (rows, cols, values).
-    """
-    n = c.dim
-    idx = np.arange(n) * (n + 1)
-    rows = np.repeat(idx, n)
-    cols = np.tile(idx, n)
-    return rows, cols, c.multiplier.ravel()
-
-
 def choi_matrix(c: SchurChannel) -> np.ndarray:
     """Dense Choi matrix sum_ab E_ab (x) T(E_ab) of the Schur channel.
 
-    The multiplier spread onto the (a*n+a, b*n+b) positions of the pair
-    space.  This is a 16 n^4-byte array, so it is refused above
-    `_PAIR_SPACE_MAX_VERTICES` vertices; `certify_cp` never builds it.
+    T(E_ab) = e[a][b] E_ab, so the Choi matrix is the multiplier spread
+    onto the (a*n+a, b*n+b) positions of the pair space.  This is a
+    16 n^4-byte array, so it is refused above `_PAIR_SPACE_MAX_VERTICES`
+    vertices; `certify_cp` never builds it.
     """
     n = c.dim
     if n > _PAIR_SPACE_MAX_VERTICES:
@@ -138,8 +127,8 @@ def choi_matrix(c: SchurChannel) -> np.ndarray:
             f"capped at {_PAIR_SPACE_MAX_VERTICES} dimensions"
         )
     choi = np.zeros((n * n, n * n), dtype=np.complex128)
-    rows, cols, values = _choi_coordinates(c)
-    choi[rows, cols] = values
+    diagonal_pairs = np.arange(n) * (n + 1)
+    choi[np.ix_(diagonal_pairs, diagonal_pairs)] = c.multiplier
     return choi
 
 
@@ -217,24 +206,28 @@ def certify_cp(c: SchurChannel, tolerance: float = _PSD_TOL) -> CPReport:
     Schur channels they must agree; the report says whether they do
     rather than assuming it.
 
-    The Choi matrix is taken in coordinate form from the channel's
-    definition (one entry e[a][b] at (a*n+a, b*n+b)), never as a dense
-    n^2 x n^2 array.  Its nonzero entries are split into the connected
+    The Choi matrix is never formed as a dense n^2 x n^2 array.  Its only
+    nonzero entries are e[a][b] at (a*n+a, b*n+b) (Choi, Linear Algebra
+    Appl. 10, 1975), so its spectrum is the spectrum of the multiplier's
+    nonzero entries on n points plus n^2 - n zeros for the pair indices
+    (a, b) with a != b.  Those entries are split into the connected
     components of their support, each component is filled and
     diagonalised as a dense block, and a check confirms that every entry
     lies inside its block.  A Hermitian matrix that is block diagonal up
     to a permutation has the union of its block spectra as spectrum, and
-    each pair index the support never touches adds one zero (Choi, Linear
-    Algebra Appl. 10, 1975).  Hence a PSD multiplier touching fewer than
-    n^2 pair indices reports `choi_min_eigenvalue` exactly 0.0, where a
-    dense eigensolver returns round-off of order -1e-16.
+    each point the support never touches adds one more zero.  Hence, for
+    n > 1, a multiplier whose block spectra come out nonnegative reports
+    `choi_min_eigenvalue` exactly 0.0, where a dense eigensolver returns
+    round-off of order -1e-16.
     """
-    rows, cols, values = _choi_coordinates(c)
-    nonzero = values != 0
-    rows, cols, values = rows[nonzero], cols[nonzero], values[nonzero]
-    size = c.dim * c.dim
-    labels = _support_components(size, rows, cols)
-    choi_min = float(_block_spectrum(size, rows, cols, values, labels)[0])
+    n = c.dim
+    values = c.multiplier.ravel()
+    nonzero = np.flatnonzero(values)
+    rows, cols = np.divmod(nonzero, n)
+    labels = _support_components(n, rows, cols)
+    choi_min = float(_block_spectrum(n, rows, cols, values[nonzero], labels)[0])
+    if n > 1:
+        choi_min = min(choi_min, 0.0)
     mult_min = float(np.linalg.eigvalsh(c.multiplier).min())
     is_cp = choi_min >= -tolerance
     mult_psd = mult_min >= -tolerance
@@ -286,21 +279,26 @@ class TransitionExpectation:
         self.isometry_V.setflags(write=False)
 
 
+def _pair_isometry(row_stochastic: np.ndarray, name: str) -> np.ndarray:
+    """The n^2 x n isometry with column i = e_i (x) sqrt(row i), pair index
+    (i, j) -> i*n + j, certified by name'name = diag(row sums) = I at 1e-12."""
+    n = row_stochastic.shape[0]
+    iso = np.zeros((n * n, n))
+    iso[np.arange(n * n), np.repeat(np.arange(n), n)] = np.sqrt(row_stochastic).ravel()
+    residual = float(np.max(np.abs(iso.T @ iso - np.eye(n))))
+    if residual > 1e-12:
+        raise CertificationError(f"{name}'{name} = I fails with residual {residual:.3e}")
+    return iso
+
+
 def make_transition_expectation(p) -> TransitionExpectation:
     """Build V with column i = sum_j sqrt(P[i][j]) e_i (x) e_j.
 
     V is (d^2) x d; V'V = diag(row sums of P) = I, certified at 1e-12.
     """
     mat = _column_stochastic(p, "row").T
-    d = mat.shape[0]
-    v = np.zeros((d * d, d))
-    root = np.sqrt(mat)
-    for i in range(d):
-        v[i * d: (i + 1) * d, i] = root[i]
-    residual = float(np.max(np.abs(v.T @ v - np.eye(d))))
-    if residual > 1e-12:
-        raise CertificationError(f"V'V = I fails with residual {residual:.3e}")
-    return TransitionExpectation(dim=d, transition=mat, isometry_V=v)
+    return TransitionExpectation(dim=mat.shape[0], transition=mat,
+                                 isometry_V=_pair_isometry(mat, "V"))
 
 
 def _check_sites(te: TransitionExpectation, m: np.ndarray, n: np.ndarray):
@@ -489,8 +487,10 @@ def szegedy_walk(d_matrix, convention: str = "column") -> WalkOperator:
     probability v -> w, columns sum to 1; "row": rows sum to 1 and the
     transpose is used).  Pair index (v, w) -> v*n + w.
 
-    Pi is block diagonal, one rank-one n x n block per vertex, and is
-    built block by block.  S is the index permutation `perm` with
+    A is the transition expectation's isometry V for the row-stochastic
+    transpose of D, built and certified by the same helper.  Pi is block
+    diagonal, one rank-one n x n block per vertex, and is built block by
+    block.  S is the index permutation `perm` with
     perm[v*n + w] = w*n + v, so U is 2 Pi - I with its rows permuted; no
     n^2 x n^2 product is formed.  All of `A_op`, `projector`, the dense
     `swap` and `U` are returned as arrays.
@@ -514,12 +514,11 @@ def szegedy_walk(d_matrix, convention: str = "column") -> WalkOperator:
             f"capped at {_PAIR_SPACE_MAX_VERTICES} vertices"
         )
 
+    a_op = _pair_isometry(col.T, "A")
     nn = n * n
     pairs = np.arange(nn)
     vertices = np.arange(n)
     root_t = np.sqrt(col).T                      # root_t[v, w] = sqrt(D[w][v])
-    a_op = np.zeros((nn, n))
-    a_op[pairs, np.repeat(vertices, n)] = root_t.ravel()
     projector = np.zeros((nn, nn))
     # View [v, w, v', w']; block v is the outer product of A's column v.
     projector.reshape(n, n, n, n)[vertices, :, vertices, :] = (
@@ -532,9 +531,6 @@ def szegedy_walk(d_matrix, convention: str = "column") -> WalkOperator:
     u *= 2.0
     u[pairs, perm] -= 1.0
 
-    residual = float(np.max(np.abs(a_op.T @ a_op - np.eye(n))))
-    if residual > 1e-12:
-        raise CertificationError(f"A'A = I fails with residual {residual:.3e}")
     if not np.array_equal(perm[perm], pairs):
         raise CertificationError("S^2 = I fails: the pair swap is not an involution")
 

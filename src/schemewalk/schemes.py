@@ -81,6 +81,8 @@ class AssociationScheme:
         rel = np.array(numeric_array(self.relation, "relation matrix"), dtype=np.int64)
         rel.setflags(write=False)
         object.__setattr__(self, "relation", rel)
+        if self.n < 1:
+            raise ValidationError(f"a scheme needs at least one vertex, got n={self.n}")
         if rel.shape != (self.n, self.n):
             raise ValidationError(f"relation matrix must be {self.n}x{self.n}, got {rel.shape}")
         if rel.min() < 0 or rel.max() > self.d:
@@ -112,7 +114,7 @@ class AssociationScheme:
 
     def valencies(self) -> np.ndarray:
         """Row-constant class sizes k_j (validated schemes only)."""
-        return np.array([int(np.sum(self.relation[0] == j)) for j in range(self.d + 1)])
+        return np.bincount(self.relation[0], minlength=self.d + 1)
 
 
 @dataclass(frozen=True)
@@ -171,29 +173,23 @@ def _check_axioms(s: AssociationScheme) -> AxiomReport:
         x, y = np.argwhere(off_zero)[0]
         violations.append((1, (int(x), int(y))))
 
-    present = np.unique(rel)
-    for j in range(d + 1):
-        if j not in present:
-            violations.append((2, (j,)))
+    # One census: the classes present (axiom 2) and the first pair of each
+    # class in row-major order, its representative (axioms 3 and 4).
+    present, first = np.unique(rel, return_index=True)
+    violations.extend((2, (int(j),)) for j in np.setdiff1d(np.arange(d + 1), present))
+    reps = np.zeros((d + 1, 2), dtype=np.int64)   # a missing class keeps (0, 0), unread
+    reps[present] = np.column_stack(np.divmod(first, n))
 
-    # axiom 3: the transpose of class j must be exactly one class.  The
-    # first pair of each class in row-major order is its representative.
-    reps = []
-    ok3 = True
-    for j in range(d + 1):
-        xs, ys = np.nonzero(rel == j)
-        if xs.size == 0:
-            continue
-        reps.append((int(xs[0]), int(ys[0])))
-        back = rel[ys, xs]
-        mismatch = np.nonzero(back != back[0])[0]
-        if mismatch.size:
-            m = int(mismatch[0])
-            violations.append((3, (int(xs[0]), int(ys[0]), int(xs[m]), int(ys[m]))))
-            ok3 = False
+    # axiom 3: the transpose of class j must be exactly one class, the one
+    # of its representative's transpose.  A failing class is witnessed by
+    # its first failing pair.
+    back = rel[reps[:, 1], reps[:, 0]]
+    flipped = np.flatnonzero(rel.T != back[rel])
+    classes, at = np.unique(rel.ravel()[flipped], return_index=True)
+    for j, (x, y) in zip(classes, np.column_stack(np.divmod(flipped[at], n))):
+        violations.append((3, (*map(int, reps[j]), int(x), int(y))))
 
-    p = None
-    if ok3 and not violations:
+    if not violations:
         p, witness = _product_pass(rel, d, reps)
         if witness is not None:
             violations.append((4, witness))
@@ -203,7 +199,7 @@ def _check_axioms(s: AssociationScheme) -> AxiomReport:
                        commutative=bool(np.array_equal(p, p.swapaxes(0, 1))), p=p)
 
 
-def _product_pass(rel: np.ndarray, d: int, reps: list[tuple[int, int]]):
+def _product_pass(rel: np.ndarray, d: int, reps: np.ndarray):
     """Axiom 4 as one BLAS product A_i [A_0 ... A_d] per class i.
 
     p_ij^k is read at the representative reps[k]; the whole product block
@@ -217,7 +213,7 @@ def _product_pass(rel: np.ndarray, d: int, reps: list[tuple[int, int]]):
     # stack[z, j, y] = A_j[z, y]; exact in float64 (see the module docstring)
     stack = (rel[:, None, :] == np.arange(d + 1)[:, None]).astype(np.float64)
     wide = stack.reshape(n, (d + 1) * n)
-    rx, ry = np.array(reps).T
+    rx, ry = reps.T
     p = np.empty((d + 1, d + 1, d + 1), dtype=np.int64)
     for i in range(d + 1):
         # prod[j, x, y] = (A_i A_j)[x, y]
@@ -228,7 +224,7 @@ def _product_pass(rel: np.ndarray, d: int, reps: list[tuple[int, int]]):
             j = int(np.argmax(bad.any(axis=(1, 2))))
             k = int(rel[bad[j]].min())
             x2, y2 = np.argwhere(bad[j] & (rel == k))[0]
-            return None, (i, j, *reps[k], int(x2), int(y2))
+            return None, (i, j, *map(int, reps[k]), int(x2), int(y2))
         p[i] = p_i
     p.setflags(write=False)
     return p, None

@@ -551,8 +551,11 @@ def test_bridge_equals_enumeration_on_relabelled_krein_tensors(order):
 def test_bridge_equals_enumeration_on_unmatched_pairs(j42_dec, j42_krein):
     z2_dec, z2_krein = _cyclic_krein(2)
     z3_dec, z3_krein = _cyclic_krein(3)
+    z4_dec, z4_krein = _cyclic_krein(4)
+    z8_dec, z8_krein = _cyclic_krein(8)
     for dec, kt, fs in ((j42_dec, j42_krein, ISING), (z3_dec, z3_krein, ISING),
-                        (z2_dec, z2_krein, FIB)):
+                        (z2_dec, z2_krein, FIB), (z4_dec, z4_krein, _product_ring(2, 2)),
+                        (z8_dec, z8_krein, _product_ring(2, 4))):
         assert not _assert_same_as_enumeration(dec, kt, fs).matched
 
 

@@ -29,6 +29,7 @@ from schemewalk import (
     groups,
 )
 from schemewalk.schemes import DEFAULT_VERTEX_CAP, _class_order_with_identity_first
+from tests.gf_reference import intersection_dim
 
 
 def _grassmann_oracle(q, v, d):
@@ -38,7 +39,7 @@ def _grassmann_oracle(q, v, d):
     rel = np.zeros((n, n), dtype=np.int64)
     for a in range(n):
         for b in range(a + 1, n):
-            rel[a, b] = rel[b, a] = d - galois.intersection_dim(field, bases[a], bases[b])
+            rel[a, b] = rel[b, a] = d - intersection_dim(field, bases[a], bases[b])
     return rel
 
 

@@ -1,15 +1,15 @@
+import numpy as np
 import pytest
 
 from schemewalk import ValidationError
 from schemewalk.galois import (
+    _FIELD_SPECS,
     GF,
     SUPPORTED_ORDERS,
     enumerate_subspaces,
     gaussian_binomial,
-    intersection_dim,
-    rank,
-    rref,
 )
+from tests.gf_reference import intersection_dim, rank, rref
 
 
 def test_gaussian_binomial_values():
@@ -106,3 +106,67 @@ def test_intersection_dim():
     assert intersection_dim(f, a, c) == 0
     # symmetric
     assert intersection_dim(f, b, a) == intersection_dim(f, a, b)
+
+
+def _log_table_field(q):
+    """The field as Python lists: digit-wise addition, and multiplication
+    through log/antilog tables of a primitive element found by search."""
+    p, k, poly = _FIELD_SPECS[q]
+
+    def digits(a):
+        return tuple((a // p**i) % p for i in range(k))
+
+    def undigits(vec):
+        return sum(v * p**i for i, v in enumerate(vec))
+
+    add = [[undigits(tuple((x + y) % p for x, y in zip(digits(a), digits(b))))
+            for b in range(q)] for a in range(q)]
+    neg = [undigits(tuple((-x) % p for x in digits(a))) for a in range(q)]
+
+    def poly_mul(a, b):
+        da, db = digits(a), digits(b)
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(da):
+            for j, y in enumerate(db):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        for deg in range(2 * k - 2, k - 1, -1):
+            c = prod[deg]
+            if c:
+                prod[deg] = 0
+                for i, ci in enumerate(poly):
+                    prod[deg - k + i] = (prod[deg - k + i] - c * ci) % p
+        return undigits(tuple(prod[:k]))
+
+    for g in range(1 if q == 2 else 2, q):
+        power, antilog = 1, []
+        for _ in range(q - 1):
+            antilog.append(power)
+            power = poly_mul(power, g)
+        if len(set(antilog)) == q - 1:
+            break
+    log = [0] * q
+    for i, v in enumerate(antilog):
+        log[v] = i
+
+    def mul(a, b):
+        if a == 0 or b == 0:
+            return 0
+        return antilog[(log[a] + log[b]) % (q - 1)]
+
+    mul_table = [[mul(a, b) for b in range(q)] for a in range(q)]
+    inv = [None] + [antilog[(-log[a]) % (q - 1)] for a in range(1, q)]
+    return add, mul_table, neg, inv
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_tables_equal_the_log_table_construction(q):
+    add, mul, neg, inv = _log_table_field(q)
+    f = GF(q)
+    assert f.add_table.dtype == f.mul_table.dtype == np.int64
+    assert np.array_equal(f.add_table, add)
+    assert np.array_equal(f.mul_table, mul)
+    assert [f.neg(a) for a in range(q)] == neg
+    assert [f.inv(a) for a in range(1, q)] == inv[1:]
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
+    assert not f.add_table.flags.writeable and not f.mul_table.flags.writeable

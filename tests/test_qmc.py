@@ -20,7 +20,7 @@ from schemewalk import (
     transition_expectation_closed_form,
     transition_expectation_dual,
 )
-from schemewalk.qmc import _block_spectrum, _check_density, _support_components
+from schemewalk.qmc import CPReport, _block_spectrum, _check_density, _support_components
 
 RNG = np.random.default_rng(20240817)
 
@@ -555,6 +555,39 @@ def test_certify_cp_matches_dense_choi_oracle():
             if kind == "indefinite" and n > 1:
                 assert not rep.is_cp
                 assert abs(rep.choi_min_eigenvalue + 0.5) < 1e-9
+
+
+def _coordinate_form_cp(c, tolerance=1e-10):
+    """The Choi route on all n^2 pair indices: the coordinate form with one
+    entry e[a][b] at (a*n+a, b*n+b), labelled and diagonalised there."""
+    n = c.dim
+    idx = np.arange(n) * (n + 1)
+    rows, cols, values = np.repeat(idx, n), np.tile(idx, n), c.multiplier.ravel()
+    nonzero = values != 0
+    rows, cols, values = rows[nonzero], cols[nonzero], values[nonzero]
+    labels = _support_components(n * n, rows, cols)
+    choi_min = float(_block_spectrum(n * n, rows, cols, values, labels)[0])
+    mult_min = float(np.linalg.eigvalsh(c.multiplier).min())
+    return CPReport(is_cp=choi_min >= -tolerance, choi_min_eigenvalue=choi_min,
+                    multiplier_min_eigenvalue=mult_min, multiplier_psd=mult_min >= -tolerance,
+                    verdicts_agree=(choi_min >= -tolerance) == (mult_min >= -tolerance),
+                    tolerance=tolerance)
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 16, 32, 65])
+def test_certify_cp_equals_the_pair_index_route(n):
+    rng = np.random.default_rng(n)
+    cases = _multiplier_cases(rng, n)
+    blocks = np.zeros((n, n))
+    for part in np.array_split(rng.permutation(n), 3):
+        blocks[np.ix_(part, part)] = rng.normal() + 1.0
+    cases["block_diagonal"] = blocks
+    sparse = np.diag(rng.normal(size=n))
+    sparse[0, -1] = sparse[-1, 0] = 0.5
+    cases["sparse"] = sparse
+    for kind, mult in cases.items():
+        ch = SchurChannel(mult)
+        assert certify_cp(ch) == _coordinate_form_cp(ch), kind
 
 
 def test_certify_cp_psd_multiplier_pads_with_exact_zeros():
