@@ -62,7 +62,7 @@ _BRIDGE_CHUNK = 1024
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FusionSystem:
     """Labels, fusion tensor, and optional F/R/twist data.
 
@@ -340,7 +340,7 @@ def _r_phase(fs: FusionSystem, a, b, c) -> complex:
     raise ValidationError(f"missing R data for channel {(a, b, c)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BraidGenerators:
     label: str
     sigma1: np.ndarray

@@ -51,6 +51,7 @@ from .schemes import (
 from .serialize import (
     decomposition_to_jsonable,
     encode_matrix,
+    from_jsonable,
     load,
     loads,
     save,
@@ -101,14 +102,6 @@ def _inline_or_file(value: str, kind: str):
     return load(value, kind)
 
 
-def _load_scheme_for(path: str, need_commutative: bool = False):
-    scheme = load(path, "scheme")
-    # `load` verified the scheme, so this reads the report kept on it
-    if need_commutative and not verify_axioms(scheme).commutative:
-        raise ValidationError(f"scheme in {path} is not commutative")
-    return scheme
-
-
 def _parse_index_or_dist(value: str, what: str):
     try:
         return int(value)
@@ -120,7 +113,8 @@ def _parse_index_or_dist(value: str, what: str):
         raise ValidationError(f"{what} must be an index or a JSON list") from None
     if not isinstance(data, list):
         raise ValidationError(f"{what} must be an index or a JSON list")
-    return np.array(data, dtype=np.float64)
+    # numbers only; `walk` checks length, signs and mass
+    return from_jsonable("distribution", data, validate=False)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,7 +251,7 @@ def _cmd_scheme_verify(args) -> int:
 
 
 def _cmd_scheme_spectrum(args) -> int:
-    dec = decompose(_load_scheme_for(args.path, need_commutative=True))
+    dec = decompose(load(args.path, "scheme"))
     if args.json:
         print(json.dumps(decomposition_to_jsonable(dec)))
         return 0
@@ -270,7 +264,7 @@ def _cmd_scheme_spectrum(args) -> int:
 
 
 def _cmd_scheme_params(args) -> int:
-    scheme = _load_scheme_for(args.path)
+    scheme = load(args.path, "scheme")
     if args.kind == "intersection":
         tensor = intersection_numbers(scheme)
         if args.json:
@@ -296,8 +290,7 @@ def _cmd_scheme_params(args) -> int:
 
 
 def _cmd_walk(args) -> int:
-    scheme = _load_scheme_for(args.path, need_commutative=True)
-    dec = decompose(scheme)
+    dec = decompose(load(args.path, "scheme"))
     h = hypergroup_from(dec, krein_parameters(dec))
     coin = _parse_index_or_dist(args.coin, "--coin")
     start = _parse_index_or_dist(args.start, "--start")
@@ -350,8 +343,7 @@ def _cmd_entangled(args) -> int:
 
 
 def _cmd_schur(args) -> int:
-    scheme = _load_scheme_for(args.scheme, need_commutative=True)
-    dec = decompose(scheme)
+    dec = decompose(load(args.scheme, "scheme"))
     if not 0 <= args.coin <= dec.d:
         raise ValidationError(f"--coin must be in 0..{dec.d}")
     multiplier = dec.idempotents[args.coin] / dec.multiplicities[args.coin]
@@ -467,8 +459,7 @@ def _cmd_anyon(args) -> int:
     # bridge
     if not args.scheme:
         raise ValidationError("bridge needs --scheme")
-    scheme = _load_scheme_for(args.scheme, need_commutative=True)
-    dec = decompose(scheme)
+    dec = decompose(load(args.scheme, "scheme"))
     report = scheme_fusion_bridge(dec, krein_parameters(dec), fs)
     if args.json:
         print(json.dumps({

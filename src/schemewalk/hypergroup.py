@@ -35,7 +35,7 @@ _SLICE_SUM_TOL = 1e-8
 _DIST_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hypergroup:
     """Convolution tensor on indices {0..d} plus the multiplicities."""
 

@@ -36,7 +36,7 @@ KREIN_TOLERANCE = 1e-9
 _TRACE_IDENTITY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntersectionTensor:
     """p[i][j][k] = p_{ij}^k, exact non-negative integers."""
 
@@ -47,7 +47,7 @@ class IntersectionTensor:
         self.p.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KreinTensor:
     """q[i][j][k] = q_{ij}^k in the convention E_i o E_j = (1/n) sum_k q_{ij}^k E_k."""
 

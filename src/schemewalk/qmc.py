@@ -21,9 +21,9 @@ Four independent pieces:
   (M (x) N) V column by column as vec(M X_j N^T) and never forms M (x) N.
 * The Szegedy walk unitary U = S(2 A A' - I) on the pair space of a
   stochastic matrix.  A is the same pair-space isometry as V, built by
-  the same helper.  The swap S is applied as an index permutation, and
-  unitarity follows from the n x n certificate A'A = I (see
-  `szegedy_walk`).
+  the same helper.  U is filled in one pass from its closed form; Pi and
+  S are gathered only when read.  Unitarity follows from the n x n
+  certificate A'A = I (see `szegedy_walk`).
 
 Stochasticity conventions: transition expectations take row-stochastic
 matrices; `szegedy_walk` accepts either convention via a flag and works
@@ -33,6 +33,7 @@ column-stochastic internally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,7 +76,7 @@ def _column_stochastic(d_matrix, convention: str) -> np.ndarray:
     return col
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchurChannel:
     """The map M -> multiplier o M (entrywise product)."""
 
@@ -266,7 +267,7 @@ def dilation_unitary(p) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionExpectation:
     """Stinespring data for the entangled transition expectation of P."""
 
@@ -350,7 +351,7 @@ def transition_expectation_dual(te: TransitionExpectation, rho: np.ndarray) -> n
     return (root.T * np.diagonal(r)) @ root
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelTrajectory:
     states: tuple[np.ndarray, ...]
     trace_factors: tuple[float, ...]
@@ -463,20 +464,39 @@ def iterate_channel(channel, rho0, steps: int) -> ChannelTrajectory:
     return ChannelTrajectory(states=tuple(states), trace_factors=tuple(factors))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalkOperator:
-    """Szegedy walk data on the pair space of a column-stochastic matrix."""
+    """Szegedy walk data; `projector` and `swap` are gathered on first read and kept."""
 
     dim_v: int
     column_stochastic: np.ndarray
     A_op: np.ndarray
-    projector: np.ndarray
-    swap: np.ndarray
     U: np.ndarray
 
     def __post_init__(self):
-        for field in (self.column_stochastic, self.A_op, self.projector, self.swap, self.U):
+        for field in (self.column_stochastic, self.A_op, self.U):
             field.setflags(write=False)
+
+    @cached_property
+    def projector(self) -> np.ndarray:
+        """Pi = AA', block diagonal: block v is the outer product of A's column v."""
+        n = self.dim_v
+        root_t = np.sqrt(self.column_stochastic).T   # root_t[v, w] = sqrt(D[w][v])
+        pi = np.zeros(self.U.shape)
+        vertices = np.arange(n)
+        pi.reshape(n, n, n, n)[vertices, :, vertices, :] = root_t[:, :, None] * root_t[:, None, :]
+        pi.setflags(write=False)
+        return pi
+
+    @cached_property
+    def swap(self) -> np.ndarray:
+        """S, the permutation matrix of |v,w> -> |w,v>."""
+        n = self.dim_v
+        s = np.zeros(self.U.shape)
+        v, w = np.ogrid[:n, :n]
+        s.reshape(n, n, n, n)[v, w, w, v] = 1.0
+        s.setflags(write=False)
+        return s
 
 
 def szegedy_walk(d_matrix, convention: str = "column") -> WalkOperator:
@@ -488,23 +508,20 @@ def szegedy_walk(d_matrix, convention: str = "column") -> WalkOperator:
     transpose is used).  Pair index (v, w) -> v*n + w.
 
     A is the transition expectation's isometry V for the row-stochastic
-    transpose of D, built and certified by the same helper.  Pi is block
-    diagonal, one rank-one n x n block per vertex, and is built block by
-    block.  S is the index permutation `perm` with
-    perm[v*n + w] = w*n + v, so U is 2 Pi - I with its rows permuted; no
-    n^2 x n^2 product is formed.  All of `A_op`, `projector`, the dense
-    `swap` and `U` are returned as arrays.
+    transpose of D, built and certified by the same helper.  U, the only
+    n^2 x n^2 array built, is filled in one pass from its closed form
+    U[(v,w),(v',w')] = 2 [v' = w] sqrt(D[v][w]) sqrt(D[w'][w]) - [v' = w][w' = v].
+    `projector` and `swap` are gathered when first read.
 
-    Certificates: A'A = I within 1e-12 (an n x n check) and
-    perm[perm] = id exactly (S is an involution).  They imply the rest.
-    S is a permutation, so S'S = I, and Pi = AA' is symmetric, hence
-    U'U - I = (2 Pi - I)^2 - I = 4(Pi^2 - Pi) = 4 A(A'A - I)A'.  Each row
-    of A has a single entry, the square root of a probability and so at
-    most 1, hence every entry of U'U - I is 4 times one entry of A'A - I
-    times two such factors: max|U'U - I| <= 4 max|A'A - I| <= 4e-12, and
-    likewise max|Pi^2 - Pi| <= max|A'A - I|.  The bounds hold for the
-    operator S(2AA' - I) exactly; the stored entries of Pi and U are each
-    one rounded product of A's entries.
+    Certificate: A'A = I within 1e-12 (an n x n check).  It implies the
+    rest.  S is a permutation, so S'S = I, and Pi = AA' is symmetric,
+    hence U'U - I = (2 Pi - I)^2 - I = 4(Pi^2 - Pi) = 4 A(A'A - I)A'.
+    Each row of A has a single entry, the square root of a probability
+    and so at most 1, hence every entry of U'U - I is 4 times one entry
+    of A'A - I times two such factors: max|U'U - I| <= 4 max|A'A - I|
+    <= 4e-12, and likewise max|Pi^2 - Pi| <= max|A'A - I|.  The bounds
+    hold for the operator S(2AA' - I) exactly; the stored entries of Pi
+    and U are each one rounded product of A's entries.
     """
     col = _column_stochastic(d_matrix, convention)
     n = col.shape[0]
@@ -515,28 +532,15 @@ def szegedy_walk(d_matrix, convention: str = "column") -> WalkOperator:
         )
 
     a_op = _pair_isometry(col.T, "A")
-    nn = n * n
-    pairs = np.arange(nn)
-    vertices = np.arange(n)
     root_t = np.sqrt(col).T                      # root_t[v, w] = sqrt(D[w][v])
-    projector = np.zeros((nn, nn))
-    # View [v, w, v', w']; block v is the outer product of A's column v.
-    projector.reshape(n, n, n, n)[vertices, :, vertices, :] = (
-        root_t[:, :, None] * root_t[:, None, :]
-    )
-    perm = pairs.reshape(n, n).T.ravel()
-    swap = np.zeros((nn, nn))
-    swap[pairs, perm] = 1.0
-    u = projector[perm]
-    u *= 2.0
-    u[pairs, perm] -= 1.0
-
-    if not np.array_equal(perm[perm], pairs):
-        raise CertificationError("S^2 = I fails: the pair swap is not an involution")
-
-    return WalkOperator(
-        dim_v=n, column_stochastic=col, A_op=a_op, projector=projector, swap=swap, U=u
-    )
+    u = np.zeros((n * n, n * n))
+    u4 = u.reshape(n, n, n, n)                   # view [v, w, v', w']
+    vertices = np.arange(n)
+    # Row (v, w) meets block w of Pi: 2 root_t[w, v] root_t[w, w'] at v' = w.
+    u4[:, vertices, vertices, :] = 2.0 * (root_t.T[:, :, None] * root_t[None, :, :])
+    v, w = np.ogrid[:n, :n]
+    u4[v, w, w, v] -= 1.0
+    return WalkOperator(dim_v=n, column_stochastic=col, A_op=a_op, U=u)
 
 
 def stationary_distribution(column_stochastic) -> np.ndarray:

@@ -291,3 +291,35 @@ def test_each_verb_runs_one_axiom_pass(argv, j42_file, monkeypatch, capsys):
     capsys.readouterr()
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("coin, start", [
+    ('["a", "b", "c"]', "0"),
+    ("[[1, 0], [0]]", "0"),
+    ("1", "[0, true, 0]"),
+])
+def test_walk_refuses_a_list_that_is_not_all_numbers(coin, start, j42_file, capsys):
+    code = run(["walk", "hypergroup", str(j42_file), "--coin", coin, "--start", start,
+                "--steps", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scheme", "spectrum", "SCHEME"],
+    ["walk", "hypergroup", "SCHEME", "--coin", "1", "--start", "0", "--steps", "1"],
+    ["qmc", "schur", "--scheme", "SCHEME", "--coin", "1",
+     "--rho", json.dumps((np.eye(6) / 6).tolist()), "--steps", "1"],
+    ["anyon", "bridge", "--scheme", "SCHEME", "--system", "ising"],
+])
+def test_verbs_that_decompose_refuse_a_non_commutative_scheme(argv, tmp_path, capsys):
+    path = tmp_path / "s3.json"
+    assert run(["scheme", "build", "--family", "group", "--group", "s3",
+                "--out", str(path)]) == 0
+    capsys.readouterr()
+    code = run([str(path) if a == "SCHEME" else a for a in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "not commutative" in err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -505,10 +507,7 @@ def dense_szegedy_oracle(d, convention):
     return a_op, projector, swap, swap @ (2.0 * projector - np.eye(n * n))
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 12), convention=st.sampled_from(["column", "row"]),
-       seed=st.integers(0, 2**32 - 1), sparse=st.booleans())
-def test_szegedy_matches_dense_oracle(n, convention, seed, sparse):
+def _assert_szegedy_matches_dense_oracle(n, convention, seed, sparse):
     rng = np.random.default_rng(seed)
     d = rng.dirichlet(np.ones(n), size=n)  # row-stochastic
     if sparse:
@@ -523,6 +522,42 @@ def test_szegedy_matches_dense_oracle(n, convention, seed, sparse):
     assert np.array_equal(w.projector, projector)
     assert np.array_equal(w.swap, swap)
     assert np.array_equal(w.U, u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), convention=st.sampled_from(["column", "row"]),
+       seed=st.integers(0, 2**32 - 1), sparse=st.booleans())
+def test_szegedy_matches_dense_oracle(n, convention, seed, sparse):
+    _assert_szegedy_matches_dense_oracle(n, convention, seed, sparse)
+
+
+@pytest.mark.parametrize("convention", ["column", "row"])
+@pytest.mark.parametrize("n, sparse", [(1, False), (24, False), (24, True), (32, True)])
+def test_szegedy_matches_dense_oracle_at_benchmark_sizes(n, sparse, convention):
+    _assert_szegedy_matches_dense_oracle(n, convention, 1000 + n, sparse)
+
+
+def test_szegedy_pair_space_views_are_read_only_and_kept():
+    w = szegedy_walk(random_row_stochastic(5).T)
+    for name in ("projector", "swap"):
+        first = getattr(w, name)
+        assert not first.flags.writeable
+        assert getattr(w, name) is first
+    assert not w.U.flags.writeable and not w.A_op.flags.writeable
+
+
+def test_szegedy_walk_allocates_one_pair_space_array():
+    n = 32
+    d = random_row_stochastic(n).T
+    tracemalloc.start()
+    try:
+        w = szegedy_walk(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # U alone is 8 MiB, so a second n^2 x n^2 array would break the bound
+    assert w.U.nbytes == 8 * 2 ** 20
+    assert peak <= 12 * 2 ** 20
 
 
 def _multiplier_cases(rng, n):

@@ -2,14 +2,24 @@ import numpy as np
 import pytest
 
 from schemewalk import (
+    SchurChannel,
     ValidationError,
+    braid_generators,
     build_conjugacy_scheme,
     build_grassmann,
     build_group_scheme,
     build_johnson,
     build_orbit_scheme,
+    builtin_fusion_system,
+    cyclic_fusion_system,
     decompose,
     groups,
+    hypergroup_from,
+    intersection_numbers,
+    iterate_channel,
+    krein_parameters,
+    make_transition_expectation,
+    szegedy_walk,
     verify_axioms,
 )
 from schemewalk.schemes import AssociationScheme
@@ -144,6 +154,34 @@ def test_decomposition_equality_is_identity():
     first, second = decompose(s), decompose(s)
     assert first == first and first != second
     assert len({first, second}) == 2
+
+
+_J42 = build_johnson(4, 2)
+_P = np.array([[0.5, 0.5], [0.25, 0.75]])
+
+# Each builder returns a fresh result object holding arrays; the
+# intersection tensor's two builds share one certified p array.
+RESULT_BUILDERS = {
+    "FusionSystem": lambda: cyclic_fusion_system(3),
+    "BraidGenerators": lambda: braid_generators(builtin_fusion_system("ising")),
+    "Hypergroup": lambda: hypergroup_from(decompose(_J42), krein_parameters(decompose(_J42))),
+    "IntersectionTensor": lambda: intersection_numbers(_J42),
+    "KreinTensor": lambda: krein_parameters(decompose(_J42)),
+    "SchurChannel": lambda: SchurChannel(np.eye(3)),
+    "TransitionExpectation": lambda: make_transition_expectation(_P),
+    "ChannelTrajectory": lambda: iterate_channel(
+        make_transition_expectation(_P), np.eye(2) / 2, 1),
+    "WalkOperator": lambda: szegedy_walk(_P.T),
+}
+
+
+@pytest.mark.parametrize("name", RESULT_BUILDERS)
+def test_array_results_compare_and_hash_by_identity(name):
+    a, b = RESULT_BUILDERS[name](), RESULT_BUILDERS[name]()
+    assert type(a).__name__ == name
+    assert a == a
+    assert a != b
+    assert len({a, b}) == 2
 
 
 def test_grassmann_unsupported_field():
