@@ -12,12 +12,16 @@ and the scheme is commutative when additionally A_i A_j = A_j A_i.
 
 The canonical representation here is the n x n `relation` matrix of class
 indices (relation[x][y] = j iff (x, y) in R_j); adjacency matrices are
-derived 0/1 views.  All axiom checks are exact.  Axiom 4 multiplies the
-0/1 adjacency matrices as float64 through BLAS: every partial sum is a
-vertex count <= n < 2^53, so each product entry is computed exactly in
-any summation order.  That one pass also yields the intersection numbers
-p_ij^k, through A_i A_j = sum_k p_ij^k A_k, and the scheme is commutative
-exactly when p_ij^k = p_ji^k (Bannai & Ito 1984, Section II.2).
+derived 0/1 views.  All axiom checks are exact.  Axiom 4 packs blocks of
+g classes into base-(n+1) digits, W = sum_t (n+1)^t A_{j0+t}, with g the
+largest such that (n+1)^g <= 2^53, and multiplies A_i W as float64
+through BLAS: each count (A_i A_j)[x, y] <= n is one digit, and every
+partial sum is an integer below 2^53, so each product entry is computed
+exactly in any summation order.  Only A_1 .. A_{d-1} are multiplied:
+A_0 W = W, and A_d = J - sum_{i<d} A_i gives the last row from the column
+counts.  That one pass also yields the intersection numbers p_ij^k,
+through A_i A_j = sum_k p_ij^k A_k, and the scheme is commutative exactly
+when p_ij^k = p_ji^k (Bannai & Ito 1984, Section II.2).
 
 The table-driven builders form the relation matrix without a loop over
 pairs: Johnson and Grassmann schemes from one float64 product M M^T of a
@@ -83,6 +87,12 @@ class AssociationScheme:
         object.__setattr__(self, "relation", rel)
         if self.n < 1:
             raise ValidationError(f"a scheme needs at least one vertex, got n={self.n}")
+        if self.d > self.n * (self.n - 1):
+            # class 0 is the diagonal, so at most n(n-1) other classes are non-empty
+            raise ValidationError(
+                f"{self.n} vertices leave room for at most {self.n * (self.n - 1)} "
+                f"non-identity classes, got d={self.d}"
+            )
         if rel.shape != (self.n, self.n):
             raise ValidationError(f"relation matrix must be {self.n}x{self.n}, got {rel.shape}")
         if rel.min() < 0 or rel.max() > self.d:
@@ -175,10 +185,12 @@ def _check_axioms(s: AssociationScheme) -> AxiomReport:
 
     # One census: the classes present (axiom 2) and the first pair of each
     # class in row-major order, its representative (axioms 3 and 4).
-    present, first = np.unique(rel, return_index=True)
-    violations.extend((2, (int(j),)) for j in np.setdiff1d(np.arange(d + 1), present))
-    reps = np.zeros((d + 1, 2), dtype=np.int64)   # a missing class keeps (0, 0), unread
-    reps[present] = np.column_stack(np.divmod(first, n))
+    first = np.full(d + 1, n * n)
+    np.minimum.at(first, rel.ravel(), np.arange(n * n))
+    missing = first == n * n
+    violations.extend((2, (int(j),)) for j in np.flatnonzero(missing))
+    # a missing class gets (0, 0), unread
+    reps = np.column_stack(np.divmod(np.where(missing, 0, first), n))
 
     # axiom 3: the transpose of class j must be exactly one class, the one
     # of its representative's transpose.  A failing class is witnessed by
@@ -190,7 +202,7 @@ def _check_axioms(s: AssociationScheme) -> AxiomReport:
         violations.append((3, (*map(int, reps[j]), int(x), int(y))))
 
     if not violations:
-        p, witness = _product_pass(rel, d, reps)
+        p, witness = _packed_product_pass(rel, d, reps)
         if witness is not None:
             violations.append((4, witness))
     if violations:
@@ -199,33 +211,63 @@ def _check_axioms(s: AssociationScheme) -> AxiomReport:
                        commutative=bool(np.array_equal(p, p.swapaxes(0, 1))), p=p)
 
 
-def _product_pass(rel: np.ndarray, d: int, reps: np.ndarray):
-    """Axiom 4 as one BLAS product A_i [A_0 ... A_d] per class i.
+def _block_size(n: int) -> int:
+    """Largest g with (n+1)^g <= 2^53: the classes packed into one product."""
+    g = 1
+    while (n + 1) ** (g + 1) <= 2 ** 53:
+        g += 1
+    return g
 
-    p_ij^k is read at the representative reps[k]; the whole product block
-    is then compared with sum_k p_ij^k A_k, so every pair is checked.
+
+def _packed_product_pass(rel: np.ndarray, d: int, reps: np.ndarray):
+    """Axiom 4 and p_ij^k from products A_i W of packed class blocks.
+
+    Called once axioms 1-3 hold.  The classes are split into blocks of
+    g = `_block_size(n)` consecutive classes j0.., each packed as
+    W = sum_t (n+1)^t A_{j0+t}.  Every count (A_i A_j)[x, y] is at most n,
+    so it is the digit t of (A_i W)[x, y] in base n+1, and every partial
+    sum of the float64 product is an integer below (n+1)^g <= 2^53: the
+    product is exact in any summation order.  One compare of A_i W with
+    its value at the class representatives, gathered through `rel`, checks
+    the whole block on every pair; the digits at reps[k] are p_ij^k.
+
+    Only A_1 .. A_{d-1} are multiplied.  A_0 W = W.  Row d follows from
+    A_d = J - sum_{i<d} A_i: once rows 1..d-1 hold, each class i has a
+    constant row count sum_j (A_i A_j)[x, x], so by axiom 3 each class j
+    has a constant column count c_j, and A_d A_j = c_j J - sum_{i<d} A_i A_j
+    is class-constant with p_dj^k = c_j - sum_{i<d} p_ij^k.
+
     Returns (p, None) on success, else (None, (i, j, x, y, x', y')): the
     first product A_i A_j, in (i, j) order, that is not constant on some
     class k, with (x, y) = reps[k] and (x', y') the first pair of class k,
     in row-major order, whose count differs.
     """
     n = rel.shape[0]
-    # stack[z, j, y] = A_j[z, y]; exact in float64 (see the module docstring)
-    stack = (rel[:, None, :] == np.arange(d + 1)[:, None]).astype(np.float64)
-    wide = stack.reshape(n, (d + 1) * n)
+    g = _block_size(n)
+    powers = (n + 1) ** np.arange(g, dtype=np.int64)
     rx, ry = reps.T
-    p = np.empty((d + 1, d + 1, d + 1), dtype=np.int64)
-    for i in range(d + 1):
-        # prod[j, x, y] = (A_i A_j)[x, y]
-        prod = (stack[:, i, :] @ wide).reshape(n, d + 1, n).transpose(1, 0, 2)
-        p_i = prod[:, rx, ry]
-        bad = prod != p_i[:, rel]
-        if bad.any():
-            j = int(np.argmax(bad.any(axis=(1, 2))))
-            k = int(rel[bad[j]].min())
-            x2, y2 = np.argwhere(bad[j] & (rel == k))[0]
-            return None, (i, j, *map(int, reps[k]), int(x2), int(y2))
-        p[i] = p_i
+    p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
+    p[0] = np.eye(d + 1, dtype=np.int64)
+    for i in range(1, d):
+        a_i = (rel == i).astype(np.float64)
+        for j0 in range(0, d + 1, g):
+            weight = np.zeros(d + 1)
+            weight[j0:j0 + g] = powers[:d + 1 - j0]
+            prod = a_i @ weight[rel]
+            codes = prod[rx, ry]
+            if (prod != codes[rel]).any():
+                # the first class j of the block whose digit is not class-constant
+                counts = prod.astype(np.int64)
+                for t, power in enumerate(powers):
+                    digit = counts // power % (n + 1)
+                    bad = digit != digit[rx, ry][rel]
+                    if bad.any():
+                        k = int(rel[bad].min())
+                        x2, y2 = np.argwhere(bad & (rel == k))[0]
+                        return None, (i, j0 + t, *map(int, reps[k]), int(x2), int(y2))
+            p[i, j0:j0 + g] = codes.astype(np.int64) // powers[:d + 1 - j0, None] % (n + 1)
+    if d:
+        p[d] = np.bincount(rel[:, 0], minlength=d + 1)[:, None] - p[:d].sum(axis=0)
     p.setflags(write=False)
     return p, None
 

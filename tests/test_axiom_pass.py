@@ -9,14 +9,16 @@ them exactly: verdicts, witnesses and tensors.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schemewalk import (
     ValidationError,
+    build_conjugacy_scheme,
     build_group_scheme,
     build_johnson,
     decompose,
@@ -24,7 +26,7 @@ from schemewalk import (
     intersection_numbers,
     verify_axioms,
 )
-from schemewalk.schemes import AssociationScheme
+from schemewalk.schemes import DEFAULT_VERTEX_CAP, AssociationScheme, _block_size
 from tests.conftest import BUILTIN_NAMES, _builtin_constructors
 
 
@@ -193,7 +195,110 @@ def test_relabelling_keeps_p_and_moving_a_pair_is_rejected(data):
         x, y = data.draw(st.sampled_from([tuple(v) for v in np.argwhere(t.relation != 0)]))
         a = int(t.relation[x, y])
         b = data.draw(st.sampled_from([c for c in range(1, s.d + 1) if c != a]))
-        assert not verify_axioms(_move_pair(t, int(x), int(y), b)).passed
+        moved = _move_pair(t, int(x), int(y), b)
+        assert not verify_axioms(moved).passed
+        _assert_matches_reference(moved)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_axioms_1_to_3_with_random_classes_match_reference(data):
+    """Random relation matrices that satisfy axioms 1-3 by construction.
+
+    Once rows 1..d-1 of the products are class-constant, every class has a
+    constant row count, hence (axiom 3) a constant column count, and row d
+    follows from A_d = J - sum_{i<d} A_i.  So the first axiom-4 failure is
+    never in row d, and no input can fail there alone.
+    """
+    n = data.draw(st.integers(2, 7))
+    symmetric = data.draw(st.integers(0, 3))
+    paired = data.draw(st.integers(0, 2))
+    d = symmetric + 2 * paired
+    assume(0 < d <= n * (n - 1))
+    back = np.arange(d + 1)
+    back[symmetric + 1:] += np.tile([1, -1], paired)  # classes a, a + 1 transpose each other
+    upper = data.draw(st.lists(st.integers(1, d), min_size=n * (n - 1) // 2,
+                               max_size=n * (n - 1) // 2))
+    rel = np.zeros((n, n), dtype=np.int64)
+    xs, ys = np.triu_indices(n, 1)
+    rel[xs, ys] = upper
+    rel[ys, xs] = back[upper]
+    s = _raw(rel, d)
+    _assert_matches_reference(s)
+    report = verify_axioms(s)
+    if report.violations and report.violations[0][0] == 4:
+        assert report.violations[0][1][0] < d
+
+
+def test_non_constant_column_counts_of_a_d_fail_in_an_earlier_row():
+    s = build_johnson(5, 2)
+    x, y = np.argwhere(s.relation == 1)[-1]
+    bad = _move_pair(s, int(x), int(y), 2)
+    col = (bad.relation == bad.d).sum(axis=0)
+    assert col.min() != col.max()
+    _assert_matches_reference(bad)
+    (axiom, (i, *_)), = verify_axioms(bad).violations
+    assert axiom == 4 and i < bad.d
+
+
+@pytest.mark.parametrize("name", ["johnson_6_3", "grassmann_2_4_2", "conjugacy_s4"])
+def test_failure_away_from_the_representatives_matches_reference(name):
+    """Move a pair (x, y) and (y, x) off row 0 and off the representatives' columns.
+
+    Every representative lies in row 0, so the packed codes there are those
+    of the clean scheme, and the mismatch is found at another pair.
+    """
+    s = _builtin_constructors()[name]()
+    clean = verify_axioms(s).p
+    touched = {0, *np.unique(s.relation[0], return_index=True)[1].tolist()}
+    x, y = next((int(x), int(y)) for x, y in np.argwhere(s.relation != 0)
+                if x not in touched and y not in touched)
+    bad = _move_pair(s, x, y, 1 + s.relation[x, y] % s.d)
+    _assert_matches_reference(bad)
+    (axiom, (i, j, rx, ry, x2, y2)), = verify_axioms(bad).violations
+    assert axiom == 4 and rx == 0
+    k = int(bad.relation[rx, ry])
+    prod = bad.adjacency(i) @ bad.adjacency(j)
+    assert prod[rx, ry] == clean[i, j, k] != prod[x2, y2]
+
+
+def test_failure_in_the_second_block_matches_reference():
+    s = build_group_scheme(groups.symmetric(4))  # n = 24, g = 11: three blocks
+    assert _block_size(s.n) == 11
+    x, y = np.argwhere(s.relation == 14)[-1]
+    bad = _move_pair(s, int(x), int(y), 15)
+    _assert_matches_reference(bad)
+    assert verify_axioms(bad).violations == ((4, (1, 14, 0, 15, 12, 23)),)
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 357, DEFAULT_VERTEX_CAP])
+def test_digit_budget_is_the_largest_exact_block(n):
+    g = _block_size(n)
+    assert (n + 1) ** g <= 2 ** 53 < (n + 1) ** (g + 1)
+
+
+def test_codes_filling_every_digit_of_a_block_match_reference():
+    s = build_conjugacy_scheme(groups.symmetric(5))  # n = 120, d + 1 = 7 = g
+    assert s.d + 1 == _block_size(s.n)
+    p = verify_axioms(s).p
+    # in the multiplied rows A_1 .. A_{d-1}, every digit of the one block
+    # carries a count; the top digit reaches 12, the largest 30
+    assert (p[1:-1].max(axis=(0, 2)) > 0).all()
+    assert (p[1:-1, -1].max(), p[1:-1].max()) == (12, 30)
+    assert np.array_equal(p, _reference_intersection(s))
+
+
+def test_packed_pass_memory_is_p_plus_a_few_matrices():
+    s = build_group_scheme(groups.symmetric(5))  # n = 120, d = 119
+    tracemalloc.start()
+    try:
+        report = verify_axioms(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # p, its (d+1)^3-byte commutativity compare, and at most 8 n x n words;
+    # one float64 matrix per class would be 120 words per pair
+    assert peak <= 1.125 * report.p.nbytes + 8 * 8 * s.n ** 2
 
 
 def test_moved_pair_above_64_vertices_is_rejected_everywhere():

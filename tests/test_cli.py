@@ -53,6 +53,13 @@ def test_verify_refuses_malformed_relation(tmp_path, relation, capsys):
     assert run(["scheme", "verify", str(bad)]) == 1
 
 
+def test_verify_refuses_more_classes_than_pairs(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 2, "d": 10**7, "relation": [[0, 1], [1, 0]]}))
+    assert run(["scheme", "verify", str(bad)]) == 1
+    assert "at most 2 non-identity classes" in capsys.readouterr().err
+
+
 def test_spectrum_output(j42_file, capsys):
     code = run(["scheme", "spectrum", str(j42_file)])
     out = capsys.readouterr().out
@@ -280,13 +287,13 @@ def test_each_verb_runs_one_axiom_pass(argv, j42_file, monkeypatch, capsys):
     import schemewalk.schemes as schemes
 
     calls = []
-    original = schemes._product_pass
+    original = schemes._packed_product_pass
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(schemes, "_product_pass", counted)
+    monkeypatch.setattr(schemes, "_packed_product_pass", counted)
     code = run([str(j42_file) if a == "SCHEME" else a for a in argv])
     capsys.readouterr()
     assert code == 0

@@ -219,6 +219,21 @@ def test_orbit_scheme_rejects_bad_permutation():
         build_orbit_scheme([[0, 0, 1]], 3)
 
 
+@pytest.mark.parametrize("n, d", [(1, 1), (1, 10**12), (2, 3), (2, 10**7), (3, 7)])
+def test_more_classes_than_off_diagonal_pairs_is_refused(n, d):
+    # class 0 is the diagonal, so a scheme has d <= n(n - 1); refused before
+    # any allocation of d + 1 entries
+    rel = 1 - np.eye(n, dtype=np.int64)
+    with pytest.raises(ValidationError, match="non-identity classes"):
+        AssociationScheme(n=n, d=d, relation=rel)
+
+
+def test_as_many_classes_as_off_diagonal_pairs_is_checked():
+    rel = np.array([[0, 1], [2, 0]])
+    report = verify_axioms(AssociationScheme(n=2, d=2, relation=rel))
+    assert report.violations == ((4, (1, 2, 0, 0, 1, 1)),)
+
+
 def test_axiom_violation_witnesses():
     s = build_johnson(4, 2)
     rel = np.array(s.relation, copy=True)

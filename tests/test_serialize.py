@@ -81,6 +81,8 @@ HALF[0][1] += 0.5
     ("fusion-system", {**Z2, "R": {"1,1,0": ["a", 0]}}),
     ("fusion-system", {**Z2, "twist": 5}),
     ("fusion-system", {**Z2, "twist": [1, [0, 5]]}),
+    ("scheme", {"n": 2, "d": 10**7, "relation": [[0, 1], [1, 0]]}),
+    ("scheme", {"n": 1, "d": 10**12, "relation": [[0]]}),
 ])
 def test_malformed_json_is_a_validation_error(kind, data):
     with pytest.raises(ValidationError):
