@@ -1,6 +1,6 @@
 """Quantum Markov chain machinery.
 
-Four independent pieces:
+Five pieces:
 
 * Schur-multiplier channels M -> e o M, with complete positivity
   certified through the Choi matrix (CP holds iff the multiplier is
@@ -9,7 +9,9 @@ Four independent pieces:
   formed densely for certification: its only nonzero entries are the
   multiplier's, on the pair indices (a, a), so its spectrum is the
   multiplier's, taken block by block over the connected components of
-  the multiplier's support on n points, plus n^2 - n zeros.
+  the multiplier's support on n points, plus n^2 - n zeros.  The
+  multiplier's least eigenvalue is one `eigvalsh` per channel, kept on
+  it for `certify_cp` and `iterate_channel`.
 * Unitary dilation of a probability vector p: an orthogonal matrix whose
   first row is (sqrt(p_0), ..., sqrt(p_{d-1})).
 * Entangled transition expectations E(X) = V' X V for the isometry
@@ -19,6 +21,12 @@ Four independent pieces:
   cross-checking.  The classical chain sits on the diagonal:
   E(I (x) diag(v)) = diag(P v).  The Stinespring route evaluates
   (M (x) N) V column by column as vec(M X_j N^T) and never forms M (x) N.
+  The entrywise root sqrtP is derived once, when a TransitionExpectation
+  is built, and read by the closed form, the state-picture dual and
+  `iterate_channel`.
+* Chain iteration: one array operation, a trace and a division per
+  step; positivity of every state is certified after the loop, by a
+  bound carried over the stacked diagonals (see `iterate_channel`).
 * The Szegedy walk unitary U = S(2 A A' - I) on the pair space of a
   stochastic matrix.  A is the same pair-space isometry as V, built by
   the same helper.  U is filled in one pass from its closed form; Pi and
@@ -32,7 +40,7 @@ column-stochastic internally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -92,6 +100,12 @@ class SchurChannel:
     @property
     def dim(self) -> int:
         return self.multiplier.shape[0]
+
+    @cached_property
+    def _multiplier_min(self) -> float:
+        """Least eigenvalue of the multiplier, read by `certify_cp` and
+        `iterate_channel`; one `eigvalsh` per channel."""
+        return float(np.linalg.eigvalsh(self.multiplier).min())
 
 
 @dataclass(frozen=True)
@@ -203,7 +217,8 @@ def certify_cp(c: SchurChannel, tolerance: float = _PSD_TOL) -> CPReport:
     """Certify complete positivity two ways and report both verdicts.
 
     The direct route diagonalises the Choi matrix; the criterion route
-    checks the multiplier's own spectrum with a separate `eigvalsh`.  For
+    checks the multiplier's own spectrum with a separate `eigvalsh`, kept
+    on the channel for `iterate_channel`.  For
     Schur channels they must agree; the report says whether they do
     rather than assuming it.
 
@@ -229,7 +244,7 @@ def certify_cp(c: SchurChannel, tolerance: float = _PSD_TOL) -> CPReport:
     choi_min = float(_block_spectrum(n, rows, cols, values[nonzero], labels)[0])
     if n > 1:
         choi_min = min(choi_min, 0.0)
-    mult_min = float(np.linalg.eigvalsh(c.multiplier).min())
+    mult_min = c._multiplier_min
     is_cp = choi_min >= -tolerance
     mult_psd = mult_min >= -tolerance
     return CPReport(
@@ -269,23 +284,30 @@ def dilation_unitary(p) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TransitionExpectation:
-    """Stinespring data for the entangled transition expectation of P."""
+    """Stinespring data for the entangled transition expectation of P.
+
+    `sqrt_transition`, the entrywise root sqrtP, is derived from
+    `transition` once, when the object is built, and is not an argument.
+    """
 
     dim: int
     transition: np.ndarray
     isometry_V: np.ndarray
+    sqrt_transition: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.transition.setflags(write=False)
-        self.isometry_V.setflags(write=False)
+        object.__setattr__(self, "sqrt_transition", np.sqrt(self.transition))
+        for array in (self.transition, self.isometry_V, self.sqrt_transition):
+            array.setflags(write=False)
 
 
-def _pair_isometry(row_stochastic: np.ndarray, name: str) -> np.ndarray:
-    """The n^2 x n isometry with column i = e_i (x) sqrt(row i), pair index
+def _pair_isometry(root: np.ndarray, name: str) -> np.ndarray:
+    """The n^2 x n isometry with column i = e_i (x) row i of `root`, the
+    entrywise square root of a row-stochastic matrix; pair index
     (i, j) -> i*n + j, certified by name'name = diag(row sums) = I at 1e-12."""
-    n = row_stochastic.shape[0]
+    n = root.shape[0]
     iso = np.zeros((n * n, n))
-    iso[np.arange(n * n), np.repeat(np.arange(n), n)] = np.sqrt(row_stochastic).ravel()
+    iso[np.arange(n * n), np.repeat(np.arange(n), n)] = root.ravel()
     residual = float(np.max(np.abs(iso.T @ iso - np.eye(n))))
     if residual > 1e-12:
         raise CertificationError(f"{name}'{name} = I fails with residual {residual:.3e}")
@@ -299,7 +321,7 @@ def make_transition_expectation(p) -> TransitionExpectation:
     """
     mat = _column_stochastic(p, "row").T
     return TransitionExpectation(dim=mat.shape[0], transition=mat,
-                                 isometry_V=_pair_isometry(mat, "V"))
+                                 isometry_V=_pair_isometry(np.sqrt(mat), "V"))
 
 
 def _check_sites(te: TransitionExpectation, m: np.ndarray, n: np.ndarray):
@@ -332,23 +354,42 @@ def transition_expectation_closed_form(te: TransitionExpectation, m, n) -> np.nd
     a = np.asarray(m)
     b = np.asarray(n)
     _check_sites(te, a, b)
-    root = np.sqrt(te.transition)
+    root = te.sqrt_transition
     return a * (root @ b @ root.T)
+
+
+def _dual_parts(root: np.ndarray, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The real products (root^T Re diag) root and (root^T Im diag) root;
+    the second is None, and not formed, when diag has no imaginary part."""
+    real = (root.T * diag.real) @ root
+    if not np.iscomplexobj(diag) or not diag.imag.any():
+        return real, None
+    return real, (root.T * diag.imag) @ root
+
+
+def _widen(real: np.ndarray, imag: np.ndarray | None) -> np.ndarray:
+    out = real.astype(np.complex128)
+    if imag is not None:
+        out.imag = imag
+    return out
 
 
 def transition_expectation_dual(te: TransitionExpectation, rho: np.ndarray) -> np.ndarray:
     """One site-to-site step of the chain in the state picture.
 
     rho -> Tr_1(V rho V') = sum_i rho_ii |r_i><r_i| with |r_i> the
-    entrywise root of row i of P, evaluated as the one product
-    (sqrtP^T diag(rho)) sqrtP.  Trace-preserving (each |r_i> is a unit
-    vector) and embeds the classical chain on the diagonal.
+    entrywise root of row i of P, evaluated as (sqrtP^T diag(rho)) sqrtP
+    in real arithmetic: one product for the real part of diag(rho), and
+    one for its imaginary part only if it has one.  Trace-preserving
+    (each |r_i> is a unit vector) and embeds the classical chain on the
+    diagonal.  A complex rho gives a complex128 image, a real rho a real
+    one.
     """
     r = np.asarray(rho)
     if r.shape != (te.dim, te.dim):
         raise ValidationError(f"density matrix must be {te.dim}x{te.dim}, got shape {r.shape}")
-    root = np.sqrt(te.transition)
-    return (root.T * np.diagonal(r)) @ root
+    real, imag = _dual_parts(te.sqrt_transition, np.diagonal(r))
+    return _widen(real, imag) if np.iscomplexobj(r) else real
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,12 +421,22 @@ def iterate_channel(channel, rho0, steps: int) -> ChannelTrajectory:
     reported) or a TransitionExpectation (its state-picture dual
     `transition_expectation_dual`, which is trace-preserving; factors
     come out 1).  Complete positivity is a precondition and is certified
-    before iterating.
+    before iterating, from the multiplier eigenvalue the channel keeps.
+
+    A step forms the next state, checks its trace (below 1e-14 raises
+    "channel absorbed the state"), only then divides by it in place, and
+    copies the state's diagonal into one (steps + 1) x n array.  The
+    Schur step is the entrywise product.  The transition step is the
+    dual's real products on the channel's sqrtP, divided before they are
+    widened to complex.
 
     Every state is certified to have least eigenvalue >= -_PSD_TOL (as
     `eigvalsh` reads it, from the lower triangle) without a per-step
-    eigensolve.  A bound eps >= -lambda_min(rho) is carried from step to
-    step, starting from the eigenvalue `_check_density` computes:
+    eigensolve.  The states never depend on this certificate, so it is
+    evaluated after the loop, from the stacked diagonals; the bound, its
+    fallback and the messages are those of a per-step check.  A bound
+    eps >= -lambda_min(rho) is carried from step to step, starting from
+    the eigenvalue `_check_density` computes:
 
     * Schur step.  With eps_M = max(0, -lambda_min(M)) from the entry
       check, write M = M+ - eps_M I and rho = rho+ - eps I with M+, rho+
@@ -405,62 +456,93 @@ def iterate_channel(channel, rho0, steps: int) -> ChannelTrajectory:
     exceeds _PSD_TOL runs `eigvalsh` as the fallback: a least eigenvalue
     below -_PSD_TOL raises "state lost positivity at step k", and
     otherwise resets eps.  The final state always gets one `eigvalsh` as
-    the guard on rounding.
+    the guard on rounding.  A positivity loss at step j is raised before
+    an absorption at a later step, as a loop that stopped at the first
+    failure would raise it.  The state loop itself stops only at an
+    absorption, so a chain that loses positivity costs as many steps as
+    one that keeps it.  States after a loss are discarded; they are not
+    bounded and may overflow, so overflow and invalid-value flags are
+    ignored while they and their bound terms are formed.  Up to the first
+    failure no such flag can arise: a state of trace 1 whose least
+    eigenvalue is >= -_PSD_TOL has entries of order 1.
     """
     if steps < 0:
         raise ValidationError("steps must be >= 0")
     if isinstance(channel, SchurChannel):
-        mult_low = float(np.linalg.eigvalsh(channel.multiplier).min())
-        if mult_low < -_PSD_TOL:
+        if channel._multiplier_min < -_PSD_TOL:
             raise CertificationError(
                 "channel is not completely positive (multiplier has a negative eigenvalue)"
             )
-        dim = channel.dim
-        eps_m = max(0.0, -mult_low)
-        m_diag = np.diagonal(channel.multiplier)
-        m_top = float(m_diag.real.max())
-
-        def step(rho, eps):
-            diag = np.diagonal(rho)
-            bound = (eps * m_top + eps_m * float(diag.real.max()) + eps * eps_m
-                     + float(np.abs(m_diag.imag * diag.imag).max()))
-            return schur_channel_apply(channel, rho), bound
-    elif isinstance(channel, TransitionExpectation):
-        dim = channel.dim
-
-        def step(rho, eps):
-            diag = np.diagonal(rho)
-            bound = float(np.maximum(-diag.real, 0.0).sum() + np.abs(diag.imag).sum())
-            return transition_expectation_dual(channel, rho), bound
-    else:
+    elif not isinstance(channel, TransitionExpectation):
         raise ValidationError(
             f"cannot iterate {type(channel).__name__}; "
             "expected SchurChannel or TransitionExpectation"
         )
+    rho, low = _check_density(np.asarray(rho0), channel.dim)
+    diags = np.empty((steps + 1, channel.dim), dtype=np.complex128)
+    diags[0] = np.diagonal(rho)
+    if isinstance(channel, SchurChannel):
+        mult = channel.multiplier
 
-    rho, low = _check_density(np.asarray(rho0), dim)
-    eps = max(0.0, -low)
-    rounding = 2 * (dim + 4) * np.finfo(np.float64).eps
+        def advance(rho, diag):
+            nxt = mult * rho
+            tr = float(nxt.trace().real)
+            if tr < 1e-14:
+                return None, tr
+            nxt /= tr
+            return nxt, tr
+    else:
+        root = channel.sqrt_transition
+
+        def advance(rho, diag):
+            real, imag = _dual_parts(root, diag)
+            tr = float(real.trace())
+            if tr < 1e-14:
+                return None, tr
+            real /= tr
+            if imag is not None:
+                imag /= tr
+            return _widen(real, imag), tr
+
     states = [rho]
     factors = []
-    for k in range(1, steps + 1):
-        nxt, bound = step(rho, eps)
-        tr = complex(np.trace(nxt)).real
-        if tr < 1e-14:
-            raise CertificationError(
-                f"channel absorbed the state (trace {tr:.3e} after step {k})"
-            )
-        rho = nxt / tr
-        eps = bound / tr + rounding
+    absorbed = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, steps + 1):
+            rho, tr = advance(rho, diags[k - 1])
+            if rho is None:
+                absorbed = f"channel absorbed the state (trace {tr:.3e} after step {k})"
+                break
+            diags[k] = np.diagonal(rho)
+            states.append(rho)
+            factors.append(tr)
+
+        # Step k's bound is eps * slope + lead[k] + eps * eps_m + tail[k], eps
+        # that of state k - 1; the Gram bound has slope = eps_m = 0.
+        inputs = diags[:len(factors)]
+        if isinstance(channel, SchurChannel):
+            eps_m = max(0.0, -channel._multiplier_min)
+            m_diag = np.diagonal(channel.multiplier)
+            slope = float(m_diag.real.max())
+            lead = eps_m * inputs.real.max(axis=1)
+            tail = np.abs(m_diag.imag * inputs.imag).max(axis=1)
+        else:
+            eps_m = slope = 0.0
+            lead = np.maximum(-inputs.real, 0.0).sum(axis=1) + np.abs(inputs.imag).sum(axis=1)
+            tail = np.zeros(len(factors))
+    eps = max(0.0, -low)
+    rounding = 2 * (channel.dim + 4) * np.finfo(np.float64).eps
+    for k, (tr, a, b) in enumerate(zip(factors, lead.tolist(), tail.tolist()), start=1):
+        eps = (eps * slope + a + eps * eps_m + b) / tr + rounding
         if eps > _PSD_TOL or k == steps:
-            low = float(np.linalg.eigvalsh(rho).min())
+            low = float(np.linalg.eigvalsh(states[k]).min())
             if low < -_PSD_TOL:
                 raise CertificationError(
                     f"state lost positivity at step {k} (eigenvalue {low:.3e})"
                 )
             eps = max(0.0, -low)
-        states.append(rho)
-        factors.append(tr)
+    if absorbed:
+        raise CertificationError(absorbed)
     return ChannelTrajectory(states=tuple(states), trace_factors=tuple(factors))
 
 
@@ -531,8 +613,8 @@ def szegedy_walk(d_matrix, convention: str = "column") -> WalkOperator:
             f"capped at {_PAIR_SPACE_MAX_VERTICES} vertices"
         )
 
-    a_op = _pair_isometry(col.T, "A")
     root_t = np.sqrt(col).T                      # root_t[v, w] = sqrt(D[w][v])
+    a_op = _pair_isometry(root_t, "A")
     u = np.zeros((n * n, n * n))
     u4 = u.reshape(n, n, n, n)                   # view [v, w, v', w']
     vertices = np.arange(n)

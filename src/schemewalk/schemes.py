@@ -241,13 +241,19 @@ def _packed_product_pass(rel: np.ndarray, d: int, reps: np.ndarray):
     first product A_i A_j, in (i, j) order, that is not constant on some
     class k, with (x, y) = reps[k] and (x', y') the first pair of class k,
     in row-major order, whose count differs.
+
+    With d + 1 > n no p is allocated, because a witness must turn up: were
+    rows 1..d-1 class-constant, every class would have a constant row
+    count k_i >= 1 (by the argument above), and the k_i sum to n.
     """
     n = rel.shape[0]
     g = _block_size(n)
     powers = (n + 1) ** np.arange(g, dtype=np.int64)
     rx, ry = reps.T
-    p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
-    p[0] = np.eye(d + 1, dtype=np.int64)
+    p = None
+    if d < n:
+        p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
+        p[0] = np.eye(d + 1, dtype=np.int64)
     for i in range(1, d):
         a_i = (rel == i).astype(np.float64)
         for j0 in range(0, d + 1, g):
@@ -265,7 +271,8 @@ def _packed_product_pass(rel: np.ndarray, d: int, reps: np.ndarray):
                         k = int(rel[bad].min())
                         x2, y2 = np.argwhere(bad & (rel == k))[0]
                         return None, (i, j0 + t, *map(int, reps[k]), int(x2), int(y2))
-            p[i, j0:j0 + g] = codes.astype(np.int64) // powers[:d + 1 - j0, None] % (n + 1)
+            if p is not None:
+                p[i, j0:j0 + g] = codes.astype(np.int64) // powers[:d + 1 - j0, None] % (n + 1)
     if d:
         p[d] = np.bincount(rel[:, 0], minlength=d + 1)[:, None] - p[:d].sum(axis=0)
     p.setflags(write=False)

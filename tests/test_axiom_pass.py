@@ -8,6 +8,7 @@ and checks the full identity A_i A_j = sum_k p_ij^k A_k for every i, j.
 them exactly: verdicts, witnesses and tensors.
 """
 
+import json
 import re
 import tracemalloc
 
@@ -24,6 +25,7 @@ from schemewalk import (
     decompose,
     groups,
     intersection_numbers,
+    serialize,
     verify_axioms,
 )
 from schemewalk.schemes import DEFAULT_VERTEX_CAP, AssociationScheme, _block_size
@@ -330,3 +332,41 @@ def test_scheme_does_not_alias_the_callers_array():
     assert not s.relation.flags.writeable
     assert verify_axioms(_raw(s.relation, s.d)).passed
     assert np.array_equal(intersection_numbers(s).p, _reference_intersection(s))
+
+
+
+def _pairs_in_own_classes(n, symmetric=False):
+    """Every off-diagonal pair, or every unordered pair, in a class of its own."""
+    rel = np.zeros((n, n), dtype=np.int64)
+    if symmetric:
+        xs, ys = np.triu_indices(n, 1)
+        rel[xs, ys] = rel[ys, xs] = np.arange(1, xs.size + 1)
+    else:
+        rel[~np.eye(n, dtype=bool)] = np.arange(1, n * (n - 1) + 1)
+    return _raw(rel, int(rel.max()))
+
+
+@pytest.mark.parametrize("n, symmetric", [(2, False), (3, False), (6, False), (9, False),
+                                          (3, True), (4, True), (9, True)])
+def test_more_classes_than_points_match_reference(n, symmetric):
+    # d + 1 > n: axioms 1-3 hold, axiom 4 cannot, and no p is allocated
+    s = _pairs_in_own_classes(n, symmetric)
+    assert s.d + 1 > n
+    for case in (s, _relabel(s, np.random.default_rng(n).permutation(n))):
+        _assert_matches_reference(case)
+        assert verify_axioms(case).violations[0][0] == 4
+
+
+def test_many_classes_are_refused_without_allocating_p():
+    # n = 40 with d = 1560: p would be 1561^3 int64 words, about 28 GiB
+    s = _pairs_in_own_classes(40)
+    text = json.dumps(serialize.to_jsonable("scheme", s))
+    assert len(text) < 10_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=r"axiom \(4\)"):
+            serialize.loads(text, "scheme")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20

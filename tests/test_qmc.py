@@ -1,4 +1,6 @@
+import functools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from schemewalk import (
     CertificationError,
     SchurChannel,
+    TransitionExpectation,
     ValidationError,
     apply_transition_expectation,
     certify_cp,
@@ -145,6 +148,16 @@ def test_isometry_shape_and_identity():
     v = te.isometry_V
     assert v.shape == (9, 3)
     assert np.max(np.abs(v.T @ v - np.eye(3))) < 1e-12
+    assert np.array_equal(te.sqrt_transition, np.sqrt(p))
+    assert not te.sqrt_transition.flags.writeable
+
+
+def test_sqrt_transition_is_derived_not_passed():
+    te = make_transition_expectation(random_row_stochastic(4))
+    rebuilt = TransitionExpectation(te.dim, te.transition, te.isometry_V)
+    assert np.array_equal(rebuilt.sqrt_transition, te.sqrt_transition)
+    with pytest.raises(TypeError):
+        TransitionExpectation(te.dim, te.transition, te.isometry_V, te.sqrt_transition)
 
 
 def test_stinespring_matches_closed_form():
@@ -205,6 +218,18 @@ def test_dual_channel_preserves_trace_and_classical_marginal():
     assert abs(np.trace(sigma) - 1) < 1e-12
     assert np.linalg.eigvalsh(sigma).min() > -1e-12
     assert np.max(np.abs(np.diag(sigma) - np.diag(rho) @ p)) < 1e-12
+
+
+def test_dual_channel_matches_einsum_and_keeps_the_input_kind():
+    rng = np.random.default_rng(67)
+    te = make_transition_expectation(random_row_stochastic(6, rng))
+    rho = random_density(rng, 6)
+    rho_imag = rho + 1j * np.diag(rng.uniform(-1e-3, 1e-3, 6))
+    for r in (rho.real, rho, rho_imag):
+        got = transition_expectation_dual(te, r)
+        assert got.dtype == (np.complex128 if np.iscomplexobj(r) else np.float64)
+        assert np.max(np.abs(got - _dual_einsum_oracle(te, r))) < 1e-15
+    assert np.diagonal(transition_expectation_dual(te, rho_imag)).imag.any()
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (4,), (2, 4, 4)])
@@ -281,8 +306,9 @@ def _dual_einsum_oracle(te, rho):
     return np.einsum("i,ij,ik->jk", np.diagonal(rho), root, root)
 
 
-def iterate_oracle(channel, rho0, steps):
-    """The stepping loop with an `eigvalsh` of the state after every step."""
+def iterate_oracle(channel, rho0, steps, check_positivity=True):
+    """The stepping loop with an `eigvalsh` of the state after every step
+    (none with `check_positivity` off)."""
     if isinstance(channel, SchurChannel):
         if float(np.linalg.eigvalsh(channel.multiplier).min()) < -1e-10:
             raise CertificationError(
@@ -302,7 +328,7 @@ def iterate_oracle(channel, rho0, steps):
                 f"channel absorbed the state (trace {tr:.3e} after step {len(factors) + 1})"
             )
         rho = nxt / tr
-        low = float(np.linalg.eigvalsh(rho).min())
+        low = float(np.linalg.eigvalsh(rho).min()) if check_positivity else 0.0
         if low < -1e-10:
             raise CertificationError(
                 f"state lost positivity at step {len(factors) + 1} (eigenvalue {low:.3e})"
@@ -367,8 +393,18 @@ def test_iterate_runs_no_per_step_eigensolve(monkeypatch):
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
     rho0 = random_density(np.random.default_rng(47), 6)
-    iterate_channel(SchurChannel(np.full((6, 6), 0.5) + 0.5 * np.eye(6)), rho0, 50)
+    channel = SchurChannel(np.full((6, 6), 0.5) + 0.5 * np.eye(6))
+    iterate_channel(channel, rho0, 50)
     assert len(calls) == 3  # multiplier, initial state, final state
+    calls.clear()
+    # the channel keeps its multiplier eigenvalue, also from certify_cp
+    iterate_channel(channel, rho0, 50)
+    assert len(calls) == 2  # initial state, final state
+    certified = SchurChannel(channel.multiplier)
+    certify_cp(certified)
+    calls.clear()
+    iterate_channel(certified, rho0, 50)
+    assert len(calls) == 2  # initial state, final state
     calls.clear()
     iterate_channel(make_transition_expectation(random_row_stochastic(6)), rho0, 50)
     assert len(calls) == 2  # initial state, final state
@@ -400,6 +436,115 @@ def test_iterate_matches_oracle_on_unit_diagonal_multipliers(n, rank, seed, shif
         assert not isinstance(got, str), got
         assert all(np.array_equal(a, b) for a, b in zip(got.states, want[0]))
         assert list(got.trace_factors) == want[1]
+
+
+def test_iterate_transition_with_imaginary_diagonal_matches_oracle():
+    # Hermitian within the 1e-10 tolerance; eigvalsh ignores the imaginary
+    # diagonal, the transition step carries it through its second product
+    rng = np.random.default_rng(53)
+    for n in (2, 7, 24, 48):
+        te = make_transition_expectation(rng.dirichlet(np.ones(n), size=n))
+        rho0 = random_density(rng, n) + 1j * np.diag(rng.uniform(-4e-11, 4e-11, n))
+        assert_same_trajectory(te, rho0, 10, tol=1e-14)
+        traj = iterate_channel(te, rho0, 3)
+        assert np.diagonal(traj.states[3]).imag.any()
+
+
+def _diagonal_te(targets):
+    """Transition expectation moving point i to point targets[i]."""
+    return make_transition_expectation(np.eye(len(targets))[list(targets)])
+
+
+# (channel, rho0, message of the first failure, step of that failure)
+FAILING_CHAINS = [
+    # absorbed at step 1: the multiplier vanishes on the state's support
+    (SchurChannel(np.diag([0.0, 1.0])), np.diag([1.0, 0.0]),
+     r"channel absorbed the state \(trace 0\.000e\+00 after step 1\)", 1),
+    # lost at step 2: the off-diagonal ratio 1 + 1.5e-10 compounds
+    (SchurChannel(np.array([[0.6, 0.6 + 0.9e-10], [0.6 + 0.9e-10, 0.6]])), np.full((2, 2), 0.5),
+     r"state lost positivity at step 2 \(eigenvalue -1\.500e-10\)", 2),
+    # lost at step 1, and the states go on to a negative trace at step 3:
+    # the positivity loss is the failure reported
+    (SchurChannel(np.diag([-0.9e-10, 0.5e-10])), np.diag([0.25, 0.75]),
+     r"state lost positivity at step 1 \(eigenvalue -1\.500e\+00\)", 1),
+    # lost at step 1; the off-diagonal of the later states grows 1000-fold a
+    # step and overflows near step 100
+    (SchurChannel(1e-10 * np.array([[1e-3, 1.0], [1.0, 1e-3]])), np.full((2, 2), 0.5),
+     r"state lost positivity at step 1 \(eigenvalue -4\.995e\+02\)", 1),
+    # transition: two negative diagonal entries meet at step 1
+    (_diagonal_te([0, 1, 1]), np.diag([1.0 + 1.8e-10, -0.9e-10, -0.9e-10]),
+     r"state lost positivity at step 1 \(eigenvalue -1\.800e-10\)", 1),
+    # transition: four negative entries merge over three steps
+    (_diagonal_te([0, 1, 1, 2, 3]), np.diag([1.0 + 1.2e-10] + [-0.3e-10] * 4),
+     r"state lost positivity at step 3 \(eigenvalue -1\.200e-10\)", 3),
+]
+
+
+@pytest.mark.parametrize("case", range(len(FAILING_CHAINS)))
+@pytest.mark.parametrize("steps", [0, 1, 2, 3, 5, 400])
+def test_iterate_failures_match_oracle(case, steps):
+    # the states after a failure, which may overflow, raise no warning
+    channel, rho0, message, at = FAILING_CHAINS[case]
+    want = _outcome(iterate_oracle, channel, rho0, steps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(iterate_channel, channel, rho0, steps)
+    if steps < at:
+        assert not isinstance(want, str) and not isinstance(got, str)
+        assert len(got.states) == steps + 1
+        assert all(np.array_equal(a, b) for a, b in zip(got.states, want[0]))
+    else:
+        assert got == want
+        with pytest.raises(CertificationError, match=message):
+            iterate_channel(channel, rho0, steps)
+
+
+def test_third_failing_chain_would_be_absorbed_at_step_3():
+    channel, rho0, _, _ = FAILING_CHAINS[2]
+    unchecked = _outcome(functools.partial(iterate_oracle, check_positivity=False),
+                         channel, rho0, 5)
+    assert unchecked.startswith("channel absorbed the state (trace -")
+    assert unchecked.endswith("after step 3)")
+
+
+@pytest.mark.parametrize("kind", ["schur", "transition"])
+def test_iterate_states_are_distinct_arrays(kind):
+    rng = np.random.default_rng(59)
+    n = 5
+    rho0 = random_density(rng, n)
+    if kind == "schur":
+        channel = SchurChannel(np.full((n, n), 0.5) + 0.5 * np.eye(n))
+    else:
+        channel = make_transition_expectation(random_row_stochastic(n, rng))
+    traj = iterate_channel(channel, rho0, 6)
+    before = [s.copy() for s in traj.states]
+    traj.states[3][...] = 7.0
+    for k, state in enumerate(traj.states):
+        if k != 3:
+            assert np.array_equal(state, before[k])
+    assert not any(np.shares_memory(state, rho0) for state in traj.states)
+
+
+@pytest.mark.parametrize("kind", ["schur", "transition"])
+def test_iterate_memory_is_the_states_plus_a_few_matrices(kind):
+    # one n x n complex array per state; a stacked copy of the states or an
+    # n x n^2 Gram temporary would each break the bound
+    rng = np.random.default_rng(61)
+    n, steps = 48, 50
+    rho0 = random_density(rng, n)
+    if kind == "schur":
+        channel = SchurChannel(np.full((n, n), 0.5) + 0.5 * np.eye(n))
+        certify_cp(channel)
+    else:
+        channel = make_transition_expectation(random_row_stochastic(n, rng))
+    tracemalloc.start()
+    try:
+        traj = iterate_channel(channel, rho0, steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.states) == steps + 1
+    assert peak <= (steps + 1) * 16 * n * n + 64 * n * n
 
 
 # -------------------------------------------------------------- szegedy
