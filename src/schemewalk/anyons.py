@@ -25,10 +25,9 @@ over vacuum-fixing label maps, one label at a time (the pruned search of
 McKay & Piperno, "Practical graph isomorphism, II", 2014), cuts a
 partial map as soon as the support pattern q_ij^k > 1e-8 <=> N_ij^k >= 1
 breaks on its labels, and only complete maps that keep it are fitted.
-That answers matched pairs up to rank 32.  An unmatched pair falls back
-to the same search on an all-true pattern, which lists every bijection;
-the search stops with ValidationError past 2^17 partial maps, so that
-fallback answers up to rank 9.
+The search is exhaustive, so when it ends with no complete map the pair
+is decided as unmatched with an empty bijection; matched and unmatched
+pairs alike are answered up to rank 32.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ BRIDGE_THRESHOLD = 1e-6
 _BRIDGE_SUPPORT_TOL = 1e-8
 _BRIDGE_MAX_RANK = 32
 # Above 109,601 = sum_m 8!/(8-m)!, the whole rank-9 search tree, so every
-# search at rank <= 9 finishes, the all-bijection fallback included, and no
-# unpruned search above rank 9 does.
+# search at rank <= 9 finishes however little its pattern prunes; above
+# rank 9 it is the pruning that keeps a search under the cap.
 _BRIDGE_NODE_CAP = 1 << 17
 # Extensions whose support is compared in one gather: at rank 32 a chunk
 # holds 3 * 1024 * 32^2 booleans.
@@ -240,8 +239,10 @@ def builtin_fusion_system(name: str) -> FusionSystem:
 
     Ising F data: the sigma-sigma-sigma block is (1/sqrt2)[[1,1],[1,-1]]
     (plus sign gauge) and the psi-sandwich blocks carry the forced -1;
-    everything else is 1.  R_{sigma sigma} = e^{i pi/8} diag(1, i) over
-    the (1, psi) channels, R_{psi psi} = -1; twists (1, e^{i pi/8}, -1).
+    everything else is 1.  R data is Kitaev's nu = 1 theory:
+    R_{sigma sigma} = e^{-i pi/8} diag(1, i) over the (1, psi) channels,
+    R^{sigma psi}_sigma = R^{psi sigma}_sigma = -i, R_{psi psi} = -1;
+    twists (1, e^{i pi/8}, -1), so (R^{aa}_c)^2 = theta_c / theta_a^2.
     Fibonacci F/R constants are standard gauge choices certified by the
     pentagon/hexagon checks (see tests); twists are not stored.
     """
@@ -259,14 +260,15 @@ def builtin_fusion_system(name: str) -> FusionSystem:
             (2, 1, 2, 1): np.array([[-1.0]]),
             (1, 2, 1, 2): np.array([[-1.0]]),
         }
-        phase8 = np.exp(1j * np.pi / 8.0)
         r_data = {
-            (1, 1, 0): phase8,
-            (1, 1, 2): phase8 * 1j,
+            (1, 1, 0): np.exp(-1j * np.pi / 8.0),
+            (1, 1, 2): np.exp(3j * np.pi / 8.0),
+            (1, 2, 1): -1j,
+            (2, 1, 1): -1j,
             (2, 2, 0): -1.0 + 0.0j,
         }
         return make_fusion_system(labels, n, f_data, r_data,
-                                  twist=(1.0, phase8, -1.0))
+                                  twist=(1.0, np.exp(1j * np.pi / 8.0), -1.0))
     if name == "fibonacci":
         labels = ("1", "f")
         n = np.zeros((2, 2, 2), dtype=np.int64)
@@ -557,21 +559,18 @@ def scheme_fusion_bridge(dec: BoseMesnerDecomposition, q: KreinTensor,
 
     For a label bijection fixing the vacuum, positive per-index scalars s
     (s_0 = 1) are fitted by least squares in log space so that
-    q_{ij}^k s_i s_j / s_k approximates N over the matched labels; the
-    best bijection (the first with the least max deviation from N), its
-    scalars and that deviation are reported.  `matched` requires
-    deviation below 1e-6.
-
-    Only maps that keep the support pattern, q_ij^k > 1e-8 exactly where
+    q_{ij}^k s_i s_j / s_k approximates N over the matched labels.  Only
+    maps that keep the support pattern, q_ij^k > 1e-8 exactly where
     N_ij^k >= 1, are fitted: the search assigns labels 1, 2, ... in turn
     and cuts a partial map as soon as the pattern breaks on the labels it
-    has assigned, so matched pairs are answered up to rank 32.  If no
-    such map matches, the same search runs on an all-true pattern, which
-    keeps every bijection, so an unmatched pair reports its closest
-    bijection.  A search that passes 2^17 partial maps is refused: every
-    search at rank <= 9 stays below that, and the all-true search at any
-    higher rank passes it, so unmatched pairs above rank 9 are refused.
-    Ranks above 32 are refused outright.
+    has assigned.  The best such map (the first with the least max
+    deviation from N), its scalars and that deviation are reported, and
+    `matched` requires deviation below 1e-6.  If no map keeps the
+    pattern, the exhaustive search is the witness: the pair is unmatched
+    with an empty bijection, no scalars and deviation inf.
+
+    A search that passes 2^17 partial maps is refused; every search at
+    rank <= 9 stays below that.  Ranks above 32 are refused outright.
     """
     if q.d != dec.d:
         raise ValidationError("Krein tensor and decomposition disagree on d")
@@ -585,18 +584,10 @@ def scheme_fusion_bridge(dec: BoseMesnerDecomposition, q: KreinTensor,
 
     q_arr = q.q
     n_arr = fs.N.astype(np.float64)
-
-    def best_fit(q_support, n_support):
-        return min((_bridge_fit(q_arr, n_arr, tuple(perm))
-                    for perm in _support_maps(q_support, n_support).tolist()),
-                   key=itemgetter(0), default=None)
-
-    best = best_fit(q_arr > _BRIDGE_SUPPORT_TOL, fs.N >= 1)
-    if best is None or not best[0] < BRIDGE_THRESHOLD:
-        everything = np.ones(q_arr.shape, dtype=bool)
-        best = best_fit(everything, everything)
-
-    deviation, perm, scalars = best
+    maps = _support_maps(q_arr > _BRIDGE_SUPPORT_TOL, fs.N >= 1)
+    deviation, perm, scalars = min(
+        (_bridge_fit(q_arr, n_arr, tuple(perm)) for perm in maps.tolist()),
+        key=itemgetter(0), default=(np.inf, (), ()))
     return BridgeReport(
         matched=deviation < BRIDGE_THRESHOLD,
         bijection=perm,

@@ -466,8 +466,12 @@ def _cmd_anyon(args) -> int:
             "matched": report.matched,
             "bijection": list(report.bijection),
             "scalars": list(report.scalars),
-            "deviation": report.deviation,
+            # an empty bijection has deviation inf, which strict JSON cannot hold
+            "deviation": report.deviation if report.bijection else None,
         }))
+        return 0
+    if not report.bijection:
+        print("no integral match: no label map keeps the support pattern")
         return 0
     verdict = "match" if report.matched else "no integral match"
     names = [fs.labels[p] for p in report.bijection]

@@ -210,27 +210,47 @@ def test_anyon_malformed_system_file_exits_1(tmp_path, system, capsys):
     assert err.startswith("error: ")
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def test_anyon_bridge(j42_file, capsys):
     code = run(["anyon", "bridge", "--scheme", str(j42_file), "--system", "ising"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "no integral match" in out
+    assert out == "no integral match: no label map keeps the support pattern\n"
+
+    code = run(["anyon", "bridge", "--scheme", str(j42_file), "--system", "ising", "--json"])
+    out = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert code == 0
+    assert out == {"matched": False, "bijection": [], "scalars": [], "deviation": None}
 
 
 def test_anyon_bridge_above_rank_9(tmp_path, capsys):
-    from schemewalk import cyclic_fusion_system
+    from schemewalk import cyclic_fusion_system, make_fusion_system
     from schemewalk.serialize import save
 
     scheme_path = tmp_path / "z12.json"
     assert run(["scheme", "build", "--family", "group", "--group", "z12",
                 "--out", str(scheme_path)]) == 0
-    system_path = tmp_path / "z12-fusion.json"
-    save(system_path, "fusion-system", cyclic_fusion_system(12))
+    z2, z6 = cyclic_fusion_system(2), cyclic_fusion_system(6)
+    rings = {
+        "z12": cyclic_fusion_system(12),
+        "z2xz6": make_fusion_system(
+            [f"{a}{b}" for a in range(2) for b in range(6)],
+            np.einsum("ace,bdf->abcdef", z2.N, z6.N).reshape(12, 12, 12)),
+    }
+    for name, ring in rings.items():
+        save(tmp_path / f"{name}-fusion.json", "fusion-system", ring)
     capsys.readouterr()
-    code = run(["anyon", "bridge", "--scheme", str(scheme_path), "--system", str(system_path)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out.startswith("match:")
+    outs = {}
+    for name in rings:
+        code = run(["anyon", "bridge", "--scheme", str(scheme_path),
+                    "--system", str(tmp_path / f"{name}-fusion.json")])
+        outs[name] = capsys.readouterr().out
+        assert code == 0
+    assert outs["z12"].startswith("match:")
+    assert outs["z2xz6"].startswith("no integral match")
 
 
 def test_exit_codes(tmp_path, capsys):
