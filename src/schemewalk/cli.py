@@ -29,7 +29,7 @@ from .anyons import (
 )
 from .errors import CertificationError, ValidationError
 from .hypergroup import hypergroup_from, walk
-from .parameters import check_krein_condition, intersection_numbers, krein_parameters
+from .parameters import intersection_numbers, krein_parameters
 from .qmc import (
     SchurChannel,
     apply_transition_expectation,
@@ -57,7 +57,7 @@ from .serialize import (
     save,
     to_jsonable,
 )
-from .spectral import decompose
+from .spectral import BoseMesnerDecomposition, decompose
 
 _VERSION_NOTICE = (
     f"schemewalk {__version__}\n"
@@ -87,12 +87,30 @@ def _fmt_entry(z) -> str:
     return f"{_fmt_real(z.real)}{z.imag:+.8f}j"
 
 
-def _print_matrix(mat):
-    arr = np.asarray(mat)
-    body = ", ".join(
-        "[" + ", ".join(_fmt_entry(v) for v in row) + "]" for row in arr
-    )
-    print(f"[{body}]")
+def _vector_text(values) -> str:
+    return "[" + ", ".join(_fmt_entry(v) for v in values) + "]"
+
+
+def _matrix_text(mat) -> str:
+    return "[" + ", ".join(_vector_text(row) for row in np.asarray(mat)) + "]"
+
+
+def _json_default(obj):
+    if isinstance(obj, BoseMesnerDecomposition):
+        return decomposition_to_jsonable(obj)
+    return encode_matrix(obj)
+
+
+def _emit(args, payload, *text_lines, passed=True) -> int:
+    """Print `payload` as one JSON document under --json, else the text lines;
+    exit 0, or 2 for a failed check.  Arrays are encoded or rendered only for
+    the mode that prints them: a Szegedy U may hold 4096^2 entries."""
+    if args.json:
+        print(json.dumps(payload, default=_json_default))
+    else:
+        for line in text_lines:
+            print(_matrix_text(line) if isinstance(line, np.ndarray) else line)
+    return 0 if passed else 2
 
 
 def _inline_or_file(value: str, kind: str):
@@ -120,12 +138,22 @@ def _parse_index_or_dist(value: str, what: str):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="schemewalk", description=__doc__)
     parser.add_argument("--version", action="version", version=_VERSION_NOTICE)
-    sub = parser.add_subparsers(dest="verb", required=True)
+    verbs = parser.add_subparsers(dest="verb", required=True)
 
-    scheme = sub.add_parser("scheme", help="build and inspect association schemes")
-    scheme_sub = scheme.add_subparsers(dest="action", required=True)
+    def command(parent, name, handler, help, with_json=True):
+        cmd = parent.add_parser(name, help=help)
+        cmd.set_defaults(handler=handler)
+        if with_json:
+            cmd.add_argument("--json", action="store_true")
+        return cmd
 
-    build = scheme_sub.add_parser("build", help="construct a built-in scheme family")
+    def group(name, help):
+        return verbs.add_parser(name, help=help).add_subparsers(dest="action", required=True)
+
+    scheme_sub = group("scheme", "build and inspect association schemes")
+
+    build = command(scheme_sub, "build", _cmd_scheme_build,
+                    "construct a built-in scheme family", with_json=False)
     build.add_argument("--family", required=True,
                        choices=["group", "conjugacy", "orbit", "johnson", "grassmann"])
     build.add_argument("--v", type=int, help="ground-set size (johnson/grassmann)")
@@ -137,63 +165,47 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--n", type=int, help="point count (orbit)")
     build.add_argument("--out", help="write scheme JSON here instead of stdout")
 
-    verify = scheme_sub.add_parser("verify", help="check the scheme axioms")
-    verify.add_argument("path")
-    verify.add_argument("--json", action="store_true")
-
-    spectrum = scheme_sub.add_parser("spectrum", help="idempotents, multiplicities, P and Q")
-    spectrum.add_argument("path")
-    spectrum.add_argument("--json", action="store_true")
-
-    params = scheme_sub.add_parser("params", help="intersection numbers or Krein parameters")
+    command(scheme_sub, "verify", _cmd_scheme_verify,
+            "check the scheme axioms").add_argument("path")
+    command(scheme_sub, "spectrum", _cmd_scheme_spectrum,
+            "idempotents, multiplicities, P and Q").add_argument("path")
+    params = command(scheme_sub, "params", _cmd_scheme_params,
+                     "intersection numbers or Krein parameters")
     params.add_argument("path")
     params.add_argument("--kind", required=True, choices=["intersection", "krein"])
-    params.add_argument("--json", action="store_true")
 
-    walk_p = sub.add_parser("walk", help="classical walks")
-    walk_sub = walk_p.add_subparsers(dest="action", required=True)
-    hg = walk_sub.add_parser("hypergroup", help="random walk on the idempotent hypergroup")
+    walk_sub = group("walk", "classical walks")
+    hg = command(walk_sub, "hypergroup", _cmd_walk, "random walk on the idempotent hypergroup")
     hg.add_argument("path")
     hg.add_argument("--coin", required=True, help="index or JSON weights")
     hg.add_argument("--start", required=True, help="index or JSON distribution")
     hg.add_argument("--steps", required=True, type=int)
     hg.add_argument("--csv", help="write the trajectory as CSV here")
-    hg.add_argument("--json", action="store_true")
 
-    qmc_p = sub.add_parser("qmc", help="quantum chains")
-    qmc_sub = qmc_p.add_subparsers(dest="action", required=True)
-
-    dilate = qmc_sub.add_parser("dilate", help="orthogonal dilation of a distribution")
-    dilate.add_argument("--dist", required=True, help="JSON list or file path")
-    dilate.add_argument("--json", action="store_true")
-
-    ent = qmc_sub.add_parser("entangled", help="transition expectation E(M (x) N)")
+    qmc_sub = group("qmc", "quantum chains")
+    command(qmc_sub, "dilate", _cmd_dilate, "orthogonal dilation of a distribution").add_argument(
+        "--dist", required=True, help="JSON list or file path")
+    ent = command(qmc_sub, "entangled", _cmd_entangled, "transition expectation E(M (x) N)")
     ent.add_argument("--transition", required=True, help="row-stochastic matrix (JSON or path)")
     ent.add_argument("--M", required=True, help="site matrix (JSON or path)")
     ent.add_argument("--N", required=True, help="site matrix (JSON or path)")
-    ent.add_argument("--json", action="store_true")
+    schur = command(qmc_sub, "schur", _cmd_schur, "iterate an idempotent Schur channel")
+    schur.add_argument("--scheme", required=True)
+    schur.add_argument("--coin", required=True, type=int, help="idempotent index")
+    schur.add_argument("--rho", required=True, help="density matrix (JSON or path)")
+    schur.add_argument("--steps", required=True, type=int)
 
-    schur_p = qmc_sub.add_parser("schur", help="iterate an idempotent Schur channel")
-    schur_p.add_argument("--scheme", required=True)
-    schur_p.add_argument("--coin", required=True, type=int, help="idempotent index")
-    schur_p.add_argument("--rho", required=True, help="density matrix (JSON or path)")
-    schur_p.add_argument("--steps", required=True, type=int)
-    schur_p.add_argument("--json", action="store_true")
-
-    szg = sub.add_parser("szegedy", help="walk unitary of a stochastic matrix")
+    szg = command(verbs, "szegedy", _cmd_szegedy, "walk unitary of a stochastic matrix")
     szg.add_argument("--transition", required=True, help="stochastic matrix (JSON or path)")
     szg.add_argument("--convention", default="column", choices=["column", "row"])
     szg.add_argument("--out", help="write U as matrix JSON here")
-    szg.add_argument("--json", action="store_true")
 
-    anyon = sub.add_parser("anyon", help="fusion systems")
+    anyon = command(verbs, "anyon", _cmd_anyon, "fusion systems")
     anyon.add_argument("--system", required=True,
                        help="ising, fibonacci, or a fusion-system JSON path")
-    anyon.add_argument("--op", required=True,
-                       choices=["fuse", "dims", "braid", "pentagon", "hexagon", "bridge"])
+    anyon.add_argument("--op", required=True, choices=list(_ANYON_OPS))
     anyon.add_argument("args", nargs="*", help="labels for fuse")
     anyon.add_argument("--scheme", help="scheme JSON path (bridge)")
-    anyon.add_argument("--json", action="store_true")
 
     return parser
 
@@ -234,59 +246,39 @@ def _cmd_scheme_build(args) -> int:
 
 
 def _cmd_scheme_verify(args) -> int:
-    scheme = load(args.path, "scheme", validate=False)
-    report = verify_axioms(scheme)
-    if args.json:
-        print(json.dumps({
-            "passed": report.passed,
-            "commutative": report.commutative,
-            "violations": [[axiom, list(witness)] for axiom, witness in report.violations],
-        }))
-    elif report.passed:
-        print("passed, " + ("commutative" if report.commutative else "non-commutative"))
-    else:
-        for axiom, witness in report.violations:
-            print(f"failed: axiom ({axiom}) witness {witness}")
-    return 0 if report.passed else 2
+    report = verify_axioms(load(args.path, "scheme", validate=False))
+    lines = [f"failed: axiom ({axiom}) witness {witness}" for axiom, witness in report.violations]
+    if report.passed:
+        lines = ["passed, " + ("commutative" if report.commutative else "non-commutative")]
+    return _emit(args, {
+        "passed": report.passed,
+        "commutative": report.commutative,
+        "violations": [[axiom, list(witness)] for axiom, witness in report.violations],
+    }, *lines, passed=report.passed)
 
 
 def _cmd_scheme_spectrum(args) -> int:
     dec = decompose(load(args.path, "scheme"))
-    if args.json:
-        print(json.dumps(decomposition_to_jsonable(dec)))
-        return 0
-    print(f"multiplicities: {list(dec.multiplicities)}")
-    print("eigenmatrix P:")
-    _print_matrix(dec.eigenmatrix_P)
-    print("eigenmatrix Q:")
-    _print_matrix(dec.eigenmatrix_Q)
-    return 0
+    return _emit(args, dec,
+                 f"multiplicities: {list(dec.multiplicities)}",
+                 "eigenmatrix P:", dec.eigenmatrix_P,
+                 "eigenmatrix Q:", dec.eigenmatrix_Q)
 
 
 def _cmd_scheme_params(args) -> int:
     scheme = load(args.path, "scheme")
     if args.kind == "intersection":
         tensor = intersection_numbers(scheme)
-        if args.json:
-            print(json.dumps(to_jsonable("tensor", tensor)))
-            return 0
-        for i in range(tensor.d + 1):
-            for j in range(tensor.d + 1):
-                print(f"p[{i}][{j}] = {list(map(int, tensor.p[i, j]))}")
-        return 0
-    dec = decompose(scheme)
-    tensor = krein_parameters(dec)
-    report = check_krein_condition(tensor)
-    if args.json:
-        out = to_jsonable("tensor", tensor)
-        out["nonnegative"] = report.passed
-        print(json.dumps(out))
-        return 0
-    for i in range(tensor.d + 1):
-        for j in range(tensor.d + 1):
-            print(f"q[{i}][{j}] = [" + ", ".join(_fmt_real(v) for v in tensor.q[i, j]) + "]")
-    print(f"Krein condition: {'satisfied' if report.passed else 'violated'}")
-    return 0 if report.passed else 2
+        return _emit(args, to_jsonable("tensor", tensor),
+                     *(f"p[{i}][{j}] = {list(map(int, tensor.p[i, j]))}"
+                       for i, j in np.ndindex(tensor.p.shape[:2])))
+    # krein_parameters raises CertificationError on any q_ij^k < -KREIN_TOLERANCE,
+    # so a returned tensor satisfies the Krein condition
+    tensor = krein_parameters(decompose(scheme))
+    return _emit(args, {**to_jsonable("tensor", tensor), "nonnegative": True},
+                 *(f"q[{i}][{j}] = {_vector_text(tensor.q[i, j])}"
+                   for i, j in np.ndindex(tensor.q.shape[:2])),
+                 "Krein condition: satisfied")
 
 
 def _cmd_walk(args) -> int:
@@ -294,12 +286,10 @@ def _cmd_walk(args) -> int:
     h = hypergroup_from(dec, krein_parameters(dec))
     coin = _parse_index_or_dist(args.coin, "--coin")
     start = _parse_index_or_dist(args.start, "--start")
-    if isinstance(start, (int, np.integer)):
-        idx = int(start)
-        if not 0 <= idx < h.size:
-            raise ValidationError(f"--start index {idx} out of range 0..{h.size - 1}")
-        start = np.zeros(h.size)
-        start[idx] = 1.0
+    if isinstance(start, int):
+        if not 0 <= start < h.size:
+            raise ValidationError(f"--start index {start} out of range 0..{h.size - 1}")
+        start = np.eye(h.size)[start]
     history = walk(h, coin, start, args.steps)
 
     if args.csv:
@@ -310,22 +300,13 @@ def _cmd_walk(args) -> int:
                 writer.writerow([step] + [repr(float(v)) for v in dist])
         print(f"walk trajectory ({len(history)} rows) -> {args.csv}")
         return 0
-    if args.json:
-        print(json.dumps({"steps": [[float(v) for v in dist] for dist in history]}))
-        return 0
-    for step, dist in enumerate(history):
-        print(f"step {step}: [" + ", ".join(_fmt_real(v) for v in dist) + "]")
-    return 0
+    return _emit(args, {"steps": history},
+                 *(f"step {step}: {_vector_text(dist)}" for step, dist in enumerate(history)))
 
 
 def _cmd_dilate(args) -> int:
-    dist = _inline_or_file(args.dist, "distribution")
-    u = dilation_unitary(dist)
-    if args.json:
-        print(json.dumps(encode_matrix(u)))
-    else:
-        _print_matrix(u)
-    return 0
+    u = dilation_unitary(_inline_or_file(args.dist, "distribution"))
+    return _emit(args, u, u)
 
 
 def _cmd_entangled(args) -> int:
@@ -335,19 +316,14 @@ def _cmd_entangled(args) -> int:
     result = apply_transition_expectation(te, m, n)
     residual = float(np.max(np.abs(result - transition_expectation_closed_form(te, m, n))))
     print(f"closed-form agreement residual: {residual:.3e}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(encode_matrix(result)))
-    else:
-        _print_matrix(result)
-    return 0
+    return _emit(args, result, result)
 
 
 def _cmd_schur(args) -> int:
     dec = decompose(load(args.scheme, "scheme"))
     if not 0 <= args.coin <= dec.d:
         raise ValidationError(f"--coin must be in 0..{dec.d}")
-    multiplier = dec.idempotents[args.coin] / dec.multiplicities[args.coin]
-    channel = SchurChannel(multiplier=multiplier)
+    channel = SchurChannel(multiplier=dec.idempotents[args.coin] / dec.multiplicities[args.coin])
     report = certify_cp(channel)
     if not report.is_cp:
         raise CertificationError(
@@ -356,17 +332,9 @@ def _cmd_schur(args) -> int:
         )
     rho = _inline_or_file(args.rho, "matrix")
     trajectory = iterate_channel(channel, rho, args.steps)
-    if args.json:
-        print(json.dumps({
-            "trace_factors": list(trajectory.trace_factors),
-            "states": [encode_matrix(s) for s in trajectory.states],
-        }))
-        return 0
-    print("trace factors per step: ["
-          + ", ".join(_fmt_real(v) for v in trajectory.trace_factors) + "]")
-    print("final state:")
-    _print_matrix(trajectory.states[-1])
-    return 0
+    return _emit(args, {"trace_factors": trajectory.trace_factors, "states": trajectory.states},
+                 f"trace factors per step: {_vector_text(trajectory.trace_factors)}",
+                 "final state:", trajectory.states[-1])
 
 
 def _cmd_szegedy(args) -> int:
@@ -377,147 +345,108 @@ def _cmd_szegedy(args) -> int:
         save(args.out, "matrix", op.U)
         print(f"U -> {args.out}")
         return 0
-    if args.json:
-        print(json.dumps({"dim_v": op.dim_v, "U": encode_matrix(op.U)}))
-    else:
-        _print_matrix(op.U)
-    return 0
+    return _emit(args, {"dim_v": op.dim_v, "U": op.U}, op.U)
 
 
-def _cmd_anyon(args) -> int:
-    if args.system in ("ising", "fibonacci"):
-        fs = builtin_fusion_system(args.system)
-    else:
-        fs = load(args.system, "fusion-system")
+def _anyon_fuse(args, fs) -> int:
+    if len(args.args) != 2:
+        raise ValidationError("fuse needs two labels, e.g. --op fuse sigma sigma")
+    vec = fuse(fs, args.args[0], args.args[1])
+    terms = [f"{fs.labels[c]}:{int(mult)}" for c, mult in enumerate(vec) if mult]
+    return _emit(args, {"labels": list(fs.labels), "multiplicities": [int(v) for v in vec]},
+                 f"{args.args[0]} x {args.args[1]} -> " + (", ".join(terms) or "0"))
 
-    if args.op == "fuse":
-        if len(args.args) != 2:
-            raise ValidationError("fuse needs two labels, e.g. --op fuse sigma sigma")
-        vec = fuse(fs, args.args[0], args.args[1])
-        if args.json:
-            print(json.dumps({"labels": list(fs.labels),
-                              "multiplicities": [int(v) for v in vec]}))
-        else:
-            terms = [f"{fs.labels[c]}:{int(mult)}" for c, mult in enumerate(vec) if mult]
-            print(f"{args.args[0]} x {args.args[1]} -> " + (", ".join(terms) or "0"))
-        return 0
 
-    if args.op == "dims":
-        dims = quantum_dimensions(fs)
-        if args.json:
-            print(json.dumps({"labels": list(fs.labels), "dims": [float(v) for v in dims]}))
-        else:
-            print(", ".join(f"{lab}: {dim:.10f}" for lab, dim in zip(fs.labels, dims)))
-        return 0
+def _anyon_dims(args, fs) -> int:
+    dims = quantum_dimensions(fs)
+    return _emit(args, {"labels": list(fs.labels), "dims": [float(v) for v in dims]},
+                 ", ".join(f"{lab}: {dim:.10f}" for lab, dim in zip(fs.labels, dims)))
 
-    if args.op == "braid":
-        gens = braid_generators(fs)
-        if args.json:
-            print(json.dumps({
-                "label": gens.label,
-                "sigma1": encode_matrix(gens.sigma1),
-                "sigma2": encode_matrix(gens.sigma2),
-                "B": encode_matrix(gens.b_matrix),
-                "braid_residual": gens.braid_residual,
-            }))
-            return 0
-        print(f"braiding label: {gens.label}")
-        print("sigma1:")
-        _print_matrix(gens.sigma1)
-        print("sigma2:")
-        _print_matrix(gens.sigma2)
-        print("B = F R^2 F^-1:")
-        _print_matrix(gens.b_matrix)
-        print(f"braid relation residual (up to phase): {gens.braid_residual:.3e}")
-        return 0
 
-    if args.op == "pentagon":
-        report = verify_pentagon(fs)
-        if args.json:
-            print(json.dumps({"max_residual": report.max_residual,
-                              "identities_checked": report.identities_checked,
-                              "passed": report.passed}))
-        else:
-            print(f"pentagon residual {report.max_residual:.3e} over "
-                  f"{report.identities_checked} identities: "
-                  + ("PASS" if report.passed else "FAIL"))
-        return 0 if report.passed else 2
+def _anyon_braid(args, fs) -> int:
+    gens = braid_generators(fs)
+    return _emit(args, {"label": gens.label, "sigma1": gens.sigma1, "sigma2": gens.sigma2,
+                        "B": gens.b_matrix, "braid_residual": gens.braid_residual},
+                 f"braiding label: {gens.label}",
+                 "sigma1:", gens.sigma1,
+                 "sigma2:", gens.sigma2,
+                 "B = F R^2 F^-1:", gens.b_matrix,
+                 f"braid relation residual (up to phase): {gens.braid_residual:.3e}")
 
-    if args.op == "hexagon":
-        report = verify_hexagon(fs)
-        if args.json:
-            print(json.dumps({"max_residual": report.max_residual,
-                              "max_residual_inverse": report.max_residual_inverse,
-                              "identities_checked": report.identities_checked,
-                              "passed": report.passed}))
-        else:
-            print(f"hexagon residuals {report.max_residual:.3e} / "
-                  f"{report.max_residual_inverse:.3e} (both orientations): "
-                  + ("PASS" if report.passed else "FAIL"))
-        return 0 if report.passed else 2
 
-    # bridge
+def _anyon_pentagon(args, fs) -> int:
+    report = verify_pentagon(fs)
+    return _emit(args, {"max_residual": report.max_residual,
+                        "identities_checked": report.identities_checked,
+                        "passed": report.passed},
+                 f"pentagon residual {report.max_residual:.3e} over "
+                 f"{report.identities_checked} identities: "
+                 + ("PASS" if report.passed else "FAIL"), passed=report.passed)
+
+
+def _anyon_hexagon(args, fs) -> int:
+    report = verify_hexagon(fs)
+    return _emit(args, {"max_residual": report.max_residual,
+                        "max_residual_inverse": report.max_residual_inverse,
+                        "identities_checked": report.identities_checked,
+                        "passed": report.passed},
+                 f"hexagon residuals {report.max_residual:.3e} / "
+                 f"{report.max_residual_inverse:.3e} (both orientations): "
+                 + ("PASS" if report.passed else "FAIL"), passed=report.passed)
+
+
+def _anyon_bridge(args, fs) -> int:
     if not args.scheme:
         raise ValidationError("bridge needs --scheme")
     dec = decompose(load(args.scheme, "scheme"))
     report = scheme_fusion_bridge(dec, krein_parameters(dec), fs)
-    if args.json:
-        print(json.dumps({
-            "matched": report.matched,
-            "bijection": list(report.bijection),
-            "scalars": list(report.scalars),
-            # an empty bijection has deviation inf, which strict JSON cannot hold
-            "deviation": report.deviation if report.bijection else None,
-        }))
-        return 0
-    if not report.bijection:
-        print("no integral match: no label map keeps the support pattern")
-        return 0
-    verdict = "match" if report.matched else "no integral match"
-    names = [fs.labels[p] for p in report.bijection]
-    print(f"{verdict}: bijection {names}, deviation {report.deviation:.3e}")
-    print("fitted scalars: [" + ", ".join(_fmt_real(s) for s in report.scalars) + "]")
-    return 0
+    if report.bijection:
+        verdict = "match" if report.matched else "no integral match"
+        names = [fs.labels[p] for p in report.bijection]
+        lines = (f"{verdict}: bijection {names}, deviation {report.deviation:.3e}",
+                 f"fitted scalars: {_vector_text(report.scalars)}")
+    else:
+        lines = ("no integral match: no label map keeps the support pattern",)
+    return _emit(args, {
+        "matched": report.matched,
+        "bijection": list(report.bijection),
+        "scalars": list(report.scalars),
+        # an empty bijection has deviation inf, which strict JSON cannot hold
+        "deviation": report.deviation if report.bijection else None,
+    }, *lines)
+
+
+_ANYON_OPS = {
+    "fuse": _anyon_fuse,
+    "dims": _anyon_dims,
+    "braid": _anyon_braid,
+    "pentagon": _anyon_pentagon,
+    "hexagon": _anyon_hexagon,
+    "bridge": _anyon_bridge,
+}
+
+
+def _cmd_anyon(args) -> int:
+    fs = (builtin_fusion_system(args.system) if args.system in ("ising", "fibonacci")
+          else load(args.system, "fusion-system"))
+    return _ANYON_OPS[args.op](args, fs)
 
 
 def run(argv) -> int:
     argv = list(argv)
     if argv[:2] == ["anyon", "bridge"]:
         argv = ["anyon", "--op", "bridge"] + argv[2:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.verb == "scheme":
-            handler = {
-                "build": _cmd_scheme_build,
-                "verify": _cmd_scheme_verify,
-                "spectrum": _cmd_scheme_spectrum,
-                "params": _cmd_scheme_params,
-            }[args.action]
-            return handler(args)
-        if args.verb == "walk":
-            return _cmd_walk(args)
-        if args.verb == "qmc":
-            handler = {
-                "dilate": _cmd_dilate,
-                "entangled": _cmd_entangled,
-                "schur": _cmd_schur,
-            }[args.action]
-            return handler(args)
-        if args.verb == "szegedy":
-            return _cmd_szegedy(args)
-        return _cmd_anyon(args)
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:       # --help / --version
         return int(exc.code or 0)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def main() -> None:

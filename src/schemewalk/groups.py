@@ -22,6 +22,11 @@ import numpy as np
 
 from .errors import ValidationError, numeric_array
 
+# Built-in groups, Johnson and orbit schemes may not exceed this many
+# elements or vertices (an int64 table of that order takes 200 MB);
+# Grassmann schemes above it need an explicit `vertex_cap`.
+DEFAULT_VERTEX_CAP = 5000
+
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
@@ -142,10 +147,18 @@ def from_table(cayley, name: str = "group") -> FiniteGroup:
     return FiniteGroup(cayley, name=name)
 
 
+def _require_order_within_cap(order: int, name: str):
+    if order > DEFAULT_VERTEX_CAP:
+        raise ValidationError(
+            f"{name} has order {order}, above the cap of {DEFAULT_VERTEX_CAP}"
+        )
+
+
 def cyclic(n: int) -> FiniteGroup:
     """Z_n with addition mod n; element k is the residue k."""
     if n < 1:
         raise ValidationError("cyclic group needs n >= 1")
+    _require_order_within_cap(n, f"Z_{n}")
     k = np.arange(n)
     return FiniteGroup((k[:, None] + k) % n, name=f"Z_{n}")
 
@@ -168,6 +181,7 @@ def dihedral(n: int) -> FiniteGroup:
     """D_n of order 2n: indices 0..n-1 are rotations r^i, n..2n-1 are s*r^i."""
     if n < 1:
         raise ValidationError("dihedral group needs n >= 1")
+    _require_order_within_cap(2 * n, f"D_{n}")
     ka, ia = np.divmod(np.arange(2 * n), n)
     kb, ib = ka[None, :], ia[None, :]
     ka, ia = ka[:, None], ia[:, None]

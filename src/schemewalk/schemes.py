@@ -39,12 +39,9 @@ import numpy as np
 
 from . import galois
 from .errors import CertificationError, ValidationError, numeric_array
-from .groups import FiniteGroup
+from .groups import DEFAULT_VERTEX_CAP, FiniteGroup
 from .qmc import _support_components
 
-# Johnson schemes may not exceed this many vertices; Grassmann schemes
-# above it need an explicit `vertex_cap`.
-DEFAULT_VERTEX_CAP = 5000
 # The orbital pass of `build_orbit_scheme` holds about 6k + 1 int64 words
 # per pair for k generators (pair labels, edge lists and their gathers);
 # it may use as much as one relation matrix at DEFAULT_VERTEX_CAP (200 MB).

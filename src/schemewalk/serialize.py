@@ -197,7 +197,12 @@ def save(path, kind: str, obj) -> None:
 
 
 def load(path, kind: str, validate: bool = True):
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
     return loads(text, kind, validate=validate)
 
 

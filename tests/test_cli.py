@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,3 +354,72 @@ def test_verbs_that_decompose_refuse_a_non_commutative_scheme(argv, tmp_path, ca
     err = capsys.readouterr().err
     assert code == 1
     assert "not commutative" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scheme", "build", "--family", "johnson", "--v", "4", "--k", "2", "--out", "DIR"],
+    ["scheme", "verify", "DIR"],
+    ["walk", "hypergroup", "SCHEME", "--coin", "1", "--start", "0", "--steps", "1",
+     "--csv", "DIR"],
+    ["scheme", "verify", "UTF16"],
+    ["anyon", "--system", "UTF16", "--op", "dims"],
+], ids=["build-out-dir", "verify-dir", "csv-dir", "verify-utf16", "anyon-utf16"])
+def test_os_and_encoding_errors_exit_1_without_a_traceback(argv, tmp_path, j42_file, capsys):
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{}")
+    names = {"DIR": str(tmp_path), "SCHEME": str(j42_file), "UTF16": str(utf16)}
+    code = run([names.get(a, a) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_main_exit_codes_through_the_module_entry_point(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "schemewalk.cli", *argv],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+
+    built = cli("scheme", "build", "--family", "johnson", "--v", "4", "--k", "2",
+                "--out", "j42.json")
+    assert built.returncode == 0, built.stderr
+    verified = cli("scheme", "verify", "j42.json")
+    assert (verified.returncode, verified.stdout) == (0, "passed, commutative\n")
+    bogus = cli("bogus")
+    assert bogus.returncode == 1
+    assert bogus.stderr.startswith("error: ")
+    data = json.loads((tmp_path / "j42.json").read_text())
+    data["relation"][0][0] = 1
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    corrupted = cli("scheme", "verify", "bad.json")
+    assert corrupted.returncode == 2
+    assert "axiom (1)" in corrupted.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["scheme", "verify", "SCHEME"],
+    ["scheme", "spectrum", "SCHEME"],
+    ["scheme", "params", "SCHEME", "--kind", "intersection"],
+    ["scheme", "params", "SCHEME", "--kind", "krein"],
+    ["walk", "hypergroup", "SCHEME", "--coin", "1", "--start", "0", "--steps", "2"],
+    ["qmc", "dilate", "--dist", "[0.5,0.25,0.25]"],
+    ["qmc", "entangled", "--transition", "[[0.5,0.5],[0.5,0.5]]",
+     "--M", "[[1,0],[0,1]]", "--N", "[[1,0],[0,0]]"],
+    ["qmc", "schur", "--scheme", "SCHEME", "--coin", "1",
+     "--rho", json.dumps((np.eye(6) / 6).tolist()), "--steps", "2"],
+    ["szegedy", "--transition", "[[0.5,0.5],[0.5,0.5]]"],
+    ["anyon", "--system", "ising", "--op", "fuse", "sigma", "sigma"],
+    ["anyon", "--system", "fibonacci", "--op", "dims"],
+    ["anyon", "--system", "ising", "--op", "braid"],
+    ["anyon", "--system", "ising", "--op", "pentagon"],
+    ["anyon", "--system", "fibonacci", "--op", "hexagon"],
+    ["anyon", "--system", "ising", "--op", "bridge", "--scheme", "SCHEME"],
+], ids=lambda argv: "-".join(a for a in argv if a.isalpha() and a.islower()))
+def test_every_json_verb_prints_one_strict_json_document(argv, j42_file, capsys):
+    code = run([str(j42_file) if a == "SCHEME" else a for a in argv] + ["--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    json.loads(out, parse_constant=_refuse_constant)  # exactly one document, no NaN/Infinity

@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schemewalk import ValidationError, groups
+from schemewalk.cli import run
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -291,3 +293,42 @@ def test_groups_compare_and_hash_by_value():
     assert a != groups.dihedral(3)
     with pytest.raises(ValueError):
         a.table[0, 0] = 1
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: groups.cyclic(5001), "Z_5001"),
+    (lambda: groups.dihedral(2501), "D_2501"),
+    (lambda: groups.builtin("z5001"), "Z_5001"),
+], ids=["cyclic", "dihedral", "builtin"])
+def test_orders_above_the_vertex_cap_are_refused_before_any_table(build, name):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=f"{name} has order .* above the cap of 5000"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("family, group", [("group", "z5001"), ("conjugacy", "d2501")])
+def test_cli_refuses_a_group_above_the_vertex_cap(family, group, tmp_path, capsys):
+    out = tmp_path / "scheme.json"
+    tracemalloc.start()
+    try:
+        code = run(["scheme", "build", "--family", family, "--group", group, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "above the cap of 5000" in capsys.readouterr().err
+    assert not out.exists()
+    assert peak < 1 << 20
+
+
+def test_an_order_equal_to_the_cap_builds(monkeypatch):
+    monkeypatch.setattr(groups, "DEFAULT_VERTEX_CAP", 12)
+    assert groups.cyclic(12).order == 12
+    assert groups.dihedral(6).order == 12
+    with pytest.raises(ValidationError, match="D_7 has order 14"):
+        groups.dihedral(7)

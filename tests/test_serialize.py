@@ -208,6 +208,13 @@ def test_malformed_json_reports_location(tmp_path):
         loads("[1, 2,", "distribution")
 
 
+def test_a_file_that_is_not_utf8_is_a_validation_error(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ValidationError, match="not UTF-8"):
+        load(path, "scheme")
+
+
 def test_decomposition_export():
     dec = decompose(build_johnson(4, 2))
     data = decomposition_to_jsonable(dec)
