@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Verbs: scheme (build/verify/spectrum/params), walk hypergroup, qmc
-(dilate/entangled/schur), szegedy, anyon.  Every command has a
-machine-readable mode (--json) next to its default table rendering.
+(dilate/entangled/schur), szegedy, anyon.  Every verb but scheme build
+has a machine-readable mode (--json) next to its default table rendering.
 Results go to stdout, diagnostics to stderr; exit codes: 0 success,
 1 validation error (bad input or flags), 2 certification failure
 (axioms, Krein, complete positivity, ...).
@@ -33,7 +33,6 @@ from .parameters import intersection_numbers, krein_parameters
 from .qmc import (
     SchurChannel,
     apply_transition_expectation,
-    certify_cp,
     dilation_unitary,
     iterate_channel,
     make_transition_expectation,
@@ -286,10 +285,6 @@ def _cmd_walk(args) -> int:
     h = hypergroup_from(dec, krein_parameters(dec))
     coin = _parse_index_or_dist(args.coin, "--coin")
     start = _parse_index_or_dist(args.start, "--start")
-    if isinstance(start, int):
-        if not 0 <= start < h.size:
-            raise ValidationError(f"--start index {start} out of range 0..{h.size - 1}")
-        start = np.eye(h.size)[start]
     history = walk(h, coin, start, args.steps)
 
     if args.csv:
@@ -324,12 +319,6 @@ def _cmd_schur(args) -> int:
     if not 0 <= args.coin <= dec.d:
         raise ValidationError(f"--coin must be in 0..{dec.d}")
     channel = SchurChannel(multiplier=dec.idempotents[args.coin] / dec.multiplicities[args.coin])
-    report = certify_cp(channel)
-    if not report.is_cp:
-        raise CertificationError(
-            f"channel is not completely positive (min Choi eigenvalue "
-            f"{report.choi_min_eigenvalue:.3e})"
-        )
     rho = _inline_or_file(args.rho, "matrix")
     trajectory = iterate_channel(channel, rho, args.steps)
     return _emit(args, {"trace_factors": trajectory.trace_factors, "states": trajectory.states},

@@ -83,8 +83,13 @@ def hypergroup_from(dec: BoseMesnerDecomposition, q: KreinTensor) -> Hypergroup:
 
     # index 0 is the identity: verify, then store it exactly
     delta = np.eye(d + 1)
-    if np.max(np.abs(conv[0] - delta)) > _SLICE_SUM_TOL:
-        raise CertificationError("index 0 does not act as the hypergroup identity")
+    gap = np.abs(conv[0] - delta)
+    if gap.max() > _SLICE_SUM_TOL:
+        j, k = np.unravel_index(int(np.argmax(gap)), gap.shape)
+        raise CertificationError(
+            f"index 0 does not act as the hypergroup identity: weight (0,{j},{k}) = "
+            f"{conv[0, j, k]:.3e}"
+        )
     conv[0] = delta
     conv[:, 0, :] = delta
     return Hypergroup(size=d + 1, convolution=conv, multiplicities=dec.multiplicities)
@@ -103,14 +108,18 @@ def _as_distribution(vec, size: int, what: str) -> np.ndarray:
     return np.clip(v, 0.0, None)
 
 
-def _coin_measure(h: Hypergroup, coin) -> np.ndarray:
-    if isinstance(coin, (int, np.integer)):
-        if not 0 <= int(coin) < h.size:
-            raise ValidationError(f"coin index {coin} out of range 0..{h.size - 1}")
+def _measure(h: Hypergroup, value, what: str) -> np.ndarray:
+    """`value` as a measure on {0..d}: an index is a point mass, anything
+    else must be a distribution of length d + 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{what} must be an index or a distribution, not {value!r}")
+    if isinstance(value, (int, np.integer)):
+        if not 0 <= int(value) < h.size:
+            raise ValidationError(f"{what} index {value} out of range 0..{h.size - 1}")
         measure = np.zeros(h.size)
-        measure[int(coin)] = 1.0
+        measure[int(value)] = 1.0
         return measure
-    return _as_distribution(coin, h.size, "coin weights")
+    return _as_distribution(value, h.size, f"{what} distribution")
 
 
 def convolve(h: Hypergroup, mu, nu) -> np.ndarray:
@@ -126,17 +135,18 @@ def classical_chain(h: Hypergroup, coin) -> np.ndarray:
     T[k][j] = probability of moving j -> k, so distributions evolve as
     column vectors under T @ v.
     """
-    c = _coin_measure(h, coin)
+    c = _measure(h, coin, "coin")
     # T[k][j] = sum_i c_i conv[i][j][k]
     return np.einsum("i,ijk->kj", c, h.convolution)
 
 
 def walk(h: Hypergroup, coin, start, steps: int) -> list[np.ndarray]:
-    """Iterate the coin chain from `start`; returns steps+1 distributions."""
+    """Iterate the coin chain from `start`, an index or a distribution;
+    returns steps+1 distributions."""
     if steps < 0:
         raise ValidationError("steps must be >= 0")
     t = classical_chain(h, coin)
-    current = _as_distribution(start, h.size, "start distribution")
+    current = _measure(h, start, "start")
     history = [current]
     for _ in range(steps):
         current = t @ current

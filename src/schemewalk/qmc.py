@@ -2,16 +2,12 @@
 
 Five pieces:
 
-* Schur-multiplier channels M -> e o M, with complete positivity
-  certified through the Choi matrix (CP holds iff the multiplier is
-  positive semidefinite, and the Choi spectrum makes that visible: it is
-  the multiplier's spectrum padded with zeros).  The Choi matrix is never
-  formed densely for certification: its only nonzero entries are the
-  multiplier's, on the pair indices (a, a), so its spectrum is the
-  multiplier's, taken block by block over the connected components of
-  the multiplier's support on n points, plus n^2 - n zeros.  The
-  multiplier's least eigenvalue is one `eigvalsh` per channel, kept on
-  it for `certify_cp` and `iterate_channel`.
+* Schur-multiplier channels M -> e o M.  Complete positivity is decided
+  by one spectrum: the Choi matrix is the multiplier spread onto the
+  pair indices (a, a) plus n^2 - n zeros, so CP holds iff the multiplier
+  is positive semidefinite.  The multiplier's least eigenvalue is one
+  `eigvalsh` per channel, kept on it for `certify_cp` and
+  `iterate_channel`; the dense `choi_matrix` is the test oracle.
 * Unitary dilation of a probability vector p: an orthogonal matrix whose
   first row is (sqrt(p_0), ..., sqrt(p_{d-1})).
 * Entangled transition expectations E(X) = V' X V for the isometry
@@ -147,104 +143,22 @@ def choi_matrix(c: SchurChannel) -> np.ndarray:
     return choi
 
 
-def _support_components(size: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Label each of `size` indices by the connected component of the
-    support graph with edges (rows[k], cols[k]).
-
-    Min-label propagation with pointer jumping.  Labels only decrease and
-    only travel along edges, so each label is an index of its own
-    component; at the fixed point the two ends of every edge agree and
-    every label is a root, so a label names exactly one component.
-    """
-    labels = np.arange(size)
-    while True:
-        low = np.minimum(labels[rows], labels[cols])
-        nxt = labels.copy()
-        np.minimum.at(nxt, rows, low)
-        np.minimum.at(nxt, cols, low)
-        nxt = nxt[nxt]
-        if np.array_equal(nxt, labels):
-            return labels
-        labels = nxt
-
-
-def _block_spectrum(size: int, rows: np.ndarray, cols: np.ndarray,
-                    values: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Ascending spectrum of the Hermitian size x size matrix with the given
-    coordinate entries, diagonalised block by block.
-
-    `labels` assigns each index to a block.  Every entry must lie inside
-    one block (both ends carry the same label), or CertificationError
-    names the first that does not; then the matrix is block diagonal up
-    to a permutation and its spectrum is the union of the block spectra.
-    Indices no entry touches form zero rows and columns and contribute one
-    zero each.  Repeated coordinates are summed.  As with `eigvalsh`, only
-    the lower triangle of each block is read.
-    """
-    outside = np.flatnonzero(labels[rows] != labels[cols])
-    if outside.size:
-        k = int(outside[0])
-        raise CertificationError(
-            f"entry ({int(rows[k])}, {int(cols[k])}) lies outside its block "
-            f"(labels {int(labels[rows[k]])} and {int(labels[cols[k]])})"
-        )
-    touched = np.zeros(size, dtype=bool)
-    touched[rows] = True
-    touched[cols] = True
-    nodes = np.flatnonzero(touched)
-    # Group entries and indices by block; the stable sort keeps each
-    # block's indices ascending, so its lower triangle is the matrix's.
-    order = np.argsort(labels[rows], kind="stable")
-    rows, cols, values = rows[order], cols[order], values[order]
-    nodes = nodes[np.argsort(labels[nodes], kind="stable")]
-    _, entry_starts = np.unique(labels[rows], return_index=True)
-    _, node_starts = np.unique(labels[nodes], return_index=True)
-    entry_bounds = np.append(entry_starts, rows.size)
-    node_bounds = np.append(node_starts, nodes.size)
-    local = np.empty(size, dtype=np.intp)
-    spectra = [np.zeros(size - nodes.size)]
-    for b in range(node_starts.size):
-        members = nodes[node_bounds[b]:node_bounds[b + 1]]
-        local[members] = np.arange(members.size)
-        entries = slice(entry_bounds[b], entry_bounds[b + 1])
-        block = np.zeros((members.size, members.size), dtype=values.dtype)
-        np.add.at(block, (local[rows[entries]], local[cols[entries]]), values[entries])
-        spectra.append(np.linalg.eigvalsh(block))
-    return np.sort(np.concatenate(spectra))
-
-
 def certify_cp(c: SchurChannel, tolerance: float = _PSD_TOL) -> CPReport:
-    """Certify complete positivity two ways and report both verdicts.
+    """Certify complete positivity from the multiplier's spectrum.
 
-    The direct route diagonalises the Choi matrix; the criterion route
-    checks the multiplier's own spectrum with a separate `eigvalsh`, kept
-    on the channel for `iterate_channel`.  For
-    Schur channels they must agree; the report says whether they do
-    rather than assuming it.
-
-    The Choi matrix is never formed as a dense n^2 x n^2 array.  Its only
-    nonzero entries are e[a][b] at (a*n+a, b*n+b) (Choi, Linear Algebra
-    Appl. 10, 1975), so its spectrum is the spectrum of the multiplier's
-    nonzero entries on n points plus n^2 - n zeros for the pair indices
-    (a, b) with a != b.  Those entries are split into the connected
-    components of their support, each component is filled and
-    diagonalised as a dense block, and a check confirms that every entry
-    lies inside its block.  A Hermitian matrix that is block diagonal up
-    to a permutation has the union of its block spectra as spectrum, and
-    each point the support never touches adds one more zero.  Hence, for
-    n > 1, a multiplier whose block spectra come out nonnegative reports
-    `choi_min_eigenvalue` exactly 0.0, where a dense eigensolver returns
-    round-off of order -1e-16.
+    The Choi matrix of a Schur channel has the multiplier's entries
+    e[a][b] at (a*n+a, b*n+b) and zeros elsewhere (Choi, Linear Algebra
+    Appl. 10, 1975), so its spectrum is the multiplier's plus n^2 - n
+    zeros: CP holds iff the multiplier is positive semidefinite.  Both
+    verdicts therefore come from one spectrum, the multiplier's least
+    eigenvalue kept on the channel (one `eigvalsh` per channel, shared
+    with `iterate_channel`), and they agree by construction.  For n > 1,
+    `choi_min_eigenvalue` is that eigenvalue capped at the padded 0.0.
+    The dense `choi_matrix` (capped at `_PAIR_SPACE_MAX_VERTICES`
+    dimensions) is the independent route the tests check this against.
     """
-    n = c.dim
-    values = c.multiplier.ravel()
-    nonzero = np.flatnonzero(values)
-    rows, cols = np.divmod(nonzero, n)
-    labels = _support_components(n, rows, cols)
-    choi_min = float(_block_spectrum(n, rows, cols, values[nonzero], labels)[0])
-    if n > 1:
-        choi_min = min(choi_min, 0.0)
     mult_min = c._multiplier_min
+    choi_min = min(mult_min, 0.0) if c.dim > 1 else mult_min
     is_cp = choi_min >= -tolerance
     mult_psd = mult_min >= -tolerance
     return CPReport(

@@ -40,7 +40,6 @@ import numpy as np
 from . import galois
 from .errors import CertificationError, ValidationError, numeric_array
 from .groups import DEFAULT_VERTEX_CAP, FiniteGroup
-from .qmc import _support_components
 
 # The orbital pass of `build_orbit_scheme` holds about 6k + 1 int64 words
 # per pair for k generators (pair labels, edge lists and their gathers);
@@ -311,6 +310,27 @@ def build_conjugacy_scheme(g: FiniteGroup) -> AssociationScheme:
         class_of_elt[cl] = idx
     rel = _quotient_classes(g, class_of_elt)
     return AssociationScheme(n=g.order, d=len(classes) - 1, relation=rel)
+
+
+def _support_components(size: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Label each of `size` indices by the connected component of the
+    support graph with edges (rows[k], cols[k]).
+
+    Min-label propagation with pointer jumping.  Labels only decrease and
+    only travel along edges, so each label is an index of its own
+    component; at the fixed point the two ends of every edge agree and
+    every label is a root, so a label names exactly one component.
+    """
+    labels = np.arange(size)
+    while True:
+        low = np.minimum(labels[rows], labels[cols])
+        nxt = labels.copy()
+        np.minimum.at(nxt, rows, low)
+        np.minimum.at(nxt, cols, low)
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, labels):
+            return labels
+        labels = nxt
 
 
 def build_orbit_scheme(generators: list[list[int]], n: int) -> AssociationScheme:

@@ -144,6 +144,15 @@ def test_walk_stdout(j42_file, capsys):
     assert "step" in out
 
 
+def test_walk_refuses_a_start_index_out_of_range(j42_file, capsys):
+    code = run(["walk", "hypergroup", str(j42_file), "--coin", "1", "--start", "3",
+                "--steps", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: start index 3 out of range 0..2\n"
+
+
 def test_qmc_schur(tmp_path, j42_file, capsys):
     rho = json.dumps((np.eye(6) / 6).tolist())
     code = run(["qmc", "schur", "--scheme", str(j42_file), "--coin", "1",

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from schemewalk import (
+    CertificationError,
+    KreinTensor,
     ValidationError,
     classical_chain,
     convolve,
+    hypergroup_from,
     walk,
 )
 from tests.conftest import COMMUTATIVE_NAMES
@@ -141,6 +144,23 @@ def test_walk_zero_steps(j42_hypergroup):
     assert np.array_equal(hist[0], start)
 
 
+def test_walk_start_index_is_a_point_mass(j42_hypergroup):
+    by_index = walk(j42_hypergroup, 1, np.int64(2), 4)
+    by_vector = walk(j42_hypergroup, 1, np.array([0.0, 0.0, 1.0]), 4)
+    assert all(np.array_equal(a, b) for a, b in zip(by_index, by_vector))
+
+
+@pytest.mark.parametrize("coin, start, message", [
+    (1, 3, r"start index 3 out of range 0\.\.2"),
+    (1, -1, r"start index -1 out of range 0\.\.2"),
+    (1, True, "start must be an index or a distribution, not True"),
+    (np.True_, 0, "coin must be an index or a distribution, not "),
+])
+def test_walk_refuses_a_bool_or_an_index_out_of_range(coin, start, message, j42_hypergroup):
+    with pytest.raises(ValidationError, match=message):
+        walk(j42_hypergroup, coin, start, 1)
+
+
 def test_walk_z2_alternates(hypergroups):
     h = hypergroups["group_z2"]
     hist = walk(h, 1, np.array([1.0, 0.0]), 3)
@@ -178,3 +198,23 @@ def test_walk_aperiodic_coin_converges_pointwise(j42_hypergroup):
 def test_walk_rejects_negative_steps(j42_hypergroup):
     with pytest.raises(ValidationError):
         walk(j42_hypergroup, 1, np.array([1.0, 0.0, 0.0]), -1)
+
+
+# A KreinTensor can be built by hand, so hypergroup_from checks what it reads.
+# J(4,2) has d = 2 and multiplicities (1, 3, 2); weight (i,j,k) is
+# q_ij^k m_k / (m_i m_j).
+@pytest.mark.parametrize("d, edits, error, witness", [
+    (3, {}, ValidationError, "d=3 but decomposition has d=2"),
+    (2, {(1, 2, 1): -1.0}, CertificationError, r"weight \(1,2,1\) = -5\.000e-01 below"),
+    (2, {(2, 2, 1): 0.4}, CertificationError, r"slice \(2,2\) has total mass"),
+    # moving half of slice (0,1)'s mass keeps every slice a distribution
+    (2, {(0, 1, 1): 0.5, (0, 1, 2): 0.75}, CertificationError,
+     r"identity: weight \(0,1,1\) = 5\.000e-01"),
+], ids=["d-mismatch", "negative-weight", "slice-mass", "identity"])
+def test_hypergroup_from_refuses_an_edited_krein_tensor(d, edits, error, witness,
+                                                        j42_dec, j42_krein):
+    q = j42_krein.q.copy()
+    for index, value in edits.items():
+        q[index] = value
+    with pytest.raises(error, match=witness):
+        hypergroup_from(j42_dec, KreinTensor(d=d, q=q))

@@ -25,7 +25,8 @@ from schemewalk import (
     transition_expectation_closed_form,
     transition_expectation_dual,
 )
-from schemewalk.qmc import CPReport, _block_spectrum, _check_density, _support_components
+from schemewalk.qmc import _check_density
+from schemewalk.schemes import _support_components
 
 RNG = np.random.default_rng(20240817)
 
@@ -401,8 +402,13 @@ def test_iterate_runs_no_per_step_eigensolve(monkeypatch):
     iterate_channel(channel, rho0, 50)
     assert len(calls) == 2  # initial state, final state
     certified = SchurChannel(channel.multiplier)
-    certify_cp(certified)
     calls.clear()
+    certify_cp(certified)
+    assert len(calls) == 1  # multiplier
+    calls.clear()
+    certify_cp(certified)
+    certify_cp(channel)
+    assert not calls
     iterate_channel(certified, rho0, 50)
     assert len(calls) == 2  # initial state, final state
     calls.clear()
@@ -737,25 +743,10 @@ def test_certify_cp_matches_dense_choi_oracle():
                 assert abs(rep.choi_min_eigenvalue + 0.5) < 1e-9
 
 
-def _coordinate_form_cp(c, tolerance=1e-10):
-    """The Choi route on all n^2 pair indices: the coordinate form with one
-    entry e[a][b] at (a*n+a, b*n+b), labelled and diagonalised there."""
-    n = c.dim
-    idx = np.arange(n) * (n + 1)
-    rows, cols, values = np.repeat(idx, n), np.tile(idx, n), c.multiplier.ravel()
-    nonzero = values != 0
-    rows, cols, values = rows[nonzero], cols[nonzero], values[nonzero]
-    labels = _support_components(n * n, rows, cols)
-    choi_min = float(_block_spectrum(n * n, rows, cols, values, labels)[0])
-    mult_min = float(np.linalg.eigvalsh(c.multiplier).min())
-    return CPReport(is_cp=choi_min >= -tolerance, choi_min_eigenvalue=choi_min,
-                    multiplier_min_eigenvalue=mult_min, multiplier_psd=mult_min >= -tolerance,
-                    verdicts_agree=(choi_min >= -tolerance) == (mult_min >= -tolerance),
-                    tolerance=tolerance)
-
-
 @pytest.mark.parametrize("n", [*range(1, 10), 16, 32, 65])
 def test_certify_cp_equals_the_pair_index_route(n):
+    """certify_cp against the Choi matrix on the pair indices: exactly its
+    padded spectrum at every size, and the dense oracle up to the cap."""
     rng = np.random.default_rng(n)
     cases = _multiplier_cases(rng, n)
     blocks = np.zeros((n, n))
@@ -767,7 +758,15 @@ def test_certify_cp_equals_the_pair_index_route(n):
     cases["sparse"] = sparse
     for kind, mult in cases.items():
         ch = SchurChannel(mult)
-        assert certify_cp(ch) == _coordinate_form_cp(ch), kind
+        rep = certify_cp(ch)
+        mult_min = float(np.linalg.eigvalsh(ch.multiplier).min())
+        assert rep.multiplier_min_eigenvalue == mult_min, kind
+        assert rep.choi_min_eigenvalue == (min(mult_min, 0.0) if n > 1 else mult_min), kind
+        assert rep.is_cp == rep.multiplier_psd == (mult_min >= -rep.tolerance), kind
+        assert rep.verdicts_agree, kind
+        if n <= 64:
+            dense_min = float(np.linalg.eigvalsh(choi_matrix(ch)).min())
+            assert abs(rep.choi_min_eigenvalue - dense_min) < 1e-12, kind
 
 
 def test_certify_cp_psd_multiplier_pads_with_exact_zeros():
@@ -794,12 +793,7 @@ def test_choi_matrix_refuses_above_pair_space_cap():
     assert rep.is_cp and rep.verdicts_agree
 
 
-# ------------------------------------------------------- block finder
-
-def _coordinates(dense):
-    rows, cols = np.nonzero(dense)
-    return rows, cols, dense[rows, cols]
-
+# ------------------------------------------------- support components
 
 def test_block_finder_two_blocks_and_untouched_indices():
     size = 9
@@ -809,16 +803,11 @@ def test_block_finder_two_blocks_and_untouched_indices():
     ia, ib = [1, 6], [2, 4, 8]  # indices 0, 3, 5, 7 are never touched
     dense[np.ix_(ia, ia)] = block_a
     dense[np.ix_(ib, ib)] = block_b
-    rows, cols, values = _coordinates(dense)
+    rows, cols = np.nonzero(dense)
     labels = _support_components(size, rows, cols)
     assert len(set(labels[ia])) == 1 and len(set(labels[ib])) == 1
     assert labels[ia[0]] != labels[ib[0]]
     assert len(set(labels.tolist())) == 2 + 4
-    spectrum = _block_spectrum(size, rows, cols, values, labels)
-    expected = np.sort(np.concatenate([np.linalg.eigvalsh(block_a),
-                                       np.linalg.eigvalsh(block_b), np.zeros(4)]))
-    assert np.max(np.abs(spectrum - expected)) < 1e-14
-    assert np.max(np.abs(spectrum - np.linalg.eigvalsh(dense))) < 1e-12
 
 
 def test_block_finder_chain_merges_into_one_component():
@@ -827,18 +816,6 @@ def test_block_finder_chain_merges_into_one_component():
     order = [6, 2, 5, 0, 3, 1, 4]  # a path that visits indices out of order
     for x, y in zip(order, order[1:]):
         dense[x, y] = dense[y, x] = 0.25
-    rows, cols, values = _coordinates(dense)
+    rows, cols = np.nonzero(dense)
     labels = _support_components(size, rows, cols)
     assert np.all(labels == 0)
-    spectrum = _block_spectrum(size, rows, cols, values, labels)
-    assert np.max(np.abs(spectrum - np.linalg.eigvalsh(dense))) < 1e-12
-
-
-def test_block_finder_reports_entry_outside_its_block():
-    size = 4
-    rows = np.array([0, 1, 1, 0, 2, 3, 3])
-    cols = np.array([0, 1, 0, 1, 2, 3, 0])  # (3, 0) crosses the blocks
-    values = np.ones(rows.size)
-    labels = np.array([0, 0, 2, 2])
-    with pytest.raises(CertificationError, match=r"\(3, 0\)"):
-        _block_spectrum(size, rows, cols, values, labels)
