@@ -78,7 +78,7 @@ def hypergroup_from(dec: BoseMesnerDecomposition, q: KreinTensor) -> Hypergroup:
     if drift > _SLICE_SUM_TOL:
         i, j = np.unravel_index(int(np.argmax(np.abs(sums - 1.0))), sums.shape)
         raise CertificationError(
-            f"convolution slice ({i},{j}) has total mass {sums[i, j]!r}, off by {drift:.3e}"
+            f"convolution slice ({i},{j}) has total mass {float(sums[i, j])!r}, off by {drift:.3e}"
         )
 
     # index 0 is the identity: verify, then store it exactly
@@ -102,9 +102,9 @@ def _as_distribution(vec, size: int, what: str) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValidationError(f"{what} has a non-finite entry")
     if v.min() < -_DIST_TOL:
-        raise ValidationError(f"{what} has a negative entry: {v.min()!r}")
+        raise ValidationError(f"{what} has a negative entry: {float(v.min())!r}")
     if abs(v.sum() - 1.0) > _DIST_TOL:
-        raise ValidationError(f"{what} sums to {v.sum()!r}, not 1")
+        raise ValidationError(f"{what} sums to {float(v.sum())!r}, not 1")
     return np.clip(v, 0.0, None)
 
 

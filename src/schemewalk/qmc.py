@@ -69,7 +69,7 @@ def _column_stochastic(d_matrix, convention: str) -> np.ndarray:
     if convention not in ("column", "row"):
         raise ValidationError(f"convention must be 'column' or 'row', got {convention!r}")
     if mat.min() < -_STOCHASTIC_TOL:
-        raise ValidationError(f"stochastic matrix has a negative entry: {mat.min()!r}")
+        raise ValidationError(f"stochastic matrix has a negative entry: {float(mat.min())!r}")
     mat = np.clip(mat, 0.0, None)
     col = mat if convention == "column" else mat.T
     sums = col.sum(axis=0)
@@ -184,9 +184,9 @@ def dilation_unitary(p) -> np.ndarray:
     if not np.all(np.isfinite(vec)):
         raise ValidationError("distribution has a non-finite entry")
     if vec.min() < 0.0:
-        raise ValidationError(f"distribution has a negative entry: {vec.min()!r}")
+        raise ValidationError(f"distribution has a negative entry: {float(vec.min())!r}")
     if abs(vec.sum() - 1.0) > _STOCHASTIC_TOL:
-        raise ValidationError(f"distribution sums to {vec.sum()!r}, not 1")
+        raise ValidationError(f"distribution sums to {float(vec.sum())!r}, not 1")
     root = np.sqrt(vec)
     d = vec.size
     u = np.eye(d)

@@ -1,15 +1,21 @@
 """JSON encoding/decoding for the object kinds the CLI moves around.
 
 Kinds: scheme, cayley, matrix, tensor, fusion-system, distribution.
-Conventions: matrices are nested row-major arrays; complex entries are
-[re, im] pairs (a matrix is complex iff its entries are pairs); floats
-are emitted via repr, which round-trips exactly.  Loading validates the
-object's own invariants and raises ValidationError on anything
-malformed, so a loaded object is ready to use.
+Conventions: a scheme's relation matrix is written packed, as
+{"dtype": "u1" | "u2" | "u4", "base64": ...}: its class indices as
+little-endian unsigned integers of the narrowest of those widths that
+holds d, row-major, in canonical base64 (RFC 4648); a nested list of
+rows is still read.  Every other matrix is a nested row-major array;
+complex entries are [re, im] pairs (a matrix is complex iff its entries
+are pairs); floats are emitted via repr, which round-trips exactly.
+Loading validates the object's own invariants and raises
+ValidationError on anything malformed, so a loaded object is ready to
+use.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from pathlib import Path
 
@@ -23,6 +29,8 @@ from .schemes import AssociationScheme, require_axioms
 from .spectral import BoseMesnerDecomposition
 
 KINDS = ("scheme", "cayley", "matrix", "tensor", "fusion-system", "distribution")
+
+_PACKED_DTYPES = {"u1": np.dtype("<u1"), "u2": np.dtype("<u2"), "u4": np.dtype("<u4")}
 
 
 def encode_matrix(arr: np.ndarray) -> list:
@@ -72,6 +80,42 @@ def _decode_keyed(data, name: str, form: str, decode) -> dict:
     return out
 
 
+def _pack_relation(rel: np.ndarray, d: int) -> dict:
+    """The packed form of a relation matrix whose entries lie in 0..d."""
+    code = "u1" if d <= 0xFF else "u2" if d <= 0xFFFF else "u4"
+    raw = np.ascontiguousarray(rel, dtype=_PACKED_DTYPES[code])
+    return {"dtype": code, "base64": base64.b64encode(raw).decode("ascii")}
+
+
+def _unpack_relation(data: dict, n: int) -> np.ndarray:
+    """The n x n relation matrix of a packed form.  Only canonical base64
+    of exactly n*n entries is read; the byte count is checked before any
+    array is made.  The entries' range is left to AssociationScheme."""
+    if set(data) != {"dtype", "base64"}:
+        raise ValidationError('a packed relation must have exactly the keys "dtype", "base64"')
+    code, text = data["dtype"], data["base64"]
+    if not isinstance(code, str) or code not in _PACKED_DTYPES:
+        raise ValidationError(
+            f"packed relation dtype must be one of {tuple(_PACKED_DTYPES)}, got {code!r}"
+        )
+    if not isinstance(text, str):
+        raise ValidationError('packed relation "base64" must be a string')
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ValidationError(f"packed relation is not base64: {exc}") from None
+    if base64.b64encode(raw).decode("ascii") != text:
+        raise ValidationError("packed relation is not canonical base64")
+    dtype = _PACKED_DTYPES[code]
+    size = n * n * dtype.itemsize
+    if n < 0 or len(raw) != size:
+        raise ValidationError(
+            f"packed relation must hold {n}x{n} {code} entries ({size} bytes), "
+            f"got {len(raw)} bytes"
+        )
+    return np.frombuffer(raw, dtype=dtype).reshape(n, n)
+
+
 def _json_int(data: dict, key: str) -> int:
     value = data[key]
     if isinstance(value, bool) or not isinstance(value, int):
@@ -81,7 +125,7 @@ def _json_int(data: dict, key: str) -> int:
 
 def to_jsonable(kind: str, obj):
     if kind == "scheme":
-        out = {"n": obj.n, "d": obj.d, "relation": obj.relation.tolist()}
+        out = {"n": obj.n, "d": obj.d, "relation": _pack_relation(obj.relation, obj.d)}
         if obj.labels is not None:
             out["labels"] = list(obj.labels)
         return out
@@ -129,8 +173,11 @@ def from_jsonable(kind: str, data, validate: bool = True):
         labels = data.get("labels")
         if labels is not None and not isinstance(labels, list):
             raise ValidationError('"labels" must be a list of class names')
+        n, relation = _json_int(data, "n"), data["relation"]
+        if isinstance(relation, dict):
+            relation = _unpack_relation(relation, n)
         scheme = AssociationScheme(
-            n=_json_int(data, "n"), d=_json_int(data, "d"), relation=data["relation"],
+            n=n, d=_json_int(data, "d"), relation=relation,
             labels=None if labels is None else tuple(labels),
         )
         if validate:
@@ -173,9 +220,9 @@ def from_jsonable(kind: str, data, validate: bool = True):
             if not np.all(np.isfinite(vec)):
                 raise ValidationError("distribution has a non-finite entry")
             if vec.min() < 0.0:
-                raise ValidationError(f"distribution has a negative entry: {vec.min()!r}")
+                raise ValidationError(f"distribution has a negative entry: {float(vec.min())!r}")
             if abs(vec.sum() - 1.0) > 1e-9:
-                raise ValidationError(f"distribution sums to {vec.sum()!r}, not 1")
+                raise ValidationError(f"distribution sums to {float(vec.sum())!r}, not 1")
         return vec
     raise ValidationError(f"unknown kind {kind!r}; kinds: {KINDS}")
 

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from schemewalk import ValidationError
 from schemewalk.cli import run
-from schemewalk.serialize import load
+from schemewalk.serialize import load, loads
 
 
 @pytest.fixture()
@@ -40,10 +41,12 @@ def test_dilate_inline_distribution(capsys):
 
 
 def test_verify_fails_on_corrupted_scheme(tmp_path, j42_file, capsys):
+    # the nested form is still read, so the corruption is written as nested rows
     data = json.loads(j42_file.read_text())
-    data["relation"][0][0] = 1
+    relation = load(j42_file, "scheme").relation.tolist()
+    relation[0][0] = 1
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
+    bad.write_text(json.dumps({**data, "relation": relation}))
     code = run(["scheme", "verify", str(bad)])
     out = capsys.readouterr().out
     assert code == 2
@@ -62,6 +65,18 @@ def test_verify_refuses_more_classes_than_pairs(tmp_path, capsys):
     bad.write_text(json.dumps({"n": 2, "d": 10**7, "relation": [[0, 1], [1, 0]]}))
     assert run(["scheme", "verify", str(bad)]) == 1
     assert "at most 2 non-identity classes" in capsys.readouterr().err
+
+
+def test_distribution_errors_print_python_floats(j42_file, capsys):
+    with pytest.raises(ValidationError) as info:
+        loads("[0.5,0.6,0]", "distribution")
+    assert "sums to 1.1" in str(info.value) and "np.float64(" not in str(info.value)
+    for argv in (["walk", "hypergroup", str(j42_file), "--coin", "[0.5,0.6,0]",
+                  "--start", "0", "--steps", "1"],
+                 ["qmc", "dilate", "--dist", "[0.5,0.6,0]"]):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "sums to 1.1" in err and "np.float64(" not in err
 
 
 def test_spectrum_output(j42_file, capsys):
@@ -401,8 +416,10 @@ def test_main_exit_codes_through_the_module_entry_point(tmp_path):
     assert bogus.returncode == 1
     assert bogus.stderr.startswith("error: ")
     data = json.loads((tmp_path / "j42.json").read_text())
-    data["relation"][0][0] = 1
-    (tmp_path / "bad.json").write_text(json.dumps(data))
+    assert data["relation"]["dtype"] == "u1"
+    relation = load(tmp_path / "j42.json", "scheme").relation.tolist()
+    relation[0][0] = 1
+    (tmp_path / "bad.json").write_text(json.dumps({**data, "relation": relation}))
     corrupted = cli("scheme", "verify", "bad.json")
     assert corrupted.returncode == 2
     assert "axiom (1)" in corrupted.stdout

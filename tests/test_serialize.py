@@ -1,9 +1,12 @@
+import base64
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from schemewalk import (
+    AssociationScheme,
     ValidationError,
     build_grassmann,
     build_group_scheme,
@@ -41,20 +44,49 @@ def test_scheme_roundtrip_exact():
 
 def test_scheme_load_validates_axioms():
     s = build_johnson(4, 2)
-    data = to_jsonable("scheme", s)
-    data["relation"][0][0] = 1
-    with pytest.raises(ValidationError, match="axiom"):
-        from_jsonable("scheme", data)
-    # validation can be bypassed for diagnostic loads
-    loaded = from_jsonable("scheme", data, validate=False)
-    assert loaded.relation[0][0] == 1
+    rel = s.relation.copy()
+    rel[0][0] = 1
+    packed = to_jsonable("scheme", AssociationScheme(s.n, s.d, rel))  # never verified
+    for data in (packed, {**packed, "relation": rel.tolist()}):
+        with pytest.raises(ValidationError, match="axiom"):
+            from_jsonable("scheme", data)
+        # validation can be bypassed for diagnostic loads
+        loaded = from_jsonable("scheme", data, validate=False)
+        assert loaded.relation[0][0] == 1
 
 
-J42 = to_jsonable("scheme", build_johnson(4, 2))
+J42 = {**to_jsonable("scheme", build_johnson(4, 2)),
+       "relation": build_johnson(4, 2).relation.tolist()}
 Z2 = to_jsonable("fusion-system", cyclic_fusion_system(2))
 # the class index of (0, 1) plus one half, which a cast to int would drop
 HALF = [list(row) for row in J42["relation"]]
 HALF[0][1] += 0.5
+
+
+def _packed_j42(relation):
+    return {"n": 6, "d": 2, "relation": relation}
+
+
+J42_B64 = to_jsonable("scheme", build_johnson(4, 2))["relation"]["base64"]
+_OUT_OF_RANGE = bytearray(base64.b64decode(J42_B64))
+_OUT_OF_RANGE[1] = 3  # d = 2
+PACKED_REFUSALS = [
+    (_packed_j42({"dtype": "u1", "base64": J42_B64[:-4]}), "36 bytes.*got 33"),
+    ({"n": 1, "d": 0, "relation": {"dtype": "u1", "base64": "AB=="}}, "not canonical"),
+    (_packed_j42({"dtype": "u1", "base64": J42_B64[:24] + "\n" + J42_B64[24:]}),
+     "not base64"),
+    (_packed_j42({"dtype": "i1", "base64": J42_B64}), "dtype must be one of"),
+    (_packed_j42({"dtype": ["u1"], "base64": J42_B64}), "dtype must be one of"),
+    (_packed_j42({"dtype": "u1", "base64": J42_B64, "order": "C"}), "exactly the keys"),
+    (_packed_j42({"dtype": "u1"}), "exactly the keys"),
+    (_packed_j42({"dtype": "u1", "base64": list(base64.b64decode(J42_B64))}),
+     "must be a string"),
+    (_packed_j42({"dtype": "u1",
+                  "base64": base64.b64encode(bytes(_OUT_OF_RANGE)).decode()}),
+     r"class indices must lie in 0\.\.2"),
+    (_packed_j42({"dtype": "u2", "base64": J42_B64}), "72 bytes.*got 36"),
+    ({"n": -6, "d": 2, "relation": {"dtype": "u1", "base64": J42_B64}}, "36 bytes.*got 36"),
+]
 
 
 @pytest.mark.parametrize("kind,data", [
@@ -83,12 +115,78 @@ HALF[0][1] += 0.5
     ("fusion-system", {**Z2, "twist": [1, [0, 5]]}),
     ("scheme", {"n": 2, "d": 10**7, "relation": [[0, 1], [1, 0]]}),
     ("scheme", {"n": 1, "d": 10**12, "relation": [[0]]}),
+    *[("scheme", data) for data, _ in PACKED_REFUSALS],
 ])
 def test_malformed_json_is_a_validation_error(kind, data):
     with pytest.raises(ValidationError):
         from_jsonable(kind, data)
     with pytest.raises(ValidationError):
         from_jsonable(kind, data, validate=False)
+
+
+@pytest.mark.parametrize("data,match", PACKED_REFUSALS)
+def test_packed_relation_refusals_name_their_cause(data, match):
+    for validate in (True, False):
+        with pytest.raises(ValidationError, match=match):
+            from_jsonable("scheme", data, validate=validate)
+
+
+def test_packed_byte_count_is_checked_before_any_allocation():
+    # n = 10^6 would be a 1 TB u1 matrix; a 4-byte payload is refused at once
+    data = {"n": 10**6, "d": 1, "relation": {"dtype": "u1", "base64": "AAAAAA=="}}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="got 4 bytes"):
+            from_jsonable("scheme", data, validate=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _relabelled(s, seed):
+    perm = np.random.default_rng(seed).permutation(s.n)
+    return AssociationScheme(s.n, s.d, s.relation[np.ix_(perm, perm)], labels=s.labels)
+
+
+def test_scheme_roundtrips_through_both_wire_forms(builtin_schemes):
+    for seed, s in enumerate(builtin_schemes.values()):
+        for case in (s, _relabelled(s, seed)):
+            packed = json.loads(json.dumps(to_jsonable("scheme", case)))
+            nested = {**packed, "relation": case.relation.tolist()}
+            for data in (packed, nested):
+                back = from_jsonable("scheme", data)
+                assert back.relation.dtype == np.int64
+                assert np.array_equal(back.relation, case.relation)
+                assert (back.n, back.d, back.labels) == (case.n, case.d, case.labels)
+
+
+def test_packed_dtype_is_the_narrowest_that_holds_d():
+    z300 = build_group_scheme(groups.cyclic(300))  # d = 299
+    # every ordered pair in its own class: d = 257 * 256 = 65792 (no axiom 4)
+    x, y = np.indices((257, 257))
+    pairs = AssociationScheme(257, 257 * 256, np.where(x == y, 0, x * 256 + y - (y > x) + 1))
+    # verifying d = 299 takes seconds, and `pairs` fails axiom 4: load both unverified
+    for s, code, validate in ((build_johnson(4, 2), "u1", True), (z300, "u2", False),
+                              (pairs, "u4", False)):
+        relation = to_jsonable("scheme", s)["relation"]
+        assert relation["dtype"] == code
+        assert relation == _loop_packed(s.relation, s.d)  # little-endian, row-major
+        back = loads(json.dumps(to_jsonable("scheme", s)), "scheme", validate=validate)
+        assert np.array_equal(back.relation, s.relation)
+
+
+def test_packed_dump_peaks_at_a_small_multiple_of_n_squared():
+    s = build_group_scheme(groups.cyclic(1000))  # d = 999, two bytes an entry
+    tracemalloc.start()
+    try:
+        text = json.dumps(to_jsonable("scheme", s))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) < 3 * s.n ** 2
+    # the nested path held 10^6 Python ints and their list, over 40 bytes an entry
+    assert peak < 12 * s.n ** 2
 
 
 def test_cayley_roundtrip():
@@ -235,6 +333,12 @@ def _loop_matrix(a):
     return [[float(v) for v in row] for row in a]
 
 
+def _loop_packed(rel, d):
+    width = 1 if d < 2**8 else 2 if d < 2**16 else 4
+    raw = b"".join(int(v).to_bytes(width, "little") for row in rel for v in row)
+    return {"dtype": f"u{width}", "base64": base64.b64encode(raw).decode("ascii")}
+
+
 def _loop_tensor(entries):
     cast = int if entries.dtype.kind in "iu" else float
     return [[[cast(v) for v in row] for row in slab] for slab in entries]
@@ -242,7 +346,7 @@ def _loop_tensor(entries):
 
 def test_encoders_match_the_loop_encoders(builtin_schemes, krein_tensors):
     for s in builtin_schemes.values():
-        loop = {"n": s.n, "d": s.d, "relation": _loop_matrix(s.relation)}
+        loop = {"n": s.n, "d": s.d, "relation": _loop_packed(s.relation, s.d)}
         assert json.dumps(to_jsonable("scheme", s)) == json.dumps(loop)
     g = RNG.normal(size=(5, 4)) + 1j * RNG.normal(size=(5, 4))
     g[0, 0] = complex(-0.0, -0.0)
