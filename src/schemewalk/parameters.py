@@ -59,13 +59,6 @@ class KreinTensor:
         self.q.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class KreinReport:
-    passed: bool
-    violations: tuple[tuple[int, int, int, float], ...]
-    tolerance: float
-
-
 def intersection_numbers(s: AssociationScheme) -> IntersectionTensor:
     """Exact intersection numbers, certified on every pair.
 
@@ -114,9 +107,3 @@ def krein_parameters(dec: BoseMesnerDecomposition) -> KreinTensor:
         )
     return KreinTensor(d=dec.d, q=q, tolerance_used=KREIN_TOLERANCE)
 
-
-def check_krein_condition(q: KreinTensor, tolerance: float = KREIN_TOLERANCE) -> KreinReport:
-    """List every entry below -tolerance; empty for valid schemes."""
-    violations = tuple((int(i), int(j), int(k), float(q.q[i, j, k]))
-                       for i, j, k in np.argwhere(q.q < -tolerance))
-    return KreinReport(passed=not violations, violations=violations, tolerance=tolerance)

@@ -10,24 +10,23 @@ Five pieces:
   `iterate_channel`; the dense `choi_matrix` is the test oracle.
 * Unitary dilation of a probability vector p: an orthogonal matrix whose
   first row is (sqrt(p_0), ..., sqrt(p_{d-1})).
-* Entangled transition expectations E(X) = V' X V for the isometry
-  V|e_i> = sum_j sqrt(P[i][j]) |e_i>|e_j> built from a row-stochastic P;
-  unital and completely positive by construction (Stinespring form), with
-  the equivalent entrywise closed form M o (sqrtP N sqrtP^T) exposed for
-  cross-checking.  The classical chain sits on the diagonal:
-  E(I (x) diag(v)) = diag(P v).  The Stinespring route evaluates
-  (M (x) N) V column by column as vec(M X_j N^T) and never forms M (x) N.
-  The entrywise root sqrtP is derived once, when a TransitionExpectation
-  is built, and read by the closed form, the state-picture dual and
-  `iterate_channel`.
+* Entangled transition expectations E(M (x) N) = V' (M (x) N) V for the
+  isometry V|e_i> = sum_j sqrt(P[i][j]) |e_i>|e_j> of a row-stochastic P;
+  unital and completely positive by construction (Stinespring form).
+  They are evaluated in the entrywise closed form M o (sqrtP N sqrtP^T)
+  (Accardi & Fidaleo 2005), at O(n^3) and without forming V.  The
+  entrywise root sqrtP is derived once, when a TransitionExpectation is
+  built, and V'V = I is certified then from the row sums of sqrtP**2;
+  V is gathered only when `isometry_V` is read.  The classical chain
+  sits on the diagonal: E(I (x) diag(v)) = diag(P v).
 * Chain iteration: one array operation, a trace and a division per
   step; positivity of every state is certified after the loop, by a
   bound carried over the stacked diagonals (see `iterate_channel`).
 * The Szegedy walk unitary U = S(2 A A' - I) on the pair space of a
-  stochastic matrix.  A is the same pair-space isometry as V, built by
-  the same helper.  U is filled in one pass from its closed form; Pi and
-  S are gathered only when read.  Unitarity follows from the n x n
-  certificate A'A = I (see `szegedy_walk`).
+  stochastic matrix.  A is the same pair-space isometry as V, gathered
+  and certified by the same helpers.  U is filled in one pass from its
+  closed form; Pi and S are gathered only when read.  Unitarity follows
+  from the O(n^2) certificate A'A = I (see `szegedy_walk`).
 
 Stochasticity conventions: transition expectations take row-stochastic
 matrices; `szegedy_walk` accepts either convention via a flag and works
@@ -196,46 +195,63 @@ def dilation_unitary(p) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True, eq=False)
-class TransitionExpectation:
-    """Stinespring data for the entangled transition expectation of P.
-
-    `sqrt_transition`, the entrywise root sqrtP, is derived from
-    `transition` once, when the object is built, and is not an argument.
-    """
-
-    dim: int
-    transition: np.ndarray
-    isometry_V: np.ndarray
-    sqrt_transition: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "sqrt_transition", np.sqrt(self.transition))
-        for array in (self.transition, self.isometry_V, self.sqrt_transition):
-            array.setflags(write=False)
+def _certify_isometry(root: np.ndarray, name: str) -> None:
+    """name'name = I at 1e-12 for `_pair_gather(root)`.  Its columns have
+    disjoint supports, so name'name is diagonal, with the row sums of
+    root**2 on the diagonal: an O(n^2) check."""
+    residual = float(np.max(np.abs((root * root).sum(axis=1) - 1.0)))
+    if residual > 1e-12:
+        raise CertificationError(f"{name}'{name} = I fails with residual {residual:.3e}")
 
 
-def _pair_isometry(root: np.ndarray, name: str) -> np.ndarray:
-    """The n^2 x n isometry with column i = e_i (x) row i of `root`, the
-    entrywise square root of a row-stochastic matrix; pair index
-    (i, j) -> i*n + j, certified by name'name = diag(row sums) = I at 1e-12."""
+def _pair_gather(root: np.ndarray) -> np.ndarray:
+    """The n^2 x n matrix with column i = e_i (x) row i of `root`; pair
+    index (i, j) -> i*n + j."""
     n = root.shape[0]
     iso = np.zeros((n * n, n))
     iso[np.arange(n * n), np.repeat(np.arange(n), n)] = root.ravel()
-    residual = float(np.max(np.abs(iso.T @ iso - np.eye(n))))
-    if residual > 1e-12:
-        raise CertificationError(f"{name}'{name} = I fails with residual {residual:.3e}")
     return iso
 
 
-def make_transition_expectation(p) -> TransitionExpectation:
-    """Build V with column i = sum_j sqrt(P[i][j]) e_i (x) e_j.
+@dataclass(frozen=True, eq=False)
+class TransitionExpectation:
+    """The entangled transition expectation of a row-stochastic P, its only
+    argument.  `dim` and the entrywise root `sqrt_transition` are derived,
+    and V'V = I is certified, when it is built; `isometry_V` is gathered
+    on first read and kept."""
 
-    V is (d^2) x d; V'V = diag(row sums of P) = I, certified at 1e-12.
-    """
-    mat = _column_stochastic(p, "row").T
-    return TransitionExpectation(dim=mat.shape[0], transition=mat,
-                                 isometry_V=_pair_isometry(np.sqrt(mat), "V"))
+    transition: np.ndarray
+    dim: int = field(init=False)
+    sqrt_transition: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        mat = _column_stochastic(self.transition, "row").T
+        root = np.sqrt(mat)
+        _certify_isometry(root, "V")
+        for array in (mat, root):
+            array.setflags(write=False)
+        object.__setattr__(self, "transition", mat)
+        object.__setattr__(self, "dim", mat.shape[0])
+        object.__setattr__(self, "sqrt_transition", root)
+
+    @cached_property
+    def isometry_V(self) -> np.ndarray:
+        """V, (d^2) x d, with column i = sum_j sqrt(P[i][j]) e_i (x) e_j;
+        refused above `_PAIR_SPACE_MAX_VERTICES` states."""
+        d = self.dim
+        if d > _PAIR_SPACE_MAX_VERTICES:
+            raise ValidationError(
+                f"isometry V of a {d}-state chain is {d * d}x{d}; "
+                f"capped at {_PAIR_SPACE_MAX_VERTICES} states"
+            )
+        v = _pair_gather(self.sqrt_transition)
+        v.setflags(write=False)
+        return v
+
+
+def make_transition_expectation(p) -> TransitionExpectation:
+    """The transition expectation of the row-stochastic matrix p."""
+    return TransitionExpectation(p)
 
 
 def _check_sites(te: TransitionExpectation, m: np.ndarray, n: np.ndarray):
@@ -246,25 +262,12 @@ def _check_sites(te: TransitionExpectation, m: np.ndarray, n: np.ndarray):
 
 
 def apply_transition_expectation(te: TransitionExpectation, m, n) -> np.ndarray:
-    """E(M (x) N) = V' (M (x) N) V (the Stinespring evaluation path).
+    """E(M (x) N) = V' (M (x) N) V, evaluated as M o (sqrtP N sqrtP^T).
 
-    Column j of V, reshaped row-major to the d x d matrix X_j, satisfies
-    (M (x) N) vec(X_j) = vec(M X_j N^T), so the product is evaluated in
-    O(d^4) time and O(d^3) memory without forming the d^2 x d^2 Kronecker
-    product.  Only the generic isometry is used, not its sparsity.
+    V e_j = sum_l sqrtP[j][l] e_j (x) e_l, so entry (i, j) of the product
+    is M[i][j] sum_{k,l} sqrtP[i][k] N[k][l] sqrtP[j][l]: O(d^3) time and
+    O(d^2) memory, and V is never formed.
     """
-    a = np.asarray(m)
-    b = np.asarray(n)
-    _check_sites(te, a, b)
-    v = te.isometry_V
-    d = te.dim
-    columns = v.T.reshape(d, d, d)                 # columns[j] = X_j
-    images = (a @ columns @ b.T).reshape(d, d * d)  # images[j] = vec(M X_j N^T)
-    return v.conj().T @ images.T
-
-
-def transition_expectation_closed_form(te: TransitionExpectation, m, n) -> np.ndarray:
-    """Entrywise form M o (sqrtP N sqrtP^T), with sqrtP = entrywise root."""
     a = np.asarray(m)
     b = np.asarray(n)
     _check_sites(te, a, b)
@@ -338,11 +341,12 @@ def iterate_channel(channel, rho0, steps: int) -> ChannelTrajectory:
     before iterating, from the multiplier eigenvalue the channel keeps.
 
     A step forms the next state, checks its trace (below 1e-14 raises
-    "channel absorbed the state"), only then divides by it in place, and
+    "channel absorbed the state"), only then normalizes it in place, and
     copies the state's diagonal into one (steps + 1) x n array.  The
-    Schur step is the entrywise product.  The transition step is the
-    dual's real products on the channel's sqrtP, divided before they are
-    widened to complex.
+    Schur step is the entrywise product, scaled by 1/trace (the values
+    NumPy's complex-by-real division gives, without its complex loop).
+    The transition step is the dual's real products on the channel's
+    sqrtP, divided before they are widened to complex.
 
     Every state is certified to have least eigenvalue >= -_PSD_TOL (as
     `eigvalsh` reads it, from the lower triangle) without a per-step
@@ -403,7 +407,7 @@ def iterate_channel(channel, rho0, steps: int) -> ChannelTrajectory:
             tr = float(nxt.trace().real)
             if tr < 1e-14:
                 return None, tr
-            nxt /= tr
+            nxt *= 1.0 / tr
             return nxt, tr
     else:
         root = channel.sqrt_transition
@@ -504,12 +508,12 @@ def szegedy_walk(d_matrix, convention: str = "column") -> WalkOperator:
     transpose is used).  Pair index (v, w) -> v*n + w.
 
     A is the transition expectation's isometry V for the row-stochastic
-    transpose of D, built and certified by the same helper.  U, the only
-    n^2 x n^2 array built, is filled in one pass from its closed form
+    transpose of D, gathered and certified by the same helpers.  U, the
+    only n^2 x n^2 array built, is filled in one pass from its closed form
     U[(v,w),(v',w')] = 2 [v' = w] sqrt(D[v][w]) sqrt(D[w'][w]) - [v' = w][w' = v].
     `projector` and `swap` are gathered when first read.
 
-    Certificate: A'A = I within 1e-12 (an n x n check).  It implies the
+    Certificate: A'A = I within 1e-12 (diagonal, so O(n^2)).  It implies the
     rest.  S is a permutation, so S'S = I, and Pi = AA' is symmetric,
     hence U'U - I = (2 Pi - I)^2 - I = 4(Pi^2 - Pi) = 4 A(A'A - I)A'.
     Each row of A has a single entry, the square root of a probability
@@ -528,7 +532,8 @@ def szegedy_walk(d_matrix, convention: str = "column") -> WalkOperator:
         )
 
     root_t = np.sqrt(col).T                      # root_t[v, w] = sqrt(D[w][v])
-    a_op = _pair_isometry(root_t, "A")
+    _certify_isometry(root_t, "A")
+    a_op = _pair_gather(root_t)
     u = np.zeros((n * n, n * n))
     u4 = u.reshape(n, n, n, n)                   # view [v, w, v', w']
     vertices = np.arange(n)
@@ -539,10 +544,33 @@ def szegedy_walk(d_matrix, convention: str = "column") -> WalkOperator:
     return WalkOperator(dim_v=n, column_stochastic=col, A_op=a_op, U=u)
 
 
+def _closed_classes(column_stochastic: np.ndarray) -> list[tuple[int, ...]]:
+    """The closed communicating classes of the support graph (v -> w when
+    D[w][v] > 0), sorted.  Exact: reachability is the closure of the 0/1
+    support by repeated squaring, and v is in a closed class, the set it
+    reaches, iff every state it reaches reaches v back."""
+    n = column_stochastic.shape[0]
+    reach = (column_stochastic.T > 0) | np.eye(n, dtype=bool)   # reach[v, w]: v ->* w
+    while True:
+        grown = (reach.astype(np.float32) @ reach) > 0
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    closed = np.flatnonzero(np.all(reach <= reach.T, axis=1))
+    return sorted({tuple(np.flatnonzero(reach[v]).tolist()) for v in closed})
+
+
 def stationary_distribution(column_stochastic) -> np.ndarray:
     """Stationary law of a column-stochastic matrix via its unit eigenvector,
-    certified by max|P pi - pi| <= _STATIONARY_TOL."""
+    certified by max|P pi - pi| <= _STATIONARY_TOL; it must be unique, so
+    the support graph must have exactly one closed communicating class."""
     mat = _column_stochastic(column_stochastic, "column")
+    classes = _closed_classes(mat)
+    if len(classes) > 1:
+        first, second = ("{" + ", ".join(map(str, c)) + "}" for c in classes[:2])
+        raise CertificationError(
+            f"stationary law is not unique: closed classes {first} and {second}"
+        )
     vals, vecs = np.linalg.eig(mat)
     pick = int(np.argmin(np.abs(vals - 1.0)))
     v = vecs[:, pick]

@@ -87,12 +87,6 @@ def schur(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
         raise ValidationError(f"shape mismatch for entrywise product: {a.shape} vs {b.shape}")
     return a * b
 
-def schur_identity(n: int) -> np.ndarray:
-    """The all-ones matrix J, the unit of the entrywise product."""
-    if n < 1:
-        raise ValidationError("size must be >= 1")
-    return np.ones((n, n))
-
 
 def _generic_weights(count: int) -> np.ndarray:
     """Seeded complex coefficients of the generic combination."""

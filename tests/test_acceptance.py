@@ -45,6 +45,7 @@ from schemewalk import (
 from schemewalk.cli import run
 from schemewalk.serialize import from_jsonable, to_jsonable
 from tests.conftest import BUILTIN_NAMES, COMMUTATIVE_NAMES
+from tests.test_qmc import stinespring_oracle
 
 
 _CAPTURE_MANAGER = None
@@ -244,10 +245,8 @@ def test_07_transition_expectation():
             te = make_transition_expectation(p)
             m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             nn = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            from schemewalk import transition_expectation_closed_form
-
             delta = np.abs(apply_transition_expectation(te, m, nn)
-                           - transition_expectation_closed_form(te, m, nn))
+                           - stinespring_oracle(te, m, nn))
             worst = max(worst, float(delta.max()))
 
             unital = apply_transition_expectation(te, np.eye(n), np.eye(n))

@@ -1,12 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
 from schemewalk import (
-    KreinTensor,
+    BoseMesnerDecomposition,
+    CertificationError,
     ValidationError,
     build_group_scheme,
     build_johnson,
-    check_krein_condition,
     decompose,
     groups,
     intersection_numbers,
@@ -127,8 +129,6 @@ def test_krein_nonnegativity_and_trace(name, decompositions, krein_tensors):
     d1 = dec.d + 1
 
     assert kt.q.min() >= -1e-9
-    report = check_krein_condition(kt)
-    assert report.passed and report.violations == ()
 
     for i in range(d1):
         for j in range(d1):
@@ -149,23 +149,15 @@ def test_krein_identity_slices(name, krein_tensors):
         assert np.max(np.abs(kt.q[0, j] - expect)) < 1e-9
 
 
-def test_krein_violation_report_shape(j42_krein):
-    rep = check_krein_condition(j42_krein)
-    assert rep.passed
-    assert rep.tolerance == 1e-9
-
-
-def test_krein_violations_are_listed_in_row_major_order():
-    q = np.zeros((2, 2, 2))
-    q[1, 0, 1] = -0.5
-    q[0, 1, 0] = -2e-9
-    q[1, 1, 0] = -3.0
-    q[0, 0, 1] = -1e-10  # within tolerance
-    rep = check_krein_condition(KreinTensor(d=1, q=q))
-    assert not rep.passed
-    assert rep.violations == ((0, 1, 0, -2e-9), (1, 0, 1, -0.5), (1, 1, 0, -3.0))
-    assert all(type(v) is int for viol in rep.violations for v in viol[:3])
-    assert all(type(viol[3]) is float for viol in rep.violations)
+def test_krein_parameters_refuse_a_negative_entry_with_its_witness(j42_dec):
+    # Negating column 1 of Q turns q_12^1 of J(4,2) from +2 into -2.
+    eq = j42_dec.eigenmatrix_Q.copy()
+    eq[:, 1] *= -1
+    bad = BoseMesnerDecomposition(scheme=j42_dec.scheme, multiplicities=j42_dec.multiplicities,
+                                  eigenmatrix_P=j42_dec.eigenmatrix_P, eigenmatrix_Q=eq)
+    with pytest.raises(CertificationError,
+                       match=re.escape("Krein condition violated: q[1][2][1] = -2.000e+00 < -1e-09")):
+        krein_parameters(bad)
 
 
 def test_intersection_rejects_noncommutative_free():

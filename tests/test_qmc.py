@@ -1,4 +1,5 @@
 import functools
+import re
 import tracemalloc
 import warnings
 
@@ -22,7 +23,6 @@ from schemewalk import (
     schur_channel_apply,
     stationary_distribution,
     szegedy_walk,
-    transition_expectation_closed_form,
     transition_expectation_dual,
 )
 from schemewalk.qmc import _check_density
@@ -155,10 +155,31 @@ def test_isometry_shape_and_identity():
 
 def test_sqrt_transition_is_derived_not_passed():
     te = make_transition_expectation(random_row_stochastic(4))
-    rebuilt = TransitionExpectation(te.dim, te.transition, te.isometry_V)
+    rebuilt = TransitionExpectation(te.transition)
     assert np.array_equal(rebuilt.sqrt_transition, te.sqrt_transition)
     with pytest.raises(TypeError):
-        TransitionExpectation(te.dim, te.transition, te.isometry_V, te.sqrt_transition)
+        TransitionExpectation(te.transition, te.isometry_V)
+    with pytest.raises(TypeError):
+        TransitionExpectation(te.transition, isometry_V=te.isometry_V)
+    with pytest.raises(TypeError):
+        TransitionExpectation(te.transition, sqrt_transition=te.sqrt_transition)
+
+
+def stinespring_oracle(te, m, n):
+    """E(M (x) N) = V' (M (x) N) V evaluated from the isometry V.
+
+    Column j of V, reshaped row-major to the d x d matrix X_j, satisfies
+    (M (x) N) vec(X_j) = vec(M X_j N^T), so the product is evaluated in
+    O(d^4) time and O(d^3) memory without forming the d^2 x d^2 Kronecker
+    product.  Only the generic isometry is used, not its sparsity.
+    """
+    a = np.asarray(m)
+    b = np.asarray(n)
+    v = te.isometry_V
+    d = te.dim
+    columns = v.T.reshape(d, d, d)                 # columns[j] = X_j
+    images = (a @ columns @ b.T).reshape(d, d * d)  # images[j] = vec(M X_j N^T)
+    return v.conj().T @ images.T
 
 
 def test_stinespring_matches_closed_form():
@@ -168,9 +189,75 @@ def test_stinespring_matches_closed_form():
         te = make_transition_expectation(rng.dirichlet(np.ones(n), size=n))
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         nn = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        lhs = apply_transition_expectation(te, m, nn)
-        rhs = transition_expectation_closed_form(te, m, nn)
+        lhs = stinespring_oracle(te, m, nn)
+        rhs = apply_transition_expectation(te, m, nn)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def _sparse_row_stochastic(n, rng):
+    """Rows with about half their entries exactly zero (the diagonal kept)."""
+    wts = rng.uniform(0.1, 1.0, size=(n, n)) * (rng.uniform(size=(n, n)) < 0.5)
+    np.fill_diagonal(wts, 1.0)
+    return wts / wts.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "periodic"])
+def test_closed_form_matches_the_stinespring_oracle_up_to_48_states(kind):
+    rng = np.random.default_rng({"dense": 481, "sparse": 482, "periodic": 483}[kind])
+    for n in range(1, 49):
+        if kind == "dense":
+            p = rng.dirichlet(np.ones(n), size=n)
+        elif kind == "sparse":
+            p = _sparse_row_stochastic(n, rng)
+        else:
+            p = np.eye(n)[rng.permutation(n)]
+        te = make_transition_expectation(p)
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        nn = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        gap = np.max(np.abs(apply_transition_expectation(te, m, nn) - stinespring_oracle(te, m, nn)))
+        assert gap < 1e-12, (kind, n, gap)
+
+
+def test_hand_built_transition_expectation_is_certified():
+    # V is derived from the transition, and the transition must be row-stochastic.
+    with pytest.raises(TypeError):
+        TransitionExpectation(2, [[2.0, 0.0], [0.0, 0.0]], np.zeros((4, 2)))
+    with pytest.raises(ValidationError, match="not row-stochastic"):
+        TransitionExpectation([[2.0, 0.0], [0.0, 0.0]])
+
+
+def test_isometry_is_gathered_on_read_and_capped_at_64_states():
+    rng = np.random.default_rng(64)
+    for n in (1, 2, 7, 64):
+        te = make_transition_expectation(rng.dirichlet(np.ones(n), size=n))
+        assert "isometry_V" not in vars(te)
+        root = np.sqrt(te.transition)
+        gathered = np.zeros((n * n, n))
+        gathered[np.arange(n * n), np.repeat(np.arange(n), n)] = root.ravel()
+        v = te.isometry_V
+        assert np.array_equal(v, gathered) and not v.flags.writeable
+        assert te.isometry_V is v
+        assert np.max(np.abs(v.T @ v - np.eye(n))) < 1e-12
+    te = make_transition_expectation(np.full((65, 65), 1 / 65))
+    with pytest.raises(ValidationError, match="64"):
+        te.isometry_V
+    assert np.max(np.abs(apply_transition_expectation(te, np.eye(65), np.eye(65))
+                         - np.eye(65))) < 1e-12
+
+
+def test_transition_expectation_never_allocates_the_pair_space():
+    n = 800
+    p = np.full((n, n), 1.0 / n)
+    m = np.eye(n)
+    tracemalloc.start()
+    try:
+        te = make_transition_expectation(p)
+        out = apply_transition_expectation(te, m, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(out - m)) < 1e-12
+    assert peak < 8 * 8 * n * n, peak
 
 
 def test_unitality():
@@ -633,6 +720,25 @@ def test_stationary_distribution_certifies_the_fixed_point(monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", skewed)
     with pytest.raises(CertificationError, match="P pi = pi"):
         stationary_distribution(d)
+
+
+@pytest.mark.parametrize("mat, first, second", [
+    (np.eye(2), "{0}", "{1}"),
+    ([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]], "{0}", "{1, 2}"),
+    ([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5], [0.0, 0.0, 0.0]], "{0}", "{1}"),
+])
+def test_stationary_distribution_refuses_two_closed_classes(mat, first, second):
+    with pytest.raises(CertificationError,
+                       match=re.escape(f"not unique: closed classes {first} and {second}")):
+        stationary_distribution(mat)
+
+
+def test_stationary_distribution_accepts_one_closed_class_and_transients():
+    # state 2 is transient and feeds state 1; {0, 1} is the only closed class
+    d = np.array([[0.5, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 0.5]])
+    pi = stationary_distribution(d)
+    assert np.max(np.abs(pi - [2 / 3, 1 / 3, 0.0])) < 1e-12
+    assert np.max(np.abs(stationary_distribution([[1.0, 0.5], [0.0, 0.5]]) - [1.0, 0.0])) < 1e-12
 
 
 def test_szegedy_rejects_nonstochastic_and_oversized():

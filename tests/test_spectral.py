@@ -9,7 +9,6 @@ from schemewalk import (
     decompose,
     groups,
     schur,
-    schur_identity,
 )
 from tests.conftest import COMMUTATIVE_NAMES
 
@@ -105,7 +104,6 @@ def test_schur_product():
     a = np.array([[1, 2], [3, 4]])
     b = np.array([[5, 6], [7, 8]])
     assert np.array_equal(schur(a, b), a * b)
-    assert np.array_equal(schur_identity(2), np.ones((2, 2)))
     with pytest.raises(ValidationError):
         schur(a, np.ones((3, 3)))
 
