@@ -427,8 +427,8 @@ def run(argv) -> int:
         return args.handler(args)
     except SystemExit as exc:       # --help / --version
         return int(exc.code or 0)
-    except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValidationError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)

@@ -17,11 +17,25 @@ g classes into base-(n+1) digits, W = sum_t (n+1)^t A_{j0+t}, with g the
 largest such that (n+1)^g <= 2^53, and multiplies A_i W as float64
 through BLAS: each count (A_i A_j)[x, y] <= n is one digit, and every
 partial sum is an integer below 2^53, so each product entry is computed
-exactly in any summation order.  Only A_1 .. A_{d-1} are multiplied:
-A_0 W = W, and A_d = J - sum_{i<d} A_i gives the last row from the column
-counts.  That one pass also yields the intersection numbers p_ij^k,
-through A_i A_j = sum_k p_ij^k A_k, and the scheme is commutative exactly
-when p_ij^k = p_ji^k (Bannai & Ito 1984, Section II.2).
+exactly in any summation order.
+
+Few classes need multiplying, because a few elements generate the
+Bose-Mesner algebra S = span{A_0..A_d} (one adjacency matrix for a
+distance-regular scheme, a generating set for a group scheme).  The
+argument is Light's associativity test in `groups` moved to algebras:
+the M in S with M S in S include I and are closed under the product, so
+once the verified classes A_1..A_i generate S, every product lies in S.
+Generation is certified without arithmetic.  A word in A_1..A_i applied
+to A_0 = I has nonnegative coordinates, so the support of A_t v is the
+union of the supports of A_t A_j over j in the support of v; a word is
+kept when its support adds a class that no kept word covers, so the
+kept words are triangular, hence independent, and d + 1 of them span S.
+When the words never get there, A_1 .. A_{d-1} are all multiplied:
+A_0 W = W, and A_d = J - sum_{i<d} A_i settles the last row from the
+column counts.  Either way the intersection numbers p_ij^k, through
+A_i A_j = sum_k p_ij^k A_k, are counted at one representative pair per
+class, and the scheme is commutative exactly when p_ij^k = p_ji^k
+(Bannai & Ito 1984, Section II.2).
 
 The table-driven builders form the relation matrix without a loop over
 pairs: Johnson and Grassmann schemes from one float64 product M M^T of a
@@ -180,9 +194,14 @@ def _check_axioms(s: AssociationScheme) -> AxiomReport:
         violations.append((1, (int(x), int(y))))
 
     # One census: the classes present (axiom 2) and the first pair of each
-    # class in row-major order, its representative (axioms 3 and 4).
-    first = np.full(d + 1, n * n)
-    np.minimum.at(first, rel.ravel(), np.arange(n * n))
+    # class in row-major order, its representative (axioms 3 and 4).  Every
+    # class of a scheme meets row 0, and there its first pair is the first
+    # in row-major order; the whole matrix is searched only when a class
+    # is absent from row 0.
+    present, first = np.unique(rel[0], return_index=True)
+    if present.size <= d:
+        first = np.full(d + 1, n * n)
+        np.minimum.at(first, rel.ravel(), np.arange(n * n))
     missing = first == n * n
     violations.extend((2, (int(j),)) for j in np.flatnonzero(missing))
     # a missing class gets (0, 0), unread
@@ -218,61 +237,145 @@ def _block_size(n: int) -> int:
 def _packed_product_pass(rel: np.ndarray, d: int, reps: np.ndarray):
     """Axiom 4 and p_ij^k from products A_i W of packed class blocks.
 
-    Called once axioms 1-3 hold.  The classes are split into blocks of
-    g = `_block_size(n)` consecutive classes j0.., each packed as
-    W = sum_t (n+1)^t A_{j0+t}.  Every count (A_i A_j)[x, y] is at most n,
-    so it is the digit t of (A_i W)[x, y] in base n+1, and every partial
-    sum of the float64 product is an integer below (n+1)^g <= 2^53: the
-    product is exact in any summation order.  One compare of A_i W with
-    its value at the class representatives, gathered through `rel`, checks
-    the whole block on every pair; the digits at reps[k] are p_ij^k.
+    Called once axioms 1-3 hold.  Class by class, i = 1, 2, ...,
+    `_class_products` checks that every A_i A_j is constant on each class.
+    After class i passes, `_WordSupports` asks whether A_1..A_i generate
+    S = span{A_0..A_d}.  The matrices M in S with M S in S contain I and
+    are closed under the product (as in Light's test in `groups`), so
+    they contain every word in A_1..A_i; when the words span S, S is
+    closed under the product and axiom 4 holds on every pair.  The words
+    are followed by their supports alone: their coordinates are sums of
+    products of the nonnegative p_tj^k, so nothing cancels, and d + 1
+    words that each add a class no earlier word covers are triangular,
+    hence independent.
 
-    Only A_1 .. A_{d-1} are multiplied.  A_0 W = W.  Row d follows from
-    A_d = J - sum_{i<d} A_i: once rows 1..d-1 hold, each class i has a
-    constant row count sum_j (A_i A_j)[x, x], so by axiom 3 each class j
-    has a constant column count c_j, and A_d A_j = c_j J - sum_{i<d} A_i A_j
-    is class-constant with p_dj^k = c_j - sum_{i<d} p_ij^k.
+    When the words never span S, A_1 .. A_{d-1} are all multiplied.
+    A_0 W = W.  Row d follows from A_d = J - sum_{i<d} A_i: once rows
+    1..d-1 hold, each class i has a constant row count
+    sum_j (A_i A_j)[x, x], so by axiom 3 each class j has a constant
+    column count c_j, and A_d A_j = c_j J - sum_{i<d} A_i A_j is
+    class-constant.
 
-    Returns (p, None) on success, else (None, (i, j, x, y, x', y')): the
-    first product A_i A_j, in (i, j) order, that is not constant on some
-    class k, with (x, y) = reps[k] and (x', y') the first pair of class k,
-    in row-major order, whose count differs.
+    Returns (p, None) on success, with p counted at the representatives
+    by `_intersection_at`, else (None, (i, j, x, y, x', y')): the first
+    product A_i A_j, in (i, j) order, that is not constant on some class
+    k, with (x, y) = reps[k] and (x', y') the first pair of class k, in
+    row-major order, whose count differs.  Generation is certified only
+    for schemes that satisfy axiom 4, so a failing scheme reaches its
+    first failing (i, j) and gets the witness of the full pass.
 
-    With d + 1 > n no p is allocated, because a witness must turn up: were
-    rows 1..d-1 class-constant, every class would have a constant row
-    count k_i >= 1 (by the argument above), and the k_i sum to n.
+    With d + 1 > n no p is allocated, because a witness must turn up:
+    were rows 1..d-1 class-constant, every class would have a constant
+    row count k_i >= 1 (by the argument above), and the k_i sum to n.
+    """
+    words = _WordSupports(d)
+    for i in range(1, d):
+        witness, columns = _class_products(rel, i, d, reps)
+        if witness is not None:
+            return None, witness
+        if words.extend(columns):
+            break
+    p = _intersection_at(rel, d, reps)
+    p.setflags(write=False)
+    return p, None
+
+
+def _class_products(rel: np.ndarray, i: int, d: int, reps: np.ndarray):
+    """Check that A_i A_j is class-constant for every j, g classes a product.
+
+    The classes are split into blocks of g = `_block_size(n)` consecutive
+    classes j0.., each packed as W = sum_t (n+1)^t A_{j0+t}.  Every count
+    (A_i A_j)[x, y] is at most n, so it is the digit t of (A_i W)[x, y] in
+    base n+1, and every partial sum of the float64 product is an integer
+    below (n+1)^g <= 2^53: the product is exact in any summation order.
+    One compare of A_i W with its value at the class representatives,
+    gathered through `rel`, checks the whole block on every pair; the
+    digits at reps[k] are p_ij^k.
+
+    Returns (witness, None) for the first j that fails, else (None,
+    columns), where columns[j] is the bitmask of the classes k with
+    p_ij^k > 0.
     """
     n = rel.shape[0]
     g = _block_size(n)
     powers = (n + 1) ** np.arange(g, dtype=np.int64)
     rx, ry = reps.T
-    p = None
-    if d < n:
-        p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
-        p[0] = np.eye(d + 1, dtype=np.int64)
-    for i in range(1, d):
-        a_i = (rel == i).astype(np.float64)
-        for j0 in range(0, d + 1, g):
-            weight = np.zeros(d + 1)
-            weight[j0:j0 + g] = powers[:d + 1 - j0]
-            prod = a_i @ weight[rel]
-            codes = prod[rx, ry]
-            if (prod != codes[rel]).any():
-                # the first class j of the block whose digit is not class-constant
-                counts = prod.astype(np.int64)
-                for t, power in enumerate(powers):
-                    digit = counts // power % (n + 1)
-                    bad = digit != digit[rx, ry][rel]
-                    if bad.any():
-                        k = int(rel[bad].min())
-                        x2, y2 = np.argwhere(bad & (rel == k))[0]
-                        return None, (i, j0 + t, *map(int, reps[k]), int(x2), int(y2))
-            if p is not None:
-                p[i, j0:j0 + g] = codes.astype(np.int64) // powers[:d + 1 - j0, None] % (n + 1)
-    if d:
-        p[d] = np.bincount(rel[:, 0], minlength=d + 1)[:, None] - p[:d].sum(axis=0)
-    p.setflags(write=False)
-    return p, None
+    a_i = (rel == i).astype(np.float64)
+    columns: list[int] = []
+    for j0 in range(0, d + 1, g):
+        weight = np.zeros(d + 1)
+        weight[j0:j0 + g] = powers[:d + 1 - j0]
+        prod = a_i @ weight[rel]
+        codes = prod[rx, ry]
+        if (prod != codes[rel]).any():
+            # the first class j of the block whose digit is not class-constant
+            counts = prod.astype(np.int64)
+            for t, power in enumerate(powers):
+                digit = counts // power % (n + 1)
+                bad = digit != digit[rx, ry][rel]
+                if bad.any():
+                    k = int(rel[bad].min())
+                    x2, y2 = np.argwhere(bad & (rel == k))[0]
+                    return (i, j0 + t, *map(int, reps[k]), int(x2), int(y2)), None
+        digits = codes.astype(np.int64) // powers[:d + 1 - j0, None] % (n + 1)
+        packed = np.packbits(digits > 0, axis=1, bitorder="little")
+        columns.extend(int.from_bytes(row, "little") for row in packed)
+    return None, columns
+
+
+class _WordSupports:
+    """Supports of words in the verified classes, applied to A_0 = I.
+
+    A support is a bitmask of classes.  `extend` takes the next verified
+    class t as its column supports, columns[j] = {k : p_tj^k > 0}, and
+    carries every kept word through A_t, and every newly kept word through
+    all verified classes, so each kept word meets each class once over the
+    whole pass.  It returns True once d + 1 words are kept, i.e. the
+    verified classes generate the algebra.  Once the kept words cover
+    every class with fewer than d + 1 of them, no word can be kept again,
+    and later classes are not taken.
+    """
+
+    def __init__(self, d: int):
+        self.size = d + 1
+        self.full = (1 << self.size) - 1
+        self.kept = [1]         # I, whose support is class 0
+        self.covered = 1
+        self.classes: list[list[int]] = []
+
+    def extend(self, columns: list[int]) -> bool:
+        if self.covered == self.full:
+            return False
+        self.classes.append(columns)
+        todo = [(word, columns) for word in self.kept]
+        while todo and self.covered != self.full:
+            word, cols = todo.pop()
+            image = 0
+            while word:
+                low = word & -word
+                image |= cols[low.bit_length() - 1]
+                word ^= low
+            if image & ~self.covered:
+                self.kept.append(image)
+                self.covered |= image
+                todo.extend((image, c) for c in self.classes)
+        return len(self.kept) == self.size
+
+
+def _intersection_at(rel: np.ndarray, d: int, reps: np.ndarray) -> np.ndarray:
+    """p_ij^k = #{z : rel[x_k, z] = i, rel[z, y_k] = j} at reps[k] = (x_k, y_k).
+
+    One bincount of (d+1) n codes, O((d+1) n + (d+1)^3); valid once
+    axiom 4 is established, when (A_i A_j)[x_k, y_k] is p_ij^k.
+    """
+    m = d + 1
+    rx, ry = reps.T
+    codes = rel[rx].T * m
+    codes += rel[:, ry]
+    codes *= m
+    codes += np.arange(m)
+    p = np.bincount(codes.ravel("K"), minlength=m ** 3).astype(np.int64, copy=False)
+    return p.reshape(m, m, m)
 
 
 def _class_order_with_identity_first(identity: int, count: int) -> np.ndarray:

@@ -28,7 +28,7 @@ ones come out real.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -88,10 +88,13 @@ def schur(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     return a * b
 
 
+@lru_cache(maxsize=64)
 def _generic_weights(count: int) -> np.ndarray:
-    """Seeded complex coefficients of the generic combination."""
+    """Seeded complex coefficients of the generic combination (read-only, kept per count)."""
     c = np.random.default_rng(_GENERIC_SEED).standard_normal((count, 2))
-    return c[:, 0] + 1j * c[:, 1]
+    weights = c[:, 0] + 1j * c[:, 1]
+    weights.setflags(write=False)
+    return weights
 
 
 def decompose(s: AssociationScheme) -> BoseMesnerDecomposition:

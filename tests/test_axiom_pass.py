@@ -20,11 +20,14 @@ from hypothesis import strategies as st
 from schemewalk import (
     ValidationError,
     build_conjugacy_scheme,
+    build_grassmann,
     build_group_scheme,
     build_johnson,
+    build_orbit_scheme,
     decompose,
     groups,
     intersection_numbers,
+    schemes,
     serialize,
     verify_axioms,
 )
@@ -370,3 +373,96 @@ def test_many_classes_are_refused_without_allocating_p():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+
+
+def _polygon(n):
+    """The distance scheme of the n-gon: orbitals of its rotation and reflection."""
+    return build_orbit_scheme([[(i + 1) % n for i in range(n)], [(-i) % n for i in range(n)]], n)
+
+
+def _classes_multiplied(s, monkeypatch):
+    """The classes i whose products A_i W one verify_axioms call computes."""
+    multiplied = []
+    original = schemes._class_products
+
+    def counted(rel, i, *args):
+        multiplied.append(i)
+        return original(rel, i, *args)
+
+    monkeypatch.setattr(schemes, "_class_products", counted)
+    assert verify_axioms(s).passed
+    return multiplied
+
+
+@pytest.mark.parametrize("make, count", [
+    (lambda: build_group_scheme(groups.cyclic(3)), 1),
+    (lambda: build_group_scheme(groups.cyclic(32)), 1),
+    (lambda: build_group_scheme(groups.cyclic(40)), 1),
+    (lambda: build_johnson(6, 3), 1),
+    (lambda: build_johnson(10, 4), 1),
+    (lambda: build_grassmann(2, 4, 2), 1),
+    (lambda: build_grassmann(2, 6, 3), 1),
+    (lambda: _polygon(12), 1),
+    (lambda: build_group_scheme(groups.symmetric(3)), 2),
+    (lambda: build_group_scheme(groups.dihedral(4)), 4),
+    (lambda: build_group_scheme(groups.quaternion()), 4),
+    (lambda: build_group_scheme(groups.symmetric(4)), 6),
+    (lambda: build_conjugacy_scheme(groups.quaternion()), 3),
+    (lambda: build_conjugacy_scheme(groups.symmetric(4)), 3),
+    (lambda: build_conjugacy_scheme(groups.symmetric(5)), 5),
+], ids=["z3", "z32", "z40", "j63", "j104", "j2_42", "j2_63", "12-gon", "s3", "d4", "q8",
+        "s4", "conj_q8", "conj_s4", "conj_s5"])
+def test_multiplication_stops_once_the_verified_classes_generate(make, count, monkeypatch):
+    """A_1 generates a distance-regular scheme and the cyclic group scheme;
+    a group scheme needs the classes up to its last generator in index order.
+
+    The transpositions T generate the centre of S4 and of S5, but no support
+    certificate exists: T^2 = kI + 3 C_3 + 2 C_{2,2} adds two classes at once,
+    and the powers of T have only 4 (S4) and 5 (S5) distinct supports, fewer
+    than d + 1.  The words then cover every class with fewer than d + 1 of
+    them, the search stops, and A_1 .. A_{d-1} are all multiplied.
+    """
+    s = make()
+    multiplied = _classes_multiplied(s, monkeypatch)
+    assert multiplied == list(range(1, count + 1))
+    if s.n <= 210:  # the integer products of the oracle take minutes on J_2(6,3)
+        assert np.array_equal(verify_axioms(s).p, _reference_intersection(s))
+
+
+def test_dihedral_conjugacy_falls_back_to_the_row_d_argument(monkeypatch):
+    """The rotation classes of D5 span only the rotations: every class but
+    the last is multiplied, and row d follows from A_d = J - A_0 - A_1 - A_2."""
+    s = build_conjugacy_scheme(groups.dihedral(5))
+    assert s.d == 3
+    assert _classes_multiplied(s, monkeypatch) == [1, 2]
+    _assert_matches_reference(s)
+    x, y = np.argwhere(s.relation == 3)[-1]
+    bad = _move_pair(s, int(x), int(y), 1)
+    _assert_matches_reference(bad)
+    assert verify_axioms(bad).violations[0][0] == 4
+
+
+def _group_scheme(data):
+    family = data.draw(st.sampled_from(["cyclic", "dihedral", "s4"]))
+    if family == "cyclic":
+        return build_group_scheme(groups.cyclic(data.draw(st.integers(3, 40))))
+    if family == "dihedral":
+        return build_group_scheme(groups.dihedral(data.draw(st.integers(2, 12))))
+    return build_group_scheme(groups.symmetric(4))
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_relabelled_group_schemes_with_and_without_a_moved_pair_match_reference(data):
+    """Generation is certified early on group schemes, so a moved pair must
+    still be found at the first failing (i, j) with the full pass's witness."""
+    s = _group_scheme(data)
+    t = _relabel(s, np.array(data.draw(st.permutations(range(s.n)))))
+    _assert_matches_reference(t)
+    x, y = data.draw(st.sampled_from([tuple(v) for v in np.argwhere(t.relation != 0)]))
+    a = int(t.relation[x, y])
+    b = data.draw(st.sampled_from([c for c in range(1, s.d + 1) if c != a]))
+    moved = _move_pair(t, int(x), int(y), b)
+    _assert_matches_reference(moved)
+    assert verify_axioms(moved).violations[0][0] == 4
+

@@ -399,6 +399,24 @@ def test_os_and_encoding_errors_exit_1_without_a_traceback(argv, tmp_path, j42_f
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 7.45 GiB for an array"),
+     "error: Unable to allocate 7.45 GiB for an array"),
+    (MemoryError(), "error: out of memory"),
+])
+def test_memory_error_exits_1_without_a_traceback(exc, message, j42_file, monkeypatch, capsys):
+    import schemewalk.schemes as schemes
+
+    def exhausted(*args):
+        raise exc
+
+    monkeypatch.setattr(schemes, "_packed_product_pass", exhausted)
+    code = run(["scheme", "verify", str(j42_file)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == message + "\n"
+
+
 def test_main_exit_codes_through_the_module_entry_point(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

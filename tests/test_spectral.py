@@ -9,6 +9,7 @@ from schemewalk import (
     decompose,
     groups,
     schur,
+    spectral,
 )
 from tests.conftest import COMMUTATIVE_NAMES
 
@@ -92,6 +93,29 @@ def test_decompose_is_deterministic():
     d2 = decompose(s)
     for e1, e2 in zip(d1.idempotents, d2.idempotents):
         assert np.array_equal(e1, e2)
+
+
+def test_generic_weights_are_built_once_per_size_and_read_only():
+    w = spectral._generic_weights(5)
+    assert spectral._generic_weights(5) is w
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0
+
+
+@pytest.mark.parametrize("name", COMMUTATIVE_NAMES)
+def test_cached_weights_give_bit_identical_decompositions(name, builtin_schemes, decompositions,
+                                                          monkeypatch):
+    def fresh(count):
+        c = np.random.default_rng(spectral._GENERIC_SEED).standard_normal((count, 2))
+        return c[:, 0] + 1j * c[:, 1]
+
+    monkeypatch.setattr(spectral, "_generic_weights", fresh)
+    dec = decompose(builtin_schemes[name])
+    cached = decompositions[name]
+    assert dec.multiplicities == cached.multiplicities
+    assert np.array_equal(dec.eigenmatrix_P, cached.eigenmatrix_P)
+    assert np.array_equal(dec.eigenmatrix_Q, cached.eigenmatrix_Q)
 
 
 def test_decompose_rejects_noncommutative():
