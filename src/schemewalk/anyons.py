@@ -20,21 +20,28 @@ admissible fusion trees.
 `scheme_fusion_bridge` compares a scheme's Krein tensor against fusion
 multiplicities up to label bijection and per-index positive rescaling,
 which is the precise sense in which Krein parameters of small group
-schemes "are" fusion rules.  It does not fit every bijection: a search
-over vacuum-fixing label maps, one label at a time (the pruned search of
-McKay & Piperno, "Practical graph isomorphism, II", 2014), cuts a
-partial map as soon as the support pattern q_ij^k > 1e-8 <=> N_ij^k >= 1
-breaks on its labels, and only complete maps that keep it are fitted.
-The search is exhaustive, so when it ends with no complete map the pair
-is decided as unmatched with an empty bijection; matched and unmatched
-pairs alike are answered up to rank 32.
+schemes "are" fusion rules.  The scalars are not fitted.  If positive s
+(s_0 = 1) give q_ij^k s_i s_j / s_k = N[pi]_ij^k exactly, then t = s m
+satisfies sum_k N[pi]_ij^k t_k = s_i s_j sum_k q_ij^k m_k = t_i t_j by
+the trace identity sum_k q_ij^k m_k = m_i m_j, so t is a positive
+character of the fusion ring.  A fusion ring has exactly one, its
+Frobenius-Perron dimension (Etingof, Gelaki, Nikshych & Ostrik, "Tensor
+Categories", 2015, Prop. 3.3.6), so s_i = d_pi(i) / m_i is the only
+candidate and is read from the certified dimensions and multiplicities.
+A search over vacuum-fixing label maps, one label at a time (the pruned
+search of McKay & Piperno, "Practical graph isomorphism, II", 2014),
+cuts a partial map as soon as the support pattern
+q_ij^k > 1e-8 <=> N_ij^k >= 1 breaks on its labels, and only complete
+maps that keep it are scored.  The search is exhaustive, so when it
+ends with no complete map the pair is decided as unmatched with an
+empty bijection; matched and unmatched pairs alike are answered up to
+rank 32.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import itemgetter
 from types import MappingProxyType
 
 import numpy as np
@@ -114,7 +121,8 @@ def _dims_from_tensor(n_tensor: np.ndarray) -> np.ndarray:
 
 
 def quantum_dimensions(fs: FusionSystem) -> np.ndarray:
-    return _dims_from_tensor(fs.N)
+    """A fresh copy of the dimensions `make_fusion_system` certified."""
+    return fs.dims.copy()
 
 
 def _tree_rows(n, a, b, c, e):
@@ -493,29 +501,6 @@ class BridgeReport:
     threshold: float = BRIDGE_THRESHOLD
 
 
-def _bridge_fit(q: np.ndarray, n: np.ndarray, perm: tuple[int, ...]):
-    """(deviation, perm, scalars) for one vacuum-fixing label map.
-
-    Positive scalars s (s_0 = 1) are fitted by least squares in log space
-    so that q_ij^k s_i s_j / s_k approximates N over the matched labels,
-    one equation per triple with N >= 1 and q > 1e-8, in row-major order.
-    """
-    rank = q.shape[0]
-    target = n[np.ix_(perm, perm, perm)]
-    hits = np.argwhere((target >= 0.5) & (q > _BRIDGE_SUPPORT_TOL))
-    x = np.zeros(rank - 1)
-    if hits.size:
-        coeffs = np.zeros((len(hits), rank))
-        np.add.at(coeffs, (np.arange(len(hits))[:, None], hits), [1.0, 1.0, -1.0])
-        i, j, k = hits.T
-        rhs = np.log(target[i, j, k]) - np.log(q[i, j, k])
-        x, *_ = np.linalg.lstsq(coeffs[:, 1:], rhs, rcond=None)
-    log_s = np.concatenate(([0.0], x))
-    scale = np.exp(log_s[:, None, None] + log_s[None, :, None] - log_s[None, None, :])
-    deviation = float(np.max(np.abs(q * scale - target)))
-    return deviation, perm, tuple(np.exp(log_s))
-
-
 def _support_maps(q_support: np.ndarray, n_support: np.ndarray) -> np.ndarray:
     """Every vacuum-fixing label map under which q_support equals
     n_support[perm][:, perm][:, :, perm], one per row, in the order
@@ -557,17 +542,19 @@ def scheme_fusion_bridge(dec: BoseMesnerDecomposition, q: KreinTensor,
                          fs: FusionSystem) -> BridgeReport:
     """Match a Krein tensor against fusion multiplicities.
 
-    For a label bijection fixing the vacuum, positive per-index scalars s
-    (s_0 = 1) are fitted by least squares in log space so that
-    q_{ij}^k s_i s_j / s_k approximates N over the matched labels.  Only
-    maps that keep the support pattern, q_ij^k > 1e-8 exactly where
-    N_ij^k >= 1, are fitted: the search assigns labels 1, 2, ... in turn
-    and cuts a partial map as soon as the pattern breaks on the labels it
-    has assigned.  The best such map (the first with the least max
-    deviation from N), its scalars and that deviation are reported, and
-    `matched` requires deviation below 1e-6.  If no map keeps the
-    pattern, the exhaustive search is the witness: the pair is unmatched
-    with an empty bijection, no scalars and deviation inf.
+    A label bijection pi fixes the vacuum and maps idempotent i to label
+    pi(i).  Only maps that keep the support pattern, q_ij^k > 1e-8
+    exactly where N[pi]_ij^k >= 1, are scored: the search assigns labels
+    1, 2, ... in turn and cuts a partial map as soon as the pattern
+    breaks on the labels it has assigned.  Each such map is scored with
+    the scalars s_i = d_pi(i) / m_i, quantum dimensions over the
+    multiplicities of `dec` (the only scalars an exact match can have;
+    see the module docstring), by the deviation
+    max |q_ij^k s_i s_j / s_k - N[pi]_ij^k| in units of N.  The best map
+    (the first with the least deviation), its scalars and that deviation
+    are reported, and `matched` requires deviation below 1e-6.  If no map
+    keeps the pattern, the exhaustive search is the witness: the pair is
+    unmatched with an empty bijection, no scalars and deviation inf.
 
     A search that passes 2^17 partial maps is refused; every search at
     rank <= 9 stays below that.  Ranks above 32 are refused outright.
@@ -583,14 +570,18 @@ def scheme_fusion_bridge(dec: BoseMesnerDecomposition, q: KreinTensor,
         raise ValidationError(f"bridge search supports rank <= {_BRIDGE_MAX_RANK}; got rank {rank}")
 
     q_arr = q.q
-    n_arr = fs.N.astype(np.float64)
     maps = _support_maps(q_arr > _BRIDGE_SUPPORT_TOL, fs.N >= 1)
-    deviation, perm, scalars = min(
-        (_bridge_fit(q_arr, n_arr, tuple(perm)) for perm in maps.tolist()),
-        key=itemgetter(0), default=(np.inf, (), ()))
+    if not len(maps):
+        return BridgeReport(matched=False, bijection=(), scalars=(), deviation=np.inf)
+    scalars = fs.dims[maps] / np.array(dec.multiplicities, dtype=np.float64)
+    deviations = [
+        float(np.max(np.abs(q_arr * s[:, None, None] * s[None, :, None] / s[None, None, :]
+                            - fs.N[np.ix_(perm, perm, perm)])))
+        for perm, s in zip(maps, scalars)]
+    best = int(np.argmin(deviations))
     return BridgeReport(
-        matched=deviation < BRIDGE_THRESHOLD,
-        bijection=perm,
-        scalars=scalars,
-        deviation=deviation,
+        matched=deviations[best] < BRIDGE_THRESHOLD,
+        bijection=tuple(maps[best].tolist()),
+        scalars=tuple(scalars[best]),
+        deviation=deviations[best],
     )

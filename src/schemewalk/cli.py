@@ -390,7 +390,7 @@ def _anyon_bridge(args, fs) -> int:
         verdict = "match" if report.matched else "no integral match"
         names = [fs.labels[p] for p in report.bijection]
         lines = (f"{verdict}: bijection {names}, deviation {report.deviation:.3e}",
-                 f"fitted scalars: {_vector_text(report.scalars)}")
+                 f"scalars d/m: {_vector_text(report.scalars)}")
     else:
         lines = ("no integral match: no label map keeps the support pattern",)
     return _emit(args, {

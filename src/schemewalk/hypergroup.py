@@ -123,9 +123,10 @@ def _measure(h: Hypergroup, value, what: str) -> np.ndarray:
 
 
 def convolve(h: Hypergroup, mu, nu) -> np.ndarray:
-    """Bilinear extension (mu * nu)(k) = sum_ij mu(i) nu(j) conv[i][j][k]."""
-    a = _as_distribution(mu, h.size, "left measure")
-    b = _as_distribution(nu, h.size, "right measure")
+    """Bilinear extension (mu * nu)(k) = sum_ij mu(i) nu(j) conv[i][j][k];
+    `mu` and `nu` are each an index or a distribution."""
+    a = _measure(h, mu, "left measure")
+    b = _measure(h, nu, "right measure")
     return np.einsum("i,j,ijk->k", a, b, h.convolution)
 
 

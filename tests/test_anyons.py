@@ -66,6 +66,15 @@ def test_quantum_dimensions():
     assert abs(dims[1] - (1 + np.sqrt(5)) / 2) < 1e-12
 
 
+@pytest.mark.parametrize("fs", [ISING, FIB, cyclic_fusion_system(4), cyclic_fusion_system(32)])
+def test_quantum_dimensions_are_a_fresh_copy_of_the_certified_dims(fs):
+    dims = quantum_dimensions(fs)
+    assert np.array_equal(dims, anyons._dims_from_tensor(fs.N))
+    assert dims.flags.writeable and not np.shares_memory(dims, fs.dims)
+    dims[0] = 7.0
+    assert fs.dims[0] == 1.0
+
+
 @pytest.mark.parametrize("fs", [ISING, FIB, cyclic_fusion_system(4)])
 def test_dimension_product_rule(fs):
     dims = quantum_dimensions(fs)
@@ -477,14 +486,16 @@ def test_cyclic_system_is_group_like():
 
 # ----------------------------------------------------------------- bridge
 
-def _enumerated_bridge(dec, q, fs):
-    """Reference: fit every vacuum-fixing bijection, one row per triple."""
+def _enumerated_bridge(dec, q, fs, maps=None):
+    """Reference: fit every vacuum-fixing bijection (or every map in `maps`)
+    by least squares in log space, one row per triple."""
     rank = dec.d + 1
     q_arr = q.q
     n_arr = fs.N.astype(np.float64)
+    if maps is None:
+        maps = ((0,) + rest for rest in itertools.permutations(range(1, rank)))
     best = None
-    for perm_rest in itertools.permutations(range(1, rank)):
-        perm = (0,) + perm_rest
+    for perm in map(tuple, maps):
         target = n_arr[np.ix_(perm, perm, perm)]
 
         rows = []
@@ -551,13 +562,29 @@ def _product_ring(*orders):
     return make_fusion_system(["".join(map(str, e)) for e in elems], n)
 
 
-def _assert_same_as_enumeration(dec, q, fs):
+def _assert_dims_over_multiplicities(dec, q, fs, rep):
+    """The reported scalars are d_pi(i) / m_i bit for bit, and the deviation
+    is their max |q_ij^k s_i s_j / s_k - N[pi]_ij^k|, triple by triple."""
+    perm = rep.bijection
+    s = fs.dims[list(perm)] / np.array(dec.multiplicities, dtype=np.float64)
+    assert rep.scalars == tuple(s)
+    assert rep.deviation == max(
+        abs(q.q[i, j, k] * s[i] * s[j] / s[k] - fs.N[perm[i], perm[j], perm[k]])
+        for i, j, k in itertools.product(range(fs.rank), repeat=3))
+
+
+def _assert_same_as_enumeration(dec, q, fs, maps=None):
+    """The bridge against the least-squares oracle: the same bijection and
+    verdict, and on a matched pair the same scalars and deviation within
+    1e-12 (the oracle fits in log space, the bridge reads d / m)."""
     rep = scheme_fusion_bridge(dec, q, fs)
-    deviation, perm, scalars = _enumerated_bridge(dec, q, fs)
+    deviation, perm, scalars = _enumerated_bridge(dec, q, fs, maps)
     assert rep.bijection == perm
-    assert rep.scalars == scalars
-    assert rep.deviation == deviation
     assert rep.matched == (deviation < rep.threshold)
+    if rep.matched:
+        assert np.max(np.abs(np.subtract(rep.scalars, scalars))) <= 1e-12
+        assert abs(rep.deviation - deviation) <= 1e-12
+    _assert_dims_over_multiplicities(dec, q, fs, rep)
     return rep
 
 
@@ -599,24 +626,39 @@ def test_bridge_equals_enumeration_on_unmatched_pairs(j42_dec, j42_krein):
         _assert_no_map_keeps_the_pattern(scheme_fusion_bridge(dec, kt, fs))
 
 
-def _near_group_ring():
-    """{1, s, t} with s x s = 1, s x t = t and t x t = 1 + s + 2t."""
+def _one_s_t_ring(t_times_t):
+    """{1, s, t} with s x s = 1, s x t = t and t x t = the given (1, s, t)
+    multiplicities: (1, 1, 1) is Rep(S3), (1, 1, 2) the near-group ring."""
     n = np.zeros((3, 3, 3), dtype=np.int64)
     n[0] = n[:, 0] = np.eye(3, dtype=np.int64)
     n[1, 1, 0] = n[1, 2, 2] = n[2, 1, 2] = 1
-    n[2, 2] = [1, 1, 2]
+    n[2, 2] = t_times_t
     return make_fusion_system(("1", "s", "t"), n)
 
 
-def test_bridge_fits_the_maps_that_keep_the_pattern_of_an_unmatched_pair(
+def test_bridge_scores_the_maps_that_keep_the_pattern_of_an_unmatched_pair(
         decompositions, krein_tensors):
     dec, kt = decompositions["conjugacy_s3"], krein_tensors["conjugacy_s3"]
-    fs = _near_group_ring()
+    fs = _one_s_t_ring([1, 1, 2])
     assert _pattern_keeping_maps(kt, fs) == [(0, 2, 1)]
     rep = _assert_same_as_enumeration(dec, kt, fs)
     assert not rep.matched
     assert rep.bijection == (0, 2, 1)
-    assert abs(rep.deviation - 0.914286) < 1e-6
+    # the distance under s = d / m, the only scalars a match could use
+    assert abs(rep.deviation - math.sqrt(3) / 2) <= 1e-15
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.permutations(range(1, 3)))
+def test_bridge_matches_s3_conjugacy_to_rep_s3(decompositions, krein_tensors, n_rest):
+    # relabel the ring, not q: the scalars read dec.multiplicities = (1, 4, 1)
+    dec, kt = decompositions["conjugacy_s3"], krein_tensors["conjugacy_s3"]
+    assert dec.multiplicities == (1, 4, 1)
+    fs = _relabelled_ring(_one_s_t_ring([1, 1, 1]), (0,) + tuple(n_rest))
+    rep = _assert_same_as_enumeration(dec, kt, fs)
+    assert rep.matched
+    assert [fs.labels[p] for p in rep.bijection] == ["1", "t", "s"]
+    assert np.max(np.abs(np.subtract(rep.scalars, [1.0, 0.5, 1.0]))) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -634,8 +676,12 @@ def test_bridge_equals_enumeration_under_relabelling(case):
 
 @pytest.mark.parametrize("order", [9, 16, 32])
 def test_bridge_matches_cyclic_groups_above_the_enumeration_rank(order):
+    # the oracle fits only the maps the search keeps: all 8! maps at rank 9
+    # already take minutes
     dec, kt = _cyclic_krein(order)
-    rep = scheme_fusion_bridge(dec, kt, cyclic_fusion_system(order))
+    fs = cyclic_fusion_system(order)
+    maps = anyons._support_maps(kt.q > 1e-8, fs.N >= 1)
+    rep = _assert_same_as_enumeration(dec, kt, fs, maps)
     assert rep.matched
     assert rep.bijection[0] == 0
     assert sorted(rep.bijection) == list(range(order))

@@ -281,6 +281,32 @@ def test_anyon_bridge_above_rank_9(tmp_path, capsys):
     assert outs["z2xz6"].startswith("no integral match")
 
 
+REP_S3_JSON = {"labels": ["1", "s", "t"],
+               "N": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                     [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+                     [[0, 0, 1], [0, 0, 1], [1, 1, 1]]]}
+
+
+def test_anyon_bridge_reports_scalars_d_over_m(tmp_path, capsys):
+    scheme_path, ring_path = tmp_path / "s3c.json", tmp_path / "reps3.json"
+    assert run(["scheme", "build", "--family", "conjugacy", "--group", "s3",
+                "--out", str(scheme_path)]) == 0
+    ring_path.write_text(json.dumps(REP_S3_JSON))
+    capsys.readouterr()
+    argv = ["anyon", "bridge", "--scheme", str(scheme_path), "--system", str(ring_path)]
+    assert run(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("match: bijection ['1', 't', 's'], deviation ")
+    assert lines[1] == "scalars d/m: [1.00000000, 0.50000000, 1.00000000]"
+
+    assert run(argv + ["--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["matched"] and out["bijection"] == [0, 2, 1]
+    assert np.max(np.abs(np.subtract(out["scalars"], [1.0, 0.5, 1.0]))) <= 1e-12
+    assert 0.0 <= out["deviation"] < 1e-12
+
+
 def test_exit_codes(tmp_path, capsys):
     # validation problems exit 1
     assert run(["scheme", "verify", str(tmp_path / "missing.json")]) == 1

@@ -88,6 +88,21 @@ def test_convolve_rejects_bad_measures(j42_hypergroup):
         convolve(j42_hypergroup, np.array([0.4, 0.4, 0.4]), np.array([1.0, 0.0, 0.0]))
 
 
+def test_convolve_reads_an_index_as_its_point_mass(j42_hypergroup):
+    h = j42_hypergroup
+    for i, j in np.ndindex(h.size, h.size):
+        point_i, point_j = np.eye(h.size)[i], np.eye(h.size)[j]
+        assert np.array_equal(convolve(h, i, j), convolve(h, point_i, point_j))
+        assert np.array_equal(convolve(h, np.int64(i), point_j), convolve(h, point_i, point_j))
+
+
+@pytest.mark.parametrize("mu,nu", [(True, 0), (0, False), (np.bool_(True), 0), (3, 0), (0, -1)],
+                         ids=["bool-left", "bool-right", "numpy-bool", "range", "negative"])
+def test_convolve_refuses_bools_and_out_of_range_indices(j42_hypergroup, mu, nu):
+    with pytest.raises(ValidationError):
+        convolve(j42_hypergroup, mu, nu)
+
+
 def test_classical_chain_identity_coin(j42_hypergroup):
     assert np.array_equal(classical_chain(j42_hypergroup, 0), np.eye(3))
 
