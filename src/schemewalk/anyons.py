@@ -41,6 +41,7 @@ rank 32.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -70,24 +71,112 @@ GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 
 @dataclass(frozen=True, eq=False)
 class FusionSystem:
-    """Labels, fusion tensor, and optional F/R/twist data.
+    """Labels, fusion tensor, and optional F/R/twist data, certified on
+    construction; `dual` and `dims` are derived from N.
 
     F maps (a, b, c, e) -> the unitary block [F^{abc}_e]_{xy}; rows x and
     columns y run over the admissible intermediate labels in ascending
     index order.  R maps (a, b, c) -> the exchange phase R^{ab}_c.
+
+    Checks: integer multiplicities, vacuum unit law, commutativity,
+    associativity, existence of duals, quantum-dimension consistency, F
+    keys (a,b,c,e) and R keys (a,b,c) of label indices, finite entries,
+    unitarity of every F block, unit modulus of every R phase and twist.
     """
 
     labels: tuple[str, ...]
     N: np.ndarray
-    dual: tuple[int, ...]
-    dims: np.ndarray
-    F: MappingProxyType = field(default_factory=lambda: MappingProxyType({}))
-    R: MappingProxyType = field(default_factory=lambda: MappingProxyType({}))
+    dual: tuple[int, ...] = field(init=False)
+    dims: np.ndarray = field(init=False)
+    F: Mapping | None = None
+    R: Mapping | None = None
     twist: tuple[complex, ...] | None = None
 
     def __post_init__(self):
-        self.N.setflags(write=False)
-        self.dims.setflags(write=False)
+        labels = tuple(str(x) for x in self.labels)
+        if not labels or len(set(labels)) != len(labels):
+            raise ValidationError("labels must be non-empty and distinct")
+        rank = len(labels)
+        n = numeric_array(self.N, "fusion tensor").astype(np.int64)
+        if n.shape != (rank, rank, rank):
+            raise ValidationError(f"fusion tensor must be {rank}^3, got {n.shape}")
+        if n.min() < 0:
+            raise ValidationError("fusion multiplicities must be non-negative")
+
+        eye = np.eye(rank, dtype=np.int64)
+        if not np.array_equal(n[0], eye) or not np.array_equal(n[:, 0, :], eye):
+            raise ValidationError("label 0 must be the fusion unit (N_0b^c = delta_bc)")
+        if not np.array_equal(n, n.transpose(1, 0, 2)):
+            raise ValidationError("fusion must be commutative (N_ab^c = N_ba^c)")
+        # left[a,b,c,x] is the multiplicity of x in (ab)c; by commutativity
+        # a(bc) = (bc)a, so its multiplicity of x is left[b,c,a,x].
+        left = np.tensordot(n, n, axes=([2], [0]))
+        right = left.transpose(2, 0, 1, 3)
+        if not np.array_equal(left, right):
+            a, b, c, x = np.argwhere(left != right)[0]
+            raise ValidationError(
+                f"fusion is not associative at ({labels[a]} {labels[b]} {labels[c]} "
+                f"-> {labels[x]})"
+            )
+        # N_ab^0 >= 0, so row a sums to 1 exactly when a has one dual
+        lonely = np.flatnonzero(n[:, :, 0].sum(axis=1) != 1)
+        if lonely.size:
+            raise ValidationError(f"label {labels[lonely[0]]!r} has no unique dual")
+        dual = tuple(n[:, :, 0].argmax(axis=1).tolist())
+        dims = _dims_from_tensor(n)
+
+        f_table = {}
+        for key, mat in (self.F or {}).items():
+            a, b, c, e = key = _label_key(key, 4, "F", rank)
+            rows = _tree_rows(n, a, b, c, e)
+            cols = _tree_cols(n, a, b, c, e)
+            block = numeric_array(mat, f"F block {key}", kinds="iufc").astype(np.complex128)
+            if not np.all(np.isfinite(block)):
+                raise ValidationError(f"F block {key} has a non-finite entry")
+            if block.shape != (len(rows), len(cols)):
+                raise ValidationError(
+                    f"F block {key} must have shape {(len(rows), len(cols))}, got {block.shape}"
+                )
+            if len(rows) != len(cols):
+                raise ValidationError(f"F block {key} is not square; fusion data inconsistent")
+            if np.max(np.abs(block.conj().T @ block - np.eye(len(rows)))) > _UNITARITY_TOL:
+                raise ValidationError(f"F block {key} is not unitary")
+            block.setflags(write=False)
+            f_table[key] = block
+
+        r_table = {}
+        for key, phase in (self.R or {}).items():
+            key = _label_key(key, 3, "R", rank)
+            if not n[key]:
+                raise ValidationError(f"R phase given for forbidden channel {key}")
+            val = numeric_array(phase, f"R phase {key}", kinds="iufc")
+            if val.ndim != 0:
+                raise ValidationError(f"R phase {key} must be a single number")
+            if not np.isfinite(val):
+                raise ValidationError(f"R phase {key} is non-finite")
+            val = complex(val)
+            if abs(abs(val) - 1.0) > _UNITARITY_TOL:
+                raise ValidationError(f"R phase {key} has modulus {abs(val)!r}, not 1")
+            r_table[key] = val
+
+        twist = self.twist
+        if twist is not None:
+            twist = numeric_array(twist, "twist", kinds="iufc")
+            if twist.shape != (rank,):
+                raise ValidationError("twist must list one phase per label")
+            if not np.all(np.isfinite(twist)):
+                raise ValidationError("twist has a non-finite entry")
+            twist = tuple(complex(t) for t in twist)
+            for a, t in enumerate(twist):
+                if abs(abs(t) - 1.0) > _UNITARITY_TOL:
+                    raise ValidationError(f"twist {a} has modulus {abs(t)!r}, not 1")
+
+        n.setflags(write=False)
+        dims.setflags(write=False)
+        for name, value in (("labels", labels), ("N", n), ("dual", dual),
+                            ("dims", dims), ("F", MappingProxyType(f_table)),
+                            ("R", MappingProxyType(r_table)), ("twist", twist)):
+            object.__setattr__(self, name, value)
 
     @property
     def rank(self) -> int:
@@ -121,7 +210,7 @@ def _dims_from_tensor(n_tensor: np.ndarray) -> np.ndarray:
 
 
 def quantum_dimensions(fs: FusionSystem) -> np.ndarray:
-    """A fresh copy of the dimensions `make_fusion_system` certified."""
+    """A fresh copy of the dimensions `FusionSystem` certified."""
     return fs.dims.copy()
 
 
@@ -144,102 +233,6 @@ def _label_key(key, length: int, what: str, rank: int) -> tuple[int, ...]:
             f"{what} key {key!r} must be {length} label indices in 0..{rank - 1}"
         )
     return tuple(int(v) for v in parts)
-
-
-def make_fusion_system(labels, n_tensor, f_data=None, r_data=None, twist=None) -> FusionSystem:
-    """Validate and assemble a FusionSystem.
-
-    Checks: integer multiplicities, vacuum unit law, commutativity,
-    associativity, existence of duals, quantum-dimension consistency, F
-    keys (a,b,c,e) and R keys (a,b,c) of label indices, finite entries,
-    unitarity of every F block, unit modulus of every R phase and twist.
-    """
-    labels = tuple(str(x) for x in labels)
-    if not labels or len(set(labels)) != len(labels):
-        raise ValidationError("labels must be non-empty and distinct")
-    rank = len(labels)
-    n = numeric_array(n_tensor, "fusion tensor").astype(np.int64)
-    if n.shape != (rank, rank, rank):
-        raise ValidationError(f"fusion tensor must be {rank}^3, got {n.shape}")
-    if n.min() < 0:
-        raise ValidationError("fusion multiplicities must be non-negative")
-
-    eye = np.eye(rank, dtype=np.int64)
-    if not np.array_equal(n[0], eye) or not np.array_equal(n[:, 0, :], eye):
-        raise ValidationError("label 0 must be the fusion unit (N_0b^c = delta_bc)")
-    if not np.array_equal(n, n.transpose(1, 0, 2)):
-        raise ValidationError("fusion must be commutative (N_ab^c = N_ba^c)")
-    left = np.einsum("abe,ecx->abcx", n, n)
-    right = np.einsum("bcf,afx->abcx", n, n)
-    if not np.array_equal(left, right):
-        a, b, c, x = np.argwhere(left != right)[0]
-        raise ValidationError(
-            f"fusion is not associative at ({labels[a]} {labels[b]} {labels[c]} "
-            f"-> {labels[x]})"
-        )
-    dual = []
-    for a in range(rank):
-        mates = np.nonzero(n[a, :, 0])[0]
-        if mates.size != 1 or n[a, mates[0], 0] != 1:
-            raise ValidationError(f"label {labels[a]!r} has no unique dual")
-        dual.append(int(mates[0]))
-
-    dims = _dims_from_tensor(n)
-
-    f_table = {}
-    for key, mat in (f_data or {}).items():
-        a, b, c, e = key = _label_key(key, 4, "F", rank)
-        rows = _tree_rows(n, a, b, c, e)
-        cols = _tree_cols(n, a, b, c, e)
-        block = numeric_array(mat, f"F block {key}", kinds="iufc").astype(np.complex128)
-        if not np.all(np.isfinite(block)):
-            raise ValidationError(f"F block {key} has a non-finite entry")
-        if block.shape != (len(rows), len(cols)):
-            raise ValidationError(
-                f"F block {key} must have shape {(len(rows), len(cols))}, got {block.shape}"
-            )
-        if len(rows) != len(cols):
-            raise ValidationError(f"F block {key} is not square; fusion data inconsistent")
-        if np.max(np.abs(block.conj().T @ block - np.eye(len(rows)))) > _UNITARITY_TOL:
-            raise ValidationError(f"F block {key} is not unitary")
-        block.setflags(write=False)
-        f_table[key] = block
-
-    r_table = {}
-    for key, phase in (r_data or {}).items():
-        key = _label_key(key, 3, "R", rank)
-        if not n[key]:
-            raise ValidationError(f"R phase given for forbidden channel {key}")
-        val = numeric_array(phase, f"R phase {key}", kinds="iufc")
-        if val.ndim != 0:
-            raise ValidationError(f"R phase {key} must be a single number")
-        if not np.isfinite(val):
-            raise ValidationError(f"R phase {key} is non-finite")
-        val = complex(val)
-        if abs(abs(val) - 1.0) > _UNITARITY_TOL:
-            raise ValidationError(f"R phase {key} has modulus {abs(val)!r}, not 1")
-        r_table[key] = val
-
-    if twist is not None:
-        twist = numeric_array(twist, "twist", kinds="iufc")
-        if twist.shape != (rank,):
-            raise ValidationError("twist must list one phase per label")
-        if not np.all(np.isfinite(twist)):
-            raise ValidationError("twist has a non-finite entry")
-        twist = tuple(complex(t) for t in twist)
-        for a, t in enumerate(twist):
-            if abs(abs(t) - 1.0) > _UNITARITY_TOL:
-                raise ValidationError(f"twist {a} has modulus {abs(t)!r}, not 1")
-
-    return FusionSystem(
-        labels=labels,
-        N=n,
-        dual=tuple(dual),
-        dims=dims,
-        F=MappingProxyType(f_table),
-        R=MappingProxyType(r_table),
-        twist=twist,
-    )
 
 
 def builtin_fusion_system(name: str) -> FusionSystem:
@@ -275,8 +268,8 @@ def builtin_fusion_system(name: str) -> FusionSystem:
             (2, 1, 1): -1j,
             (2, 2, 0): -1.0 + 0.0j,
         }
-        return make_fusion_system(labels, n, f_data, r_data,
-                                  twist=(1.0, np.exp(1j * np.pi / 8.0), -1.0))
+        return FusionSystem(labels, n, f_data, r_data,
+                            twist=(1.0, np.exp(1j * np.pi / 8.0), -1.0))
     if name == "fibonacci":
         labels = ("1", "f")
         n = np.zeros((2, 2, 2), dtype=np.int64)
@@ -291,7 +284,7 @@ def builtin_fusion_system(name: str) -> FusionSystem:
             (1, 1, 0): np.exp(4j * np.pi / 5.0),
             (1, 1, 1): np.exp(-3j * np.pi / 5.0),
         }
-        return make_fusion_system(labels, n, f_data, r_data)
+        return FusionSystem(labels, n, f_data, r_data)
     raise ValidationError(f"unknown fusion system {name!r}; built-ins: ising, fibonacci")
 
 
@@ -303,7 +296,7 @@ def cyclic_fusion_system(order: int) -> FusionSystem:
     n = np.zeros((order, order, order), dtype=np.int64)
     a, b = np.indices((order, order))
     n[a, b, (a + b) % order] = 1
-    return make_fusion_system(labels, n)
+    return FusionSystem(labels, n)
 
 
 def fuse(fs: FusionSystem, a, b) -> np.ndarray:
@@ -415,11 +408,10 @@ def braid_generators(fs: FusionSystem, label=None) -> BraidGenerators:
 class PentagonReport:
     max_residual: float
     identities_checked: int
-    threshold: float = PENTAGON_THRESHOLD
 
     @property
     def passed(self) -> bool:
-        return self.max_residual < self.threshold
+        return self.max_residual < PENTAGON_THRESHOLD
 
 
 def _require_small_multiplicity_free(fs: FusionSystem, what: str, max_rank: int):
@@ -456,11 +448,10 @@ class HexagonReport:
     max_residual: float
     max_residual_inverse: float
     identities_checked: int
-    threshold: float = HEXAGON_THRESHOLD
 
     @property
     def passed(self) -> bool:
-        return max(self.max_residual, self.max_residual_inverse) < self.threshold
+        return max(self.max_residual, self.max_residual_inverse) < HEXAGON_THRESHOLD
 
 
 def verify_hexagon(fs: FusionSystem) -> HexagonReport:
@@ -498,7 +489,6 @@ class BridgeReport:
     bijection: tuple[int, ...]
     scalars: tuple[float, ...]
     deviation: float
-    threshold: float = BRIDGE_THRESHOLD
 
 
 def _support_maps(q_support: np.ndarray, n_support: np.ndarray) -> np.ndarray:
@@ -582,6 +572,6 @@ def scheme_fusion_bridge(dec: BoseMesnerDecomposition, q: KreinTensor,
     return BridgeReport(
         matched=deviations[best] < BRIDGE_THRESHOLD,
         bijection=tuple(maps[best].tolist()),
-        scalars=tuple(scalars[best]),
+        scalars=tuple(scalars[best].tolist()),
         deviation=deviations[best],
     )

@@ -22,9 +22,8 @@ import numpy as np
 
 from .errors import ValidationError, numeric_array
 
-# Built-in groups, Johnson and orbit schemes may not exceed this many
-# elements or vertices (an int64 table of that order takes 200 MB);
-# Grassmann schemes above it need an explicit `vertex_cap`.
+# Built-in groups, Johnson, Grassmann and orbit schemes may not exceed
+# this many elements or vertices (an int64 table of that order takes 200 MB).
 DEFAULT_VERTEX_CAP = 5000
 
 

@@ -37,14 +37,20 @@ _DIST_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class Hypergroup:
-    """Convolution tensor on indices {0..d} plus the multiplicities."""
+    """Convolution tensor on indices {0..d} (its shape gives `size`) plus the multiplicities."""
 
-    size: int
     convolution: np.ndarray
     multiplicities: tuple[int, ...]
 
     def __post_init__(self):
+        if self.convolution.ndim != 3 or len(set(self.convolution.shape)) != 1:
+            raise ValidationError(
+                f"convolution must be (d+1)^3, got shape {self.convolution.shape}")
         self.convolution.setflags(write=False)
+
+    @property
+    def size(self) -> int:
+        return self.convolution.shape[0]
 
     def plancherel(self) -> np.ndarray:
         m = np.array(self.multiplicities, dtype=np.float64)
@@ -92,7 +98,7 @@ def hypergroup_from(dec: BoseMesnerDecomposition, q: KreinTensor) -> Hypergroup:
         )
     conv[0] = delta
     conv[:, 0, :] = delta
-    return Hypergroup(size=d + 1, convolution=conv, multiplicities=dec.multiplicities)
+    return Hypergroup(conv, dec.multiplicities)
 
 
 def _as_distribution(vec, size: int, what: str) -> np.ndarray:

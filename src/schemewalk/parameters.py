@@ -24,11 +24,11 @@ certified here, not assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CertificationError
+from .errors import CertificationError, ValidationError, numeric_array
 from .schemes import AssociationScheme, require_axioms
 from .spectral import BoseMesnerDecomposition
 
@@ -38,25 +38,35 @@ _TRACE_IDENTITY_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class IntersectionTensor:
-    """p[i][j][k] = p_{ij}^k, exact non-negative integers."""
+    """p[i][j][k] = p_{ij}^k, exact non-negative integers; d is read from the shape."""
 
-    d: int
+    d: int = field(init=False)
     p: np.ndarray
 
     def __post_init__(self):
         self.p.setflags(write=False)
+        object.__setattr__(self, "d", self.p.shape[0] - 1)
 
 
 @dataclass(frozen=True, eq=False)
 class KreinTensor:
-    """q[i][j][k] = q_{ij}^k in the convention E_i o E_j = (1/n) sum_k q_{ij}^k E_k."""
+    """q[i][j][k] = q_{ij}^k in the convention E_i o E_j = (1/n) sum_k q_{ij}^k E_k;
+    d is read from the shape.  A hand-built q is outside input, so one that
+    is not a finite real (d+1)^3 array is refused."""
 
-    d: int
+    d: int = field(init=False)
     q: np.ndarray
-    tolerance_used: float = KREIN_TOLERANCE
 
     def __post_init__(self):
-        self.q.setflags(write=False)
+        q = numeric_array(self.q, "Krein tensor", kinds="iuf").astype(np.float64)
+        if q.ndim != 3 or len(set(q.shape)) != 1 or not q.size:
+            raise ValidationError(f"Krein tensor must be (d+1)^3, got shape {q.shape}")
+        if not np.all(np.isfinite(q)):
+            i, j, k = np.argwhere(~np.isfinite(q))[0]
+            raise ValidationError(f"Krein tensor has a non-finite entry at ({i},{j},{k})")
+        q.setflags(write=False)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "d", q.shape[0] - 1)
 
 
 def intersection_numbers(s: AssociationScheme) -> IntersectionTensor:
@@ -67,7 +77,7 @@ def intersection_numbers(s: AssociationScheme) -> IntersectionTensor:
     that was already verified returns its kept tensor.  Raises
     ValidationError when the input is not an association scheme.
     """
-    return IntersectionTensor(d=s.d, p=require_axioms(s).p)
+    return IntersectionTensor(require_axioms(s).p)
 
 
 def krein_parameters(dec: BoseMesnerDecomposition) -> KreinTensor:
@@ -105,5 +115,5 @@ def krein_parameters(dec: BoseMesnerDecomposition) -> KreinTensor:
         raise CertificationError(
             f"trace identity sum_k m_k q_ij^k = m_i m_j fails with residual {residual:.3e}"
         )
-    return KreinTensor(d=dec.d, q=q, tolerance_used=KREIN_TOLERANCE)
+    return KreinTensor(q)
 

@@ -108,9 +108,7 @@ class CPReport:
     is_cp: bool
     choi_min_eigenvalue: float
     multiplier_min_eigenvalue: float
-    multiplier_psd: bool
     verdicts_agree: bool
-    tolerance: float
 
 
 def schur_channel_apply(c: SchurChannel, m: np.ndarray) -> np.ndarray:
@@ -142,7 +140,7 @@ def choi_matrix(c: SchurChannel) -> np.ndarray:
     return choi
 
 
-def certify_cp(c: SchurChannel, tolerance: float = _PSD_TOL) -> CPReport:
+def certify_cp(c: SchurChannel) -> CPReport:
     """Certify complete positivity from the multiplier's spectrum.
 
     The Choi matrix of a Schur channel has the multiplier's entries
@@ -153,20 +151,18 @@ def certify_cp(c: SchurChannel, tolerance: float = _PSD_TOL) -> CPReport:
     eigenvalue kept on the channel (one `eigvalsh` per channel, shared
     with `iterate_channel`), and they agree by construction.  For n > 1,
     `choi_min_eigenvalue` is that eigenvalue capped at the padded 0.0.
+    A least eigenvalue down to -1e-10 (`_PSD_TOL`) counts as semidefinite.
     The dense `choi_matrix` (capped at `_PAIR_SPACE_MAX_VERTICES`
     dimensions) is the independent route the tests check this against.
     """
     mult_min = c._multiplier_min
     choi_min = min(mult_min, 0.0) if c.dim > 1 else mult_min
-    is_cp = choi_min >= -tolerance
-    mult_psd = mult_min >= -tolerance
+    is_cp = choi_min >= -_PSD_TOL
     return CPReport(
         is_cp=is_cp,
         choi_min_eigenvalue=choi_min,
         multiplier_min_eigenvalue=mult_min,
-        multiplier_psd=mult_psd,
-        verdicts_agree=is_cp == mult_psd,
-        tolerance=tolerance,
+        verdicts_agree=is_cp == (mult_min >= -_PSD_TOL),
     )
 
 
@@ -468,7 +464,6 @@ def iterate_channel(channel, rho0, steps: int) -> ChannelTrajectory:
 class WalkOperator:
     """Szegedy walk data; `projector` and `swap` are gathered on first read and kept."""
 
-    dim_v: int
     column_stochastic: np.ndarray
     A_op: np.ndarray
     U: np.ndarray
@@ -476,6 +471,10 @@ class WalkOperator:
     def __post_init__(self):
         for field in (self.column_stochastic, self.A_op, self.U):
             field.setflags(write=False)
+
+    @property
+    def dim_v(self) -> int:
+        return self.column_stochastic.shape[0]
 
     @cached_property
     def projector(self) -> np.ndarray:
@@ -541,7 +540,7 @@ def szegedy_walk(d_matrix, convention: str = "column") -> WalkOperator:
     u4[:, vertices, vertices, :] = 2.0 * (root_t.T[:, :, None] * root_t[None, :, :])
     v, w = np.ogrid[:n, :n]
     u4[v, w, w, v] -= 1.0
-    return WalkOperator(dim_v=n, column_stochastic=col, A_op=a_op, U=u)
+    return WalkOperator(col, a_op, u)
 
 
 def _closed_classes(column_stochastic: np.ndarray) -> list[tuple[int, ...]]:

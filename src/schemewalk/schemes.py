@@ -514,8 +514,7 @@ def build_johnson(v: int, k: int) -> AssociationScheme:
     return AssociationScheme(n=n, d=k, relation=rel)
 
 
-def build_grassmann(q: int, v: int, d: int,
-                    vertex_cap: int = DEFAULT_VERTEX_CAP) -> AssociationScheme:
+def build_grassmann(q: int, v: int, d: int) -> AssociationScheme:
     """Grassmann scheme J_q(v, d) on the d-dim subspaces of GF(q)^v.
 
     Subspaces a, b get class d - dim(a n b), so class 0 is the identity
@@ -529,6 +528,7 @@ def build_grassmann(q: int, v: int, d: int,
     Neumaier 1989, Section 9.3).  The product runs in float64 and is exact:
     every partial sum is a count <= [d,1]_q.  M has [v,1]_q <= n columns
     for 0 < d <= v/2, so it is never larger than the relation matrix.
+    At most DEFAULT_VERTEX_CAP vertices, checked before any enumeration.
     """
     if q not in galois.SUPPORTED_ORDERS:
         raise ValidationError(
@@ -537,9 +537,9 @@ def build_grassmann(q: int, v: int, d: int,
     if d <= 0 or 2 * d > v:
         raise ValidationError(f"Grassmann scheme needs 0 < d <= v/2, got v={v}, d={d}")
     n = galois.gaussian_binomial(v, d, q)
-    if n > vertex_cap:
+    if n > DEFAULT_VERTEX_CAP:
         raise ValidationError(
-            f"J_{q}({v},{d}) has {n} vertices, above the cap of {vertex_cap}"
+            f"J_{q}({v},{d}) has {n} vertices, above the cap of {DEFAULT_VERTEX_CAP}"
         )
     points = galois.subspace_points(q, galois.enumerate_subspaces(q, v, d))
     per_subspace = points.shape[1]

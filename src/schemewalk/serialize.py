@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import groups
-from .anyons import make_fusion_system
+from .anyons import FusionSystem
 from .errors import ValidationError, numeric_array
 from .parameters import IntersectionTensor, KreinTensor
 from .schemes import AssociationScheme, require_axioms
@@ -137,18 +137,14 @@ def to_jsonable(kind: str, obj):
     if kind == "matrix":
         return encode_matrix(obj)
     if kind == "tensor":
-        if isinstance(obj, IntersectionTensor):
-            d, entries = obj.d, obj.p
-        elif isinstance(obj, KreinTensor):
-            d, entries = obj.d, obj.q
-        else:
-            entries = np.asarray(obj)
-            d = entries.shape[0] - 1
+        entries = np.asarray(obj.p if isinstance(obj, IntersectionTensor)
+                             else obj.q if isinstance(obj, KreinTensor) else obj)
+        d = entries.shape[0] - 1
         if np.iscomplexobj(entries):
             raise ValidationError("tensor entries must be real; the tensor kind has no complex form")
         if entries.dtype.kind in "iu":
-            return {"d": int(d), "entries": entries.tolist()}
-        return {"d": int(d), "entries": entries.astype(np.float64).tolist()}
+            return {"d": d, "entries": entries.tolist()}
+        return {"d": d, "entries": entries.astype(np.float64).tolist()}
     if kind == "fusion-system":
         out = {"labels": list(obj.labels),
                "N": obj.N.tolist()}
@@ -209,7 +205,7 @@ def from_jsonable(kind: str, data, validate: bool = True):
         f_data = _decode_keyed(data["F"], "F", "a,b,c,e", decode_matrix) if "F" in data else None
         r_data = _decode_keyed(data["R"], "R", "a,b,c", _decode_complex) if "R" in data else None
         twist = [_decode_complex(t) for t in data["twist"]] if "twist" in data else None
-        return make_fusion_system(data["labels"], data["N"], f_data, r_data, twist)
+        return FusionSystem(data["labels"], data["N"], f_data, r_data, twist)
     if kind == "distribution":
         if not isinstance(data, list) or not data:
             raise ValidationError("distribution must be a non-empty JSON array")

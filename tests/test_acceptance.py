@@ -17,6 +17,7 @@ import pytest
 import sympy
 
 from schemewalk import (
+    FusionSystem,
     SchurChannel,
     apply_transition_expectation,
     braid_generators,
@@ -31,7 +32,6 @@ from schemewalk import (
     fuse,
     groups,
     krein_parameters,
-    make_fusion_system,
     make_transition_expectation,
     quantum_dimensions,
     scheme_fusion_bridge,
@@ -314,8 +314,7 @@ def test_09_anyon_systems():
 
         f_bad = dict(ising.F)
         f_bad[(2, 1, 2, 1)] = np.array([[1.0]])
-        corrupted = make_fusion_system(ising.labels, ising.N, f_data=f_bad,
-                                       r_data=dict(ising.R))
+        corrupted = FusionSystem(ising.labels, ising.N, F=f_bad, R=dict(ising.R))
         bad = verify_pentagon(corrupted)
         assert bad.max_residual > 0.1
         note.detail = f"corrupted-F residual = {bad.max_residual:.2f} (detector works)"

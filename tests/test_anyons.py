@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from schemewalk import (
     GOLDEN_RATIO,
+    FusionSystem,
     ValidationError,
     braid_generators,
     builtin_fusion_system,
@@ -17,7 +18,6 @@ from schemewalk import (
     fuse,
     groups,
     krein_parameters,
-    make_fusion_system,
     quantum_dimensions,
     scheme_fusion_bridge,
     verify_hexagon,
@@ -188,7 +188,7 @@ def test_pentagon_detects_sign_corruption():
     # stays unitary so only the pentagon can catch the inconsistency
     f_bad = dict(ISING.F)
     f_bad[(2, 1, 2, 1)] = np.array([[1.0]])
-    corrupted = make_fusion_system(ISING.labels, ISING.N, f_data=f_bad, r_data=dict(ISING.R))
+    corrupted = FusionSystem(ISING.labels, ISING.N, F=f_bad, R=dict(ISING.R))
     rep = verify_pentagon(corrupted)
     assert not rep.passed
     assert rep.max_residual > 0.1
@@ -284,7 +284,7 @@ def oracle_hexagon(fs, max_rank=2):
 
 
 def _rebuilt(fs, f_data=None, r_data=None):
-    return make_fusion_system(fs.labels, fs.N,
+    return FusionSystem(fs.labels, fs.N,
                               dict(fs.F) if f_data is None else f_data,
                               dict(fs.R) if r_data is None else r_data)
 
@@ -377,7 +377,7 @@ def test_random_gauge_data_matches_the_loop_oracle(name, data):
         [-_unit(-gamma) * np.sin(theta), _unit(-beta) * np.cos(theta)],
     ])
     r_data = {tuple(key): _unit(data.draw(_ANGLE)) for key in np.argwhere(fs.N).tolist()}
-    varied = make_fusion_system(fs.labels, fs.N, f_data, r_data)
+    varied = FusionSystem(fs.labels, fs.N, f_data, r_data)
     _assert_same(verify_pentagon(varied), oracle_pentagon(varied))
     _assert_same(_outcome(verify_hexagon, varied), _outcome(oracle_hexagon, varied))
 
@@ -404,7 +404,7 @@ def test_ising_r_data_passes_the_hexagon_and_the_ribbon_identity():
     assert rep.max_residual < 1e-14 and rep.max_residual_inverse < 1e-14
     assert _ribbon_residual(ISING) < 1e-15
 
-    bad = make_fusion_system(ISING.labels, ISING.N, dict(ISING.F), BAD_ISING_R, ISING.twist)
+    bad = FusionSystem(ISING.labels, ISING.N, dict(ISING.F), BAD_ISING_R, ISING.twist)
     rep = oracle_hexagon(bad, max_rank=3)
     assert rep.max_residual > 0.5 and rep.max_residual_inverse > 0.5
     assert _ribbon_residual(bad) > 0.5
@@ -412,12 +412,79 @@ def test_ising_r_data_passes_the_hexagon_and_the_ribbon_identity():
 
 # ------------------------------------------------------------- validation
 
+def _unit_ring(rank):
+    """A rank^3 tensor that obeys the unit law and nothing else yet."""
+    n = np.zeros((rank,) * 3, dtype=np.int64)
+    n[0] = n[:, 0] = np.eye(rank, dtype=np.int64)
+    return n
+
+
 def test_make_fusion_system_rejects_nonassociative():
-    n = np.zeros((2, 2, 2), dtype=np.int64)
-    n[0, 0, 0] = n[0, 1, 1] = n[1, 0, 1] = 1
-    n[1, 1, 1] = 1  # g*g = g breaks duals/associativity
-    with pytest.raises(ValidationError):
-        make_fusion_system(("1", "g"), n)
+    # {1, a, b}: a x a = 1 + a, a x b = b, b x b = 1 is commutative with
+    # unique duals, but (a a) b = b + b while a (a b) = 1 + a
+    n = _unit_ring(3)
+    n[1, 1, 0] = n[1, 1, 1] = 1
+    n[1, 2, 2] = n[2, 1, 2] = 1
+    n[2, 2, 0] = 1
+    with pytest.raises(ValidationError, match=r"fusion is not associative at \(a a b -> b\)"):
+        FusionSystem(("1", "a", "b"), n)
+
+
+def _two_product_associativity(labels, n):
+    """The associativity check the one-product form replaced: (ab)c and
+    a(bc) as two einsums, with the same first witness."""
+    left = np.einsum("abe,ecx->abcx", n, n)
+    right = np.einsum("bcf,afx->abcx", n, n)
+    if np.array_equal(left, right):
+        return None
+    a, b, c, x = np.argwhere(left != right)[0]
+    return f"fusion is not associative at ({labels[a]} {labels[b]} {labels[c]} -> {labels[x]})"
+
+
+def _associativity_outcome(labels, n):
+    try:
+        FusionSystem(labels, n)
+    except ValidationError as exc:
+        if str(exc).startswith("fusion is not associative"):
+            return str(exc)
+    return None
+
+
+def _random_commutative_ring(rng, rank):
+    n = _unit_ring(rank)
+    upper = rng.integers(0, 3, size=(rank - 1,) * 3) * (rng.random((rank - 1,) * 3) < 0.4)
+    n[1:, 1:, 1:] = upper + upper.transpose(1, 0, 2)
+    return n
+
+
+def test_one_product_associativity_matches_two_einsums():
+    rng = np.random.default_rng(25)
+    systems = (ISING, FIB, _one_s_t_ring([1, 1, 1]), _one_s_t_ring([1, 1, 2]),
+               _product_ring(2, 3), *map(cyclic_fusion_system, (1, 2, 5, 9)))
+    cases = [(fs.labels, fs.N) for fs in systems]
+    for _ in range(300):
+        rank = int(rng.integers(2, 6))
+        cases.append((tuple(map(str, range(rank))), _random_commutative_ring(rng, rank)))
+    witnesses = [_two_product_associativity(labels, n) for labels, n in cases]
+    assert sum(w is not None for w in witnesses) >= 100
+    assert sum(w is None for w in witnesses) >= 9
+    for (labels, n), witness in zip(cases, witnesses):
+        assert _associativity_outcome(labels, n) == witness
+
+
+def test_fusion_system_derives_dual_and_dims():
+    z2 = cyclic_fusion_system(2)
+    with pytest.raises(TypeError, match="dims"):
+        FusionSystem(z2.labels, z2.N, dims=np.array([1.0, 7.0]))
+    with pytest.raises(TypeError, match="dual"):
+        FusionSystem(z2.labels, z2.N, dual=(0, 1))
+    assert ISING.dual == (0, 1, 2)
+    assert np.max(np.abs(ISING.dims - [1.0, math.sqrt(2.0), 1.0])) <= 1e-15
+
+
+def test_fusion_system_refuses_labels_that_disagree_with_n():
+    with pytest.raises(ValidationError, match=r"fusion tensor must be 3\^3, got \(2, 2, 2\)"):
+        FusionSystem(("1", "g", "h"), cyclic_fusion_system(2).N)
 
 
 def test_make_fusion_system_rejects_bad_vacuum():
@@ -426,27 +493,27 @@ def test_make_fusion_system_rejects_bad_vacuum():
     n[0, 1, 1] = n[1, 0, 1] = 1
     n[1, 1, 0] = 1
     with pytest.raises(ValidationError, match="fusion unit"):
-        make_fusion_system(("1", "g"), n)
+        FusionSystem(("1", "g"), n)
 
 
 def test_make_fusion_system_rejects_non_unitary_f():
     f = {(1, 1, 1, 1): np.array([[2.0]])}
     n = cyclic_fusion_system(2).N
     with pytest.raises(ValidationError, match="unitar"):
-        make_fusion_system(("1", "g"), n, f_data=f)
+        FusionSystem(("1", "g"), n, F=f)
 
 
 def test_make_fusion_system_rejects_non_unit_r():
     r = {(1, 1, 0): 0.5}
     n = cyclic_fusion_system(2).N
     with pytest.raises(ValidationError, match="modulus"):
-        make_fusion_system(("1", "g"), n, r_data=r)
+        FusionSystem(("1", "g"), n, R=r)
 
 
 def test_make_fusion_system_rejects_non_unit_twist():
     z2 = cyclic_fusion_system(2)
     with pytest.raises(ValidationError, match="twist 1 has modulus 5.0, not 1"):
-        make_fusion_system(z2.labels, z2.N, twist=(1.0, 5.0))
+        FusionSystem(z2.labels, z2.N, twist=(1.0, 5.0))
 
 
 Z2_N = cyclic_fusion_system(2).N
@@ -459,7 +526,7 @@ Z2_N = cyclic_fusion_system(2).N
 ], ids=["float", "ragged", "strings"])
 def test_make_fusion_system_reads_n_as_integers(n_tensor):
     with pytest.raises(ValidationError, match="fusion tensor"):
-        make_fusion_system(("1", "g"), n_tensor)
+        FusionSystem(("1", "g"), n_tensor)
 
 
 @pytest.mark.parametrize("f_data,r_data", [
@@ -473,7 +540,7 @@ def test_make_fusion_system_reads_n_as_integers(n_tensor):
 ], ids=["f-range", "f-negative", "f-length", "f-float", "r-length", "r-range", "r-negative"])
 def test_make_fusion_system_checks_keys(f_data, r_data):
     with pytest.raises(ValidationError, match="key"):
-        make_fusion_system(("1", "g"), Z2_N, f_data=f_data, r_data=r_data)
+        FusionSystem(("1", "g"), Z2_N, F=f_data, R=r_data)
 
 
 def test_cyclic_system_is_group_like():
@@ -544,12 +611,12 @@ def _cyclic_krein(order):
 def _relabelled(q, perm):
     """The Krein tensor with idempotent perm[i] renamed i."""
     perm = list(perm)
-    return KreinTensor(d=q.d, q=q.q[np.ix_(perm, perm, perm)].copy())
+    return KreinTensor(q.q[np.ix_(perm, perm, perm)])
 
 
 def _relabelled_ring(fs, perm):
     perm = list(perm)
-    return make_fusion_system([fs.labels[p] for p in perm], fs.N[np.ix_(perm, perm, perm)])
+    return FusionSystem([fs.labels[p] for p in perm], fs.N[np.ix_(perm, perm, perm)])
 
 
 def _product_ring(*orders):
@@ -559,7 +626,7 @@ def _product_ring(*orders):
     for a, ea in enumerate(elems):
         for b, eb in enumerate(elems):
             n[a, b, elems.index(tuple((x + y) % o for x, y, o in zip(ea, eb, orders)))] = 1
-    return make_fusion_system(["".join(map(str, e)) for e in elems], n)
+    return FusionSystem(["".join(map(str, e)) for e in elems], n)
 
 
 def _assert_dims_over_multiplicities(dec, q, fs, rep):
@@ -568,6 +635,8 @@ def _assert_dims_over_multiplicities(dec, q, fs, rep):
     perm = rep.bijection
     s = fs.dims[list(perm)] / np.array(dec.multiplicities, dtype=np.float64)
     assert rep.scalars == tuple(s)
+    assert all(type(v) is float for v in rep.scalars)
+    assert "np.float64" not in repr(rep)
     assert rep.deviation == max(
         abs(q.q[i, j, k] * s[i] * s[j] / s[k] - fs.N[perm[i], perm[j], perm[k]])
         for i, j, k in itertools.product(range(fs.rank), repeat=3))
@@ -580,7 +649,7 @@ def _assert_same_as_enumeration(dec, q, fs, maps=None):
     rep = scheme_fusion_bridge(dec, q, fs)
     deviation, perm, scalars = _enumerated_bridge(dec, q, fs, maps)
     assert rep.bijection == perm
-    assert rep.matched == (deviation < rep.threshold)
+    assert rep.matched == (deviation < anyons.BRIDGE_THRESHOLD)
     if rep.matched:
         assert np.max(np.abs(np.subtract(rep.scalars, scalars))) <= 1e-12
         assert abs(rep.deviation - deviation) <= 1e-12
@@ -629,11 +698,10 @@ def test_bridge_equals_enumeration_on_unmatched_pairs(j42_dec, j42_krein):
 def _one_s_t_ring(t_times_t):
     """{1, s, t} with s x s = 1, s x t = t and t x t = the given (1, s, t)
     multiplicities: (1, 1, 1) is Rep(S3), (1, 1, 2) the near-group ring."""
-    n = np.zeros((3, 3, 3), dtype=np.int64)
-    n[0] = n[:, 0] = np.eye(3, dtype=np.int64)
+    n = _unit_ring(3)
     n[1, 1, 0] = n[1, 2, 2] = n[2, 1, 2] = 1
     n[2, 2] = t_times_t
-    return make_fusion_system(("1", "s", "t"), n)
+    return FusionSystem(("1", "s", "t"), n)
 
 
 def test_bridge_scores_the_maps_that_keep_the_pattern_of_an_unmatched_pair(
@@ -743,3 +811,9 @@ def test_bridge_rejects_johnson_vs_ising(j42_dec, j42_krein):
 def test_bridge_rank_mismatch(j42_dec, j42_krein):
     with pytest.raises(ValidationError, match="rank"):
         scheme_fusion_bridge(j42_dec, j42_krein, FIB)
+
+
+def test_bridge_refuses_the_krein_tensor_of_another_d(j42_dec):
+    _, z4_krein = _cyclic_krein(4)
+    with pytest.raises(ValidationError, match="Krein tensor and decomposition disagree on d"):
+        scheme_fusion_bridge(j42_dec, z4_krein, ISING)

@@ -139,6 +139,15 @@ def test_scheme_build_johnson_above_vertex_cap_exits_1(tmp_path, capsys):
     assert not (tmp_path / "big.json").exists()
 
 
+def test_scheme_build_grassmann_above_vertex_cap_exits_1(tmp_path, capsys):
+    code = run(["scheme", "build", "--family", "grassmann", "--q", "2", "--v", "7",
+                "--d", "3", "--out", str(tmp_path / "big.json")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: J_2(7,3) has 11811 vertices, above the cap of 5000\n")
+    assert not (tmp_path / "big.json").exists()
+
+
 def test_walk_csv(tmp_path, j42_file, capsys):
     csv_path = tmp_path / "walk.csv"
     code = run(["walk", "hypergroup", str(j42_file), "--coin", "1", "--start", "0",
@@ -255,7 +264,7 @@ def test_anyon_bridge(j42_file, capsys):
 
 
 def test_anyon_bridge_above_rank_9(tmp_path, capsys):
-    from schemewalk import cyclic_fusion_system, make_fusion_system
+    from schemewalk import FusionSystem, cyclic_fusion_system
     from schemewalk.serialize import save
 
     scheme_path = tmp_path / "z12.json"
@@ -264,7 +273,7 @@ def test_anyon_bridge_above_rank_9(tmp_path, capsys):
     z2, z6 = cyclic_fusion_system(2), cyclic_fusion_system(6)
     rings = {
         "z12": cyclic_fusion_system(12),
-        "z2xz6": make_fusion_system(
+        "z2xz6": FusionSystem(
             [f"{a}{b}" for a in range(2) for b in range(6)],
             np.einsum("ace,bdf->abcdef", z2.N, z6.N).reshape(12, 12, 12)),
     }

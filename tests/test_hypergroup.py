@@ -3,6 +3,7 @@ import pytest
 
 from schemewalk import (
     CertificationError,
+    Hypergroup,
     KreinTensor,
     ValidationError,
     classical_chain,
@@ -210,6 +211,13 @@ def test_walk_aperiodic_coin_converges_pointwise(j42_hypergroup):
     assert np.max(np.abs(hist[-1] - target)) < 1e-6
 
 
+@pytest.mark.parametrize("shape", [(3, 3, 2), (3, 3), (3, 3, 3, 1)])
+def test_hypergroup_refuses_a_convolution_that_is_not_a_cube(shape, j42_hypergroup):
+    assert j42_hypergroup.size == 3
+    with pytest.raises(ValidationError, match=r"convolution must be \(d\+1\)\^3"):
+        Hypergroup(np.zeros(shape), j42_hypergroup.multiplicities)
+
+
 def test_walk_rejects_negative_steps(j42_hypergroup):
     with pytest.raises(ValidationError):
         walk(j42_hypergroup, 1, np.array([1.0, 0.0, 0.0]), -1)
@@ -217,19 +225,20 @@ def test_walk_rejects_negative_steps(j42_hypergroup):
 
 # A KreinTensor can be built by hand, so hypergroup_from checks what it reads.
 # J(4,2) has d = 2 and multiplicities (1, 3, 2); weight (i,j,k) is
-# q_ij^k m_k / (m_i m_j).
-@pytest.mark.parametrize("d, edits, error, witness", [
-    (3, {}, ValidationError, "d=3 but decomposition has d=2"),
-    (2, {(1, 2, 1): -1.0}, CertificationError, r"weight \(1,2,1\) = -5\.000e-01 below"),
-    (2, {(2, 2, 1): 0.4}, CertificationError, r"slice \(2,2\) has total mass"),
+# q_ij^k m_k / (m_i m_j).  The d-mismatch case reads the Krein tensor of
+# Z_4 (d = 3): a tensor's d is its shape, so a wrong d cannot be declared.
+@pytest.mark.parametrize("source, edits, error, witness", [
+    ("group_z4", {}, ValidationError, "d=3 but decomposition has d=2"),
+    ("johnson_4_2", {(1, 2, 1): -1.0}, CertificationError, r"weight \(1,2,1\) = -5\.000e-01 below"),
+    ("johnson_4_2", {(2, 2, 1): 0.4}, CertificationError, r"slice \(2,2\) has total mass"),
     # moving half of slice (0,1)'s mass keeps every slice a distribution
-    (2, {(0, 1, 1): 0.5, (0, 1, 2): 0.75}, CertificationError,
+    ("johnson_4_2", {(0, 1, 1): 0.5, (0, 1, 2): 0.75}, CertificationError,
      r"identity: weight \(0,1,1\) = 5\.000e-01"),
 ], ids=["d-mismatch", "negative-weight", "slice-mass", "identity"])
-def test_hypergroup_from_refuses_an_edited_krein_tensor(d, edits, error, witness,
-                                                        j42_dec, j42_krein):
-    q = j42_krein.q.copy()
+def test_hypergroup_from_refuses_an_edited_krein_tensor(source, edits, error, witness,
+                                                        j42_dec, krein_tensors):
+    q = krein_tensors[source].q.copy()
     for index, value in edits.items():
         q[index] = value
     with pytest.raises(error, match=witness):
-        hypergroup_from(j42_dec, KreinTensor(d=d, q=q))
+        hypergroup_from(j42_dec, KreinTensor(q))

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from schemewalk import (
+    FusionSystem,
     SchurChannel,
     ValidationError,
     convolve,
     cyclic_fusion_system,
     dilation_unitary,
     iterate_channel,
-    make_fusion_system,
     make_transition_expectation,
     serialize,
     stationary_distribution,
@@ -36,11 +36,11 @@ ENTRY_POINTS = {
     "stationary_distribution": lambda h, x: stationary_distribution([[x, 0.5], [0.5, 0.5]]),
     "szegedy_walk": lambda h, x: szegedy_walk([[x, 0.5], [0.5, 0.5]]),
     "make_fusion_system F":
-        lambda h, x: make_fusion_system(Z2.labels, Z2.N, f_data={(1, 1, 1, 1): [[x]]}),
+        lambda h, x: FusionSystem(Z2.labels, Z2.N, F={(1, 1, 1, 1): [[x]]}),
     "make_fusion_system R":
-        lambda h, x: make_fusion_system(Z2.labels, Z2.N, r_data={(1, 1, 0): x}),
+        lambda h, x: FusionSystem(Z2.labels, Z2.N, R={(1, 1, 0): x}),
     "make_fusion_system twist":
-        lambda h, x: make_fusion_system(Z2.labels, Z2.N, twist=(1.0, x)),
+        lambda h, x: FusionSystem(Z2.labels, Z2.N, twist=(1.0, x)),
 }
 
 

@@ -6,6 +6,7 @@ import pytest
 from schemewalk import (
     BoseMesnerDecomposition,
     CertificationError,
+    KreinTensor,
     ValidationError,
     build_group_scheme,
     build_johnson,
@@ -158,6 +159,28 @@ def test_krein_parameters_refuse_a_negative_entry_with_its_witness(j42_dec):
     with pytest.raises(CertificationError,
                        match=re.escape("Krein condition violated: q[1][2][1] = -2.000e+00 < -1e-09")):
         krein_parameters(bad)
+
+
+def test_tensors_read_d_from_their_shape(j42, j42_krein):
+    assert intersection_numbers(j42).d == 2
+    assert KreinTensor(j42_krein.q).d == 2
+
+
+@pytest.mark.parametrize("edit, witness", [
+    (lambda q: q[:, :, :2], r"\(d\+1\)\^3, got shape \(3, 3, 2\)"),
+    (lambda q: q[0], r"\(d\+1\)\^3, got shape \(3, 3\)"),
+    (lambda q: q[:0, :0, :0], r"\(d\+1\)\^3, got shape \(0, 0, 0\)"),
+    (lambda q: np.where(np.arange(27).reshape(3, 3, 3) == 14, np.nan, q),
+     r"non-finite entry at \(1,1,2\)"),
+    (lambda q: np.where(np.arange(27).reshape(3, 3, 3) == 5, -np.inf, q),
+     r"non-finite entry at \(0,1,2\)"),
+    (lambda q: q + 0j, "entries must be numbers"),
+], ids=["not-cubic", "two-axes", "empty", "nan", "inf", "complex"])
+def test_krein_tensor_refuses_what_is_not_a_finite_cube(edit, witness, j42_krein):
+    # a NaN weight compares false, so it would pass every refusal of
+    # hypergroup_from; the tensor itself refuses it
+    with pytest.raises(ValidationError, match=witness):
+        KreinTensor(edit(j42_krein.q))
 
 
 def test_intersection_rejects_noncommutative_free():

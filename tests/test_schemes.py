@@ -1,6 +1,10 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
+import schemewalk
 from schemewalk import (
     SchurChannel,
     ValidationError,
@@ -121,11 +125,8 @@ def test_grassmann_sizes():
 
 
 def test_grassmann_vertex_cap():
-    with pytest.raises(ValidationError, match="cap"):
+    with pytest.raises(ValidationError, match=r"J_2\(8,4\) has 200787 vertices, above the cap of 5000"):
         build_grassmann(2, 8, 4)
-    # explicit cap override allows slightly bigger instances
-    s = build_grassmann(2, 5, 2, vertex_cap=200)
-    assert s.n == 155
 
 
 def test_johnson_vertex_cap_fails_before_enumerating():
@@ -182,6 +183,34 @@ def test_array_results_compare_and_hash_by_identity(name):
     assert a == a
     assert a != b
     assert len({a, b}) == 2
+
+
+# Each record takes only what the library cannot derive: d, size, dim_v,
+# dual and dims are read from its arrays, and tolerances and thresholds are
+# module constants.
+RECORD_INIT_FIELDS = {
+    "FusionSystem": ("labels", "N", "F", "R", "twist"),
+    "IntersectionTensor": ("p",),
+    "KreinTensor": ("q",),
+    "Hypergroup": ("convolution", "multiplicities"),
+    "WalkOperator": ("column_stochastic", "A_op", "U"),
+    "CPReport": ("is_cp", "choi_min_eigenvalue", "multiplier_min_eigenvalue", "verdicts_agree"),
+    "PentagonReport": ("max_residual", "identities_checked"),
+    "HexagonReport": ("max_residual", "max_residual_inverse", "identities_checked"),
+    "BridgeReport": ("matched", "bijection", "scalars", "deviation"),
+}
+
+
+@pytest.mark.parametrize("name", RECORD_INIT_FIELDS)
+def test_records_take_only_what_cannot_be_derived(name):
+    fields = dataclasses.fields(getattr(schemewalk, name))
+    assert tuple(f.name for f in fields if f.init) == RECORD_INIT_FIELDS[name]
+
+
+def test_fixed_tolerances_and_caps_are_not_parameters():
+    assert list(inspect.signature(schemewalk.certify_cp).parameters) == ["c"]
+    assert list(inspect.signature(build_grassmann).parameters) == ["q", "v", "d"]
+    assert not hasattr(schemewalk, "make_fusion_system")
 
 
 def test_grassmann_unsupported_field():
