@@ -14,8 +14,9 @@ admissible block defaults to 1 (the gauge fixed here).  The stored data
 is never trusted blindly -- `verify_pentagon` (and, for rank-2 systems,
 `verify_hexagon`) recertify it.  Each expands the blocks once into a
 dense array F[a,b,c,e,x,y] (rank^6 entries, at most 729 under the rank
-caps) and evaluates its identity as one masked einsum over the
-admissible fusion trees.
+caps), lists the admissible fusion trees by joining the nonzeros of N
+one vertex at a time, and gathers both sides of its identity on those
+trees only (136 for Ising, 50 for Fibonacci).
 
 `scheme_fusion_bridge` compares a scheme's Krein tensor against fusion
 multiplicities up to label bijection and per-index positive rescaling,
@@ -40,7 +41,6 @@ rank 32.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -194,12 +194,9 @@ class FusionSystem:
 
 def _dims_from_tensor(n_tensor: np.ndarray) -> np.ndarray:
     """Quantum dimensions: d_a = spectral radius of (N_a)_{bc} = N_{ab}^c."""
-    rank = n_tensor.shape[0]
-    dims = np.array(
-        [float(np.max(np.abs(np.linalg.eigvals(n_tensor[a].astype(np.float64)))))
-         for a in range(rank)]
-    )
-    products = np.einsum("abc,c->ab", n_tensor.astype(np.float64), dims)
+    n_float = n_tensor.astype(np.float64)
+    dims = np.max(np.abs(np.linalg.eigvals(n_float)), axis=1)
+    products = np.einsum("abc,c->ab", n_float, dims)
     residual = float(np.max(np.abs(np.outer(dims, dims) - products)))
     if residual > _DIM_CONSISTENCY_TOL:
         raise ValidationError(
@@ -324,12 +321,41 @@ def _f_block(fs: FusionSystem, a, b, c, e):
 
 def _f_tensor(fs: FusionSystem) -> np.ndarray:
     """Every block in one array F[a,b,c,e,x,y] = [F^{abc}_e]_{xy}, zero where
-    either fusion tree is inadmissible; rank^6 entries, so callers cap the rank."""
-    f = np.zeros((fs.rank,) * 6, dtype=np.complex128)
-    for a, b, c, e in itertools.product(range(fs.rank), repeat=4):
-        rows, cols, mat = _f_block(fs, a, b, c, e)
-        f[a, b, c, e][np.ix_(rows, cols)] = mat
+    either fusion tree is inadmissible; rank^6 entries, so callers cap the rank.
+
+    The 1x1 blocks that default to 1 come from the admissible rows
+    (N_ab^x N_xc^e) and columns (N_bc^y N_ay^e) of every block, and the
+    stored blocks are written over them.  The first block, in
+    `itertools.product` order, that is neither stored nor a 1x1 or empty
+    default is refused by `_f_block` with its message."""
+    n = fs.N.astype(bool)
+    rows = np.einsum("abx,xce->abcex", n, n)
+    cols = np.einsum("bcy,aye->abcey", n, n)
+    stored = np.zeros((fs.rank,) * 4, dtype=bool)
+    for key in fs.F:
+        stored[key] = True
+    height, width = rows.sum(axis=4), cols.sum(axis=4)
+    bad = ~stored & ((height != width) | (height > 1))
+    if bad.any():
+        _f_block(fs, *np.argwhere(bad)[0].tolist())
+    # what is left unstored is 1x1 or empty: one admissible row and column
+    f = ~stored[..., np.newaxis, np.newaxis] & rows[..., np.newaxis] & cols[..., np.newaxis, :]
+    f = f.astype(np.complex128)
+    for key, mat in fs.F.items():
+        f[key][np.ix_(_tree_rows(fs.N, *key), _tree_cols(fs.N, *key))] = mat
     return f
+
+
+def _join(tuples: list[np.ndarray], key: np.ndarray, table: np.ndarray) -> list[np.ndarray]:
+    """`tuples` (parallel label arrays) extended by the trailing labels of
+    every nonzero of `table` whose first index is `key`, one output tuple
+    per match: a join of admissible trees on the nonzeros of N."""
+    first, *rest = np.nonzero(table)          # C order, so `first` ascends
+    counts = np.bincount(first, minlength=table.shape[0])[key]
+    which = np.repeat(np.arange(len(key)), counts)
+    offset = np.arange(len(which)) - np.repeat(np.cumsum(counts) - counts, counts)
+    at = np.searchsorted(first, key)[which] + offset
+    return [t[which] for t in tuples] + [r[at] for r in rest]
 
 
 def _r_phase(fs: FusionSystem, a, b, c) -> complex:
@@ -434,13 +460,20 @@ def verify_pentagon(fs: FusionSystem) -> PentagonReport:
     on every admissible pair of outer trees; the others read 0 = 0.
     """
     _require_small_multiplicity_free(fs, "pentagon", max_rank=3)
-    n = fs.N
+    n = fs.N.astype(bool)
+    pairs = n.reshape(fs.rank ** 2, fs.rank)          # pairs[a*rank + b, c] = N_ab^c
+    a, b, x = np.nonzero(n)
+    a, b, x, c, y = _join([a, b, x], x, n)
+    a, b, x, c, y, d, e = _join([a, b, x, c, y], y, n)
+    a, b, x, c, y, d, e, w = _join([a, b, x, c, y, d, e], c * fs.rank + d, pairs)
+    trees = _join([a, b, x, c, y, d, e, w], b * fs.rank + w, pairs)
+    # the last vertex, N_av^e, closes the right-hand tree
+    a, b, x, c, y, d, e, w, v = (t[n[trees[0], trees[8], trees[6]]] for t in trees)
     f = _f_tensor(fs)
-    trees = np.einsum("abx,xcy,yde,cdw,bwv,ave->abcdexywv", n, n, n, n, n, n) > 0
-    lhs = np.einsum("xcdeyw,abwexv->abcdexywv", f, f)
-    rhs = np.einsum("abcyxz,azdeyv,bcdvzw->abcdexywv", f, f, f)
-    worst = float(np.max(np.abs(lhs - rhs)[trees], initial=0.0))
-    return PentagonReport(max_residual=worst, identities_checked=int(trees.sum()))
+    lhs = f[x, c, d, e, y, w] * f[a, b, w, e, x, v]
+    rhs = np.sum(f[a, b, c, y, x] * f[a, :, d, e, y, v] * f[b, c, d, v, :, w], axis=1)
+    worst = float(np.max(np.abs(lhs - rhs), initial=0.0))
+    return PentagonReport(max_residual=worst, identities_checked=len(a))
 
 
 @dataclass(frozen=True)
@@ -465,21 +498,25 @@ def verify_hexagon(fs: FusionSystem) -> HexagonReport:
     refused rather than risking a convention-dependent wrong answer.
     """
     _require_small_multiplicity_free(fs, "hexagon", max_rank=2)
-    n = fs.N
+    n = fs.N.astype(bool)
     r = np.zeros(n.shape, dtype=np.complex128)
     for a, b, c in np.argwhere(n).tolist():
         r[a, b, c] = _r_phase(fs, a, b, c)
     f = _f_tensor(fs)
-    trees = np.einsum("cae,ebd,cbg,agd->abcdeg", n, n, n, n) > 0
+    c, a, e = np.nonzero(n)
+    c, a, e, b, d = _join([c, a, e], e, n)
+    trees = _join([c, a, e, b, d], c * fs.rank + b, n.reshape(fs.rank ** 2, fs.rank))
+    # N_ag^d closes the right-hand tree
+    c, a, e, b, d, g = (t[n[trees[1], trees[5], trees[4]]] for t in trees)
     residuals = []
     for phase in (r, r.conj()):
-        lhs = np.einsum("cae,acbdeg,cbg->abcdeg", phase, f, phase)
-        rhs = np.einsum("cabdef,cfd,abcdfg->abcdeg", f, phase, f)
-        residuals.append(float(np.max(np.abs(lhs - rhs)[trees], initial=0.0)))
+        lhs = phase[c, a, e] * f[a, c, b, d, e, g] * phase[c, b, g]
+        rhs = np.sum(f[c, a, b, d, e] * phase[c, :, d] * f[a, b, c, d, :, g], axis=1)
+        residuals.append(float(np.max(np.abs(lhs - rhs), initial=0.0)))
     return HexagonReport(
         max_residual=residuals[0],
         max_residual_inverse=residuals[1],
-        identities_checked=2 * int(trees.sum()),
+        identities_checked=2 * len(c),
     )
 
 

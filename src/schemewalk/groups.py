@@ -127,15 +127,18 @@ class FiniteGroup:
 
 def _generators(c: np.ndarray, identity: int) -> list[int]:
     """A generating set: each generator is the first element not yet reached
-    from the identity by right multiplication with the generators so far."""
+    from the identity by right multiplication with the generators so far.
+    The generators' columns are gathered once per generator, and each
+    breadth-first layer reads its images from them."""
     reached = np.zeros(c.shape[0], dtype=bool)
     reached[identity] = True
     gens: list[int] = []
     while not reached.all():
         gens.append(int(np.argmin(reached)))
+        images = c[:, gens]
         frontier = np.flatnonzero(reached)
         while frontier.size:
-            step = np.unique(c[np.ix_(frontier, gens)])
+            step = np.unique(images[frontier])
             frontier = step[~reached[step]]
             reached[frontier] = True
     return gens

@@ -17,14 +17,17 @@ have the closed form in the eigenmatrices
     q_{ij}^k = (1/n) sum_l Q[l][i] Q[l][j] P[k][l]
              = (m_i m_j / n) sum_l conj(P[i][l]) conj(P[j][l]) P[k][l] / k_l^2,
 
-a (d+1)^4 sum that never touches an n x n matrix.  They are real and, for
-genuine schemes, nonnegative (the Krein condition); nonnegativity is
-certified here, not assumed.
+a (d+1)^4 sum that never touches an n x n matrix.  q_{ij}^k = q_{ji}^k, so
+it is evaluated as one GEMM over the (d+1)(d+2)/2 pairs i <= j and each
+result is written to (i, j) and (j, i).  They are real and, for genuine
+schemes, nonnegative (the Krein condition); nonnegativity is certified
+here, not assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,40 +83,55 @@ def intersection_numbers(s: AssociationScheme) -> IntersectionTensor:
     return IntersectionTensor(require_axioms(s).p)
 
 
+@lru_cache(maxsize=64)
+def _pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column indices of the pairs i <= j, kept per size."""
+    pairs = np.triu_indices(size)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
 def krein_parameters(dec: BoseMesnerDecomposition) -> KreinTensor:
     """Krein parameters from the closed form in P and Q, with certification.
 
-    Raises CertificationError if any entry falls below the nonnegativity
-    tolerance, if an entry has a non-real residue, or if the trace
-    identity sum_k m_k q_{ij}^k = m_i m_j fails.
+    One GEMM over the (d+1)(d+2)/2 pairs i <= j gives every distinct
+    entry; each is written to (i, j) and (j, i), so q is exactly symmetric
+    in i and j.  Raises CertificationError if any entry falls below the
+    nonnegativity tolerance, if an entry has a non-real residue, or if the
+    trace identity sum_k m_k q_{ij}^k = m_i m_j fails.
     """
     eq = dec.eigenmatrix_Q
+    size = dec.d + 1
     m = np.array(dec.multiplicities, dtype=np.float64)
-    products = eq[:, :, np.newaxis] * eq[:, np.newaxis, :]  # Q[l][i] Q[l][j]
-    raw = np.tensordot(products, dec.eigenmatrix_P, axes=([0], [1])) / dec.n
-    raw = (raw + raw.swapaxes(0, 1)) / 2  # exactly symmetric in i and j
+    iu, ju = _pairs(size)
+    # raw[(i,j)][k] = (1/n) sum_l Q[l][i] Q[l][j] P[k][l]
+    raw = (eq[:, iu] * eq[:, ju]).T @ dec.eigenmatrix_P.T / dec.n
     worst_imag = float(np.max(np.abs(raw.imag)))
     if not worst_imag <= KREIN_TOLERANCE:
         raise CertificationError(
             f"Krein parameter with imaginary residue {worst_imag:.3e}; decomposition suspect"
         )
-    q = raw.real.copy()
+    upper = raw.real
 
-    flat = q.reshape(-1)
-    arg = int(np.argmin(flat))
-    if flat[arg] < -KREIN_TOLERANCE:
-        i, j, k = np.unravel_index(arg, q.shape)
+    # the pairs run through i <= j in C order, so the first minimum here
+    # is the first in q, where (i, j, k) precedes its twin (j, i, k)
+    arg = int(np.argmin(upper))
+    pair, k = divmod(arg, size)
+    if upper[pair, k] < -KREIN_TOLERANCE:
+        i, j = iu[pair], ju[pair]
         raise CertificationError(
-            f"Krein condition violated: q[{i}][{j}][{k}] = {q[i, j, k]:.3e} "
+            f"Krein condition violated: q[{i}][{j}][{k}] = {upper[pair, k]:.3e} "
             f"< -{KREIN_TOLERANCE}"
         )
 
-    traced = np.tensordot(q, m, axes=([2], [0]))  # sum_k q_{ij}^k m_k
-    expected = np.outer(m, m)
-    residual = float(np.max(np.abs(traced - expected)))
+    # sum_k q_{ij}^k m_k = m_i m_j
+    residual = float(np.max(np.abs(upper @ m - m[iu] * m[ju])))
     if residual > _TRACE_IDENTITY_TOL:
         raise CertificationError(
             f"trace identity sum_k m_k q_ij^k = m_i m_j fails with residual {residual:.3e}"
         )
+    q = np.empty((size, size, size))
+    q[iu, ju] = upper
+    q[ju, iu] = upper
     return KreinTensor(q)
-

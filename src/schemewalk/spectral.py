@@ -11,9 +11,15 @@ m_j = rank E_j and the two change-of-basis matrices
 
 entirely in the (d+1)-dimensional algebra, from the intersection numbers
 that `verify_axioms` certifies.  Row t of P is a character of the
-algebra, P[t][i] P[t][j] = sum_k p_ij^k P[t][k]; the multiplicities and Q
-follow from the orthogonality relations (Bannai & Ito 1984, Sections
-II.3-4),
+algebra, P[t][i] P[t][j] = sum_k p_ij^k P[t][k], and every row is
+certified on every pair (i, j).  From d+1 = 16 on, the identities are
+evaluated only for the classes of a short prefix G = {1, 2, ...} on which
+the rows are pairwise separated, and the other classes are bounded from
+that residual and the separation by the Davis-Kahan argument spelled out
+in `_certify_characters` (C. Davis & W. M. Kahan, SIAM J. Numer. Anal. 7,
+1970): |G| (d+1)^3 work instead of (d+1)^4, with G = {1} for Z_n.  The
+multiplicities and Q follow from the orthogonality relations (Bannai &
+Ito 1984, Sections II.3-4),
 
     m_t = n / sum_j |P[t][j]|^2 / k_j,   Q[j][t] = m_t conj(P[t][j]) / k_j.
 
@@ -44,6 +50,21 @@ _GENERIC_SEED = 1729
 _RESIDUAL_TOL = 1e-8
 _INTEGRALITY_TOL = 1e-6
 _VALENCY_TOL = 1e-6
+# From this algebra dimension d+1 on, the identities are checked on a
+# separating prefix of classes and bounded on the rest; below it checking
+# every class is the cheaper of the two (interleaved cost table in
+# CHANGES.md: on Z_n the prefix costs 1.3x at d+1 = 12, 1.1x at 14,
+# 0.96x at 16, where both take about 65 us, and 0.06x at 32).
+_SEPARATING_MIN_SIZE = 16
+# Least Euclidean distance between two rows of P[t][g] / k_g on the prefix.
+# The bound certifies while about 6 R / gap <= 1e-8, R the joint residual
+# of the rows that eigh returns (1e-13 to 7.5e-12 on Z_16 ... Z_64), so a
+# gap below 1e-2 would ask for R below 1.6e-12.  Adjacent characters of Z_n
+# are 2 sin(pi/n) apart on A_1, so G = {1} up to n = 628.
+_SEPARATION_GAP = 1e-2
+# A prefix longer than this share of the classes costs as much as checking
+# every identity, so the search stops there.
+_MAX_PREFIX_SHARE = 0.25
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,6 +118,90 @@ def _generic_weights(count: int) -> np.ndarray:
     return weights
 
 
+def _identity_residual(chars: np.ndarray, p: np.ndarray, k: np.ndarray, h: int) -> np.ndarray:
+    """|P[t][g] P[t][j] - sum_k p_gj^k P[t][k]| for the classes g = 1..h and
+    every j, indexed (t, g - 1, j); one above _RESIDUAL_TOL k_g k_j is
+    refused with its row and classes.  Class 0 needs no check: P[t][0] = 1
+    and p_0j^k = delta_jk, so its identities hold exactly."""
+    size = len(k)
+    # one float GEMM against the real and imaginary parts side by side
+    pg = p[1:h + 1].reshape(h * size, size).astype(np.float64)
+    products = (pg @ np.ascontiguousarray(chars.T).view(np.float64)).view(np.complex128)
+    residual = np.abs(chars[:, 1:h + 1, np.newaxis] * chars[:, np.newaxis, :]
+                      - products.reshape(h, size, size).transpose(2, 0, 1))
+    relative = residual / (k[1:h + 1, np.newaxis] * k)
+    arg = int(np.argmax(relative))
+    worst = float(relative.flat[arg])
+    if not worst <= _RESIDUAL_TOL:
+        t, g, j = np.unravel_index(arg, relative.shape)
+        raise CertificationError(
+            f"character identities fail with relative residual {worst:.3e} at row {t}, "
+            f"classes ({g + 1}, {j}); the generic combination did not separate the characters"
+        )
+    return residual
+
+
+def _separating_prefix(chars: np.ndarray, k: np.ndarray) -> tuple[int, float]:
+    """(h, gap): the shortest prefix 1..h of classes on which the rows of
+    P[t][g] / k_g are pairwise at least _SEPARATION_GAP apart (Euclidean),
+    and their least distance; (0, 0.0) if no prefix of at most
+    _MAX_PREFIX_SHARE (d+1) classes does.  NaN rows never separate."""
+    size = len(k)
+    dist2 = np.zeros((size, size))
+    dist2.flat[::size + 1] = np.inf
+    for h in range(1, int(size * _MAX_PREFIX_SHARE) + 1):
+        scaled = chars[:, h] / k[h]
+        dist2 += np.abs(scaled[:, np.newaxis] - scaled) ** 2
+        least = float(np.min(dist2))
+        if least >= _SEPARATION_GAP ** 2:
+            return h, float(np.sqrt(least))
+    return 0, 0.0
+
+
+def _certify_characters(chars: np.ndarray, p: np.ndarray, k: np.ndarray) -> None:
+    """Raise CertificationError unless every row of `chars` satisfies every
+    character identity within _RESIDUAL_TOL relative to k_i k_j.
+
+    From d+1 >= _SEPARATING_MIN_SIZE on, only the classes g of the
+    separating prefix G of `_separating_prefix` are checked, and the others
+    are bounded from that check.  The bound: the L_i = (p_ij^k)_jk commute
+    exactly, and S_i = diag(k)^(-1/2) L_i diag(k)^(1/2) are normal, so the
+    S_g / k_g have a common orthonormal eigenbasis u_s, one vector per
+    character chi_s.  For a row r (r_0 = 1) put y = diag(k)^(-1/2) r and
+
+        R_t^2 = sum_{g in G} sum_j |r_g r_j - sum_k p_gj^k r_k|^2 / (k_j k_g^2),
+
+    the joint residual of y.  y has norm >= 1, so its coefficients on the
+    u_s put row t within R_t of some chi_s on the scaled values of G.  If
+    the rows are pairwise gamma apart there and 2 max R < gamma, distinct
+    rows go to distinct characters, every other character is at least
+    gamma - max R away, and the part w of y off its own character has
+    |w| <= eps_t = R_t / (gamma - max R) (Davis & Kahan's sin theta bound,
+    for commuting normal matrices).  Then |r_k - chi_k| <= 2 k_k eps_t and,
+    as sum_k p_ij^k k_k = k_i k_j and |chi_k| <= k_k, every identity of
+    row t holds within (6 eps_t + 4 eps_t^2) k_i k_j, for all i and j.
+    The check costs |G| (d+1)^3 for the residual and |G| (d+1)^2 for the
+    gap and the bound, against (d+1)^4 for every identity.
+
+    A residual above tolerance on G is refused with its row and classes.
+    When no short prefix separates the rows, or the bound does not reach
+    the tolerance, every identity is checked instead.
+    """
+    size = len(k)
+    if size == 1:
+        return  # P = [[1]]
+    h, gap = _separating_prefix(chars, k) if size >= _SEPARATING_MIN_SIZE else (0, 0.0)
+    if h:
+        residual = _identity_residual(chars, p, k, h)
+        # max_t R_t; the bound grows with R_t, so the largest decides
+        weights = 1.0 / (k[1:h + 1, np.newaxis] ** 2 * k)
+        spread = float(np.sqrt(np.max(np.einsum("tgj,tgj,gj->t", residual, residual, weights))))
+        eps = spread / (gap - spread) if 2 * spread < gap else np.inf
+        if 6 * eps + 4 * eps ** 2 <= _RESIDUAL_TOL:
+            return
+    _identity_residual(chars, p, k, size - 1)
+
+
 def decompose(s: AssociationScheme) -> BoseMesnerDecomposition:
     """Characters, multiplicities and eigenmatrices of a commutative scheme.
 
@@ -114,8 +219,8 @@ def decompose(s: AssociationScheme) -> BoseMesnerDecomposition:
 
     Raises ValidationError for inputs that fail the scheme axioms or are
     not commutative (p_ij^k != p_ji^k), and CertificationError when the
-    character identities, the integrality of the multiplicities, the
-    identification of E_0 or P Q = n I fail.
+    character identities (naming a row and two classes), the integrality
+    of the multiplicities, the identification of E_0 or P Q = n I fail.
     """
     report = require_axioms(s)
     p = report.p
@@ -134,27 +239,22 @@ def decompose(s: AssociationScheme) -> BoseMesnerDecomposition:
     g = np.tensordot(_generic_weights(d + 1), p * k, axes=1) / np.sqrt(np.outer(k, k))
     _, vecs = np.linalg.eigh(g + g.conj().T)
     rows = vecs.T * np.sqrt(k)
-    # P[t][i] P[t][j] = sum_k p_ij^k P[t][k].  A degenerate combination can
-    # leave a row with entry 0 equal to 0; its NaN residual fails too.
+    # Complex throughout, as the checks and the sort read its float view.  A
+    # degenerate combination can leave a row with entry 0 equal to 0; its
+    # NaN residual fails the check too.
     with np.errstate(divide="ignore", invalid="ignore"):
-        chars = rows / rows[:, :1]
-        residual = np.abs(chars[:, :, np.newaxis] * chars[:, np.newaxis, :]
-                          - np.tensordot(chars, p, axes=([1], [2])))
-        worst = float(np.max(residual / np.outer(k, k)))
-    if not worst <= _RESIDUAL_TOL:
-        raise CertificationError(
-            f"character identities fail with relative residual {worst:.3e}; "
-            "the generic combination did not separate the characters"
-        )
+        chars = (rows / rows[:, :1]).astype(np.complex128, copy=False)
+        _certify_characters(chars, p, k)
 
-    first = np.flatnonzero(np.max(np.abs(chars - k), axis=1) < _VALENCY_TOL).tolist()
+    first = np.flatnonzero(np.max(np.abs(chars - k), axis=1) < _VALENCY_TOL)
     if len(first) != 1:
         raise CertificationError("could not identify the all-ones eigenspace E_0 = J/n")
-    # sort key of row t: [-Re P[t][1], -Im P[t][1], -Re P[t][2], ...], rounded
-    rounded = np.round(chars[:, 1:], 9)
-    keys = np.stack([-rounded.real, -rounded.imag], axis=2).reshape(d + 1, -1).tolist()
-    rest = sorted(set(range(d + 1)) - set(first), key=keys.__getitem__)
-    eigmat_p = chars[first + rest]
+    # sort keys of row t: -Re P[t][1], -Im P[t][1], -Re P[t][2], ..., rounded
+    # (the float view of a complex row interleaves them); lexsort is stable,
+    # so ties keep ascending t
+    keys = -np.round(np.ascontiguousarray(chars).view(np.float64)[:, 2:], 9)
+    order = np.lexsort(keys.T[::-1]) if d else first
+    eigmat_p = chars[np.concatenate([first, order[order != first[0]]])]
 
     mult = n / np.sum(np.abs(eigmat_p) ** 2 / k, axis=1)
     multiplicities = tuple(int(round(float(m))) for m in mult)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -380,6 +381,75 @@ def test_random_gauge_data_matches_the_loop_oracle(name, data):
     varied = FusionSystem(fs.labels, fs.N, f_data, r_data)
     _assert_same(verify_pentagon(varied), oracle_pentagon(varied))
     _assert_same(_outcome(verify_hexagon, varied), _outcome(oracle_hexagon, varied))
+
+
+def _loop_f_tensor(fs):
+    """F[a,b,c,e,x,y] as `_f_tensor` first built it: one `_f_block` per
+    (a, b, c, e) in itertools.product order; the oracle for the masks."""
+    f = np.zeros((fs.rank,) * 6, dtype=np.complex128)
+    for a, b, c, e in itertools.product(range(fs.rank), repeat=4):
+        rows, cols, mat = _f_block(fs, a, b, c, e)
+        f[a, b, c, e][np.ix_(rows, cols)] = mat
+    return f
+
+
+# Rep(S3): t x t = 1 + s + t, whose (t,t,t;t) block is 3x3; and Fibonacci
+# squared (rank 4), which has several blocks above 1x1.
+REP_S3_N = np.array([[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+                     [[0, 0, 1], [0, 0, 1], [1, 1, 1]]])
+FIB_SQUARED_N = np.einsum("ikm,jln->ijklmn", FIB.N, FIB.N).reshape(4, 4, 4)
+F_TENSOR_SYSTEMS = {
+    **ORACLE_SYSTEMS,
+    "rep_s3": FusionSystem(("1", "s", "t"), REP_S3_N),
+    "fibonacci_squared": FusionSystem(("1", "a", "b", "ab"), FIB_SQUARED_N),
+    "fibonacci_squared_one_block": FusionSystem(
+        ("1", "a", "b", "ab"), FIB_SQUARED_N,
+        F={(1, 1, 1, 1): np.array([[0.6, 0.8], [-0.8, 0.6]])}),
+    "z4": cyclic_fusion_system(4),
+}
+
+
+@pytest.mark.parametrize("name", F_TENSOR_SYSTEMS)
+def test_f_tensor_matches_the_block_loop(name):
+    fs = F_TENSOR_SYSTEMS[name]
+    new, old = _outcome(anyons._f_tensor, fs), _outcome(_loop_f_tensor, fs)
+    if isinstance(old, str):
+        assert new == old
+    else:
+        assert np.array_equal(new, old)
+
+
+def test_f_tensor_names_the_first_missing_block_in_product_order():
+    missing = [key for key in itertools.product(range(4), repeat=4)
+               if len(_tree_rows(FIB_SQUARED_N, *key)) > 1]
+    assert len(missing) > 2 and missing[0] == (1, 1, 1, 1)
+    fs = F_TENSOR_SYSTEMS["fibonacci_squared_one_block"]
+    a, b, c, e = missing[1]
+    with pytest.raises(ValidationError, match=re.escape(
+            f"missing F data: block ({a},{b},{c};{e}) has dimension")):
+        anyons._f_tensor(fs)
+
+
+def test_join_lists_every_match_once():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        table = rng.random((4, 3, 2)) < 0.4
+        key = rng.integers(0, 4, size=9)
+        tag, b, c = anyons._join([np.arange(9)], key, table)
+        expected = sorted((t, int(u), int(v)) for t in range(9)
+                          for u, v in zip(*np.nonzero(table[key[t]])))
+        assert sorted(zip(tag.tolist(), b.tolist(), c.tolist())) == expected
+
+
+def _per_label_dims(n):
+    return np.array([float(np.max(np.abs(np.linalg.eigvals(n[a].astype(np.float64)))))
+                     for a in range(n.shape[0])])
+
+
+@pytest.mark.parametrize("fs", [ISING, FIB] + [cyclic_fusion_system(k) for k in range(1, 33)],
+                         ids=["ising", "fibonacci"] + [f"z{k}" for k in range(1, 33)])
+def test_dims_from_one_stacked_eigvals_match_one_call_per_label(fs):
+    assert np.array_equal(anyons._dims_from_tensor(fs.N), _per_label_dims(fs.N))
 
 
 def test_hexagon_rank_guard():

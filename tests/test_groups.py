@@ -332,3 +332,54 @@ def test_an_order_equal_to_the_cap_builds(monkeypatch):
     assert groups.dihedral(6).order == 12
     with pytest.raises(ValidationError, match="D_7 has order 14"):
         groups.dihedral(7)
+
+
+def _layered_generators(c, identity):
+    """The generating-set search as it first stood, with one np.ix_ gather
+    per breadth-first layer; the oracle for `groups._generators`, which
+    gathers the generators' columns once."""
+    reached = np.zeros(c.shape[0], dtype=bool)
+    reached[identity] = True
+    gens = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            step = np.unique(c[np.ix_(frontier, gens)])
+            frontier = step[~reached[step]]
+            reached[frontier] = True
+    return gens
+
+
+@pytest.mark.parametrize("name", sorted(BUILT))
+def test_generators_match_the_layered_search_on_the_builtins(name):
+    g = BUILT[name]()
+    assert groups._generators(g.table, g.identity) == _layered_generators(g.table, g.identity)
+
+
+@given(small_tables())
+@settings(max_examples=100, deadline=None)
+def test_generators_match_the_layered_search_on_relabelled_tables(table):
+    # every Latin square with an identity and inverses reaches _generators,
+    # the ones that Light's test then refuses included
+    try:
+        groups.from_table(table)
+    except ValidationError as exc:
+        if not str(exc).startswith("associativity"):
+            return
+    c = np.array(table)
+    identity = int(np.flatnonzero((c == np.arange(len(c))).all(axis=1))[0])
+    gens = groups._generators(c, identity)
+    assert gens == _layered_generators(c, identity)
+    assert gens == sorted(gens) and identity not in gens
+
+
+def test_generators_of_z5000_peak_with_the_table_not_the_search():
+    g = groups.cyclic(5000)
+    tracemalloc.start()
+    gens = groups._generators(g.table, g.identity)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert gens == [1]
+    # one generator column of 5000 int64 and the masks of one layer
+    assert peak < 1 << 17

@@ -16,6 +16,7 @@ from schemewalk import (
     krein_parameters,
 )
 from tests.conftest import BUILTIN_NAMES, COMMUTATIVE_NAMES
+from tests.test_spectral_oracle import relabelled
 
 # Octahedron J(4,2) intersection tensor, worked out by hand: classes are
 # equal / adjacent / antipodal with valencies (1, 4, 1).  An adjacent pair
@@ -159,6 +160,57 @@ def test_krein_parameters_refuse_a_negative_entry_with_its_witness(j42_dec):
     with pytest.raises(CertificationError,
                        match=re.escape("Krein condition violated: q[1][2][1] = -2.000e+00 < -1e-09")):
         krein_parameters(bad)
+
+
+def tensordot_krein(dec):
+    """The complex Krein tensor as krein_parameters first formed it: all
+    (d+1)^3 products Q[l][i] Q[l][j] contracted with P in one tensordot,
+    then symmetrised in i and j; the oracle for the GEMM over i <= j."""
+    eq = dec.eigenmatrix_Q
+    raw = np.tensordot(eq[:, :, np.newaxis] * eq[:, np.newaxis, :], dec.eigenmatrix_P,
+                       axes=([0], [1])) / dec.n
+    return (raw + raw.swapaxes(0, 1)) / 2
+
+
+@pytest.mark.parametrize("name", COMMUTATIVE_NAMES)
+def test_krein_gemm_matches_the_tensordot_route(name, builtin_schemes):
+    s = builtin_schemes[name]
+    rng = np.random.default_rng(26)
+    for perm in [np.arange(s.n)] + [rng.permutation(s.n) for _ in range(3)]:
+        dec = decompose(relabelled(s, perm))
+        q = krein_parameters(dec).q
+        oracle = tensordot_krein(dec).real
+        assert np.max(np.abs(q - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+        assert np.array_equal(q, q.swapaxes(0, 1))
+
+
+@pytest.mark.parametrize("order", [16, 24, 32])
+def test_krein_gemm_matches_the_tensordot_route_above_the_crossover(order):
+    dec = decompose(build_group_scheme(groups.cyclic(order)))
+    q = krein_parameters(dec).q
+    oracle = tensordot_krein(dec).real
+    assert np.max(np.abs(q - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+    assert np.array_equal(q, q.swapaxes(0, 1))
+
+
+def test_krein_parameters_refuse_an_imaginary_residue(j42_dec):
+    # Turning column 1 of Q by a phase of 1e-6 moves every real part of q by
+    # less than 1e-11, so nonnegativity and the trace identity still hold
+    # and only the residue check can refuse.
+    eq = j42_dec.eigenmatrix_Q.copy()
+    eq[:, 1] *= np.exp(1e-6j)
+    bad = BoseMesnerDecomposition(scheme=j42_dec.scheme, multiplicities=j42_dec.multiplicities,
+                                  eigenmatrix_P=j42_dec.eigenmatrix_P, eigenmatrix_Q=eq)
+    raw = tensordot_krein(bad)
+    ms = np.array(j42_dec.multiplicities, dtype=np.float64)
+    assert raw.real.min() > -1e-9
+    assert np.max(np.abs(raw.real @ ms - np.outer(ms, ms))) < 1e-8
+    with pytest.raises(CertificationError, match="imaginary residue") as info:
+        krein_parameters(bad)
+    residue = float(re.search(r"imaginary residue (\S+);", str(info.value)).group(1))
+    assert residue == pytest.approx(float(np.max(np.abs(raw.imag))), rel=1e-3)
+    # the largest: q_11^0 = q_11^2 = 3 (J42_Q), turned by twice the phase
+    assert residue == pytest.approx(3 * np.sin(2e-6), rel=1e-3)
 
 
 def test_tensors_read_d_from_their_shape(j42, j42_krein):

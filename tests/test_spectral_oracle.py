@@ -24,6 +24,7 @@ from schemewalk import (
     krein_parameters,
     spectral,
 )
+from schemewalk.schemes import require_axioms
 from tests.conftest import COMMUTATIVE_NAMES
 
 _ORACLE_SEED = 1729
@@ -181,3 +182,167 @@ def test_degenerate_combination_fails_character_identities(weights, monkeypatch)
     monkeypatch.setattr(spectral, "_generic_weights", weights)
     with pytest.raises(CertificationError, match="character identities"):
         decompose(build_group_scheme(groups.cyclic(4)))
+
+
+# ------------------------------------------- the separating-prefix certificate
+
+def full_residual_decompose(s):
+    """(m, P, Q) as decompose formed them before the separating-prefix
+    certificate: the same seeded generic combination, every character
+    identity checked, the rows ordered by `sorted` over list keys."""
+    p, k, n, d = require_axioms(s).p, s.valencies(), s.n, s.d
+    g = np.tensordot(spectral._generic_weights(d + 1), p * k, axes=1) / np.sqrt(np.outer(k, k))
+    _, vecs = np.linalg.eigh(g + g.conj().T)
+    rows = vecs.T * np.sqrt(k)
+    chars = rows / rows[:, :1]
+    residual = np.abs(chars[:, :, np.newaxis] * chars[:, np.newaxis, :]
+                      - np.tensordot(chars, p, axes=([1], [2])))
+    assert np.max(residual / np.outer(k, k)) <= 1e-8
+    first = np.flatnonzero(np.max(np.abs(chars - k), axis=1) < 1e-6).tolist()
+    assert len(first) == 1
+    rounded = np.round(chars[:, 1:], 9)
+    keys = np.stack([-rounded.real, -rounded.imag], axis=2).reshape(d + 1, -1).tolist()
+    rest = sorted(set(range(d + 1)) - set(first), key=keys.__getitem__)
+    eigmat_p = chars[first + rest]
+    mult = tuple(int(round(float(m))) for m in n / np.sum(np.abs(eigmat_p) ** 2 / k, axis=1))
+    return mult, eigmat_p, np.array(mult) * eigmat_p.conj().T / k[:, np.newaxis]
+
+
+def _assert_bit_identical(dec, oracle):
+    mult, eigmat_p, eigmat_q = oracle
+    assert dec.multiplicities == mult
+    assert np.array_equal(dec.eigenmatrix_P, eigmat_p)
+    assert np.array_equal(dec.eigenmatrix_Q, eigmat_q)
+
+
+SPECTRA_SCHEMES = {
+    "johnson_9_4": lambda: build_johnson(9, 4),
+    "johnson_10_3": lambda: build_johnson(10, 3),
+    "johnson_10_4": lambda: build_johnson(10, 4),
+    "johnson_11_3": lambda: build_johnson(11, 3),
+    "grassmann_2_5_2": lambda: build_grassmann(2, 5, 2),
+    "grassmann_3_4_2": lambda: build_grassmann(3, 4, 2),
+    "grassmann_4_4_2": lambda: build_grassmann(4, 4, 2),
+    "conjugacy_s5": lambda: build_conjugacy_scheme(groups.symmetric(5)),
+}
+
+
+@pytest.mark.parametrize("name", COMMUTATIVE_NAMES)
+def test_builtins_match_the_full_residual_decompose_bit_for_bit(name, builtin_schemes):
+    s = builtin_schemes[name]
+    _assert_bit_identical(decompose(s), full_residual_decompose(s))
+
+
+@pytest.mark.parametrize("order", range(8, 65))
+def test_cyclic_schemes_match_the_full_residual_decompose_bit_for_bit(order):
+    s = build_group_scheme(groups.cyclic(order))
+    _assert_bit_identical(decompose(s), full_residual_decompose(s))
+
+
+@pytest.mark.parametrize("name", SPECTRA_SCHEMES)
+def test_spectra_schemes_match_the_full_residual_decompose_bit_for_bit(name):
+    s = SPECTRA_SCHEMES[name]()
+    _assert_bit_identical(decompose(s), full_residual_decompose(s))
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(["cyclic", "dihedral"]), order=st.integers(3, 40), data=st.data())
+def test_relabelled_schemes_match_the_full_residual_decompose(family, order, data):
+    # cyclic schemes from order 16 on take the separating prefix {1};
+    # dihedral conjugacy schemes never do (the two linear characters of even
+    # degree agree on every rotation), so they exercise the fallback
+    if family == "cyclic":
+        s = build_group_scheme(groups.cyclic(order))
+    else:
+        s = build_conjugacy_scheme(groups.dihedral(order))
+    moved = relabelled(s, data.draw(st.permutations(range(s.n))))
+    dec = decompose(moved)
+    _assert_bit_identical(dec, full_residual_decompose(moved))
+    _assert_bit_identical(dec, full_residual_decompose(s))
+
+
+def _full_route_spy(monkeypatch):
+    """The sizes d+1 of the character checks that cover every class."""
+    calls = []
+    residual = spectral._identity_residual
+
+    def spy(chars, p, k, h):
+        if h == len(k) - 1:
+            calls.append(len(k))
+        return residual(chars, p, k, h)
+
+    monkeypatch.setattr(spectral, "_identity_residual", spy)
+    return calls
+
+
+@pytest.mark.parametrize("order, full", [(12, True), (15, True), (16, False), (32, False),
+                                         (64, False)])
+def test_the_prefix_route_starts_at_the_crossover(order, full, monkeypatch):
+    calls = _full_route_spy(monkeypatch)
+    decompose(build_group_scheme(groups.cyclic(order)))
+    assert calls == ([order] if full else [])
+
+
+def test_z32_is_separated_by_class_1_alone():
+    dec = decompose(build_group_scheme(groups.cyclic(32)))
+    h, gap = spectral._separating_prefix(dec.eigenmatrix_P, dec.scheme.valencies())
+    assert h == 1
+    assert gap == pytest.approx(2 * np.sin(np.pi / 32), rel=1e-12)
+
+
+def test_dihedral_conjugacy_has_no_short_separating_prefix():
+    dec = decompose(build_conjugacy_scheme(groups.dihedral(30)))
+    assert dec.d + 1 >= spectral._SEPARATING_MIN_SIZE
+    assert spectral._separating_prefix(dec.eigenmatrix_P, dec.scheme.valencies()) == (0, 0.0)
+
+
+def _z32_characters():
+    s = build_group_scheme(groups.cyclic(32))
+    return decompose(s).eigenmatrix_P.copy(), require_axioms(s).p, s.valencies()
+
+
+@pytest.mark.parametrize("route", ["prefix", "full"])
+def test_a_corrupted_row_is_refused_with_its_row_and_class(route, monkeypatch):
+    # P[5][1] moved by 1e-6: the identity of classes (1, 1) is off by
+    # 2e-6 and every other one by at most 1e-6, on either route
+    chars, p, k = _z32_characters()
+    chars[5, 1] += 1e-6
+    if route == "full":
+        monkeypatch.setattr(spectral, "_SEPARATING_MIN_SIZE", 10 ** 9)
+    calls = _full_route_spy(monkeypatch)
+    with pytest.raises(CertificationError,
+                       match=r"character identities fail with relative residual 2\.0\d\de-06 "
+                             r"at row 5, classes \(1, 1\)"):
+        spectral._certify_characters(chars, p, k)
+    assert calls == ([] if route == "prefix" else [32])
+
+
+def test_a_row_the_bound_cannot_certify_is_checked_in_full(monkeypatch):
+    # moved by 1e-9, the row passes on class 1 (residual 2e-9), but the
+    # bound 6 R / gap is above 1e-8, so every identity is checked, and
+    # they all hold within 1e-8 as they did before the certificate
+    chars, p, k = _z32_characters()
+    chars[5, 1] += 1e-9
+    calls = _full_route_spy(monkeypatch)
+    spectral._certify_characters(chars, p, k)
+    assert calls == [32]
+    calls.clear()
+    clean, _, _ = _z32_characters()
+    spectral._certify_characters(clean, p, k)
+    assert calls == []
+
+
+@pytest.mark.parametrize("weights", [
+    lambda count: np.eye(count)[0],
+    lambda count: np.eye(count)[1].astype(np.complex128),
+], ids=["identity", "real-a1"])
+def test_degenerate_combination_fails_above_the_crossover(weights, monkeypatch):
+    monkeypatch.setattr(spectral, "_generic_weights", weights)
+    with pytest.raises(CertificationError, match="character identities"):
+        decompose(build_group_scheme(groups.cyclic(32)))
+
+
+def test_trivial_scheme_decomposes():
+    dec = decompose(AssociationScheme(n=1, d=0, relation=np.zeros((1, 1), dtype=np.int64)))
+    assert dec.multiplicities == (1,)
+    assert np.array_equal(dec.eigenmatrix_P, [[1.0]])
