@@ -27,7 +27,6 @@ here, not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -83,15 +82,6 @@ def intersection_numbers(s: AssociationScheme) -> IntersectionTensor:
     return IntersectionTensor(require_axioms(s).p)
 
 
-@lru_cache(maxsize=64)
-def _pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only row and column indices of the pairs i <= j, kept per size."""
-    pairs = np.triu_indices(size)
-    for index in pairs:
-        index.setflags(write=False)
-    return pairs
-
-
 def krein_parameters(dec: BoseMesnerDecomposition) -> KreinTensor:
     """Krein parameters from the closed form in P and Q, with certification.
 
@@ -104,7 +94,8 @@ def krein_parameters(dec: BoseMesnerDecomposition) -> KreinTensor:
     eq = dec.eigenmatrix_Q
     size = dec.d + 1
     m = np.array(dec.multiplicities, dtype=np.float64)
-    iu, ju = _pairs(size)
+    order = np.arange(size)
+    iu, ju = np.nonzero(order[:, np.newaxis] <= order)  # the pairs i <= j, in C order
     # raw[(i,j)][k] = (1/n) sum_l Q[l][i] Q[l][j] P[k][l]
     raw = (eq[:, iu] * eq[:, ju]).T @ dec.eigenmatrix_P.T / dec.n
     worst_imag = float(np.max(np.abs(raw.imag)))

@@ -12,14 +12,15 @@ m_j = rank E_j and the two change-of-basis matrices
 entirely in the (d+1)-dimensional algebra, from the intersection numbers
 that `verify_axioms` certifies.  Row t of P is a character of the
 algebra, P[t][i] P[t][j] = sum_k p_ij^k P[t][k], and every row is
-certified on every pair (i, j).  From d+1 = 16 on, the identities are
-evaluated only for the classes of a short prefix G = {1, 2, ...} on which
-the rows are pairwise separated, and the other classes are bounded from
+certified on every pair (i, j).  From d+1 = 16 on, when the rows are
+pairwise separated by their values on class 1, the identities are
+evaluated only for that class, and the other classes are bounded from
 that residual and the separation by the Davis-Kahan argument spelled out
 in `_certify_characters` (C. Davis & W. M. Kahan, SIAM J. Numer. Anal. 7,
-1970): |G| (d+1)^3 work instead of (d+1)^4, with G = {1} for Z_n.  The
-multiplicities and Q follow from the orthogonality relations (Bannai &
-Ito 1984, Sections II.3-4),
+1970): (d+1)^3 work instead of (d+1)^4.  Cyclic group schemes take this
+route; schemes whose class 1 does not separate the rows get every
+identity checked.  The multiplicities and Q follow from the orthogonality
+relations (Bannai & Ito 1984, Sections II.3-4),
 
     m_t = n / sum_j |P[t][j]|^2 / k_j,   Q[j][t] = m_t conj(P[t][j]) / k_j.
 
@@ -50,21 +51,18 @@ _GENERIC_SEED = 1729
 _RESIDUAL_TOL = 1e-8
 _INTEGRALITY_TOL = 1e-6
 _VALENCY_TOL = 1e-6
-# From this algebra dimension d+1 on, the identities are checked on a
-# separating prefix of classes and bounded on the rest; below it checking
-# every class is the cheaper of the two (interleaved cost table in
-# CHANGES.md: on Z_n the prefix costs 1.3x at d+1 = 12, 1.1x at 14,
-# 0.96x at 16, where both take about 65 us, and 0.06x at 32).
+# From this algebra dimension d+1 on, the identities are checked on class
+# 1 and bounded on the rest when class 1 separates the rows; below it
+# checking every class is the cheaper of the two (interleaved cost table in
+# CHANGES.md: on Z_n class 1 costs 1.3x at d+1 = 12, 1.0x at 14, 0.8x at
+# 16 and 0.06x at 32).
 _SEPARATING_MIN_SIZE = 16
-# Least Euclidean distance between two rows of P[t][g] / k_g on the prefix.
-# The bound certifies while about 6 R / gap <= 1e-8, R the joint residual
-# of the rows that eigh returns (1e-13 to 7.5e-12 on Z_16 ... Z_64), so a
-# gap below 1e-2 would ask for R below 1.6e-12.  Adjacent characters of Z_n
-# are 2 sin(pi/n) apart on A_1, so G = {1} up to n = 628.
+# Least distance between the values P[t][1] / k_1 of two rows.  The bound
+# certifies while about 6 R / gap <= 1e-8, R the joint residual of the rows
+# that eigh returns (1e-13 to 7.5e-12 on Z_16 ... Z_64), so a gap below
+# 1e-2 would ask for R below 1.6e-12.  Adjacent characters of Z_n are
+# 2 sin(pi/n) apart on A_1, so Z_n is separated up to n = 628.
 _SEPARATION_GAP = 1e-2
-# A prefix longer than this share of the classes costs as much as checking
-# every identity, so the search stops there.
-_MAX_PREFIX_SHARE = 0.25
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,64 +139,58 @@ def _identity_residual(chars: np.ndarray, p: np.ndarray, k: np.ndarray, h: int) 
     return residual
 
 
-def _separating_prefix(chars: np.ndarray, k: np.ndarray) -> tuple[int, float]:
-    """(h, gap): the shortest prefix 1..h of classes on which the rows of
-    P[t][g] / k_g are pairwise at least _SEPARATION_GAP apart (Euclidean),
-    and their least distance; (0, 0.0) if no prefix of at most
-    _MAX_PREFIX_SHARE (d+1) classes does.  NaN rows never separate."""
-    size = len(k)
-    dist2 = np.zeros((size, size))
-    dist2.flat[::size + 1] = np.inf
-    for h in range(1, int(size * _MAX_PREFIX_SHARE) + 1):
-        scaled = chars[:, h] / k[h]
-        dist2 += np.abs(scaled[:, np.newaxis] - scaled) ** 2
-        least = float(np.min(dist2))
-        if least >= _SEPARATION_GAP ** 2:
-            return h, float(np.sqrt(least))
-    return 0, 0.0
+def _class_1_gap(chars: np.ndarray, k: np.ndarray) -> float:
+    """The least distance between the values P[t][1] / k_1 of two rows;
+    NaN if a row is NaN, so that such rows never count as separated."""
+    scaled = chars[:, 1] / k[1]
+    dist = np.abs(scaled[:, np.newaxis] - scaled)
+    dist.flat[::len(k) + 1] = np.inf
+    return float(np.min(dist))
 
 
 def _certify_characters(chars: np.ndarray, p: np.ndarray, k: np.ndarray) -> None:
     """Raise CertificationError unless every row of `chars` satisfies every
     character identity within _RESIDUAL_TOL relative to k_i k_j.
 
-    From d+1 >= _SEPARATING_MIN_SIZE on, only the classes g of the
-    separating prefix G of `_separating_prefix` are checked, and the others
-    are bounded from that check.  The bound: the L_i = (p_ij^k)_jk commute
-    exactly, and S_i = diag(k)^(-1/2) L_i diag(k)^(1/2) are normal, so the
-    S_g / k_g have a common orthonormal eigenbasis u_s, one vector per
-    character chi_s.  For a row r (r_0 = 1) put y = diag(k)^(-1/2) r and
+    From d+1 >= _SEPARATING_MIN_SIZE on, when the rows are pairwise at
+    least _SEPARATION_GAP apart on class 1, only the identities of class 1
+    are checked, and the others are bounded from that check.  The bound:
+    the L_i = (p_ij^k)_jk commute exactly, and S_i = diag(k)^(-1/2) L_i
+    diag(k)^(1/2) are normal, so they have a common orthonormal eigenbasis
+    u_s, one vector per character chi_s, on which S_1 / k_1 has the
+    eigenvalue chi_s(1) / k_1.  For a row r (r_0 = 1) put
+    y = diag(k)^(-1/2) r and
 
-        R_t^2 = sum_{g in G} sum_j |r_g r_j - sum_k p_gj^k r_k|^2 / (k_j k_g^2),
+        R_t^2 = sum_j |r_1 r_j - sum_k p_1j^k r_k|^2 / (k_j k_1^2),
 
-    the joint residual of y.  y has norm >= 1, so its coefficients on the
-    u_s put row t within R_t of some chi_s on the scaled values of G.  If
-    the rows are pairwise gamma apart there and 2 max R < gamma, distinct
-    rows go to distinct characters, every other character is at least
-    gamma - max R away, and the part w of y off its own character has
-    |w| <= eps_t = R_t / (gamma - max R) (Davis & Kahan's sin theta bound,
-    for commuting normal matrices).  Then |r_k - chi_k| <= 2 k_k eps_t and,
-    as sum_k p_ij^k k_k = k_i k_j and |chi_k| <= k_k, every identity of
-    row t holds within (6 eps_t + 4 eps_t^2) k_i k_j, for all i and j.
-    The check costs |G| (d+1)^3 for the residual and |G| (d+1)^2 for the
-    gap and the bound, against (d+1)^4 for every identity.
+    the residual of y.  y has norm >= 1, so its coefficients on the u_s put
+    r_1 / k_1 within R_t of some chi_s(1) / k_1.  If the rows are pairwise
+    gamma apart there and 2 max R < gamma, distinct rows go to distinct
+    characters, every other character is at least gamma - max R away, and
+    the part w of y off its own character has |w| <= eps_t =
+    R_t / (gamma - max R) (Davis & Kahan's sin theta bound, for normal
+    matrices).  Then |r_k - chi_k| <= 2 k_k eps_t and, as
+    sum_k p_ij^k k_k = k_i k_j and |chi_k| <= k_k, every identity of row t
+    holds within (6 eps_t + 4 eps_t^2) k_i k_j, for all i and j.  The check
+    costs (d+1)^3 for the residual and (d+1)^2 for the gap and the bound,
+    against (d+1)^4 for every identity.
 
-    A residual above tolerance on G is refused with its row and classes.
-    When no short prefix separates the rows, or the bound does not reach
-    the tolerance, every identity is checked instead.
+    A residual above tolerance on class 1 is refused with its row and
+    classes.  When class 1 does not separate the rows, or the bound does
+    not reach the tolerance, every identity is checked instead.
     """
     size = len(k)
     if size == 1:
         return  # P = [[1]]
-    h, gap = _separating_prefix(chars, k) if size >= _SEPARATING_MIN_SIZE else (0, 0.0)
-    if h:
-        residual = _identity_residual(chars, p, k, h)
-        # max_t R_t; the bound grows with R_t, so the largest decides
-        weights = 1.0 / (k[1:h + 1, np.newaxis] ** 2 * k)
-        spread = float(np.sqrt(np.max(np.einsum("tgj,tgj,gj->t", residual, residual, weights))))
-        eps = spread / (gap - spread) if 2 * spread < gap else np.inf
-        if 6 * eps + 4 * eps ** 2 <= _RESIDUAL_TOL:
-            return
+    if size >= _SEPARATING_MIN_SIZE:
+        gap = _class_1_gap(chars, k)
+        if gap >= _SEPARATION_GAP:
+            residual = _identity_residual(chars, p, k, 1)[:, 0]
+            # max_t R_t; the bound grows with R_t, so the largest decides
+            spread = float(np.sqrt(np.max(residual ** 2 @ (1.0 / k)))) / k[1]
+            eps = spread / (gap - spread) if 2 * spread < gap else np.inf
+            if 6 * eps + 4 * eps ** 2 <= _RESIDUAL_TOL:
+                return
     _identity_residual(chars, p, k, size - 1)
 
 

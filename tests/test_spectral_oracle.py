@@ -184,12 +184,12 @@ def test_degenerate_combination_fails_character_identities(weights, monkeypatch)
         decompose(build_group_scheme(groups.cyclic(4)))
 
 
-# ------------------------------------------- the separating-prefix certificate
+# ------------------------------------------------- the class-1 certificate
 
 def full_residual_decompose(s):
-    """(m, P, Q) as decompose formed them before the separating-prefix
-    certificate: the same seeded generic combination, every character
-    identity checked, the rows ordered by `sorted` over list keys."""
+    """(m, P, Q) as decompose formed them before the class-1 certificate:
+    the same seeded generic combination, every character identity checked,
+    the rows ordered by `sorted` over list keys."""
     p, k, n, d = require_axioms(s).p, s.valencies(), s.n, s.d
     g = np.tensordot(spectral._generic_weights(d + 1), p * k, axes=1) / np.sqrt(np.outer(k, k))
     _, vecs = np.linalg.eigh(g + g.conj().T)
@@ -248,9 +248,8 @@ def test_spectra_schemes_match_the_full_residual_decompose_bit_for_bit(name):
 @settings(max_examples=30, deadline=None)
 @given(family=st.sampled_from(["cyclic", "dihedral"]), order=st.integers(3, 40), data=st.data())
 def test_relabelled_schemes_match_the_full_residual_decompose(family, order, data):
-    # cyclic schemes from order 16 on take the separating prefix {1};
-    # dihedral conjugacy schemes never do (the two linear characters of even
-    # degree agree on every rotation), so they exercise the fallback
+    # cyclic schemes from order 16 on are separated by class 1; dihedral
+    # conjugacy schemes never are, so they exercise the fallback
     if family == "cyclic":
         s = build_group_scheme(groups.cyclic(order))
     else:
@@ -277,23 +276,24 @@ def _full_route_spy(monkeypatch):
 
 @pytest.mark.parametrize("order, full", [(12, True), (15, True), (16, False), (32, False),
                                          (64, False)])
-def test_the_prefix_route_starts_at_the_crossover(order, full, monkeypatch):
+def test_the_class_1_route_starts_at_the_crossover(order, full, monkeypatch):
     calls = _full_route_spy(monkeypatch)
     decompose(build_group_scheme(groups.cyclic(order)))
     assert calls == ([order] if full else [])
 
 
-def test_z32_is_separated_by_class_1_alone():
+def test_z32_is_separated_by_class_1():
     dec = decompose(build_group_scheme(groups.cyclic(32)))
-    h, gap = spectral._separating_prefix(dec.eigenmatrix_P, dec.scheme.valencies())
-    assert h == 1
+    gap = spectral._class_1_gap(dec.eigenmatrix_P, dec.scheme.valencies())
     assert gap == pytest.approx(2 * np.sin(np.pi / 32), rel=1e-12)
 
 
-def test_dihedral_conjugacy_has_no_short_separating_prefix():
+def test_dihedral_conjugacy_is_not_separated_by_class_1(monkeypatch):
+    calls = _full_route_spy(monkeypatch)
     dec = decompose(build_conjugacy_scheme(groups.dihedral(30)))
     assert dec.d + 1 >= spectral._SEPARATING_MIN_SIZE
-    assert spectral._separating_prefix(dec.eigenmatrix_P, dec.scheme.valencies()) == (0, 0.0)
+    assert spectral._class_1_gap(dec.eigenmatrix_P, dec.scheme.valencies()) < 1e-12
+    assert calls == [dec.d + 1]
 
 
 def _z32_characters():
@@ -301,7 +301,7 @@ def _z32_characters():
     return decompose(s).eigenmatrix_P.copy(), require_axioms(s).p, s.valencies()
 
 
-@pytest.mark.parametrize("route", ["prefix", "full"])
+@pytest.mark.parametrize("route", ["class-1", "full"])
 def test_a_corrupted_row_is_refused_with_its_row_and_class(route, monkeypatch):
     # P[5][1] moved by 1e-6: the identity of classes (1, 1) is off by
     # 2e-6 and every other one by at most 1e-6, on either route
@@ -314,7 +314,7 @@ def test_a_corrupted_row_is_refused_with_its_row_and_class(route, monkeypatch):
                        match=r"character identities fail with relative residual 2\.0\d\de-06 "
                              r"at row 5, classes \(1, 1\)"):
         spectral._certify_characters(chars, p, k)
-    assert calls == ([] if route == "prefix" else [32])
+    assert calls == ([] if route == "class-1" else [32])
 
 
 def test_a_row_the_bound_cannot_certify_is_checked_in_full(monkeypatch):
