@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationError, ValidationError
+from .errors import CertificationError, ValidationError, numeric_array
 from .parameters import KreinTensor
 from .spectral import BoseMesnerDecomposition
 
@@ -37,16 +37,71 @@ _DIST_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class Hypergroup:
-    """Convolution tensor on indices {0..d} (its shape gives `size`) plus the multiplicities."""
+    """Convolution tensor on indices {0..d} (its shape gives `size`) plus the multiplicities.
+
+    The constructor certifies its input, whoever built it.  It refuses
+    (ValidationError) a convolution that is not a (d+1)^3 array of real
+    numbers and multiplicities that are not d+1 positive numbers, and
+    (CertificationError) a weight below the clamping floor -1e-8, a
+    non-finite weight, a slice whose total mass strays from 1 by more
+    than 1e-8, and an index 0 that is not the identity within 1e-8.  The
+    stored convolution is a new read-only array: negatives above the
+    floor clamped to 0 and the identity slices exact.
+    """
 
     convolution: np.ndarray
     multiplicities: tuple[int, ...]
 
     def __post_init__(self):
-        if self.convolution.ndim != 3 or len(set(self.convolution.shape)) != 1:
+        conv = numeric_array(self.convolution, "convolution", kinds="iuf").astype(
+            np.float64, copy=False)
+        if conv.ndim != 3 or len(set(conv.shape)) != 1:
+            raise ValidationError(f"convolution must be (d+1)^3, got shape {conv.shape}")
+        size = conv.shape[0]
+        mults = tuple(self.multiplicities)
+        if len(mults) != size:
             raise ValidationError(
-                f"convolution must be (d+1)^3, got shape {self.convolution.shape}")
-        self.convolution.setflags(write=False)
+                f"need {size} multiplicities for a {size}^3 convolution, got {len(mults)}")
+        if not all(m > 0 for m in mults):
+            raise ValidationError(f"multiplicities must be positive, got {list(mults)}")
+
+        low = float(conv.min())
+        if low < _CLAMP_FLOOR:
+            i, j, k = np.unravel_index(int(np.argmin(conv)), conv.shape)
+            raise CertificationError(
+                f"convolution weight ({i},{j},{k}) = {low:.3e} below the floor {_CLAMP_FLOOR}"
+            )
+        conv = np.where(conv < 0.0, 0.0, conv)
+
+        sums = conv.sum(axis=2)
+        drift = float(np.max(np.abs(sums - 1.0)))
+        # a NaN weight passes every comparison above; it, or an infinite
+        # weight, leaves its slice's mass and the drift non-finite
+        if not np.isfinite(drift):
+            i, j, k = np.argwhere(~np.isfinite(conv))[0]
+            raise CertificationError(
+                f"convolution weight ({i},{j},{k}) = {conv[i, j, k]} is not finite")
+        if drift > _SLICE_SUM_TOL:
+            i, j = np.unravel_index(int(np.argmax(np.abs(sums - 1.0))), sums.shape)
+            raise CertificationError(
+                f"convolution slice ({i},{j}) has total mass {float(sums[i, j])!r}, "
+                f"off by {drift:.3e}"
+            )
+
+        # index 0 is the identity: verify, then store it exactly
+        delta = np.eye(size)
+        gap = np.abs(conv[0] - delta)
+        if gap.max() > _SLICE_SUM_TOL:
+            j, k = np.unravel_index(int(np.argmax(gap)), gap.shape)
+            raise CertificationError(
+                f"index 0 does not act as the hypergroup identity: weight (0,{j},{k}) = "
+                f"{conv[0, j, k]:.3e}"
+            )
+        conv[0] = delta
+        conv[:, 0, :] = delta
+        conv.setflags(write=False)
+        object.__setattr__(self, "convolution", conv)
+        object.__setattr__(self, "multiplicities", mults)
 
     @property
     def size(self) -> int:
@@ -58,46 +113,14 @@ class Hypergroup:
 
 
 def hypergroup_from(dec: BoseMesnerDecomposition, q: KreinTensor) -> Hypergroup:
-    """Build the hypergroup of a decomposition and its Krein tensor.
-
-    Raises CertificationError when a weight falls below the clamping
-    floor or a slice's total mass strays from 1 by more than 1e-8.
-    """
+    """The hypergroup of a decomposition and its Krein tensor, certified
+    by the `Hypergroup` constructor."""
     if q.d != dec.d:
         raise ValidationError(
             f"Krein tensor has d={q.d} but decomposition has d={dec.d}"
         )
-    d = dec.d
     m = np.array(dec.multiplicities, dtype=np.float64)
     conv = q.q * m[np.newaxis, np.newaxis, :] / np.outer(m, m)[:, :, np.newaxis]
-
-    low = float(conv.min())
-    if low < _CLAMP_FLOOR:
-        i, j, k = np.unravel_index(int(np.argmin(conv)), conv.shape)
-        raise CertificationError(
-            f"convolution weight ({i},{j},{k}) = {low:.3e} below the floor {_CLAMP_FLOOR}"
-        )
-    conv = np.where(conv < 0.0, 0.0, conv)
-
-    sums = conv.sum(axis=2)
-    drift = float(np.max(np.abs(sums - 1.0)))
-    if drift > _SLICE_SUM_TOL:
-        i, j = np.unravel_index(int(np.argmax(np.abs(sums - 1.0))), sums.shape)
-        raise CertificationError(
-            f"convolution slice ({i},{j}) has total mass {float(sums[i, j])!r}, off by {drift:.3e}"
-        )
-
-    # index 0 is the identity: verify, then store it exactly
-    delta = np.eye(d + 1)
-    gap = np.abs(conv[0] - delta)
-    if gap.max() > _SLICE_SUM_TOL:
-        j, k = np.unravel_index(int(np.argmax(gap)), gap.shape)
-        raise CertificationError(
-            f"index 0 does not act as the hypergroup identity: weight (0,{j},{k}) = "
-            f"{conv[0, j, k]:.3e}"
-        )
-    conv[0] = delta
-    conv[:, 0, :] = delta
     return Hypergroup(conv, dec.multiplicities)
 
 

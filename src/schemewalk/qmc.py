@@ -7,7 +7,7 @@ Five pieces:
   pair indices (a, a) plus n^2 - n zeros, so CP holds iff the multiplier
   is positive semidefinite.  The multiplier's least eigenvalue is one
   `eigvalsh` per channel, kept on it for `certify_cp` and
-  `iterate_channel`; the dense `choi_matrix` is the test oracle.
+  `iterate_channel`; the dense Choi matrix is the test oracle.
 * Unitary dilation of a probability vector p: an orthogonal matrix whose
   first row is (sqrt(p_0), ..., sqrt(p_{d-1})).
 * Entangled transition expectations E(M (x) N) = V' (M (x) N) V for the
@@ -120,26 +120,6 @@ def schur_channel_apply(c: SchurChannel, m: np.ndarray) -> np.ndarray:
     return c.multiplier * a
 
 
-def choi_matrix(c: SchurChannel) -> np.ndarray:
-    """Dense Choi matrix sum_ab E_ab (x) T(E_ab) of the Schur channel.
-
-    T(E_ab) = e[a][b] E_ab, so the Choi matrix is the multiplier spread
-    onto the (a*n+a, b*n+b) positions of the pair space.  This is a
-    16 n^4-byte array, so it is refused above `_PAIR_SPACE_MAX_VERTICES`
-    vertices; `certify_cp` never builds it.
-    """
-    n = c.dim
-    if n > _PAIR_SPACE_MAX_VERTICES:
-        raise ValidationError(
-            f"dense Choi matrix of a {n}-dimensional channel is {n * n}x{n * n}; "
-            f"capped at {_PAIR_SPACE_MAX_VERTICES} dimensions"
-        )
-    choi = np.zeros((n * n, n * n), dtype=np.complex128)
-    diagonal_pairs = np.arange(n) * (n + 1)
-    choi[np.ix_(diagonal_pairs, diagonal_pairs)] = c.multiplier
-    return choi
-
-
 def certify_cp(c: SchurChannel) -> CPReport:
     """Certify complete positivity from the multiplier's spectrum.
 
@@ -152,8 +132,8 @@ def certify_cp(c: SchurChannel) -> CPReport:
     with `iterate_channel`), and they agree by construction.  For n > 1,
     `choi_min_eigenvalue` is that eigenvalue capped at the padded 0.0.
     A least eigenvalue down to -1e-10 (`_PSD_TOL`) counts as semidefinite.
-    The dense `choi_matrix` (capped at `_PAIR_SPACE_MAX_VERTICES`
-    dimensions) is the independent route the tests check this against.
+    The dense Choi matrix (capped at 64 dimensions) is the independent
+    route the tests check this against.
     """
     mult_min = c._multiplier_min
     choi_min = min(mult_min, 0.0) if c.dim > 1 else mult_min

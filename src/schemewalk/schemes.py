@@ -37,6 +37,16 @@ A_i A_j = sum_k p_ij^k A_k, are counted at one representative pair per
 class, and the scheme is commutative exactly when p_ij^k = p_ji^k
 (Bannai & Ito 1984, Section II.2).
 
+Every report is a function of (n, d, relation) alone, so reports are
+kept per content.  When `verify_axioms` meets a scheme it has not
+checked, it looks the scheme's content up in a process-wide store keyed
+by n, d and the relation matrix's bytes; a scheme with the content of an
+earlier one gets that report, and with it p and the spectrum that
+`spectral.decompose` keeps on it, without any check running again.  Keys
+match by byte equality, never by a hash alone, and labels play no part.
+The store is a least-recently-used map bounded by `_REPORT_STORE_BYTES`
+of key bytes and intersection tensors.
+
 The table-driven builders form the relation matrix without a loop over
 pairs: Johnson and Grassmann schemes from one float64 product M M^T of a
 0/1 incidence matrix, group and conjugacy schemes from one gather through
@@ -46,6 +56,8 @@ the Cayley table.
 from __future__ import annotations
 
 import itertools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from math import comb
 
@@ -59,6 +71,13 @@ from .groups import DEFAULT_VERTEX_CAP, FiniteGroup
 # per pair for k generators (pair labels, edge lists and their gathers);
 # it may use as much as one relation matrix at DEFAULT_VERTEX_CAP (200 MB).
 _ORBIT_PASS_WORDS = DEFAULT_VERTEX_CAP ** 2
+
+# Bytes of relation keys and intersection tensors that the report store
+# holds.  A process running this package occupies about 45 MB resident
+# (numpy included), so a full store adds under a tenth of that, and 4 MB
+# still holds a few dozen mid-size schemes: the u1 relation matrix of
+# J_4(4,2) (n = 357) is 127 KB and the p of Z_32 is 256 KB.
+_REPORT_STORE_BYTES = 4 * 2 ** 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,13 +162,81 @@ class AxiomReport:
 
     `commutative` is only meaningful when `passed` is True.  `p` is the
     certified intersection tensor, p[i, j, k] = p_ij^k (read-only int64),
-    or None when the check fails.
+    or None when the check fails.  `spectral.decompose` keeps the spectrum
+    it derives from p in `_spectrum`.
     """
 
     passed: bool
     violations: tuple[tuple[int, tuple[int, ...]], ...]
     commutative: bool
     p: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _spectrum: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+
+class _ReportStore:
+    """Least-recently-used map from relation content to AxiomReport.
+
+    An entry costs its key bytes plus p.nbytes, and the entries together
+    never exceed `_REPORT_STORE_BYTES`: an entry larger than that is not
+    stored, and inserting evicts from the least recently used end.  The
+    spectrum `decompose` keeps on a report is not counted: P and Q take
+    32 (d+1)^2 bytes, 4/(d+1) of p's 8 (d+1)^3.  One
+    lock guards every lookup, insert and eviction, so concurrent callers
+    see a consistent map.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[tuple, tuple[AxiomReport, int]] = OrderedDict()
+        self._bytes = 0
+
+    def get(self, key: tuple) -> AxiomReport | None:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry[0]
+
+    def put(self, key: tuple, report: AxiomReport) -> AxiomReport:
+        """Store `report` under `key`; returns the stored report, which is
+        an earlier one when another caller stored the same key first."""
+        size = len(key[2]) + (0 if report.p is None else report.p.nbytes)
+        if size > _REPORT_STORE_BYTES:
+            return report
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return entry[0]
+            self._entries[key] = (report, size)
+            self._bytes += size
+            while self._bytes > _REPORT_STORE_BYTES:
+                _, (_, dropped) = self._entries.popitem(last=False)
+                self._bytes -= dropped
+            return report
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._bytes = 0
+
+
+_REPORTS = _ReportStore()
+
+
+def _packed_dtype(d: int) -> np.dtype:
+    """The narrowest of little-endian u1/u2/u4 that holds the classes 0..d."""
+    return np.dtype("<u1" if d <= 0xFF else "<u2" if d <= 0xFFFF else "<u4")
+
+
+def _content_key(s: AssociationScheme) -> tuple | None:
+    """(n, d, the relation matrix's bytes in `_packed_dtype(d)`, as scheme
+    files carry them), or None when those bytes alone exceed the store."""
+    dtype = _packed_dtype(s.d)
+    if s.n * s.n * dtype.itemsize > _REPORT_STORE_BYTES:
+        return None
+    return s.n, s.d, s.relation.astype(dtype).tobytes()
 
 
 def verify_axioms(s: AssociationScheme) -> AxiomReport:
@@ -162,9 +249,24 @@ def verify_axioms(s: AssociationScheme) -> AxiomReport:
 
     The report is kept on the scheme, whose relation matrix is read-only,
     so later calls on the same scheme return it without checking again.
+    A scheme not yet checked first looks its content up in the report
+    store (module docstring): a report, passed or failed, is a function
+    of (n, d, relation), so a scheme with the content of one checked
+    earlier gets that report, and every check runs on content the store
+    has not seen.  The store holds up to `_REPORT_STORE_BYTES` (4 MB) of
+    relation bytes and intersection tensors, under a tenth of what a
+    process running this package occupies, least recently used out
+    first; a relation matrix or report larger than that is checked every
+    time.
     """
     if s._axioms is None:
-        object.__setattr__(s, "_axioms", _check_axioms(s))
+        key = _content_key(s)
+        report = None if key is None else _REPORTS.get(key)
+        if report is None:
+            report = _check_axioms(s)
+            if key is not None:
+                report = _REPORTS.put(key, report)
+        object.__setattr__(s, "_axioms", report)
     return s._axioms
 
 

@@ -25,7 +25,7 @@ from . import groups
 from .anyons import FusionSystem
 from .errors import ValidationError, numeric_array
 from .parameters import IntersectionTensor, KreinTensor
-from .schemes import AssociationScheme, require_axioms
+from .schemes import AssociationScheme, _packed_dtype, require_axioms
 from .spectral import BoseMesnerDecomposition
 
 KINDS = ("scheme", "cayley", "matrix", "tensor", "fusion-system", "distribution")
@@ -82,9 +82,9 @@ def _decode_keyed(data, name: str, form: str, decode) -> dict:
 
 def _pack_relation(rel: np.ndarray, d: int) -> dict:
     """The packed form of a relation matrix whose entries lie in 0..d."""
-    code = "u1" if d <= 0xFF else "u2" if d <= 0xFFFF else "u4"
-    raw = np.ascontiguousarray(rel, dtype=_PACKED_DTYPES[code])
-    return {"dtype": code, "base64": base64.b64encode(raw).decode("ascii")}
+    dtype = _packed_dtype(d)
+    raw = np.ascontiguousarray(rel, dtype=dtype)
+    return {"dtype": f"u{dtype.itemsize}", "base64": base64.b64encode(raw).decode("ascii")}
 
 
 def _unpack_relation(data: dict, n: int) -> np.ndarray:

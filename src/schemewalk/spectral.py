@@ -40,7 +40,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import CertificationError, ValidationError
-from .schemes import AssociationScheme, require_axioms
+from .schemes import AssociationScheme, AxiomReport, require_axioms
 
 # Seed for the generic-combination coefficients.  Fixed so that repeated
 # runs produce bit-identical decompositions.
@@ -96,15 +96,6 @@ class BoseMesnerDecomposition:
         stack = (self.eigenmatrix_Q.T / self.n)[:, self.scheme.relation]
         stack.setflags(write=False)
         return tuple(stack)
-
-
-def schur(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Entrywise (Hadamard) product of two equal-shaped matrices."""
-    a = np.asarray(m1)
-    b = np.asarray(m2)
-    if a.shape != b.shape:
-        raise ValidationError(f"shape mismatch for entrywise product: {a.shape} vs {b.shape}")
-    return a * b
 
 
 @lru_cache(maxsize=64)
@@ -198,7 +189,14 @@ def decompose(s: AssociationScheme) -> BoseMesnerDecomposition:
     """Characters, multiplicities and eigenmatrices of a commutative scheme.
 
     Reads only the certified intersection numbers p_ij^k and the
-    valencies k_j.  A row of P is a common eigenvector of the matrices
+    valencies k_j, so the spectrum is a function of p: it is computed
+    once per axiom report, kept on the report (read-only), and shared by
+    every decomposition of a scheme with that report, i.e. of any scheme
+    with the same content (see `verify_axioms`).  Each call returns a new
+    decomposition of `s`.  Refusals are not kept; they are raised again
+    on every call.
+
+    A row of P is a common eigenvector of the matrices
     p_i = (p_ij^k)_jk, scaled so that its entry 0 is 1.  Conjugated by
     diag(sqrt k), p_i turns into S_i with S_i^T = S_i' (i' the transposed
     class), so for one seeded generic combination G = sum c_i S_i the
@@ -215,6 +213,20 @@ def decompose(s: AssociationScheme) -> BoseMesnerDecomposition:
     of the multiplicities, the identification of E_0 or P Q = n I fail.
     """
     report = require_axioms(s)
+    if report._spectrum is None:
+        object.__setattr__(report, "_spectrum", _spectrum(report, s.n, s.valencies()))
+    multiplicities, eigmat_p, eigmat_q = report._spectrum
+    return BoseMesnerDecomposition(
+        scheme=s,
+        multiplicities=multiplicities,
+        eigenmatrix_P=eigmat_p,
+        eigenmatrix_Q=eigmat_q,
+    )
+
+
+def _spectrum(report: AxiomReport, n: int, k: np.ndarray):
+    """(multiplicities, P, Q) of a passed report, P and Q read-only, or
+    the refusal that `decompose` raises."""
     p = report.p
     if not report.commutative:
         i, j, _ = np.argwhere(p != p.swapaxes(0, 1))[0]
@@ -222,8 +234,7 @@ def decompose(s: AssociationScheme) -> BoseMesnerDecomposition:
             f"scheme is not commutative (A_{i} and A_{j} do not commute); "
             "only commutative schemes can be decomposed"
         )
-    n, d = s.n, s.d
-    k = s.valencies()
+    d = len(k) - 1
 
     # S_i[j][k] = p_ij^k k_k / sqrt(k_j k_k).  The numerators are exact
     # integers with k_k p_ij^k = k_j p_i'k^j, so S_i^T = S_i' bit for bit
@@ -265,9 +276,6 @@ def decompose(s: AssociationScheme) -> BoseMesnerDecomposition:
     if pq_residual > _RESIDUAL_TOL * n:
         raise CertificationError(f"PQ = nI fails with residual {pq_residual:.3e}")
 
-    return BoseMesnerDecomposition(
-        scheme=s,
-        multiplicities=multiplicities,
-        eigenmatrix_P=eigmat_p,
-        eigenmatrix_Q=eigmat_q,
-    )
+    eigmat_p.setflags(write=False)
+    eigmat_q.setflags(write=False)
+    return multiplicities, eigmat_p, eigmat_q

@@ -1,7 +1,9 @@
 """Shared fixtures: the built-in scheme zoo and cached spectral data.
 
 Decompositions are reused across test modules through session-scoped
-fixtures so the whole suite stays fast.
+fixtures so the whole suite stays fast.  Every test starts with an empty
+store of axiom reports (`schemes._REPORTS`), so a test that counts checks
+or patches them sees its own schemes checked.
 
 The hypothesis profile named by HYPOTHESIS_PROFILE is loaded; "ci" draws
 its examples from a fixed seed, so a red CI run reproduces locally with
@@ -23,10 +25,16 @@ from schemewalk import (
     groups,
     hypergroup_from,
     krein_parameters,
+    schemes,
 )
 
 settings.register_profile("ci", derandomize=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+@pytest.fixture(autouse=True)
+def _empty_report_store():
+    schemes._REPORTS.clear()
 
 
 def _builtin_constructors():

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schemewalk import (
-    GOLDEN_RATIO,
     FusionSystem,
     ValidationError,
     braid_generators,
@@ -26,6 +25,7 @@ from schemewalk import (
 )
 from schemewalk import anyons
 from schemewalk.anyons import (
+    GOLDEN_RATIO,
     HexagonReport,
     PentagonReport,
     _f_block,

@@ -12,8 +12,8 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 SPECS = [
-    {"name": "throughput_rps", "better": "higher"},
-    {"name": "latency_p50_ms", "better": "lower"},
+    {"name": "throughput_rps", "better": "higher", "bound": 0.25},
+    {"name": "latency_p50_ms", "better": "lower", "bound": 0.25},
     {"name": "qmc.iterate_s", "better": "lower"},
 ]
 
@@ -57,3 +57,35 @@ def test_seed_lists_and_table():
                                  [json.loads(_line(450.0, 2, 0))])
     table = bench_pairs.format_rows("quantum", rows, (0, 0))
     assert "throughput_rps" in table and "400 [400, 400]" in table and "1/1" in table
+    assert table.splitlines()[-1].split()[-2:] == ["yes", "ok"]
+
+
+def test_claim_needs_nine_wins_in_ten_and_a_gap_beyond_the_parents_iqr():
+    parent = [(380 + k, 2.0, 0.4) for k in range(10)]  # rps IQR 4.5, median 384.5
+    # 9/10 wins, median gap 79: a claim
+    rows = _summary(parent, [(460 + k, 2.0, 0.4) for k in range(9)] + [(300, 2.0, 0.4)])
+    assert rows["throughput_rps"]["claim"]
+    # 8/10 wins: no claim, however large the gap
+    rows = _summary(parent, [(460 + k, 2.0, 0.4) for k in range(8)] + [(300, 2.0, 0.4)] * 2)
+    assert rows["throughput_rps"]["wins"] == 8 and not rows["throughput_rps"]["claim"]
+    # 10/10 wins by a median gap of 4, inside the parent's IQR of 4.5: no claim
+    rows = _summary(parent, [(p + 4, 2.0, 0.4) for p, _, _ in parent])
+    assert rows["throughput_rps"]["wins"] == 10 and not rows["throughput_rps"]["claim"]
+    # lower is better: 1.5 ms against 2.0 ms on every pair, parent IQR 0
+    rows = _summary(parent, [(380 + k, 1.5, 0.4) for k in range(10)])
+    assert rows["latency_p50_ms"]["claim"] and not rows["qmc.iterate_s"]["claim"]
+
+
+def test_bound_reads_worse_past_the_relative_bound():
+    parent = [(400.0, 2.0, 0.4)] * 10
+    # 25% fewer requests per second is at the bound, more is past it
+    rows = _summary(parent, [(300.0, 2.5, 0.5)] * 10)
+    assert rows["throughput_rps"]["bound"] == "ok"
+    assert rows["latency_p50_ms"]["bound"] == "ok"
+    rows = _summary(parent, [(299.0, 2.51, 0.8)] * 10)
+    assert rows["throughput_rps"]["bound"] == "worse"
+    assert rows["latency_p50_ms"]["bound"] == "worse"
+    # a per-layer metric has no bound; a better median is never worse
+    assert rows["qmc.iterate_s"]["bound"] is None
+    rows = _summary(parent, [(800.0, 0.5, 0.4)] * 10)
+    assert (rows["throughput_rps"]["bound"], rows["latency_p50_ms"]["bound"]) == ("ok", "ok")

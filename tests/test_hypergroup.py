@@ -242,3 +242,53 @@ def test_hypergroup_from_refuses_an_edited_krein_tensor(source, edits, error, wi
         q[index] = value
     with pytest.raises(error, match=witness):
         hypergroup_from(j42_dec, KreinTensor(q))
+
+
+# The constructor certifies hand-built input too.  Each probe was accepted
+# before the checks moved into `Hypergroup`: all weights -1 walked to
+# [3, 3, 3], and multiplicities of length 1 convolved to [1, 1, 1].
+def test_hypergroup_refuses_negative_weights():
+    with pytest.raises(CertificationError, match=r"weight \(0,0,0\) = -1\.000e\+00 below"):
+        Hypergroup(np.full((3, 3, 3), -1.0), (1, 2, 3))
+
+
+@pytest.mark.parametrize("mults", [(1,), (1, 3), (1, 3, 2, 1)])
+def test_hypergroup_refuses_multiplicities_of_the_wrong_length(mults, j42_hypergroup):
+    with pytest.raises(ValidationError, match=f"need 3 multiplicities .* got {len(mults)}"):
+        Hypergroup(np.array(j42_hypergroup.convolution), mults)
+    with pytest.raises(ValidationError, match="need 3 multiplicities"):
+        Hypergroup(np.ones((3, 3, 3)), mults)
+
+
+def test_hypergroup_refuses_non_positive_multiplicities(j42_hypergroup):
+    with pytest.raises(ValidationError, match="positive"):
+        Hypergroup(np.array(j42_hypergroup.convolution), (1, 3, 0))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_hypergroup_refuses_non_finite_weights(value, j42_hypergroup):
+    conv = np.array(j42_hypergroup.convolution)
+    conv[1, 2, 1] = value
+    with pytest.raises(CertificationError, match=r"weight \(1,2,1\) = .* is not finite"):
+        Hypergroup(conv, j42_hypergroup.multiplicities)
+
+
+def test_hypergroup_leaves_the_callers_array_alone(j42_hypergroup):
+    conv = np.array(j42_hypergroup.convolution)
+    conv[1, 1, 1] -= 1e-12
+    conv[0, 1, 1] += 1e-12
+    before = conv.copy()
+    h = Hypergroup(conv, list(j42_hypergroup.multiplicities))
+    assert np.array_equal(conv, before) and conv.flags.writeable
+    assert h.convolution is not conv and not h.convolution.flags.writeable
+    # weight (1,1,1) is 0 on J(4,2): the clamp stores 0, the identity exactly 1
+    assert h.convolution[1, 1, 1] == 0.0 and h.convolution[0, 1, 1] == 1.0
+    assert h.multiplicities == j42_hypergroup.multiplicities
+
+
+@pytest.mark.parametrize("name", COMMUTATIVE_NAMES)
+def test_a_hand_built_hypergroup_equals_the_built_one(name, hypergroups):
+    h = hypergroups[name]
+    again = Hypergroup(np.array(h.convolution), h.multiplicities)
+    assert np.array_equal(again.convolution, h.convolution)
+    assert np.array_equal(walk(again, 1, 0, 4), walk(h, 1, 0, 4))

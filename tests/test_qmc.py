@@ -15,7 +15,6 @@ from schemewalk import (
     ValidationError,
     apply_transition_expectation,
     certify_cp,
-    choi_matrix,
     classical_chain,
     dilation_unitary,
     iterate_channel,
@@ -25,10 +24,31 @@ from schemewalk import (
     szegedy_walk,
     transition_expectation_dual,
 )
-from schemewalk.qmc import _check_density
+from schemewalk.qmc import _PAIR_SPACE_MAX_VERTICES, _check_density
 from schemewalk.schemes import _support_components
 
 RNG = np.random.default_rng(20240817)
+
+
+def choi_matrix(c: SchurChannel) -> np.ndarray:
+    """Dense Choi matrix sum_ab E_ab (x) T(E_ab) of the Schur channel, the
+    oracle of `certify_cp`.
+
+    T(E_ab) = e[a][b] E_ab, so the Choi matrix is the multiplier spread
+    onto the (a*n+a, b*n+b) positions of the pair space.  This is a
+    16 n^4-byte array, so it is refused above `_PAIR_SPACE_MAX_VERTICES`
+    vertices.
+    """
+    n = c.dim
+    if n > _PAIR_SPACE_MAX_VERTICES:
+        raise ValidationError(
+            f"dense Choi matrix of a {n}-dimensional channel is {n * n}x{n * n}; "
+            f"capped at {_PAIR_SPACE_MAX_VERTICES} dimensions"
+        )
+    choi = np.zeros((n * n, n * n), dtype=np.complex128)
+    diagonal_pairs = np.arange(n) * (n + 1)
+    choi[np.ix_(diagonal_pairs, diagonal_pairs)] = c.multiplier
+    return choi
 
 
 def random_row_stochastic(n, rng=RNG):
