@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import CertificationError, ValidationError, numeric_array
 from .parameters import KreinTensor
-from .spectral import BoseMesnerDecomposition
+from .schemes import _REPORTS, _served
+from .spectral import BoseMesnerDecomposition, _own_record
 
 # Float-noise negatives are clamped to zero; anything below the hard
 # floor is a genuine Krein violation and is rejected.
@@ -114,11 +115,31 @@ class Hypergroup:
 
 def hypergroup_from(dec: BoseMesnerDecomposition, q: KreinTensor) -> Hypergroup:
     """The hypergroup of a decomposition and its Krein tensor, certified
-    by the `Hypergroup` constructor."""
+    by the `Hypergroup` constructor.
+
+    When m and q are the very arrays that `decompose` and
+    `krein_parameters` keep on an algebra record (one per distinct p),
+    the convolution is computed and certified once for that record, kept
+    read-only and shared by every scheme with that p; each call returns a
+    new hypergroup that wraps it without copying.  Any other input, a
+    hand-built tensor equal in value included, is computed and certified
+    on each call, and refusals are never kept.
+    """
     if q.d != dec.d:
         raise ValidationError(
             f"Krein tensor has d={q.d} but decomposition has d={dec.d}"
         )
+    record = _own_record(dec)
+    if record is None or q.q is not record.krein:
+        return _hypergroup(dec, q)
+    conv = record.convolution
+    if conv is None:
+        conv = _hypergroup(dec, q).convolution
+        conv = _REPORTS.keep(record, "convolution", conv, conv.nbytes)
+    return _served(Hypergroup, convolution=conv, multiplicities=dec.multiplicities)
+
+
+def _hypergroup(dec: BoseMesnerDecomposition, q: KreinTensor) -> Hypergroup:
     m = np.array(dec.multiplicities, dtype=np.float64)
     conv = q.q * m[np.newaxis, np.newaxis, :] / np.outer(m, m)[:, :, np.newaxis]
     return Hypergroup(conv, dec.multiplicities)

@@ -41,11 +41,20 @@ Every report is a function of (n, d, relation) alone, so reports are
 kept per content.  When `verify_axioms` meets a scheme it has not
 checked, it looks the scheme's content up in a process-wide store keyed
 by n, d and the relation matrix's bytes; a scheme with the content of an
-earlier one gets that report, and with it p and the spectrum that
-`spectral.decompose` keeps on it, without any check running again.  Keys
+earlier one gets that report without any check running again.  Keys
 match by byte equality, never by a hash alone, and labels play no part.
-The store is a least-recently-used map bounded by `_REPORT_STORE_BYTES`
-of key bytes and intersection tensors.
+
+The Bose-Mesner algebra, and with it the spectrum (m, P, Q), the Krein
+parameters and the hypergroup, is a function of p alone, whatever the
+vertex labelling (Bannai & Ito 1984, Section II.3).  So a passed report
+holds an algebra record (`_Algebra`), and the store interns the records
+of the reports it holds by the bytes of p, again matched by byte
+equality: every stored report with equal p, a relabelled copy's
+included, holds the same record and the same read-only p array, and
+the record keeps what `spectral`, `parameters` and `hypergroup` derive
+from p once each is computed and certified.  The store is a
+least-recently-used map bounded by `_REPORT_STORE_BYTES` of key bytes
+and record arrays.
 
 The table-driven builders form the relation matrix without a loop over
 pairs: Johnson and Grassmann schemes from one float64 product M M^T of a
@@ -72,11 +81,12 @@ from .groups import DEFAULT_VERTEX_CAP, FiniteGroup
 # it may use as much as one relation matrix at DEFAULT_VERTEX_CAP (200 MB).
 _ORBIT_PASS_WORDS = DEFAULT_VERTEX_CAP ** 2
 
-# Bytes of relation keys and intersection tensors that the report store
+# Bytes of relation keys and algebra records that the report store
 # holds.  A process running this package occupies about 45 MB resident
 # (numpy included), so a full store adds under a tenth of that, and 4 MB
 # still holds a few dozen mid-size schemes: the u1 relation matrix of
-# J_4(4,2) (n = 357) is 127 KB and the p of Z_32 is 256 KB.
+# J_4(4,2) (n = 357) is 127 KB, and the record of Z_32 (p, P, Q, the
+# Krein tensor and the convolution) is 800 KB.
 _REPORT_STORE_BYTES = 4 * 2 ** 20
 
 
@@ -162,32 +172,80 @@ class AxiomReport:
 
     `commutative` is only meaningful when `passed` is True.  `p` is the
     certified intersection tensor, p[i, j, k] = p_ij^k (read-only int64),
-    or None when the check fails.  `spectral.decompose` keeps the spectrum
-    it derives from p in `_spectrum`.
+    or None when the check fails.  A passed report holds the algebra
+    record of its p in `_algebra`.
     """
 
     passed: bool
     violations: tuple[tuple[int, tuple[int, ...]], ...]
     commutative: bool
     p: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _spectrum: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _algebra: _Algebra | None = field(default=None, init=False, repr=False, compare=False)
+
+
+class _Algebra:
+    """The Bose-Mesner algebra of one certified p, and what p determines.
+
+    `p` is the read-only int64 tensor.  `spectrum` (multiplicities, P,
+    Q), `krein` (q) and `convolution` are None until `spectral.decompose`,
+    `parameters.krein_parameters` and `hypergroup.hypergroup_from` first
+    compute and certify them from this record's own inputs; they are set
+    once, through `_ReportStore.keep`, and their arrays are read-only.
+    `nbytes` counts the arrays held; `holders` the store's entries that
+    hold the record.
+
+    Records are equal when their p have equal bytes, compared in full;
+    the hash reads only the last slice p[d], so it costs (d+1)^2 words
+    and forms no copy of p.
+    """
+
+    __slots__ = ("p", "spectrum", "krein", "convolution", "nbytes", "holders", "_hash")
+
+    def __init__(self, p: np.ndarray):
+        self.p = p
+        self.spectrum = self.krein = self.convolution = None
+        self.nbytes = p.nbytes
+        self.holders = 0
+        self._hash = hash(p[-1].tobytes())
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return isinstance(other, _Algebra) and np.array_equal(self.p, other.p)
+
+
+def _served(cls, **values):
+    """An instance of the frozen dataclass `cls` with the given field
+    values, made without running its constructor.  Only for a record's
+    kept arrays, which that constructor certified when they were made."""
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 class _ReportStore:
-    """Least-recently-used map from relation content to AxiomReport.
+    """Least-recently-used map from relation content to AxiomReport, and
+    the algebra records of the reports it holds, interned by p.
 
-    An entry costs its key bytes plus p.nbytes, and the entries together
-    never exceed `_REPORT_STORE_BYTES`: an entry larger than that is not
-    stored, and inserting evicts from the least recently used end.  The
-    spectrum `decompose` keeps on a report is not counted: P and Q take
-    32 (d+1)^2 bytes, 4/(d+1) of p's 8 (d+1)^3.  One
-    lock guards every lookup, insert and eviction, so concurrent callers
-    see a consistent map.
+    An entry costs its key bytes.  A record costs the bytes of the arrays
+    it keeps (p, and P, Q, q and the convolution once computed), counted
+    once however many entries hold it; it leaves the store with the last
+    entry that holds it.  Entries and records together never exceed
+    `_REPORT_STORE_BYTES`: an entry that would not fit alone is not
+    stored, a value that would take its record alone past the budget is
+    not kept, and inserting, or a record growing, evicts from the least
+    recently used end.  `clear` drops every entry and record.  One lock
+    guards every lookup, insert, eviction and record update, so
+    concurrent callers see a consistent map and each record value is set
+    once.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple, tuple[AxiomReport, int]] = OrderedDict()
+        self._algebras: dict[_Algebra, _Algebra] = {}
         self._bytes = 0
 
     def get(self, key: tuple) -> AxiomReport | None:
@@ -199,26 +257,66 @@ class _ReportStore:
             return entry[0]
 
     def put(self, key: tuple, report: AxiomReport) -> AxiomReport:
-        """Store `report` under `key`; returns the stored report, which is
-        an earlier one when another caller stored the same key first."""
-        size = len(key[2]) + (0 if report.p is None else report.p.nbytes)
-        if size > _REPORT_STORE_BYTES:
-            return report
+        """Store `report`, fresh from `_check_axioms`, under `key`; returns
+        the stored report, which is an earlier one when another caller
+        stored the same key first.  A record with the bytes of the
+        report's p already held replaces the report's own record and p."""
+        size = len(key[2])
+        record = report._algebra
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
                 return entry[0]
+            shared = None if record is None else self._algebras.get(record)
+            if shared is None and record is not None:
+                if size + record.nbytes > _REPORT_STORE_BYTES:
+                    return report
+                self._algebras[record] = shared = record
+                self._bytes += record.nbytes
+            if shared is not None:
+                object.__setattr__(report, "p", shared.p)
+                object.__setattr__(report, "_algebra", shared)
+                shared.holders += 1
             self._entries[key] = (report, size)
             self._bytes += size
-            while self._bytes > _REPORT_STORE_BYTES:
-                _, (_, dropped) = self._entries.popitem(last=False)
-                self._bytes -= dropped
+            self._evict()
             return report
+
+    def keep(self, record: _Algebra, name: str, value, nbytes: int):
+        """Set `record.<name>` to `value` unless a caller set it first;
+        returns the value to use, the earlier one if there is one.  While
+        the store holds the record the value is counted, and a value
+        that would take the record alone past the budget is not kept."""
+        with self._lock:
+            kept = getattr(record, name)
+            if kept is not None:
+                return kept
+            held = self._algebras.get(record) is record
+            if held and record.nbytes + nbytes > _REPORT_STORE_BYTES:
+                return value
+            setattr(record, name, value)
+            record.nbytes += nbytes
+            if held:
+                self._bytes += nbytes
+                self._evict()
+            return value
+
+    def _evict(self) -> None:
+        while self._bytes > _REPORT_STORE_BYTES and self._entries:
+            _, (report, size) = self._entries.popitem(last=False)
+            self._bytes -= size
+            record = report._algebra
+            if record is not None:
+                record.holders -= 1
+                if not record.holders:
+                    del self._algebras[record]
+                    self._bytes -= record.nbytes
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._algebras.clear()
             self._bytes = 0
 
 
@@ -253,11 +351,13 @@ def verify_axioms(s: AssociationScheme) -> AxiomReport:
     store (module docstring): a report, passed or failed, is a function
     of (n, d, relation), so a scheme with the content of one checked
     earlier gets that report, and every check runs on content the store
-    has not seen.  The store holds up to `_REPORT_STORE_BYTES` (4 MB) of
-    relation bytes and intersection tensors, under a tenth of what a
-    process running this package occupies, least recently used out
-    first; a relation matrix or report larger than that is checked every
-    time.
+    has not seen.  A stored passed report holds the store's algebra
+    record of its p, shared with every stored report whose p has the same
+    bytes, a relabelled copy's included.  The store holds up to
+    `_REPORT_STORE_BYTES` (4 MB) of relation bytes and record arrays,
+    under a tenth of what a process running this package occupies, least
+    recently used out first; a relation matrix or report larger than
+    that is checked every time.
     """
     if s._axioms is None:
         key = _content_key(s)
@@ -324,8 +424,10 @@ def _check_axioms(s: AssociationScheme) -> AxiomReport:
             violations.append((4, witness))
     if violations:
         return AxiomReport(passed=False, violations=tuple(violations), commutative=False)
-    return AxiomReport(passed=True, violations=(),
-                       commutative=bool(np.array_equal(p, p.swapaxes(0, 1))), p=p)
+    report = AxiomReport(passed=True, violations=(),
+                         commutative=bool(np.array_equal(p, p.swapaxes(0, 1))), p=p)
+    object.__setattr__(report, "_algebra", _Algebra(p))
+    return report
 
 
 def _block_size(n: int) -> int:

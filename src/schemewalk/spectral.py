@@ -27,6 +27,11 @@ relations (Bannai & Ito 1984, Sections II.3-4),
 The n x n idempotents are gathered from Q and the relation matrix only
 when `BoseMesnerDecomposition.idempotents` is first read.
 
+m, P and Q are functions of p alone, so they are computed once per
+algebra record, that is per distinct certified p (see `schemes`), and
+kept on it read-only; every scheme whose report holds the record, a
+relabelled copy included, is decomposed into those same arrays.
+
 Everything is complex throughout: non-symmetric commutative schemes (e.g.
 cyclic group schemes) genuinely have complex characters, and symmetric
 ones come out real.
@@ -40,7 +45,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import CertificationError, ValidationError
-from .schemes import AssociationScheme, AxiomReport, require_axioms
+from .schemes import _REPORTS, AssociationScheme, AxiomReport, require_axioms
 
 # Seed for the generic-combination coefficients.  Fixed so that repeated
 # runs produce bit-identical decompositions.
@@ -190,11 +195,13 @@ def decompose(s: AssociationScheme) -> BoseMesnerDecomposition:
 
     Reads only the certified intersection numbers p_ij^k and the
     valencies k_j, so the spectrum is a function of p: it is computed
-    once per axiom report, kept on the report (read-only), and shared by
-    every decomposition of a scheme with that report, i.e. of any scheme
-    with the same content (see `verify_axioms`).  Each call returns a new
-    decomposition of `s`.  Refusals are not kept; they are raised again
-    on every call.
+    and certified once per algebra record, i.e. once per distinct p,
+    kept on the record (read-only), and shared by the decomposition of
+    every scheme whose report holds that record, which includes every
+    relabelled copy whose report the store holds (see `verify_axioms`).
+    Each call returns a new decomposition of `s` that wraps the shared
+    arrays without copying them.  Refusals are not kept; they are raised
+    again on every call.
 
     A row of P is a common eigenvector of the matrices
     p_i = (p_ij^k)_jk, scaled so that its entry 0 is 1.  Conjugated by
@@ -213,15 +220,32 @@ def decompose(s: AssociationScheme) -> BoseMesnerDecomposition:
     of the multiplicities, the identification of E_0 or P Q = n I fail.
     """
     report = require_axioms(s)
-    if report._spectrum is None:
-        object.__setattr__(report, "_spectrum", _spectrum(report, s.n, s.valencies()))
-    multiplicities, eigmat_p, eigmat_q = report._spectrum
+    record = report._algebra
+    spectrum = record.spectrum
+    if spectrum is None:
+        spectrum = _spectrum(report, s.n, s.valencies())
+        spectrum = _REPORTS.keep(record, "spectrum", spectrum,
+                                 spectrum[1].nbytes + spectrum[2].nbytes)
+    multiplicities, eigmat_p, eigmat_q = spectrum
     return BoseMesnerDecomposition(
         scheme=s,
         multiplicities=multiplicities,
         eigenmatrix_P=eigmat_p,
         eigenmatrix_Q=eigmat_q,
     )
+
+
+def _own_record(dec: BoseMesnerDecomposition):
+    """The algebra record whose kept m, P and Q `dec` wraps, by the
+    identity of all three, found through the report kept on its scheme;
+    None for any other decomposition, a hand-built one included."""
+    report = getattr(dec.scheme, "_axioms", None)
+    record = None if report is None else report._algebra
+    kept = None if record is None else record.spectrum
+    if kept is None or not (kept[0] is dec.multiplicities and kept[1] is dec.eigenmatrix_P
+                            and kept[2] is dec.eigenmatrix_Q):
+        return None
+    return record
 
 
 def _spectrum(report: AxiomReport, n: int, k: np.ndarray):

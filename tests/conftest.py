@@ -2,8 +2,9 @@
 
 Decompositions are reused across test modules through session-scoped
 fixtures so the whole suite stays fast.  Every test starts with an empty
-store of axiom reports (`schemes._REPORTS`), so a test that counts checks
-or patches them sees its own schemes checked.
+store of axiom reports and algebra records (`schemes._REPORTS`), so a
+test that counts checks or patches them sees its own schemes checked and
+decomposed.
 
 The hypothesis profile named by HYPOTHESIS_PROFILE is loaded; "ci" draws
 its examples from a fixed seed, so a red CI run reproduces locally with

@@ -1,14 +1,18 @@
-"""The store of axiom reports kept per relation content, and the spectrum
-kept on a report.
+"""The store of axiom reports kept per relation content, and the algebra
+records kept per certified p.
 
 A scheme whose content (n, d, relation) an earlier scheme had gets that
-scheme's report, and `decompose` gets its spectrum, with no check and no
-`eigh` run again.  Every served report and spectrum must equal a fresh
+scheme's report with no check run again.  A scheme whose p an earlier
+one had, a relabelled copy included, is checked, but gets that scheme's
+algebra record, and with it the spectrum, the Krein tensor and the
+convolution, with no `eigh`, no Krein GEMM and no hypergroup
+certificate run again.  Every served value must equal a fresh
 computation, and content that differs in any byte, in n or in d must
 miss.  `conftest.py` empties the store before every test.
 """
 
 import json
+import re
 import sys
 import threading
 
@@ -16,12 +20,18 @@ import numpy as np
 import pytest
 
 from schemewalk import (
+    BoseMesnerDecomposition,
     CertificationError,
+    KreinTensor,
     ValidationError,
     build_group_scheme,
     build_johnson,
     decompose,
     groups,
+    hypergroup,
+    hypergroup_from,
+    krein_parameters,
+    parameters,
     schemes,
     serialize,
     spectral,
@@ -183,7 +193,7 @@ def test_refusals_are_not_kept_on_the_report(monkeypatch):
     for _ in range(2):
         with pytest.raises(ValidationError, match="commut"):
             decompose(_copy(s3))
-        assert verify_axioms(s3)._spectrum is None
+        assert verify_axioms(s3)._algebra.spectrum is None
 
     s = build_johnson(5, 2)
 
@@ -193,7 +203,7 @@ def test_refusals_are_not_kept_on_the_report(monkeypatch):
     monkeypatch.setattr(spectral, "_certify_characters", refuse)
     with pytest.raises(CertificationError, match="refused once"):
         decompose(s)
-    assert verify_axioms(s)._spectrum is None
+    assert verify_axioms(s)._algebra.spectrum is None
     monkeypatch.undo()
     assert decompose(_copy(s)).multiplicities == (1, 4, 5)
 
@@ -294,6 +304,279 @@ def test_concurrent_callers_under_a_tiny_budget(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    store = schemes._REPORTS
-    assert store._bytes == sum(size for _, size in store._entries.values())
+    _assert_consistent(schemes._REPORTS)
+
+
+def _assert_consistent(store):
+    """The store's byte count is its entries' key bytes plus each held
+    record's arrays once, and each record counts the entries holding it."""
+    holders = {}
+    for report, _ in store._entries.values():
+        if report._algebra is not None:
+            assert store._algebras[report._algebra] is report._algebra
+            assert report.p is report._algebra.p
+            holders[id(report._algebra)] = holders.get(id(report._algebra), 0) + 1
+    assert {id(r): r.holders for r in store._algebras} == holders
+    assert store._bytes == (sum(size for _, size in store._entries.values())
+                            + sum(r.nbytes for r in store._algebras))
     assert store._bytes <= schemes._REPORT_STORE_BYTES
+
+
+# ------------------------------------------------------- algebra records
+
+
+def _chain(s):
+    dec = decompose(s)
+    q = krein_parameters(dec)
+    return dec, q, hypergroup_from(dec, q)
+
+
+def _arrays(dec, q, h):
+    return [dec.eigenmatrix_P, dec.eigenmatrix_Q, q.q, h.convolution]
+
+
+@pytest.fixture
+def stages(monkeypatch):
+    """Count the eigensolves, Krein GEMMs and hypergroup certificates that run."""
+    calls = {"eigh": 0, "krein": 0, "hypergroup": 0}
+
+    def counted(module, name, key):
+        run = getattr(module, name)
+
+        def spy(*args):
+            calls[key] += 1
+            return run(*args)
+
+        monkeypatch.setattr(module, name, spy)
+
+    counted(np.linalg, "eigh", "eigh")
+    counted(parameters, "_krein", "krein")
+    counted(hypergroup, "_hypergroup", "hypergroup")
+    return calls
+
+
+@pytest.mark.parametrize("name", COMMUTATIVE_NAMES)
+def test_relabelled_copies_share_one_record_equal_to_a_fresh_computation(name):
+    """On every commutative built-in and three seeded relabellings: every
+    copy gets the same record, and m, P, Q, q and the convolution it
+    serves are byte-identical to a fresh computation on an empty store."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    base = _builtin_constructors()[name]()
+    copies = [base, *_relabellings(base, rng)]
+    served = [_chain(s) for s in copies]
+    record = verify_axioms(base)._algebra
+    assert list(schemes._REPORTS._algebras) == [record]
+    for s, (dec, q, h) in zip(copies, served):
+        assert verify_axioms(s)._algebra is record and verify_axioms(s).p is record.p
+        assert dec.scheme is s and dec.multiplicities is record.spectrum[0]
+        assert all(a is b for a, b in zip(_arrays(dec, q, h), _arrays(*served[0])))
+        assert all(not a.flags.writeable for a in _arrays(dec, q, h))
+        schemes._REPORTS.clear()
+        fresh = _chain(_copy(s))
+        assert not any(a is b for a, b in zip(_arrays(*fresh), _arrays(dec, q, h)))
+        assert dec.multiplicities == fresh[0].multiplicities == h.multiplicities
+        for a, b in zip(_arrays(dec, q, h), _arrays(*fresh)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_a_relabelled_copy_is_checked_but_not_decomposed_again(checks, stages):
+    s = build_group_scheme(groups.cyclic(12))
+    first = _chain(s)
+    assert len(checks) == 1 and stages == {"eigh": 1, "krein": 1, "hypergroup": 1}
+    perm = np.random.default_rng(12).permutation(s.n)
+    again = _chain(_copy(s, s.relation[np.ix_(perm, perm)]))
+    assert len(checks) == 2 and stages == {"eigh": 1, "krein": 1, "hypergroup": 1}
+    assert all(a is b for a, b in zip(_arrays(*again), _arrays(*first)))
+    assert again[0] is not first[0] and again[1] is not first[1] and again[2] is not first[2]
+
+
+def test_each_call_returns_a_new_object_wrapping_the_kept_arrays():
+    s = build_johnson(6, 3)
+    one, two = _chain(s), _chain(s)
+    for a, b in zip(one, two):
+        assert a is not b and a != b and len({a, b}) == 2
+    assert all(a is b for a, b in zip(_arrays(*one), _arrays(*two)))
+    assert two[1].d == 3 and two[2].size == 4
+
+
+def test_the_record_counts_each_array_once():
+    s = build_group_scheme(groups.cyclic(8))
+    rng = np.random.default_rng(8)
+    copies = [s, *_relabellings(s, rng)]
+    for c in copies:
+        verify_axioms(c)
+    store = schemes._REPORTS
+    record = verify_axioms(s)._algebra
+    keys = sum(len(schemes._content_key(c)[2]) for c in copies)
+    assert record.holders == 4 and store._bytes == keys + record.p.nbytes
+    dec, q, h = _chain(copies[2])
+    assert store._bytes == keys + sum(a.nbytes for a in [record.p, *_arrays(dec, q, h)])
+    _assert_consistent(store)
+
+
+def test_the_record_leaves_with_its_last_holder(monkeypatch):
+    s, other = build_johnson(4, 2), build_johnson(5, 2)
+    moved = _copy(s, s.relation[np.ix_([1, 0, 2, 3, 4, 5], [1, 0, 2, 3, 4, 5])])
+    assert not np.array_equal(moved.relation, s.relation)
+    sizes = [36 + 216, 36, 100 + 216]
+    # room for s with its relabelled copy, or for other alone
+    monkeypatch.setattr(schemes, "_REPORT_STORE_BYTES", sizes[2])
+    record = verify_axioms(s)._algebra
+    verify_axioms(moved)
+    assert record.holders == 2 and list(schemes._REPORTS._algebras) == [record]
+    verify_axioms(other)  # evicts both holders, then the record
+    assert list(schemes._REPORTS._algebras) == [verify_axioms(other)._algebra]
+    assert schemes._REPORTS._bytes == sizes[2]
+    # a record out of the store keeps serving its reports, uncounted
+    dec = decompose(moved)
+    assert record.spectrum[1] is dec.eigenmatrix_P and schemes._REPORTS._bytes == sizes[2]
+    fresh = verify_axioms(_copy(s))._algebra
+    assert fresh is not record and fresh.spectrum is None
+
+
+def test_a_growing_record_evicts_the_least_recently_used(monkeypatch):
+    a, b = build_johnson(4, 2), build_johnson(6, 3)
+    # room for a and b, or for b with its spectrum, not for all three
+    monkeypatch.setattr(schemes, "_REPORT_STORE_BYTES", 400 + 512 + 512 + 100)
+    verify_axioms(a)
+    verify_axioms(b)
+    decompose(b)  # P and Q of J(6,3) take 512 bytes: a leaves
+    assert _entries() == [schemes._content_key(b)]
+    _assert_consistent(schemes._REPORTS)
+
+
+def test_a_value_past_the_budget_is_not_kept(monkeypatch, stages):
+    s = build_johnson(6, 3)
+    # room for J(6,3)'s key, p, P and Q, not for its q as well
+    monkeypatch.setattr(schemes, "_REPORT_STORE_BYTES", 400 + 512 + 512 + 100)
+    dec = decompose(s)
+    one, two = krein_parameters(dec), krein_parameters(dec)
+    record = verify_axioms(s)._algebra
+    assert record.krein is None and stages["krein"] == 2
+    assert one.q is not two.q and one.q.tobytes() == two.q.tobytes()
+    assert _entries() == [schemes._content_key(s)]
+    _assert_consistent(schemes._REPORTS)
+    hypergroup_from(dec, one)
+    assert record.convolution is None and stages["hypergroup"] == 1
+
+
+def test_clear_drops_every_record():
+    s = build_johnson(5, 2)
+    dec, q, _ = _chain(s)
+    schemes._REPORTS.clear()
+    assert schemes._REPORTS._algebras == {} and schemes._REPORTS._bytes == 0
+    again = _chain(_copy(s))
+    assert again[0].eigenmatrix_P is not dec.eigenmatrix_P and again[1].q is not q.q
+
+
+def test_a_hand_built_decomposition_is_computed_fresh(stages):
+    """Q's column 1 negated turns q_12^1 of J(4,2) from +2 into -2; with
+    the record's own P and m, after q was kept, it is still refused."""
+    s = build_johnson(4, 2)
+    dec, q, _ = _chain(s)
+    eq = dec.eigenmatrix_Q.copy()
+    eq[:, 1] *= -1
+    moved = _copy(s, s.relation[::-1, ::-1])
+    for scheme in (s, moved):
+        bad = BoseMesnerDecomposition(scheme=scheme, multiplicities=dec.multiplicities,
+                                      eigenmatrix_P=dec.eigenmatrix_P, eigenmatrix_Q=eq)
+        with pytest.raises(CertificationError,
+                           match=re.escape("q[1][2][1] = -2.000e+00 < -1e-09")):
+            krein_parameters(bad)
+    # the record's own P and Q with the multiplicities swapped fail the trace identity
+    swapped = BoseMesnerDecomposition(scheme=s, multiplicities=dec.multiplicities[::-1],
+                                      eigenmatrix_P=dec.eigenmatrix_P,
+                                      eigenmatrix_Q=dec.eigenmatrix_Q)
+    with pytest.raises(CertificationError, match="trace identity"):
+        krein_parameters(swapped)
+    same = BoseMesnerDecomposition(scheme=s, multiplicities=tuple(dec.multiplicities),
+                                   eigenmatrix_P=dec.eigenmatrix_P.copy(),
+                                   eigenmatrix_Q=dec.eigenmatrix_Q)
+    krein = stages["krein"]
+    assert krein_parameters(same).q is not q.q and stages["krein"] == krein + 1
+    assert verify_axioms(s)._algebra.krein is q.q
+
+
+def test_a_hand_built_krein_tensor_equal_to_the_record_is_computed_fresh(stages):
+    s = build_johnson(6, 3)
+    dec, q, h = _chain(s)
+    twin = KreinTensor(q.q.copy())
+    assert np.array_equal(twin.q, q.q) and twin.q is not q.q
+    before = stages["hypergroup"]
+    fresh = hypergroup_from(dec, twin)
+    assert stages["hypergroup"] == before + 1
+    assert fresh.convolution is not h.convolution
+    assert fresh.convolution.tobytes() == h.convolution.tobytes()
+    # the record's q with a hand-built decomposition is computed fresh too
+    copy = BoseMesnerDecomposition(scheme=s, multiplicities=dec.multiplicities,
+                                   eigenmatrix_P=dec.eigenmatrix_P.copy(),
+                                   eigenmatrix_Q=dec.eigenmatrix_Q.copy())
+    assert hypergroup_from(copy, q).convolution is not h.convolution
+    assert stages["hypergroup"] == before + 2
+
+
+def test_krein_and_hypergroup_refusals_are_not_kept(monkeypatch):
+    s = build_johnson(5, 2)
+    dec = decompose(s)
+    record = verify_axioms(s)._algebra
+    monkeypatch.setattr(parameters, "KREIN_TOLERANCE", -1.0)
+    for _ in range(2):
+        with pytest.raises(CertificationError, match="imaginary residue"):
+            krein_parameters(decompose(_copy(s)))
+        assert record.krein is None
+    monkeypatch.undo()
+    q = krein_parameters(dec)
+    assert record.krein is q.q
+    monkeypatch.setattr(hypergroup, "_SLICE_SUM_TOL", -1.0)
+    for _ in range(2):
+        with pytest.raises(CertificationError, match="total mass"):
+            hypergroup_from(dec, q)
+        assert record.convolution is None
+    monkeypatch.undo()
+    assert hypergroup_from(dec, q).convolution is record.convolution
+
+
+def test_non_commutative_refusals_are_raised_on_each_relabelled_copy():
+    s = build_group_scheme(groups.symmetric(3))
+    rng = np.random.default_rng(3)
+    for t in [s, *_relabellings(s, rng)]:
+        with pytest.raises(ValidationError, match="not commutative"):
+            decompose(t)
+    record = verify_axioms(s)._algebra
+    assert list(schemes._REPORTS._algebras) == [record] and record.spectrum is None
+
+
+def test_four_threads_end_with_one_record():
+    """Relabelled copies of Z_16 decomposed by more threads than cores,
+    switching every microsecond: one record, each value kept once, and
+    every result wraps the kept arrays."""
+    base = build_group_scheme(groups.cyclic(16))
+    rng = np.random.default_rng(16)
+    copies = [base, *_relabellings(base, rng, count=7)]
+    results, errors = [], []
+
+    def work(offset):
+        try:
+            for round_ in range(6):
+                results.append(_chain(_copy(copies[(offset + round_) % len(copies)])))
+        except Exception as exc:  # reported below, with the thread's traceback
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    (record,) = schemes._REPORTS._algebras
+    kept = [record.spectrum[1], record.spectrum[2], record.krein, record.convolution]
+    assert len(results) == 24
+    for dec, q, h in results:
+        assert all(a is b for a, b in zip(_arrays(dec, q, h), kept))
+    _assert_consistent(schemes._REPORTS)

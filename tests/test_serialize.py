@@ -1,5 +1,7 @@
 import base64
+import binascii
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from schemewalk import (
     AssociationScheme,
+    serialize,
     ValidationError,
     build_grassmann,
     build_group_scheme,
@@ -129,6 +132,87 @@ def test_packed_relation_refusals_name_their_cause(data, match):
     for validate in (True, False):
         with pytest.raises(ValidationError, match=match):
             from_jsonable("scheme", data, validate=validate)
+
+
+_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _reencode_oracle(text):
+    """The route the O(1) checks replaced: decode, then require that
+    encoding the bytes again gives back `text`."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:
+        return "not base64"
+    return raw if base64.b64encode(raw).decode("ascii") == text else "not canonical"
+
+
+def _checked_route(text):
+    try:
+        return serialize._canonical_b64decode(text)
+    except ValidationError as exc:
+        cause = re.match(r"packed relation is (not base64|not canonical)", str(exc))
+        return cause.group(1)
+
+
+def _b64decode_py310(s, altchars=None, validate=False):
+    """`b64decode` as Python 3.10 runs it: `validate` is a pattern over the
+    alphabet and up to two trailing "=", then the lenient decoder."""
+    if isinstance(s, str):
+        s = s.encode("ascii")
+    if validate and not re.fullmatch(b"[A-Za-z0-9+/]*={0,2}", s):
+        raise binascii.Error("Non-base64 digit found")
+    return binascii.a2b_base64(s)
+
+
+def _base64_cases():
+    """Canonical payloads of every length mod 3, each non-zero value of
+    their unused bits, a missing, misplaced or extra "=", and whitespace."""
+    cases = ["", "=", "==", "===", "====", "A", "AA", "AAA", "QUJD\u00e9"]
+    for size in range(10):
+        text = base64.b64encode(bytes(range(40, 40 + size))).decode("ascii")
+        pads = text.count("=")
+        data = text[:len(text) - pads]
+        cases += [text, data, data + "=" * (3 - pads), text + "=", text + "==",
+                  "=" + text, data[:2] + "=" + data[2:] + "=" * pads, text + text]
+        if pads:
+            at = len(data) - 1
+            value = _ALPHABET.index(text[at])
+            cases += [text[:at] + _ALPHABET[value + bits] + text[at + 1:]
+                      for bits in range(1, 16 if pads == 2 else 4)]
+        cases += [text[:i] + space + text[i:] for space in (" ", "\n", "\t", "\r\n")
+                  for i in (0, 2, len(text))]
+    return cases
+
+
+@pytest.mark.parametrize("decoder", ["this interpreter", "python 3.10"])
+def test_canonical_base64_matches_the_reencode_oracle(decoder, monkeypatch):
+    """On this interpreter's `b64decode` and on 3.10's pattern-checked one,
+    the O(1) checks accept and refuse what re-encoding did, with the
+    same bytes and the same cause."""
+    if decoder == "python 3.10":
+        monkeypatch.setattr(base64, "b64decode", _b64decode_py310)
+    cases = _base64_cases()
+    verdicts = [_checked_route(text) for text in cases]
+    assert verdicts == [_reencode_oracle(text) for text in cases]
+    assert {v for v in verdicts if isinstance(v, str)} == {"not base64", "not canonical"}
+    assert sum(isinstance(v, bytes) for v in verdicts) >= 10
+
+
+@pytest.mark.parametrize("text, match", [
+    ("QUI=", None), ("QUJ=", r"the unused low bits of 'J' before the padding are not 0"),
+    ("QQ==", None), ("QR==", r"the unused low bits of 'R' before the padding are not 0"),
+    ("QUJD=", r"its length 5 is not a multiple of 4"),
+    ("QUJDQUI==", r"its length 9 is not a multiple of 4"),
+])
+def test_each_non_canonical_cause_has_its_message(text, match, monkeypatch):
+    # the lenient 3.10 decoder lets a stray "=" reach the length check
+    monkeypatch.setattr(base64, "b64decode", _b64decode_py310)
+    if match is None:
+        assert serialize._canonical_b64decode(text) == base64.b64decode(text)
+    else:
+        with pytest.raises(ValidationError, match="not canonical base64: " + match):
+            serialize._canonical_b64decode(text)
 
 
 def test_packed_byte_count_is_checked_before_any_allocation():
