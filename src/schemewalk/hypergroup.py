@@ -26,8 +26,7 @@ import numpy as np
 
 from .errors import CertificationError, ValidationError, numeric_array
 from .parameters import KreinTensor
-from .schemes import _REPORTS, _served
-from .spectral import BoseMesnerDecomposition, _own_record
+from .spectral import BoseMesnerDecomposition
 
 # Float-noise negatives are clamped to zero; anything below the hard
 # floor is a genuine Krein violation and is rejected.
@@ -117,26 +116,19 @@ def hypergroup_from(dec: BoseMesnerDecomposition, q: KreinTensor) -> Hypergroup:
     """The hypergroup of a decomposition and its Krein tensor, certified
     by the `Hypergroup` constructor.
 
-    When m and q are the very arrays that `decompose` and
-    `krein_parameters` keep on an algebra record (one per distinct p),
-    the convolution is computed and certified once for that record, kept
-    read-only and shared by every scheme with that p; each call returns a
-    new hypergroup that wraps it without copying.  Any other input, a
+    When q wraps the tensor kept on the decomposition's algebra record,
+    the hypergroup is kept there too (see `schemes`); any other q, a
     hand-built tensor equal in value included, is computed and certified
-    on each call, and refusals are never kept.
+    on each call.
     """
     if q.d != dec.d:
         raise ValidationError(
             f"Krein tensor has d={q.d} but decomposition has d={dec.d}"
         )
-    record = _own_record(dec)
-    if record is None or q.q is not record.krein:
+    record = dec._algebra
+    if record.krein is None or q.q is not record.krein.q:
         return _hypergroup(dec, q)
-    conv = record.convolution
-    if conv is None:
-        conv = _hypergroup(dec, q).convolution
-        conv = _REPORTS.keep(record, "convolution", conv, conv.nbytes)
-    return _served(Hypergroup, convolution=conv, multiplicities=dec.multiplicities)
+    return record.derive("hypergroup", lambda: _hypergroup(dec, q))
 
 
 def _hypergroup(dec: BoseMesnerDecomposition, q: KreinTensor) -> Hypergroup:

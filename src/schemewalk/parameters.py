@@ -21,9 +21,8 @@ a (d+1)^4 sum that never touches an n x n matrix.  q_{ij}^k = q_{ji}^k, so
 it is evaluated as one GEMM over the (d+1)(d+2)/2 pairs i <= j and each
 result is written to (i, j) and (j, i).  They are real and, for genuine
 schemes, nonnegative (the Krein condition); nonnegativity is certified
-here, not assumed.  q is a function of m, P and Q, so for the
-decomposition `decompose` returns it is computed once per algebra record
-(see `schemes`) and kept there.
+here, not assumed.  q, like m, P and Q, is a function of p, so it is
+kept on the algebra record of p (see `schemes`).
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CertificationError, ValidationError, numeric_array
-from .schemes import _REPORTS, AssociationScheme, _served, require_axioms
-from .spectral import BoseMesnerDecomposition, _own_record
+from .schemes import AssociationScheme, require_axioms
+from .spectral import BoseMesnerDecomposition
 
 KREIN_TOLERANCE = 1e-9
 _TRACE_IDENTITY_TOL = 1e-8
@@ -91,23 +90,10 @@ def krein_parameters(dec: BoseMesnerDecomposition) -> KreinTensor:
     entry; each is written to (i, j) and (j, i), so q is exactly symmetric
     in i and j.  Raises CertificationError if any entry falls below the
     nonnegativity tolerance, if an entry has a non-real residue, or if the
-    trace identity sum_k m_k q_{ij}^k = m_i m_j fails.
-
-    When m, P and Q are the very arrays that `decompose` keeps on an
-    algebra record (one per distinct p), q is computed and certified once
-    for that record, kept read-only and shared by every scheme with that
-    p; each call returns a new tensor that wraps it without copying.
-    Every other decomposition, a hand-built one included, is computed and
-    certified on each call, and refusals are never kept.
+    trace identity sum_k m_k q_{ij}^k = m_i m_j fails.  The tensor is
+    kept on the decomposition's algebra record (see `schemes`).
     """
-    record = _own_record(dec)
-    if record is None:
-        return _krein(dec)
-    q = record.krein
-    if q is None:
-        q = _krein(dec).q
-        q = _REPORTS.keep(record, "krein", q, q.nbytes)
-    return _served(KreinTensor, q=q, d=dec.d)
+    return dec._algebra.derive("krein", lambda: _krein(dec))
 
 
 def _krein(dec: BoseMesnerDecomposition) -> KreinTensor:

@@ -50,11 +50,18 @@ vertex labelling (Bannai & Ito 1984, Section II.3).  So a passed report
 holds an algebra record (`_Algebra`), and the store interns the records
 of the reports it holds by the bytes of p, again matched by byte
 equality: every stored report with equal p, a relabelled copy's
-included, holds the same record and the same read-only p array, and
-the record keeps what `spectral`, `parameters` and `hypergroup` derive
-from p once each is computed and certified.  The store is a
+included, holds the same record and the same read-only p array.
+
+What p determines is computed once per record, through
+`_Algebra.derive`: `BoseMesnerDecomposition` keeps (m, P, Q) there,
+`krein_parameters` the `KreinTensor` and `hypergroup_from` the
+`Hypergroup`, each certified before it is kept, its arrays read-only.
+Every call, on any scheme whose report holds the record, gets a new
+object that wraps the kept arrays without copying them.  A refusal is
+never kept; it is raised again on every call.  The store is a
 least-recently-used map bounded by `_REPORT_STORE_BYTES` of key bytes
-and record arrays.
+and record arrays; a record that has left the store keeps serving the
+reports that hold it, uncounted.
 
 The table-driven builders form the relation matrix without a loop over
 pairs: Johnson and Grassmann schemes from one float64 product M M^T of a
@@ -64,6 +71,7 @@ the Cayley table.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import threading
 from collections import OrderedDict
@@ -187,23 +195,21 @@ class _Algebra:
     """The Bose-Mesner algebra of one certified p, and what p determines.
 
     `p` is the read-only int64 tensor.  `spectrum` (multiplicities, P,
-    Q), `krein` (q) and `convolution` are None until `spectral.decompose`,
-    `parameters.krein_parameters` and `hypergroup.hypergroup_from` first
-    compute and certify them from this record's own inputs; they are set
-    once, through `_ReportStore.keep`, and their arrays are read-only.
-    `nbytes` counts the arrays held; `holders` the store's entries that
-    hold the record.
+    Q), `krein` (a `KreinTensor`) and `hypergroup` (a `Hypergroup`) are
+    None until `derive` first computes them; each is set once, through
+    `_ReportStore.keep`.  `nbytes` counts the arrays held; `holders` the
+    store's entries that hold the record.
 
     Records are equal when their p have equal bytes, compared in full;
     the hash reads only the last slice p[d], so it costs (d+1)^2 words
     and forms no copy of p.
     """
 
-    __slots__ = ("p", "spectrum", "krein", "convolution", "nbytes", "holders", "_hash")
+    __slots__ = ("p", "spectrum", "krein", "hypergroup", "nbytes", "holders", "_hash")
 
     def __init__(self, p: np.ndarray):
         self.p = p
-        self.spectrum = self.krein = self.convolution = None
+        self.spectrum = self.krein = self.hypergroup = None
         self.nbytes = p.nbytes
         self.holders = 0
         self._hash = hash(p[-1].tobytes())
@@ -214,15 +220,20 @@ class _Algebra:
     def __eq__(self, other):
         return isinstance(other, _Algebra) and np.array_equal(self.p, other.p)
 
+    def derive(self, name: str, compute):
+        """A shallow copy of the value `name`: the kept one, else the
+        result of `compute()`, kept through `_ReportStore.keep`.  What
+        `compute` raises propagates, and nothing is kept."""
+        value = getattr(self, name)
+        if value is None:
+            value = _REPORTS.keep(self, name, compute())
+        return copy.copy(value)
 
-def _served(cls, **values):
-    """An instance of the frozen dataclass `cls` with the given field
-    values, made without running its constructor.  Only for a record's
-    kept arrays, which that constructor certified when they were made."""
-    obj = object.__new__(cls)
-    for name, value in values.items():
-        object.__setattr__(obj, name, value)
-    return obj
+
+def _array_bytes(value) -> int:
+    """Bytes of the arrays that `value`, a tuple or a dataclass, holds."""
+    parts = value if isinstance(value, tuple) else vars(value).values()
+    return sum(part.nbytes for part in parts if isinstance(part, np.ndarray))
 
 
 class _ReportStore:
@@ -230,7 +241,7 @@ class _ReportStore:
     the algebra records of the reports it holds, interned by p.
 
     An entry costs its key bytes.  A record costs the bytes of the arrays
-    it keeps (p, and P, Q, q and the convolution once computed), counted
+    it keeps (p, and P, Q, q and the convolution once derived), counted
     once however many entries hold it; it leaves the store with the last
     entry that holds it.  Entries and records together never exceed
     `_REPORT_STORE_BYTES`: an entry that would not fit alone is not
@@ -283,11 +294,13 @@ class _ReportStore:
             self._evict()
             return report
 
-    def keep(self, record: _Algebra, name: str, value, nbytes: int):
+    def keep(self, record: _Algebra, name: str, value):
         """Set `record.<name>` to `value` unless a caller set it first;
         returns the value to use, the earlier one if there is one.  While
-        the store holds the record the value is counted, and a value
-        that would take the record alone past the budget is not kept."""
+        the store holds the record the value's arrays are counted, and a
+        value that would take the record alone past the budget is not
+        kept."""
+        nbytes = _array_bytes(value)
         with self._lock:
             kept = getattr(record, name)
             if kept is not None:
@@ -348,16 +361,11 @@ def verify_axioms(s: AssociationScheme) -> AxiomReport:
     The report is kept on the scheme, whose relation matrix is read-only,
     so later calls on the same scheme return it without checking again.
     A scheme not yet checked first looks its content up in the report
-    store (module docstring): a report, passed or failed, is a function
-    of (n, d, relation), so a scheme with the content of one checked
-    earlier gets that report, and every check runs on content the store
-    has not seen.  A stored passed report holds the store's algebra
-    record of its p, shared with every stored report whose p has the same
-    bytes, a relabelled copy's included.  The store holds up to
-    `_REPORT_STORE_BYTES` (4 MB) of relation bytes and record arrays,
-    under a tenth of what a process running this package occupies, least
-    recently used out first; a relation matrix or report larger than
-    that is checked every time.
+    store, so a scheme with the content of one checked earlier gets that
+    report, passed or failed, and a passed report holds the algebra
+    record of its p; the module docstring states how reports and records
+    are kept and shared.  A relation matrix or report larger than the
+    store's `_REPORT_STORE_BYTES` (4 MB) is checked every time.
     """
     if s._axioms is None:
         key = _content_key(s)

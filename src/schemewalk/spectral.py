@@ -27,10 +27,8 @@ relations (Bannai & Ito 1984, Sections II.3-4),
 The n x n idempotents are gathered from Q and the relation matrix only
 when `BoseMesnerDecomposition.idempotents` is first read.
 
-m, P and Q are functions of p alone, so they are computed once per
-algebra record, that is per distinct certified p (see `schemes`), and
-kept on it read-only; every scheme whose report holds the record, a
-relabelled copy included, is decomposed into those same arrays.
+m, P and Q are functions of p alone, so they are kept on the algebra
+record of p, as the `schemes` module docstring describes.
 
 Everything is complex throughout: non-symmetric commutative schemes (e.g.
 cyclic group schemes) genuinely have complex characters, and symmetric
@@ -39,13 +37,13 @@ ones come out real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CertificationError, ValidationError
-from .schemes import _REPORTS, AssociationScheme, AxiomReport, require_axioms
+from .schemes import AssociationScheme, AxiomReport, require_axioms
 
 # Seed for the generic-combination coefficients.  Fixed so that repeated
 # runs produce bit-identical decompositions.
@@ -74,18 +72,27 @@ _SEPARATION_GAP = 1e-2
 class BoseMesnerDecomposition:
     """Spectral data of a commutative scheme: m, P and Q.
 
-    The primitive idempotents are computed on first access and kept.
+    The scheme is the only argument: m, P and Q are derived from the
+    algebra record of its report, as `decompose` describes.  The
+    primitive idempotents are computed on first access and kept.
     Equality is identity: float eigenmatrices have no exact value equality.
     """
 
     scheme: AssociationScheme
-    multiplicities: tuple[int, ...]
-    eigenmatrix_P: np.ndarray
-    eigenmatrix_Q: np.ndarray
+    multiplicities: tuple[int, ...] = field(init=False)
+    eigenmatrix_P: np.ndarray = field(init=False)
+    eigenmatrix_Q: np.ndarray = field(init=False)
+    # the algebra record of the scheme's report, which keeps m, P and Q
+    _algebra: object = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.eigenmatrix_P.setflags(write=False)
-        self.eigenmatrix_Q.setflags(write=False)
+        report = require_axioms(self.scheme)
+        record = report._algebra
+        spectrum = record.derive(
+            "spectrum", lambda: _spectrum(report, self.n, self.scheme.valencies()))
+        for name, value in zip(("multiplicities", "eigenmatrix_P", "eigenmatrix_Q"), spectrum):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_algebra", record)
 
     @property
     def n(self) -> int:
@@ -103,13 +110,10 @@ class BoseMesnerDecomposition:
         return tuple(stack)
 
 
-@lru_cache(maxsize=64)
 def _generic_weights(count: int) -> np.ndarray:
-    """Seeded complex coefficients of the generic combination (read-only, kept per count)."""
+    """Seeded complex coefficients of the generic combination."""
     c = np.random.default_rng(_GENERIC_SEED).standard_normal((count, 2))
-    weights = c[:, 0] + 1j * c[:, 1]
-    weights.setflags(write=False)
-    return weights
+    return c[:, 0] + 1j * c[:, 1]
 
 
 def _identity_residual(chars: np.ndarray, p: np.ndarray, k: np.ndarray, h: int) -> np.ndarray:
@@ -191,17 +195,12 @@ def _certify_characters(chars: np.ndarray, p: np.ndarray, k: np.ndarray) -> None
 
 
 def decompose(s: AssociationScheme) -> BoseMesnerDecomposition:
-    """Characters, multiplicities and eigenmatrices of a commutative scheme.
+    """Characters, multiplicities and eigenmatrices of a commutative
+    scheme: `BoseMesnerDecomposition(s)`, its only constructor.
 
     Reads only the certified intersection numbers p_ij^k and the
-    valencies k_j, so the spectrum is a function of p: it is computed
-    and certified once per algebra record, i.e. once per distinct p,
-    kept on the record (read-only), and shared by the decomposition of
-    every scheme whose report holds that record, which includes every
-    relabelled copy whose report the store holds (see `verify_axioms`).
-    Each call returns a new decomposition of `s` that wraps the shared
-    arrays without copying them.  Refusals are not kept; they are raised
-    again on every call.
+    valencies k_j, so m, P and Q are functions of p, kept on its algebra
+    record (see `schemes`).
 
     A row of P is a common eigenvector of the matrices
     p_i = (p_ij^k)_jk, scaled so that its entry 0 is 1.  Conjugated by
@@ -219,33 +218,7 @@ def decompose(s: AssociationScheme) -> BoseMesnerDecomposition:
     character identities (naming a row and two classes), the integrality
     of the multiplicities, the identification of E_0 or P Q = n I fail.
     """
-    report = require_axioms(s)
-    record = report._algebra
-    spectrum = record.spectrum
-    if spectrum is None:
-        spectrum = _spectrum(report, s.n, s.valencies())
-        spectrum = _REPORTS.keep(record, "spectrum", spectrum,
-                                 spectrum[1].nbytes + spectrum[2].nbytes)
-    multiplicities, eigmat_p, eigmat_q = spectrum
-    return BoseMesnerDecomposition(
-        scheme=s,
-        multiplicities=multiplicities,
-        eigenmatrix_P=eigmat_p,
-        eigenmatrix_Q=eigmat_q,
-    )
-
-
-def _own_record(dec: BoseMesnerDecomposition):
-    """The algebra record whose kept m, P and Q `dec` wraps, by the
-    identity of all three, found through the report kept on its scheme;
-    None for any other decomposition, a hand-built one included."""
-    report = getattr(dec.scheme, "_axioms", None)
-    record = None if report is None else report._algebra
-    kept = None if record is None else record.spectrum
-    if kept is None or not (kept[0] is dec.multiplicities and kept[1] is dec.eigenmatrix_P
-                            and kept[2] is dec.eigenmatrix_Q):
-        return None
-    return record
+    return BoseMesnerDecomposition(s)
 
 
 def _spectrum(report: AxiomReport, n: int, k: np.ndarray):

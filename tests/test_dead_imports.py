@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and no private
-module-level definition goes unreferenced.
+"""No module of the package imports a name it never uses, no module
+imports another module's private name, and no private module-level
+definition goes unreferenced.
 
 `__init__.py` is exempt from the import check: its imports are the public
 re-exports.  A name counts as used when it appears as an identifier
@@ -38,6 +39,33 @@ def test_module_uses_every_name_it_imports(module):
 def test_the_guard_sees_an_unused_import():
     assert _unused_imports("import json\nfrom os import path, sep\nprint(sep)\n") == [
         "line 1: json", "line 2: path"]
+
+
+# The one private name shared across modules: the width rule that scheme
+# files and the report store's key both use for relation bytes.
+SHARED_PRIVATE = {"_packed_dtype"}
+
+
+def _private_imports(source: str) -> list[str]:
+    return [f"line {node.lineno}: {alias.name}"
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.startswith("__")
+            and alias.name not in SHARED_PRIVATE]
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_no_private_name_of_another(module):
+    """Each module owns its private state: the report store and its
+    algebra records are read and written through `schemes` alone."""
+    assert _private_imports(module.read_text()) == []
+
+
+def test_the_guard_sees_a_private_import():
+    source = ("from __future__ import annotations\nimport numpy as _np\n"
+              "from .schemes import _REPORTS, AssociationScheme, _packed_dtype\n"
+              "from .spectral import (\n    _own_record,\n)\n")
+    assert _private_imports(source) == ["line 3: _REPORTS", "line 4: _own_record"]
 
 
 def _private_definitions(tree: ast.Module) -> dict[str, int]:

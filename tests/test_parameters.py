@@ -1,10 +1,10 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from schemewalk import (
-    BoseMesnerDecomposition,
     CertificationError,
     KreinTensor,
     ValidationError,
@@ -14,6 +14,7 @@ from schemewalk import (
     groups,
     intersection_numbers,
     krein_parameters,
+    parameters,
 )
 from tests.conftest import BUILTIN_NAMES, COMMUTATIVE_NAMES
 from tests.test_spectral_oracle import relabelled
@@ -151,15 +152,30 @@ def test_krein_identity_slices(name, krein_tensors):
         assert np.max(np.abs(kt.q[0, j] - expect)) < 1e-9
 
 
+def edited(dec, **arrays):
+    """A stand-in for `dec` that carries edited arrays, for `parameters._krein`,
+    which reads n, d, m, P and Q.  A decomposition derives those from its
+    scheme, so an edited one cannot be constructed."""
+    return SimpleNamespace(**{"n": dec.n, "d": dec.d, "multiplicities": dec.multiplicities,
+                              "eigenmatrix_P": dec.eigenmatrix_P,
+                              "eigenmatrix_Q": dec.eigenmatrix_Q, **arrays})
+
+
 def test_krein_parameters_refuse_a_negative_entry_with_its_witness(j42_dec):
     # Negating column 1 of Q turns q_12^1 of J(4,2) from +2 into -2.
     eq = j42_dec.eigenmatrix_Q.copy()
     eq[:, 1] *= -1
-    bad = BoseMesnerDecomposition(scheme=j42_dec.scheme, multiplicities=j42_dec.multiplicities,
-                                  eigenmatrix_P=j42_dec.eigenmatrix_P, eigenmatrix_Q=eq)
     with pytest.raises(CertificationError,
                        match=re.escape("Krein condition violated: q[1][2][1] = -2.000e+00 < -1e-09")):
-        krein_parameters(bad)
+        parameters._krein(edited(j42_dec, eigenmatrix_Q=eq))
+
+
+def test_krein_parameters_refuse_swapped_multiplicities_by_the_trace_identity(j42_dec):
+    swapped = edited(j42_dec, multiplicities=j42_dec.multiplicities[::-1])
+    with pytest.raises(CertificationError,
+                       match=re.escape("trace identity sum_k m_k q_ij^k = m_i m_j fails "
+                                       "with residual 4.000e+00")):
+        parameters._krein(swapped)
 
 
 def tensordot_krein(dec):
@@ -199,14 +215,13 @@ def test_krein_parameters_refuse_an_imaginary_residue(j42_dec):
     # and only the residue check can refuse.
     eq = j42_dec.eigenmatrix_Q.copy()
     eq[:, 1] *= np.exp(1e-6j)
-    bad = BoseMesnerDecomposition(scheme=j42_dec.scheme, multiplicities=j42_dec.multiplicities,
-                                  eigenmatrix_P=j42_dec.eigenmatrix_P, eigenmatrix_Q=eq)
+    bad = edited(j42_dec, eigenmatrix_Q=eq)
     raw = tensordot_krein(bad)
     ms = np.array(j42_dec.multiplicities, dtype=np.float64)
     assert raw.real.min() > -1e-9
     assert np.max(np.abs(raw.real @ ms - np.outer(ms, ms))) < 1e-8
     with pytest.raises(CertificationError, match="imaginary residue") as info:
-        krein_parameters(bad)
+        parameters._krein(bad)
     residue = float(re.search(r"imaginary residue (\S+);", str(info.value)).group(1))
     assert residue == pytest.approx(float(np.max(np.abs(raw.imag))), rel=1e-3)
     # the largest: q_11^0 = q_11^2 = 3 (J42_Q), turned by twice the phase

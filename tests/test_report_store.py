@@ -5,14 +5,13 @@ A scheme whose content (n, d, relation) an earlier scheme had gets that
 scheme's report with no check run again.  A scheme whose p an earlier
 one had, a relabelled copy included, is checked, but gets that scheme's
 algebra record, and with it the spectrum, the Krein tensor and the
-convolution, with no `eigh`, no Krein GEMM and no hypergroup
+hypergroup, with no `eigh`, no Krein GEMM and no hypergroup
 certificate run again.  Every served value must equal a fresh
 computation, and content that differs in any byte, in n or in d must
 miss.  `conftest.py` empties the store before every test.
 """
 
 import json
-import re
 import sys
 import threading
 
@@ -20,7 +19,6 @@ import numpy as np
 import pytest
 
 from schemewalk import (
-    BoseMesnerDecomposition,
     CertificationError,
     KreinTensor,
     ValidationError,
@@ -457,7 +455,7 @@ def test_a_value_past_the_budget_is_not_kept(monkeypatch, stages):
     assert _entries() == [schemes._content_key(s)]
     _assert_consistent(schemes._REPORTS)
     hypergroup_from(dec, one)
-    assert record.convolution is None and stages["hypergroup"] == 1
+    assert record.hypergroup is None and stages["hypergroup"] == 1
 
 
 def test_clear_drops_every_record():
@@ -467,34 +465,6 @@ def test_clear_drops_every_record():
     assert schemes._REPORTS._algebras == {} and schemes._REPORTS._bytes == 0
     again = _chain(_copy(s))
     assert again[0].eigenmatrix_P is not dec.eigenmatrix_P and again[1].q is not q.q
-
-
-def test_a_hand_built_decomposition_is_computed_fresh(stages):
-    """Q's column 1 negated turns q_12^1 of J(4,2) from +2 into -2; with
-    the record's own P and m, after q was kept, it is still refused."""
-    s = build_johnson(4, 2)
-    dec, q, _ = _chain(s)
-    eq = dec.eigenmatrix_Q.copy()
-    eq[:, 1] *= -1
-    moved = _copy(s, s.relation[::-1, ::-1])
-    for scheme in (s, moved):
-        bad = BoseMesnerDecomposition(scheme=scheme, multiplicities=dec.multiplicities,
-                                      eigenmatrix_P=dec.eigenmatrix_P, eigenmatrix_Q=eq)
-        with pytest.raises(CertificationError,
-                           match=re.escape("q[1][2][1] = -2.000e+00 < -1e-09")):
-            krein_parameters(bad)
-    # the record's own P and Q with the multiplicities swapped fail the trace identity
-    swapped = BoseMesnerDecomposition(scheme=s, multiplicities=dec.multiplicities[::-1],
-                                      eigenmatrix_P=dec.eigenmatrix_P,
-                                      eigenmatrix_Q=dec.eigenmatrix_Q)
-    with pytest.raises(CertificationError, match="trace identity"):
-        krein_parameters(swapped)
-    same = BoseMesnerDecomposition(scheme=s, multiplicities=tuple(dec.multiplicities),
-                                   eigenmatrix_P=dec.eigenmatrix_P.copy(),
-                                   eigenmatrix_Q=dec.eigenmatrix_Q)
-    krein = stages["krein"]
-    assert krein_parameters(same).q is not q.q and stages["krein"] == krein + 1
-    assert verify_axioms(s)._algebra.krein is q.q
 
 
 def test_a_hand_built_krein_tensor_equal_to_the_record_is_computed_fresh(stages):
@@ -507,12 +477,6 @@ def test_a_hand_built_krein_tensor_equal_to_the_record_is_computed_fresh(stages)
     assert stages["hypergroup"] == before + 1
     assert fresh.convolution is not h.convolution
     assert fresh.convolution.tobytes() == h.convolution.tobytes()
-    # the record's q with a hand-built decomposition is computed fresh too
-    copy = BoseMesnerDecomposition(scheme=s, multiplicities=dec.multiplicities,
-                                   eigenmatrix_P=dec.eigenmatrix_P.copy(),
-                                   eigenmatrix_Q=dec.eigenmatrix_Q.copy())
-    assert hypergroup_from(copy, q).convolution is not h.convolution
-    assert stages["hypergroup"] == before + 2
 
 
 def test_krein_and_hypergroup_refusals_are_not_kept(monkeypatch):
@@ -526,14 +490,14 @@ def test_krein_and_hypergroup_refusals_are_not_kept(monkeypatch):
         assert record.krein is None
     monkeypatch.undo()
     q = krein_parameters(dec)
-    assert record.krein is q.q
+    assert record.krein.q is q.q
     monkeypatch.setattr(hypergroup, "_SLICE_SUM_TOL", -1.0)
     for _ in range(2):
         with pytest.raises(CertificationError, match="total mass"):
             hypergroup_from(dec, q)
-        assert record.convolution is None
+        assert record.hypergroup is None
     monkeypatch.undo()
-    assert hypergroup_from(dec, q).convolution is record.convolution
+    assert hypergroup_from(dec, q).convolution is record.hypergroup.convolution
 
 
 def test_non_commutative_refusals_are_raised_on_each_relabelled_copy():
@@ -575,7 +539,7 @@ def test_four_threads_end_with_one_record():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     (record,) = schemes._REPORTS._algebras
-    kept = [record.spectrum[1], record.spectrum[2], record.krein, record.convolution]
+    kept = [record.spectrum[1], record.spectrum[2], record.krein.q, record.hypergroup.convolution]
     assert len(results) == 24
     for dec, q, h in results:
         assert all(a is b for a, b in zip(_arrays(dec, q, h), kept))

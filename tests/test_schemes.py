@@ -189,6 +189,7 @@ def test_array_results_compare_and_hash_by_identity(name):
 # dual and dims are read from its arrays, and tolerances and thresholds are
 # module constants.
 RECORD_INIT_FIELDS = {
+    "BoseMesnerDecomposition": ("scheme",),
     "FusionSystem": ("labels", "N", "F", "R", "twist"),
     "IntersectionTensor": ("p",),
     "KreinTensor": ("q",),
@@ -205,6 +206,14 @@ RECORD_INIT_FIELDS = {
 def test_records_take_only_what_cannot_be_derived(name):
     fields = dataclasses.fields(getattr(schemewalk, name))
     assert tuple(f.name for f in fields if f.init) == RECORD_INIT_FIELDS[name]
+
+
+def test_a_decomposition_takes_no_spectrum_from_its_caller():
+    dec = decompose(_J42)
+    with pytest.raises(TypeError, match="multiplicities"):
+        schemewalk.BoseMesnerDecomposition(
+            scheme=_J42, multiplicities=dec.multiplicities,
+            eigenmatrix_P=dec.eigenmatrix_P, eigenmatrix_Q=dec.eigenmatrix_Q)
 
 
 def test_fixed_tolerances_and_caps_are_not_parameters():
