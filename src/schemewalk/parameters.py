@@ -41,14 +41,24 @@ _TRACE_IDENTITY_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class IntersectionTensor:
-    """p[i][j][k] = p_{ij}^k, exact non-negative integers; d is read from the shape."""
+    """p[i][j][k] = p_{ij}^k, exact non-negative integers; d is read from the shape.
+    Input that is not a non-empty integer (d+1)^3 array is refused.  A
+    writeable p is copied before it is frozen, so the caller's array is
+    left as it was; a read-only int64 p, as `intersection_numbers`
+    passes, is wrapped as it is."""
 
     d: int = field(init=False)
     p: np.ndarray
 
     def __post_init__(self):
-        self.p.setflags(write=False)
-        object.__setattr__(self, "d", self.p.shape[0] - 1)
+        p = numeric_array(self.p, "intersection tensor")
+        if p.ndim != 3 or len(set(p.shape)) != 1 or not p.size:
+            raise ValidationError(f"intersection tensor must be (d+1)^3, got shape {p.shape}")
+        if p.flags.writeable or p.dtype != np.int64:
+            p = p.astype(np.int64)
+            p.setflags(write=False)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "d", p.shape[0] - 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -60,8 +60,10 @@ Every call, on any scheme whose report holds the record, gets a new
 object that wraps the kept arrays without copying them.  A refusal is
 never kept; it is raised again on every call.  The store is a
 least-recently-used map bounded by `_REPORT_STORE_BYTES` of key bytes
-and record arrays; a record that has left the store keeps serving the
-reports that hold it, uncounted.
+and record charges.  A record's charge is fixed when it is made: p, and
+for a commutative p everything `derive` can keep besides.  A record the
+store does not hold, because it left or never fitted, keeps serving the
+reports that hold it, its values uncounted.
 
 The table-driven builders form the relation matrix without a loop over
 pairs: Johnson and Grassmann schemes from one float64 product M M^T of a
@@ -89,12 +91,12 @@ from .groups import DEFAULT_VERTEX_CAP, FiniteGroup
 # it may use as much as one relation matrix at DEFAULT_VERTEX_CAP (200 MB).
 _ORBIT_PASS_WORDS = DEFAULT_VERTEX_CAP ** 2
 
-# Bytes of relation keys and algebra records that the report store
-# holds.  A process running this package occupies about 45 MB resident
-# (numpy included), so a full store adds under a tenth of that, and 4 MB
-# still holds a few dozen mid-size schemes: the u1 relation matrix of
-# J_4(4,2) (n = 357) is 127 KB, and the record of Z_32 (p, P, Q, the
-# Krein tensor and the convolution) is 800 KB.
+# Bytes of relation keys and algebra record charges that the report
+# store holds.  A process running this package occupies about 45 MB
+# resident (numpy included), so a full store adds under a tenth of that,
+# and 4 MB still holds a few dozen mid-size schemes: the u1 relation
+# matrix of J_4(4,2) (n = 357) is 127 KB, and the record of Z_32 (p, P,
+# Q, the Krein tensor and the convolution) is charged 800 KB.
 _REPORT_STORE_BYTES = 4 * 2 ** 20
 
 
@@ -178,17 +180,20 @@ class AssociationScheme:
 class AxiomReport:
     """Result of verify_axioms: violations carry (axiom id, witness indices).
 
-    `commutative` is only meaningful when `passed` is True.  `p` is the
-    certified intersection tensor, p[i, j, k] = p_ij^k (read-only int64),
-    or None when the check fails.  A passed report holds the algebra
-    record of its p in `_algebra`.
+    `commutative` is only meaningful when `passed` is True.  A passed
+    report holds the algebra record of its p in `_algebra`.
     """
 
     passed: bool
     violations: tuple[tuple[int, tuple[int, ...]], ...]
     commutative: bool
-    p: np.ndarray | None = field(default=None, repr=False, compare=False)
     _algebra: _Algebra | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def p(self) -> np.ndarray | None:
+        """The certified intersection tensor, p[i, j, k] = p_ij^k
+        (read-only int64), or None when the check fails."""
+        return None if self._algebra is None else self._algebra.p
 
 
 class _Algebra:
@@ -196,9 +201,11 @@ class _Algebra:
 
     `p` is the read-only int64 tensor.  `spectrum` (multiplicities, P,
     Q), `krein` (a `KreinTensor`) and `hypergroup` (a `Hypergroup`) are
-    None until `derive` first computes them; each is set once, through
-    `_ReportStore.keep`.  `nbytes` counts the arrays held; `holders` the
-    store's entries that hold the record.
+    None until `derive` first computes them; each is set once.  `nbytes`
+    is the charge the store counts, fixed here: p, and for a commutative
+    p also what `derive` can keep, q and the convolution (float64, each
+    the size of p) and P and Q (complex128, (d+1)^2 each).  `holders`
+    counts the store's entries that hold the record.
 
     Records are equal when their p have equal bytes, compared in full;
     the hash reads only the last slice p[d], so it costs (d+1)^2 words
@@ -207,10 +214,11 @@ class _Algebra:
 
     __slots__ = ("p", "spectrum", "krein", "hypergroup", "nbytes", "holders", "_hash")
 
-    def __init__(self, p: np.ndarray):
+    def __init__(self, p: np.ndarray, commutative: bool):
         self.p = p
         self.spectrum = self.krein = self.hypergroup = None
-        self.nbytes = p.nbytes
+        size = len(p)
+        self.nbytes = p.nbytes + (2 * 8 * size ** 3 + 2 * 16 * size ** 2 if commutative else 0)
         self.holders = 0
         self._hash = hash(p[-1].tobytes())
 
@@ -222,35 +230,31 @@ class _Algebra:
 
     def derive(self, name: str, compute):
         """A shallow copy of the value `name`: the kept one, else the
-        result of `compute()`, kept through `_ReportStore.keep`.  What
+        result of `compute()`, kept unless a caller kept one first.  What
         `compute` raises propagates, and nothing is kept."""
         value = getattr(self, name)
         if value is None:
-            value = _REPORTS.keep(self, name, compute())
+            value = compute()
+            with _REPORTS._lock:
+                if getattr(self, name) is None:
+                    setattr(self, name, value)
+                value = getattr(self, name)
         return copy.copy(value)
-
-
-def _array_bytes(value) -> int:
-    """Bytes of the arrays that `value`, a tuple or a dataclass, holds."""
-    parts = value if isinstance(value, tuple) else vars(value).values()
-    return sum(part.nbytes for part in parts if isinstance(part, np.ndarray))
 
 
 class _ReportStore:
     """Least-recently-used map from relation content to AxiomReport, and
     the algebra records of the reports it holds, interned by p.
 
-    An entry costs its key bytes.  A record costs the bytes of the arrays
-    it keeps (p, and P, Q, q and the convolution once derived), counted
-    once however many entries hold it; it leaves the store with the last
-    entry that holds it.  Entries and records together never exceed
-    `_REPORT_STORE_BYTES`: an entry that would not fit alone is not
-    stored, a value that would take its record alone past the budget is
-    not kept, and inserting, or a record growing, evicts from the least
-    recently used end.  `clear` drops every entry and record.  One lock
-    guards every lookup, insert, eviction and record update, so
-    concurrent callers see a consistent map and each record value is set
-    once.
+    An entry costs its key bytes.  A record costs its charge `nbytes`,
+    fixed when it is made and counted once however many entries hold
+    it; it leaves the store with the last entry that holds it.  Entries
+    and records together never exceed `_REPORT_STORE_BYTES`: an entry
+    whose key and new record would not fit alone is not stored, and
+    inserting evicts from the least recently used end.  `clear` drops
+    every entry and record.  One lock guards every lookup, insert,
+    eviction and record update, so concurrent callers see a consistent
+    map and each record value is set once.
     """
 
     def __init__(self):
@@ -271,7 +275,7 @@ class _ReportStore:
         """Store `report`, fresh from `_check_axioms`, under `key`; returns
         the stored report, which is an earlier one when another caller
         stored the same key first.  A record with the bytes of the
-        report's p already held replaces the report's own record and p."""
+        report's p already held replaces the report's own record."""
         size = len(key[2])
         record = report._algebra
         with self._lock:
@@ -286,34 +290,12 @@ class _ReportStore:
                 self._algebras[record] = shared = record
                 self._bytes += record.nbytes
             if shared is not None:
-                object.__setattr__(report, "p", shared.p)
                 object.__setattr__(report, "_algebra", shared)
                 shared.holders += 1
             self._entries[key] = (report, size)
             self._bytes += size
             self._evict()
             return report
-
-    def keep(self, record: _Algebra, name: str, value):
-        """Set `record.<name>` to `value` unless a caller set it first;
-        returns the value to use, the earlier one if there is one.  While
-        the store holds the record the value's arrays are counted, and a
-        value that would take the record alone past the budget is not
-        kept."""
-        nbytes = _array_bytes(value)
-        with self._lock:
-            kept = getattr(record, name)
-            if kept is not None:
-                return kept
-            held = self._algebras.get(record) is record
-            if held and record.nbytes + nbytes > _REPORT_STORE_BYTES:
-                return value
-            setattr(record, name, value)
-            record.nbytes += nbytes
-            if held:
-                self._bytes += nbytes
-                self._evict()
-            return value
 
     def _evict(self) -> None:
         while self._bytes > _REPORT_STORE_BYTES and self._entries:
@@ -364,8 +346,9 @@ def verify_axioms(s: AssociationScheme) -> AxiomReport:
     store, so a scheme with the content of one checked earlier gets that
     report, passed or failed, and a passed report holds the algebra
     record of its p; the module docstring states how reports and records
-    are kept and shared.  A relation matrix or report larger than the
-    store's `_REPORT_STORE_BYTES` (4 MB) is checked every time.
+    are kept and shared.  A relation matrix whose key, with the charge
+    of its new algebra record, exceeds the store's `_REPORT_STORE_BYTES`
+    (4 MB) is checked every time.
     """
     if s._axioms is None:
         key = _content_key(s)
@@ -432,9 +415,9 @@ def _check_axioms(s: AssociationScheme) -> AxiomReport:
             violations.append((4, witness))
     if violations:
         return AxiomReport(passed=False, violations=tuple(violations), commutative=False)
-    report = AxiomReport(passed=True, violations=(),
-                         commutative=bool(np.array_equal(p, p.swapaxes(0, 1))), p=p)
-    object.__setattr__(report, "_algebra", _Algebra(p))
+    commutative = bool(np.array_equal(p, p.swapaxes(0, 1)))
+    report = AxiomReport(passed=True, violations=(), commutative=commutative)
+    object.__setattr__(report, "_algebra", _Algebra(p, commutative))
     return report
 
 

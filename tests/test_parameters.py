@@ -6,6 +6,7 @@ import pytest
 
 from schemewalk import (
     CertificationError,
+    IntersectionTensor,
     KreinTensor,
     ValidationError,
     build_group_scheme,
@@ -15,6 +16,7 @@ from schemewalk import (
     intersection_numbers,
     krein_parameters,
     parameters,
+    verify_axioms,
 )
 from tests.conftest import BUILTIN_NAMES, COMMUTATIVE_NAMES
 from tests.test_spectral_oracle import relabelled
@@ -248,6 +250,33 @@ def test_krein_tensor_refuses_what_is_not_a_finite_cube(edit, witness, j42_krein
     # hypergroup_from; the tensor itself refuses it
     with pytest.raises(ValidationError, match=witness):
         KreinTensor(edit(j42_krein.q))
+
+
+@pytest.mark.parametrize("data, witness", [
+    (np.zeros((2, 3, 4), dtype=np.int64), r"\(d\+1\)\^3, got shape \(2, 3, 4\)"),
+    (np.zeros((3, 3), dtype=np.int64), r"\(d\+1\)\^3, got shape \(3, 3\)"),
+    (np.zeros((0, 0, 0), dtype=np.int64), r"\(d\+1\)\^3, got shape \(0, 0, 0\)"),
+    (np.zeros((2, 2, 2)), "entries must be integers"),
+    (np.zeros((2, 2, 2), dtype=bool), "entries must be integers"),
+], ids=["not-cubic", "two-axes", "empty", "float", "bool"])
+def test_intersection_tensor_refuses_what_is_not_an_integer_cube(data, witness):
+    with pytest.raises(ValidationError, match=witness):
+        IntersectionTensor(data)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+def test_intersection_tensor_leaves_the_callers_array_writeable(dtype, j42):
+    certified = intersection_numbers(j42).p
+    mine = np.array(certified, dtype=dtype)
+    tensor = IntersectionTensor(mine)
+    assert mine.flags.writeable and tensor.p is not mine
+    assert tensor.p.dtype == np.int64 and not tensor.p.flags.writeable
+    mine[0, 0, 0] = 7
+    assert np.array_equal(tensor.p, certified)
+
+
+def test_intersection_numbers_wrap_the_certified_p_without_a_copy(j42):
+    assert intersection_numbers(j42).p is verify_axioms(j42).p
 
 
 def test_intersection_rejects_noncommutative_free():

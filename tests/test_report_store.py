@@ -89,6 +89,18 @@ def _assert_same_report(report, fresh):
         assert np.array_equal(report.p, fresh.p)
 
 
+def _charge(s, commutative=True):
+    """The record charge of a scheme's p: p (int64), and for a commutative
+    scheme q and the convolution (float64) and P and Q (complex128)."""
+    size = s.d + 1
+    return 8 * size ** 3 + (16 * size ** 3 + 32 * size ** 2 if commutative else 0)
+
+
+def _cost(s):
+    """What a scheme's entry and its new record take from the store."""
+    return len(schemes._content_key(s)[2]) + _charge(s)
+
+
 def _fresh(s):
     """The report of a fresh check, computed outside the store."""
     return _CHECK(_copy(s))
@@ -246,17 +258,21 @@ def test_an_oversized_relation_forms_no_key(monkeypatch, checks):
 
 def test_an_oversized_report_is_not_stored(monkeypatch, checks):
     s = build_johnson(4, 2)
-    p_bytes = 27 * 8
-    monkeypatch.setattr(schemes, "_REPORT_STORE_BYTES", s.n * s.n + p_bytes - 1)
+    cost = _cost(s)
+    monkeypatch.setattr(schemes, "_REPORT_STORE_BYTES", cost - 1)
     assert schemes._content_key(s) is not None
-    assert verify_axioms(s).p.nbytes == p_bytes
+    assert verify_axioms(s)._algebra.nbytes == _charge(s) == 936
     verify_axioms(_copy(s))
     assert len(checks) == 2 and _entries() == []
+    monkeypatch.setattr(schemes, "_REPORT_STORE_BYTES", cost)
+    verify_axioms(_copy(s))
+    assert len(checks) == 3 and _entries() == [schemes._content_key(s)]
+    assert schemes._REPORTS._bytes == cost
 
 
 def test_eviction_drops_the_least_recently_used(monkeypatch, checks):
     a, b, c = (build_group_scheme(groups.cyclic(n)) for n in (3, 4, 5))
-    sizes = [s.n * s.n + s.n ** 3 * 8 for s in (a, b, c)]
+    sizes = [_cost(s) for s in (a, b, c)]
     # room for a and c, or for b and c, but not for all three
     monkeypatch.setattr(schemes, "_REPORT_STORE_BYTES", sizes[1] + sizes[2])
     verify_axioms(a)
@@ -274,11 +290,11 @@ def test_eviction_drops_the_least_recently_used(monkeypatch, checks):
 
 
 def test_concurrent_callers_under_a_tiny_budget(monkeypatch):
-    """More threads than cores, switching often, with room for one small
-    report at a time: every lookup, insert and eviction races."""
+    """More threads than cores, switching often, with room for the largest
+    report alone: every lookup, insert and eviction races."""
     made = [build_group_scheme(groups.cyclic(n)) for n in (2, 3, 4, 5, 6)]
     expected = [_CHECK(s) for s in made]
-    monkeypatch.setattr(schemes, "_REPORT_STORE_BYTES", 6 * 6 + 6 ** 3 * 8)
+    monkeypatch.setattr(schemes, "_REPORT_STORE_BYTES", _cost(made[-1]))
     errors = []
 
     def work(offset):
@@ -302,12 +318,26 @@ def test_concurrent_callers_under_a_tiny_budget(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+    assert _entries()
     _assert_consistent(schemes._REPORTS)
+
+
+def _held_bytes(record):
+    """Bytes of the arrays a record holds: p and what `derive` kept."""
+    arrays = [record.p]
+    if record.spectrum is not None:
+        arrays += record.spectrum[1:]
+    if record.krein is not None:
+        arrays.append(record.krein.q)
+    if record.hypergroup is not None:
+        arrays.append(record.hypergroup.convolution)
+    return sum(a.nbytes for a in arrays)
 
 
 def _assert_consistent(store):
     """The store's byte count is its entries' key bytes plus each held
-    record's arrays once, and each record counts the entries holding it."""
+    record's charge once, each record counts the entries holding it, and
+    no record holds more than its charge."""
     holders = {}
     for report, _ in store._entries.values():
         if report._algebra is not None:
@@ -318,6 +348,7 @@ def _assert_consistent(store):
     assert store._bytes == (sum(size for _, size in store._entries.values())
                             + sum(r.nbytes for r in store._algebras))
     assert store._bytes <= schemes._REPORT_STORE_BYTES
+    assert all(_held_bytes(r) <= r.nbytes for r in store._algebras)
 
 
 # ------------------------------------------------------- algebra records
@@ -406,17 +437,50 @@ def test_the_record_counts_each_array_once():
     store = schemes._REPORTS
     record = verify_axioms(s)._algebra
     keys = sum(len(schemes._content_key(c)[2]) for c in copies)
-    assert record.holders == 4 and store._bytes == keys + record.p.nbytes
+    assert record.holders == 4 and record.nbytes == _charge(s)
+    assert store._bytes == keys + record.nbytes
     dec, q, h = _chain(copies[2])
-    assert store._bytes == keys + sum(a.nbytes for a in [record.p, *_arrays(dec, q, h)])
+    assert store._bytes == keys + record.nbytes
+    assert sum(a.nbytes for a in [record.p, *_arrays(dec, q, h)]) == record.nbytes
     _assert_consistent(store)
+
+
+def test_a_non_commutative_record_is_charged_its_p_alone():
+    s = build_group_scheme(groups.symmetric(3))
+    record = verify_axioms(s)._algebra
+    assert record.nbytes == record.p.nbytes == _charge(s, commutative=False)
+    assert schemes._REPORTS._bytes == s.n * s.n + record.nbytes
+
+
+def test_the_chain_moves_no_byte_of_the_store():
+    s = build_johnson(6, 3)
+    verify_axioms(s)
+    before = schemes._REPORTS._bytes
+    dec = decompose(s)
+    assert schemes._REPORTS._bytes == before
+    q = krein_parameters(dec)
+    assert schemes._REPORTS._bytes == before
+    hypergroup_from(dec, q)
+    assert schemes._REPORTS._bytes == before == _cost(s)
+    _assert_consistent(schemes._REPORTS)
+
+
+def test_an_unheld_record_computes_each_value_once(monkeypatch, stages):
+    s = build_johnson(6, 3)
+    monkeypatch.setattr(schemes, "_REPORT_STORE_BYTES", _cost(s) - 1)
+    one, two = _chain(s), _chain(s)
+    record = verify_axioms(s)._algebra
+    assert _entries() == [] and schemes._REPORTS._bytes == 0
+    assert stages == {"eigh": 1, "krein": 1, "hypergroup": 1}
+    assert all(a is b for a, b in zip(_arrays(*one), _arrays(*two)))
+    assert record.hypergroup.convolution is two[2].convolution
 
 
 def test_the_record_leaves_with_its_last_holder(monkeypatch):
     s, other = build_johnson(4, 2), build_johnson(5, 2)
     moved = _copy(s, s.relation[np.ix_([1, 0, 2, 3, 4, 5], [1, 0, 2, 3, 4, 5])])
     assert not np.array_equal(moved.relation, s.relation)
-    sizes = [36 + 216, 36, 100 + 216]
+    sizes = [_cost(s), 36, _cost(other)]
     # room for s with its relabelled copy, or for other alone
     monkeypatch.setattr(schemes, "_REPORT_STORE_BYTES", sizes[2])
     record = verify_axioms(s)._algebra
@@ -430,32 +494,6 @@ def test_the_record_leaves_with_its_last_holder(monkeypatch):
     assert record.spectrum[1] is dec.eigenmatrix_P and schemes._REPORTS._bytes == sizes[2]
     fresh = verify_axioms(_copy(s))._algebra
     assert fresh is not record and fresh.spectrum is None
-
-
-def test_a_growing_record_evicts_the_least_recently_used(monkeypatch):
-    a, b = build_johnson(4, 2), build_johnson(6, 3)
-    # room for a and b, or for b with its spectrum, not for all three
-    monkeypatch.setattr(schemes, "_REPORT_STORE_BYTES", 400 + 512 + 512 + 100)
-    verify_axioms(a)
-    verify_axioms(b)
-    decompose(b)  # P and Q of J(6,3) take 512 bytes: a leaves
-    assert _entries() == [schemes._content_key(b)]
-    _assert_consistent(schemes._REPORTS)
-
-
-def test_a_value_past_the_budget_is_not_kept(monkeypatch, stages):
-    s = build_johnson(6, 3)
-    # room for J(6,3)'s key, p, P and Q, not for its q as well
-    monkeypatch.setattr(schemes, "_REPORT_STORE_BYTES", 400 + 512 + 512 + 100)
-    dec = decompose(s)
-    one, two = krein_parameters(dec), krein_parameters(dec)
-    record = verify_axioms(s)._algebra
-    assert record.krein is None and stages["krein"] == 2
-    assert one.q is not two.q and one.q.tobytes() == two.q.tobytes()
-    assert _entries() == [schemes._content_key(s)]
-    _assert_consistent(schemes._REPORTS)
-    hypergroup_from(dec, one)
-    assert record.hypergroup is None and stages["hypergroup"] == 1
 
 
 def test_clear_drops_every_record():

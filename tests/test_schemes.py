@@ -189,6 +189,7 @@ def test_array_results_compare_and_hash_by_identity(name):
 # dual and dims are read from its arrays, and tolerances and thresholds are
 # module constants.
 RECORD_INIT_FIELDS = {
+    "AxiomReport": ("passed", "violations", "commutative"),
     "BoseMesnerDecomposition": ("scheme",),
     "FusionSystem": ("labels", "N", "F", "R", "twist"),
     "IntersectionTensor": ("p",),
@@ -214,6 +215,13 @@ def test_a_decomposition_takes_no_spectrum_from_its_caller():
         schemewalk.BoseMesnerDecomposition(
             scheme=_J42, multiplicities=dec.multiplicities,
             eigenmatrix_P=dec.eigenmatrix_P, eigenmatrix_Q=dec.eigenmatrix_Q)
+
+
+def test_a_report_takes_no_intersection_tensor_from_its_caller():
+    report = verify_axioms(_J42)
+    assert report.p is report._algebra.p
+    with pytest.raises(TypeError, match="'p'"):
+        schemewalk.AxiomReport(passed=True, violations=(), commutative=True, p=report.p)
 
 
 def test_fixed_tolerances_and_caps_are_not_parameters():

@@ -3,7 +3,6 @@ import pytest
 import sympy
 
 from schemewalk import (
-    AssociationScheme,
     ValidationError,
     build_group_scheme,
     build_johnson,
@@ -101,24 +100,6 @@ def test_generic_weights_are_seeded_and_built_on_each_call():
     w = spectral._generic_weights(5)
     again = spectral._generic_weights(5)
     assert again is not w and again.tobytes() == w.tobytes()
-
-
-@pytest.mark.parametrize("name", COMMUTATIVE_NAMES)
-def test_cached_weights_give_bit_identical_decompositions(name, builtin_schemes, decompositions,
-                                                          monkeypatch):
-    def fresh(count):
-        c = np.random.default_rng(spectral._GENERIC_SEED).standard_normal((count, 2))
-        return c[:, 0] + 1j * c[:, 1]
-
-    monkeypatch.setattr(spectral, "_generic_weights", fresh)
-    # a new scheme object with the built-in's content: its report, and the
-    # spectrum kept on it, are computed afresh (conftest empties the store)
-    s = builtin_schemes[name]
-    dec = decompose(AssociationScheme(n=s.n, d=s.d, relation=s.relation))
-    cached = decompositions[name]
-    assert dec.multiplicities == cached.multiplicities
-    assert np.array_equal(dec.eigenmatrix_P, cached.eigenmatrix_P)
-    assert np.array_equal(dec.eigenmatrix_Q, cached.eigenmatrix_Q)
 
 
 def test_decompose_rejects_noncommutative():
