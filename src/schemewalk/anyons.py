@@ -16,7 +16,8 @@ is never trusted blindly -- `verify_pentagon` (and, for rank-2 systems,
 dense array F[a,b,c,e,x,y] (rank^6 entries, at most 729 under the rank
 caps), lists the admissible fusion trees by joining the nonzeros of N
 one vertex at a time, and gathers both sides of its identity on those
-trees only (136 for Ising, 50 for Fibonacci).
+trees only (136 for Ising, 50 for Fibonacci).  `BraidGenerators`, the one
+constructor of the exchange generators, certifies those it derives from R and F.
 
 `scheme_fusion_bridge` compares a scheme's Krein tensor against fusion
 multiplicities up to label bijection and per-index positive rescaling,
@@ -42,7 +43,7 @@ rank 32.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -371,20 +372,8 @@ def _r_phase(fs: FusionSystem, a, b, c) -> complex:
 
 @dataclass(frozen=True, eq=False)
 class BraidGenerators:
-    label: str
-    sigma1: np.ndarray
-    sigma2: np.ndarray
-    b_matrix: np.ndarray
-    braid_residual: float
-
-    def __post_init__(self):
-        self.sigma1.setflags(write=False)
-        self.sigma2.setflags(write=False)
-        self.b_matrix.setflags(write=False)
-
-
-def braid_generators(fs: FusionSystem, label=None) -> BraidGenerators:
-    """Exchange generators on the three-identical-anyon fusion space.
+    """Exchange generators on the three-anyon fusion space of `system` at
+    `label`, resolved to its name (None: the first label whose space is 2-dimensional).
 
     sigma1 = diag(R^{aa}_x) over the intermediate channels x, sigma2 =
     F sigma1 F^{-1} with F the recoupling block of (a,a,a)->a, and the
@@ -392,42 +381,51 @@ def braid_generators(fs: FusionSystem, label=None) -> BraidGenerators:
     braid relation sigma1 sigma2 sigma1 = sigma2 sigma1 sigma2 is
     evaluated up to a global phase and the residual reported.
     """
-    if label is None:
-        candidates = [a for a in range(1, fs.rank) if len(_tree_rows(fs.N, a, a, a, a)) == 2]
-        if not candidates:
-            raise ValidationError(
-                "no label has a 2-dimensional three-anyon fusion space"
-            )
-        a = candidates[0]
-    else:
-        a = fs.label_index(label)
-    channels = _tree_rows(fs.N, a, a, a, a)
-    if not channels:
-        raise ValidationError(f"label {fs.labels[a]!r} has an empty three-anyon space")
 
-    sigma1 = np.diag([_r_phase(fs, a, a, x) for x in channels])
-    _, _, f_mat = _f_block(fs, a, a, a, a)
-    f_inv = np.linalg.inv(f_mat)
-    sigma2 = f_mat @ sigma1 @ f_inv
-    b_matrix = f_mat @ sigma1 @ sigma1 @ f_inv
+    system: InitVar[FusionSystem]
+    label: str | int | None = None
+    sigma1: np.ndarray = field(init=False)
+    sigma2: np.ndarray = field(init=False)
+    b_matrix: np.ndarray = field(init=False)
+    braid_residual: float = field(init=False)
 
-    for name, mat in (("sigma1", sigma1), ("sigma2", sigma2), ("B", b_matrix)):
-        drift = float(np.max(np.abs(mat.conj().T @ mat - np.eye(len(channels)))))
-        if drift > _UNITARITY_TOL:
-            raise ValidationError(f"{name} is not unitary (residual {drift:.3e})")
+    def __post_init__(self, fs):
+        if self.label is None:
+            candidates = [a for a in range(1, fs.rank) if len(_tree_rows(fs.N, a, a, a, a)) == 2]
+            if not candidates:
+                raise ValidationError("no label has a 2-dimensional three-anyon fusion space")
+            a = candidates[0]
+        else:
+            a = fs.label_index(self.label)
+        channels = _tree_rows(fs.N, a, a, a, a)
+        if not channels:
+            raise ValidationError(f"label {fs.labels[a]!r} has an empty three-anyon space")
 
-    lhs = sigma1 @ sigma2 @ sigma1
-    rhs = sigma2 @ sigma1 @ sigma2
-    overlap = complex(np.sum(rhs.conj() * lhs))
-    aligned = lhs * (overlap.conjugate() / abs(overlap)) if abs(overlap) > 0 else lhs
-    residual = float(np.max(np.abs(aligned - rhs)))
-    return BraidGenerators(
-        label=fs.labels[a],
-        sigma1=sigma1,
-        sigma2=sigma2,
-        b_matrix=b_matrix,
-        braid_residual=residual,
-    )
+        sigma1 = np.diag([_r_phase(fs, a, a, x) for x in channels])
+        _, _, f_mat = _f_block(fs, a, a, a, a)
+        f_inv = np.linalg.inv(f_mat)
+        sigma2 = f_mat @ sigma1 @ f_inv
+        b_matrix = f_mat @ sigma1 @ sigma1 @ f_inv
+
+        for name, mat in (("sigma1", sigma1), ("sigma2", sigma2), ("B", b_matrix)):
+            drift = float(np.max(np.abs(mat.conj().T @ mat - np.eye(len(channels)))))
+            if drift > _UNITARITY_TOL:
+                raise ValidationError(f"{name} is not unitary (residual {drift:.3e})")
+            mat.setflags(write=False)
+
+        lhs = sigma1 @ sigma2 @ sigma1
+        rhs = sigma2 @ sigma1 @ sigma2
+        overlap = complex(np.sum(rhs.conj() * lhs))
+        aligned = lhs * (overlap.conjugate() / abs(overlap)) if abs(overlap) > 0 else lhs
+        residual = float(np.max(np.abs(aligned - rhs)))
+        for name, value in (("label", fs.labels[a]), ("sigma1", sigma1), ("sigma2", sigma2),
+                            ("b_matrix", b_matrix), ("braid_residual", residual)):
+            object.__setattr__(self, name, value)
+
+
+def braid_generators(fs: FusionSystem, label=None) -> BraidGenerators:
+    """The braid generators of `fs` at `label` (see `BraidGenerators`)."""
+    return BraidGenerators(fs, label)
 
 
 @dataclass(frozen=True)
@@ -522,10 +520,13 @@ def verify_hexagon(fs: FusionSystem) -> HexagonReport:
 
 @dataclass(frozen=True)
 class BridgeReport:
-    matched: bool
     bijection: tuple[int, ...]
     scalars: tuple[float, ...]
     deviation: float
+
+    @property
+    def matched(self) -> bool:
+        return self.deviation < BRIDGE_THRESHOLD
 
 
 def _support_maps(q_support: np.ndarray, n_support: np.ndarray) -> np.ndarray:
@@ -599,16 +600,12 @@ def scheme_fusion_bridge(dec: BoseMesnerDecomposition, q: KreinTensor,
     q_arr = q.q
     maps = _support_maps(q_arr > _BRIDGE_SUPPORT_TOL, fs.N >= 1)
     if not len(maps):
-        return BridgeReport(matched=False, bijection=(), scalars=(), deviation=np.inf)
+        return BridgeReport(bijection=(), scalars=(), deviation=np.inf)
     scalars = fs.dims[maps] / np.array(dec.multiplicities, dtype=np.float64)
     deviations = [
         float(np.max(np.abs(q_arr * s[:, None, None] * s[None, :, None] / s[None, None, :]
                             - fs.N[np.ix_(perm, perm, perm)])))
         for perm, s in zip(maps, scalars)]
     best = int(np.argmin(deviations))
-    return BridgeReport(
-        matched=deviations[best] < BRIDGE_THRESHOLD,
-        bijection=tuple(maps[best].tolist()),
-        scalars=tuple(scalars[best].tolist()),
-        deviation=deviations[best],
-    )
+    return BridgeReport(bijection=tuple(maps[best].tolist()),
+                        scalars=tuple(scalars[best].tolist()), deviation=deviations[best])

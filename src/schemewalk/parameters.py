@@ -45,7 +45,12 @@ class IntersectionTensor:
     Input that is not a non-empty integer (d+1)^3 array is refused.  A
     writeable p is copied before it is frozen, so the caller's array is
     left as it was; a read-only int64 p, as `intersection_numbers`
-    passes, is wrapped as it is."""
+    passes, is wrapped as it is.
+
+    p is certified exactly, in O((d+1)^3): p >= 0, p_0j^k = delta_jk (A_0
+    is the identity) and sum_j p_ij^k = k_i for every k, with k_i =
+    sum_j p_ij^0 (each vertex has k_i i-neighbours).  A refusal names its
+    indices."""
 
     d: int = field(init=False)
     p: np.ndarray
@@ -57,6 +62,19 @@ class IntersectionTensor:
         if p.flags.writeable or p.dtype != np.int64:
             p = p.astype(np.int64)
             p.setflags(write=False)
+        if p.min() < 0:
+            i, j, k = np.argwhere(p < 0)[0]
+            raise ValidationError(f"intersection number p[{i}][{j}][{k}] = {p[i, j, k]} < 0")
+        unit = np.eye(len(p), dtype=np.int64)
+        if not np.array_equal(p[0], unit):
+            j, k = np.argwhere(p[0] != unit)[0]
+            raise ValidationError(
+                f"intersection number p[0][{j}][{k}] = {p[0, j, k]} is not delta_jk")
+        sums = p.sum(axis=1)                    # sums[i, k] = sum_j p_ij^k
+        if not np.all(sums == sums[:, :1]):
+            i, k = np.argwhere(sums != sums[:, :1])[0]
+            raise ValidationError(
+                f"sum_j p[{i}][j][{k}] = {sums[i, k]} differs from k_{i} = {sums[i, 0]}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "d", p.shape[0] - 1)
 
@@ -87,10 +105,12 @@ def intersection_numbers(s: AssociationScheme) -> IntersectionTensor:
 
     They come out of the axiom-4 pass of `verify_axioms`, which checks
     A_i A_j = sum_k p_{ij}^k A_k entrywise for every i and j; a scheme
-    that was already verified returns its kept tensor.  Raises
-    ValidationError when the input is not an association scheme.
+    that was already verified returns its kept tensor.  The tensor is
+    certified once per algebra record, where it is kept (see `schemes`).
+    Raises ValidationError when the input is not an association scheme.
     """
-    return IntersectionTensor(require_axioms(s).p)
+    record = require_axioms(s)._algebra
+    return record.derive("intersection", lambda: IntersectionTensor(record.p))
 
 
 def krein_parameters(dec: BoseMesnerDecomposition) -> KreinTensor:

@@ -22,20 +22,19 @@ Five pieces:
 * Chain iteration: one array operation, a trace and a division per
   step; positivity of every state is certified after the loop, by a
   bound carried over the stacked diagonals (see `iterate_channel`).
-* The Szegedy walk unitary U = S(2 A A' - I) on the pair space of a
-  stochastic matrix.  A is the same pair-space isometry as V, gathered
-  and certified by the same helpers.  U is filled in one pass from its
-  closed form; Pi and S are gathered only when read.  Unitarity follows
-  from the O(n^2) certificate A'A = I (see `szegedy_walk`).
+* The Szegedy walk U = S(2 A A' - I) of a stochastic matrix D: A is V's
+  gather of sqrt(D)^T, taken once and certified by the same helper, and
+  unitarity follows from A'A = I (see `WalkOperator`).  U is filled in one
+  pass from its closed form; A, Pi and S are gathered only when read.
 
 Stochasticity conventions: transition expectations take row-stochastic
-matrices; `szegedy_walk` accepts either convention via a flag and works
+matrices; `WalkOperator` accepts either convention via a flag and works
 column-stochastic internally.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -181,11 +180,12 @@ def _certify_isometry(root: np.ndarray, name: str) -> None:
 
 
 def _pair_gather(root: np.ndarray) -> np.ndarray:
-    """The n^2 x n matrix with column i = e_i (x) row i of `root`; pair
-    index (i, j) -> i*n + j."""
+    """The read-only n^2 x n matrix with column i = e_i (x) row i of
+    `root`; pair index (i, j) -> i*n + j."""
     n = root.shape[0]
     iso = np.zeros((n * n, n))
     iso[np.arange(n * n), np.repeat(np.arange(n), n)] = root.ravel()
+    iso.setflags(write=False)
     return iso
 
 
@@ -220,9 +220,7 @@ class TransitionExpectation:
                 f"isometry V of a {d}-state chain is {d * d}x{d}; "
                 f"capped at {_PAIR_SPACE_MAX_VERTICES} states"
             )
-        v = _pair_gather(self.sqrt_transition)
-        v.setflags(write=False)
-        return v
+        return _pair_gather(self.sqrt_transition)
 
 
 def make_transition_expectation(p) -> TransitionExpectation:
@@ -442,25 +440,69 @@ def iterate_channel(channel, rho0, steps: int) -> ChannelTrajectory:
 
 @dataclass(frozen=True, eq=False)
 class WalkOperator:
-    """Szegedy walk data; `projector` and `swap` are gathered on first read and kept."""
+    """The Szegedy walk of a stochastic matrix D, its only argument, read
+    by `convention` ("column": D[w][v] is the probability v -> w, columns
+    sum to 1; "row": rows sum to 1 and the transpose is used):
+    A|v> = sum_w sqrt(D[w][v]) |v,w>, Pi = AA', S|v,w> = |w,v>, U = S(2 Pi - I),
+    with pair index (v, w) -> v*n + w.
+
+    A is the transition expectation's isometry V for the row-stochastic
+    transpose of D, certified by the same helper from sqrt(D)^T, taken once.
+    U, the only n^2 x n^2 array built, is filled in one pass from its closed form
+    U[(v,w),(v',w')] = 2 [v' = w] sqrt(D[v][w]) sqrt(D[w'][w]) - [v' = w][w' = v].
+    `A_op`, `projector` and `swap` are gathered from that root when first read.
+
+    Certificate: A'A = I within 1e-12 (diagonal, so O(n^2)).  It implies the
+    rest.  S is a permutation, so S'S = I, and Pi = AA' is symmetric,
+    hence U'U - I = (2 Pi - I)^2 - I = 4(Pi^2 - Pi) = 4 A(A'A - I)A'.
+    Each row of A has a single entry, the square root of a probability
+    and so at most 1, hence every entry of U'U - I is 4 times one entry
+    of A'A - I times two such factors: max|U'U - I| <= 4 max|A'A - I|
+    <= 4e-12, and likewise max|Pi^2 - Pi| <= max|A'A - I|.  The bounds
+    hold for the operator S(2AA' - I) exactly; the stored entries of Pi
+    and U are each one rounded product of A's entries.
+    """
 
     column_stochastic: np.ndarray
-    A_op: np.ndarray
-    U: np.ndarray
+    convention: InitVar[str] = "column"
+    U: np.ndarray = field(init=False)
+    _root_t: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        for field in (self.column_stochastic, self.A_op, self.U):
-            field.setflags(write=False)
+    def __post_init__(self, convention):
+        col = _column_stochastic(self.column_stochastic, convention)
+        n = col.shape[0]
+        if n > _PAIR_SPACE_MAX_VERTICES:
+            raise ValidationError(
+                f"walk on {n} vertices needs a {n * n}x{n * n} dense pair space; "
+                f"capped at {_PAIR_SPACE_MAX_VERTICES} vertices"
+            )
+        root_t = np.sqrt(col).T                      # root_t[v, w] = sqrt(D[w][v])
+        _certify_isometry(root_t, "A")
+        u = np.zeros((n * n, n * n))
+        u4 = u.reshape(n, n, n, n)                   # view [v, w, v', w']
+        vertices = np.arange(n)
+        # Row (v, w) meets block w of Pi: 2 root_t[w, v] root_t[w, w'] at v' = w.
+        u4[:, vertices, vertices, :] = 2.0 * (root_t.T[:, :, None] * root_t[None, :, :])
+        v, w = np.ogrid[:n, :n]
+        u4[v, w, w, v] -= 1.0
+        for name, array in (("column_stochastic", col), ("U", u), ("_root_t", root_t)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def dim_v(self) -> int:
         return self.column_stochastic.shape[0]
 
     @cached_property
+    def A_op(self) -> np.ndarray:
+        """A, (n^2) x n: column v is sum_w sqrt(D[w][v]) e_v (x) e_w."""
+        return _pair_gather(self._root_t)
+
+    @cached_property
     def projector(self) -> np.ndarray:
         """Pi = AA', block diagonal: block v is the outer product of A's column v."""
         n = self.dim_v
-        root_t = np.sqrt(self.column_stochastic).T   # root_t[v, w] = sqrt(D[w][v])
+        root_t = self._root_t
         pi = np.zeros(self.U.shape)
         vertices = np.arange(n)
         pi.reshape(n, n, n, n)[vertices, :, vertices, :] = root_t[:, :, None] * root_t[:, None, :]
@@ -479,48 +521,8 @@ class WalkOperator:
 
 
 def szegedy_walk(d_matrix, convention: str = "column") -> WalkOperator:
-    """Quantize a stochastic matrix: A|v> = sum_w sqrt(D[w][v]) |v,w>,
-    Pi = AA', S|v,w> = |w,v>, U = S(2 Pi - I).
-
-    `convention` says how to read the input ("column": D[w][v] is the
-    probability v -> w, columns sum to 1; "row": rows sum to 1 and the
-    transpose is used).  Pair index (v, w) -> v*n + w.
-
-    A is the transition expectation's isometry V for the row-stochastic
-    transpose of D, gathered and certified by the same helpers.  U, the
-    only n^2 x n^2 array built, is filled in one pass from its closed form
-    U[(v,w),(v',w')] = 2 [v' = w] sqrt(D[v][w]) sqrt(D[w'][w]) - [v' = w][w' = v].
-    `projector` and `swap` are gathered when first read.
-
-    Certificate: A'A = I within 1e-12 (diagonal, so O(n^2)).  It implies the
-    rest.  S is a permutation, so S'S = I, and Pi = AA' is symmetric,
-    hence U'U - I = (2 Pi - I)^2 - I = 4(Pi^2 - Pi) = 4 A(A'A - I)A'.
-    Each row of A has a single entry, the square root of a probability
-    and so at most 1, hence every entry of U'U - I is 4 times one entry
-    of A'A - I times two such factors: max|U'U - I| <= 4 max|A'A - I|
-    <= 4e-12, and likewise max|Pi^2 - Pi| <= max|A'A - I|.  The bounds
-    hold for the operator S(2AA' - I) exactly; the stored entries of Pi
-    and U are each one rounded product of A's entries.
-    """
-    col = _column_stochastic(d_matrix, convention)
-    n = col.shape[0]
-    if n > _PAIR_SPACE_MAX_VERTICES:
-        raise ValidationError(
-            f"walk on {n} vertices needs a {n * n}x{n * n} dense pair space; "
-            f"capped at {_PAIR_SPACE_MAX_VERTICES} vertices"
-        )
-
-    root_t = np.sqrt(col).T                      # root_t[v, w] = sqrt(D[w][v])
-    _certify_isometry(root_t, "A")
-    a_op = _pair_gather(root_t)
-    u = np.zeros((n * n, n * n))
-    u4 = u.reshape(n, n, n, n)                   # view [v, w, v', w']
-    vertices = np.arange(n)
-    # Row (v, w) meets block w of Pi: 2 root_t[w, v] root_t[w, w'] at v' = w.
-    u4[:, vertices, vertices, :] = 2.0 * (root_t.T[:, :, None] * root_t[None, :, :])
-    v, w = np.ogrid[:n, :n]
-    u4[v, w, w, v] -= 1.0
-    return WalkOperator(col, a_op, u)
+    """The Szegedy walk of `d_matrix` read by `convention` (see `WalkOperator`)."""
+    return WalkOperator(d_matrix, convention)
 
 
 def _closed_classes(column_stochastic: np.ndarray) -> list[tuple[int, ...]]:

@@ -53,9 +53,10 @@ equality: every stored report with equal p, a relabelled copy's
 included, holds the same record and the same read-only p array.
 
 What p determines is computed once per record, through
-`_Algebra.derive`: `BoseMesnerDecomposition` keeps (m, P, Q) there,
-`krein_parameters` the `KreinTensor` and `hypergroup_from` the
-`Hypergroup`, each certified before it is kept, its arrays read-only.
+`_Algebra.derive`: `intersection_numbers` keeps the `IntersectionTensor`
+there, `BoseMesnerDecomposition` (m, P, Q), `krein_parameters` the
+`KreinTensor` and `hypergroup_from` the `Hypergroup`, each certified
+before it is kept, its arrays read-only.
 Every call, on any scheme whose report holds the record, gets a new
 object that wraps the kept arrays without copying them.  A refusal is
 never kept; it is raised again on every call.  The store is a
@@ -199,7 +200,8 @@ class AxiomReport:
 class _Algebra:
     """The Bose-Mesner algebra of one certified p, and what p determines.
 
-    `p` is the read-only int64 tensor.  `spectrum` (multiplicities, P,
+    `p` is the read-only int64 tensor.  `intersection` (the
+    `IntersectionTensor` that wraps p), `spectrum` (multiplicities, P,
     Q), `krein` (a `KreinTensor`) and `hypergroup` (a `Hypergroup`) are
     None until `derive` first computes them; each is set once.  `nbytes`
     is the charge the store counts, fixed here: p, and for a commutative
@@ -212,11 +214,12 @@ class _Algebra:
     and forms no copy of p.
     """
 
-    __slots__ = ("p", "spectrum", "krein", "hypergroup", "nbytes", "holders", "_hash")
+    __slots__ = ("p", "intersection", "spectrum", "krein", "hypergroup", "nbytes", "holders",
+                 "_hash")
 
     def __init__(self, p: np.ndarray, commutative: bool):
         self.p = p
-        self.spectrum = self.krein = self.hypergroup = None
+        self.intersection = self.spectrum = self.krein = self.hypergroup = None
         size = len(p)
         self.nbytes = p.nbytes + (2 * 8 * size ** 3 + 2 * 16 * size ** 2 if commutative else 0)
         self.holders = 0

@@ -167,6 +167,30 @@ def test_braid_requires_a_two_channel_label():
         braid_generators(cyclic_fusion_system(3))
 
 
+@pytest.mark.parametrize("fs, label", [(ISING, None), (ISING, 1), (ISING, "psi"),
+                                       (FIB, None), (FIB, "f")])
+def test_the_braid_record_derives_everything_from_the_system(fs, label):
+    bg, served = anyons.BraidGenerators(fs, label), braid_generators(fs, label)
+    assert bg.label == served.label and bg.label in fs.labels
+    for name in ("sigma1", "sigma2", "b_matrix"):
+        assert getattr(bg, name).tobytes() == getattr(served, name).tobytes()
+        assert not getattr(bg, name).flags.writeable
+    assert bg.braid_residual == served.braid_residual
+
+
+@pytest.mark.parametrize("fs, label, message", [
+    (cyclic_fusion_system(3), None, "no label has a 2-dimensional three-anyon fusion space"),
+    (cyclic_fusion_system(3), "g1", "label 'g1' has an empty three-anyon space"),
+    (cyclic_fusion_system(2), "g1", r"missing R data for channel \(1, 1, 0\)"),
+    (FusionSystem(FIB.labels, FIB.N, R=FIB.R), None,
+     r"missing F data: block \(1,1,1;1\) has dimension 2"),
+], ids=["no-two-channel-label", "empty-space", "missing-R", "missing-F"])
+def test_the_braid_record_refuses_with_its_witness(fs, label, message):
+    for build in (anyons.BraidGenerators, braid_generators):
+        with pytest.raises(ValidationError, match=message):
+            build(fs, label)
+
+
 # ------------------------------------------------------------ consistency
 
 def test_pentagon_builtins():
@@ -665,6 +689,15 @@ def _pattern_keeping_maps(q, fs):
     return [perm for perm in ((0,) + rest for rest in itertools.permutations(range(1, rank)))
             if all((q.q[i, j, k] > 1e-8) == (fs.N[perm[i], perm[j], perm[k]] >= 1)
                    for i, j, k in itertools.product(range(rank), repeat=3))]
+
+
+def test_a_bridge_report_derives_matched_from_its_deviation():
+    with pytest.raises(TypeError, match="matched"):
+        anyons.BridgeReport(matched=True, bijection=(0, 1), scalars=(1.0, 1.0), deviation=5.0)
+    near = anyons.BRIDGE_THRESHOLD
+    assert anyons.BridgeReport((0, 1), (1.0, 1.0), near / 2).matched
+    assert not anyons.BridgeReport((0, 1), (1.0, 1.0), near).matched
+    assert not anyons.BridgeReport((), (), math.inf).matched
 
 
 def _assert_no_map_keeps_the_pattern(rep):

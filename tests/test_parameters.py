@@ -264,6 +264,44 @@ def test_intersection_tensor_refuses_what_is_not_an_integer_cube(data, witness):
         IntersectionTensor(data)
 
 
+def _edited_j42_p(j42, edit):
+    p = np.array(intersection_numbers(j42).p)
+    edit(p)
+    return p
+
+
+@pytest.mark.parametrize("edit, witness", [
+    (lambda p: p.fill(5), r"p\[0\]\[0\]\[0\] = 5 is not delta_jk"),
+    (lambda p: p.__imul__(-1), r"p\[0\]\[0\]\[0\] = -1 < 0"),
+    (lambda p: p.__setitem__((2, 1, 1), -1), r"p\[2\]\[1\]\[1\] = -1 < 0"),
+    (lambda p: p.__setitem__((0, 1, 2), 1), r"p\[0\]\[1\]\[2\] = 1 is not delta_jk"),
+    (lambda p: p.__setitem__((1, 1, 2), 5), r"sum_j p\[1\]\[j\]\[2\] = 5 differs from k_1 = 4"),
+    (lambda p: p.__setitem__((2, 2, 0), 2), r"sum_j p\[2\]\[j\]\[1\] = 1 differs from k_2 = 2"),
+], ids=["all-fives", "negated", "one-negative", "unit-law", "row-sum", "valency"])
+def test_intersection_tensor_refuses_a_tensor_that_is_not_of_a_scheme(edit, witness, j42):
+    with pytest.raises(ValidationError, match=witness):
+        IntersectionTensor(_edited_j42_p(j42, edit))
+
+
+def test_the_probes_with_d_equal_one_are_refused():
+    with pytest.raises(ValidationError, match="not delta_jk"):
+        IntersectionTensor(np.full((2, 2, 2), 5))
+    with pytest.raises(ValidationError, match="< 0"):
+        IntersectionTensor(-np.ones((2, 2, 2), int))
+
+
+def test_intersection_numbers_are_certified_once_per_algebra_record(monkeypatch, j42):
+    built = []
+    certify = IntersectionTensor.__post_init__
+    monkeypatch.setattr(IntersectionTensor, "__post_init__",
+                        lambda self: built.append(certify(self)))
+    copies = [relabelled(j42, range(6)), relabelled(j42, [3, 1, 4, 0, 5, 2])]
+    tensors = [intersection_numbers(s) for s in copies for _ in range(2)]
+    assert len(built) == 1
+    assert all(t.p is tensors[0].p for t in tensors)
+    assert len({id(t) for t in tensors}) == 4
+
+
 @pytest.mark.parametrize("dtype", [np.int64, np.int32])
 def test_intersection_tensor_leaves_the_callers_array_writeable(dtype, j42):
     certified = intersection_numbers(j42).p

@@ -13,6 +13,7 @@ from schemewalk import (
     SchurChannel,
     TransitionExpectation,
     ValidationError,
+    WalkOperator,
     apply_transition_expectation,
     certify_cp,
     classical_chain,
@@ -816,11 +817,21 @@ def test_szegedy_matches_dense_oracle_at_benchmark_sizes(n, sparse, convention):
 
 def test_szegedy_pair_space_views_are_read_only_and_kept():
     w = szegedy_walk(random_row_stochastic(5).T)
-    for name in ("projector", "swap"):
+    assert "A_op" not in vars(w)
+    for name in ("A_op", "projector", "swap"):
         first = getattr(w, name)
         assert not first.flags.writeable
         assert getattr(w, name) is first
-    assert not w.U.flags.writeable and not w.A_op.flags.writeable
+    assert not w.U.flags.writeable and not w.column_stochastic.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_the_walk_reads_a_row_stochastic_matrix_as_its_transpose(n):
+    p = random_row_stochastic(n)
+    row, column = WalkOperator(p, convention="row"), szegedy_walk(p.T)
+    for name in ("column_stochastic", "U", "A_op", "projector", "swap"):
+        mine, theirs = getattr(row, name), getattr(column, name)
+        assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
 
 
 def test_szegedy_walk_allocates_one_pair_space_array():

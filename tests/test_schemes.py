@@ -189,17 +189,22 @@ def test_array_results_compare_and_hash_by_identity(name):
 # dual and dims are read from its arrays, and tolerances and thresholds are
 # module constants.
 RECORD_INIT_FIELDS = {
+    "AssociationScheme": ("n", "d", "relation", "labels"),
     "AxiomReport": ("passed", "violations", "commutative"),
     "BoseMesnerDecomposition": ("scheme",),
     "FusionSystem": ("labels", "N", "F", "R", "twist"),
     "IntersectionTensor": ("p",),
     "KreinTensor": ("q",),
     "Hypergroup": ("convolution", "multiplicities"),
-    "WalkOperator": ("column_stochastic", "A_op", "U"),
+    "SchurChannel": ("multiplier",),
+    "TransitionExpectation": ("transition",),
+    "ChannelTrajectory": ("states", "trace_factors"),
+    "WalkOperator": ("column_stochastic",),
+    "BraidGenerators": ("label",),
     "CPReport": ("is_cp", "choi_min_eigenvalue", "multiplier_min_eigenvalue", "verdicts_agree"),
     "PentagonReport": ("max_residual", "identities_checked"),
     "HexagonReport": ("max_residual", "max_residual_inverse", "identities_checked"),
-    "BridgeReport": ("matched", "bijection", "scalars", "deviation"),
+    "BridgeReport": ("bijection", "scalars", "deviation"),
 }
 
 
@@ -207,6 +212,30 @@ RECORD_INIT_FIELDS = {
 def test_records_take_only_what_cannot_be_derived(name):
     fields = dataclasses.fields(getattr(schemewalk, name))
     assert tuple(f.name for f in fields if f.init) == RECORD_INIT_FIELDS[name]
+
+
+def test_every_exported_dataclass_lists_its_init_fields():
+    exported = {name for name in schemewalk.__all__
+                if dataclasses.is_dataclass(getattr(schemewalk, name))}
+    assert exported == set(RECORD_INIT_FIELDS)
+
+
+@pytest.mark.parametrize("name, parameters", [
+    ("WalkOperator", ["column_stochastic", "convention"]),
+    ("BraidGenerators", ["system", "label"]),
+])
+def test_the_walk_and_the_braids_are_built_from_their_input_alone(name, parameters):
+    # `convention` and `system` are read by the constructor and not kept
+    assert list(inspect.signature(getattr(schemewalk, name)).parameters) == parameters
+
+
+def test_the_walk_and_the_braids_take_no_derived_array_from_their_caller():
+    with pytest.raises(TypeError):
+        schemewalk.WalkOperator(np.ones((2, 2)), np.ones((4, 2)), np.ones((4, 4)))
+    eye = np.eye(2)
+    with pytest.raises(TypeError):
+        schemewalk.BraidGenerators("sigma", eye, np.diag([1.0, -1.0]), 0 * eye,
+                                   braid_residual=0.0)
 
 
 def test_a_decomposition_takes_no_spectrum_from_its_caller():
