@@ -116,19 +116,19 @@ def hypergroup_from(dec: BoseMesnerDecomposition, q: KreinTensor) -> Hypergroup:
     """The hypergroup of a decomposition and its Krein tensor, certified
     by the `Hypergroup` constructor.
 
-    When q wraps the tensor kept on the decomposition's algebra record,
-    the hypergroup is kept there too (see `schemes`); any other q, a
-    hand-built tensor equal in value included, is computed and certified
-    on each call.
+    When q is the tensor kept on the decomposition's algebra record, as
+    `krein_parameters` returns it, the hypergroup is kept there too and
+    every call returns that one object (see `schemes`); for any other q,
+    a hand-built one equal in value included, it is computed and
+    certified on each call.
     """
     if q.d != dec.d:
         raise ValidationError(
             f"Krein tensor has d={q.d} but decomposition has d={dec.d}"
         )
-    record = dec._algebra
-    if record.krein is None or q.q is not record.krein.q:
+    if q is not dec._algebra.krein:
         return _hypergroup(dec, q)
-    return record.derive("hypergroup", lambda: _hypergroup(dec, q))
+    return dec._algebra.derive("hypergroup", lambda: _hypergroup(dec, q))
 
 
 def _hypergroup(dec: BoseMesnerDecomposition, q: KreinTensor) -> Hypergroup:
@@ -186,8 +186,8 @@ def classical_chain(h: Hypergroup, coin) -> np.ndarray:
 def walk(h: Hypergroup, coin, start, steps: int) -> list[np.ndarray]:
     """Iterate the coin chain from `start`, an index or a distribution;
     returns steps+1 distributions."""
-    if steps < 0:
-        raise ValidationError("steps must be >= 0")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
+        raise ValidationError(f"steps must be an integer >= 0, got {steps!r}")
     t = classical_chain(h, coin)
     current = _measure(h, start, "start")
     history = [current]

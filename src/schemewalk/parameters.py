@@ -104,9 +104,9 @@ def intersection_numbers(s: AssociationScheme) -> IntersectionTensor:
     """Exact intersection numbers, certified on every pair.
 
     They come out of the axiom-4 pass of `verify_axioms`, which checks
-    A_i A_j = sum_k p_{ij}^k A_k entrywise for every i and j; a scheme
-    that was already verified returns its kept tensor.  The tensor is
-    certified once per algebra record, where it is kept (see `schemes`).
+    A_i A_j = sum_k p_{ij}^k A_k entrywise for every i and j.  The tensor
+    is certified once per algebra record, and every call returns the one
+    object kept there (see `schemes`).
     Raises ValidationError when the input is not an association scheme.
     """
     record = require_axioms(s)._algebra
@@ -120,8 +120,8 @@ def krein_parameters(dec: BoseMesnerDecomposition) -> KreinTensor:
     entry; each is written to (i, j) and (j, i), so q is exactly symmetric
     in i and j.  Raises CertificationError if any entry falls below the
     nonnegativity tolerance, if an entry has a non-real residue, or if the
-    trace identity sum_k m_k q_{ij}^k = m_i m_j fails.  The tensor is
-    kept on the decomposition's algebra record (see `schemes`).
+    trace identity sum_k m_k q_{ij}^k = m_i m_j fails.  Every call
+    returns the one tensor kept on the algebra record (see `schemes`).
     """
     return dec._algebra.derive("krein", lambda: _krein(dec))
 

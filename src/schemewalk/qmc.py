@@ -358,8 +358,8 @@ def iterate_channel(channel, rho0, steps: int) -> ChannelTrajectory:
     failure no such flag can arise: a state of trace 1 whose least
     eigenvalue is >= -_PSD_TOL has entries of order 1.
     """
-    if steps < 0:
-        raise ValidationError("steps must be >= 0")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
+        raise ValidationError(f"steps must be an integer >= 0, got {steps!r}")
     if isinstance(channel, SchurChannel):
         if channel._multiplier_min < -_PSD_TOL:
             raise CertificationError(

@@ -11,13 +11,15 @@ R_0..R_d whose 0/1 matrices A_j satisfy
 and the scheme is commutative when additionally A_i A_j = A_j A_i.
 
 The canonical representation here is the n x n `relation` matrix of class
-indices (relation[x][y] = j iff (x, y) in R_j); adjacency matrices are
-derived 0/1 views.  All axiom checks are exact.  Axiom 4 packs blocks of
-g classes into base-(n+1) digits, W = sum_t (n+1)^t A_{j0+t}, with g the
-largest such that (n+1)^g <= 2^53, and multiplies A_i W as float64
-through BLAS: each count (A_i A_j)[x, y] <= n is one digit, and every
-partial sum is an integer below 2^53, so each product entry is computed
-exactly in any summation order.
+indices (relation[x][y] = j iff (x, y) in R_j), held read-only in the
+narrowest little-endian u1/u2/u4 that holds d (`_packed_dtype`); its
+bytes are the payload of the scheme's file and of its store key.
+Adjacency matrices are derived 0/1 views.  All axiom checks are exact.
+Axiom 4 packs blocks of g classes into base-(n+1) digits, W = sum_t
+(n+1)^t A_{j0+t}, with g the largest such that (n+1)^g <= 2^53, and
+multiplies A_i W as float64 through BLAS: each count (A_i A_j)[x, y] <= n
+is one digit, and every partial sum is an integer below 2^53, so each
+product entry is computed exactly in any summation order.
 
 Few classes need multiplying, because a few elements generate the
 Bose-Mesner algebra S = span{A_0..A_d} (one adjacency matrix for a
@@ -57,8 +59,8 @@ What p determines is computed once per record, through
 there, `BoseMesnerDecomposition` (m, P, Q), `krein_parameters` the
 `KreinTensor` and `hypergroup_from` the `Hypergroup`, each certified
 before it is kept, its arrays read-only.
-Every call, on any scheme whose report holds the record, gets a new
-object that wraps the kept arrays without copying them.  A refusal is
+Every call, on any scheme whose report holds the record, gets the kept
+object itself, so equal content gets the same object.  A refusal is
 never kept; it is raised again on every call.  The store is a
 least-recently-used map bounded by `_REPORT_STORE_BYTES` of key bytes
 and record charges.  A record's charge is fixed when it is made: p, and
@@ -74,7 +76,6 @@ the Cayley table.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import threading
 from collections import OrderedDict
@@ -112,13 +113,15 @@ class AssociationScheme:
     d : int
         Number of non-identity classes (class indices run 0..d).
     relation : np.ndarray
-        n x n integer matrix, relation[x][y] = class of the pair (x, y).
+        n x n C-contiguous matrix, relation[x][y] = class of the pair (x, y),
+        held as `_packed_dtype(d)`; unsigned, so arithmetic must cast first.
     labels : tuple of str, optional
         Per-class display names.
 
-    The relation matrix is copied on construction, so the scheme never
-    shares memory with the caller.  The first `verify_axioms` call keeps
-    its report (and with it the intersection tensor) on the scheme.
+    The relation matrix is range-checked before it is copied at that
+    width, so no entry wraps and the scheme never shares memory with the
+    caller.  The first `verify_axioms` call keeps its report (and with it
+    the intersection tensor) on the scheme.
 
     Two schemes are equal when n, d, labels and the relation matrix agree;
     the kept report plays no part.  The read-only relation matrix makes the
@@ -132,9 +135,7 @@ class AssociationScheme:
     _axioms: AxiomReport | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        rel = np.array(numeric_array(self.relation, "relation matrix"), dtype=np.int64)
-        rel.setflags(write=False)
-        object.__setattr__(self, "relation", rel)
+        rel = numeric_array(self.relation, "relation matrix")
         if self.n < 1:
             raise ValidationError(f"a scheme needs at least one vertex, got n={self.n}")
         if self.d > self.n * (self.n - 1):
@@ -149,6 +150,9 @@ class AssociationScheme:
             raise ValidationError(
                 f"class indices must lie in 0..{self.d}, found {rel.min()}..{rel.max()}"
             )
+        rel = np.array(rel, dtype=_packed_dtype(self.d), order="C")
+        rel.setflags(write=False)
+        object.__setattr__(self, "relation", rel)
         if self.labels is not None:
             if len(self.labels) != self.d + 1:
                 raise ValidationError("labels must list one name per class")
@@ -232,17 +236,15 @@ class _Algebra:
         return isinstance(other, _Algebra) and np.array_equal(self.p, other.p)
 
     def derive(self, name: str, compute):
-        """A shallow copy of the value `name`: the kept one, else the
-        result of `compute()`, kept unless a caller kept one first.  What
-        `compute` raises propagates, and nothing is kept."""
-        value = getattr(self, name)
-        if value is None:
+        """The kept value `name`, else the result of `compute()`, kept
+        unless a caller kept one first; every caller gets the kept object.
+        What `compute` raises propagates, and nothing is kept."""
+        if getattr(self, name) is None:
             value = compute()
             with _REPORTS._lock:
                 if getattr(self, name) is None:
                     setattr(self, name, value)
-                value = getattr(self, name)
-        return copy.copy(value)
+        return getattr(self, name)
 
 
 class _ReportStore:
@@ -327,12 +329,11 @@ def _packed_dtype(d: int) -> np.dtype:
 
 
 def _content_key(s: AssociationScheme) -> tuple | None:
-    """(n, d, the relation matrix's bytes in `_packed_dtype(d)`, as scheme
-    files carry them), or None when those bytes alone exceed the store."""
-    dtype = _packed_dtype(s.d)
-    if s.n * s.n * dtype.itemsize > _REPORT_STORE_BYTES:
+    """(n, d, the relation matrix's bytes, as scheme files carry them), or
+    None when those bytes alone exceed the store."""
+    if s.relation.nbytes > _REPORT_STORE_BYTES:
         return None
-    return s.n, s.d, s.relation.astype(dtype).tobytes()
+    return s.n, s.d, s.relation.tobytes()
 
 
 def verify_axioms(s: AssociationScheme) -> AxiomReport:
@@ -376,7 +377,7 @@ def require_axioms(s: AssociationScheme) -> AxiomReport:
 
 
 def _check_axioms(s: AssociationScheme) -> AxiomReport:
-    rel = s.relation
+    rel = s.relation.astype(np.intp)  # gathers, and codes up to (d+1)^3
     n, d = s.n, s.d
     violations: list[tuple[int, tuple[int, ...]]] = []
 

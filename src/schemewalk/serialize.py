@@ -2,15 +2,15 @@
 
 Kinds: scheme, cayley, matrix, tensor, fusion-system, distribution.
 Conventions: a scheme's relation matrix is written packed, as
-{"dtype": "u1" | "u2" | "u4", "base64": ...}: its class indices as
-little-endian unsigned integers of the narrowest of those widths that
-holds d, row-major, in canonical base64 (RFC 4648); a nested list of
-rows is still read.  Every other matrix is a nested row-major array;
-complex entries are [re, im] pairs (a matrix is complex iff its entries
-are pairs); floats are emitted via repr, which round-trips exactly.
-Loading validates the object's own invariants and raises
-ValidationError on anything malformed, so a loaded object is ready to
-use.
+{"dtype": "u1" | "u2" | "u4", "base64": ...}: the scheme's own bytes, its
+class indices as little-endian unsigned integers of the narrowest of
+those widths that holds d, row-major, in canonical base64 (RFC 4648);
+any of the three widths, or a nested list of rows, is still read.
+Every other matrix is a nested row-major array; complex entries are
+[re, im] pairs (a matrix is complex iff its entries are pairs); floats
+are emitted via repr, which round-trips exactly.  Loading validates the
+object's own invariants and raises ValidationError on anything
+malformed, so a loaded object is ready to use.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import groups
 from .anyons import FusionSystem
 from .errors import ValidationError, numeric_array
 from .parameters import IntersectionTensor, KreinTensor
-from .schemes import AssociationScheme, _packed_dtype, require_axioms
+from .schemes import AssociationScheme, require_axioms
 from .spectral import BoseMesnerDecomposition
 
 KINDS = ("scheme", "cayley", "matrix", "tensor", "fusion-system", "distribution")
@@ -81,11 +81,9 @@ def _decode_keyed(data, name: str, form: str, decode) -> dict:
     return out
 
 
-def _pack_relation(rel: np.ndarray, d: int) -> dict:
-    """The packed form of a relation matrix whose entries lie in 0..d."""
-    dtype = _packed_dtype(d)
-    raw = np.ascontiguousarray(rel, dtype=dtype)
-    return {"dtype": f"u{dtype.itemsize}", "base64": base64.b64encode(raw).decode("ascii")}
+def _pack_relation(rel: np.ndarray) -> dict:
+    """The packed form of a scheme's relation matrix: its own bytes."""
+    return {"dtype": f"u{rel.itemsize}", "base64": base64.b64encode(rel).decode("ascii")}
 
 
 def _unpack_relation(data: dict, n: int) -> np.ndarray:
@@ -147,7 +145,7 @@ def _json_int(data: dict, key: str) -> int:
 
 def to_jsonable(kind: str, obj):
     if kind == "scheme":
-        out = {"n": obj.n, "d": obj.d, "relation": _pack_relation(obj.relation, obj.d)}
+        out = {"n": obj.n, "d": obj.d, "relation": _pack_relation(obj.relation)}
         if obj.labels is not None:
             out["labels"] = list(obj.labels)
         return out

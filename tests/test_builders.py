@@ -5,7 +5,7 @@ subspaces, `_johnson_oracle` intersects frozensets pair by pair and
 `_cayley_oracle` walks the Cayley table y, z by y, z, and `_orbit_oracle`
 grows each orbital by a breadth-first search over pairs.  The builders in
 `schemes` must reproduce their relation matrices exactly: same vertex
-order, int64.
+order, held at the scheme's packed width.
 """
 
 import itertools
@@ -28,7 +28,11 @@ from schemewalk import (
     galois,
     groups,
 )
-from schemewalk.schemes import DEFAULT_VERTEX_CAP, _class_order_with_identity_first
+from schemewalk.schemes import (
+    DEFAULT_VERTEX_CAP,
+    _class_order_with_identity_first,
+    _packed_dtype,
+)
 from tests.gf_reference import intersection_dim
 
 
@@ -102,7 +106,7 @@ def _conjugacy_class_of(g):
 
 
 def _assert_same(built, expected):
-    assert built.relation.dtype == np.int64
+    assert built.relation.dtype == _packed_dtype(built.d)
     assert np.array_equal(built.relation, expected)
 
 

@@ -41,17 +41,11 @@ def test_the_guard_sees_an_unused_import():
         "line 1: json", "line 2: path"]
 
 
-# The one private name shared across modules: the width rule that scheme
-# files and the report store's key both use for relation bytes.
-SHARED_PRIVATE = {"_packed_dtype"}
-
-
 def _private_imports(source: str) -> list[str]:
     return [f"line {node.lineno}: {alias.name}"
             for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)
             for alias in node.names
-            if alias.name.startswith("_") and not alias.name.startswith("__")
-            and alias.name not in SHARED_PRIVATE]
+            if alias.name.startswith("_") and not alias.name.startswith("__")]
 
 
 @pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -65,7 +59,8 @@ def test_the_guard_sees_a_private_import():
     source = ("from __future__ import annotations\nimport numpy as _np\n"
               "from .schemes import _REPORTS, AssociationScheme, _packed_dtype\n"
               "from .spectral import (\n    _own_record,\n)\n")
-    assert _private_imports(source) == ["line 3: _REPORTS", "line 4: _own_record"]
+    assert _private_imports(source) == [
+        "line 3: _REPORTS", "line 3: _packed_dtype", "line 4: _own_record"]
 
 
 def _private_definitions(tree: ast.Module) -> dict[str, int]:

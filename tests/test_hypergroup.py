@@ -223,6 +223,16 @@ def test_walk_rejects_negative_steps(j42_hypergroup):
         walk(j42_hypergroup, 1, np.array([1.0, 0.0, 0.0]), -1)
 
 
+@pytest.mark.parametrize("steps", [2.5, 2.0, True, np.True_, "2", None, np.int64(-1)])
+def test_walk_takes_steps_as_an_integer_alone(steps, j42_hypergroup):
+    """A bool, a float or a string is refused; a NumPy integer counts as an int."""
+    with pytest.raises(ValidationError, match="steps must be an integer >= 0, got "):
+        walk(j42_hypergroup, 1, 0, steps)
+    by_numpy = walk(j42_hypergroup, 1, 0, np.uint8(2))
+    assert len(by_numpy) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(by_numpy, walk(j42_hypergroup, 1, 0, 2)))
+
+
 # A KreinTensor can be built by hand, so hypergroup_from checks what it reads.
 # J(4,2) has d = 2 and multiplicities (1, 3, 2); weight (i,j,k) is
 # q_ij^k m_k / (m_i m_j).  The d-mismatch case reads the Krein tensor of

@@ -298,8 +298,7 @@ def test_intersection_numbers_are_certified_once_per_algebra_record(monkeypatch,
     copies = [relabelled(j42, range(6)), relabelled(j42, [3, 1, 4, 0, 5, 2])]
     tensors = [intersection_numbers(s) for s in copies for _ in range(2)]
     assert len(built) == 1
-    assert all(t.p is tensors[0].p for t in tensors)
-    assert len({id(t) for t in tensors}) == 4
+    assert all(t is tensors[0] for t in tensors)
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.int32])

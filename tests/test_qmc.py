@@ -388,6 +388,18 @@ def test_iterate_rejects_bad_density():
         iterate_channel(ch, np.array([[1.5, 0.0], [0.0, -0.5]]), 1)  # not PSD
 
 
+@pytest.mark.parametrize("steps", [2.5, 2.0, True, np.True_, "2", None, np.int64(-1)])
+def test_iterate_takes_steps_as_an_integer_alone(steps):
+    """A bool, a float or a string is refused; a NumPy integer counts as an int."""
+    ch = SchurChannel(np.ones((2, 2)) / 2)
+    with pytest.raises(ValidationError, match="steps must be an integer >= 0, got "):
+        iterate_channel(ch, np.eye(2) / 2, steps)
+    by_numpy = iterate_channel(ch, np.eye(2) / 2, np.uint8(2))
+    assert len(by_numpy.states) == 3
+    assert all(np.array_equal(a, b)
+               for a, b in zip(by_numpy.states, iterate_channel(ch, np.eye(2) / 2, 2).states))
+
+
 def test_iterate_absorbed_state():
     # PSD multiplier with a zero diagonal entry kills a state supported there
     mult = np.diag([0.0, 1.0])

@@ -6,6 +6,9 @@ import pytest
 
 import schemewalk
 from schemewalk import (
+    Hypergroup,
+    IntersectionTensor,
+    KreinTensor,
     SchurChannel,
     ValidationError,
     braid_generators,
@@ -26,7 +29,7 @@ from schemewalk import (
     szegedy_walk,
     verify_axioms,
 )
-from schemewalk.schemes import AssociationScheme
+from schemewalk.schemes import AssociationScheme, _packed_dtype
 from tests.conftest import BUILTIN_NAMES, COMMUTATIVE_NAMES, NONCOMMUTATIVE
 
 EXPECTED_SIZES = {
@@ -160,14 +163,23 @@ def test_decomposition_equality_is_identity():
 _J42 = build_johnson(4, 2)
 _P = np.array([[0.5, 0.5], [0.25, 0.75]])
 
-# Each builder returns a fresh result object holding arrays; the
-# intersection tensor's two builds share one certified p array.
+
+
+def _rebuilt_hypergroup():
+    dec = decompose(_J42)
+    kept = hypergroup_from(dec, krein_parameters(dec))
+    return Hypergroup(kept.convolution, kept.multiplicities)
+
+
+# Each builder returns a fresh result object holding arrays.  The served
+# tensors and hypergroup are the objects kept on the algebra record, so
+# their entries wrap the kept arrays in new objects through the constructors.
 RESULT_BUILDERS = {
     "FusionSystem": lambda: cyclic_fusion_system(3),
     "BraidGenerators": lambda: braid_generators(builtin_fusion_system("ising")),
-    "Hypergroup": lambda: hypergroup_from(decompose(_J42), krein_parameters(decompose(_J42))),
-    "IntersectionTensor": lambda: intersection_numbers(_J42),
-    "KreinTensor": lambda: krein_parameters(decompose(_J42)),
+    "Hypergroup": _rebuilt_hypergroup,
+    "IntersectionTensor": lambda: IntersectionTensor(intersection_numbers(_J42).p),
+    "KreinTensor": lambda: KreinTensor(krein_parameters(decompose(_J42)).q),
     "SchurChannel": lambda: SchurChannel(np.eye(3)),
     "TransitionExpectation": lambda: make_transition_expectation(_P),
     "ChannelTrajectory": lambda: iterate_channel(
@@ -301,6 +313,30 @@ def test_more_classes_than_off_diagonal_pairs_is_refused(n, d):
     rel = 1 - np.eye(n, dtype=np.int64)
     with pytest.raises(ValidationError, match="non-identity classes"):
         AssociationScheme(n=n, d=d, relation=rel)
+
+
+@pytest.mark.parametrize("d, dtype", [(255, "<u1"), (256, "<u2"), (2 ** 16 - 1, "<u2"),
+                                      (2 ** 16, "<u4")])
+def test_the_relation_is_held_at_the_narrowest_width_that_holds_d(d, dtype):
+    """Direct construction, no axiom check: 17 vertices hold 256 classes
+    and 257 hold 65,536.  Every class 0..d occurs, d included."""
+    n = 17 if d < 2 ** 16 - 1 else 257
+    given = np.asfortranarray(np.arange(n * n).reshape(n, n) % (d + 1))
+    s = AssociationScheme(n=n, d=d, relation=given)
+    rel = s.relation
+    assert rel.dtype == np.dtype(dtype) == _packed_dtype(d)
+    assert rel.flags.c_contiguous and not rel.flags.writeable
+    assert not np.shares_memory(rel, given) and rel.max() == d
+    assert np.array_equal(rel, given)
+
+
+@pytest.mark.parametrize("d, entry", [(255, 256), (255, -1), (2 ** 16 - 1, 2 ** 16), (1, -1)])
+def test_an_entry_outside_the_classes_is_refused_before_narrowing(d, entry):
+    n = 17 if d < 2 ** 16 - 1 else 257
+    given = np.arange(n * n).reshape(n, n) % (d + 1)
+    given[1, 2] = entry
+    with pytest.raises(ValidationError, match=rf"class indices must lie in 0\.\.{d}, found "):
+        AssociationScheme(n=n, d=d, relation=given)
 
 
 def test_as_many_classes_as_off_diagonal_pairs_is_checked():

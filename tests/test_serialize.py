@@ -19,7 +19,9 @@ from schemewalk import (
     decompose,
     groups,
     intersection_numbers,
+    schemes,
 )
+from schemewalk.schemes import _packed_dtype
 from schemewalk.serialize import (
     decode_matrix,
     decomposition_to_jsonable,
@@ -240,9 +242,31 @@ def test_scheme_roundtrips_through_both_wire_forms(builtin_schemes):
             nested = {**packed, "relation": case.relation.tolist()}
             for data in (packed, nested):
                 back = from_jsonable("scheme", data)
-                assert back.relation.dtype == np.int64
+                assert back.relation.dtype == _packed_dtype(case.d)
                 assert np.array_equal(back.relation, case.relation)
                 assert (back.n, back.d, back.labels) == (case.n, case.d, case.labels)
+
+
+def test_the_file_and_the_store_key_carry_the_schemes_own_bytes(builtin_schemes, tmp_path):
+    """The relation bytes a scheme holds are the payload of its file and
+    the bytes of its store key; a loaded scheme holds them again, read
+    from its packed file at any width or from nested rows."""
+    path = tmp_path / "scheme.json"
+    for seed, s in enumerate(builtin_schemes.values()):
+        for case in (s, _relabelled(s, seed)):
+            rel = case.relation
+            assert rel.dtype == _packed_dtype(case.d)
+            assert rel.flags.c_contiguous and not rel.flags.writeable
+            save(path, "scheme", case)
+            packed = json.loads(path.read_text())["relation"]
+            assert packed["dtype"] == f"u{rel.itemsize}"
+            assert base64.b64decode(packed["base64"]) == rel.tobytes()
+            assert schemes._content_key(case) == (case.n, case.d, rel.tobytes())
+            wider = {"dtype": "u4", "base64": base64.b64encode(rel.astype("<u4")).decode()}
+            for relation in (packed, wider, rel.tolist()):
+                back = from_jsonable("scheme", {"n": case.n, "d": case.d, "relation": relation})
+                assert back.relation.dtype == rel.dtype and back.relation.tobytes() == rel.tobytes()
+                assert back.relation.flags.c_contiguous and not back.relation.flags.writeable
 
 
 def test_packed_dtype_is_the_narrowest_that_holds_d():
