@@ -35,18 +35,15 @@ class FiniteGroup:
     ----------
     table : np.ndarray
         Read-only int64 copy of the given integer table; ``table[x, y]`` = x*y.
-    name : str
-        Human-readable tag used in error messages and CLI output.
     identity : int
         Index of the neutral element (derived).
     inverse : tuple of int
         ``inverse[x]`` = index of x**-1 (derived).
 
-    Groups compare and hash by name and table.
+    The table is the only argument.  Groups compare and hash by it.
     """
 
     table: np.ndarray
-    name: str = "group"
     identity: int = field(init=False)
     inverse: tuple[int, ...] = field(init=False)
 
@@ -93,10 +90,10 @@ class FiniteGroup:
     def __eq__(self, other):
         if not isinstance(other, FiniteGroup):
             return NotImplemented
-        return self.name == other.name and np.array_equal(self.table, other.table)
+        return np.array_equal(self.table, other.table)
 
     def __hash__(self):
-        return hash((self.name, self.table.tobytes()))
+        return hash(self.table.tobytes())
 
     @property
     def order(self) -> int:
@@ -144,9 +141,9 @@ def _generators(c: np.ndarray, identity: int) -> list[int]:
     return gens
 
 
-def from_table(cayley, name: str = "group") -> FiniteGroup:
+def from_table(cayley) -> FiniteGroup:
     """Build and validate a group from a nested-list or array Cayley table."""
-    return FiniteGroup(cayley, name=name)
+    return FiniteGroup(cayley)
 
 
 def _require_order_within_cap(order: int, name: str):
@@ -162,7 +159,7 @@ def cyclic(n: int) -> FiniteGroup:
         raise ValidationError("cyclic group needs n >= 1")
     _require_order_within_cap(n, f"Z_{n}")
     k = np.arange(n)
-    return FiniteGroup((k[:, None] + k) % n, name=f"Z_{n}")
+    return FiniteGroup((k[:, None] + k) % n)
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -176,7 +173,7 @@ def symmetric(n: int) -> FiniteGroup:
     composed = perms[:, perms]
     # base-n codes of the lexicographic order ascend, so searchsorted ranks them
     place = n ** np.arange(n - 1, -1, -1)
-    return FiniteGroup(np.searchsorted(perms @ place, composed @ place), name=f"S_{n}")
+    return FiniteGroup(np.searchsorted(perms @ place, composed @ place))
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -188,7 +185,7 @@ def dihedral(n: int) -> FiniteGroup:
     kb, ib = ka[None, :], ia[None, :]
     ka, ia = ka[:, None], ia[:, None]
     table = np.where(kb == 0, ka * n + (ia + ib) % n, (ka ^ 1) * n + (ib - ia) % n)
-    return FiniteGroup(table, name=f"D_{n}")
+    return FiniteGroup(table)
 
 
 def quaternion() -> FiniteGroup:
@@ -198,7 +195,7 @@ def quaternion() -> FiniteGroup:
     axis, negative = np.divmod(np.arange(8), 2)
     a, b = axis[:, None], axis[None, :]
     flip = ((a == b) | ((b - a) % 3 == 2)) & (a > 0) & (b > 0)
-    return FiniteGroup(2 * (a ^ b) + (negative[:, None] ^ negative ^ flip), name="Q_8")
+    return FiniteGroup(2 * (a ^ b) + (negative[:, None] ^ negative ^ flip))
 
 
 _BUILTIN_FACTORIES = {

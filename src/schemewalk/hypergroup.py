@@ -41,7 +41,8 @@ class Hypergroup:
 
     The constructor certifies its input, whoever built it.  It refuses
     (ValidationError) a convolution that is not a (d+1)^3 array of real
-    numbers and multiplicities that are not d+1 positive numbers, and
+    numbers and multiplicities that are not d+1 positive finite real
+    numbers, a boolean among them included, and
     (CertificationError) a weight below the clamping floor -1e-8, a
     non-finite weight, a slice whose total mass strays from 1 by more
     than 1e-8, and an index 0 that is not the identity within 1e-8.  The
@@ -58,12 +59,17 @@ class Hypergroup:
         if conv.ndim != 3 or len(set(conv.shape)) != 1:
             raise ValidationError(f"convolution must be (d+1)^3, got shape {conv.shape}")
         size = conv.shape[0]
-        mults = tuple(self.multiplicities)
-        if len(mults) != size:
+        mults = numeric_array(self.multiplicities, "multiplicities", kinds="iuf")
+        if mults.shape != (size,):
             raise ValidationError(
-                f"need {size} multiplicities for a {size}^3 convolution, got {len(mults)}")
-        if not all(m > 0 for m in mults):
-            raise ValidationError(f"multiplicities must be positive, got {list(mults)}")
+                f"need {size} multiplicities for a {size}^3 convolution, "
+                f"got {mults.size} in shape {mults.shape}")
+        # a bool among numbers is upcast to a number, so it is looked for here
+        if any(isinstance(m, (bool, np.bool_)) for m in self.multiplicities):
+            raise ValidationError(f"multiplicities must be numbers, got {self.multiplicities!r}")
+        if not np.all(np.isfinite(mults) & (mults > 0)):
+            raise ValidationError(
+                f"multiplicities must be positive and finite, got {mults.tolist()}")
 
         low = float(conv.min())
         if low < _CLAMP_FLOOR:
@@ -101,7 +107,7 @@ class Hypergroup:
         conv[:, 0, :] = delta
         conv.setflags(write=False)
         object.__setattr__(self, "convolution", conv)
-        object.__setattr__(self, "multiplicities", mults)
+        object.__setattr__(self, "multiplicities", tuple(mults.tolist()))
 
     @property
     def size(self) -> int:
@@ -138,7 +144,7 @@ def _hypergroup(dec: BoseMesnerDecomposition, q: KreinTensor) -> Hypergroup:
 
 
 def _as_distribution(vec, size: int, what: str) -> np.ndarray:
-    v = np.asarray(vec, dtype=np.float64)
+    v = numeric_array(vec, what, kinds="iuf").astype(np.float64, copy=False)
     if v.shape != (size,):
         raise ValidationError(f"{what} must have length {size}, got shape {v.shape}")
     if not np.all(np.isfinite(v)):

@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CertificationError, ValidationError
+from .errors import CertificationError, ValidationError, numeric_array
 
 _PSD_TOL = 1e-10
 _STOCHASTIC_TOL = 1e-12
@@ -51,8 +51,9 @@ _STATIONARY_TOL = 1e-9
 _PAIR_SPACE_MAX_VERTICES = 64
 
 
-def _require_square(m: np.ndarray, what: str) -> np.ndarray:
-    a = np.asarray(m)
+def _require_square(m, what: str, kinds: str) -> np.ndarray:
+    """`m` as a finite, non-empty square array of the dtype `kinds`."""
+    a = numeric_array(m, what, kinds)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValidationError(f"{what} must be a non-empty square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -63,7 +64,7 @@ def _require_square(m: np.ndarray, what: str) -> np.ndarray:
 def _column_stochastic(d_matrix, convention: str) -> np.ndarray:
     """The input, transposed if `convention` is "row", checked to be
     column-stochastic within _STOCHASTIC_TOL and clipped at 0."""
-    mat = _require_square(np.asarray(d_matrix, dtype=np.float64), "stochastic matrix")
+    mat = _require_square(d_matrix, "stochastic matrix", "iuf").astype(np.float64, copy=False)
     if convention not in ("column", "row"):
         raise ValidationError(f"convention must be 'column' or 'row', got {convention!r}")
     if mat.min() < -_STOCHASTIC_TOL:
@@ -85,7 +86,7 @@ class SchurChannel:
     multiplier: np.ndarray
 
     def __post_init__(self):
-        e = _require_square(self.multiplier, "multiplier").astype(np.complex128)
+        e = _require_square(self.multiplier, "multiplier", "iufc").astype(np.complex128)
         if np.max(np.abs(e - e.conj().T)) > _PSD_TOL:
             raise ValidationError("multiplier must be Hermitian")
         e.setflags(write=False)
@@ -104,14 +105,23 @@ class SchurChannel:
 
 @dataclass(frozen=True)
 class CPReport:
-    is_cp: bool
+    """The least eigenvalues of the Choi matrix and of the multiplier;
+    the verdicts are read from them under `_PSD_TOL`."""
+
     choi_min_eigenvalue: float
     multiplier_min_eigenvalue: float
-    verdicts_agree: bool
+
+    @property
+    def is_cp(self) -> bool:
+        return self.choi_min_eigenvalue >= -_PSD_TOL
+
+    @property
+    def verdicts_agree(self) -> bool:
+        return self.is_cp == (self.multiplier_min_eigenvalue >= -_PSD_TOL)
 
 
-def schur_channel_apply(c: SchurChannel, m: np.ndarray) -> np.ndarray:
-    a = np.asarray(m)
+def schur_channel_apply(c: SchurChannel, m) -> np.ndarray:
+    a = numeric_array(m, "matrix", "iufc")
     if a.shape != c.multiplier.shape:
         raise ValidationError(
             f"matrix shape {a.shape} does not match channel dimension {c.multiplier.shape}"
@@ -130,19 +140,13 @@ def certify_cp(c: SchurChannel) -> CPReport:
     eigenvalue kept on the channel (one `eigvalsh` per channel, shared
     with `iterate_channel`), and they agree by construction.  For n > 1,
     `choi_min_eigenvalue` is that eigenvalue capped at the padded 0.0.
-    A least eigenvalue down to -1e-10 (`_PSD_TOL`) counts as semidefinite.
-    The dense Choi matrix (capped at 64 dimensions) is the independent
-    route the tests check this against.
+    A least eigenvalue down to -1e-10 (`_PSD_TOL`) counts as semidefinite;
+    the report keeps the two eigenvalues and reads `is_cp` and
+    `verdicts_agree` from them.  The dense Choi matrix (capped at 64
+    dimensions) is the independent route the tests check this against.
     """
     mult_min = c._multiplier_min
-    choi_min = min(mult_min, 0.0) if c.dim > 1 else mult_min
-    is_cp = choi_min >= -_PSD_TOL
-    return CPReport(
-        is_cp=is_cp,
-        choi_min_eigenvalue=choi_min,
-        multiplier_min_eigenvalue=mult_min,
-        verdicts_agree=is_cp == (mult_min >= -_PSD_TOL),
-    )
+    return CPReport(min(mult_min, 0.0) if c.dim > 1 else mult_min, mult_min)
 
 
 def dilation_unitary(p) -> np.ndarray:
@@ -152,7 +156,7 @@ def dilation_unitary(p) -> np.ndarray:
     U[i][j] = delta_ij - sqrt(p_i p_j) / (1 + sqrt(p_0)).  Orthogonality
     is exact algebra; the construction only takes square roots.
     """
-    vec = np.asarray(p, dtype=np.float64)
+    vec = numeric_array(p, "distribution", "iuf").astype(np.float64, copy=False)
     if vec.ndim != 1 or vec.size < 1:
         raise ValidationError("distribution must be a non-empty vector")
     if not np.all(np.isfinite(vec)):
@@ -242,8 +246,8 @@ def apply_transition_expectation(te: TransitionExpectation, m, n) -> np.ndarray:
     is M[i][j] sum_{k,l} sqrtP[i][k] N[k][l] sqrtP[j][l]: O(d^3) time and
     O(d^2) memory, and V is never formed.
     """
-    a = np.asarray(m)
-    b = np.asarray(n)
+    a = numeric_array(m, "site matrix M", "iufc")
+    b = numeric_array(n, "site matrix N", "iufc")
     _check_sites(te, a, b)
     root = te.sqrt_transition
     return a * (root @ b @ root.T)
@@ -276,7 +280,7 @@ def transition_expectation_dual(te: TransitionExpectation, rho: np.ndarray) -> n
     diagonal.  A complex rho gives a complex128 image, a real rho a real
     one.
     """
-    r = np.asarray(rho)
+    r = numeric_array(rho, "density matrix", "iufc")
     if r.shape != (te.dim, te.dim):
         raise ValidationError(f"density matrix must be {te.dim}x{te.dim}, got shape {r.shape}")
     real, imag = _dual_parts(te.sqrt_transition, np.diagonal(r))
@@ -291,7 +295,7 @@ class ChannelTrajectory:
 
 def _check_density(rho: np.ndarray, dim: int) -> tuple[np.ndarray, float]:
     """The validated density matrix as complex128, and its least eigenvalue."""
-    r = _require_square(rho, "density matrix").astype(np.complex128)
+    r = _require_square(rho, "density matrix", "iufc").astype(np.complex128)
     if r.shape[0] != dim:
         raise ValidationError(f"density matrix must be {dim}x{dim}, got {r.shape}")
     if np.max(np.abs(r - r.conj().T)) > _PSD_TOL:
@@ -370,7 +374,7 @@ def iterate_channel(channel, rho0, steps: int) -> ChannelTrajectory:
             f"cannot iterate {type(channel).__name__}; "
             "expected SchurChannel or TransitionExpectation"
         )
-    rho, low = _check_density(np.asarray(rho0), channel.dim)
+    rho, low = _check_density(rho0, channel.dim)
     diags = np.empty((steps + 1, channel.dim), dtype=np.complex128)
     diags[0] = np.diagonal(rho)
     if isinstance(channel, SchurChannel):

@@ -44,7 +44,7 @@ kept per content.  When `verify_axioms` meets a scheme it has not
 checked, it looks the scheme's content up in a process-wide store keyed
 by n, d and the relation matrix's bytes; a scheme with the content of an
 earlier one gets that report without any check running again.  Keys
-match by byte equality, never by a hash alone, and labels play no part.
+match by byte equality, never by a hash alone.
 
 The Bose-Mesner algebra, and with it the spectrum (m, P, Q), the Krein
 parameters and the hypergroup, is a function of p alone, whatever the
@@ -115,26 +115,31 @@ class AssociationScheme:
     relation : np.ndarray
         n x n C-contiguous matrix, relation[x][y] = class of the pair (x, y),
         held as `_packed_dtype(d)`; unsigned, so arithmetic must cast first.
-    labels : tuple of str, optional
-        Per-class display names.
 
+    n and d must be integers: bools, floats and strings are refused
+    before any other check, and NumPy integers are stored as Python ints,
+    so every accepted scheme can be written to its file and read back.
     The relation matrix is range-checked before it is copied at that
     width, so no entry wraps and the scheme never shares memory with the
     caller.  The first `verify_axioms` call keeps its report (and with it
     the intersection tensor) on the scheme.
 
-    Two schemes are equal when n, d, labels and the relation matrix agree;
-    the kept report plays no part.  The read-only relation matrix makes the
+    Two schemes are equal when n, d and the relation matrix agree; the
+    kept report plays no part.  The read-only relation matrix makes the
     hash stable.
     """
 
     n: int
     d: int
     relation: np.ndarray
-    labels: tuple[str, ...] | None = None
     _axioms: AxiomReport | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        for name in ("n", "d"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         rel = numeric_array(self.relation, "relation matrix")
         if self.n < 1:
             raise ValidationError(f"a scheme needs at least one vertex, got n={self.n}")
@@ -153,19 +158,15 @@ class AssociationScheme:
         rel = np.array(rel, dtype=_packed_dtype(self.d), order="C")
         rel.setflags(write=False)
         object.__setattr__(self, "relation", rel)
-        if self.labels is not None:
-            if len(self.labels) != self.d + 1:
-                raise ValidationError("labels must list one name per class")
-            object.__setattr__(self, "labels", tuple(self.labels))
 
     def __eq__(self, other):
         if not isinstance(other, AssociationScheme):
             return NotImplemented
-        return ((self.n, self.d, self.labels) == (other.n, other.d, other.labels)
+        return ((self.n, self.d) == (other.n, other.d)
                 and np.array_equal(self.relation, other.relation))
 
     def __hash__(self):
-        return hash((self.n, self.d, self.labels, self.relation.tobytes()))
+        return hash((self.n, self.d, self.relation.tobytes()))
 
     def adjacency(self, j: int) -> np.ndarray:
         """The 0/1 adjacency matrix A_j (a fresh integer array)."""
@@ -185,14 +186,18 @@ class AssociationScheme:
 class AxiomReport:
     """Result of verify_axioms: violations carry (axiom id, witness indices).
 
-    `commutative` is only meaningful when `passed` is True.  A passed
-    report holds the algebra record of its p in `_algebra`.
+    `passed` is read from the violations: a report passes when it has
+    none.  `commutative` is only meaningful when `passed` is True.  A
+    passed report holds the algebra record of its p in `_algebra`.
     """
 
-    passed: bool
     violations: tuple[tuple[int, tuple[int, ...]], ...]
     commutative: bool
     _algebra: _Algebra | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
     @property
     def p(self) -> np.ndarray | None:
@@ -418,9 +423,9 @@ def _check_axioms(s: AssociationScheme) -> AxiomReport:
         if witness is not None:
             violations.append((4, witness))
     if violations:
-        return AxiomReport(passed=False, violations=tuple(violations), commutative=False)
+        return AxiomReport(violations=tuple(violations), commutative=False)
     commutative = bool(np.array_equal(p, p.swapaxes(0, 1)))
-    report = AxiomReport(passed=True, violations=(), commutative=commutative)
+    report = AxiomReport(violations=(), commutative=commutative)
     object.__setattr__(report, "_algebra", _Algebra(p, commutative))
     return report
 

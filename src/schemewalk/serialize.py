@@ -8,7 +8,9 @@ those widths that holds d, row-major, in canonical base64 (RFC 4648);
 any of the three widths, or a nested list of rows, is still read.
 Every other matrix is a nested row-major array; complex entries are
 [re, im] pairs (a matrix is complex iff its entries are pairs); floats
-are emitted via repr, which round-trips exactly.  Loading validates the
+are emitted via repr, which round-trips exactly.  A key that a kind
+does not read is ignored, such as the "labels" of an older scheme file
+or the "name" of an older Cayley file.  Loading validates the
 object's own invariants and raises ValidationError on anything
 malformed, so a loaded object is ready to use.
 """
@@ -145,15 +147,9 @@ def _json_int(data: dict, key: str) -> int:
 
 def to_jsonable(kind: str, obj):
     if kind == "scheme":
-        out = {"n": obj.n, "d": obj.d, "relation": _pack_relation(obj.relation)}
-        if obj.labels is not None:
-            out["labels"] = list(obj.labels)
-        return out
+        return {"n": obj.n, "d": obj.d, "relation": _pack_relation(obj.relation)}
     if kind == "cayley":
-        out = {"order": obj.order, "cayley": obj.table.tolist()}
-        if obj.name:
-            out["name"] = obj.name
-        return out
+        return {"order": obj.order, "cayley": obj.table.tolist()}
     if kind == "matrix":
         return encode_matrix(obj)
     if kind == "tensor":
@@ -186,23 +182,17 @@ def from_jsonable(kind: str, data, validate: bool = True):
     if kind == "scheme":
         if not isinstance(data, dict) or not {"n", "d", "relation"} <= set(data):
             raise ValidationError('scheme JSON must have keys "n", "d", "relation"')
-        labels = data.get("labels")
-        if labels is not None and not isinstance(labels, list):
-            raise ValidationError('"labels" must be a list of class names')
         n, relation = _json_int(data, "n"), data["relation"]
         if isinstance(relation, dict):
             relation = _unpack_relation(relation, n)
-        scheme = AssociationScheme(
-            n=n, d=_json_int(data, "d"), relation=relation,
-            labels=None if labels is None else tuple(labels),
-        )
+        scheme = AssociationScheme(n=n, d=_json_int(data, "d"), relation=relation)
         if validate:
             require_axioms(scheme)
         return scheme
     if kind == "cayley":
         if not isinstance(data, dict) or not {"order", "cayley"} <= set(data):
             raise ValidationError('cayley JSON must have keys "order", "cayley"')
-        group = groups.from_table(data["cayley"], name=data.get("name", "group"))
+        group = groups.from_table(data["cayley"])
         if _json_int(data, "order") != group.order:
             raise ValidationError("declared order does not match the table size")
         return group

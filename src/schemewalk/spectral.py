@@ -12,15 +12,16 @@ m_j = rank E_j and the two change-of-basis matrices
 entirely in the (d+1)-dimensional algebra, from the intersection numbers
 that `verify_axioms` certifies.  Row t of P is a character of the
 algebra, P[t][i] P[t][j] = sum_k p_ij^k P[t][k], and every row is
-certified on every pair (i, j).  From d+1 = 16 on, when the rows are
-pairwise separated by their values on class 1, the identities are
-evaluated only for that class, and the other classes are bounded from
-that residual and the separation by the Davis-Kahan argument spelled out
-in `_certify_characters` (C. Davis & W. M. Kahan, SIAM J. Numer. Anal. 7,
-1970): (d+1)^3 work instead of (d+1)^4.  Cyclic group schemes take this
-route; schemes whose class 1 does not separate the rows get every
-identity checked.  The multiplicities and Q follow from the orthogonality
-relations (Bannai & Ito 1984, Sections II.3-4),
+certified on every pair (i, j).  The identities are evaluated for class
+1, and the other classes are bounded from that residual and the
+separation of the rows on class 1 by the Davis-Kahan argument spelled
+out in `_certify_characters` (C. Davis & W. M. Kahan, SIAM J. Numer.
+Anal. 7, 1970): (d+1)^3 work instead of (d+1)^4.  Cyclic group, Johnson
+and Grassmann schemes are certified so.  When the bound does not reach
+the tolerance, as for dihedral conjugacy schemes, whose class 1 does not
+separate the rows, every identity is checked.  The multiplicities and Q
+follow from the orthogonality relations (Bannai & Ito 1984, Sections
+II.3-4),
 
     m_t = n / sum_j |P[t][j]|^2 / k_j,   Q[j][t] = m_t conj(P[t][j]) / k_j.
 
@@ -54,18 +55,6 @@ _GENERIC_SEED = 1729
 _RESIDUAL_TOL = 1e-8
 _INTEGRALITY_TOL = 1e-6
 _VALENCY_TOL = 1e-6
-# From this algebra dimension d+1 on, the identities are checked on class
-# 1 and bounded on the rest when class 1 separates the rows; below it
-# checking every class is the cheaper of the two (interleaved cost table in
-# CHANGES.md: on Z_n class 1 costs 1.3x at d+1 = 12, 1.0x at 14, 0.8x at
-# 16 and 0.06x at 32).
-_SEPARATING_MIN_SIZE = 16
-# Least distance between the values P[t][1] / k_1 of two rows.  The bound
-# certifies while about 6 R / gap <= 1e-8, R the joint residual of the rows
-# that eigh returns (1e-13 to 7.5e-12 on Z_16 ... Z_64), so a gap below
-# 1e-2 would ask for R below 1.6e-12.  Adjacent characters of Z_n are
-# 2 sin(pi/n) apart on A_1, so Z_n is separated up to n = 628.
-_SEPARATION_GAP = 1e-2
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,9 +141,9 @@ def _certify_characters(chars: np.ndarray, p: np.ndarray, k: np.ndarray) -> None
     """Raise CertificationError unless every row of `chars` satisfies every
     character identity within _RESIDUAL_TOL relative to k_i k_j.
 
-    From d+1 >= _SEPARATING_MIN_SIZE on, when the rows are pairwise at
-    least _SEPARATION_GAP apart on class 1, only the identities of class 1
-    are checked, and the others are bounded from that check.  The bound:
+    The identities of class 1 are checked, and the others are bounded
+    from that check; the bound alone decides, at every size, whether it
+    certifies them.  The bound:
     the L_i = (p_ij^k)_jk commute exactly, and S_i = diag(k)^(-1/2) L_i
     diag(k)^(1/2) are normal, so they have a common orthonormal eigenbasis
     u_s, one vector per character chi_s, on which S_1 / k_1 has the
@@ -176,22 +165,20 @@ def _certify_characters(chars: np.ndarray, p: np.ndarray, k: np.ndarray) -> None
     against (d+1)^4 for every identity.
 
     A residual above tolerance on class 1 is refused with its row and
-    classes.  When class 1 does not separate the rows, or the bound does
-    not reach the tolerance, every identity is checked instead.
+    classes.  When the bound does not reach the tolerance, as when class
+    1 does not separate the rows (gamma <= 2 max R, so eps is infinite),
+    every identity is checked instead.
     """
     size = len(k)
     if size == 1:
         return  # P = [[1]]
-    if size >= _SEPARATING_MIN_SIZE:
-        gap = _class_1_gap(chars, k)
-        if gap >= _SEPARATION_GAP:
-            residual = _identity_residual(chars, p, k, 1)[:, 0]
-            # max_t R_t; the bound grows with R_t, so the largest decides
-            spread = float(np.sqrt(np.max(residual ** 2 @ (1.0 / k)))) / k[1]
-            eps = spread / (gap - spread) if 2 * spread < gap else np.inf
-            if 6 * eps + 4 * eps ** 2 <= _RESIDUAL_TOL:
-                return
-    _identity_residual(chars, p, k, size - 1)
+    gap = _class_1_gap(chars, k)
+    residual = _identity_residual(chars, p, k, 1)[:, 0]
+    # max_t R_t; the bound grows with R_t, so the largest decides
+    spread = float(np.sqrt(np.max(residual ** 2 @ (1.0 / k)))) / k[1]
+    eps = spread / (gap - spread) if 2 * spread < gap else np.inf
+    if 6 * eps + 4 * eps ** 2 > _RESIDUAL_TOL:
+        _identity_residual(chars, p, k, size - 1)
 
 
 def decompose(s: AssociationScheme) -> BoseMesnerDecomposition:

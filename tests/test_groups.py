@@ -80,10 +80,9 @@ def test_from_table_accepts_klein_four():
         [2, 3, 0, 1],
         [3, 2, 1, 0],
     ]
-    g = groups.from_table(table, name="V4")
+    g = groups.from_table(table)
     assert g.is_abelian()
     assert g.inverse == (0, 1, 2, 3)
-    assert g.name == "V4"
 
 
 def test_builtin_lookup():
@@ -288,7 +287,7 @@ def test_from_table_refuses_non_integer_tables(table):
 
 
 def test_groups_compare_and_hash_by_value():
-    a, b = groups.cyclic(6), groups.from_table(groups.cyclic(6).table.tolist(), name="Z_6")
+    a, b = groups.cyclic(6), groups.from_table(groups.cyclic(6).table.tolist())
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != groups.dihedral(3)
     with pytest.raises(ValueError):

@@ -147,9 +147,6 @@ def test_scheme_equality_and_hash():
     perm = np.array([1, 0, 2, 3, 4, 5])
     relabelled = AssociationScheme(n=6, d=2, relation=a.relation[np.ix_(perm, perm)])
     assert relabelled != a
-    named = AssociationScheme(n=6, d=2, relation=a.relation, labels=["0", "1", "2"])
-    assert named != a and named.labels == ("0", "1", "2")
-    assert named == AssociationScheme(n=6, d=2, relation=a.relation, labels=("0", "1", "2"))
     assert len({a, b, relabelled}) == 2
 
 
@@ -201,8 +198,8 @@ def test_array_results_compare_and_hash_by_identity(name):
 # dual and dims are read from its arrays, and tolerances and thresholds are
 # module constants.
 RECORD_INIT_FIELDS = {
-    "AssociationScheme": ("n", "d", "relation", "labels"),
-    "AxiomReport": ("passed", "violations", "commutative"),
+    "AssociationScheme": ("n", "d", "relation"),
+    "AxiomReport": ("violations", "commutative"),
     "BoseMesnerDecomposition": ("scheme",),
     "FusionSystem": ("labels", "N", "F", "R", "twist"),
     "IntersectionTensor": ("p",),
@@ -213,7 +210,7 @@ RECORD_INIT_FIELDS = {
     "ChannelTrajectory": ("states", "trace_factors"),
     "WalkOperator": ("column_stochastic",),
     "BraidGenerators": ("label",),
-    "CPReport": ("is_cp", "choi_min_eigenvalue", "multiplier_min_eigenvalue", "verdicts_agree"),
+    "CPReport": ("choi_min_eigenvalue", "multiplier_min_eigenvalue"),
     "PentagonReport": ("max_residual", "identities_checked"),
     "HexagonReport": ("max_residual", "max_residual_inverse", "identities_checked"),
     "BridgeReport": ("bijection", "scalars", "deviation"),
@@ -230,6 +227,38 @@ def test_every_exported_dataclass_lists_its_init_fields():
     exported = {name for name in schemewalk.__all__
                 if dataclasses.is_dataclass(getattr(schemewalk, name))}
     assert exported == set(RECORD_INIT_FIELDS)
+
+
+def test_a_group_takes_only_its_table():
+    fields = dataclasses.fields(groups.FiniteGroup)
+    assert tuple(f.name for f in fields if f.init) == ("table",)
+
+
+# `passed`, `is_cp` and `verdicts_agree` are read from the measurements;
+# `labels` and `name` were tags that nothing read
+@pytest.mark.parametrize("build, keyword", [
+    (lambda **kw: AssociationScheme(6, 2, _J42.relation, **kw), "labels"),
+    (lambda **kw: groups.FiniteGroup(groups.cyclic(3).table, **kw), "name"),
+    (lambda **kw: groups.from_table(groups.cyclic(3).table, **kw), "name"),
+    (lambda **kw: schemewalk.AxiomReport((), True, **kw), "passed"),
+    (lambda **kw: schemewalk.CPReport(0.0, 0.0, **kw), "is_cp"),
+    (lambda **kw: schemewalk.CPReport(0.0, 0.0, **kw), "verdicts_agree"),
+])
+def test_derived_values_and_unread_tags_are_not_arguments(build, keyword):
+    build()
+    with pytest.raises(TypeError, match=keyword):
+        build(**{keyword: True})
+
+
+def test_reports_read_their_verdicts_from_their_measurements():
+    assert verify_axioms(_J42).passed
+    failed = schemewalk.AxiomReport(violations=((1, (0, 0)),), commutative=False)
+    assert not failed.passed
+    report = schemewalk.CPReport(choi_min_eigenvalue=-1e-11, multiplier_min_eigenvalue=-1e-11)
+    assert report.is_cp and report.verdicts_agree
+    report = schemewalk.CPReport(choi_min_eigenvalue=-1e-9, multiplier_min_eigenvalue=-1e-9)
+    assert not report.is_cp and report.verdicts_agree
+    assert not schemewalk.CPReport(-1e-9, 0.5).verdicts_agree
 
 
 @pytest.mark.parametrize("name, parameters", [
@@ -262,7 +291,7 @@ def test_a_report_takes_no_intersection_tensor_from_its_caller():
     report = verify_axioms(_J42)
     assert report.p is report._algebra.p
     with pytest.raises(TypeError, match="'p'"):
-        schemewalk.AxiomReport(passed=True, violations=(), commutative=True, p=report.p)
+        schemewalk.AxiomReport(violations=(), commutative=True, p=report.p)
 
 
 def test_fixed_tolerances_and_caps_are_not_parameters():

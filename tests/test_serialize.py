@@ -101,7 +101,7 @@ PACKED_REFUSALS = [
     ("scheme", {**J42, "relation": [["0"] * 6] * 6}),
     ("scheme", {**J42, "n": "6"}),
     ("scheme", {**J42, "d": 2.0}),
-    ("scheme", {**J42, "labels": 3}),
+    ("scheme", {**J42, "n": True}),
     ("tensor", {"d": 1, "entries": [[[1, 0], [0, 1]], [[0, 1]]]}),
     ("tensor", {"d": 1, "entries": [[["a", 0], [0, 1]], [[0, 1], [1, 0]]]}),
     ("tensor", {"d": "1", "entries": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]}),
@@ -232,7 +232,7 @@ def test_packed_byte_count_is_checked_before_any_allocation():
 
 def _relabelled(s, seed):
     perm = np.random.default_rng(seed).permutation(s.n)
-    return AssociationScheme(s.n, s.d, s.relation[np.ix_(perm, perm)], labels=s.labels)
+    return AssociationScheme(s.n, s.d, s.relation[np.ix_(perm, perm)])
 
 
 def test_scheme_roundtrips_through_both_wire_forms(builtin_schemes):
@@ -244,7 +244,7 @@ def test_scheme_roundtrips_through_both_wire_forms(builtin_schemes):
                 back = from_jsonable("scheme", data)
                 assert back.relation.dtype == _packed_dtype(case.d)
                 assert np.array_equal(back.relation, case.relation)
-                assert (back.n, back.d, back.labels) == (case.n, case.d, case.labels)
+                assert (back.n, back.d) == (case.n, case.d)
 
 
 def test_the_file_and_the_store_key_carry_the_schemes_own_bytes(builtin_schemes, tmp_path):
@@ -301,7 +301,7 @@ def test_cayley_roundtrip():
     for g in (groups.cyclic(6), groups.quaternion(), groups.symmetric(3)):
         back = roundtrip("cayley", g)
         assert back.cayley == g.cayley
-        assert back.name == g.name
+        assert back == g
 
 
 def test_cayley_rejects_inconsistent_order():
@@ -310,6 +310,37 @@ def test_cayley_rejects_inconsistent_order():
     data["order"] = 4
     with pytest.raises(ValidationError):
         from_jsonable("cayley", data)
+
+
+def test_files_that_still_carry_labels_or_a_name_load():
+    s, g = build_johnson(4, 2), groups.quaternion()
+    assert "labels" not in to_jsonable("scheme", s) and "name" not in to_jsonable("cayley", g)
+    scheme_text = json.dumps({**to_jsonable("scheme", s), "labels": ["0", "1", "2"]})
+    cayley_text = json.dumps({**to_jsonable("cayley", g), "name": "Q_8"})
+    assert loads(scheme_text, "scheme") == s
+    assert loads(cayley_text, "cayley") == g
+
+
+J42_RELATION = build_johnson(4, 2).relation
+
+
+@pytest.mark.parametrize("n, d", [
+    (6, 2), (np.int64(6), 2), (6, np.uint8(2)), (np.int32(6), np.int16(2)),
+], ids=["int", "int64-n", "uint8-d", "int32-int16"])
+def test_every_accepted_scheme_roundtrips_through_its_file(n, d):
+    s = AssociationScheme(n, d, J42_RELATION)
+    assert type(s.n) is int and type(s.d) is int
+    back = loads(json.dumps(to_jsonable("scheme", s)), "scheme")
+    assert back == s
+
+
+@pytest.mark.parametrize("n, d", [
+    (6.0, 2), (6, 2.0), (True, 2), (6, True), (6, 1.5), ("6", 2), (6, "2"),
+    (np.float64(6), 2), (6, np.bool_(True)), (None, 2),
+])
+def test_a_scheme_refuses_n_and_d_that_are_not_integers(n, d):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        AssociationScheme(n, d, J42_RELATION)
 
 
 def test_matrix_roundtrips():

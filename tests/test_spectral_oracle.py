@@ -106,8 +106,7 @@ def trace_pairing_krein(idempotents, mult):
 
 def relabelled(s, perm):
     perm = np.asarray(perm)
-    return AssociationScheme(n=s.n, d=s.d, relation=s.relation[np.ix_(perm, perm)],
-                             labels=s.labels)
+    return AssociationScheme(n=s.n, d=s.d, relation=s.relation[np.ix_(perm, perm)])
 
 
 EXTRA = {
@@ -274,12 +273,24 @@ def _full_route_spy(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("order, full", [(12, True), (15, True), (16, False), (32, False),
-                                         (64, False)])
-def test_the_class_1_route_starts_at_the_crossover(order, full, monkeypatch):
+ROUTE_SCHEMES = {
+    **{f"group_z{order}": lambda order=order: build_group_scheme(groups.cyclic(order))
+       for order in (12, 15, 16, 32, 64)},
+    "johnson_9_4": lambda: build_johnson(9, 4),
+    "conjugacy_s4": lambda: build_conjugacy_scheme(groups.symmetric(4)),
+    "conjugacy_d30": lambda: build_conjugacy_scheme(groups.dihedral(30)),
+    "conjugacy_q8": lambda: build_conjugacy_scheme(groups.quaternion()),
+}
+# class 1 does not separate their rows, so the bound cannot certify
+FULL_ROUTE = ("conjugacy_d30", "conjugacy_q8")
+
+
+@pytest.mark.parametrize("name", ROUTE_SCHEMES)
+def test_the_class_1_route_is_taken_where_its_bound_certifies(name, monkeypatch):
     calls = _full_route_spy(monkeypatch)
-    decompose(build_group_scheme(groups.cyclic(order)))
-    assert calls == ([order] if full else [])
+    s = ROUTE_SCHEMES[name]()
+    decompose(s)
+    assert calls == ([s.d + 1] if name in FULL_ROUTE else [])
 
 
 def test_z32_is_separated_by_class_1():
@@ -291,30 +302,39 @@ def test_z32_is_separated_by_class_1():
 def test_dihedral_conjugacy_is_not_separated_by_class_1(monkeypatch):
     calls = _full_route_spy(monkeypatch)
     dec = decompose(build_conjugacy_scheme(groups.dihedral(30)))
-    assert dec.d + 1 >= spectral._SEPARATING_MIN_SIZE
     assert spectral._class_1_gap(dec.eigenmatrix_P, dec.scheme.valencies()) < 1e-12
     assert calls == [dec.d + 1]
 
 
-def _z32_characters():
-    s = build_group_scheme(groups.cyclic(32))
+def _characters(s):
     return decompose(s).eigenmatrix_P.copy(), require_axioms(s).p, s.valencies()
 
 
-@pytest.mark.parametrize("route", ["class-1", "full"])
-def test_a_corrupted_row_is_refused_with_its_row_and_class(route, monkeypatch):
-    # P[5][1] moved by 1e-6: the identity of classes (1, 1) is off by
-    # 2e-6 and every other one by at most 1e-6, on either route
-    chars, p, k = _z32_characters()
-    chars[5, 1] += 1e-6
-    if route == "full":
-        monkeypatch.setattr(spectral, "_SEPARATING_MIN_SIZE", 10 ** 9)
+def _z32_characters():
+    return _characters(build_group_scheme(groups.cyclic(32)))
+
+
+# class-1: P[5][1] of Z_32 moved by 1e-6, so the identity of classes
+# (1, 1) is off by 2e-6 and every other one by at most 1e-6.  full: P[2][3]
+# of Q_8 conjugacy moved by 1e-6; P[2][1] = 1 and class 1 (the element -1)
+# maps class 3 to itself, so every class-1 identity still holds, and the
+# rows, not separated on class 1, are checked in full, where (3, 3) is
+# off by 1e-6.
+@pytest.mark.parametrize("route, build, entry, message", [
+    ("class-1", lambda: build_group_scheme(groups.cyclic(32)), (5, 1),
+     r"2\.0\d\de-06 at row 5, classes \(1, 1\)"),
+    ("full", lambda: build_conjugacy_scheme(groups.quaternion()), (2, 3),
+     r"1\.0\d\de-06 at row 2, classes \(3, 3\)"),
+], ids=["class-1", "full"])
+def test_a_corrupted_row_is_refused_with_its_row_and_class(route, build, entry, message,
+                                                           monkeypatch):
+    chars, p, k = _characters(build())
+    chars[entry] += 1e-6
     calls = _full_route_spy(monkeypatch)
     with pytest.raises(CertificationError,
-                       match=r"character identities fail with relative residual 2\.0\d\de-06 "
-                             r"at row 5, classes \(1, 1\)"):
+                       match="character identities fail with relative residual " + message):
         spectral._certify_characters(chars, p, k)
-    assert calls == ([] if route == "class-1" else [32])
+    assert calls == ([] if route == "class-1" else [len(k)])
 
 
 def test_a_row_the_bound_cannot_certify_is_checked_in_full(monkeypatch):
@@ -337,6 +357,7 @@ def test_a_row_the_bound_cannot_certify_is_checked_in_full(monkeypatch):
     lambda count: np.eye(count)[1].astype(np.complex128),
 ], ids=["identity", "real-a1"])
 def test_degenerate_combination_fails_above_the_crossover(weights, monkeypatch):
+    # Z_32 is certified on the class-1 route, which must refuse these too
     monkeypatch.setattr(spectral, "_generic_weights", weights)
     with pytest.raises(CertificationError, match="character identities"):
         decompose(build_group_scheme(groups.cyclic(32)))
