@@ -42,13 +42,15 @@ rank 32.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ValidationError, numeric_array
+from .errors import ValidationError, is_integer, numeric_array, require_integer
+from .groups import DEFAULT_VERTEX_CAP
 from .parameters import KreinTensor
 from .spectral import BoseMesnerDecomposition
 
@@ -58,6 +60,10 @@ PENTAGON_THRESHOLD = 1e-10
 HEXAGON_THRESHOLD = 1e-10
 BRIDGE_THRESHOLD = 1e-6
 _BRIDGE_SUPPORT_TOL = 1e-8
+# The associativity pass of `FusionSystem` holds rank^4 int64 words and a
+# rank^4 boolean mask: 9 rank^4 bytes, kept within the 200 MB budget of
+# DEFAULT_VERTEX_CAP (rank 68; tracemalloc peaks at 198 MB there).
+_FUSION_MAX_RANK = math.isqrt(math.isqrt(DEFAULT_VERTEX_CAP ** 2 * 8 // 9))
 _BRIDGE_MAX_RANK = 32
 # Above 109,601 = sum_m 8!/(8-m)!, the whole rank-9 search tree, so every
 # search at rank <= 9 finishes however little its pattern prunes; above
@@ -79,7 +85,8 @@ class FusionSystem:
     columns y run over the admissible intermediate labels in ascending
     index order.  R maps (a, b, c) -> the exchange phase R^{ab}_c.
 
-    Checks: integer multiplicities, vacuum unit law, commutativity,
+    Checks: at most 68 labels (`_FUSION_MAX_RANK`, before any rank^4
+    array), integer multiplicities, vacuum unit law, commutativity,
     associativity, existence of duals, quantum-dimension consistency, F
     keys (a,b,c,e) and R keys (a,b,c) of label indices, finite entries,
     unitarity of every F block, unit modulus of every R phase and twist.
@@ -98,6 +105,7 @@ class FusionSystem:
         if not labels or len(set(labels)) != len(labels):
             raise ValidationError("labels must be non-empty and distinct")
         rank = len(labels)
+        _require_rank_within_cap(rank)
         n = numeric_array(self.N, "fusion tensor").astype(np.int64)
         if n.shape != (rank, rank, rank):
             raise ValidationError(f"fusion tensor must be {rank}^3, got {n.shape}")
@@ -132,8 +140,6 @@ class FusionSystem:
             rows = _tree_rows(n, a, b, c, e)
             cols = _tree_cols(n, a, b, c, e)
             block = numeric_array(mat, f"F block {key}", kinds="iufc").astype(np.complex128)
-            if not np.all(np.isfinite(block)):
-                raise ValidationError(f"F block {key} has a non-finite entry")
             if block.shape != (len(rows), len(cols)):
                 raise ValidationError(
                     f"F block {key} must have shape {(len(rows), len(cols))}, got {block.shape}"
@@ -153,8 +159,6 @@ class FusionSystem:
             val = numeric_array(phase, f"R phase {key}", kinds="iufc")
             if val.ndim != 0:
                 raise ValidationError(f"R phase {key} must be a single number")
-            if not np.isfinite(val):
-                raise ValidationError(f"R phase {key} is non-finite")
             val = complex(val)
             if abs(abs(val) - 1.0) > _UNITARITY_TOL:
                 raise ValidationError(f"R phase {key} has modulus {abs(val)!r}, not 1")
@@ -165,8 +169,6 @@ class FusionSystem:
             twist = numeric_array(twist, "twist", kinds="iufc")
             if twist.shape != (rank,):
                 raise ValidationError("twist must list one phase per label")
-            if not np.all(np.isfinite(twist)):
-                raise ValidationError("twist has a non-finite entry")
             twist = tuple(complex(t) for t in twist)
             for a, t in enumerate(twist):
                 if abs(abs(t) - 1.0) > _UNITARITY_TOL:
@@ -184,13 +186,18 @@ class FusionSystem:
         return len(self.labels)
 
     def label_index(self, label) -> int:
-        if isinstance(label, (int, np.integer)):
+        if is_integer(label):
             if 0 <= int(label) < self.rank:
                 return int(label)
             raise ValidationError(f"label index {label} out of range 0..{self.rank - 1}")
         if label in self.labels:
             return self.labels.index(label)
         raise ValidationError(f"unknown label {label!r}; labels are {self.labels}")
+
+
+def _require_rank_within_cap(rank: int):
+    if rank > _FUSION_MAX_RANK:
+        raise ValidationError(f"fusion system has rank {rank}, above the cap of {_FUSION_MAX_RANK}")
 
 
 def _dims_from_tensor(n_tensor: np.ndarray) -> np.ndarray:
@@ -223,10 +230,7 @@ def _tree_cols(n, a, b, c, e):
 def _label_key(key, length: int, what: str, rank: int) -> tuple[int, ...]:
     """`key` as a tuple of `length` label indices, each in 0..rank-1."""
     parts = tuple(key) if isinstance(key, (tuple, list)) else ()
-    if len(parts) != length or not all(
-        isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < rank
-        for v in parts
-    ):
+    if len(parts) != length or not all(is_integer(v) and 0 <= v < rank for v in parts):
         raise ValidationError(
             f"{what} key {key!r} must be {length} label indices in 0..{rank - 1}"
         )
@@ -288,8 +292,9 @@ def builtin_fusion_system(name: str) -> FusionSystem:
 
 def cyclic_fusion_system(order: int) -> FusionSystem:
     """Group-like fusion ring of Z_n: a x b = a+b (mod n), all dims 1."""
-    if order < 1:
+    if require_integer(order, "order") < 1:
         raise ValidationError("order must be >= 1")
+    _require_rank_within_cap(order)
     labels = tuple("1" if a == 0 else f"g{a}" for a in range(order))
     n = np.zeros((order, order, order), dtype=np.int64)
     a, b = np.indices((order, order))

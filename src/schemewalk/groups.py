@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError, numeric_array
+from .errors import ValidationError, numeric_array, require_integer
 
 # Built-in groups, Johnson, Grassmann and orbit schemes may not exceed
 # this many elements or vertices (an int64 table of that order takes 200 MB).
@@ -155,7 +155,7 @@ def _require_order_within_cap(order: int, name: str):
 
 def cyclic(n: int) -> FiniteGroup:
     """Z_n with addition mod n; element k is the residue k."""
-    if n < 1:
+    if require_integer(n, "n") < 1:
         raise ValidationError("cyclic group needs n >= 1")
     _require_order_within_cap(n, f"Z_{n}")
     k = np.arange(n)
@@ -164,7 +164,7 @@ def cyclic(n: int) -> FiniteGroup:
 
 def symmetric(n: int) -> FiniteGroup:
     """S_n on {0..n-1}; elements are permutations in lexicographic order."""
-    if n < 1:
+    if require_integer(n, "n") < 1:
         raise ValidationError("symmetric group needs n >= 1")
     if n > 5:
         raise ValidationError("symmetric group supported up to n = 5 (order 120)")
@@ -178,7 +178,7 @@ def symmetric(n: int) -> FiniteGroup:
 
 def dihedral(n: int) -> FiniteGroup:
     """D_n of order 2n: indices 0..n-1 are rotations r^i, n..2n-1 are s*r^i."""
-    if n < 1:
+    if require_integer(n, "n") < 1:
         raise ValidationError("dihedral group needs n >= 1")
     _require_order_within_cap(2 * n, f"D_{n}")
     ka, ia = np.divmod(np.arange(2 * n), n)

@@ -92,9 +92,6 @@ class KreinTensor:
         q = numeric_array(self.q, "Krein tensor", kinds="iuf").astype(np.float64)
         if q.ndim != 3 or len(set(q.shape)) != 1 or not q.size:
             raise ValidationError(f"Krein tensor must be (d+1)^3, got shape {q.shape}")
-        if not np.all(np.isfinite(q)):
-            i, j, k = np.argwhere(~np.isfinite(q))[0]
-            raise ValidationError(f"Krein tensor has a non-finite entry at ({i},{j},{k})")
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "d", q.shape[0] - 1)

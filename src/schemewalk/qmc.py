@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CertificationError, ValidationError, numeric_array
+from .errors import CertificationError, ValidationError, numeric_array, require_integer
 
 _PSD_TOL = 1e-10
 _STOCHASTIC_TOL = 1e-12
@@ -56,8 +56,6 @@ def _require_square(m, what: str, kinds: str) -> np.ndarray:
     a = numeric_array(m, what, kinds)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValidationError(f"{what} must be a non-empty square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError(f"{what} has a non-finite entry")
     return a
 
 
@@ -159,8 +157,6 @@ def dilation_unitary(p) -> np.ndarray:
     vec = numeric_array(p, "distribution", "iuf").astype(np.float64, copy=False)
     if vec.ndim != 1 or vec.size < 1:
         raise ValidationError("distribution must be a non-empty vector")
-    if not np.all(np.isfinite(vec)):
-        raise ValidationError("distribution has a non-finite entry")
     if vec.min() < 0.0:
         raise ValidationError(f"distribution has a negative entry: {float(vec.min())!r}")
     if abs(vec.sum() - 1.0) > _STOCHASTIC_TOL:
@@ -362,8 +358,7 @@ def iterate_channel(channel, rho0, steps: int) -> ChannelTrajectory:
     failure no such flag can arise: a state of trace 1 whose least
     eigenvalue is >= -_PSD_TOL has entries of order 1.
     """
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
-        raise ValidationError(f"steps must be an integer >= 0, got {steps!r}")
+    steps = require_integer(steps, "steps", minimum=0)
     if isinstance(channel, SchurChannel):
         if channel._multiplier_min < -_PSD_TOL:
             raise CertificationError(

@@ -85,7 +85,7 @@ from math import comb
 import numpy as np
 
 from . import galois
-from .errors import CertificationError, ValidationError, numeric_array
+from .errors import CertificationError, ValidationError, numeric_array, require_integer
 from .groups import DEFAULT_VERTEX_CAP, FiniteGroup
 
 # The orbital pass of `build_orbit_scheme` holds about 6k + 1 int64 words
@@ -136,10 +136,7 @@ class AssociationScheme:
 
     def __post_init__(self):
         for name in ("n", "d"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, require_integer(getattr(self, name), name))
         rel = numeric_array(self.relation, "relation matrix")
         if self.n < 1:
             raise ValidationError(f"a scheme needs at least one vertex, got n={self.n}")
@@ -170,7 +167,7 @@ class AssociationScheme:
 
     def adjacency(self, j: int) -> np.ndarray:
         """The 0/1 adjacency matrix A_j (a fresh integer array)."""
-        if not 0 <= j <= self.d:
+        if not 0 <= require_integer(j, "class index") <= self.d:
             raise ValidationError(f"class index {j} out of range 0..{self.d}")
         return (self.relation == j).astype(np.int64)
 
@@ -657,7 +654,7 @@ def build_orbit_scheme(generators: list[list[int]], n: int) -> AssociationScheme
     diagonal carries the point orbits: (x, x) is labelled z*(n+1) for the
     smallest point z in the orbit of x.
     """
-    if n < 1:
+    if require_integer(n, "point count") < 1:
         raise ValidationError("point count must be positive")
     if n > DEFAULT_VERTEX_CAP:
         raise ValidationError(
@@ -704,6 +701,7 @@ def build_johnson(v: int, k: int) -> AssociationScheme:
     |a n b| = (M M^T)[a, b].  The product runs in float64 and is exact:
     every partial sum is a count <= k.
     """
+    v, k = require_integer(v, "v"), require_integer(k, "k")
     if k <= 0 or 2 * k > v:
         raise ValidationError(f"Johnson scheme needs 0 < k <= v/2, got v={v}, k={k}")
     n = comb(v, k)
@@ -734,6 +732,7 @@ def build_grassmann(q: int, v: int, d: int) -> AssociationScheme:
     for 0 < d <= v/2, so it is never larger than the relation matrix.
     At most DEFAULT_VERTEX_CAP vertices, checked before any enumeration.
     """
+    q, v, d = require_integer(q, "q"), require_integer(v, "v"), require_integer(d, "d")
     if q not in galois.SUPPORTED_ORDERS:
         raise ValidationError(
             f"unsupported field order {q}; supported: {galois.SUPPORTED_ORDERS}"

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import groups
 from .anyons import FusionSystem
-from .errors import ValidationError, numeric_array
+from .errors import ValidationError, numeric_array, require_integer
 from .parameters import IntersectionTensor, KreinTensor
 from .schemes import AssociationScheme, require_axioms
 from .spectral import BoseMesnerDecomposition
@@ -138,13 +138,6 @@ def _canonical_b64decode(text: str) -> bytes:
     return raw
 
 
-def _json_int(data: dict, key: str) -> int:
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f'"{key}" must be an integer, got {value!r}')
-    return value
-
-
 def to_jsonable(kind: str, obj):
     if kind == "scheme":
         return {"n": obj.n, "d": obj.d, "relation": _pack_relation(obj.relation)}
@@ -182,10 +175,10 @@ def from_jsonable(kind: str, data, validate: bool = True):
     if kind == "scheme":
         if not isinstance(data, dict) or not {"n", "d", "relation"} <= set(data):
             raise ValidationError('scheme JSON must have keys "n", "d", "relation"')
-        n, relation = _json_int(data, "n"), data["relation"]
+        n, relation = require_integer(data["n"], '"n"'), data["relation"]
         if isinstance(relation, dict):
             relation = _unpack_relation(relation, n)
-        scheme = AssociationScheme(n=n, d=_json_int(data, "d"), relation=relation)
+        scheme = AssociationScheme(n=n, d=require_integer(data["d"], '"d"'), relation=relation)
         if validate:
             require_axioms(scheme)
         return scheme
@@ -193,7 +186,7 @@ def from_jsonable(kind: str, data, validate: bool = True):
         if not isinstance(data, dict) or not {"order", "cayley"} <= set(data):
             raise ValidationError('cayley JSON must have keys "order", "cayley"')
         group = groups.from_table(data["cayley"])
-        if _json_int(data, "order") != group.order:
+        if require_integer(data["order"], '"order"') != group.order:
             raise ValidationError("declared order does not match the table size")
         return group
     if kind == "matrix":
@@ -201,7 +194,7 @@ def from_jsonable(kind: str, data, validate: bool = True):
     if kind == "tensor":
         if not isinstance(data, dict) or not {"d", "entries"} <= set(data):
             raise ValidationError('tensor JSON must have keys "d", "entries"')
-        d = _json_int(data, "d")
+        d = require_integer(data["d"], '"d"')
         arr = numeric_array(data["entries"], "tensor", kinds="if")
         if arr.shape != (d + 1, d + 1, d + 1):
             raise ValidationError(f"tensor must have shape {(d + 1,) * 3}, got {arr.shape}")
@@ -221,10 +214,8 @@ def from_jsonable(kind: str, data, validate: bool = True):
             raise ValidationError("distribution must be a non-empty JSON array")
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in data):
             raise ValidationError("distribution entries must be numbers")
-        vec = np.array(data, dtype=np.float64)
+        vec = numeric_array(data, "distribution", kinds="iuf").astype(np.float64)
         if validate:
-            if not np.all(np.isfinite(vec)):
-                raise ValidationError("distribution has a non-finite entry")
             if vec.min() < 0.0:
                 raise ValidationError(f"distribution has a negative entry: {float(vec.min())!r}")
             if abs(vec.sum() - 1.0) > 1e-9:

@@ -95,6 +95,20 @@ def test_label_index_accepts_names_and_ints():
         ISING.label_index(7)
 
 
+def test_the_fusion_rank_cap_keeps_the_associativity_pass_within_200_mb():
+    # the pass holds rank^4 int64 words and a rank^4 mask: 9 * 68^4 bytes
+    # is 192 MB, 9 * 69^4 bytes 204 MB
+    assert anyons._FUSION_MAX_RANK == 68 > anyons._BRIDGE_MAX_RANK
+    with pytest.raises(ValidationError, match="rank 1000000, above the cap of 68"):
+        cyclic_fusion_system(10**6)
+
+
+def test_a_fusion_system_above_the_rank_cap_is_refused_before_its_tensor_is_read():
+    labels = [str(a) for a in range(69)]
+    with pytest.raises(ValidationError, match="rank 69, above the cap of 68"):
+        FusionSystem(labels, np.zeros((1, 1, 1), dtype=np.int64))
+
+
 def test_f_matrix_values():
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
     assert np.max(np.abs(ISING.F[(1, 1, 1, 1)] - h)) < 1e-15

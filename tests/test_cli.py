@@ -79,6 +79,17 @@ def test_distribution_errors_print_python_floats(j42_file, capsys):
         assert "sums to 1.1" in err and "np.float64(" not in err
 
 
+@pytest.mark.parametrize("coin, witness", [
+    (f"[{10**400}, 0, 0]", "entries must be numbers, got dtype object"),
+    ("[NaN, 0, 1]", "non-finite entry at (0)"),
+], ids=["400-digit-integer", "nan"])
+def test_a_coin_that_is_not_finite_numbers_is_an_error_without_a_traceback(
+        j42_file, capsys, coin, witness):
+    argv = ["walk", "hypergroup", str(j42_file), "--coin", coin, "--start", "0", "--steps", "1"]
+    assert run(argv) == 1
+    assert witness in capsys.readouterr().err
+
+
 def test_spectrum_output(j42_file, capsys):
     code = run(["scheme", "spectrum", str(j42_file)])
     out = capsys.readouterr().out

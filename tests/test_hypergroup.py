@@ -279,7 +279,7 @@ def test_hypergroup_refuses_non_positive_multiplicities(j42_hypergroup):
 def test_hypergroup_refuses_non_finite_weights(value, j42_hypergroup):
     conv = np.array(j42_hypergroup.convolution)
     conv[1, 2, 1] = value
-    with pytest.raises(CertificationError, match=r"weight \(1,2,1\) = .* is not finite"):
+    with pytest.raises(ValidationError, match=r"convolution has a non-finite entry at \(1,2,1\)"):
         Hypergroup(conv, j42_hypergroup.multiplicities)
 
 

@@ -6,20 +6,25 @@ import pytest
 
 from schemewalk import (
     FusionSystem,
+    Hypergroup,
     SchurChannel,
     ValidationError,
+    apply_transition_expectation,
     convolve,
     cyclic_fusion_system,
     dilation_unitary,
     iterate_channel,
     make_transition_expectation,
+    schur_channel_apply,
     serialize,
     stationary_distribution,
     szegedy_walk,
+    transition_expectation_dual,
     walk,
 )
 
 Z2 = cyclic_fusion_system(2)
+TE = make_transition_expectation([[0.5, 0.5], [0.5, 0.5]])
 
 ENTRY_POINTS = {
     "serialize.loads distribution":
@@ -41,6 +46,19 @@ ENTRY_POINTS = {
         lambda h, x: FusionSystem(Z2.labels, Z2.N, R={(1, 1, 0): x}),
     "make_fusion_system twist":
         lambda h, x: FusionSystem(Z2.labels, Z2.N, twist=(1.0, x)),
+    "schur_channel_apply":
+        lambda h, x: schur_channel_apply(SchurChannel(np.eye(2)), [[x, 0.0], [0.0, 1.0]]),
+    "apply_transition_expectation":
+        lambda h, x: apply_transition_expectation(TE, [[x, 0.0], [0.0, 1.0]], np.eye(2)),
+    "transition_expectation_dual":
+        lambda h, x: transition_expectation_dual(TE, np.array([[x, 0.0], [0.0, 0.5]])),
+    "serialize.loads matrix":
+        lambda h, x: serialize.loads(json.dumps([[x, 0.5], [0.5, 0.5]]), "matrix"),
+    "serialize.loads tensor":
+        lambda h, x: serialize.loads(json.dumps({"d": 0, "entries": [[[x]]]}), "tensor"),
+    "Hypergroup weight":
+        lambda h, x: Hypergroup(np.where(np.arange(27).reshape(3, 3, 3) == 14, x, h.convolution),
+                                h.multiplicities),
 }
 
 
