@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     command(scheme_sub, "verify", _cmd_scheme_verify,
             "check the scheme axioms").add_argument("path")
     command(scheme_sub, "spectrum", _cmd_scheme_spectrum,
-            "idempotents, multiplicities, P and Q").add_argument("path")
+            "multiplicities, P and Q").add_argument("path")
     params = command(scheme_sub, "params", _cmd_scheme_params,
                      "intersection numbers or Krein parameters")
     params.add_argument("path")
@@ -313,9 +313,7 @@ def _cmd_entangled(args) -> int:
 
 def _cmd_schur(args) -> int:
     dec = decompose(load(args.scheme, "scheme"))
-    if not 0 <= args.coin <= dec.d:
-        raise ValidationError(f"--coin must be in 0..{dec.d}")
-    channel = SchurChannel(multiplier=dec.idempotents[args.coin] / dec.multiplicities[args.coin])
+    channel = SchurChannel(multiplier=dec.idempotent(args.coin) / dec.multiplicities[args.coin])
     rho = _inline_or_file(args.rho, "matrix")
     trajectory = iterate_channel(channel, rho, args.steps)
     return _emit(args, {"trace_factors": trajectory.trace_factors, "states": trajectory.states},

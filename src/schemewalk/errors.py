@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all modules, and the entry rules for numbers.
+"""Exception hierarchy shared by all modules, and the entry rules for numbers
+and distributions.
 
 Two user-facing failure modes exist: the input is malformed or out of
 range (ValidationError, CLI exit code 1), or the input parsed fine but a
@@ -7,6 +8,12 @@ a residual above tolerance (CertificationError, CLI exit code 2).
 """
 
 import numpy as np
+
+# Probability mass is checked to 1e-10.  A float64 distribution computed
+# over up to 10^5 entries sums to 1 within n*eps = 2e-11, and one written
+# to eleven decimals within 1e-11, so both pass; the orthogonality defect
+# of `dilation_unitary`, which equals the mass error, stays below it.
+_MASS_TOL = 1e-10
 
 
 class SchemeWalkError(Exception):
@@ -52,3 +59,18 @@ def require_integer(value, what: str, minimum: int | None = None) -> int:
         bound = "" if minimum is None else f" >= {minimum}"
         raise ValidationError(f"{what} must be an integer{bound}, got {value!r}")
     return int(value)
+
+
+def require_distribution(data, what: str) -> np.ndarray:
+    """`data` as a new float64 vector of probabilities: `numeric_array`'s
+    rules, one axis with at least one entry, no entry below -_MASS_TOL and
+    a sum within _MASS_TOL of 1, else ValidationError naming `what`.
+    Entries in [-_MASS_TOL, 0) are returned as 0."""
+    vec = numeric_array(data, what, "iuf").astype(np.float64, copy=False)
+    if vec.ndim != 1 or vec.size == 0:
+        raise ValidationError(f"{what} must be a non-empty vector, got shape {vec.shape}")
+    if vec.min() < -_MASS_TOL:
+        raise ValidationError(f"{what} has a negative entry: {float(vec.min())!r}")
+    if abs(vec.sum() - 1.0) > _MASS_TOL:
+        raise ValidationError(f"{what} sums to {float(vec.sum())!r}, not 1")
+    return np.clip(vec, 0.0, None)

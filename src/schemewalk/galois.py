@@ -7,8 +7,9 @@ two q x q int64 tables, `add_table` (digit-wise sums mod p) and
 `mul_table` (polynomial products reduced by the defining relation), so
 all arithmetic stays exact integer table lookups.
 
-`subspace_points` lists the projective points of many subspaces at once
-through those tables; it is what `build_grassmann` uses.
+A private module: `build_grassmann`, which applies the integer rule to
+q, v and d, is its only reader.  `subspace_points` lists the projective
+points of many subspaces at once through those tables.
 """
 
 from __future__ import annotations
@@ -50,9 +51,7 @@ class GF:
 
     def _init(self, q: int):
         p, k, poly = _FIELD_SPECS[q]
-        self.q = q
         self.p = p
-        self.degree = k
         weights = p ** np.arange(k)
         digits = np.arange(q)[:, None] // weights % p          # digits[a, i] = coefficient of x^i
         self.add_table = (digits[:, None, :] + digits[None, :, :]) % p @ weights
@@ -67,24 +66,6 @@ class GF:
         self.mul_table = prod[:, :, :k] % p @ weights
         self.add_table.setflags(write=False)
         self.mul_table.setflags(write=False)
-
-    def add(self, a: int, b: int) -> int:
-        return self.add_table.item(a, b)
-
-    def neg(self, a: int) -> int:
-        # the element p - 1 is the constant polynomial -1
-        return self.mul_table.item(self.p - 1, a)
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add_table.item(a, self.mul_table.item(self.p - 1, b))
-
-    def mul(self, a: int, b: int) -> int:
-        return self.mul_table.item(a, b)
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse in a field")
-        return int(np.argmax(self.mul_table[a] == 1))
 
 
 def subspace_points(q: int, bases) -> np.ndarray:

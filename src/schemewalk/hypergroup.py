@@ -24,7 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationError, ValidationError, is_integer, numeric_array, require_integer
+from .errors import (
+    CertificationError,
+    ValidationError,
+    is_integer,
+    numeric_array,
+    require_distribution,
+    require_integer,
+)
 from .parameters import KreinTensor
 from .spectral import BoseMesnerDecomposition
 
@@ -32,7 +39,6 @@ from .spectral import BoseMesnerDecomposition
 # floor is a genuine Krein violation and is rejected.
 _CLAMP_FLOOR = -1e-8
 _SLICE_SUM_TOL = 1e-8
-_DIST_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,17 +143,6 @@ def _hypergroup(dec: BoseMesnerDecomposition, q: KreinTensor) -> Hypergroup:
     return Hypergroup(conv, dec.multiplicities)
 
 
-def _as_distribution(vec, size: int, what: str) -> np.ndarray:
-    v = numeric_array(vec, what, kinds="iuf").astype(np.float64, copy=False)
-    if v.shape != (size,):
-        raise ValidationError(f"{what} must have length {size}, got shape {v.shape}")
-    if v.min() < -_DIST_TOL:
-        raise ValidationError(f"{what} has a negative entry: {float(v.min())!r}")
-    if abs(v.sum() - 1.0) > _DIST_TOL:
-        raise ValidationError(f"{what} sums to {float(v.sum())!r}, not 1")
-    return np.clip(v, 0.0, None)
-
-
 def _measure(h: Hypergroup, value, what: str) -> np.ndarray:
     """`value` as a measure on {0..d}: an index is a point mass, anything
     else must be a distribution of length d + 1."""
@@ -159,7 +154,11 @@ def _measure(h: Hypergroup, value, what: str) -> np.ndarray:
         return measure
     if isinstance(value, (bool, np.bool_)):
         raise ValidationError(f"{what} must be an index or a distribution, not {value!r}")
-    return _as_distribution(value, h.size, f"{what} distribution")
+    measure = require_distribution(value, f"{what} distribution")
+    if measure.shape != (h.size,):
+        raise ValidationError(
+            f"{what} distribution must have length {h.size}, got shape {measure.shape}")
+    return measure
 
 
 def convolve(h: Hypergroup, mu, nu) -> np.ndarray:

@@ -39,7 +39,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CertificationError, ValidationError, numeric_array, require_integer
+from .errors import (
+    CertificationError,
+    ValidationError,
+    numeric_array,
+    require_distribution,
+    require_integer,
+)
 
 _PSD_TOL = 1e-10
 _STOCHASTIC_TOL = 1e-12
@@ -152,15 +158,10 @@ def dilation_unitary(p) -> np.ndarray:
 
     U[0][j] = sqrt(p_j); U[i][0] = -sqrt(p_i); and for i, j >= 1
     U[i][j] = delta_ij - sqrt(p_i p_j) / (1 + sqrt(p_0)).  Orthogonality
-    is exact algebra; the construction only takes square roots.
+    is exact algebra up to the mass error of p, which `require_distribution`
+    bounds; the construction only takes square roots.
     """
-    vec = numeric_array(p, "distribution", "iuf").astype(np.float64, copy=False)
-    if vec.ndim != 1 or vec.size < 1:
-        raise ValidationError("distribution must be a non-empty vector")
-    if vec.min() < 0.0:
-        raise ValidationError(f"distribution has a negative entry: {float(vec.min())!r}")
-    if abs(vec.sum() - 1.0) > _STOCHASTIC_TOL:
-        raise ValidationError(f"distribution sums to {float(vec.sum())!r}, not 1")
+    vec = require_distribution(p, "distribution")
     root = np.sqrt(vec)
     d = vec.size
     u = np.eye(d)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import groups
 from .anyons import FusionSystem
-from .errors import ValidationError, numeric_array, require_integer
+from .errors import ValidationError, numeric_array, require_distribution, require_integer
 from .parameters import IntersectionTensor, KreinTensor
 from .schemes import AssociationScheme, require_axioms
 from .spectral import BoseMesnerDecomposition
@@ -214,25 +214,21 @@ def from_jsonable(kind: str, data, validate: bool = True):
             raise ValidationError("distribution must be a non-empty JSON array")
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in data):
             raise ValidationError("distribution entries must be numbers")
-        vec = numeric_array(data, "distribution", kinds="iuf").astype(np.float64)
         if validate:
-            if vec.min() < 0.0:
-                raise ValidationError(f"distribution has a negative entry: {float(vec.min())!r}")
-            if abs(vec.sum() - 1.0) > 1e-9:
-                raise ValidationError(f"distribution sums to {float(vec.sum())!r}, not 1")
-        return vec
+            return require_distribution(data, "distribution")
+        return numeric_array(data, "distribution", kinds="iuf").astype(np.float64)
     raise ValidationError(f"unknown kind {kind!r}; kinds: {KINDS}")
 
 
 def decomposition_to_jsonable(dec: BoseMesnerDecomposition) -> dict:
-    """One-way export of spectral data (idempotents, m, P, Q)."""
+    """One-way export of spectral data (m, P, Q); E_j follows from the
+    scheme and Q as E_j[x][y] = Q[relation[x][y]][j] / n."""
     return {
         "n": dec.n,
         "d": dec.d,
         "multiplicities": list(dec.multiplicities),
         "eigenmatrix_P": encode_matrix(dec.eigenmatrix_P),
         "eigenmatrix_Q": encode_matrix(dec.eigenmatrix_Q),
-        "idempotents": [encode_matrix(e) for e in dec.idempotents],
     }
 
 

@@ -25,8 +25,8 @@ II.3-4),
 
     m_t = n / sum_j |P[t][j]|^2 / k_j,   Q[j][t] = m_t conj(P[t][j]) / k_j.
 
-The n x n idempotents are gathered from Q and the relation matrix only
-when `BoseMesnerDecomposition.idempotents` is first read.
+No n x n idempotent is kept: E_j[x][y] = Q[relation[x][y]][j] / n,
+and `BoseMesnerDecomposition.idempotent(j)` gathers one on each call.
 
 m, P and Q are functions of p alone, so they are kept on the algebra
 record of p, as the `schemes` module docstring describes.
@@ -39,11 +39,10 @@ ones come out real.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .errors import CertificationError, ValidationError
+from .errors import CertificationError, ValidationError, require_integer
 from .schemes import AssociationScheme, AxiomReport, require_axioms
 
 # Seed for the generic-combination coefficients.  Fixed so that repeated
@@ -62,8 +61,8 @@ class BoseMesnerDecomposition:
     """Spectral data of a commutative scheme: m, P and Q.
 
     The scheme is the only argument: m, P and Q are derived from the
-    algebra record of its report, as `decompose` describes.  The
-    primitive idempotents are computed on first access and kept.
+    algebra record of its report, as `decompose` describes.  A primitive
+    idempotent is gathered from Q by `idempotent(j)` and not kept.
     Equality is identity: float eigenmatrices have no exact value equality.
     """
 
@@ -91,12 +90,13 @@ class BoseMesnerDecomposition:
     def d(self) -> int:
         return self.scheme.d
 
-    @cached_property
-    def idempotents(self) -> tuple[np.ndarray, ...]:
-        """Read-only E_0..E_d, gathered as E_j[x][y] = Q[relation[x][y]][j] / n."""
-        stack = (self.eigenmatrix_Q.T / self.n)[:, self.scheme.relation]
-        stack.setflags(write=False)
-        return tuple(stack)
+    def idempotent(self, j: int) -> np.ndarray:
+        """A fresh read-only E_j, gathered as E_j[x][y] = Q[relation[x][y]][j] / n."""
+        if not 0 <= require_integer(j, "idempotent index") <= self.d:
+            raise ValidationError(f"idempotent index {j} out of range 0..{self.d}")
+        e = (self.eigenmatrix_Q[:, j] / self.n)[self.scheme.relation]
+        e.setflags(write=False)
+        return e
 
 
 def _generic_weights(count: int) -> np.ndarray:

@@ -1,12 +1,38 @@
-"""Row reduction over GF(q), one basis at a time in Python.
+"""Scalar arithmetic and row reduction over GF(q), one basis at a time in Python.
 
 The reference that the vectorised Grassmann build and the field tables
-are tested against; it uses only the scalar `GF.inv`, `GF.mul` and
-`GF.sub`.
+are tested against.  `add`, `neg`, `sub`, `mul` and `inv` read single
+entries of a field's `add_table` and `mul_table`; `rref` uses only
+`inv`, `mul` and `sub`.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from schemewalk.galois import GF
+
+
+def add(field: GF, a: int, b: int) -> int:
+    return field.add_table.item(a, b)
+
+
+def neg(field: GF, a: int) -> int:
+    # the element p - 1 is the constant polynomial -1
+    return field.mul_table.item(field.p - 1, a)
+
+
+def sub(field: GF, a: int, b: int) -> int:
+    return field.add_table.item(a, field.mul_table.item(field.p - 1, b))
+
+
+def mul(field: GF, a: int, b: int) -> int:
+    return field.mul_table.item(a, b)
+
+
+def inv(field: GF, a: int) -> int:
+    if a == 0:
+        raise ZeroDivisionError("0 has no inverse in a field")
+    return int(np.argmax(field.mul_table[a] == 1))
 
 
 def rref(field: GF, rows: list[list[int]]) -> list[list[int]]:
@@ -20,12 +46,12 @@ def rref(field: GF, rows: list[list[int]]) -> list[list[int]]:
         if pivot is None:
             continue
         m[pivot_row], m[pivot] = m[pivot], m[pivot_row]
-        scale = field.inv(m[pivot_row][col])
-        m[pivot_row] = [field.mul(scale, x) for x in m[pivot_row]]
+        scale = inv(field, m[pivot_row][col])
+        m[pivot_row] = [mul(field, scale, x) for x in m[pivot_row]]
         for r in range(n_rows):
             if r != pivot_row and m[r][col] != 0:
                 c = m[r][col]
-                m[r] = [field.sub(x, field.mul(c, y)) for x, y in zip(m[r], m[pivot_row])]
+                m[r] = [sub(field, x, mul(field, c, y)) for x, y in zip(m[r], m[pivot_row])]
         pivot_row += 1
         if pivot_row == n_rows:
             break

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schemewalk import ValidationError
+from schemewalk import ValidationError, dilation_unitary, walk
 from schemewalk.cli import run
+from schemewalk.errors import _MASS_TOL
 from schemewalk.serialize import load, loads
 
 
@@ -77,6 +78,30 @@ def test_distribution_errors_print_python_floats(j42_file, capsys):
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert "sums to 1.1" in err and "np.float64(" not in err
+
+
+DISTRIBUTION_READERS = {
+    "serialize.loads": lambda h, vec: loads(json.dumps(vec), "distribution"),
+    "walk": lambda h, vec: walk(h, 1, vec, 1),
+    "dilation_unitary": lambda h, vec: dilation_unitary(vec),
+}
+
+
+@pytest.mark.parametrize("scale, accepted", [(0.9, True), (1.1, False)], ids=["inside", "outside"])
+@pytest.mark.parametrize("where", ["mass", "negative entry"])
+def test_distribution_readers_share_one_bound(where, scale, accepted, j42_hypergroup):
+    """Every reader of a distribution accepts or refuses it alike, just
+    inside and just outside the one mass tolerance of `errors`."""
+    error = scale * _MASS_TOL
+    vec = [0.0, 0.5, 0.5 + error] if where == "mass" else [-error, 0.5, 0.5 + error]
+    verdicts = {}
+    for name, read in DISTRIBUTION_READERS.items():
+        try:
+            read(j42_hypergroup, vec)
+            verdicts[name] = True
+        except ValidationError:
+            verdicts[name] = False
+    assert verdicts == dict.fromkeys(DISTRIBUTION_READERS, accepted)
 
 
 @pytest.mark.parametrize("coin, witness", [

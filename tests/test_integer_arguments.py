@@ -21,6 +21,8 @@ CASES = {
     "build_johnson float v": (lambda: build_johnson(5.0, 2), "v must be an integer"),
     "build_johnson bool k": (lambda: build_johnson(4, True), "k must be an integer"),
     "build_grassmann float q": (lambda: build_grassmann(2.0, 4, 2), "q must be an integer"),
+    "build_grassmann float v": (lambda: build_grassmann(2, 4.0, 2), "v must be an integer"),
+    "build_grassmann float d": (lambda: build_grassmann(2, 4, 2.0), "d must be an integer"),
     "build_orbit_scheme float n":
         (lambda: build_orbit_scheme([[1, 2, 0]], 3.0), "point count must be an integer"),
     "groups.symmetric float": (lambda: groups.symmetric(3.0), "n must be an integer"),

@@ -114,16 +114,16 @@ def test_certify_cp_swap_multiplier():
 def test_schur_channel_matches_hypergroup_chain(j42_dec, j42_hypergroup):
     """On the span of the idempotents the channel acts as the classical chain."""
     dec = j42_dec
-    n = dec.idempotents[0].shape[0]
+    n = dec.n
     ms = dec.multiplicities
-    norm = [dec.idempotents[k] / ms[k] for k in range(dec.d + 1)]
+    ems = [dec.idempotent(k) for k in range(dec.d + 1)]
+    norm = [e / m for e, m in zip(ems, ms)]
     for coin in range(dec.d + 1):
         ch = SchurChannel(norm[coin])
         t = classical_chain(j42_hypergroup, coin)
         for j in range(dec.d + 1):
             out = schur_channel_apply(ch, norm[j]) * n
-            coeff = np.array([np.trace(out @ dec.idempotents[k]).real
-                              for k in range(dec.d + 1)])
+            coeff = np.array([np.trace(out @ e).real for e in ems])
             assert np.max(np.abs(coeff - t[:, j])) < 1e-9
 
 
@@ -479,7 +479,8 @@ def test_iterate_matches_oracle_on_idempotent_multipliers(decompositions):
     rng = np.random.default_rng(41)
     for name in ("johnson_6_3", "group_z5"):
         dec = decompositions[name]
-        for e, m in zip(dec.idempotents, dec.multiplicities):
+        for j, m in enumerate(dec.multiplicities):
+            e = dec.idempotent(j)
             for rank in (None, 1):
                 assert_same_trajectory(SchurChannel(e / m), random_density(rng, dec.n, rank), 12)
     z2 = SchurChannel(np.array([[0.5, -0.5], [-0.5, 0.5]]))

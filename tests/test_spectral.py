@@ -35,9 +35,9 @@ def test_z3_idempotents_match_fourier_kernel():
     w = np.exp(2j * np.pi / 3)
     # the first nontrivial idempotent is ordered to carry A_1-eigenvalue w
     expected_e1 = sum(w ** (-k) * mats[k] for k in range(3)) / 3
-    assert np.max(np.abs(dec.idempotents[1] - expected_e1)) < 1e-10
+    assert np.max(np.abs(dec.idempotent(1) - expected_e1)) < 1e-10
     expected_e2 = sum(w ** (-2 * k) * mats[k] for k in range(3)) / 3
-    assert np.max(np.abs(dec.idempotents[2] - expected_e2)) < 1e-10
+    assert np.max(np.abs(dec.idempotent(2) - expected_e2)) < 1e-10
     assert dec.multiplicities == (1, 1, 1)
 
 
@@ -45,7 +45,7 @@ def test_z3_idempotents_match_fourier_kernel():
 def test_idempotent_identities(name, builtin_schemes, decompositions):
     s = builtin_schemes[name]
     dec = decompositions[name]
-    ems = dec.idempotents
+    ems = [dec.idempotent(j) for j in range(s.d + 1)]
     n = s.n
 
     total = sum(ems)
@@ -77,21 +77,22 @@ def test_multiplicities_and_eigenmatrices(name, builtin_schemes, decompositions)
 
     # reconstruction: A_i = sum_j P[j][i] E_j (rows of P index eigenspaces)
     mats = s.adjacency_matrices()
+    ems = [dec.idempotent(j) for j in range(s.d + 1)]
     for i, a in enumerate(mats):
-        rebuilt = sum(p[j, i] * dec.idempotents[j] for j in range(s.d + 1))
+        rebuilt = sum(p[j, i] * ems[j] for j in range(s.d + 1))
         assert np.max(np.abs(rebuilt - a)) < 1e-8
     # dually E_j = (1/n) sum_i Q[i][j] A_i
     for j in range(s.d + 1):
         rebuilt = sum(q[i, j] * mats[i] for i in range(s.d + 1)) / s.n
-        assert np.max(np.abs(rebuilt - dec.idempotents[j])) < 1e-8
+        assert np.max(np.abs(rebuilt - ems[j])) < 1e-8
 
 
 def test_decompose_is_deterministic():
     s = build_johnson(6, 3)
     d1 = decompose(s)
     d2 = decompose(s)
-    for e1, e2 in zip(d1.idempotents, d2.idempotents):
-        assert np.array_equal(e1, e2)
+    for j in range(s.d + 1):
+        assert np.array_equal(d1.idempotent(j), d2.idempotent(j))
 
 
 def test_generic_weights_are_seeded_and_built_on_each_call():
@@ -110,8 +111,7 @@ def test_decompose_rejects_noncommutative():
 
 def test_idempotents_schur_close_under_hadamard(j42_dec):
     """E_i o E_j stays in the idempotent span (Krein expansion exists)."""
-    ems = j42_dec.idempotents
-    n = ems[0].shape[0]
+    ems = [j42_dec.idempotent(j) for j in range(j42_dec.d + 1)]
     span = np.stack([e.ravel() for e in ems])
     for i in range(len(ems)):
         for j in range(len(ems)):

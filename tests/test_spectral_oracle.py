@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from schemewalk import (
     AssociationScheme,
     CertificationError,
+    ValidationError,
     build_conjugacy_scheme,
     build_grassmann,
     build_group_scheme,
@@ -146,16 +147,19 @@ def test_matches_refinement_oracle(name, relabel, case_schemes):
     assert np.max(np.abs(dec.eigenmatrix_P - p_mat)) < 1e-9
     assert np.max(np.abs(dec.eigenmatrix_Q - q_mat)) < 1e-9
     assert np.max(np.abs(kt.q - trace_pairing_krein(idem, mult))) < 1e-9
-    for gathered, refined in zip(dec.idempotents, idem, strict=True):
+    assert len(idem) == dec.d + 1
+    for j, refined in enumerate(idem):
+        gathered = dec.idempotent(j)
         assert gathered.shape == (s.n, s.n)
         assert np.max(np.abs(gathered - refined)) < 1e-12
 
 
-def test_idempotents_are_cached_and_read_only(j42_dec):
-    first = j42_dec.idempotents
-    assert j42_dec.idempotents is first
+def test_idempotent_is_read_only_and_refuses_a_bad_index(j42_dec):
     with pytest.raises(ValueError):
-        first[1][0, 0] = 0.0
+        j42_dec.idempotent(1)[0, 0] = 0.0
+    for j in (-1, j42_dec.d + 1, True, 1.0):
+        with pytest.raises(ValidationError, match="idempotent index"):
+            j42_dec.idempotent(j)
 
 
 @settings(max_examples=40, deadline=None)
