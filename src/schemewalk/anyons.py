@@ -214,11 +214,6 @@ def _dims_from_tensor(n_tensor: np.ndarray) -> np.ndarray:
     return dims
 
 
-def quantum_dimensions(fs: FusionSystem) -> np.ndarray:
-    """A fresh copy of the dimensions `FusionSystem` certified."""
-    return fs.dims.copy()
-
-
 def _tree_rows(n, a, b, c, e):
     return tuple(x for x in range(n.shape[0]) if n[a, b, x] and n[x, c, e])
 

@@ -22,7 +22,6 @@ from .anyons import (
     braid_generators,
     builtin_fusion_system,
     fuse,
-    quantum_dimensions,
     scheme_fusion_bridge,
     verify_hexagon,
     verify_pentagon,
@@ -152,8 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     build = command(scheme_sub, "build", _cmd_scheme_build,
                     "construct a built-in scheme family", with_json=False)
-    build.add_argument("--family", required=True,
-                       choices=["group", "conjugacy", "orbit", "johnson", "grassmann"])
+    build.add_argument("--family", required=True, choices=list(_FAMILIES))
     build.add_argument("--v", type=int, help="ground-set size (johnson/grassmann)")
     build.add_argument("--k", type=int, help="subset size (johnson)")
     build.add_argument("--q", type=int, help="field order (grassmann)")
@@ -208,33 +206,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_scheme_build(args) -> int:
-    fam = args.family
-    if fam == "johnson":
-        if args.v is None or args.k is None:
-            raise ValidationError("johnson needs --v and --k")
-        scheme = build_johnson(args.v, args.k)
-    elif fam == "grassmann":
-        if args.q is None or args.v is None or args.d is None:
-            raise ValidationError("grassmann needs --q, --v and --d")
-        scheme = build_grassmann(args.q, args.v, args.d)
-    elif fam in ("group", "conjugacy"):
-        if not args.group:
-            raise ValidationError(f"{fam} needs --group")
-        if args.group.endswith(".json"):
-            group = load(args.group, "cayley")
-        else:
-            group = groups.builtin(args.group)
-        scheme = (build_group_scheme if fam == "group" else build_conjugacy_scheme)(group)
-    else:
-        if not args.generators or args.n is None:
-            raise ValidationError("orbit needs --generators and --n")
-        try:
-            gens = json.loads(args.generators)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"--generators is not valid JSON: {exc.msg}") from None
-        scheme = build_orbit_scheme(gens, args.n)
+def _group(name: str):
+    return load(name, "cayley") if name.endswith(".json") else groups.builtin(name)
 
+
+def _generators(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"--generators is not valid JSON: {exc.msg}") from None
+
+
+# family -> (the flags it reads, its builder); every other flag is refused
+_FAMILIES = {
+    "group": (("group",), lambda a: build_group_scheme(_group(a.group))),
+    "conjugacy": (("group",), lambda a: build_conjugacy_scheme(_group(a.group))),
+    "orbit": (("generators", "n"), lambda a: build_orbit_scheme(_generators(a.generators), a.n)),
+    "johnson": (("v", "k"), lambda a: build_johnson(a.v, a.k)),
+    "grassmann": (("q", "v", "d"), lambda a: build_grassmann(a.q, a.v, a.d)),
+}
+_BUILD_FLAGS = sorted({flag for reads, _ in _FAMILIES.values() for flag in reads})
+
+
+def _cmd_scheme_build(args) -> int:
+    reads, builder = _FAMILIES[args.family]
+    if any(getattr(args, flag) is None for flag in reads):
+        raise ValidationError(f"{args.family} needs " + ", ".join(f"--{f}" for f in reads))
+    ignored = [f"--{f}" for f in _BUILD_FLAGS if f not in reads and getattr(args, f) is not None]
+    if ignored:
+        raise ValidationError(f"{args.family} does not read " + ", ".join(ignored))
+    scheme = builder(args)
     if args.out:
         save(args.out, "scheme", scheme)
         print(f"scheme n={scheme.n} d={scheme.d} -> {args.out}")
@@ -342,7 +343,7 @@ def _anyon_fuse(args, fs) -> int:
 
 
 def _anyon_dims(args, fs) -> int:
-    dims = quantum_dimensions(fs)
+    dims = fs.dims
     return _emit(args, {"labels": list(fs.labels), "dims": [float(v) for v in dims]},
                  ", ".join(f"{lab}: {dim:.10f}" for lab, dim in zip(fs.labels, dims)))
 
@@ -411,6 +412,10 @@ _ANYON_OPS = {
 
 
 def _cmd_anyon(args) -> int:
+    if args.args and args.op != "fuse":
+        raise ValidationError(f"{args.op} does not read labels: {' '.join(args.args)}")
+    if args.scheme is not None and args.op != "bridge":
+        raise ValidationError(f"{args.op} does not read --scheme")
     fs = (builtin_fusion_system(args.system) if args.system in ("ising", "fibonacci")
           else load(args.system, "fusion-system"))
     return _ANYON_OPS[args.op](args, fs)

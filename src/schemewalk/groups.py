@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -99,14 +98,6 @@ class FiniteGroup:
     def order(self) -> int:
         return self.table.shape[0]
 
-    @cached_property
-    def cayley(self) -> tuple[tuple[int, ...], ...]:
-        """The table as a tuple of row tuples, ``cayley[x][y]`` = x*y."""
-        return tuple(map(tuple, self.table.tolist()))
-
-    def mul(self, x: int, y: int) -> int:
-        return int(self.table[x, y])
-
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
 
@@ -139,11 +130,6 @@ def _generators(c: np.ndarray, identity: int) -> list[int]:
             frontier = step[~reached[step]]
             reached[frontier] = True
     return gens
-
-
-def from_table(cayley) -> FiniteGroup:
-    """Build and validate a group from a nested-list or array Cayley table."""
-    return FiniteGroup(cayley)
 
 
 def _require_order_within_cap(order: int, name: str):

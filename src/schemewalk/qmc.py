@@ -16,16 +16,16 @@ Five pieces:
   They are evaluated in the entrywise closed form M o (sqrtP N sqrtP^T)
   (Accardi & Fidaleo 2005), at O(n^3) and without forming V.  The
   entrywise root sqrtP is derived once, when a TransitionExpectation is
-  built, and V'V = I is certified then from the row sums of sqrtP**2;
-  V is gathered only when `isometry_V` is read.  The classical chain
-  sits on the diagonal: E(I (x) diag(v)) = diag(P v).
+  built, and V'V = I is certified then from the row sums of sqrtP**2.
+  The classical chain sits on the diagonal: E(I (x) diag(v)) = diag(P v).
 * Chain iteration: one array operation, a trace and a division per
   step; positivity of every state is certified after the loop, by a
   bound carried over the stacked diagonals (see `iterate_channel`).
-* The Szegedy walk U = S(2 A A' - I) of a stochastic matrix D: A is V's
-  gather of sqrt(D)^T, taken once and certified by the same helper, and
-  unitarity follows from A'A = I (see `WalkOperator`).  U is filled in one
-  pass from its closed form; A, Pi and S are gathered only when read.
+* The Szegedy walk U = S(2 A A' - I) of a stochastic matrix D: A is the
+  isometry V of the row-stochastic transpose of D, certified by the same
+  helper from sqrt(D)^T, and unitarity follows from A'A = I (see
+  `WalkOperator`).  U is filled in one pass from its closed form; A, Pi
+  and S are never formed.
 
 Stochasticity conventions: transition expectations take row-stochastic
 matrices; `WalkOperator` accepts either convention via a flag and works
@@ -172,30 +172,20 @@ def dilation_unitary(p) -> np.ndarray:
 
 
 def _certify_isometry(root: np.ndarray, name: str) -> None:
-    """name'name = I at 1e-12 for `_pair_gather(root)`.  Its columns have
-    disjoint supports, so name'name is diagonal, with the row sums of
-    root**2 on the diagonal: an O(n^2) check."""
+    """name'name = I at 1e-12 for the n^2 x n isometry whose column i is
+    e_i (x) row i of `root`.  Its columns have disjoint supports, so
+    name'name is diagonal, with the row sums of root**2 on the diagonal:
+    an O(n^2) check."""
     residual = float(np.max(np.abs((root * root).sum(axis=1) - 1.0)))
     if residual > 1e-12:
         raise CertificationError(f"{name}'{name} = I fails with residual {residual:.3e}")
-
-
-def _pair_gather(root: np.ndarray) -> np.ndarray:
-    """The read-only n^2 x n matrix with column i = e_i (x) row i of
-    `root`; pair index (i, j) -> i*n + j."""
-    n = root.shape[0]
-    iso = np.zeros((n * n, n))
-    iso[np.arange(n * n), np.repeat(np.arange(n), n)] = root.ravel()
-    iso.setflags(write=False)
-    return iso
 
 
 @dataclass(frozen=True, eq=False)
 class TransitionExpectation:
     """The entangled transition expectation of a row-stochastic P, its only
     argument.  `dim` and the entrywise root `sqrt_transition` are derived,
-    and V'V = I is certified, when it is built; `isometry_V` is gathered
-    on first read and kept."""
+    and V'V = I is certified, when it is built."""
 
     transition: np.ndarray
     dim: int = field(init=False)
@@ -210,18 +200,6 @@ class TransitionExpectation:
         object.__setattr__(self, "transition", mat)
         object.__setattr__(self, "dim", mat.shape[0])
         object.__setattr__(self, "sqrt_transition", root)
-
-    @cached_property
-    def isometry_V(self) -> np.ndarray:
-        """V, (d^2) x d, with column i = sum_j sqrt(P[i][j]) e_i (x) e_j;
-        refused above `_PAIR_SPACE_MAX_VERTICES` states."""
-        d = self.dim
-        if d > _PAIR_SPACE_MAX_VERTICES:
-            raise ValidationError(
-                f"isometry V of a {d}-state chain is {d * d}x{d}; "
-                f"capped at {_PAIR_SPACE_MAX_VERTICES} states"
-            )
-        return _pair_gather(self.sqrt_transition)
 
 
 def make_transition_expectation(p) -> TransitionExpectation:
@@ -450,7 +428,6 @@ class WalkOperator:
     transpose of D, certified by the same helper from sqrt(D)^T, taken once.
     U, the only n^2 x n^2 array built, is filled in one pass from its closed form
     U[(v,w),(v',w')] = 2 [v' = w] sqrt(D[v][w]) sqrt(D[w'][w]) - [v' = w][w' = v].
-    `A_op`, `projector` and `swap` are gathered from that root when first read.
 
     Certificate: A'A = I within 1e-12 (diagonal, so O(n^2)).  It implies the
     rest.  S is a permutation, so S'S = I, and Pi = AA' is symmetric,
@@ -459,14 +436,13 @@ class WalkOperator:
     and so at most 1, hence every entry of U'U - I is 4 times one entry
     of A'A - I times two such factors: max|U'U - I| <= 4 max|A'A - I|
     <= 4e-12, and likewise max|Pi^2 - Pi| <= max|A'A - I|.  The bounds
-    hold for the operator S(2AA' - I) exactly; the stored entries of Pi
-    and U are each one rounded product of A's entries.
+    hold for the operator S(2AA' - I) exactly; the stored entries of U
+    are each one rounded product of A's entries.
     """
 
     column_stochastic: np.ndarray
     convention: InitVar[str] = "column"
     U: np.ndarray = field(init=False)
-    _root_t: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, convention):
         col = _column_stochastic(self.column_stochastic, convention)
@@ -485,39 +461,13 @@ class WalkOperator:
         u4[:, vertices, vertices, :] = 2.0 * (root_t.T[:, :, None] * root_t[None, :, :])
         v, w = np.ogrid[:n, :n]
         u4[v, w, w, v] -= 1.0
-        for name, array in (("column_stochastic", col), ("U", u), ("_root_t", root_t)):
+        for name, array in (("column_stochastic", col), ("U", u)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
     @property
     def dim_v(self) -> int:
         return self.column_stochastic.shape[0]
-
-    @cached_property
-    def A_op(self) -> np.ndarray:
-        """A, (n^2) x n: column v is sum_w sqrt(D[w][v]) e_v (x) e_w."""
-        return _pair_gather(self._root_t)
-
-    @cached_property
-    def projector(self) -> np.ndarray:
-        """Pi = AA', block diagonal: block v is the outer product of A's column v."""
-        n = self.dim_v
-        root_t = self._root_t
-        pi = np.zeros(self.U.shape)
-        vertices = np.arange(n)
-        pi.reshape(n, n, n, n)[vertices, :, vertices, :] = root_t[:, :, None] * root_t[:, None, :]
-        pi.setflags(write=False)
-        return pi
-
-    @cached_property
-    def swap(self) -> np.ndarray:
-        """S, the permutation matrix of |v,w> -> |w,v>."""
-        n = self.dim_v
-        s = np.zeros(self.U.shape)
-        v, w = np.ogrid[:n, :n]
-        s.reshape(n, n, n, n)[v, w, w, v] = 1.0
-        s.setflags(write=False)
-        return s
 
 
 def szegedy_walk(d_matrix, convention: str = "column") -> WalkOperator:

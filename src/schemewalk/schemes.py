@@ -171,9 +171,6 @@ class AssociationScheme:
             raise ValidationError(f"class index {j} out of range 0..{self.d}")
         return (self.relation == j).astype(np.int64)
 
-    def adjacency_matrices(self) -> list[np.ndarray]:
-        return [self.adjacency(j) for j in range(self.d + 1)]
-
     def valencies(self) -> np.ndarray:
         """Row-constant class sizes k_j (validated schemes only)."""
         return np.bincount(self.relation[0], minlength=self.d + 1)

@@ -23,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import groups
 from .anyons import FusionSystem
 from .errors import ValidationError, numeric_array, require_distribution, require_integer
+from .groups import FiniteGroup
 from .parameters import IntersectionTensor, KreinTensor
 from .schemes import AssociationScheme, require_axioms
 from .spectral import BoseMesnerDecomposition
@@ -185,7 +185,7 @@ def from_jsonable(kind: str, data, validate: bool = True):
     if kind == "cayley":
         if not isinstance(data, dict) or not {"order", "cayley"} <= set(data):
             raise ValidationError('cayley JSON must have keys "order", "cayley"')
-        group = groups.from_table(data["cayley"])
+        group = FiniteGroup(data["cayley"])
         if require_integer(data["order"], '"order"') != group.order:
             raise ValidationError("declared order does not match the table size")
         return group

@@ -18,7 +18,6 @@ from schemewalk import (
     fuse,
     groups,
     krein_parameters,
-    quantum_dimensions,
     scheme_fusion_bridge,
     verify_hexagon,
     verify_pentagon,
@@ -57,28 +56,19 @@ def test_fibonacci_fusion_table():
 
 
 def test_quantum_dimensions():
-    dims = quantum_dimensions(ISING)
+    dims = ISING.dims
     assert abs(dims[0] - 1) < 1e-12
     assert abs(dims[1] - np.sqrt(2)) < 1e-12
     assert abs(dims[2] - 1) < 1e-12
 
-    dims = quantum_dimensions(FIB)
+    dims = FIB.dims
     assert abs(dims[1] - GOLDEN_RATIO) < 1e-12
     assert abs(dims[1] - (1 + np.sqrt(5)) / 2) < 1e-12
 
 
-@pytest.mark.parametrize("fs", [ISING, FIB, cyclic_fusion_system(4), cyclic_fusion_system(32)])
-def test_quantum_dimensions_are_a_fresh_copy_of_the_certified_dims(fs):
-    dims = quantum_dimensions(fs)
-    assert np.array_equal(dims, anyons._dims_from_tensor(fs.N))
-    assert dims.flags.writeable and not np.shares_memory(dims, fs.dims)
-    dims[0] = 7.0
-    assert fs.dims[0] == 1.0
-
-
 @pytest.mark.parametrize("fs", [ISING, FIB, cyclic_fusion_system(4)])
 def test_dimension_product_rule(fs):
-    dims = quantum_dimensions(fs)
+    dims = fs.dims
     rank = fs.rank
     for a in range(rank):
         for b in range(rank):
@@ -654,8 +644,7 @@ def test_make_fusion_system_checks_keys(f_data, r_data):
 def test_cyclic_system_is_group_like():
     fs = cyclic_fusion_system(5)
     assert fs.rank == 5
-    dims = quantum_dimensions(fs)
-    assert np.max(np.abs(dims - 1)) < 1e-12
+    assert np.max(np.abs(fs.dims - 1)) < 1e-12
     assert fuse(fs, "g2", "g3").tolist() == [1, 0, 0, 0, 0]
 
 

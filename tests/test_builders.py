@@ -54,7 +54,7 @@ def _johnson_oracle(v, k):
 
 def _cayley_oracle(g, class_of):
     n = g.order
-    return np.array([[class_of[g.cayley[y][g.inverse[z]]] for z in range(n)]
+    return np.array([[class_of[g.table[y, g.inverse[z]]] for z in range(n)]
                      for y in range(n)], dtype=np.int64)
 
 

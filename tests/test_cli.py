@@ -352,6 +352,39 @@ def test_anyon_bridge_reports_scalars_d_over_m(tmp_path, capsys):
     assert 0.0 <= out["deviation"] < 1e-12
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["anyon", "--system", "ising", "--op", "dims", "extra"], "dims does not read labels: extra"),
+    (["anyon", "--system", "ising", "--op", "braid", "sigma", "sigma"],
+     "braid does not read labels: sigma sigma"),
+    (["anyon", "--system", "ising", "--op", "pentagon", "--scheme", "SCHEME"],
+     "pentagon does not read --scheme"),
+    (["anyon", "--system", "ising", "--op", "fuse", "sigma", "sigma", "--scheme", "SCHEME"],
+     "fuse does not read --scheme"),
+    (["anyon", "bridge", "--scheme", "SCHEME", "--system", "ising", "sigma"],
+     "bridge does not read labels: sigma"),
+    (["scheme", "build", "--family", "johnson", "--v", "4", "--k", "2", "--q", "3"],
+     "johnson does not read --q"),
+    (["scheme", "build", "--family", "grassmann", "--q", "2", "--v", "3", "--d", "1",
+      "--k", "1", "--group", "z3"], "grassmann does not read --group, --k"),
+    (["scheme", "build", "--family", "group", "--group", "z3", "--n", "3"],
+     "group does not read --n"),
+    (["scheme", "build", "--family", "conjugacy", "--group", "s3", "--generators", "[]"],
+     "conjugacy does not read --generators"),
+    (["scheme", "build", "--family", "orbit", "--n", "4", "--generators", "[[1,0,2,3]]",
+      "--d", "2"], "orbit does not read --d"),
+    (["scheme", "build", "--family", "johnson", "--v", "4"], "johnson needs --v, --k"),
+    (["scheme", "build", "--family", "grassmann", "--q", "2", "--d", "1"],
+     "grassmann needs --q, --v, --d"),
+    (["scheme", "build", "--family", "conjugacy"], "conjugacy needs --group"),
+    (["scheme", "build", "--family", "orbit", "--n", "4"], "orbit needs --generators, --n"),
+])
+def test_input_a_command_would_ignore_is_refused(argv, message, j42_file, capsys):
+    code = run([str(j42_file) if a == "SCHEME" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_exit_codes(tmp_path, capsys):
     # validation problems exit 1
     assert run(["scheme", "verify", str(tmp_path / "missing.json")]) == 1

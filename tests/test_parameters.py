@@ -68,13 +68,13 @@ def test_abelian_group_tensors_are_group_tables(n):
             assert abs(kt.q[i, j, k] - 1) < 1e-9
             assert np.abs(np.delete(kt.q[i, j], k)).max() < 1e-9
     # ... and the point masses form a cyclic group of order n
-    dual = groups.from_table(table.tolist())
+    dual = groups.FiniteGroup(table)
     assert dual.identity == 0
     orders = set()
     for x in range(n):
         y, order = x, 1
         while y != 0:
-            y, order = dual.mul(y, x), order + 1
+            y, order = dual.table[y, x], order + 1
         orders.add(order)
     assert max(orders) == n
 
@@ -95,7 +95,7 @@ def test_intersection_identity_exact(name, builtin_schemes):
     """A_i A_j = sum_k p_ij^k A_k in integer arithmetic."""
     s = builtin_schemes[name]
     it = intersection_numbers(s)
-    mats = s.adjacency_matrices()
+    mats = [s.adjacency(j) for j in range(s.d + 1)]
     for i in range(s.d + 1):
         for j in range(s.d + 1):
             prod = mats[i] @ mats[j]
@@ -119,7 +119,7 @@ def test_sampled_path_matches_full_check():
     satisfies A_i A_j = sum_k p_ij^k A_k; re-verify it exactly here."""
     s = build_johnson(12, 2)  # n = 66, above the size where checks once sampled
     it = intersection_numbers(s)
-    mats = s.adjacency_matrices()
+    mats = [s.adjacency(j) for j in range(s.d + 1)]
     for i in range(s.d + 1):
         for j in range(s.d + 1):
             rebuilt = sum(int(it.p[i, j, k]) * mats[k] for k in range(s.d + 1))

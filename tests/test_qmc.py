@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import re
 import tracemalloc
@@ -54,6 +55,17 @@ def choi_matrix(c: SchurChannel) -> np.ndarray:
 
 def random_row_stochastic(n, rng=RNG):
     return rng.dirichlet(np.ones(n), size=n)
+
+
+def stinespring_isometry(p) -> np.ndarray:
+    """V, d^2 x d, column i = sum_j sqrt(P[i][j]) e_i (x) e_j, gathered here
+    from np.sqrt(P) block by block: the library never forms it."""
+    root = np.sqrt(np.asarray(p, dtype=np.float64))
+    d = root.shape[0]
+    v = np.zeros((d * d, d))
+    for i in range(d):
+        v[i * d:(i + 1) * d, i] = root[i]
+    return v
 
 
 # ---------------------------------------------------------------- Schur
@@ -167,7 +179,7 @@ def test_dilation_rejects_bad_input():
 def test_isometry_shape_and_identity():
     p = random_row_stochastic(3)
     te = make_transition_expectation(p)
-    v = te.isometry_V
+    v = stinespring_isometry(p)
     assert v.shape == (9, 3)
     assert np.max(np.abs(v.T @ v - np.eye(3))) < 1e-12
     assert np.array_equal(te.sqrt_transition, np.sqrt(p))
@@ -178,16 +190,18 @@ def test_sqrt_transition_is_derived_not_passed():
     te = make_transition_expectation(random_row_stochastic(4))
     rebuilt = TransitionExpectation(te.transition)
     assert np.array_equal(rebuilt.sqrt_transition, te.sqrt_transition)
+    v = np.zeros((16, 4))
     with pytest.raises(TypeError):
-        TransitionExpectation(te.transition, te.isometry_V)
+        TransitionExpectation(te.transition, v)
     with pytest.raises(TypeError):
-        TransitionExpectation(te.transition, isometry_V=te.isometry_V)
+        TransitionExpectation(te.transition, isometry_V=v)
     with pytest.raises(TypeError):
         TransitionExpectation(te.transition, sqrt_transition=te.sqrt_transition)
 
 
-def stinespring_oracle(te, m, n):
-    """E(M (x) N) = V' (M (x) N) V evaluated from the isometry V.
+def stinespring_oracle(p, m, n):
+    """E(M (x) N) = V' (M (x) N) V for the row-stochastic p, evaluated from
+    the isometry V that `stinespring_isometry` gathers.
 
     Column j of V, reshaped row-major to the d x d matrix X_j, satisfies
     (M (x) N) vec(X_j) = vec(M X_j N^T), so the product is evaluated in
@@ -196,8 +210,8 @@ def stinespring_oracle(te, m, n):
     """
     a = np.asarray(m)
     b = np.asarray(n)
-    v = te.isometry_V
-    d = te.dim
+    v = stinespring_isometry(p)
+    d = v.shape[1]
     columns = v.T.reshape(d, d, d)                 # columns[j] = X_j
     images = (a @ columns @ b.T).reshape(d, d * d)  # images[j] = vec(M X_j N^T)
     return v.conj().T @ images.T
@@ -207,11 +221,11 @@ def test_stinespring_matches_closed_form():
     rng = np.random.default_rng(7)
     for _ in range(40):
         n = int(rng.integers(2, 6))
-        te = make_transition_expectation(rng.dirichlet(np.ones(n), size=n))
+        p = rng.dirichlet(np.ones(n), size=n)
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         nn = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        lhs = stinespring_oracle(te, m, nn)
-        rhs = apply_transition_expectation(te, m, nn)
+        lhs = stinespring_oracle(p, m, nn)
+        rhs = apply_transition_expectation(make_transition_expectation(p), m, nn)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -235,7 +249,7 @@ def test_closed_form_matches_the_stinespring_oracle_up_to_48_states(kind):
         te = make_transition_expectation(p)
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         nn = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        gap = np.max(np.abs(apply_transition_expectation(te, m, nn) - stinespring_oracle(te, m, nn)))
+        gap = np.max(np.abs(apply_transition_expectation(te, m, nn) - stinespring_oracle(p, m, nn)))
         assert gap < 1e-12, (kind, n, gap)
 
 
@@ -247,23 +261,19 @@ def test_hand_built_transition_expectation_is_certified():
         TransitionExpectation([[2.0, 0.0], [0.0, 0.0]])
 
 
-def test_isometry_is_gathered_on_read_and_capped_at_64_states():
-    rng = np.random.default_rng(64)
-    for n in (1, 2, 7, 64):
-        te = make_transition_expectation(rng.dirichlet(np.ones(n), size=n))
-        assert "isometry_V" not in vars(te)
-        root = np.sqrt(te.transition)
-        gathered = np.zeros((n * n, n))
-        gathered[np.arange(n * n), np.repeat(np.arange(n), n)] = root.ravel()
-        v = te.isometry_V
-        assert np.array_equal(v, gathered) and not v.flags.writeable
-        assert te.isometry_V is v
-        assert np.max(np.abs(v.T @ v - np.eye(n))) < 1e-12
+def test_transition_expectation_stores_no_isometry_and_serves_65_states():
     te = make_transition_expectation(np.full((65, 65), 1 / 65))
-    with pytest.raises(ValidationError, match="64"):
-        te.isometry_V
+    fields = [f.name for f in dataclasses.fields(TransitionExpectation)]
+    assert fields == ["transition", "dim", "sqrt_transition"]
+    assert set(vars(te)) == set(fields)
     assert np.max(np.abs(apply_transition_expectation(te, np.eye(65), np.eye(65))
                          - np.eye(65))) < 1e-12
+    rng = np.random.default_rng(65)
+    p = rng.dirichlet(np.ones(65), size=65)
+    m, nn = rng.normal(size=(2, 65, 65))
+    gap = (apply_transition_expectation(make_transition_expectation(p), m, nn)
+           - stinespring_oracle(p, m, nn))
+    assert np.max(np.abs(gap)) < 1e-12
 
 
 def test_transition_expectation_never_allocates_the_pair_space():
@@ -683,9 +693,11 @@ def test_szegedy_invariants_random():
         d = rng.dirichlet(np.ones(n), size=n).T  # columns sum to 1
         w = szegedy_walk(d)
         nn = n * n
-        assert np.max(np.abs(w.A_op.T @ w.A_op - np.eye(n))) < 1e-12
-        assert np.max(np.abs(w.projector @ w.projector - w.projector)) < 1e-12
-        assert np.array_equal(w.swap @ w.swap, np.eye(nn))
+        a_op, projector, swap, u = dense_szegedy_oracle(d, "column")
+        assert np.max(np.abs(a_op.T @ a_op - np.eye(n))) < 1e-12
+        assert np.max(np.abs(projector @ projector - projector)) < 1e-12
+        assert np.array_equal(swap @ swap, np.eye(nn))
+        assert np.array_equal(w.U, u)
         assert np.max(np.abs(w.U.T @ w.U - np.eye(nn))) < 1e-10
 
 
@@ -698,16 +710,17 @@ def test_szegedy_row_convention():
 
 def test_szegedy_identity_chain_swaps():
     w = szegedy_walk(np.eye(2))
+    a_op, _, swap, _ = dense_szegedy_oracle(np.eye(2), "column")
     # A|v> = |v,v>; U acts as the swap there
     for v in range(2):
-        vec = w.A_op[:, v]
-        assert np.max(np.abs(w.U @ vec - w.swap @ vec)) < 1e-14
+        vec = a_op[:, v]
+        assert np.max(np.abs(w.U @ vec - swap @ vec)) < 1e-14
 
 
 def test_szegedy_three_cycle_recurrence():
     perm = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     w = szegedy_walk(perm)
-    a = w.A_op
+    a = dense_szegedy_oracle(perm, "column")[0]
     # for a fixed-point-free deterministic cycle U^2 A = -A, hence U^4 A = A
     assert np.max(np.abs(w.U @ (w.U @ a) + a)) < 1e-14
     u4 = np.linalg.matrix_power(w.U, 4)
@@ -723,7 +736,7 @@ def test_szegedy_fixes_stationary_vector_for_reversible_chains():
         d = wts / wts.sum(axis=0, keepdims=True)
         w = szegedy_walk(d)
         pi = stationary_distribution(d)
-        vec = w.A_op @ np.sqrt(pi)
+        vec = dense_szegedy_oracle(d, "column")[0] @ np.sqrt(pi)
         assert np.max(np.abs(w.U @ vec - vec)) < 1e-8
 
 
@@ -808,11 +821,7 @@ def _assert_szegedy_matches_dense_oracle(n, convention, seed, sparse):
     if convention == "column":
         d = d.T
     w = szegedy_walk(d, convention=convention)
-    a_op, projector, swap, u = dense_szegedy_oracle(d, convention)
-    assert np.array_equal(w.A_op, a_op)
-    assert np.array_equal(w.projector, projector)
-    assert np.array_equal(w.swap, swap)
-    assert np.array_equal(w.U, u)
+    assert np.array_equal(w.U, dense_szegedy_oracle(d, convention)[3])
 
 
 @settings(max_examples=60, deadline=None)
@@ -828,13 +837,10 @@ def test_szegedy_matches_dense_oracle_at_benchmark_sizes(n, sparse, convention):
     _assert_szegedy_matches_dense_oracle(n, convention, 1000 + n, sparse)
 
 
-def test_szegedy_pair_space_views_are_read_only_and_kept():
+def test_szegedy_walk_stores_only_its_matrix_and_u_read_only():
     w = szegedy_walk(random_row_stochastic(5).T)
-    assert "A_op" not in vars(w)
-    for name in ("A_op", "projector", "swap"):
-        first = getattr(w, name)
-        assert not first.flags.writeable
-        assert getattr(w, name) is first
+    assert [f.name for f in dataclasses.fields(WalkOperator)] == ["column_stochastic", "U"]
+    assert set(vars(w)) == {"column_stochastic", "U"}
     assert not w.U.flags.writeable and not w.column_stochastic.flags.writeable
 
 
@@ -842,9 +848,10 @@ def test_szegedy_pair_space_views_are_read_only_and_kept():
 def test_the_walk_reads_a_row_stochastic_matrix_as_its_transpose(n):
     p = random_row_stochastic(n)
     row, column = WalkOperator(p, convention="row"), szegedy_walk(p.T)
-    for name in ("column_stochastic", "U", "A_op", "projector", "swap"):
+    for name in ("column_stochastic", "U"):
         mine, theirs = getattr(row, name), getattr(column, name)
         assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+    assert np.array_equal(row.U, dense_szegedy_oracle(p.T, "column")[3])
 
 
 def test_szegedy_walk_allocates_one_pair_space_array():
@@ -928,10 +935,11 @@ def test_certify_cp_psd_multiplier_pads_with_exact_zeros():
 @given(n=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
 def test_transition_expectation_matches_kronecker_oracle(n, seed):
     rng = np.random.default_rng(seed)
-    te = make_transition_expectation(rng.dirichlet(np.ones(n), size=n))
+    p = rng.dirichlet(np.ones(n), size=n)
+    te = make_transition_expectation(p)
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     nn = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    v = te.isometry_V
+    v = stinespring_isometry(p)
     oracle = v.conj().T @ np.kron(m, nn) @ v
     assert np.max(np.abs(apply_transition_expectation(te, m, nn) - oracle)) < 1e-13
 

@@ -31,7 +31,7 @@ def test_z3_idempotents_match_fourier_kernel():
     """For Z_n the idempotents are the Fourier projections (1/n) sum w^{-jk} A_k."""
     s = build_group_scheme(groups.cyclic(3))
     dec = decompose(s)
-    mats = s.adjacency_matrices()
+    mats = [s.adjacency(j) for j in range(s.d + 1)]
     w = np.exp(2j * np.pi / 3)
     # the first nontrivial idempotent is ordered to carry A_1-eigenvalue w
     expected_e1 = sum(w ** (-k) * mats[k] for k in range(3)) / 3
@@ -76,7 +76,7 @@ def test_multiplicities_and_eigenmatrices(name, builtin_schemes, decompositions)
     assert np.max(np.abs(p @ q - s.n * np.eye(s.d + 1))) < 1e-8
 
     # reconstruction: A_i = sum_j P[j][i] E_j (rows of P index eigenspaces)
-    mats = s.adjacency_matrices()
+    mats = [s.adjacency(j) for j in range(s.d + 1)]
     ems = [dec.idempotent(j) for j in range(s.d + 1)]
     for i, a in enumerate(mats):
         rebuilt = sum(p[j, i] * ems[j] for j in range(s.d + 1))

@@ -47,7 +47,7 @@ def _cluster(values):
 
 def refinement_decompose(s):
     """Idempotents, multiplicities, P and Q from the n x n adjacency matrices."""
-    mats = [a.astype(np.float64) for a in s.adjacency_matrices()]
+    mats = [s.adjacency(j).astype(np.float64) for j in range(s.d + 1)]
     rng = np.random.default_rng(_ORACLE_SEED)
     generic = np.zeros((s.n, s.n), dtype=np.complex128)
     for a in mats:

@@ -1,5 +1,7 @@
-"""The benchmark's own traffic, served in process, never fills the report
-store: no request fails, nothing is evicted, and every held record stays
+"""The benchmark's own traffic, served in process: every workload's
+warm-up round and first round pass the benchmark's reference checks, so
+every attribute the benchmark reads is still there, and that traffic never
+fills the report store: nothing is evicted, and every held record stays
 within the charge it was given when the store took it.
 
 The benchmark's modules under `perfbench/` are loaded read-only, the way
@@ -29,6 +31,15 @@ def _load(name):
 
 
 gen, pipeline, run, spans = (_load(name) for name in ("gen", "pipeline", "run", "spans"))
+
+
+@pytest.mark.parametrize("workload", ["spectra", "catalog", "quantum"])
+def test_every_benchmark_workload_is_served_in_process(workload):
+    client = run.Client(pipeline, iter([gen.warmup_round(workload, 1),
+                                        gen.RequestStream(workload, 1).next_round()]))
+    for _ in range(2):
+        client.run_round(spans.NullTracer())
+    assert client.attempted and client.failed == 0, client.errors
 
 
 @pytest.mark.parametrize("workload, rounds", [("catalog", 2), ("spectra", 1)])
