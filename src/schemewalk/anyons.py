@@ -49,7 +49,14 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ValidationError, is_integer, numeric_array, require_integer
+from .errors import (
+    ValidationError,
+    is_integer,
+    numeric_array,
+    require_index,
+    require_integer,
+    require_within_cap,
+)
 from .groups import DEFAULT_VERTEX_CAP
 from .parameters import KreinTensor
 from .spectral import BoseMesnerDecomposition
@@ -105,10 +112,8 @@ class FusionSystem:
         if not labels or len(set(labels)) != len(labels):
             raise ValidationError("labels must be non-empty and distinct")
         rank = len(labels)
-        _require_rank_within_cap(rank)
-        n = numeric_array(self.N, "fusion tensor").astype(np.int64)
-        if n.shape != (rank, rank, rank):
-            raise ValidationError(f"fusion tensor must be {rank}^3, got {n.shape}")
+        require_within_cap(rank, _FUSION_MAX_RANK, f"fusion system has rank {rank}")
+        n = numeric_array(self.N, "fusion tensor", ndim=3, size=rank).astype(np.int64)
         if n.min() < 0:
             raise ValidationError("fusion multiplicities must be non-negative")
 
@@ -140,6 +145,7 @@ class FusionSystem:
             rows = _tree_rows(n, a, b, c, e)
             cols = _tree_cols(n, a, b, c, e)
             block = numeric_array(mat, f"F block {key}", kinds="iufc").astype(np.complex128)
+            # rows x cols, square only when the data is consistent: checked here
             if block.shape != (len(rows), len(cols)):
                 raise ValidationError(
                     f"F block {key} must have shape {(len(rows), len(cols))}, got {block.shape}"
@@ -166,10 +172,8 @@ class FusionSystem:
 
         twist = self.twist
         if twist is not None:
-            twist = numeric_array(twist, "twist", kinds="iufc")
-            if twist.shape != (rank,):
-                raise ValidationError("twist must list one phase per label")
-            twist = tuple(complex(t) for t in twist)
+            twist = tuple(complex(t) for t in
+                          numeric_array(twist, "twist", kinds="iufc", ndim=1, size=rank))
             for a, t in enumerate(twist):
                 if abs(abs(t) - 1.0) > _UNITARITY_TOL:
                     raise ValidationError(f"twist {a} has modulus {abs(t)!r}, not 1")
@@ -187,17 +191,10 @@ class FusionSystem:
 
     def label_index(self, label) -> int:
         if is_integer(label):
-            if 0 <= int(label) < self.rank:
-                return int(label)
-            raise ValidationError(f"label index {label} out of range 0..{self.rank - 1}")
+            return require_index(label, self.rank, "label index")
         if label in self.labels:
             return self.labels.index(label)
         raise ValidationError(f"unknown label {label!r}; labels are {self.labels}")
-
-
-def _require_rank_within_cap(rank: int):
-    if rank > _FUSION_MAX_RANK:
-        raise ValidationError(f"fusion system has rank {rank}, above the cap of {_FUSION_MAX_RANK}")
 
 
 def _dims_from_tensor(n_tensor: np.ndarray) -> np.ndarray:
@@ -289,7 +286,7 @@ def cyclic_fusion_system(order: int) -> FusionSystem:
     """Group-like fusion ring of Z_n: a x b = a+b (mod n), all dims 1."""
     if require_integer(order, "order") < 1:
         raise ValidationError("order must be >= 1")
-    _require_rank_within_cap(order)
+    require_within_cap(order, _FUSION_MAX_RANK, f"fusion system has rank {order}")
     labels = tuple("1" if a == 0 else f"g{a}" for a in range(order))
     n = np.zeros((order, order, order), dtype=np.int64)
     a, b = np.indices((order, order))
@@ -439,10 +436,7 @@ class PentagonReport:
 
 
 def _require_small_multiplicity_free(fs: FusionSystem, what: str, max_rank: int):
-    if fs.rank > max_rank:
-        raise ValidationError(
-            f"{what} check supports rank <= {max_rank} systems; got rank {fs.rank}"
-        )
+    require_within_cap(fs.rank, max_rank, f"{what} check on rank {fs.rank}")
     if fs.N.max() > 1:
         raise ValidationError(f"{what} check supports multiplicity-free systems only")
 
@@ -594,8 +588,7 @@ def scheme_fusion_bridge(dec: BoseMesnerDecomposition, q: KreinTensor,
         raise ValidationError(
             f"rank mismatch: scheme has {rank} idempotents, fusion system has {fs.rank} labels"
         )
-    if rank > _BRIDGE_MAX_RANK:
-        raise ValidationError(f"bridge search supports rank <= {_BRIDGE_MAX_RANK}; got rank {rank}")
+    require_within_cap(rank, _BRIDGE_MAX_RANK, f"bridge search at rank {rank}")
 
     q_arr = q.q
     maps = _support_maps(q_arr > _BRIDGE_SUPPORT_TOL, fs.N >= 1)

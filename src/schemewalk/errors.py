@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all modules, and the entry rules for numbers
-and distributions.
+"""Exception hierarchy shared by all modules, and the entry rules for
+numbers, integers, distributions, array shapes, size caps and indices.
 
 Two user-facing failure modes exist: the input is malformed or out of
 range (ValidationError, CLI exit code 1), or the input parsed fine but a
@@ -28,23 +28,44 @@ class CertificationError(SchemeWalkError):
     """A numerical or combinatorial certification failed on valid-looking input."""
 
 
-def numeric_array(data, what: str, kinds: str = "iu") -> np.ndarray:
+def numeric_array(data, what: str, kinds: str = "iu", ndim: int | None = None,
+                  size: int | None = None) -> np.ndarray:
     """`data` as an array of finite entries whose inferred dtype kind lies in
-    `kinds`; ragged nesting, strings, an array of booleans only, integers
-    beyond 64 bits, floats where `kinds` asks for integers ("iu") and NaN or
-    infinite entries (named by the first index) raise ValidationError.  A
-    bool mixed into numbers is upcast to a number and accepted."""
+    `kinds`; ragged nesting, strings, booleans (an array of them, or one
+    anywhere in nested lists and tuples), integers beyond 64 bits, floats
+    where `kinds` asks for integers ("iu") and NaN or infinite entries
+    (named by the first index) raise ValidationError.  With `ndim`, the
+    array must have that many axes, all of one length (`size` when given)
+    and not 0: "<what> must be a non-empty array of shape (n, n), got
+    shape (2, 3)".  An ndarray is not scanned for bools; its dtype says."""
     try:
         arr = np.asarray(data)
     except (ValueError, TypeError):
         raise ValidationError(f"{what} must be a rectangular array of numbers") from None
+    expected = "integers" if "f" not in kinds else "numbers"
     if arr.dtype.kind not in kinds:
-        expected = "integers" if "f" not in kinds else "numbers"
         raise ValidationError(f"{what} entries must be {expected}, got dtype {arr.dtype}")
+    if isinstance(data, (list, tuple)) and _holds_bool(data):
+        raise ValidationError(f"{what} entries must be {expected}, got a bool")
     if arr.dtype.kind in "fc" and not np.isfinite(arr).all():
         where = ",".join(str(i) for i in np.argwhere(~np.isfinite(arr))[0])
         raise ValidationError(f"{what} has a non-finite entry at ({where})")
+    if ndim is not None and (arr.ndim != ndim or arr.size == 0 or len(set(arr.shape)) != 1
+                             or size not in (None, arr.shape[0])):
+        form = ", ".join(["n" if size is None else str(size)] * ndim) + ("," if ndim == 1 else "")
+        raise ValidationError(f"{what} must be a non-empty array of shape ({form}), "
+                              f"got shape {arr.shape}")
     return arr
+
+
+def _holds_bool(seq) -> bool:
+    """Whether a bool sits anywhere in the nested lists and tuples `seq`;
+    the element types of each level are collected in one pass."""
+    types = set(map(type, seq))
+    if bool in types or np.bool_ in types:
+        return True
+    return (list in types or tuple in types) and any(
+        _holds_bool(x) for x in seq if type(x) in (list, tuple))
 
 
 def is_integer(value) -> bool:
@@ -61,14 +82,28 @@ def require_integer(value, what: str, minimum: int | None = None) -> int:
     return int(value)
 
 
-def require_distribution(data, what: str) -> np.ndarray:
+def require_index(value, size: int, what: str) -> int:
+    """`value` as an int if `is_integer` holds and 0 <= value < size; else
+    ValidationError "<what> <value> out of range 0..<size - 1>" (or
+    `require_integer`'s message)."""
+    if not 0 <= require_integer(value, what) < size:
+        raise ValidationError(f"{what} {value} out of range 0..{size - 1}")
+    return int(value)
+
+
+def require_within_cap(count: int, cap: int, what: str) -> None:
+    """The size rule: ValidationError "<what>, above the cap of <cap>" when
+    count > cap.  Callers check before they allocate what `count` sizes."""
+    if count > cap:
+        raise ValidationError(f"{what}, above the cap of {cap}")
+
+
+def require_distribution(data, what: str, size: int | None = None) -> np.ndarray:
     """`data` as a new float64 vector of probabilities: `numeric_array`'s
-    rules, one axis with at least one entry, no entry below -_MASS_TOL and
-    a sum within _MASS_TOL of 1, else ValidationError naming `what`.
-    Entries in [-_MASS_TOL, 0) are returned as 0."""
-    vec = numeric_array(data, what, "iuf").astype(np.float64, copy=False)
-    if vec.ndim != 1 or vec.size == 0:
-        raise ValidationError(f"{what} must be a non-empty vector, got shape {vec.shape}")
+    rules for one non-empty axis (of length `size` when given), no entry
+    below -_MASS_TOL and a sum within _MASS_TOL of 1, else ValidationError
+    naming `what`.  Entries in [-_MASS_TOL, 0) are returned as 0."""
+    vec = numeric_array(data, what, "iuf", ndim=1, size=size).astype(np.float64, copy=False)
     if vec.min() < -_MASS_TOL:
         raise ValidationError(f"{what} has a negative entry: {float(vec.min())!r}")
     if abs(vec.sum() - 1.0) > _MASS_TOL:

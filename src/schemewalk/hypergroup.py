@@ -30,6 +30,7 @@ from .errors import (
     is_integer,
     numeric_array,
     require_distribution,
+    require_index,
     require_integer,
 )
 from .parameters import KreinTensor
@@ -60,19 +61,11 @@ class Hypergroup:
     multiplicities: tuple[int, ...]
 
     def __post_init__(self):
-        conv = numeric_array(self.convolution, "convolution", kinds="iuf").astype(
+        conv = numeric_array(self.convolution, "convolution", kinds="iuf", ndim=3).astype(
             np.float64, copy=False)
-        if conv.ndim != 3 or len(set(conv.shape)) != 1:
-            raise ValidationError(f"convolution must be (d+1)^3, got shape {conv.shape}")
         size = conv.shape[0]
-        mults = numeric_array(self.multiplicities, "multiplicities", kinds="iuf")
-        if mults.shape != (size,):
-            raise ValidationError(
-                f"need {size} multiplicities for a {size}^3 convolution, "
-                f"got {mults.size} in shape {mults.shape}")
-        # a bool among numbers is upcast to a number, so it is looked for here
-        if any(isinstance(m, (bool, np.bool_)) for m in self.multiplicities):
-            raise ValidationError(f"multiplicities must be numbers, got {self.multiplicities!r}")
+        mults = numeric_array(self.multiplicities, "multiplicities", kinds="iuf", ndim=1,
+                              size=size)
         if not np.all(mults > 0):
             raise ValidationError(
                 f"multiplicities must be positive and finite, got {mults.tolist()}")
@@ -147,18 +140,12 @@ def _measure(h: Hypergroup, value, what: str) -> np.ndarray:
     """`value` as a measure on {0..d}: an index is a point mass, anything
     else must be a distribution of length d + 1."""
     if is_integer(value):
-        if not 0 <= int(value) < h.size:
-            raise ValidationError(f"{what} index {value} out of range 0..{h.size - 1}")
         measure = np.zeros(h.size)
-        measure[int(value)] = 1.0
+        measure[require_index(value, h.size, f"{what} index")] = 1.0
         return measure
     if isinstance(value, (bool, np.bool_)):
         raise ValidationError(f"{what} must be an index or a distribution, not {value!r}")
-    measure = require_distribution(value, f"{what} distribution")
-    if measure.shape != (h.size,):
-        raise ValidationError(
-            f"{what} distribution must have length {h.size}, got shape {measure.shape}")
-    return measure
+    return require_distribution(value, f"{what} distribution", size=h.size)
 
 
 def convolve(h: Hypergroup, mu, nu) -> np.ndarray:

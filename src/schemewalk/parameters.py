@@ -56,9 +56,7 @@ class IntersectionTensor:
     p: np.ndarray
 
     def __post_init__(self):
-        p = numeric_array(self.p, "intersection tensor")
-        if p.ndim != 3 or len(set(p.shape)) != 1 or not p.size:
-            raise ValidationError(f"intersection tensor must be (d+1)^3, got shape {p.shape}")
+        p = numeric_array(self.p, "intersection tensor", ndim=3)
         if p.flags.writeable or p.dtype != np.int64:
             p = p.astype(np.int64)
             p.setflags(write=False)
@@ -89,9 +87,7 @@ class KreinTensor:
     q: np.ndarray
 
     def __post_init__(self):
-        q = numeric_array(self.q, "Krein tensor", kinds="iuf").astype(np.float64)
-        if q.ndim != 3 or len(set(q.shape)) != 1 or not q.size:
-            raise ValidationError(f"Krein tensor must be (d+1)^3, got shape {q.shape}")
+        q = numeric_array(self.q, "Krein tensor", kinds="iuf", ndim=3).astype(np.float64)
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "d", q.shape[0] - 1)

@@ -45,6 +45,7 @@ from .errors import (
     numeric_array,
     require_distribution,
     require_integer,
+    require_within_cap,
 )
 
 _PSD_TOL = 1e-10
@@ -52,23 +53,13 @@ _STOCHASTIC_TOL = 1e-12
 # `eig` is backward stable: a unit eigenvector of a stochastic P has
 # residual |P pi - pi| of order n*eps, far below 1e-9 at any size used here.
 _STATIONARY_TOL = 1e-9
-# Dense pair-space operators are n^2 x n^2; refuse sizes that would
-# silently eat gigabytes (64 vertices: 128 MB per float64 operator).
 _PAIR_SPACE_MAX_VERTICES = 64
-
-
-def _require_square(m, what: str, kinds: str) -> np.ndarray:
-    """`m` as a finite, non-empty square array of the dtype `kinds`."""
-    a = numeric_array(m, what, kinds)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise ValidationError(f"{what} must be a non-empty square matrix, got shape {a.shape}")
-    return a
 
 
 def _column_stochastic(d_matrix, convention: str) -> np.ndarray:
     """The input, transposed if `convention` is "row", checked to be
     column-stochastic within _STOCHASTIC_TOL and clipped at 0."""
-    mat = _require_square(d_matrix, "stochastic matrix", "iuf").astype(np.float64, copy=False)
+    mat = np.asarray(numeric_array(d_matrix, "stochastic matrix", "iuf", ndim=2), np.float64)
     if convention not in ("column", "row"):
         raise ValidationError(f"convention must be 'column' or 'row', got {convention!r}")
     if mat.min() < -_STOCHASTIC_TOL:
@@ -90,7 +81,7 @@ class SchurChannel:
     multiplier: np.ndarray
 
     def __post_init__(self):
-        e = _require_square(self.multiplier, "multiplier", "iufc").astype(np.complex128)
+        e = numeric_array(self.multiplier, "multiplier", "iufc", ndim=2).astype(np.complex128)
         if np.max(np.abs(e - e.conj().T)) > _PSD_TOL:
             raise ValidationError("multiplier must be Hermitian")
         e.setflags(write=False)
@@ -125,12 +116,7 @@ class CPReport:
 
 
 def schur_channel_apply(c: SchurChannel, m) -> np.ndarray:
-    a = numeric_array(m, "matrix", "iufc")
-    if a.shape != c.multiplier.shape:
-        raise ValidationError(
-            f"matrix shape {a.shape} does not match channel dimension {c.multiplier.shape}"
-        )
-    return c.multiplier * a
+    return c.multiplier * numeric_array(m, "matrix", "iufc", ndim=2, size=c.dim)
 
 
 def certify_cp(c: SchurChannel) -> CPReport:
@@ -207,13 +193,6 @@ def make_transition_expectation(p) -> TransitionExpectation:
     return TransitionExpectation(p)
 
 
-def _check_sites(te: TransitionExpectation, m: np.ndarray, n: np.ndarray):
-    if m.shape != (te.dim, te.dim) or n.shape != (te.dim, te.dim):
-        raise ValidationError(
-            f"site matrices must be {te.dim}x{te.dim}, got {m.shape} and {n.shape}"
-        )
-
-
 def apply_transition_expectation(te: TransitionExpectation, m, n) -> np.ndarray:
     """E(M (x) N) = V' (M (x) N) V, evaluated as M o (sqrtP N sqrtP^T).
 
@@ -221,9 +200,8 @@ def apply_transition_expectation(te: TransitionExpectation, m, n) -> np.ndarray:
     is M[i][j] sum_{k,l} sqrtP[i][k] N[k][l] sqrtP[j][l]: O(d^3) time and
     O(d^2) memory, and V is never formed.
     """
-    a = numeric_array(m, "site matrix M", "iufc")
-    b = numeric_array(n, "site matrix N", "iufc")
-    _check_sites(te, a, b)
+    a = numeric_array(m, "site matrix M", "iufc", ndim=2, size=te.dim)
+    b = numeric_array(n, "site matrix N", "iufc", ndim=2, size=te.dim)
     root = te.sqrt_transition
     return a * (root @ b @ root.T)
 
@@ -255,9 +233,7 @@ def transition_expectation_dual(te: TransitionExpectation, rho: np.ndarray) -> n
     diagonal.  A complex rho gives a complex128 image, a real rho a real
     one.
     """
-    r = numeric_array(rho, "density matrix", "iufc")
-    if r.shape != (te.dim, te.dim):
-        raise ValidationError(f"density matrix must be {te.dim}x{te.dim}, got shape {r.shape}")
+    r = numeric_array(rho, "density matrix", "iufc", ndim=2, size=te.dim)
     real, imag = _dual_parts(te.sqrt_transition, np.diagonal(r))
     return _widen(real, imag) if np.iscomplexobj(r) else real
 
@@ -270,9 +246,7 @@ class ChannelTrajectory:
 
 def _check_density(rho: np.ndarray, dim: int) -> tuple[np.ndarray, float]:
     """The validated density matrix as complex128, and its least eigenvalue."""
-    r = _require_square(rho, "density matrix", "iufc").astype(np.complex128)
-    if r.shape[0] != dim:
-        raise ValidationError(f"density matrix must be {dim}x{dim}, got {r.shape}")
+    r = numeric_array(rho, "density matrix", "iufc", ndim=2, size=dim).astype(np.complex128)
     if np.max(np.abs(r - r.conj().T)) > _PSD_TOL:
         raise ValidationError("density matrix must be Hermitian")
     if abs(complex(np.trace(r)).real - 1.0) > 1e-10:
@@ -447,11 +421,8 @@ class WalkOperator:
     def __post_init__(self, convention):
         col = _column_stochastic(self.column_stochastic, convention)
         n = col.shape[0]
-        if n > _PAIR_SPACE_MAX_VERTICES:
-            raise ValidationError(
-                f"walk on {n} vertices needs a {n * n}x{n * n} dense pair space; "
-                f"capped at {_PAIR_SPACE_MAX_VERTICES} vertices"
-            )
+        # U is a dense n^2 x n^2 float64 operator: 128 MB at 64 vertices.
+        require_within_cap(n, _PAIR_SPACE_MAX_VERTICES, f"Szegedy walk has {n} vertices")
         root_t = np.sqrt(col).T                      # root_t[v, w] = sqrt(D[w][v])
         _certify_isometry(root_t, "A")
         u = np.zeros((n * n, n * n))

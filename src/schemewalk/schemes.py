@@ -85,7 +85,14 @@ from math import comb
 import numpy as np
 
 from . import galois
-from .errors import CertificationError, ValidationError, numeric_array, require_integer
+from .errors import (
+    CertificationError,
+    ValidationError,
+    numeric_array,
+    require_index,
+    require_integer,
+    require_within_cap,
+)
 from .groups import DEFAULT_VERTEX_CAP, FiniteGroup
 
 # The orbital pass of `build_orbit_scheme` holds about 6k + 1 int64 words
@@ -137,7 +144,6 @@ class AssociationScheme:
     def __post_init__(self):
         for name in ("n", "d"):
             object.__setattr__(self, name, require_integer(getattr(self, name), name))
-        rel = numeric_array(self.relation, "relation matrix")
         if self.n < 1:
             raise ValidationError(f"a scheme needs at least one vertex, got n={self.n}")
         if self.d > self.n * (self.n - 1):
@@ -146,8 +152,7 @@ class AssociationScheme:
                 f"{self.n} vertices leave room for at most {self.n * (self.n - 1)} "
                 f"non-identity classes, got d={self.d}"
             )
-        if rel.shape != (self.n, self.n):
-            raise ValidationError(f"relation matrix must be {self.n}x{self.n}, got {rel.shape}")
+        rel = numeric_array(self.relation, "relation matrix", ndim=2, size=self.n)
         if rel.min() < 0 or rel.max() > self.d:
             raise ValidationError(
                 f"class indices must lie in 0..{self.d}, found {rel.min()}..{rel.max()}"
@@ -167,9 +172,7 @@ class AssociationScheme:
 
     def adjacency(self, j: int) -> np.ndarray:
         """The 0/1 adjacency matrix A_j (a fresh integer array)."""
-        if not 0 <= require_integer(j, "class index") <= self.d:
-            raise ValidationError(f"class index {j} out of range 0..{self.d}")
-        return (self.relation == j).astype(np.int64)
+        return (self.relation == require_index(j, self.d + 1, "class index")).astype(np.int64)
 
     def valencies(self) -> np.ndarray:
         """Row-constant class sizes k_j (validated schemes only)."""
@@ -653,14 +656,12 @@ def build_orbit_scheme(generators: list[list[int]], n: int) -> AssociationScheme
     """
     if require_integer(n, "point count") < 1:
         raise ValidationError("point count must be positive")
-    if n > DEFAULT_VERTEX_CAP:
-        raise ValidationError(
-            f"orbit scheme has {n} vertices, above the cap of {DEFAULT_VERTEX_CAP}"
-        )
+    require_within_cap(n, DEFAULT_VERTEX_CAP, f"orbit scheme has {n} vertices")
     if not isinstance(generators, (list, tuple, np.ndarray)) or len(generators) == 0:
         raise ValidationError("need at least one generator")
     gens = numeric_array(generators, "generators")
     points = np.arange(n)
+    # k x n, not square, so the shape is checked here and not by `numeric_array`
     if gens.ndim != 2 or gens.shape[1] != n:
         raise ValidationError(
             f"generators must be permutations of 0..{n - 1}, got shape {gens.shape}"
@@ -670,11 +671,9 @@ def build_orbit_scheme(generators: list[list[int]], n: int) -> AssociationScheme
         raise ValidationError(f"{gens[bad[0]].tolist()} is not a permutation of 0..{n - 1}")
     gens = np.unique(gens, axis=0)
     k = len(gens)
-    if (6 * k + 1) * n * n > _ORBIT_PASS_WORDS:
-        raise ValidationError(
-            f"orbital pass over {n} points with {k} distinct generators needs "
-            f"{(6 * k + 1) * n * n} int64 words, above the bound of {_ORBIT_PASS_WORDS}"
-        )
+    words = (6 * k + 1) * n * n
+    require_within_cap(words, _ORBIT_PASS_WORDS, f"orbital pass over {n} points with {k} "
+                       f"distinct generators needs {words} int64 words")
 
     images = (gens[:, :, None] * n + gens[:, None, :]).ravel()
     labels = _support_components(n * n, np.tile(np.arange(n * n), k), images)
@@ -702,10 +701,7 @@ def build_johnson(v: int, k: int) -> AssociationScheme:
     if k <= 0 or 2 * k > v:
         raise ValidationError(f"Johnson scheme needs 0 < k <= v/2, got v={v}, k={k}")
     n = comb(v, k)
-    if n > DEFAULT_VERTEX_CAP:
-        raise ValidationError(
-            f"J({v},{k}) has {n} vertices, above the cap of {DEFAULT_VERTEX_CAP}"
-        )
+    require_within_cap(n, DEFAULT_VERTEX_CAP, f"J({v},{k}) has {n} vertices")
     members = np.array(list(itertools.combinations(range(v), k)), dtype=np.intp)
     inc = np.zeros((n, v))
     np.put_along_axis(inc, members, 1.0, axis=1)
@@ -737,10 +733,7 @@ def build_grassmann(q: int, v: int, d: int) -> AssociationScheme:
     if d <= 0 or 2 * d > v:
         raise ValidationError(f"Grassmann scheme needs 0 < d <= v/2, got v={v}, d={d}")
     n = galois.gaussian_binomial(v, d, q)
-    if n > DEFAULT_VERTEX_CAP:
-        raise ValidationError(
-            f"J_{q}({v},{d}) has {n} vertices, above the cap of {DEFAULT_VERTEX_CAP}"
-        )
+    require_within_cap(n, DEFAULT_VERTEX_CAP, f"J_{q}({v},{d}) has {n} vertices")
     points = galois.subspace_points(q, galois.enumerate_subspaces(q, v, d))
     per_subspace = points.shape[1]
     _, cols = np.unique(points, return_inverse=True)

@@ -46,6 +46,7 @@ def encode_matrix(arr: np.ndarray) -> list:
 
 
 def decode_matrix(data) -> np.ndarray:
+    # any 2-D form, or its [re, im] pairs, so the shape is checked here
     arr = numeric_array(data, "matrix", kinds="if")
     if arr.ndim == 3 and arr.shape[2] == 2:
         arr = arr[..., 0] + 1j * arr[..., 1]
@@ -195,10 +196,7 @@ def from_jsonable(kind: str, data, validate: bool = True):
         if not isinstance(data, dict) or not {"d", "entries"} <= set(data):
             raise ValidationError('tensor JSON must have keys "d", "entries"')
         d = require_integer(data["d"], '"d"')
-        arr = numeric_array(data["entries"], "tensor", kinds="if")
-        if arr.shape != (d + 1, d + 1, d + 1):
-            raise ValidationError(f"tensor must have shape {(d + 1,) * 3}, got {arr.shape}")
-        return arr
+        return numeric_array(data["entries"], "tensor", kinds="if", ndim=3, size=d + 1)
     if kind == "fusion-system":
         if not isinstance(data, dict) or not {"labels", "N"} <= set(data):
             raise ValidationError('fusion-system JSON must have keys "labels", "N"')
@@ -212,11 +210,9 @@ def from_jsonable(kind: str, data, validate: bool = True):
     if kind == "distribution":
         if not isinstance(data, list) or not data:
             raise ValidationError("distribution must be a non-empty JSON array")
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in data):
-            raise ValidationError("distribution entries must be numbers")
         if validate:
             return require_distribution(data, "distribution")
-        return numeric_array(data, "distribution", kinds="iuf").astype(np.float64)
+        return numeric_array(data, "distribution", kinds="iuf", ndim=1).astype(np.float64)
     raise ValidationError(f"unknown kind {kind!r}; kinds: {KINDS}")
 
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CertificationError, ValidationError, require_integer
+from .errors import CertificationError, ValidationError, require_index
 from .schemes import AssociationScheme, AxiomReport, require_axioms
 
 # Seed for the generic-combination coefficients.  Fixed so that repeated
@@ -92,8 +92,7 @@ class BoseMesnerDecomposition:
 
     def idempotent(self, j: int) -> np.ndarray:
         """A fresh read-only E_j, gathered as E_j[x][y] = Q[relation[x][y]][j] / n."""
-        if not 0 <= require_integer(j, "idempotent index") <= self.d:
-            raise ValidationError(f"idempotent index {j} out of range 0..{self.d}")
+        j = require_index(j, self.d + 1, "idempotent index")
         e = (self.eigenmatrix_Q[:, j] / self.n)[self.scheme.relation]
         e.setflags(write=False)
         return e

@@ -381,7 +381,7 @@ def test_oracle_systems_cover_pass_fail_and_refusal():
     assert not hexagon["fibonacci_wrong_r"].passed
     assert hexagon["fibonacci_missing_r"] == (
         "ValidationError: missing R data for channel (1, 1, 0)")
-    assert "rank <= 2" in hexagon["z3"]
+    assert "rank 3, above the cap of 2" in hexagon["z3"]
 
 
 def _unit(angle):
@@ -581,7 +581,8 @@ def test_fusion_system_derives_dual_and_dims():
 
 
 def test_fusion_system_refuses_labels_that_disagree_with_n():
-    with pytest.raises(ValidationError, match=r"fusion tensor must be 3\^3, got \(2, 2, 2\)"):
+    with pytest.raises(ValidationError, match=r"fusion tensor must be a non-empty array of "
+                                              r"shape \(3, 3, 3\), got shape \(2, 2, 2\)"):
         FusionSystem(("1", "g", "h"), cyclic_fusion_system(2).N)
 
 

@@ -16,6 +16,7 @@ EMPTY = np.zeros((0, 0))
 
 ENTRY_POINTS = {
     "AssociationScheme": lambda: AssociationScheme(n=0, d=0, relation=np.zeros((0, 0), int)),
+    "AssociationScheme relation=[]": lambda: AssociationScheme(n=0, d=0, relation=[]),
     "SchurChannel": lambda: SchurChannel(EMPTY),
     "make_transition_expectation": lambda: make_transition_expectation(EMPTY),
     "szegedy_walk": lambda: szegedy_walk(EMPTY),
@@ -27,3 +28,9 @@ ENTRY_POINTS = {
 def test_empty_input_is_refused(entry):
     with pytest.raises(ValidationError):
         ENTRY_POINTS[entry]()
+
+
+@pytest.mark.parametrize("relation", [[], np.zeros((0, 0), int)], ids=["list", "array"])
+def test_a_scheme_without_vertices_is_refused_for_n_before_its_relation_is_read(relation):
+    with pytest.raises(ValidationError, match="at least one vertex, got n=0"):
+        AssociationScheme(n=0, d=0, relation=relation)

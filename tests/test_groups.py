@@ -333,6 +333,35 @@ def test_an_order_equal_to_the_cap_builds(monkeypatch):
         groups.dihedral(7)
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_builtin_reads_s_n_as_the_symmetric_group(n):
+    assert groups.builtin(f"s{n}") == groups.builtin(f" S{n} ") == groups.symmetric(n)
+
+
+@pytest.mark.parametrize("name", ["z\u00b2", "s", "x3", "q9"])
+def test_builtin_refuses_names_outside_its_families(name):
+    with pytest.raises(ValidationError, match="unknown group name"):
+        groups.builtin(name)
+
+
+def test_builtin_s6_is_refused_by_the_degree_cap_before_any_table():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="S_6 has degree 6, above the cap of 5"):
+            groups.builtin("s6")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_cli_builds_the_s5_conjugacy_scheme(tmp_path):
+    out = tmp_path / "s5c.json"
+    assert run(["scheme", "build", "--family", "conjugacy", "--group", "s5",
+                "--out", str(out)]) == 0
+    assert run(["scheme", "verify", str(out)]) == 0
+
+
 def _layered_generators(c, identity):
     """The generating-set search as it first stood, with one np.ix_ gather
     per breadth-first layer; the oracle for `groups._generators`, which

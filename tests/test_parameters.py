@@ -236,9 +236,9 @@ def test_tensors_read_d_from_their_shape(j42, j42_krein):
 
 
 @pytest.mark.parametrize("edit, witness", [
-    (lambda q: q[:, :, :2], r"\(d\+1\)\^3, got shape \(3, 3, 2\)"),
-    (lambda q: q[0], r"\(d\+1\)\^3, got shape \(3, 3\)"),
-    (lambda q: q[:0, :0, :0], r"\(d\+1\)\^3, got shape \(0, 0, 0\)"),
+    (lambda q: q[:, :, :2], r"non-empty array of shape \(n, n, n\), got shape \(3, 3, 2\)"),
+    (lambda q: q[0], r"non-empty array of shape \(n, n, n\), got shape \(3, 3\)"),
+    (lambda q: q[:0, :0, :0], r"non-empty array of shape \(n, n, n\), got shape \(0, 0, 0\)"),
     (lambda q: np.where(np.arange(27).reshape(3, 3, 3) == 14, np.nan, q),
      r"non-finite entry at \(1,1,2\)"),
     (lambda q: np.where(np.arange(27).reshape(3, 3, 3) == 5, -np.inf, q),
@@ -253,9 +253,9 @@ def test_krein_tensor_refuses_what_is_not_a_finite_cube(edit, witness, j42_krein
 
 
 @pytest.mark.parametrize("data, witness", [
-    (np.zeros((2, 3, 4), dtype=np.int64), r"\(d\+1\)\^3, got shape \(2, 3, 4\)"),
-    (np.zeros((3, 3), dtype=np.int64), r"\(d\+1\)\^3, got shape \(3, 3\)"),
-    (np.zeros((0, 0, 0), dtype=np.int64), r"\(d\+1\)\^3, got shape \(0, 0, 0\)"),
+    (np.zeros((2, 3, 4), dtype=np.int64), r"array of shape \(n, n, n\), got shape \(2, 3, 4\)"),
+    (np.zeros((3, 3), dtype=np.int64), r"array of shape \(n, n, n\), got shape \(3, 3\)"),
+    (np.zeros((0, 0, 0), dtype=np.int64), r"array of shape \(n, n, n\), got shape \(0, 0, 0\)"),
     (np.zeros((2, 2, 2)), "entries must be integers"),
     (np.zeros((2, 2, 2), dtype=bool), "entries must be integers"),
 ], ids=["not-cubic", "two-axes", "empty", "float", "bool"])

@@ -354,7 +354,7 @@ def test_dual_channel_matches_einsum_and_keeps_the_input_kind():
 @pytest.mark.parametrize("shape", [(3, 3), (4,), (2, 4, 4)])
 def test_dual_channel_refuses_a_state_of_the_wrong_shape(shape):
     te = make_transition_expectation(np.full((4, 4), 0.25))
-    with pytest.raises(ValidationError, match="4x4"):
+    with pytest.raises(ValidationError, match=r"shape \(4, 4\), got shape"):
         transition_expectation_dual(te, np.full(shape, 0.1))
 
 
