@@ -31,13 +31,14 @@ class CertificationError(SchemeWalkError):
 def numeric_array(data, what: str, kinds: str = "iu", ndim: int | None = None,
                   size: int | None = None) -> np.ndarray:
     """`data` as an array of finite entries whose inferred dtype kind lies in
-    `kinds`; ragged nesting, strings, booleans (an array of them, or one
-    anywhere in nested lists and tuples), integers beyond 64 bits, floats
-    where `kinds` asks for integers ("iu") and NaN or infinite entries
-    (named by the first index) raise ValidationError.  With `ndim`, the
-    array must have that many axes, all of one length (`size` when given)
-    and not 0: "<what> must be a non-empty array of shape (n, n), got
-    shape (2, 3)".  An ndarray is not scanned for bools; its dtype says."""
+    `kinds`; ragged nesting, strings, booleans (an array of them, one
+    anywhere in nested lists and tuples, or an array of them there),
+    integers beyond 64 bits, floats where `kinds` asks for integers
+    ("iu") and NaN or infinite entries (named by the first index) raise
+    ValidationError.  With `ndim`, the array must have that many axes, all
+    of one length (`size` when given) and not 0: "<what> must be a
+    non-empty array of shape (n, n), got shape (2, 3)".  An ndarray is
+    not scanned for bools; its dtype says."""
     try:
         arr = np.asarray(data)
     except (ValueError, TypeError):
@@ -59,10 +60,13 @@ def numeric_array(data, what: str, kinds: str = "iu", ndim: int | None = None,
 
 
 def _holds_bool(seq) -> bool:
-    """Whether a bool sits anywhere in the nested lists and tuples `seq`;
+    """Whether a bool sits anywhere in the nested lists and tuples `seq`,
+    or an ndarray of bools among them (read from its dtype, not scanned);
     the element types of each level are collected in one pass."""
     types = set(map(type, seq))
     if bool in types or np.bool_ in types:
+        return True
+    if np.ndarray in types and any(x.dtype == bool for x in seq if type(x) is np.ndarray):
         return True
     return (list in types or tuple in types) and any(
         _holds_bool(x) for x in seq if type(x) in (list, tuple))

@@ -8,8 +8,10 @@ two q x q int64 tables, `add_table` (digit-wise sums mod p) and
 all arithmetic stays exact integer table lookups.
 
 A private module: `build_grassmann`, which applies the integer rule to
-q, v and d, is its only reader.  `subspace_points` lists the projective
-points of many subspaces at once through those tables.
+q, v and d, is its only reader.  `enumerate_subspaces` lists every
+d-dimensional subspace of GF(q)^v as one array of RREF bases in the
+canonical order, and `subspace_points` lists the projective points of
+all of them at once through the tables.
 """
 
 from __future__ import annotations
@@ -68,14 +70,14 @@ class GF:
         self.mul_table.setflags(write=False)
 
 
-def subspace_points(q: int, bases) -> np.ndarray:
+def subspace_points(q: int, bases: np.ndarray) -> np.ndarray:
     """The projective points of each subspace, from its RREF basis.
 
-    `bases` holds n subspaces of GF(q)^v as d x v RREF bases (the output of
-    `enumerate_subspaces`).  Row s of the (n, [d,1]_q) result lists the
-    points of subspace s.  A point is a nonzero vector scaled so that its
-    first nonzero coordinate is 1, encoded as the base-q integer of its
-    coordinates.
+    `bases` is the (n, d, v) int64 array of `enumerate_subspaces`: n
+    subspaces of GF(q)^v as d x v RREF bases.  Row s of the (n, [d,1]_q)
+    result lists the points of subspace s.  A point is a nonzero vector
+    scaled so that its first nonzero coordinate is 1, encoded as the
+    base-q integer of its coordinates.
 
     For an RREF basis B, the first nonzero coordinate of c B is c_r, at the
     pivot of the first row r with c_r != 0.  The points of the span are
@@ -83,16 +85,15 @@ def subspace_points(q: int, bases) -> np.ndarray:
     there are (q^d - 1)/(q - 1) of them.
     """
     field = GF(q)
-    bases = np.asarray(bases, dtype=np.int64)
     n, d, v = bases.shape
     coeffs = np.array([(0,) * r + (1,) + rest for r in range(d)
                        for rest in itertools.product(range(q), repeat=d - r - 1)],
                       dtype=np.int64)
-    # terms[s, c, r, :] = coeffs[c, r] * bases[s, r, :]
-    terms = field.mul_table[coeffs[None, :, :, None], bases[:, None, :, :]]
-    vectors = terms[:, :, 0, :]
+    # the tables read flat: mul_table[a, b] is mul[a * q + b]
+    mul, add = field.mul_table.ravel(), field.add_table.ravel()
+    vectors = mul[coeffs[:, 0, None] * q + bases[:, None, 0, :]]
     for r in range(1, d):
-        vectors = field.add_table[vectors, terms[:, :, r, :]]
+        vectors = add[vectors * q + mul[coeffs[:, r, None] * q + bases[:, None, r, :]]]
     return vectors @ q ** np.arange(v - 1, -1, -1, dtype=np.int64)
 
 
@@ -107,25 +108,34 @@ def gaussian_binomial(v: int, d: int, q: int) -> int:
     return num // den
 
 
-def enumerate_subspaces(q: int, v: int, d: int) -> list[tuple[tuple[int, ...], ...]]:
-    """All d-dimensional subspaces of GF(q)^v as canonical RREF bases.
+def enumerate_subspaces(q: int, v: int, d: int) -> np.ndarray:
+    """All d-dimensional subspaces of GF(q)^v as the (n, d, v) int64 array
+    of their canonical RREF bases.
 
     Deterministic order: pivot columns lexicographically, then free entries
-    counted in base q, row-major.
+    counted in base q, row-major (the last free entry runs fastest).  A
+    pivot set with f free entries is a block of q^f bases: the i-th basis
+    of the block holds 1 at the pivots and, at the free position t places
+    from the last, the base-q digit i // q^t % q.  Every entry is read
+    that way from one row of ones and one row of place values per pivot
+    set; off the free positions the place value is q^f, so the digit is 0.
     """
     GF(q)  # refuses an unsupported order
-    if d == 0:
-        return [()]
-    out = []
+    ones, places, sizes = [], [], []
     for pivots in itertools.combinations(range(v), d):
         # free positions: to the right of each row's pivot, excluding later pivot columns
-        free = [(r, c) for r in range(d) for c in range(pivots[r] + 1, v) if c not in pivots]
-        for values in itertools.product(range(q), repeat=len(free)):
-            mat = [[0] * v for _ in range(d)]
-            for r, pc in enumerate(pivots):
-                mat[r][pc] = 1
-            for (r, c), val in zip(free, values):
-                mat[r][c] = val
-            out.append(tuple(tuple(row) for row in mat))
-    assert len(out) == gaussian_binomial(v, d, q)
-    return out
+        free = [r * v + c for r in range(d) for c in range(pivots[r] + 1, v) if c not in pivots]
+        sizes.append(q ** len(free))
+        one, place = [0] * (d * v), [sizes[-1]] * (d * v)
+        for r, c in enumerate(pivots):
+            one[r * v + c] = 1
+        for t, pos in enumerate(reversed(free)):
+            place[pos] = q ** t
+        ones.append(one)
+        places.append(place)
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    index = np.arange(len(block)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    bases = (np.array(ones, dtype=np.int64)[block]
+             + index[:, None] // np.array(places, dtype=np.int64)[block] % q)
+    assert len(bases) == gaussian_binomial(v, d, q)
+    return bases.reshape(len(bases), d, v)

@@ -141,14 +141,19 @@ def symmetric(n: int) -> FiniteGroup:
     """S_n on {0..n-1}; elements are permutations in lexicographic order."""
     if require_integer(n, "n") < 1:
         raise ValidationError("symmetric group needs n >= 1")
-    # `composed` holds n! * n! * n words: 0.6 MB at n = 5, 25 MB at n = 6.
+    # `composed` holds n! * n! words and `rank` n^n: 0.1 MB at n = 5, 4 MB at n = 6.
     require_within_cap(n, 5, f"S_{n} has degree {n}")
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
-    # (p*q)(i) = p(q(i)): apply q first, then p.  composed[p, q] = p o q.
-    composed = perms[:, perms]
-    # base-n codes of the lexicographic order ascend, so searchsorted ranks them
+    # A permutation's code is its base-n number sum_i p(i) n^(n-1-i).  With
+    # (p*q)(i) = p(q(i)) (apply q first, then p), the code of p o q is
+    # sum_j p(j) n^(n-1-q^-1(j)): one product of perms with the place
+    # values each q gives its points.
     place = n ** np.arange(n - 1, -1, -1)
-    return FiniteGroup(np.searchsorted(perms @ place, composed @ place))
+    composed = perms @ place[np.argsort(perms, axis=1)].T
+    # the n^n-entry code -> index table ranks every composed code
+    rank = np.empty(n ** n, dtype=np.intp)
+    rank[perms @ place] = np.arange(len(perms))
+    return FiniteGroup(rank[composed])
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -182,5 +187,11 @@ def builtin(name: str) -> FiniteGroup:
     if key == "q8":
         return quaternion()
     if key[:1] in _FAMILIES and key[1:].isdecimal():
-        return _FAMILIES[key[0]](int(key[1:]))
+        # every family's cap is at most DEFAULT_VERTEX_CAP, so a number with
+        # more digits is refused before `int`, which stops at 4,300 digits
+        digits = key[1:].lstrip("0") or "0"
+        if len(digits) > len(str(DEFAULT_VERTEX_CAP)):
+            raise ValidationError(f"group {key[0]}<n> with a {len(digits)}-digit n, "
+                                  f"above the cap of {DEFAULT_VERTEX_CAP}")
+        return _FAMILIES[key[0]](int(digits))
     raise ValidationError(f"unknown group name {name!r} (try z<n>, s<n>, d<n>, q8)")

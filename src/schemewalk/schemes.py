@@ -69,9 +69,10 @@ store does not hold, because it left or never fitted, keeps serving the
 reports that hold it, its values uncounted.
 
 The table-driven builders form the relation matrix without a loop over
-pairs: Johnson and Grassmann schemes from one float64 product M M^T of a
-0/1 incidence matrix, group and conjugacy schemes from one gather through
-the Cayley table.
+pairs and at its packed width: Johnson and Grassmann schemes from one
+float32 product M M^T of a 0/1 incidence matrix, whose counts are cast to
+the narrowest unsigned type that holds them, group and conjugacy schemes
+from one gather through the Cayley table.
 """
 
 from __future__ import annotations
@@ -586,9 +587,10 @@ def _class_order_with_identity_first(identity: int, count: int) -> np.ndarray:
     return mapping
 
 
-def _quotient_classes(g: FiniteGroup, class_of) -> np.ndarray:
-    """rel[y, z] = class_of[y * z^-1], gathered through the Cayley table."""
-    return np.asarray(class_of, dtype=np.int64)[g.table[:, np.array(g.inverse)]]
+def _quotient_classes(g: FiniteGroup, class_of, d: int) -> np.ndarray:
+    """rel[y, z] = class_of[y * z^-1], gathered through the Cayley table
+    from `class_of` held at the packed width of the classes 0..d."""
+    return np.asarray(class_of, dtype=_packed_dtype(d))[g.table[:, np.array(g.inverse)]]
 
 
 def build_group_scheme(g: FiniteGroup) -> AssociationScheme:
@@ -598,7 +600,7 @@ def build_group_scheme(g: FiniteGroup) -> AssociationScheme:
     and A_x A_y = A_{xy}, A_x^T = A_{x^-1}.
     """
     n = g.order
-    rel = _quotient_classes(g, _class_order_with_identity_first(g.identity, n))
+    rel = _quotient_classes(g, _class_order_with_identity_first(g.identity, n), n - 1)
     return AssociationScheme(n=n, d=n - 1, relation=rel)
 
 
@@ -612,8 +614,8 @@ def build_conjugacy_scheme(g: FiniteGroup) -> AssociationScheme:
     class_of_elt = np.empty(g.order, dtype=np.int64)
     for idx, cl in enumerate(classes):
         class_of_elt[cl] = idx
-    rel = _quotient_classes(g, class_of_elt)
-    return AssociationScheme(n=g.order, d=len(classes) - 1, relation=rel)
+    d = len(classes) - 1
+    return AssociationScheme(n=g.order, d=d, relation=_quotient_classes(g, class_of_elt, d))
 
 
 def _support_components(size: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -694,8 +696,10 @@ def build_johnson(v: int, k: int) -> AssociationScheme:
     `itertools.combinations` order.
 
     With M the n x v 0/1 incidence matrix of subsets against points,
-    |a n b| = (M M^T)[a, b].  The product runs in float64 and is exact:
-    every partial sum is a count <= k.
+    |a n b| = (M M^T)[a, b].  The product runs in float32 and is exact:
+    every partial sum is a count <= k, far below 2^24.  The counts are
+    cast to the narrowest unsigned type that holds k, and k - |a n b| is
+    formed at that width, the scheme's packed width.
     """
     v, k = require_integer(v, "v"), require_integer(k, "k")
     if k <= 0 or 2 * k > v:
@@ -703,10 +707,11 @@ def build_johnson(v: int, k: int) -> AssociationScheme:
     n = comb(v, k)
     require_within_cap(n, DEFAULT_VERTEX_CAP, f"J({v},{k}) has {n} vertices")
     members = np.array(list(itertools.combinations(range(v), k)), dtype=np.intp)
-    inc = np.zeros((n, v))
+    inc = np.zeros((n, v), dtype=np.float32)
     np.put_along_axis(inc, members, 1.0, axis=1)
-    rel = k - (inc @ inc.T).astype(np.int64)
-    return AssociationScheme(n=n, d=k, relation=rel)
+    # two k-subsets share at most k points
+    shared = (inc @ inc.T).astype(np.min_scalar_type(k))
+    return AssociationScheme(n=n, d=k, relation=k - shared)
 
 
 def build_grassmann(q: int, v: int, d: int) -> AssociationScheme:
@@ -715,15 +720,24 @@ def build_grassmann(q: int, v: int, d: int) -> AssociationScheme:
     Subspaces a, b get class d - dim(a n b), so class 0 is the identity
     relation (pairs with full intersection are equal subspaces).  Vertices
     are the subspaces in the canonical RREF order of
-    `galois.enumerate_subspaces`.
+    `galois.enumerate_subspaces` (pivot columns lexicographically, then
+    free entries in base q), whose (n, d, v) array of bases
+    `galois.subspace_points` reads whole.
 
     With M the 0/1 incidence matrix of subspaces against the projective
     points of GF(q)^v, (M M^T)[a, b] counts the points of a n b, which is
     [k,1]_q = (q^k - 1)/(q - 1) for k = dim(a n b) (Brouwer, Cohen &
-    Neumaier 1989, Section 9.3).  The product runs in float64 and is exact:
-    every partial sum is a count <= [d,1]_q.  M has [v,1]_q <= n columns
-    for 0 < d <= v/2, so it is never larger than the relation matrix.
-    At most DEFAULT_VERTEX_CAP vertices, checked before any enumeration.
+    Neumaier 1989, Section 9.3).  The product runs in float32 and is exact:
+    every partial sum is a count <= [d,1]_q, far below 2^24.  M has
+    [v,1]_q <= n columns for 0 < d <= v/2, so it is never larger than the
+    relation matrix.  The counts are cast to the narrowest unsigned type
+    that holds [d,1]_q, and the classes are formed at the scheme's packed
+    width by compares against the sizes [k,1]_q, k = 1..d.  (A table
+    indexed by the counts would do the same, but NumPy casts every such
+    index to intp, and at n = 357 that gather took six times as long as
+    the compares.)  A count that is no [k,1]_q raises CertificationError
+    naming the first such pair.  At most DEFAULT_VERTEX_CAP vertices,
+    checked before any enumeration.
     """
     q, v, d = require_integer(q, "q"), require_integer(v, "v"), require_integer(d, "d")
     if q not in galois.SUPPORTED_ORDERS:
@@ -737,17 +751,22 @@ def build_grassmann(q: int, v: int, d: int) -> AssociationScheme:
     points = galois.subspace_points(q, galois.enumerate_subspaces(q, v, d))
     per_subspace = points.shape[1]
     _, cols = np.unique(points, return_inverse=True)
-    inc = np.zeros((n, int(cols.max()) + 1))
+    inc = np.zeros((n, int(cols.max()) + 1), dtype=np.float32)
     inc[np.arange(n)[:, None], cols.reshape(n, per_subspace)] = 1.0
-    # class of each possible point count: [k,1]_q -> d - k, any other -> -1
-    class_of_count = np.full(per_subspace + 1, -1, dtype=np.int64)
-    for k in range(d + 1):
-        class_of_count[(q**k - 1) // (q - 1)] = d - k
-    rel = class_of_count[(inc @ inc.T).astype(np.intp)]
-    if rel.min() < 0:
-        a, b = np.argwhere(rel < 0)[0]
+    # two subspaces share at most the [d,1]_q points of one
+    counts = (inc @ inc.T).astype(np.min_scalar_type(per_subspace))
+    # the class is d - k for the largest k with [k,1]_q <= count, and the
+    # count must be that [k,1]_q
+    rel = np.full((n, n), d, dtype=_packed_dtype(d))
+    valid = counts == 0
+    for k in range(1, d + 1):
+        size = (q**k - 1) // (q - 1)
+        rel -= counts >= size
+        valid |= counts == size
+    if not valid.all():
+        a, b = np.argwhere(~valid)[0]
         raise CertificationError(
-            f"J_{q}({v},{d}): subspaces {a} and {b} share {int(inc[a] @ inc[b])} points, "
+            f"J_{q}({v},{d}): subspaces {a} and {b} share {counts[a, b]} points, "
             f"which is no subspace size"
         )
     return AssociationScheme(n=n, d=d, relation=rel)

@@ -3,9 +3,12 @@
 The reference that the vectorised Grassmann build and the field tables
 are tested against.  `add`, `neg`, `sub`, `mul` and `inv` read single
 entries of a field's `add_table` and `mul_table`; `rref` uses only
-`inv`, `mul` and `sub`.
+`inv`, `mul` and `sub`.  `enumerate_subspaces` lists the canonical RREF
+bases one by one, as tuples.
 """
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -66,3 +69,23 @@ def intersection_dim(field: GF, basis_a, basis_b) -> int:
     """dim(A ∩ B) = dim A + dim B - rank of the stacked bases."""
     stacked = [list(row) for row in basis_a] + [list(row) for row in basis_b]
     return len(basis_a) + len(basis_b) - rank(field, stacked)
+
+
+def enumerate_subspaces(q: int, v: int, d: int) -> list[tuple[tuple[int, ...], ...]]:
+    """All d-dimensional subspaces of GF(q)^v as canonical RREF bases.
+
+    Deterministic order: pivot columns lexicographically, then free entries
+    counted in base q, row-major.
+    """
+    out = []
+    for pivots in itertools.combinations(range(v), d):
+        # free positions: to the right of each row's pivot, excluding later pivot columns
+        free = [(r, c) for r in range(d) for c in range(pivots[r] + 1, v) if c not in pivots]
+        for values in itertools.product(range(q), repeat=len(free)):
+            mat = [[0] * v for _ in range(d)]
+            for r, pc in enumerate(pivots):
+                mat[r][pc] = 1
+            for (r, c), val in zip(free, values):
+                mat[r][c] = val
+            out.append(tuple(tuple(row) for row in mat))
+    return out

@@ -82,12 +82,16 @@ def test_malformed_array_input_is_a_validation_error(entry, value, j42_hypergrou
         entry(j42_hypergroup, value)
 
 
-# NumPy upcasts a bool among numbers, so these three were once accepted:
-# a scheme that verified, Z_2, and a stationary law of [2/3, 1/3].
+# NumPy upcasts a bool among numbers, so these five were once accepted:
+# a scheme that verified, Z_2, and a stationary law of [2/3, 1/3]; then
+# Z_2 and that scheme again from a bool ndarray row in a nested list.
 BOOL_AMONG_NUMBERS = {
     "AssociationScheme": lambda: AssociationScheme(2, 1, [[0, True], [True, 0]]),
     "FiniteGroup": lambda: FiniteGroup([[0, 1], [1, False]]),
     "stationary_distribution": lambda: stationary_distribution([[0.5, True], [0.5, False]]),
+    "AssociationScheme-ndarray-row":
+        lambda: AssociationScheme(2, 1, [[0, 1], np.array([True, False])]),
+    "FiniteGroup-ndarray-row": lambda: FiniteGroup([[0, 1], np.array([True, False])]),
 }
 
 

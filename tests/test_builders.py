@@ -33,12 +33,12 @@ from schemewalk.schemes import (
     _class_order_with_identity_first,
     _packed_dtype,
 )
-from tests.gf_reference import add, intersection_dim, inv, mul
+from tests.gf_reference import add, enumerate_subspaces, intersection_dim, inv, mul
 
 
 def _grassmann_oracle(q, v, d):
     field = galois.GF(q)
-    bases = galois.enumerate_subspaces(q, v, d)
+    bases = enumerate_subspaces(q, v, d)
     n = len(bases)
     rel = np.zeros((n, n), dtype=np.int64)
     for a in range(n):
@@ -106,11 +106,15 @@ def _conjugacy_class_of(g):
 
 
 def _assert_same(built, expected):
+    """Same dtype, same entries, and so the same bytes as scheme files carry."""
     assert built.relation.dtype == _packed_dtype(built.d)
     assert np.array_equal(built.relation, expected)
+    assert built.relation.tobytes() == expected.astype(_packed_dtype(built.d)).tobytes()
 
 
-# small (v, d) on every supported field, then the benchmark's spectra and catalog mixes
+# small (v, d) on every supported field, then the benchmark's spectra and catalog
+# mixes: J_2(5,2), J_3(4,2), J_4(4,2), J_2(4,2), J_3(3,1); J(9,4), J(10,3),
+# J(10,4), J(11,3), J(8,3); and the conjugacy scheme of S5
 GRASSMANN_PARAMS = sorted(
     {(q, v, d) for q in galois.SUPPORTED_ORDERS for v, d in ((2, 1), (3, 1))}
     | {(q, 4, 2) for q in galois.SUPPORTED_ORDERS if q <= 4}
@@ -190,6 +194,21 @@ def test_grassmann_peak_memory_stays_within_five_relation_matrices():
         tracemalloc.stop()
     assert np.array_equal(s.relation, 1 - np.eye(n, dtype=np.int64))
     assert peak < 5 * 8 * n * n
+
+
+@pytest.mark.parametrize("build, args, n", [(build_johnson, (20, 4), 4845),
+                                             (build_grassmann, (8, 4, 2), 4745)],
+                         ids=["J(20,4)", "J_8(4,2)"])
+def test_builders_near_the_vertex_cap_stay_within_its_budget(build, args, n):
+    # DEFAULT_VERTEX_CAP is sized so that an int64 n x n table takes 200 MB
+    tracemalloc.start()
+    try:
+        s = build(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.n == n and s.relation.dtype == np.uint8
+    assert peak < 200 * 10 ** 6
 
 
 @pytest.mark.parametrize("n", [*range(1, 13), 31, 64, 97, 200])

@@ -10,6 +10,7 @@ from schemewalk.galois import (
     gaussian_binomial,
 )
 from tests.gf_reference import add, intersection_dim, inv, mul, neg, rank, rref
+from tests.gf_reference import enumerate_subspaces as reference_subspaces
 
 
 def test_gaussian_binomial_values():
@@ -88,12 +89,24 @@ def test_rref_and_rank_gf3():
 )
 def test_enumerate_subspaces_counts(q, v, d):
     subs = enumerate_subspaces(q, v, d)
-    assert len(subs) == gaussian_binomial(v, d, q)
+    assert subs.shape == (gaussian_binomial(v, d, q), d, v) and subs.dtype == np.int64
     # canonical rref bases: all distinct, all rank d
-    assert len(set(subs)) == len(subs)
+    assert len(np.unique(subs, axis=0)) == len(subs)
     f = GF(q)
     for basis in subs:
-        assert rank(f, [list(row) for row in basis]) == d
+        assert rank(f, basis.tolist()) == d
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_enumerate_subspaces_equals_the_basis_by_basis_loop(q):
+    # every (v, d) with at most 1,000 subspaces, d = 0 and d = v included
+    shapes = [(v, d) for v in range(1, 11) for d in range(v + 1)
+              if gaussian_binomial(v, d, q) <= 1000]
+    for v, d in shapes:
+        subs = enumerate_subspaces(q, v, d)
+        assert subs.shape == (gaussian_binomial(v, d, q), d, v) and subs.dtype == np.int64
+        assert [tuple(map(tuple, basis)) for basis in subs.tolist()] == \
+            reference_subspaces(q, v, d), (q, v, d)
 
 
 def test_intersection_dim():

@@ -344,6 +344,18 @@ def test_builtin_refuses_names_outside_its_families(name):
         groups.builtin(name)
 
 
+@pytest.mark.parametrize("family", ["z", "s", "d"])
+def test_builtin_refuses_a_number_longer_than_the_cap_before_int_reads_it(family, capsys):
+    # `int` itself raises a raw ValueError above 4,300 digits
+    name = family + "9" * 5000
+    with pytest.raises(ValidationError, match="5000-digit n, above the cap of 5000"):
+        groups.builtin(name)
+    assert run(["scheme", "build", "--family", "group", "--group", name]) == 1
+    assert "above the cap of 5000" in capsys.readouterr().err
+    # leading zeros are not digits of the number
+    assert groups.builtin(family + "0" * 5000 + "3").order == {"z": 3, "s": 6, "d": 6}[family]
+
+
 def test_builtin_s6_is_refused_by_the_degree_cap_before_any_table():
     tracemalloc.start()
     try:
