@@ -113,7 +113,11 @@ def _generators(c: np.ndarray, identity: int) -> list[int]:
     """A generating set: each generator is the first element not yet reached
     from the identity by right multiplication with the generators so far.
     The generators' columns are gathered once per generator, and each
-    breadth-first layer reads its images from them."""
+    breadth-first layer reads its images from them.  A layer is marked in
+    a boolean mask, whose nonzero indices are its sorted distinct new
+    elements, as `np.unique` would give them; plain `np.unique` would also
+    import `numpy.ma`, a once-per-process cost, on the first group a
+    process builds."""
     reached = np.zeros(c.shape[0], dtype=bool)
     reached[identity] = True
     gens: list[int] = []
@@ -122,8 +126,9 @@ def _generators(c: np.ndarray, identity: int) -> list[int]:
         images = c[:, gens]
         frontier = np.flatnonzero(reached)
         while frontier.size:
-            step = np.unique(images[frontier])
-            frontier = step[~reached[step]]
+            step = np.zeros_like(reached)
+            step[images[frontier]] = True
+            frontier = np.flatnonzero(step & ~reached)
             reached[frontier] = True
     return gens
 

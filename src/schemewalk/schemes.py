@@ -13,7 +13,8 @@ and the scheme is commutative when additionally A_i A_j = A_j A_i.
 The canonical representation here is the n x n `relation` matrix of class
 indices (relation[x][y] = j iff (x, y) in R_j), held read-only in the
 narrowest little-endian u1/u2/u4 that holds d (`_packed_dtype`); its
-bytes are the payload of the scheme's file and of its store key.
+bytes are its store key's, and its file carries them, bit-packed when
+d <= 15 (`serialize`).
 Adjacency matrices are derived 0/1 views.  All axiom checks are exact.
 Axiom 4 packs blocks of g classes into base-(n+1) digits, W = sum_t
 (n+1)^t A_{j0+t}, with g the largest such that (n+1)^g <= 2^53, and
@@ -332,8 +333,8 @@ def _packed_dtype(d: int) -> np.dtype:
 
 
 def _content_key(s: AssociationScheme) -> tuple | None:
-    """(n, d, the relation matrix's bytes, as scheme files carry them), or
-    None when those bytes alone exceed the store."""
+    """(n, d, the relation matrix's bytes, which a loaded scheme file gives
+    back at any width), or None when those bytes alone exceed the store."""
     if s.relation.nbytes > _REPORT_STORE_BYTES:
         return None
     return s.n, s.d, s.relation.tobytes()
@@ -671,7 +672,8 @@ def build_orbit_scheme(generators: list[list[int]], n: int) -> AssociationScheme
     bad = np.flatnonzero((np.sort(gens, axis=1) != points).any(axis=1))
     if bad.size:
         raise ValidationError(f"{gens[bad[0]].tolist()} is not a permutation of 0..{n - 1}")
-    gens = np.unique(gens, axis=0)
+    # `return_index` keeps `np.unique` off its route that imports numpy.ma
+    gens = np.unique(gens, axis=0, return_index=True)[0]
     k = len(gens)
     words = (6 * k + 1) * n * n
     require_within_cap(words, _ORBIT_PASS_WORDS, f"orbital pass over {n} points with {k} "
@@ -681,7 +683,9 @@ def build_orbit_scheme(generators: list[list[int]], n: int) -> AssociationScheme
     labels = _support_components(n * n, np.tile(np.arange(n * n), k), images)
     diagonal = labels[points * (n + 1)]
     if diagonal.any():
-        partition = [np.flatnonzero(diagonal == z).tolist() for z in np.unique(diagonal)]
+        # a point orbit is labelled z*(n+1) by its smallest point z
+        roots = diagonal[diagonal == points * (n + 1)]
+        partition = [np.flatnonzero(diagonal == root).tolist() for root in roots]
         raise ValidationError(f"action is not transitive; point orbits: {partition}")
     classes, rel = np.unique(labels, return_inverse=True)
     return AssociationScheme(n=n, d=classes.size - 1, relation=rel.reshape(n, n))

@@ -2,23 +2,30 @@
 
 Kinds: scheme, cayley, matrix, tensor, fusion-system, distribution.
 Conventions: a scheme's relation matrix is written packed, as
-{"dtype": "u1" | "u2" | "u4", "base64": ...}: the scheme's own bytes, its
-class indices as little-endian unsigned integers of the narrowest of
-those widths that holds d, row-major, in canonical base64 (RFC 4648);
-any of the three widths, or a nested list of rows, is still read.
+{"dtype": code, "base64": ...} in canonical base64 (RFC 4648).  For
+d <= 15 the code is the narrowest of "b1", "b2", "b4" that holds d: the
+class indices at b bits each, row-major, entry j of a byte in its bits
+b*j .. b*j + b - 1 (the order of `np.packbits(bitorder="little")`), the
+last byte padded with zero bits.  Above d = 15 the code is "u1", "u2" or
+"u4": the scheme's own bytes, its class indices as little-endian
+unsigned integers of the narrowest of those widths that holds d.  Either
+way the loaded scheme holds the same bytes.  Any of the six widths, or a
+nested list of rows, is still read.
 Every other matrix is a nested row-major array; complex entries are
 [re, im] pairs (a matrix is complex iff its entries are pairs); floats
 are emitted via repr, which round-trips exactly.  A key that a kind
 does not read is ignored, such as the "labels" of an older scheme file
-or the "name" of an older Cayley file.  Loading validates the
-object's own invariants and raises ValidationError on anything
-malformed, so a loaded object is ready to use.
+or the "name" of an older Cayley file; a JSON object that repeats a
+key is refused.  Loading validates the object's own invariants and
+raises ValidationError on anything malformed, so a loaded object is
+ready to use.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +39,9 @@ from .spectral import BoseMesnerDecomposition
 
 KINDS = ("scheme", "cayley", "matrix", "tensor", "fusion-system", "distribution")
 
-_PACKED_DTYPES = {"u1": np.dtype("<u1"), "u2": np.dtype("<u2"), "u4": np.dtype("<u4")}
+_BYTE_DTYPES = {"u1": np.dtype("<u1"), "u2": np.dtype("<u2"), "u4": np.dtype("<u4")}
+_BIT_WIDTHS = {"b1": 1, "b2": 2, "b4": 4}
+_PACKED_CODES = (*_BYTE_DTYPES, *_BIT_WIDTHS)
 _B64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 
 
@@ -72,45 +81,92 @@ def _decode_keyed(data, name: str, form: str, decode) -> dict:
     """A JSON object {"i,j,...": value} as {(i, j, ...): decode(value)}."""
     if not isinstance(data, dict):
         raise ValidationError(f'"{name}" must be an object keyed by "{form}"')
+    # ASCII digits without a leading zero, so no two keys name one entry
+    pattern = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*)){%d}" % form.count(","))
     out = {}
     for key, value in data.items():
-        try:
-            parts = tuple(int(p) for p in key.split(","))
-        except ValueError:
-            parts = ()
-        if len(parts) != form.count(",") + 1:
-            raise ValidationError(f'{name} key must be "{form}" with integer parts, got {key!r}')
-        out[parts] = decode(value)
+        if not pattern.fullmatch(key):
+            raise ValidationError(
+                f'{name} key must be "{form}" with parts in decimal digits and no '
+                f"leading zero, got {key!r}")
+        out[tuple(map(int, key.split(",")))] = decode(value)
     return out
 
 
-def _pack_relation(rel: np.ndarray) -> dict:
-    """The packed form of a scheme's relation matrix: its own bytes."""
-    return {"dtype": f"u{rel.itemsize}", "base64": base64.b64encode(rel).decode("ascii")}
+def _pack_factor(b: int) -> int:
+    """The multiplier that packs a little-endian word of k = 8 // b one-byte
+    entries into its top byte.  Entry j sits at bit 8j, and the term
+    2^((8-b)(k-1-j) + b(k-1)) carries it to bit 8(k-1) + bj.  Every other
+    product lands in a b-bit field of its own, below bit 8(k-1) or past
+    the word, so no sum carries."""
+    k = 8 // b
+    return sum(1 << ((8 - b) * i + b * (k - 1)) for i in range(k))
+
+
+def _unpack_bits(raw: np.ndarray, b: int) -> np.ndarray:
+    """The bytes of `raw` split into their k = 8 // b b-bit fields, field j
+    of each byte in byte j of one little-endian k-byte word, as u1 entries.
+    Each step halves every field: its upper half moves up by 8*group -
+    field bits, to the next group of bytes, and the mask keeps the low
+    `field` bits of every group."""
+    k = 8 // b
+    words = raw.astype(f"<u{k}")
+    field, group = 8, k
+    while field > b:
+        field, group = field // 2, group // 2
+        words |= words << (8 * group - field)
+        words &= sum(((1 << field) - 1) << 8 * group * m for m in range(k // group))
+    return words.view(np.uint8)
+
+
+def _pack_relation(rel: np.ndarray, d: int) -> dict:
+    """The packed form of a scheme's relation matrix: its entries at the
+    narrowest bit width that holds d when d <= 15, else its own bytes."""
+    b = next((b for b in _BIT_WIDTHS.values() if d < 1 << b), None)
+    if b is None:
+        payload, code = rel, f"u{rel.itemsize}"
+    else:
+        k = 8 // b  # entries per byte, packed from one k-byte word each
+        flat = rel.reshape(-1)
+        if flat.size % k:
+            flat = np.concatenate((flat, np.zeros(k - flat.size % k, np.uint8)))
+        words = flat.view(f"<u{k}") * _pack_factor(b)
+        words >>= 8 * (k - 1)
+        payload = words.astype(np.uint8)
+        code = f"b{b}"
+    return {"dtype": code, "base64": base64.b64encode(payload).decode("ascii")}
 
 
 def _unpack_relation(data: dict, n: int) -> np.ndarray:
     """The n x n relation matrix of a packed form.  Only canonical base64
-    of exactly n*n entries is read; the byte count is checked before any
-    array is made.  The entries' range is left to AssociationScheme."""
+    of exactly the payload's byte count is read, checked before any array
+    is made, and a bit-packed payload's padding bits must be 0.  The
+    entries' range is left to AssociationScheme."""
     if set(data) != {"dtype", "base64"}:
         raise ValidationError('a packed relation must have exactly the keys "dtype", "base64"')
     code, text = data["dtype"], data["base64"]
-    if not isinstance(code, str) or code not in _PACKED_DTYPES:
+    if not isinstance(code, str) or code not in _PACKED_CODES:
         raise ValidationError(
-            f"packed relation dtype must be one of {tuple(_PACKED_DTYPES)}, got {code!r}"
+            f"packed relation dtype must be one of {_PACKED_CODES}, got {code!r}"
         )
     if not isinstance(text, str):
         raise ValidationError('packed relation "base64" must be a string')
     raw = _canonical_b64decode(text)
-    dtype = _PACKED_DTYPES[code]
-    size = n * n * dtype.itemsize
-    if n < 0 or len(raw) != size:
+    b = _BIT_WIDTHS.get(code)
+    size = -(-n * n * b // 8) if b else n * n * _BYTE_DTYPES[code].itemsize
+    if len(raw) != size:
         raise ValidationError(
             f"packed relation must hold {n}x{n} {code} entries ({size} bytes), "
             f"got {len(raw)} bytes"
         )
-    return np.frombuffer(raw, dtype=dtype).reshape(n, n)
+    if not b:
+        return np.frombuffer(raw, dtype=_BYTE_DTYPES[code]).reshape(n, n)
+    used = n * n * b % 8  # bits of the last byte that hold entries, 0 for all
+    if used and raw[-1] >> used:
+        raise ValidationError(
+            f"packed relation's padding bits are not 0: its last byte is {raw[-1]:#04x}, "
+            f"of which only the low {used} bits hold entries")
+    return _unpack_bits(np.frombuffer(raw, np.uint8), b)[:n * n].reshape(n, n)
 
 
 def _canonical_b64decode(text: str) -> bytes:
@@ -141,7 +197,7 @@ def _canonical_b64decode(text: str) -> bytes:
 
 def to_jsonable(kind: str, obj):
     if kind == "scheme":
-        return {"n": obj.n, "d": obj.d, "relation": _pack_relation(obj.relation)}
+        return {"n": obj.n, "d": obj.d, "relation": _pack_relation(obj.relation, obj.d)}
     if kind == "cayley":
         return {"order": obj.order, "cayley": obj.table.tolist()}
     if kind == "matrix":
@@ -168,7 +224,11 @@ def to_jsonable(kind: str, obj):
             out["twist"] = [_encode_complex(t) for t in obj.twist]
         return out
     if kind == "distribution":
-        return [float(v) for v in np.asarray(obj).ravel()]
+        entries = np.asarray(obj)
+        if np.iscomplexobj(entries):
+            raise ValidationError(
+                "distribution entries must be real; the distribution kind has no complex form")
+        return [float(v) for v in entries.ravel()]
     raise ValidationError(f"unknown kind {kind!r}; kinds: {KINDS}")
 
 
@@ -177,7 +237,8 @@ def from_jsonable(kind: str, data, validate: bool = True):
         if not isinstance(data, dict) or not {"n", "d", "relation"} <= set(data):
             raise ValidationError('scheme JSON must have keys "n", "d", "relation"')
         n, relation = require_integer(data["n"], '"n"'), data["relation"]
-        if isinstance(relation, dict):
+        # n < 1 is left to AssociationScheme, which refuses it before the relation
+        if isinstance(relation, dict) and n >= 1:
             relation = _unpack_relation(relation, n)
         scheme = AssociationScheme(n=n, d=require_integer(data["d"], '"d"'), relation=relation)
         if validate:
@@ -232,6 +293,16 @@ def save(path, kind: str, obj) -> None:
     Path(path).write_text(json.dumps(to_jsonable(kind, obj)) + "\n")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict, refused when a key repeats."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValidationError(f"JSON object repeats the key {key!r}")
+        out[key] = value
+    return out
+
+
 def load(path, kind: str, validate: bool = True):
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -244,7 +315,7 @@ def load(path, kind: str, validate: bool = True):
 
 def loads(text: str, kind: str, validate: bool = True):
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

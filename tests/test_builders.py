@@ -9,7 +9,11 @@ order, held at the scheme's packed width.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,3 +288,53 @@ def test_orbit_scheme_peak_memory_is_linear_in_the_generators(k):
     assert s.n == n
     # pair labels, the k edge lists and their gathers: 6k + 1 words per pair measured
     assert peak < (6 * k + 6) * 8 * n * n
+
+
+# Every builder, the axioms, the file round trip, the spectral chain and the
+# CLI's S5 build, in an interpreter of their own: plain `np.unique` imports
+# numpy.ma on first use, a once-per-process cost, and none of them may call it.
+_SERVING_PATHS = """
+import json, sys
+from pathlib import Path
+import numpy as np
+from schemewalk import (
+    ValidationError, build_conjugacy_scheme, build_grassmann, build_group_scheme,
+    build_johnson, build_orbit_scheme, decompose, groups, hypergroup_from,
+    intersection_numbers, krein_parameters, serialize, verify_axioms, walk,
+)
+from schemewalk.cli import run
+
+gs = [groups.builtin(name) for name in ("z6", "s4", "s5", "d5", "q8")]
+n = 8
+rotate, reflect = [(i + 1) % n for i in range(n)], [(-i) % n for i in range(n)]
+built = [build_group_scheme(g) for g in gs[:2]] + [build_conjugacy_scheme(g) for g in gs]
+built += [build_johnson(6, 3), build_grassmann(2, 4, 2),
+          build_orbit_scheme([rotate, reflect, rotate], n)]
+try:
+    build_orbit_scheme([[1, 0, 2, 3]], 4)
+except ValidationError:
+    pass
+for s in built:
+    assert verify_axioms(s).passed
+    s = serialize.loads(json.dumps(serialize.to_jsonable("scheme", s)), "scheme")
+    intersection_numbers(s)
+    try:
+        dec = decompose(s)
+    except ValidationError:  # the non-commutative group schemes
+        continue
+    start = np.zeros(s.d + 1)
+    start[0] = 1.0
+    walk(hypergroup_from(dec, krein_parameters(dec)), 1, start, 3)
+out = Path(sys.argv[1])
+assert run(["scheme", "build", "--family", "conjugacy", "--group", "s5", "--out", str(out)]) == 0
+assert run(["scheme", "verify", str(out)]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_no_builder_nor_the_chain_imports_numpy_ma(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", _SERVING_PATHS, str(tmp_path / "s5c.json")],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import subprocess
@@ -538,8 +539,13 @@ def test_main_exit_codes_through_the_module_entry_point(tmp_path):
     assert bogus.returncode == 1
     assert bogus.stderr.startswith("error: ")
     data = json.loads((tmp_path / "j42.json").read_text())
-    assert data["relation"]["dtype"] == "u1"
-    relation = load(tmp_path / "j42.json", "scheme").relation.tolist()
+    assert data["relation"]["dtype"] == "b2"
+    own = load(tmp_path / "j42.json", "scheme").relation
+    # a u1 file of the scheme's own bytes, as written before bit packing
+    (tmp_path / "u1.json").write_text(json.dumps(
+        {**data, "relation": {"dtype": "u1", "base64": base64.b64encode(own).decode()}}))
+    assert (cli("scheme", "verify", "u1.json").returncode, own.dtype) == (0, np.uint8)
+    relation = own.tolist()
     relation[0][0] = 1
     (tmp_path / "bad.json").write_text(json.dumps({**data, "relation": relation}))
     corrupted = cli("scheme", "verify", "bad.json")

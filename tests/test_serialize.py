@@ -72,9 +72,19 @@ def _packed_j42(relation):
     return {"n": 6, "d": 2, "relation": relation}
 
 
-J42_B64 = to_jsonable("scheme", build_johnson(4, 2))["relation"]["base64"]
+# J(4,2)'s own bytes, the u1 payload that its file carried before bit packing
+J42_B64 = base64.b64encode(build_johnson(4, 2).relation.tobytes()).decode("ascii")
 _OUT_OF_RANGE = bytearray(base64.b64decode(J42_B64))
 _OUT_OF_RANGE[1] = 3  # d = 2
+# Z_3's rows 0 2 1 / 1 0 2 / 2 1 0 at 2 bits an entry, entry j of a byte in
+# its bits 2j and 2j + 1: 18 bits in 3 bytes, 6 of them padding
+Z3_B2 = bytes([0b01_01_10_00, 0b01_10_10_00, 0b00])
+
+
+def _b2_z3(raw):
+    return {"n": 3, "d": 2, "relation": {"dtype": "b2", "base64": base64.b64encode(raw).decode()}}
+
+
 PACKED_REFUSALS = [
     (_packed_j42({"dtype": "u1", "base64": J42_B64[:-4]}), "36 bytes.*got 33"),
     ({"n": 1, "d": 0, "relation": {"dtype": "u1", "base64": "AB=="}}, "not canonical"),
@@ -90,7 +100,16 @@ PACKED_REFUSALS = [
                   "base64": base64.b64encode(bytes(_OUT_OF_RANGE)).decode()}),
      r"class indices must lie in 0\.\.2"),
     (_packed_j42({"dtype": "u2", "base64": J42_B64}), "72 bytes.*got 36"),
-    ({"n": -6, "d": 2, "relation": {"dtype": "u1", "base64": J42_B64}}, "36 bytes.*got 36"),
+    ({"n": -6, "d": 2, "relation": {"dtype": "u1", "base64": J42_B64}},
+     "a scheme needs at least one vertex, got n=-6"),
+    (_b2_z3(Z3_B2[:2] + bytes([0b0100_0000])), r"padding bits are not 0: its last byte "
+     r"is 0x40, of which only the low 2 bits hold entries"),
+    (_b2_z3(Z3_B2[:2] + bytes([0b1000_0000])), "padding bits are not 0"),
+    (_b2_z3(Z3_B2[:2]), r"3x3 b2 entries \(3 bytes\), got 2 bytes"),
+    (_b2_z3(Z3_B2 + b"\0"), r"3x3 b2 entries \(3 bytes\), got 4 bytes"),
+    ({**_b2_z3(Z3_B2), "relation": {"dtype": "b3", "base64": "AAAA"}}, "dtype must be one of"),
+    ({**_b2_z3(Z3_B2), "relation": {"dtype": "b8", "base64": "AAAA"}}, "dtype must be one of"),
+    (_b2_z3(Z3_B2[:2] + bytes([0b11])), r"class indices must lie in 0\.\.2"),
 ]
 
 
@@ -218,16 +237,18 @@ def test_each_non_canonical_cause_has_its_message(text, match, monkeypatch):
 
 
 def test_packed_byte_count_is_checked_before_any_allocation():
-    # n = 10^6 would be a 1 TB u1 matrix; a 4-byte payload is refused at once
-    data = {"n": 10**6, "d": 1, "relation": {"dtype": "u1", "base64": "AAAAAA=="}}
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValidationError, match="got 4 bytes"):
-            from_jsonable("scheme", data, validate=False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    # n = 10^6 would be a 1 TB matrix, from 125 GB at one bit an entry;
+    # a 4-byte payload is refused at once
+    for code in ("u1", "b1"):
+        data = {"n": 10**6, "d": 1, "relation": {"dtype": code, "base64": "AAAAAA=="}}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="got 4 bytes"):
+                from_jsonable("scheme", data, validate=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def _relabelled(s, seed):
@@ -248,9 +269,10 @@ def test_scheme_roundtrips_through_both_wire_forms(builtin_schemes):
 
 
 def test_the_file_and_the_store_key_carry_the_schemes_own_bytes(builtin_schemes, tmp_path):
-    """The relation bytes a scheme holds are the payload of its file and
-    the bytes of its store key; a loaded scheme holds them again, read
-    from its packed file at any width or from nested rows."""
+    """The relation bytes a scheme holds are the bytes of its store key,
+    and its file carries them bit-packed for d <= 15, else as they are; a
+    loaded scheme holds them again, read from its packed file, from the
+    u1 payload of its own bytes or a wider one, or from nested rows."""
     path = tmp_path / "scheme.json"
     for seed, s in enumerate(builtin_schemes.values()):
         for case in (s, _relabelled(s, seed)):
@@ -259,11 +281,16 @@ def test_the_file_and_the_store_key_carry_the_schemes_own_bytes(builtin_schemes,
             assert rel.flags.c_contiguous and not rel.flags.writeable
             save(path, "scheme", case)
             packed = json.loads(path.read_text())["relation"]
-            assert packed["dtype"] == f"u{rel.itemsize}"
-            assert base64.b64decode(packed["base64"]) == rel.tobytes()
+            code, raw = packed["dtype"], base64.b64decode(packed["base64"])
+            bits = 1 if case.d < 2 else 2 if case.d < 4 else 4 if case.d < 16 else None
+            assert code == (f"b{bits}" if bits else "u1")
+            assert (_loop_unpacked(raw, bits, case.n) if bits else raw) == rel.tobytes()
             assert schemes._content_key(case) == (case.n, case.d, rel.tobytes())
-            wider = {"dtype": "u4", "base64": base64.b64encode(rel.astype("<u4")).decode()}
-            for relation in (packed, wider, rel.tolist()):
+            # the u1 payload of the scheme's own bytes, as files carried it before
+            # bit packing, and the wider widths
+            widths = [{"dtype": f"u{w}", "base64": base64.b64encode(rel.astype(f"<u{w}")).decode()}
+                      for w in (1, 2, 4)]
+            for relation in (packed, *widths, rel.tolist()):
                 back = from_jsonable("scheme", {"n": case.n, "d": case.d, "relation": relation})
                 assert back.relation.dtype == rel.dtype and back.relation.tobytes() == rel.tobytes()
                 assert back.relation.flags.c_contiguous and not back.relation.flags.writeable
@@ -275,13 +302,35 @@ def test_packed_dtype_is_the_narrowest_that_holds_d():
     x, y = np.indices((257, 257))
     pairs = AssociationScheme(257, 257 * 256, np.where(x == y, 0, x * 256 + y - (y > x) + 1))
     # verifying d = 299 takes seconds, and `pairs` fails axiom 4: load both unverified
-    for s, code, validate in ((build_johnson(4, 2), "u1", True), (z300, "u2", False),
-                              (pairs, "u4", False)):
+    cases = [(build_johnson(4, 1), "b1", True), (build_johnson(4, 2), "b2", True),
+             (build_johnson(6, 3), "b2", True), (build_group_scheme(groups.cyclic(5)), "b4", True),
+             (build_group_scheme(groups.cyclic(16)), "b4", True),
+             (build_group_scheme(groups.cyclic(17)), "u1", True), (z300, "u2", False),
+             (pairs, "u4", False)]
+    for s, code, validate in cases:
         relation = to_jsonable("scheme", s)["relation"]
         assert relation["dtype"] == code
         assert relation == _loop_packed(s.relation, s.d)  # little-endian, row-major
         back = loads(json.dumps(to_jsonable("scheme", s)), "scheme", validate=validate)
         assert np.array_equal(back.relation, s.relation)
+
+
+@pytest.mark.parametrize("s, code, size", [
+    (AssociationScheme(1, 0, [[0]]), "b1", 1),  # one byte, 7 of its bits padding
+    (build_johnson(3, 1), "b1", 2),  # 9 entries: 9 bits
+    (build_group_scheme(groups.cyclic(3)), "b2", 3),  # 18 bits
+    (build_group_scheme(groups.cyclic(5)), "b4", 13),  # 100 bits
+    (build_johnson(5, 2), "b2", 25),  # 200 bits, no padding
+], ids=["n1", "j31", "z3", "z5", "j52"])
+def test_bit_packed_payloads_round_trip_with_zero_padding(s, code, size):
+    relation = to_jsonable("scheme", s)["relation"]
+    raw = base64.b64decode(relation["base64"])
+    assert (relation["dtype"], len(raw)) == (code, size)
+    used = s.n ** 2 * int(code[1]) % 8
+    assert not used or raw[-1] >> used == 0
+    back = loads(json.dumps(to_jsonable("scheme", s)), "scheme")
+    assert back.relation.dtype == s.relation.dtype
+    assert back.relation.tobytes() == s.relation.tobytes()
 
 
 def test_packed_dump_peaks_at_a_small_multiple_of_n_squared():
@@ -295,6 +344,27 @@ def test_packed_dump_peaks_at_a_small_multiple_of_n_squared():
     assert len(text) < 3 * s.n ** 2
     # the nested path held 10^6 Python ints and their list, over 40 bytes an entry
     assert peak < 12 * s.n ** 2
+
+
+@pytest.mark.parametrize("key", ["1,1,+0", " 1,1,0", "1,1,0 ", "01,1,0", "1,1,00", "1_0,1,0",
+                                 "1,1,\u0660", "1,,0", "1,1"])
+def test_a_fusion_system_key_must_name_its_entry_one_way(key):
+    data = to_jsonable("fusion-system", builtin_fusion_system("ising"))
+    with pytest.raises(ValidationError, match="R key .* got " + re.escape(repr(key))):
+        from_jsonable("fusion-system", {**data, "R": {**data["R"], key: [0.0, 1.0]}})
+
+
+def test_a_json_object_that_repeats_a_key_is_refused():
+    ising = json.dumps(to_jsonable("fusion-system", builtin_fusion_system("ising")))
+    assert '"1,1,0": ' in ising
+    # a second R[1,1,0] used to overwrite the first without notice
+    twice = ising.replace('"1,1,0": ', '"1,1,0": [0.0, 1.0], "1,1,0": ', 1)
+    with pytest.raises(ValidationError, match="repeats the key '1,1,0'"):
+        loads(twice, "fusion-system")
+    j42 = json.dumps(to_jsonable("scheme", build_johnson(4, 2)))
+    with pytest.raises(ValidationError, match="repeats the key 'n'"):
+        loads(j42.replace('"n": 6', '"n": 6, "n": 6'), "scheme")
+    assert loads(ising, "fusion-system").R == builtin_fusion_system("ising").R
 
 
 def test_cayley_roundtrip():
@@ -420,6 +490,12 @@ def test_distribution_roundtrip_and_validation():
         from_jsonable("distribution", [-0.1, 1.1])
 
 
+def test_a_complex_distribution_is_refused():
+    # float() of a complex entry would drop its imaginary part
+    with pytest.raises(ValidationError, match="distribution entries must be real"):
+        to_jsonable("distribution", np.array([0.5, 0.5 + 1e-3j]))
+
+
 def test_unknown_kind():
     with pytest.raises(ValidationError):
         to_jsonable("widget", np.eye(2))
@@ -472,9 +548,25 @@ def _loop_matrix(a):
 
 
 def _loop_packed(rel, d):
-    width = 1 if d < 2**8 else 2 if d < 2**16 else 4
-    raw = b"".join(int(v).to_bytes(width, "little") for row in rel for v in row)
-    return {"dtype": f"u{width}", "base64": base64.b64encode(raw).decode("ascii")}
+    entries = [int(v) for row in rel for v in row]
+    if d < 2**4:
+        bits = 1 if d < 2 else 2 if d < 4 else 4
+        per_byte = 8 // bits
+        raw = bytes(sum(v << bits * j for j, v in enumerate(entries[at:at + per_byte]))
+                    for at in range(0, len(entries), per_byte))
+        code = f"b{bits}"
+    else:
+        width = 1 if d < 2**8 else 2 if d < 2**16 else 4
+        raw = b"".join(v.to_bytes(width, "little") for v in entries)
+        code = f"u{width}"
+    return {"dtype": code, "base64": base64.b64encode(raw).decode("ascii")}
+
+
+def _loop_unpacked(raw, bits, n):
+    """The u1 bytes of the n*n entries of a bit-packed payload."""
+    mask = (1 << bits) - 1
+    entries = [byte >> bits * j & mask for byte in raw for j in range(8 // bits)]
+    return bytes(entries[:n * n])
 
 
 def _loop_tensor(entries):

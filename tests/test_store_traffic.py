@@ -2,7 +2,8 @@
 warm-up round and first round pass the benchmark's reference checks, so
 every attribute the benchmark reads is still there, and that traffic never
 fills the report store: nothing is evicted, and every held record stays
-within the charge it was given when the store took it.
+within the charge it was given when the store took it.  Every scheme
+that traffic builds or sends comes back from its file with its own bytes.
 
 The benchmark's modules under `perfbench/` are loaded read-only, the way
 `test_bench_pairs.py` loads `tools/`, and its own client scores every
@@ -10,12 +11,14 @@ request.  `conftest.py` empties the store before every test.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from schemewalk import schemes
+from schemewalk import schemes, serialize
 from tests.test_report_store import _assert_consistent
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -63,3 +66,29 @@ def test_benchmark_traffic_evicts_nothing(workload, rounds, monkeypatch):
     store = schemes._REPORTS
     assert store._algebras and store._bytes <= schemes._REPORT_STORE_BYTES
     _assert_consistent(store)
+
+
+def _benchmark_schemes():
+    """Every scheme the spectra and catalog workloads build or send."""
+    tracer = spans.NullTracer()
+    named = [gen._spectra(*slot) for slot in gen.SPECTRA_SLOTS]
+    named += gen.warmup_round("spectra", 1)
+    named += [gen._named(*slot) for slot in gen.CATALOG_NAMED]
+    out = [pipeline._build(tracer, r.payload["family"], r.payload["params"]) for r in named]
+    sent = gen._catalog_matrices(np.random.default_rng(1))
+    return out + [serialize.loads(r.payload["json"], "scheme", validate=False) for r in sent]
+
+
+def test_every_benchmark_scheme_round_trips_through_its_file():
+    """Bit-packed or not, the file gives back the scheme's own bytes."""
+    cases = _benchmark_schemes()
+    assert max(s.n for s in cases) == 357 and {s.n ** 2 % 8 for s in cases} != {0}
+    codes = set()
+    for s in cases:
+        text = json.dumps(serialize.to_jsonable("scheme", s))
+        codes.add(json.loads(text)["relation"]["dtype"])
+        back = serialize.loads(text, "scheme", validate=False)
+        assert (back.n, back.d) == (s.n, s.d)
+        assert back.relation.dtype == s.relation.dtype
+        assert back.relation.tobytes() == s.relation.tobytes()
+    assert codes == {"b1", "b2", "b4", "u1"}
