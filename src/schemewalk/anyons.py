@@ -30,14 +30,8 @@ character of the fusion ring.  A fusion ring has exactly one, its
 Frobenius-Perron dimension (Etingof, Gelaki, Nikshych & Ostrik, "Tensor
 Categories", 2015, Prop. 3.3.6), so s_i = d_pi(i) / m_i is the only
 candidate and is read from the certified dimensions and multiplicities.
-A search over vacuum-fixing label maps, one label at a time (the pruned
-search of McKay & Piperno, "Practical graph isomorphism, II", 2014),
-cuts a partial map as soon as the support pattern
-q_ij^k > 1e-8 <=> N_ij^k >= 1 breaks on its labels, and only complete
-maps that keep it are scored.  The search is exhaustive, so when it
-ends with no complete map the pair is decided as unmatched with an
-empty bijection; matched and unmatched pairs alike are answered up to
-rank 32.
+The label maps scored are found by an exhaustive pruned search (McKay &
+Piperno, "Practical graph isomorphism, II", 2014; see the function).
 """
 
 from __future__ import annotations
@@ -49,10 +43,12 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import errors
 from .errors import (
     ValidationError,
     is_integer,
     numeric_array,
+    refuse,
     require_index,
     require_integer,
     require_within_cap,
@@ -60,13 +56,6 @@ from .errors import (
 from .groups import DEFAULT_VERTEX_CAP
 from .parameters import KreinTensor
 from .spectral import BoseMesnerDecomposition
-
-_UNITARITY_TOL = 1e-12
-_DIM_CONSISTENCY_TOL = 1e-10
-PENTAGON_THRESHOLD = 1e-10
-HEXAGON_THRESHOLD = 1e-10
-BRIDGE_THRESHOLD = 1e-6
-_BRIDGE_SUPPORT_TOL = 1e-8
 # The associativity pass of `FusionSystem` holds rank^4 int64 words and a
 # rank^4 boolean mask: 9 rank^4 bytes, kept within the 200 MB budget of
 # DEFAULT_VERTEX_CAP (rank 68; tracemalloc peaks at 198 MB there).
@@ -94,7 +83,7 @@ class FusionSystem:
 
     Checks: at most 68 labels (`_FUSION_MAX_RANK`, before any rank^4
     array), integer multiplicities, vacuum unit law, commutativity,
-    associativity, existence of duals, quantum-dimension consistency, F
+    associativity, existence of duals (hence consistent dims), F
     keys (a,b,c,e) and R keys (a,b,c) of label indices, finite entries,
     unitarity of every F block, unit modulus of every R phase and twist.
     """
@@ -152,8 +141,7 @@ class FusionSystem:
                 )
             if len(rows) != len(cols):
                 raise ValidationError(f"F block {key} is not square; fusion data inconsistent")
-            if np.max(np.abs(block.conj().T @ block - np.eye(len(rows)))) > _UNITARITY_TOL:
-                raise ValidationError(f"F block {key} is not unitary")
+            _require_unitary(block, f"F block {key}")
             block.setflags(write=False)
             f_table[key] = block
 
@@ -165,18 +153,12 @@ class FusionSystem:
             val = numeric_array(phase, f"R phase {key}", kinds="iufc")
             if val.ndim != 0:
                 raise ValidationError(f"R phase {key} must be a single number")
-            val = complex(val)
-            if abs(abs(val) - 1.0) > _UNITARITY_TOL:
-                raise ValidationError(f"R phase {key} has modulus {abs(val)!r}, not 1")
-            r_table[key] = val
+            r_table[key] = _unit(complex(val), f"R phase {key}", "|R|")
 
         twist = self.twist
         if twist is not None:
-            twist = tuple(complex(t) for t in
-                          numeric_array(twist, "twist", kinds="iufc", ndim=1, size=rank))
-            for a, t in enumerate(twist):
-                if abs(abs(t) - 1.0) > _UNITARITY_TOL:
-                    raise ValidationError(f"twist {a} has modulus {abs(t)!r}, not 1")
+            twist = numeric_array(twist, "twist", kinds="iufc", ndim=1, size=rank)
+            twist = tuple(_unit(complex(t), f"twist {a}", "|theta|") for a, t in enumerate(twist))
 
         n.setflags(write=False)
         dims.setflags(write=False)
@@ -198,17 +180,24 @@ class FusionSystem:
 
 
 def _dims_from_tensor(n_tensor: np.ndarray) -> np.ndarray:
-    """Quantum dimensions: d_a = spectral radius of (N_a)_{bc} = N_{ab}^c."""
-    n_float = n_tensor.astype(np.float64)
-    dims = np.max(np.abs(np.linalg.eigvals(n_float)), axis=1)
-    products = np.einsum("abc,c->ab", n_float, dims)
-    residual = float(np.max(np.abs(np.outer(dims, dims) - products)))
-    if residual > _DIM_CONSISTENCY_TOL:
-        raise ValidationError(
-            f"no consistent quantum dimensions: d_a d_b = sum_c N_ab^c d_c "
-            f"fails with residual {residual:.3e}"
-        )
-    return dims
+    """d_a = spectral radius of (N_a)_{bc} = N_{ab}^c.  d_a d_b = sum_c N_ab^c d_c
+    holds exactly, unchecked: the N_a commute and keep the Perron vector v > 0
+    of M = sum_a N_a > 0 (1 in b b*, so c in (c b*) b), so N_a v = d_a v (EGNO
+    Prop. 3.3.6), whose entry 0 is v_a = d_a v_0 and entry b the identity."""
+    return np.max(np.abs(np.linalg.eigvals(n_tensor.astype(np.float64))), axis=1)
+
+
+def _unit(value: complex, what: str, name: str) -> complex:
+    if abs(abs(value) - 1.0) > errors.UNITARITY_TOL:
+        refuse(f"unit modulus of {what}", abs(abs(value) - 1.0), errors.UNITARITY_TOL,
+               f"{name} = {abs(value)!r}", ValidationError)
+    return value
+
+
+def _require_unitary(mat: np.ndarray, what: str) -> None:
+    drift = np.abs(mat.conj().T @ mat - np.eye(len(mat)))
+    if drift.max() > errors.UNITARITY_TOL:
+        refuse(f"unitarity of {what}", drift, errors.UNITARITY_TOL, error=ValidationError)
 
 
 def _tree_rows(n, a, b, c, e):
@@ -284,8 +273,7 @@ def builtin_fusion_system(name: str) -> FusionSystem:
 
 def cyclic_fusion_system(order: int) -> FusionSystem:
     """Group-like fusion ring of Z_n: a x b = a+b (mod n), all dims 1."""
-    if require_integer(order, "order") < 1:
-        raise ValidationError("order must be >= 1")
+    order = require_integer(order, "order", minimum=1)
     require_within_cap(order, _FUSION_MAX_RANK, f"fusion system has rank {order}")
     labels = tuple("1" if a == 0 else f"g{a}" for a in range(order))
     n = np.zeros((order, order, order), dtype=np.int64)
@@ -405,9 +393,7 @@ class BraidGenerators:
         b_matrix = f_mat @ sigma1 @ sigma1 @ f_inv
 
         for name, mat in (("sigma1", sigma1), ("sigma2", sigma2), ("B", b_matrix)):
-            drift = float(np.max(np.abs(mat.conj().T @ mat - np.eye(len(channels)))))
-            if drift > _UNITARITY_TOL:
-                raise ValidationError(f"{name} is not unitary (residual {drift:.3e})")
+            _require_unitary(mat, name)
             mat.setflags(write=False)
 
         lhs = sigma1 @ sigma2 @ sigma1
@@ -432,7 +418,7 @@ class PentagonReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_residual < PENTAGON_THRESHOLD
+        return self.max_residual < errors.PENTAGON_THRESHOLD
 
 
 def _require_small_multiplicity_free(fs: FusionSystem, what: str, max_rank: int):
@@ -476,7 +462,7 @@ class HexagonReport:
 
     @property
     def passed(self) -> bool:
-        return max(self.max_residual, self.max_residual_inverse) < HEXAGON_THRESHOLD
+        return max(self.max_residual, self.max_residual_inverse) < errors.HEXAGON_THRESHOLD
 
 
 def verify_hexagon(fs: FusionSystem) -> HexagonReport:
@@ -520,7 +506,7 @@ class BridgeReport:
 
     @property
     def matched(self) -> bool:
-        return self.deviation < BRIDGE_THRESHOLD
+        return self.deviation < errors.BRIDGE_THRESHOLD
 
 
 def _support_maps(q_support: np.ndarray, n_support: np.ndarray) -> np.ndarray:
@@ -565,18 +551,19 @@ def scheme_fusion_bridge(dec: BoseMesnerDecomposition, q: KreinTensor,
     """Match a Krein tensor against fusion multiplicities.
 
     A label bijection pi fixes the vacuum and maps idempotent i to label
-    pi(i).  Only maps that keep the support pattern, q_ij^k > 1e-8
-    exactly where N[pi]_ij^k >= 1, are scored: the search assigns labels
-    1, 2, ... in turn and cuts a partial map as soon as the pattern
-    breaks on the labels it has assigned.  Each such map is scored with
-    the scalars s_i = d_pi(i) / m_i, quantum dimensions over the
-    multiplicities of `dec` (the only scalars an exact match can have;
-    see the module docstring), by the deviation
+    pi(i).  Only maps that keep the support pattern, q_ij^k >
+    errors.BRIDGE_SUPPORT_TOL exactly where N[pi]_ij^k >= 1, are scored:
+    the search assigns labels 1, 2, ... in turn and cuts a partial map as
+    soon as the pattern breaks on the labels it has assigned.  Each such
+    map is scored with the scalars s_i = d_pi(i) / m_i, quantum dimensions
+    over the multiplicities of `dec` (the only scalars an exact match can
+    have; see the module docstring), by the deviation
     max |q_ij^k s_i s_j / s_k - N[pi]_ij^k| in units of N.  The best map
     (the first with the least deviation), its scalars and that deviation
-    are reported, and `matched` requires deviation below 1e-6.  If no map
-    keeps the pattern, the exhaustive search is the witness: the pair is
-    unmatched with an empty bijection, no scalars and deviation inf.
+    are reported, and `matched` requires deviation below
+    errors.BRIDGE_THRESHOLD.  If no map keeps the pattern, the exhaustive
+    search is the witness: the pair is unmatched with an empty bijection,
+    no scalars and deviation inf.
 
     A search that passes 2^17 partial maps is refused; every search at
     rank <= 9 stays below that.  Ranks above 32 are refused outright.
@@ -591,7 +578,7 @@ def scheme_fusion_bridge(dec: BoseMesnerDecomposition, q: KreinTensor,
     require_within_cap(rank, _BRIDGE_MAX_RANK, f"bridge search at rank {rank}")
 
     q_arr = q.q
-    maps = _support_maps(q_arr > _BRIDGE_SUPPORT_TOL, fs.N >= 1)
+    maps = _support_maps(q_arr > errors.BRIDGE_SUPPORT_TOL, fs.N >= 1)
     if not len(maps):
         return BridgeReport(bijection=(), scalars=(), deviation=np.inf)
     scalars = fs.dims[maps] / np.array(dec.multiplicities, dtype=np.float64)

@@ -79,9 +79,8 @@ def _fmt_real(v: float) -> str:
 
 def _fmt_entry(z) -> str:
     z = complex(z)
-    if abs(z.imag) < 5e-9:
-        return _fmt_real(z.real)
-    return f"{_fmt_real(z.real)}{z.imag:+.8f}j"
+    imag = f"{z.imag:+.8f}"
+    return _fmt_real(z.real) + ("" if imag[1:] == "0.00000000" else imag + "j")
 
 
 def _vector_text(values) -> str:
@@ -271,7 +270,7 @@ def _cmd_scheme_params(args) -> int:
         return _emit(args, to_jsonable("tensor", tensor),
                      *(f"p[{i}][{j}] = {list(map(int, tensor.p[i, j]))}"
                        for i, j in np.ndindex(tensor.p.shape[:2])))
-    # krein_parameters raises CertificationError on any q_ij^k < -KREIN_TOLERANCE,
+    # krein_parameters raises CertificationError on any q_ij^k < -errors.KREIN_TOLERANCE,
     # so a returned tensor satisfies the Krein condition
     tensor = krein_parameters(decompose(scheme))
     return _emit(args, {**to_jsonable("tensor", tensor), "nonnegative": True},

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared by all modules, and the entry rules for
-numbers, integers, distributions, array shapes, size caps and indices.
+"""Exception hierarchy shared by all modules, the entry rules for
+numbers, integers, distributions, array shapes, size caps and indices,
+and the certification bounds with their refusal, `refuse`.
 
 Two user-facing failure modes exist: the input is malformed or out of
 range (ValidationError, CLI exit code 1), or the input parsed fine but a
@@ -9,11 +10,41 @@ a residual above tolerance (CertificationError, CLI exit code 2).
 
 import numpy as np
 
-# Probability mass is checked to 1e-10.  A float64 distribution computed
-# over up to 10^5 entries sums to 1 within n*eps = 2e-11, and one written
-# to eleven decimals within 1e-11, so both pass; the orthogonality defect
-# of `dilation_unitary`, which equals the mass error, stays below it.
-_MASS_TOL = 1e-10
+# Certification bounds: what each bounds and why it suffices; read as `errors.NAME`.
+# Character identities (relative to k_i k_j), PQ = nI (to n): exact for true characters.
+RESIDUAL_TOL = 1e-8
+# |m_t - round(m_t)|: m_t = n |v_t0|^2 carries n times the rounding of eigh's v_t.
+INTEGRALITY_TOL = 1e-6
+# |P[t][j] - k_j| of the row taken for E_0: the valencies are an exact character.
+VALENCY_TOL = 1e-6
+# Im q and -q: sums of products of P and Q entries, real and >= 0 when exact.
+KREIN_TOLERANCE = 1e-9
+# |sum_k m_k q_ij^k - m_i m_j|: the trace identity is exact for exact q.
+TRACE_IDENTITY_TOL = 1e-8
+# Weights in [CLAMP_FLOOR, 0) are rounding of a Krein q >= 0, clamped to 0.
+CLAMP_FLOOR = -1e-8
+# |mass - 1| of a slice, |identity slice - delta|: exact by the trace identity.
+SLICE_SUM_TOL = 1e-8
+# Hermitian defect, -least eigenvalue: a PSD matrix of trace 1 rounds to ~n eps.
+PSD_TOL = 1e-10
+# Stochastic entries and masses: n float64 probabilities round to ~n eps.
+STOCHASTIC_TOL = 1e-12
+# |P pi - pi|, -pi: `eig` is backward stable, leaving ~n eps.
+STATIONARY_TOL = 1e-9
+# V'V = I: the row sums of sqrt(P)**2 are P's, held to STOCHASTIC_TOL, plus n eps.
+ISOMETRY_TOL = 1e-12
+# A chain step of lower trace absorbed the state: dividing scales rounding 1e14-fold.
+ABSORPTION_FLOOR = 1e-14
+# Distribution mass, density trace: 10^5 float64 entries round to n eps = 2e-11.
+MASS_TOL = 1e-10
+# F'F = I, |R| = |theta| = 1, sigma'sigma = I: closed-form unit data, rounded once.
+UNITARITY_TOL = 1e-12
+# Passing pentagon, hexagon residuals: sums of <= rank products of entries |x| <= 1.
+PENTAGON_THRESHOLD = 1e-10
+HEXAGON_THRESHOLD = 1e-10
+# Bridge deviation (units of N) that matches; q above the support bound is support.
+BRIDGE_THRESHOLD = 1e-6
+BRIDGE_SUPPORT_TOL = 1e-8
 
 
 class SchemeWalkError(Exception):
@@ -26,6 +57,16 @@ class ValidationError(SchemeWalkError):
 
 class CertificationError(SchemeWalkError):
     """A numerical or combinatorial certification failed on valid-looking input."""
+
+
+def refuse(identity: str, residual, bound: float, witness=None, error=CertificationError):
+    """Raise `error` "<identity> fails at <witness>: residual r exceeds bound b", r the
+    largest entry (first NaN) of `residual`, named by its index, `witness(*index)` or `witness`."""
+    residual = np.asarray(residual)
+    at = np.unravel_index(int(np.argmax(residual)), residual.shape)
+    where = witness(*at) if callable(witness) else witness or f"({', '.join(map(str, at))})"
+    raise error(f"{identity} fails at {where}: residual {float(residual[at]):.3e} "
+                f"exceeds bound {bound:g}")
 
 
 def numeric_array(data, what: str, kinds: str = "iu", ndim: int | None = None,
@@ -105,11 +146,11 @@ def require_within_cap(count: int, cap: int, what: str) -> None:
 def require_distribution(data, what: str, size: int | None = None) -> np.ndarray:
     """`data` as a new float64 vector of probabilities: `numeric_array`'s
     rules for one non-empty axis (of length `size` when given), no entry
-    below -_MASS_TOL and a sum within _MASS_TOL of 1, else ValidationError
-    naming `what`.  Entries in [-_MASS_TOL, 0) are returned as 0."""
+    below -MASS_TOL and a sum within MASS_TOL of 1, else ValidationError
+    naming `what`.  Entries in [-MASS_TOL, 0) are returned as 0."""
     vec = numeric_array(data, what, "iuf", ndim=1, size=size).astype(np.float64, copy=False)
-    if vec.min() < -_MASS_TOL:
+    if vec.min() < -MASS_TOL:
         raise ValidationError(f"{what} has a negative entry: {float(vec.min())!r}")
-    if abs(vec.sum() - 1.0) > _MASS_TOL:
+    if abs(vec.sum() - 1.0) > MASS_TOL:
         raise ValidationError(f"{what} sums to {float(vec.sum())!r}, not 1")
     return np.clip(vec, 0.0, None)

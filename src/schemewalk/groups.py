@@ -135,8 +135,7 @@ def _generators(c: np.ndarray, identity: int) -> list[int]:
 
 def cyclic(n: int) -> FiniteGroup:
     """Z_n with addition mod n; element k is the residue k."""
-    if require_integer(n, "n") < 1:
-        raise ValidationError("cyclic group needs n >= 1")
+    n = require_integer(n, "n", minimum=1)
     require_within_cap(n, DEFAULT_VERTEX_CAP, f"Z_{n} has order {n}")
     k = np.arange(n)
     return FiniteGroup((k[:, None] + k) % n)
@@ -144,8 +143,7 @@ def cyclic(n: int) -> FiniteGroup:
 
 def symmetric(n: int) -> FiniteGroup:
     """S_n on {0..n-1}; elements are permutations in lexicographic order."""
-    if require_integer(n, "n") < 1:
-        raise ValidationError("symmetric group needs n >= 1")
+    n = require_integer(n, "n", minimum=1)
     # `composed` holds n! * n! words and `rank` n^n: 0.1 MB at n = 5, 4 MB at n = 6.
     require_within_cap(n, 5, f"S_{n} has degree {n}")
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
@@ -163,8 +161,7 @@ def symmetric(n: int) -> FiniteGroup:
 
 def dihedral(n: int) -> FiniteGroup:
     """D_n of order 2n: indices 0..n-1 are rotations r^i, n..2n-1 are s*r^i."""
-    if require_integer(n, "n") < 1:
-        raise ValidationError("dihedral group needs n >= 1")
+    n = require_integer(n, "n", minimum=1)
     require_within_cap(2 * n, DEFAULT_VERTEX_CAP, f"D_{n} has order {2 * n}")
     ka, ia = np.divmod(np.arange(2 * n), n)
     kb, ib = ka[None, :], ia[None, :]

@@ -24,22 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import errors
 from .errors import (
-    CertificationError,
     ValidationError,
     is_integer,
     numeric_array,
+    refuse,
     require_distribution,
     require_index,
     require_integer,
 )
 from .parameters import KreinTensor
 from .spectral import BoseMesnerDecomposition
-
-# Float-noise negatives are clamped to zero; anything below the hard
-# floor is a genuine Krein violation and is rejected.
-_CLAMP_FLOOR = -1e-8
-_SLICE_SUM_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,11 +46,11 @@ class Hypergroup:
     (ValidationError) a convolution that is not a (d+1)^3 array of finite
     real numbers and multiplicities that are not d+1 positive finite real
     numbers, a boolean among them included, and
-    (CertificationError) a weight below the clamping floor -1e-8, a
-    slice whose total mass strays from 1 by more than 1e-8, and an index
-    0 that is not the identity within 1e-8.  The
-    stored convolution is a new read-only array: negatives above the
-    floor clamped to 0 and the identity slices exact.
+    (CertificationError) a weight below errors.CLAMP_FLOOR, a slice whose
+    total mass strays from 1, or an index 0 that is not the identity, by
+    more than errors.SLICE_SUM_TOL.  The stored
+    convolution is a new read-only array: negatives above the floor
+    clamped to 0 and the identity slices exact.
     """
 
     convolution: np.ndarray
@@ -70,32 +66,20 @@ class Hypergroup:
             raise ValidationError(
                 f"multiplicities must be positive and finite, got {mults.tolist()}")
 
-        low = float(conv.min())
-        if low < _CLAMP_FLOOR:
-            i, j, k = np.unravel_index(int(np.argmin(conv)), conv.shape)
-            raise CertificationError(
-                f"convolution weight ({i},{j},{k}) = {low:.3e} below the floor {_CLAMP_FLOOR}"
-            )
+        if conv.min() < errors.CLAMP_FLOOR:
+            refuse("convolution weight >= 0", -conv, -errors.CLAMP_FLOOR)
         conv = np.where(conv < 0.0, 0.0, conv)
 
-        sums = conv.sum(axis=2)
-        drift = float(np.max(np.abs(sums - 1.0)))
-        if drift > _SLICE_SUM_TOL:
-            i, j = np.unravel_index(int(np.argmax(np.abs(sums - 1.0))), sums.shape)
-            raise CertificationError(
-                f"convolution slice ({i},{j}) has total mass {float(sums[i, j])!r}, "
-                f"off by {drift:.3e}"
-            )
+        drift = np.abs(conv.sum(axis=2) - 1.0)
+        if drift.max() > errors.SLICE_SUM_TOL:
+            refuse("total mass 1 of a convolution slice", drift, errors.SLICE_SUM_TOL)
 
         # index 0 is the identity: verify, then store it exactly
         delta = np.eye(size)
         gap = np.abs(conv[0] - delta)
-        if gap.max() > _SLICE_SUM_TOL:
-            j, k = np.unravel_index(int(np.argmax(gap)), gap.shape)
-            raise CertificationError(
-                f"index 0 does not act as the hypergroup identity: weight (0,{j},{k}) = "
-                f"{conv[0, j, k]:.3e}"
-            )
+        if gap.max() > errors.SLICE_SUM_TOL:
+            refuse("index 0 as the hypergroup identity", gap, errors.SLICE_SUM_TOL,
+                   lambda j, k: f"weight (0, {j}, {k})")
         conv[0] = delta
         conv[:, 0, :] = delta
         conv.setflags(write=False)

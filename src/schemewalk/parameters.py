@@ -31,12 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CertificationError, ValidationError, numeric_array
+from . import errors
+from .errors import ValidationError, numeric_array, refuse
 from .schemes import AssociationScheme, require_axioms
 from .spectral import BoseMesnerDecomposition
-
-KREIN_TOLERANCE = 1e-9
-_TRACE_IDENTITY_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,30 +125,22 @@ def _krein(dec: BoseMesnerDecomposition) -> KreinTensor:
     iu, ju = np.nonzero(order[:, np.newaxis] <= order)  # the pairs i <= j, in C order
     # raw[(i,j)][k] = (1/n) sum_l Q[l][i] Q[l][j] P[k][l]
     raw = (eq[:, iu] * eq[:, ju]).T @ dec.eigenmatrix_P.T / dec.n
-    worst_imag = float(np.max(np.abs(raw.imag)))
-    if not worst_imag <= KREIN_TOLERANCE:
-        raise CertificationError(
-            f"Krein parameter with imaginary residue {worst_imag:.3e}; decomposition suspect"
-        )
+    imag = np.abs(raw.imag)
+    name = lambda pair, k: f"q[{iu[pair]}][{ju[pair]}][{k}]"  # noqa: E731
+    if not imag.max() <= errors.KREIN_TOLERANCE:
+        refuse("zero imaginary residue of q", imag, errors.KREIN_TOLERANCE, name)
     upper = raw.real
 
     # the pairs run through i <= j in C order, so the first minimum here
     # is the first in q, where (i, j, k) precedes its twin (j, i, k)
-    arg = int(np.argmin(upper))
-    pair, k = divmod(arg, size)
-    if upper[pair, k] < -KREIN_TOLERANCE:
-        i, j = iu[pair], ju[pair]
-        raise CertificationError(
-            f"Krein condition violated: q[{i}][{j}][{k}] = {upper[pair, k]:.3e} "
-            f"< -{KREIN_TOLERANCE}"
-        )
+    if upper.min() < -errors.KREIN_TOLERANCE:
+        refuse("Krein condition q_ij^k >= 0", -upper, errors.KREIN_TOLERANCE,
+               lambda pair, k: f"{name(pair, k)} = {upper[pair, k]:.3e}")
 
-    # sum_k q_{ij}^k m_k = m_i m_j
-    residual = float(np.max(np.abs(upper @ m - m[iu] * m[ju])))
-    if residual > _TRACE_IDENTITY_TOL:
-        raise CertificationError(
-            f"trace identity sum_k m_k q_ij^k = m_i m_j fails with residual {residual:.3e}"
-        )
+    residual = np.abs(upper @ m - m[iu] * m[ju])
+    if residual.max() > errors.TRACE_IDENTITY_TOL:
+        refuse("trace identity sum_k m_k q_ij^k = m_i m_j", residual, errors.TRACE_IDENTITY_TOL,
+               lambda pair: f"(i, j) = ({iu[pair]}, {ju[pair]})")
     q = np.empty((size, size, size))
     q[iu, ju] = upper
     q[ju, iu] = upper

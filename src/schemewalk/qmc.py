@@ -13,19 +13,15 @@ Five pieces:
 * Entangled transition expectations E(M (x) N) = V' (M (x) N) V for the
   isometry V|e_i> = sum_j sqrt(P[i][j]) |e_i>|e_j> of a row-stochastic P;
   unital and completely positive by construction (Stinespring form).
-  They are evaluated in the entrywise closed form M o (sqrtP N sqrtP^T)
-  (Accardi & Fidaleo 2005), at O(n^3) and without forming V.  The
-  entrywise root sqrtP is derived once, when a TransitionExpectation is
-  built, and V'V = I is certified then from the row sums of sqrtP**2.
+  They are evaluated in the closed form M o (sqrtP N sqrtP^T) (Accardi &
+  Fidaleo 2005) without forming V; see `TransitionExpectation`.
   The classical chain sits on the diagonal: E(I (x) diag(v)) = diag(P v).
 * Chain iteration: one array operation, a trace and a division per
   step; positivity of every state is certified after the loop, by a
   bound carried over the stacked diagonals (see `iterate_channel`).
-* The Szegedy walk U = S(2 A A' - I) of a stochastic matrix D: A is the
-  isometry V of the row-stochastic transpose of D, certified by the same
-  helper from sqrt(D)^T, and unitarity follows from A'A = I (see
-  `WalkOperator`).  U is filled in one pass from its closed form; A, Pi
-  and S are never formed.
+* The Szegedy walk U = S(2 A A' - I) of a stochastic matrix D, unitary by
+  the isometry certificate A'A = I and filled in one pass from its closed
+  form; A, Pi and S are never formed (see `WalkOperator`).
 
 Stochasticity conventions: transition expectations take row-stochastic
 matrices; `WalkOperator` accepts either convention via a flag and works
@@ -39,38 +35,34 @@ from functools import cached_property
 
 import numpy as np
 
+from . import errors
 from .errors import (
     CertificationError,
     ValidationError,
     numeric_array,
+    refuse,
     require_distribution,
     require_integer,
     require_within_cap,
 )
 
-_PSD_TOL = 1e-10
-_STOCHASTIC_TOL = 1e-12
-# `eig` is backward stable: a unit eigenvector of a stochastic P has
-# residual |P pi - pi| of order n*eps, far below 1e-9 at any size used here.
-_STATIONARY_TOL = 1e-9
 _PAIR_SPACE_MAX_VERTICES = 64
 
 
 def _column_stochastic(d_matrix, convention: str) -> np.ndarray:
     """The input, transposed if `convention` is "row", checked to be
-    column-stochastic within _STOCHASTIC_TOL and clipped at 0."""
+    column-stochastic within errors.STOCHASTIC_TOL and clipped at 0."""
     mat = np.asarray(numeric_array(d_matrix, "stochastic matrix", "iuf", ndim=2), np.float64)
     if convention not in ("column", "row"):
         raise ValidationError(f"convention must be 'column' or 'row', got {convention!r}")
-    if mat.min() < -_STOCHASTIC_TOL:
-        raise ValidationError(f"stochastic matrix has a negative entry: {float(mat.min())!r}")
+    if mat.min() < -errors.STOCHASTIC_TOL:
+        refuse("stochastic matrix entry >= 0", -mat, errors.STOCHASTIC_TOL, error=ValidationError)
     mat = np.clip(mat, 0.0, None)
     col = mat if convention == "column" else mat.T
-    sums = col.sum(axis=0)
-    if np.max(np.abs(sums - 1.0)) > _STOCHASTIC_TOL:
-        raise ValidationError(
-            f"matrix is not {convention}-stochastic (mass per state: {sums})"
-        )
+    drift = np.abs(col.sum(axis=0) - 1.0)
+    if drift.max() > errors.STOCHASTIC_TOL:
+        refuse(f"{convention}-stochastic mass 1", drift,
+               errors.STOCHASTIC_TOL, lambda v: f"state {v}", ValidationError)
     return col
 
 
@@ -82,8 +74,9 @@ class SchurChannel:
 
     def __post_init__(self):
         e = numeric_array(self.multiplier, "multiplier", "iufc", ndim=2).astype(np.complex128)
-        if np.max(np.abs(e - e.conj().T)) > _PSD_TOL:
-            raise ValidationError("multiplier must be Hermitian")
+        gap = np.abs(e - e.conj().T)
+        if gap.max() > errors.PSD_TOL:
+            refuse("Hermitian multiplier", gap, errors.PSD_TOL, error=ValidationError)
         e.setflags(write=False)
         object.__setattr__(self, "multiplier", e)
 
@@ -101,18 +94,18 @@ class SchurChannel:
 @dataclass(frozen=True)
 class CPReport:
     """The least eigenvalues of the Choi matrix and of the multiplier;
-    the verdicts are read from them under `_PSD_TOL`."""
+    the verdicts are read from them under `errors.PSD_TOL`."""
 
     choi_min_eigenvalue: float
     multiplier_min_eigenvalue: float
 
     @property
     def is_cp(self) -> bool:
-        return self.choi_min_eigenvalue >= -_PSD_TOL
+        return self.choi_min_eigenvalue >= -errors.PSD_TOL
 
     @property
     def verdicts_agree(self) -> bool:
-        return self.is_cp == (self.multiplier_min_eigenvalue >= -_PSD_TOL)
+        return self.is_cp == (self.multiplier_min_eigenvalue >= -errors.PSD_TOL)
 
 
 def schur_channel_apply(c: SchurChannel, m) -> np.ndarray:
@@ -122,18 +115,12 @@ def schur_channel_apply(c: SchurChannel, m) -> np.ndarray:
 def certify_cp(c: SchurChannel) -> CPReport:
     """Certify complete positivity from the multiplier's spectrum.
 
-    The Choi matrix of a Schur channel has the multiplier's entries
-    e[a][b] at (a*n+a, b*n+b) and zeros elsewhere (Choi, Linear Algebra
-    Appl. 10, 1975), so its spectrum is the multiplier's plus n^2 - n
-    zeros: CP holds iff the multiplier is positive semidefinite.  Both
-    verdicts therefore come from one spectrum, the multiplier's least
-    eigenvalue kept on the channel (one `eigvalsh` per channel, shared
-    with `iterate_channel`), and they agree by construction.  For n > 1,
-    `choi_min_eigenvalue` is that eigenvalue capped at the padded 0.0.
-    A least eigenvalue down to -1e-10 (`_PSD_TOL`) counts as semidefinite;
-    the report keeps the two eigenvalues and reads `is_cp` and
-    `verdicts_agree` from them.  The dense Choi matrix (capped at 64
-    dimensions) is the independent route the tests check this against.
+    The Choi matrix of a Schur channel holds e[a][b] at (a*n+a, b*n+b) and
+    zeros elsewhere (Choi, Linear Algebra Appl. 10, 1975), so both verdicts
+    come from the multiplier's least eigenvalue kept on the channel, and
+    agree by construction; for n > 1 `choi_min_eigenvalue` is it capped at
+    the padded 0.0.  Down to -`errors.PSD_TOL` counts as semidefinite.  The
+    dense Choi matrix (at most 64 dimensions) is the tests' oracle.
     """
     mult_min = c._multiplier_min
     return CPReport(min(mult_min, 0.0) if c.dim > 1 else mult_min, mult_min)
@@ -158,13 +145,13 @@ def dilation_unitary(p) -> np.ndarray:
 
 
 def _certify_isometry(root: np.ndarray, name: str) -> None:
-    """name'name = I at 1e-12 for the n^2 x n isometry whose column i is
-    e_i (x) row i of `root`.  Its columns have disjoint supports, so
-    name'name is diagonal, with the row sums of root**2 on the diagonal:
+    """name'name = I within errors.ISOMETRY_TOL for the n^2 x n isometry whose
+    column i is e_i (x) row i of `root`.  Its columns have disjoint supports,
+    so name'name is diagonal, with the row sums of root**2 on the diagonal:
     an O(n^2) check."""
-    residual = float(np.max(np.abs((root * root).sum(axis=1) - 1.0)))
-    if residual > 1e-12:
-        raise CertificationError(f"{name}'{name} = I fails with residual {residual:.3e}")
+    residual = np.abs((root * root).sum(axis=1) - 1.0)
+    if residual.max() > errors.ISOMETRY_TOL:
+        refuse(f"{name}'{name} = I", residual, errors.ISOMETRY_TOL, lambda i: f"({i}, {i})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,13 +234,17 @@ class ChannelTrajectory:
 def _check_density(rho: np.ndarray, dim: int) -> tuple[np.ndarray, float]:
     """The validated density matrix as complex128, and its least eigenvalue."""
     r = numeric_array(rho, "density matrix", "iufc", ndim=2, size=dim).astype(np.complex128)
-    if np.max(np.abs(r - r.conj().T)) > _PSD_TOL:
-        raise ValidationError("density matrix must be Hermitian")
-    if abs(complex(np.trace(r)).real - 1.0) > 1e-10:
-        raise ValidationError(f"density matrix has trace {complex(np.trace(r)).real!r}, not 1")
+    gap = np.abs(r - r.conj().T)
+    if gap.max() > errors.PSD_TOL:
+        refuse("Hermitian density matrix", gap, errors.PSD_TOL, error=ValidationError)
+    trace = float(np.trace(r).real)
+    if abs(trace - 1.0) > errors.MASS_TOL:
+        refuse("trace 1 of the density matrix", abs(trace - 1.0), errors.MASS_TOL,
+               f"trace {trace!r}", ValidationError)
     low = float(np.linalg.eigvalsh(r).min())
-    if low < -_PSD_TOL:
-        raise ValidationError(f"density matrix has eigenvalue {low:.3e} < 0")
+    if low < -errors.PSD_TOL:
+        refuse("positivity of the density matrix", -low, errors.PSD_TOL, f"eigenvalue {low:.3e}",
+               ValidationError)
     return r, low
 
 
@@ -267,15 +258,14 @@ def iterate_channel(channel, rho0, steps: int) -> ChannelTrajectory:
     come out 1).  Complete positivity is a precondition and is certified
     before iterating, from the multiplier eigenvalue the channel keeps.
 
-    A step forms the next state, checks its trace (below 1e-14 raises
-    "channel absorbed the state"), only then normalizes it in place, and
-    copies the state's diagonal into one (steps + 1) x n array.  The
-    Schur step is the entrywise product, scaled by 1/trace (the values
-    NumPy's complex-by-real division gives, without its complex loop).
-    The transition step is the dual's real products on the channel's
-    sqrtP, divided before they are widened to complex.
+    A step forms the next state, checks its trace (below
+    errors.ABSORPTION_FLOOR raises "channel absorbed the state"), then
+    normalizes it in place (a Schur product scaled by 1/trace, as NumPy's
+    complex-by-real division gives it; the dual's real products, divided
+    before they are widened) and copies its diagonal into one
+    (steps + 1) x n array.
 
-    Every state is certified to have least eigenvalue >= -_PSD_TOL (as
+    Every state is certified to have least eigenvalue >= -errors.PSD_TOL (as
     `eigvalsh` reads it, from the lower triangle) without a per-step
     eigensolve.  The states never depend on this certificate, so it is
     evaluated after the loop, from the stacked diagonals; the bound, its
@@ -296,10 +286,10 @@ def iterate_channel(channel, rho0, steps: int) -> ChannelTrajectory:
 
     The bound is divided by the step's trace and gains 2(n + 4) units of
     round-off.  That covers, in spectral norm, the rounding of the step
-    and of the division, because eps <= _PSD_TOL keeps the trace norm of
+    and of the division, because eps <= PSD_TOL keeps the trace norm of
     every state below 2.  A step whose bound
-    exceeds _PSD_TOL runs `eigvalsh` as the fallback: a least eigenvalue
-    below -_PSD_TOL raises "state lost positivity at step k", and
+    exceeds PSD_TOL runs `eigvalsh` as the fallback: a least eigenvalue
+    below -PSD_TOL raises "positivity of the state fails at step k", and
     otherwise resets eps.  The final state always gets one `eigvalsh` as
     the guard on rounding.  A positivity loss at step j is raised before
     an absorption at a later step, as a loop that stopped at the first
@@ -309,14 +299,15 @@ def iterate_channel(channel, rho0, steps: int) -> ChannelTrajectory:
     bounded and may overflow, so overflow and invalid-value flags are
     ignored while they and their bound terms are formed.  Up to the first
     failure no such flag can arise: a state of trace 1 whose least
-    eigenvalue is >= -_PSD_TOL has entries of order 1.
+    eigenvalue is >= -PSD_TOL has entries of order 1.
     """
     steps = require_integer(steps, "steps", minimum=0)
+    psd, floor = errors.PSD_TOL, errors.ABSORPTION_FLOOR
     if isinstance(channel, SchurChannel):
-        if channel._multiplier_min < -_PSD_TOL:
-            raise CertificationError(
-                "channel is not completely positive (multiplier has a negative eigenvalue)"
-            )
+        if channel._multiplier_min < -psd:
+            low = channel._multiplier_min
+            refuse("complete positivity of the channel", -low, psd,
+                   f"multiplier eigenvalue {low:.3e}")
     elif not isinstance(channel, TransitionExpectation):
         raise ValidationError(
             f"cannot iterate {type(channel).__name__}; "
@@ -331,7 +322,7 @@ def iterate_channel(channel, rho0, steps: int) -> ChannelTrajectory:
         def advance(rho, diag):
             nxt = mult * rho
             tr = float(nxt.trace().real)
-            if tr < 1e-14:
+            if tr < floor:
                 return None, tr
             nxt *= 1.0 / tr
             return nxt, tr
@@ -341,7 +332,7 @@ def iterate_channel(channel, rho0, steps: int) -> ChannelTrajectory:
         def advance(rho, diag):
             real, imag = _dual_parts(root, diag)
             tr = float(real.trace())
-            if tr < 1e-14:
+            if tr < floor:
                 return None, tr
             real /= tr
             if imag is not None:
@@ -378,12 +369,10 @@ def iterate_channel(channel, rho0, steps: int) -> ChannelTrajectory:
     rounding = 2 * (channel.dim + 4) * np.finfo(np.float64).eps
     for k, (tr, a, b) in enumerate(zip(factors, lead.tolist(), tail.tolist()), start=1):
         eps = (eps * slope + a + eps * eps_m + b) / tr + rounding
-        if eps > _PSD_TOL or k == steps:
+        if eps > psd or k == steps:
             low = float(np.linalg.eigvalsh(states[k]).min())
-            if low < -_PSD_TOL:
-                raise CertificationError(
-                    f"state lost positivity at step {k} (eigenvalue {low:.3e})"
-                )
+            if low < -psd:
+                refuse("positivity of the state", -low, psd, f"step {k} (eigenvalue {low:.3e})")
             eps = max(0.0, -low)
     if absorbed:
         raise CertificationError(absorbed)
@@ -403,13 +392,13 @@ class WalkOperator:
     U, the only n^2 x n^2 array built, is filled in one pass from its closed form
     U[(v,w),(v',w')] = 2 [v' = w] sqrt(D[v][w]) sqrt(D[w'][w]) - [v' = w][w' = v].
 
-    Certificate: A'A = I within 1e-12 (diagonal, so O(n^2)).  It implies the
+    Certificate: A'A = I within errors.ISOMETRY_TOL (diagonal, so O(n^2)).  It implies the
     rest.  S is a permutation, so S'S = I, and Pi = AA' is symmetric,
     hence U'U - I = (2 Pi - I)^2 - I = 4(Pi^2 - Pi) = 4 A(A'A - I)A'.
     Each row of A has a single entry, the square root of a probability
     and so at most 1, hence every entry of U'U - I is 4 times one entry
     of A'A - I times two such factors: max|U'U - I| <= 4 max|A'A - I|
-    <= 4e-12, and likewise max|Pi^2 - Pi| <= max|A'A - I|.  The bounds
+    <= 4 ISOMETRY_TOL, and likewise max|Pi^2 - Pi| <= max|A'A - I|.  The bounds
     hold for the operator S(2AA' - I) exactly; the stored entries of U
     are each one rounded product of A's entries.
     """
@@ -464,7 +453,7 @@ def _closed_classes(column_stochastic: np.ndarray) -> list[tuple[int, ...]]:
 
 def stationary_distribution(column_stochastic) -> np.ndarray:
     """Stationary law of a column-stochastic matrix via its unit eigenvector,
-    certified by max|P pi - pi| <= _STATIONARY_TOL; it must be unique, so
+    certified by max|P pi - pi| <= errors.STATIONARY_TOL; it must be unique, so
     the support graph must have exactly one closed communicating class."""
     mat = _column_stochastic(column_stochastic, "column")
     classes = _closed_classes(mat)
@@ -476,12 +465,14 @@ def stationary_distribution(column_stochastic) -> np.ndarray:
     vals, vecs = np.linalg.eig(mat)
     pick = int(np.argmin(np.abs(vals - 1.0)))
     v = vecs[:, pick]
-    v = np.real_if_close(v / v.sum(), tol=1e6)
-    pi = np.real(v)
-    if np.min(pi) < -_STATIONARY_TOL or abs(pi.sum() - 1.0) > _STATIONARY_TOL:
-        raise CertificationError("unit eigenvector is not a probability distribution")
+    with np.errstate(divide="ignore", invalid="ignore"):   # a vector summing to 0 is refused
+        pi = np.real(np.real_if_close(v / v.sum(), tol=1e6))
+        off = float(np.max([-pi.min(), abs(pi.sum() - 1.0)]))
+        if not off <= errors.STATIONARY_TOL:
+            refuse("unit eigenvector as a probability distribution", off, errors.STATIONARY_TOL,
+                   f"least entry {pi.min():.3e}, sum {pi.sum():.12g}")
     pi = np.clip(pi, 0.0, None)
-    residual = float(np.max(np.abs(mat @ pi - pi)))
-    if residual > _STATIONARY_TOL:
-        raise CertificationError(f"P pi = pi fails with residual {residual:.3e}")
+    residual = np.abs(mat @ pi - pi)
+    if residual.max() > errors.STATIONARY_TOL:
+        refuse("P pi = pi", residual, errors.STATIONARY_TOL, lambda v: f"state {v}")
     return pi

@@ -657,8 +657,7 @@ def build_orbit_scheme(generators: list[list[int]], n: int) -> AssociationScheme
     diagonal carries the point orbits: (x, x) is labelled z*(n+1) for the
     smallest point z in the orbit of x.
     """
-    if require_integer(n, "point count") < 1:
-        raise ValidationError("point count must be positive")
+    n = require_integer(n, "point count", minimum=1)
     require_within_cap(n, DEFAULT_VERTEX_CAP, f"orbit scheme has {n} vertices")
     if not isinstance(generators, (list, tuple, np.ndarray)) or len(generators) == 0:
         raise ValidationError("need at least one generator")

@@ -16,12 +16,10 @@ certified on every pair (i, j).  The identities are evaluated for class
 1, and the other classes are bounded from that residual and the
 separation of the rows on class 1 by the Davis-Kahan argument spelled
 out in `_certify_characters` (C. Davis & W. M. Kahan, SIAM J. Numer.
-Anal. 7, 1970): (d+1)^3 work instead of (d+1)^4.  Cyclic group, Johnson
-and Grassmann schemes are certified so.  When the bound does not reach
-the tolerance, as for dihedral conjugacy schemes, whose class 1 does not
-separate the rows, every identity is checked.  The multiplicities and Q
-follow from the orthogonality relations (Bannai & Ito 1984, Sections
-II.3-4),
+Anal. 7, 1970): (d+1)^3 work instead of (d+1)^4.  Where the bound falls
+short (dihedral conjugacy schemes), every identity is checked.  The
+multiplicities and Q follow from the orthogonality relations (Bannai &
+Ito 1984, Sections II.3-4),
 
     m_t = n / sum_j |P[t][j]|^2 / k_j,   Q[j][t] = m_t conj(P[t][j]) / k_j.
 
@@ -42,18 +40,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CertificationError, ValidationError, require_index
+from . import errors
+from .errors import ValidationError, refuse, require_index
 from .schemes import AssociationScheme, AxiomReport, require_axioms
 
 # Seed for the generic-combination coefficients.  Fixed so that repeated
 # runs produce bit-identical decompositions.
 _GENERIC_SEED = 1729
-
-# Character identities are checked relative to k_i k_j, the size of
-# P[t][i] P[t][j]; P Q = n I relative to n.
-_RESIDUAL_TOL = 1e-8
-_INTEGRALITY_TOL = 1e-6
-_VALENCY_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,8 +99,8 @@ def _generic_weights(count: int) -> np.ndarray:
 
 def _identity_residual(chars: np.ndarray, p: np.ndarray, k: np.ndarray, h: int) -> np.ndarray:
     """|P[t][g] P[t][j] - sum_k p_gj^k P[t][k]| for the classes g = 1..h and
-    every j, indexed (t, g - 1, j); one above _RESIDUAL_TOL k_g k_j is
-    refused with its row and classes.  Class 0 needs no check: P[t][0] = 1
+    every j, indexed (t, g - 1, j); one above errors.RESIDUAL_TOL k_g k_j
+    is refused with its row and classes.  Class 0 needs no check: P[t][0] = 1
     and p_0j^k = delta_jk, so its identities hold exactly."""
     size = len(k)
     # one float GEMM against the real and imaginary parts side by side
@@ -116,14 +109,9 @@ def _identity_residual(chars: np.ndarray, p: np.ndarray, k: np.ndarray, h: int) 
     residual = np.abs(chars[:, 1:h + 1, np.newaxis] * chars[:, np.newaxis, :]
                       - products.reshape(h, size, size).transpose(2, 0, 1))
     relative = residual / (k[1:h + 1, np.newaxis] * k)
-    arg = int(np.argmax(relative))
-    worst = float(relative.flat[arg])
-    if not worst <= _RESIDUAL_TOL:
-        t, g, j = np.unravel_index(arg, relative.shape)
-        raise CertificationError(
-            f"character identities fail with relative residual {worst:.3e} at row {t}, "
-            f"classes ({g + 1}, {j}); the generic combination did not separate the characters"
-        )
+    if not relative.max() <= errors.RESIDUAL_TOL:
+        refuse("character identity P[t][i] P[t][j] = sum_k p_ij^k P[t][k] (relative to k_i k_j)",
+               relative, errors.RESIDUAL_TOL, lambda t, g, j: f"row {t}, classes ({g + 1}, {j})")
     return residual
 
 
@@ -138,7 +126,7 @@ def _class_1_gap(chars: np.ndarray, k: np.ndarray) -> float:
 
 def _certify_characters(chars: np.ndarray, p: np.ndarray, k: np.ndarray) -> None:
     """Raise CertificationError unless every row of `chars` satisfies every
-    character identity within _RESIDUAL_TOL relative to k_i k_j.
+    character identity within errors.RESIDUAL_TOL relative to k_i k_j.
 
     The identities of class 1 are checked, and the others are bounded
     from that check; the bound alone decides, at every size, whether it
@@ -176,7 +164,7 @@ def _certify_characters(chars: np.ndarray, p: np.ndarray, k: np.ndarray) -> None
     # max_t R_t; the bound grows with R_t, so the largest decides
     spread = float(np.sqrt(np.max(residual ** 2 @ (1.0 / k)))) / k[1]
     eps = spread / (gap - spread) if 2 * spread < gap else np.inf
-    if 6 * eps + 4 * eps ** 2 > _RESIDUAL_TOL:
+    if 6 * eps + 4 * eps ** 2 > errors.RESIDUAL_TOL:
         _identity_residual(chars, p, k, size - 1)
 
 
@@ -232,32 +220,34 @@ def _spectrum(report: AxiomReport, n: int, k: np.ndarray):
         chars = (rows / rows[:, :1]).astype(np.complex128, copy=False)
         _certify_characters(chars, p, k)
 
-    first = np.flatnonzero(np.max(np.abs(chars - k), axis=1) < _VALENCY_TOL)
-    if len(first) != 1:
-        raise CertificationError("could not identify the all-ones eigenspace E_0 = J/n")
+    # At most one row is that near k: sum_j P[t][j] conj(P[s][j]) / k_j, ~n for two,
+    # is <v_t, v_s> / (v_t0 conj(v_s0)) ~ n d eps for eigh's orthonormal v_t.
+    offset = np.max(np.abs(chars - k), axis=1)
+    first = int(np.argmin(offset))
+    if not offset[first] < errors.VALENCY_TOL:
+        refuse("a row of P equal to the valencies (E_0 = J/n)",
+               offset[first], errors.VALENCY_TOL, f"row {first}")
     # sort keys of row t: -Re P[t][1], -Im P[t][1], -Re P[t][2], ..., rounded
     # (the float view of a complex row interleaves them); lexsort is stable,
     # so ties keep ascending t
     keys = -np.round(np.ascontiguousarray(chars).view(np.float64)[:, 2:], 9)
-    order = np.lexsort(keys.T[::-1]) if d else first
-    eigmat_p = chars[np.concatenate([first, order[order != first[0]]])]
+    order = np.lexsort(keys.T[::-1]) if d else np.arange(1)
+    eigmat_p = chars[np.concatenate([[first], order[order != first]])]
 
     mult = n / np.sum(np.abs(eigmat_p) ** 2 / k, axis=1)
     multiplicities = tuple(int(round(float(m))) for m in mult)
-    drift = float(np.max(np.abs(mult - multiplicities)))
-    if drift > _INTEGRALITY_TOL:
-        raise CertificationError(
-            f"multiplicities {mult.tolist()} are not integral within {_INTEGRALITY_TOL}"
-        )
-    if sum(multiplicities) != n:
-        raise CertificationError(
-            f"multiplicities {list(multiplicities)} do not sum to n={n}"
-        )
+    drift = np.abs(mult - multiplicities)
+    if drift.max() > errors.INTEGRALITY_TOL:
+        refuse("integrality of the multiplicities", drift, errors.INTEGRALITY_TOL,
+               lambda t: f"m_{t} = {mult[t]:.9g}")
+    # They sum to n, unchecked: m_t = n |v_t0|^2 (P[t][j] = v_tj sqrt(k_j) / v_t0) sum to
+    # n |row 0 of V|^2 = n (1 + O(d eps)), and d + 1 <= 5000 integers within
+    # INTEGRALITY_TOL of them differ from that by < 0.01.
 
     eigmat_q = np.array(multiplicities) * eigmat_p.conj().T / k[:, np.newaxis]
-    pq_residual = float(np.max(np.abs(eigmat_p @ eigmat_q - n * np.eye(d + 1))))
-    if pq_residual > _RESIDUAL_TOL * n:
-        raise CertificationError(f"PQ = nI fails with residual {pq_residual:.3e}")
+    pq = np.abs(eigmat_p @ eigmat_q - n * np.eye(d + 1))
+    if pq.max() > errors.RESIDUAL_TOL * n:
+        refuse("PQ = nI", pq, errors.RESIDUAL_TOL * n)
 
     eigmat_p.setflags(write=False)
     eigmat_q.setflags(write=False)

@@ -22,7 +22,7 @@ from schemewalk import (
     verify_hexagon,
     verify_pentagon,
 )
-from schemewalk import anyons
+from schemewalk import anyons, errors
 from schemewalk.anyons import (
     GOLDEN_RATIO,
     HexagonReport,
@@ -611,8 +611,68 @@ def test_make_fusion_system_rejects_non_unit_r():
 
 def test_make_fusion_system_rejects_non_unit_twist():
     z2 = cyclic_fusion_system(2)
-    with pytest.raises(ValidationError, match="twist 1 has modulus 5.0, not 1"):
+    with pytest.raises(ValidationError, match=re.escape(
+            "unit modulus of twist 1 fails at |theta| = 5.0: residual 4.000e+00 exceeds bound 1e-12")):
         FusionSystem(z2.labels, z2.N, twist=(1.0, 5.0))
+
+
+def test_an_unknown_builtin_fusion_system_is_refused():
+    with pytest.raises(ValidationError, match="unknown fusion system 'nope'; built-ins: ising"):
+        builtin_fusion_system("nope")
+
+
+def _unit_law(rank):
+    n = np.zeros((rank,) * 3, dtype=np.int64)
+    n[0] = n[:, 0, :] = np.eye(rank, dtype=np.int64)
+    return n
+
+
+NEGATIVE_N = cyclic_fusion_system(2).N.copy()
+NEGATIVE_N[1, 1, 1] = -1
+NON_COMMUTATIVE_N = _unit_law(3)
+NON_COMMUTATIVE_N[1, 2, 2] = NON_COMMUTATIVE_N[2, 1, 1] = 1
+
+
+@pytest.mark.parametrize("labels, n, match", [
+    ((), _unit_law(1), "labels must be non-empty and distinct"),
+    (("1", "1"), _unit_law(2), "labels must be non-empty and distinct"),
+    (("1", "g"), NEGATIVE_N, "fusion multiplicities must be non-negative"),
+    (("1", "a", "b"), NON_COMMUTATIVE_N, re.escape("fusion must be commutative (N_ab^c = N_ba^c)")),
+], ids=["no labels", "repeated label", "negative N", "non-commutative N"])
+def test_a_fusion_tensor_is_refused_by_its_rule(labels, n, match):
+    with pytest.raises(ValidationError, match=match):
+        FusionSystem(labels, n)
+
+
+@pytest.mark.parametrize("f_data, r_data, match", [
+    ({(1, 1, 1, 1): [[1.0]]}, None, "F block (1, 1, 1, 1) must have shape (2, 2), got (1, 1)"),
+    (None, {(1, 1, 1): 1.0}, "R phase given for forbidden channel (1, 1, 1)"),
+    (None, {(1, 1, 0): [1.0, 1.0]}, "R phase (1, 1, 0) must be a single number"),
+], ids=["F shape", "R forbidden channel", "R not a scalar"])
+def test_ising_data_of_the_wrong_form_is_refused(f_data, r_data, match):
+    with pytest.raises(ValidationError, match=re.escape(match)):
+        FusionSystem(ISING.labels, ISING.N, f_data, r_data)
+
+
+def test_a_phase_inside_the_unit_bound_can_leave_sigma1_outside_it():
+    # |R| - 1 = 0.9e-12 passes UNITARITY_TOL, but sigma1'sigma1 - I = |R|^2 - 1 is twice it
+    r_data = {**ISING.R, (1, 1, 0): ISING.R[(1, 1, 0)] * (1 + 0.9e-12)}
+    fs = FusionSystem(ISING.labels, ISING.N, dict(ISING.F), r_data, ISING.twist)
+    with pytest.raises(ValidationError, match=re.escape(
+            "unitarity of sigma1 fails at (0, 0): residual 1.800e-12 exceeds bound 1e-12")):
+        braid_generators(fs, "sigma")
+
+
+@pytest.mark.parametrize("m", [1, 10, 1000, 10 ** 6])
+def test_dimensions_satisfy_the_fusion_rule_without_a_check(m):
+    # f x f = 1 + m f; d_f = (m + sqrt(m^2 + 4)) / 2 (see `_dims_from_tensor`)
+    n = _unit_law(2)
+    n[1, 1] = [1, m]
+    dims = FusionSystem(("1", "f"), n).dims
+    assert dims[1] == pytest.approx((m + math.sqrt(m * m + 4)) / 2, rel=1e-14)
+    for fs in (ISING, FIB, cyclic_fusion_system(7), FusionSystem(("1", "f"), n)):
+        rule = np.einsum("abc,c->ab", fs.N, fs.dims)
+        assert np.max(np.abs(np.outer(fs.dims, fs.dims) - rule)) <= 1e-14 * np.max(rule)
 
 
 Z2_N = cyclic_fusion_system(2).N
@@ -698,7 +758,7 @@ def _pattern_keeping_maps(q, fs):
 def test_a_bridge_report_derives_matched_from_its_deviation():
     with pytest.raises(TypeError, match="matched"):
         anyons.BridgeReport(matched=True, bijection=(0, 1), scalars=(1.0, 1.0), deviation=5.0)
-    near = anyons.BRIDGE_THRESHOLD
+    near = errors.BRIDGE_THRESHOLD
     assert anyons.BridgeReport((0, 1), (1.0, 1.0), near / 2).matched
     assert not anyons.BridgeReport((0, 1), (1.0, 1.0), near).matched
     assert not anyons.BridgeReport((), (), math.inf).matched
@@ -756,7 +816,7 @@ def _assert_same_as_enumeration(dec, q, fs, maps=None):
     rep = scheme_fusion_bridge(dec, q, fs)
     deviation, perm, scalars = _enumerated_bridge(dec, q, fs, maps)
     assert rep.bijection == perm
-    assert rep.matched == (deviation < anyons.BRIDGE_THRESHOLD)
+    assert rep.matched == (deviation < errors.BRIDGE_THRESHOLD)
     if rep.matched:
         assert np.max(np.abs(np.subtract(rep.scalars, scalars))) <= 1e-12
         assert abs(rep.deviation - deviation) <= 1e-12

@@ -10,7 +10,7 @@ import pytest
 
 from schemewalk import ValidationError, dilation_unitary, walk
 from schemewalk.cli import run
-from schemewalk.errors import _MASS_TOL
+from schemewalk.errors import MASS_TOL
 from schemewalk.serialize import load, loads
 
 
@@ -93,7 +93,7 @@ DISTRIBUTION_READERS = {
 def test_distribution_readers_share_one_bound(where, scale, accepted, j42_hypergroup):
     """Every reader of a distribution accepts or refuses it alike, just
     inside and just outside the one mass tolerance of `errors`."""
-    error = scale * _MASS_TOL
+    error = scale * MASS_TOL
     vec = [0.0, 0.5, 0.5 + error] if where == "mass" else [-error, 0.5, 0.5 + error]
     verdicts = {}
     for name, read in DISTRIBUTION_READERS.items():

@@ -240,11 +240,13 @@ def test_walk_takes_steps_as_an_integer_alone(steps, j42_hypergroup):
 # Z_4 (d = 3): a tensor's d is its shape, so a wrong d cannot be declared.
 @pytest.mark.parametrize("source, edits, error, witness", [
     ("group_z4", {}, ValidationError, "d=3 but decomposition has d=2"),
-    ("johnson_4_2", {(1, 2, 1): -1.0}, CertificationError, r"weight \(1,2,1\) = -5\.000e-01 below"),
-    ("johnson_4_2", {(2, 2, 1): 0.4}, CertificationError, r"slice \(2,2\) has total mass"),
+    ("johnson_4_2", {(1, 2, 1): -1.0}, CertificationError, r"convolution weight >= 0 fails at \(1, 2, 1\): residual 5\.000e-01 exceeds bound 1e-08"),
+    ("johnson_4_2", {(2, 2, 1): 0.4}, CertificationError, r"total mass 1 of a convolution slice fails at \(2, 2\): residual 3\.000e-01 exceeds "
+     r"bound 1e-08"),
     # moving half of slice (0,1)'s mass keeps every slice a distribution
     ("johnson_4_2", {(0, 1, 1): 0.5, (0, 1, 2): 0.75}, CertificationError,
-     r"identity: weight \(0,1,1\) = 5\.000e-01"),
+     r"index 0 as the hypergroup identity fails at weight \(0, 1, 1\): residual 5\.000e-01 "
+     r"exceeds bound 1e-08"),
 ], ids=["d-mismatch", "negative-weight", "slice-mass", "identity"])
 def test_hypergroup_from_refuses_an_edited_krein_tensor(source, edits, error, witness,
                                                         j42_dec, krein_tensors):
@@ -259,7 +261,8 @@ def test_hypergroup_from_refuses_an_edited_krein_tensor(source, edits, error, wi
 # before the checks moved into `Hypergroup`: all weights -1 walked to
 # [3, 3, 3], and multiplicities of length 1 convolved to [1, 1, 1].
 def test_hypergroup_refuses_negative_weights():
-    with pytest.raises(CertificationError, match=r"weight \(0,0,0\) = -1\.000e\+00 below"):
+    with pytest.raises(CertificationError, match=r"weight >= 0 fails at \(0, 0, 0\): "
+                                                 r"residual 1\.000e\+00 exceeds bound 1e-08"):
         Hypergroup(np.full((3, 3, 3), -1.0), (1, 2, 3))
 
 

@@ -46,3 +46,20 @@ def test_numpy_integers_are_integer_arguments():
     assert build_johnson(np.int64(5), np.int32(2)) == build_johnson(5, 2)
     assert groups.cyclic(np.int16(6)) == groups.cyclic(6)
     assert ISING.label_index(np.int64(1)) == 1
+
+
+POSITIVE_BUILDERS = {
+    "groups.cyclic": (groups.cyclic, "n"),
+    "groups.symmetric": (groups.symmetric, "n"),
+    "groups.dihedral": (groups.dihedral, "n"),
+    "cyclic_fusion_system": (cyclic_fusion_system, "order"),
+    "build_orbit_scheme": (lambda n: build_orbit_scheme([[0]], n), "point count"),
+}
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("builder", POSITIVE_BUILDERS)
+def test_a_size_below_one_is_refused_by_the_integer_rule(builder, value):
+    build, what = POSITIVE_BUILDERS[builder]
+    with pytest.raises(ValidationError, match=f"^{what} must be an integer >= 1, got {value}$"):
+        build(value)

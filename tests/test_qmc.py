@@ -253,11 +253,35 @@ def test_closed_form_matches_the_stinespring_oracle_up_to_48_states(kind):
         assert gap < 1e-12, (kind, n, gap)
 
 
+# A row that passes the stochastic bound with 1 ulp to spare, 4503 ulp above 1,
+# whose squared roots sum to 1 ulp more: V'V = I misses the same bound.
+EDGE_ROW = [0.5332105630682444, 0.4652278496369079, 0.0015615872958476093]
+
+
+@pytest.mark.parametrize("build, name", [
+    (make_transition_expectation, "V"),
+    (lambda p: szegedy_walk(p, "row"), "A"),
+    (lambda p: szegedy_walk(np.transpose(p)), "A"),
+], ids=["transition expectation", "szegedy row", "szegedy column"])
+def test_an_isometry_at_the_stochastic_bound_can_miss_its_own(build, name):
+    p = np.array([EDGE_ROW, [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    assert abs(p.sum(axis=1)[0] - 1.0) <= 1e-12 < abs((np.sqrt(p[0]) ** 2).sum() - 1.0)
+    with pytest.raises(CertificationError, match=re.escape(
+            f"{name}'{name} = I fails at (0, 0): residual 1.000e-12 exceeds bound 1e-12")):
+        build(p)
+
+
+def test_an_unknown_convention_is_refused():
+    with pytest.raises(ValidationError, match="convention must be 'column' or 'row', got 'rows'"):
+        szegedy_walk([[1.0]], "rows")
+
+
 def test_hand_built_transition_expectation_is_certified():
     # V is derived from the transition, and the transition must be row-stochastic.
     with pytest.raises(TypeError):
         TransitionExpectation(2, [[2.0, 0.0], [0.0, 0.0]], np.zeros((4, 2)))
-    with pytest.raises(ValidationError, match="not row-stochastic"):
+    with pytest.raises(ValidationError, match=re.escape(
+            "row-stochastic mass 1 fails at state 0: residual 1.000e+00 exceeds bound 1e-12")):
         TransitionExpectation([[2.0, 0.0], [0.0, 0.0]])
 
 
@@ -390,6 +414,14 @@ def test_iterate_rejects_non_cp_channel():
         iterate_channel(ch, np.eye(2) / 2, 1)
 
 
+def test_iterate_refuses_a_non_hermitian_state_and_a_foreign_channel():
+    with pytest.raises(ValidationError, match=re.escape(
+            "Hermitian density matrix fails at (0, 1): residual 1.000e-01 exceeds bound 1e-10")):
+        iterate_channel(SchurChannel(np.eye(2)), [[0.5, 0.1], [0.2, 0.5]], 1)
+    with pytest.raises(ValidationError, match="cannot iterate str; expected SchurChannel or "):
+        iterate_channel("schur", np.eye(1), 1)
+
+
 def test_iterate_rejects_bad_density():
     ch = SchurChannel(np.eye(2))
     with pytest.raises(ValidationError):
@@ -441,9 +473,11 @@ def iterate_oracle(channel, rho0, steps, check_positivity=True):
     """The stepping loop with an `eigvalsh` of the state after every step
     (none with `check_positivity` off)."""
     if isinstance(channel, SchurChannel):
-        if float(np.linalg.eigvalsh(channel.multiplier).min()) < -1e-10:
+        low = float(np.linalg.eigvalsh(channel.multiplier).min())
+        if low < -1e-10:
             raise CertificationError(
-                "channel is not completely positive (multiplier has a negative eigenvalue)"
+                f"complete positivity of the channel fails at multiplier eigenvalue {low:.3e}: "
+                f"residual {-low:.3e} exceeds bound 1e-10"
             )
         step = lambda rho: schur_channel_apply(channel, rho)  # noqa: E731
     else:
@@ -462,7 +496,8 @@ def iterate_oracle(channel, rho0, steps, check_positivity=True):
         low = float(np.linalg.eigvalsh(rho).min()) if check_positivity else 0.0
         if low < -1e-10:
             raise CertificationError(
-                f"state lost positivity at step {len(factors) + 1} (eigenvalue {low:.3e})"
+                f"positivity of the state fails at step {len(factors) + 1} (eigenvalue "
+                f"{low:.3e}): residual {-low:.3e} exceeds bound 1e-10"
             )
         states.append(rho)
         factors.append(tr)
@@ -514,7 +549,8 @@ def test_iterate_falls_back_to_eigvalsh_when_the_bound_is_loose():
     # M o rho0 magnifies it to -4.5e-05 after one step.
     a = 1e-6
     mult = np.array([[a, a + 0.9e-10], [a + 0.9e-10, a]])
-    message = r"state lost positivity at step 1 \(eigenvalue -4\.500e-05\)"
+    message = (r"positivity of the state fails at step 1 \(eigenvalue -4\.500e-05\): "
+               r"residual 4\.500e-05 exceeds bound 1e-10")
     for run in (iterate_oracle, iterate_channel):
         with pytest.raises(CertificationError, match=message):
             run(SchurChannel(mult), np.full((2, 2), 0.5), 3)
@@ -599,21 +635,26 @@ FAILING_CHAINS = [
      r"channel absorbed the state \(trace 0\.000e\+00 after step 1\)", 1),
     # lost at step 2: the off-diagonal ratio 1 + 1.5e-10 compounds
     (SchurChannel(np.array([[0.6, 0.6 + 0.9e-10], [0.6 + 0.9e-10, 0.6]])), np.full((2, 2), 0.5),
-     r"state lost positivity at step 2 \(eigenvalue -1\.500e-10\)", 2),
+     r"positivity of the state fails at step 2 \(eigenvalue -1\.500e-10\): "
+     r"residual 1\.500e-10 exceeds bound 1e-10", 2),
     # lost at step 1, and the states go on to a negative trace at step 3:
     # the positivity loss is the failure reported
     (SchurChannel(np.diag([-0.9e-10, 0.5e-10])), np.diag([0.25, 0.75]),
-     r"state lost positivity at step 1 \(eigenvalue -1\.500e\+00\)", 1),
+     r"positivity of the state fails at step 1 \(eigenvalue -1\.500e\+00\): "
+     r"residual 1\.500e\+00 exceeds bound 1e-10", 1),
     # lost at step 1; the off-diagonal of the later states grows 1000-fold a
     # step and overflows near step 100
     (SchurChannel(1e-10 * np.array([[1e-3, 1.0], [1.0, 1e-3]])), np.full((2, 2), 0.5),
-     r"state lost positivity at step 1 \(eigenvalue -4\.995e\+02\)", 1),
+     r"positivity of the state fails at step 1 \(eigenvalue -4\.995e\+02\): "
+     r"residual 4\.995e\+02 exceeds bound 1e-10", 1),
     # transition: two negative diagonal entries meet at step 1
     (_diagonal_te([0, 1, 1]), np.diag([1.0 + 1.8e-10, -0.9e-10, -0.9e-10]),
-     r"state lost positivity at step 1 \(eigenvalue -1\.800e-10\)", 1),
+     r"positivity of the state fails at step 1 \(eigenvalue -1\.800e-10\): "
+     r"residual 1\.800e-10 exceeds bound 1e-10", 1),
     # transition: four negative entries merge over three steps
     (_diagonal_te([0, 1, 1, 2, 3]), np.diag([1.0 + 1.2e-10] + [-0.3e-10] * 4),
-     r"state lost positivity at step 3 \(eigenvalue -1\.200e-10\)", 3),
+     r"positivity of the state fails at step 3 \(eigenvalue -1\.200e-10\): "
+     r"residual 1\.200e-10 exceeds bound 1e-10", 3),
 ]
 
 
@@ -752,6 +793,33 @@ def test_stationary_distribution_matches_weights():
 def test_stationary_distribution_refuses_nonstochastic_input(mat):
     with pytest.raises(ValidationError):
         stationary_distribution(mat)
+
+
+def _leaky_chain(seed):
+    """State 0 stays with probability 1 - 1e-17, stored as 1.0, and leaks 1e-17
+    into the closed class {1, 2}, a random column-stochastic block."""
+    block = np.random.default_rng(seed).random((2, 2)) + 0.1
+    d = np.zeros((3, 3))
+    d[1:, 1:] = block / block.sum(axis=0)
+    d[0, 0], d[1, 0] = 1.0, 1e-17
+    return d
+
+
+def test_a_unit_eigenvector_that_is_no_distribution_is_refused():
+    # `eig` cannot tell the transient eigenvalue 1 - 1e-17 from the closed
+    # class's 1; whichever vector rounding favours is taken, and on some of
+    # these chains it has a negative entry.  Which ones depends on the LAPACK
+    # build, so 256 chains are tried.
+    refused = []
+    for seed in range(256):
+        try:
+            stationary_distribution(_leaky_chain(seed))
+        except CertificationError as error:
+            refused.append(str(error))
+    assert refused
+    assert all(re.fullmatch(r"unit eigenvector as a probability distribution fails at least "
+                            r"entry -\S+, sum \S+: residual \S+ exceeds bound 1e-09", message)
+               for message in refused)
 
 
 def test_stationary_distribution_certifies_the_fixed_point(monkeypatch):

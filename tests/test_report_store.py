@@ -25,6 +25,7 @@ from schemewalk import (
     build_group_scheme,
     build_johnson,
     decompose,
+    errors,
     groups,
     hypergroup,
     hypergroup_from,
@@ -527,7 +528,7 @@ def test_krein_and_hypergroup_refusals_are_not_kept(monkeypatch):
     s = build_johnson(5, 2)
     dec = decompose(s)
     record = verify_axioms(s)._algebra
-    monkeypatch.setattr(parameters, "KREIN_TOLERANCE", -1.0)
+    monkeypatch.setattr(errors, "KREIN_TOLERANCE", -1.0)
     for _ in range(2):
         with pytest.raises(CertificationError, match="imaginary residue"):
             krein_parameters(decompose(_copy(s)))
@@ -535,7 +536,7 @@ def test_krein_and_hypergroup_refusals_are_not_kept(monkeypatch):
     monkeypatch.undo()
     q = krein_parameters(dec)
     assert record.krein.q is q.q
-    monkeypatch.setattr(hypergroup, "_SLICE_SUM_TOL", -1.0)
+    monkeypatch.setattr(errors, "SLICE_SUM_TOL", -1.0)
     for _ in range(2):
         with pytest.raises(CertificationError, match="total mass"):
             hypergroup_from(dec, q)

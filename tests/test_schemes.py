@@ -127,6 +127,14 @@ def test_grassmann_sizes():
     assert s.n == 4 and s.d == 1
 
 
+def test_builders_refuse_a_grassmann_d_of_0_and_generators_of_the_wrong_shape():
+    with pytest.raises(ValidationError, match="Grassmann scheme needs 0 < d <= v/2, got v=4, d=0"):
+        build_grassmann(2, 4, 0)
+    with pytest.raises(ValidationError, match=r"generators must be permutations of 0\.\.2, "
+                                              r"got shape \(1, 2\)"):
+        build_orbit_scheme([[1, 0]], 3)
+
+
 def test_grassmann_vertex_cap():
     with pytest.raises(ValidationError, match=r"J_2\(8,4\) has 200787 vertices, above the cap of 5000"):
         build_grassmann(2, 8, 4)

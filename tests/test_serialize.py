@@ -496,6 +496,18 @@ def test_a_complex_distribution_is_refused():
         to_jsonable("distribution", np.array([0.5, 0.5 + 1e-3j]))
 
 
+@pytest.mark.parametrize("kind, data, match", [
+    ("scheme", {"n": 3, "d": 1}, 'scheme JSON must have keys "n", "d", "relation"'),
+    ("cayley", {"order": 1}, 'cayley JSON must have keys "order", "cayley"'),
+    ("tensor", {"d": 1}, 'tensor JSON must have keys "d", "entries"'),
+    ("fusion-system", {"labels": ["1"]}, 'fusion-system JSON must have keys "labels", "N"'),
+    ("distribution", [], "distribution must be a non-empty JSON array"),
+], ids=["scheme", "cayley", "tensor", "fusion-system", "empty distribution"])
+def test_a_kind_missing_its_keys_is_refused(kind, data, match):
+    with pytest.raises(ValidationError, match=re.escape(match)):
+        from_jsonable(kind, data)
+
+
 def test_unknown_kind():
     with pytest.raises(ValidationError):
         to_jsonable("widget", np.eye(2))

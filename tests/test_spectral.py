@@ -1,8 +1,12 @@
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import sympy
 
 from schemewalk import (
+    CertificationError,
     ValidationError,
     build_group_scheme,
     build_johnson,
@@ -119,3 +123,38 @@ def test_idempotents_schur_close_under_hadamard(j42_dec):
             coeff, res, _, _ = np.linalg.lstsq(span.T, had, rcond=None)
             rebuilt = span.T @ coeff
             assert np.max(np.abs(rebuilt - had)) < 1e-10
+
+
+# Refusals of `_spectrum` that no built scheme reaches, each fed an abstract
+# parameter set p whose characters pass their certificate first.
+def _spectrum_of(layers, n):
+    """`_spectrum` of the commutative p whose matrices (p_ij^k)_jk are `layers`."""
+    p = np.array(layers, dtype=np.int64)
+    return spectral._spectrum(SimpleNamespace(p=p, commutative=True), n, p[:, :, 0].diagonal())
+
+
+def test_a_moore_parameter_set_has_multiplicities_that_are_not_integral():
+    # {4,3;1,1}: n = 17, k = (1, 4, 12); A_1 has eigenvalues 4 and (-1 +- sqrt 13) / 2
+    l1 = [[0, 1, 0], [4, 0, 1], [0, 3, 3]]
+    l2 = (np.array(l1) @ l1 - 4 * np.eye(3, dtype=np.int64)).tolist()   # A_2 = A_1^2 - 4 I
+    with pytest.raises(CertificationError, match=r"integrality of the multiplicities fails at "
+                                                 r"m_[12] = (9\.10940|6\.89059)\d*: residual "
+                                                 r"1\.094e-01 exceeds bound 1e-06"):
+        _spectrum_of([np.eye(3, dtype=np.int64).tolist(), l1, l2], 17)
+
+
+def test_a_p_whose_valencies_are_no_character_has_no_e0():
+    # p_11 = (4, 2) breaks sum_j p_1j^1 = k_1; the characters are (1, 1 +- sqrt 5)
+    with pytest.raises(CertificationError, match=re.escape(
+            "a row of P equal to the valencies (E_0 = J/n) fails at row ")
+            + r"[01]: residual 7\.639e-01 exceeds bound 1e-06"):
+        _spectrum_of([[[1, 0], [0, 1]], [[0, 1], [4, 2]]], 5)
+
+
+def test_pq_is_a_relative_integrality_test():
+    # K_(k+1) read with n = k + 2: m_0 = n / (k + 1) = 1 + 1e-7 passes INTEGRALITY_TOL,
+    # but the rounded m_0 = 1 makes (PQ)_00 = k + 1, n (1 - 1e-7), off by 1 > 1e-8 n
+    k = 10 ** 7
+    with pytest.raises(CertificationError, match=re.escape(
+            "PQ = nI fails at (0, 0): residual 1.000e+00 exceeds bound 0.1")):
+        _spectrum_of([[[1, 0], [0, 1]], [[0, 1], [k, k - 1]]], k + 2)
