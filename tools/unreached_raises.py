@@ -1,7 +1,7 @@
 """Run the tier-1 tests under a line tracer and list every refusal in
 `src/schemewalk` that no test reaches.
 
-    python3 tools/unreached_raises.py [pytest arguments]
+    python3 tools/unreached_raises.py [pytest arguments]    # from the repository root
 
 A refusal is a `raise` statement or a call of `errors.refuse`; it counts
 as reached when any line it spans runs.  Each unreached one is printed as
@@ -10,7 +10,7 @@ as reached when any line it spans runs.  Each unreached one is printed as
 exit status is 1 when an unreached refusal raises CertificationError, or
 when the tests fail, else 0.  The tracer is `sys.settrace` (and
 `threading.settrace`), so only the standard library is needed; the run
-takes about half as long again as a plain one.
+takes about twice as long as a plain one.
 """
 
 from __future__ import annotations
