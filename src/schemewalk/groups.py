@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._store import STORE, content_key, kept
 from .errors import ValidationError, numeric_array, require_integer, require_within_cap
 
 # Built-in groups, Johnson, Grassmann and orbit schemes may not exceed
@@ -39,7 +40,8 @@ class FiniteGroup:
     inverse : tuple of int
         ``inverse[x]`` = index of x**-1 (derived).
 
-    The table is the only argument.  Groups compare and hash by it.
+    The table is the only argument.  Groups compare and hash by it.  A
+    table certified earlier is not checked again (see `_store`).
     """
 
     table: np.ndarray
@@ -48,6 +50,12 @@ class FiniteGroup:
 
     def __post_init__(self):
         c = np.array(numeric_array(self.table, "Cayley table", ndim=2), dtype=np.int64)
+        key = content_key("cayley", c.shape, c, c.nbytes)
+        certified = None if key is None else STORE.get(key)
+        if certified is not None:
+            for name in ("table", "identity", "inverse"):
+                object.__setattr__(self, name, getattr(certified, name))
+            return
         c.setflags(write=False)
         object.__setattr__(self, "table", c)
         n = c.shape[0]
@@ -81,6 +89,8 @@ class FiniteGroup:
 
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverse", tuple(inverse.tolist()))
+        if key is not None:
+            STORE.put(key, self, c.nbytes)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteGroup):
@@ -133,6 +143,7 @@ def _generators(c: np.ndarray, identity: int) -> list[int]:
     return gens
 
 
+@kept("cyclic")
 def cyclic(n: int) -> FiniteGroup:
     """Z_n with addition mod n; element k is the residue k."""
     n = require_integer(n, "n", minimum=1)
@@ -141,6 +152,7 @@ def cyclic(n: int) -> FiniteGroup:
     return FiniteGroup((k[:, None] + k) % n)
 
 
+@kept("symmetric")
 def symmetric(n: int) -> FiniteGroup:
     """S_n on {0..n-1}; elements are permutations in lexicographic order."""
     n = require_integer(n, "n", minimum=1)
@@ -159,6 +171,7 @@ def symmetric(n: int) -> FiniteGroup:
     return FiniteGroup(rank[composed])
 
 
+@kept("dihedral")
 def dihedral(n: int) -> FiniteGroup:
     """D_n of order 2n: indices 0..n-1 are rotations r^i, n..2n-1 are s*r^i."""
     n = require_integer(n, "n", minimum=1)
@@ -170,6 +183,7 @@ def dihedral(n: int) -> FiniteGroup:
     return FiniteGroup(table)
 
 
+@kept("quaternion")
 def quaternion() -> FiniteGroup:
     """Q_8 = {1, -1, i, -i, j, -j, k, -k} in that element order."""
     # index = 2*axis + negative, axis 0='1', 1='i', 2='j', 3='k'; the axes

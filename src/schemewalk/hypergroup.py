@@ -101,7 +101,7 @@ def hypergroup_from(dec: BoseMesnerDecomposition, q: KreinTensor) -> Hypergroup:
 
     When q is the tensor kept on the decomposition's algebra record, as
     `krein_parameters` returns it, the hypergroup is kept there too and
-    every call returns that one object (see `schemes`); for any other q,
+    every call returns that one object (see `_store`); for any other q,
     a hand-built one equal in value included, it is computed and
     certified on each call.
     """

@@ -22,7 +22,7 @@ it is evaluated as one GEMM over the (d+1)(d+2)/2 pairs i <= j and each
 result is written to (i, j) and (j, i).  They are real and, for genuine
 schemes, nonnegative (the Krein condition); nonnegativity is certified
 here, not assumed.  q, like m, P and Q, is a function of p, so it is
-kept on the algebra record of p (see `schemes`).
+kept on the algebra record of p (see `_store`).
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def intersection_numbers(s: AssociationScheme) -> IntersectionTensor:
     They come out of the axiom-4 pass of `verify_axioms`, which checks
     A_i A_j = sum_k p_{ij}^k A_k entrywise for every i and j.  The tensor
     is certified once per algebra record, and every call returns the one
-    object kept there (see `schemes`).
+    object kept there (see `_store`).
     Raises ValidationError when the input is not an association scheme.
     """
     record = require_axioms(s)._algebra
@@ -112,7 +112,7 @@ def krein_parameters(dec: BoseMesnerDecomposition) -> KreinTensor:
     in i and j.  Raises CertificationError if any entry falls below the
     nonnegativity tolerance, if an entry has a non-real residue, or if the
     trace identity sum_k m_k q_{ij}^k = m_i m_j fails.  Every call
-    returns the one tensor kept on the algebra record (see `schemes`).
+    returns the one tensor kept on the algebra record (see `_store`).
     """
     return dec._algebra.derive("krein", lambda: _krein(dec))
 

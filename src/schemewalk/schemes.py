@@ -40,34 +40,9 @@ A_i A_j = sum_k p_ij^k A_k, are counted at one representative pair per
 class, and the scheme is commutative exactly when p_ij^k = p_ji^k
 (Bannai & Ito 1984, Section II.2).
 
-Every report is a function of (n, d, relation) alone, so reports are
-kept per content.  When `verify_axioms` meets a scheme it has not
-checked, it looks the scheme's content up in a process-wide store keyed
-by n, d and the relation matrix's bytes; a scheme with the content of an
-earlier one gets that report without any check running again.  Keys
-match by byte equality, never by a hash alone.
-
-The Bose-Mesner algebra, and with it the spectrum (m, P, Q), the Krein
-parameters and the hypergroup, is a function of p alone, whatever the
-vertex labelling (Bannai & Ito 1984, Section II.3).  So a passed report
-holds an algebra record (`_Algebra`), and the store interns the records
-of the reports it holds by the bytes of p, again matched by byte
-equality: every stored report with equal p, a relabelled copy's
-included, holds the same record and the same read-only p array.
-
-What p determines is computed once per record, through
-`_Algebra.derive`: `intersection_numbers` keeps the `IntersectionTensor`
-there, `BoseMesnerDecomposition` (m, P, Q), `krein_parameters` the
-`KreinTensor` and `hypergroup_from` the `Hypergroup`, each certified
-before it is kept, its arrays read-only.
-Every call, on any scheme whose report holds the record, gets the kept
-object itself, so equal content gets the same object.  A refusal is
-never kept; it is raised again on every call.  The store is a
-least-recently-used map bounded by `_REPORT_STORE_BYTES` of key bytes
-and record charges.  A record's charge is fixed when it is made: p, and
-for a commutative p everything `derive` can keep besides.  A record the
-store does not hold, because it left or never fitted, keeps serving the
-reports that hold it, its values uncounted.
+A report is a function of (n, d, relation) alone, so `verify_axioms`
+keeps it per content in the store of `_store`, with the algebra record
+of its p; the builders keep what they return there too.
 
 The table-driven builders form the relation matrix without a loop over
 pairs and at its packed width: Johnson and Grassmann schemes from one
@@ -79,14 +54,13 @@ from one gather through the Cayley table.
 from __future__ import annotations
 
 import itertools
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
 
 from . import galois
+from ._store import STORE, Algebra, content_key, kept
 from .errors import (
     CertificationError,
     ValidationError,
@@ -101,14 +75,6 @@ from .groups import DEFAULT_VERTEX_CAP, FiniteGroup
 # per pair for k generators (pair labels, edge lists and their gathers);
 # it may use as much as one relation matrix at DEFAULT_VERTEX_CAP (200 MB).
 _ORBIT_PASS_WORDS = DEFAULT_VERTEX_CAP ** 2
-
-# Bytes of relation keys and algebra record charges that the report
-# store holds.  A process running this package occupies about 45 MB
-# resident (numpy included), so a full store adds under a tenth of that,
-# and 4 MB still holds a few dozen mid-size schemes: the u1 relation
-# matrix of J_4(4,2) (n = 357) is 127 KB, and the record of Z_32 (p, P,
-# Q, the Krein tensor and the convolution) is charged 800 KB.
-_REPORT_STORE_BYTES = 4 * 2 ** 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,8 +96,9 @@ class AssociationScheme:
     so every accepted scheme can be written to its file and read back.
     The relation matrix is range-checked before it is copied at that
     width, so no entry wraps and the scheme never shares memory with the
-    caller.  The first `verify_axioms` call keeps its report (and with it
-    the intersection tensor) on the scheme.
+    caller; only a `DecodedRelation` already C-contiguous at that width
+    is kept as it is.  The first `verify_axioms` call keeps its report
+    (and with it the intersection tensor) on the scheme.
 
     Two schemes are equal when n, d and the relation matrix agree; the
     kept report plays no part.  The read-only relation matrix makes the
@@ -159,7 +126,8 @@ class AssociationScheme:
             raise ValidationError(
                 f"class indices must lie in 0..{self.d}, found {rel.min()}..{rel.max()}"
             )
-        rel = np.array(rel, dtype=_packed_dtype(self.d), order="C")
+        copy = np.asarray if type(self.relation) is DecodedRelation else np.array
+        rel = copy(rel, dtype=_packed_dtype(self.d), order="C")
         rel.setflags(write=False)
         object.__setattr__(self, "relation", rel)
 
@@ -181,6 +149,10 @@ class AssociationScheme:
         return np.bincount(self.relation[0], minlength=self.d + 1)
 
 
+class DecodedRelation(np.ndarray):
+    """A relation matrix a file loader decoded and holds no other reference to."""
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     """Result of verify_axioms: violations carry (axiom id, witness indices).
@@ -192,7 +164,7 @@ class AxiomReport:
 
     violations: tuple[tuple[int, tuple[int, ...]], ...]
     commutative: bool
-    _algebra: _Algebra | None = field(default=None, init=False, repr=False, compare=False)
+    _algebra: Algebra | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -205,139 +177,15 @@ class AxiomReport:
         return None if self._algebra is None else self._algebra.p
 
 
-class _Algebra:
-    """The Bose-Mesner algebra of one certified p, and what p determines.
-
-    `p` is the read-only int64 tensor.  `intersection` (the
-    `IntersectionTensor` that wraps p), `spectrum` (multiplicities, P,
-    Q), `krein` (a `KreinTensor`) and `hypergroup` (a `Hypergroup`) are
-    None until `derive` first computes them; each is set once.  `nbytes`
-    is the charge the store counts, fixed here: p, and for a commutative
-    p also what `derive` can keep, q and the convolution (float64, each
-    the size of p) and P and Q (complex128, (d+1)^2 each).  `holders`
-    counts the store's entries that hold the record.
-
-    Records are equal when their p have equal bytes, compared in full;
-    the hash reads only the last slice p[d], so it costs (d+1)^2 words
-    and forms no copy of p.
-    """
-
-    __slots__ = ("p", "intersection", "spectrum", "krein", "hypergroup", "nbytes", "holders",
-                 "_hash")
-
-    def __init__(self, p: np.ndarray, commutative: bool):
-        self.p = p
-        self.intersection = self.spectrum = self.krein = self.hypergroup = None
-        size = len(p)
-        self.nbytes = p.nbytes + (2 * 8 * size ** 3 + 2 * 16 * size ** 2 if commutative else 0)
-        self.holders = 0
-        self._hash = hash(p[-1].tobytes())
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return isinstance(other, _Algebra) and np.array_equal(self.p, other.p)
-
-    def derive(self, name: str, compute):
-        """The kept value `name`, else the result of `compute()`, kept
-        unless a caller kept one first; every caller gets the kept object.
-        What `compute` raises propagates, and nothing is kept."""
-        if getattr(self, name) is None:
-            value = compute()
-            with _REPORTS._lock:
-                if getattr(self, name) is None:
-                    setattr(self, name, value)
-        return getattr(self, name)
-
-
-class _ReportStore:
-    """Least-recently-used map from relation content to AxiomReport, and
-    the algebra records of the reports it holds, interned by p.
-
-    An entry costs its key bytes.  A record costs its charge `nbytes`,
-    fixed when it is made and counted once however many entries hold
-    it; it leaves the store with the last entry that holds it.  Entries
-    and records together never exceed `_REPORT_STORE_BYTES`: an entry
-    whose key and new record would not fit alone is not stored, and
-    inserting evicts from the least recently used end.  `clear` drops
-    every entry and record.  One lock guards every lookup, insert,
-    eviction and record update, so concurrent callers see a consistent
-    map and each record value is set once.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple, tuple[AxiomReport, int]] = OrderedDict()
-        self._algebras: dict[_Algebra, _Algebra] = {}
-        self._bytes = 0
-
-    def get(self, key: tuple) -> AxiomReport | None:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            self._entries.move_to_end(key)
-            return entry[0]
-
-    def put(self, key: tuple, report: AxiomReport) -> AxiomReport:
-        """Store `report`, fresh from `_check_axioms`, under `key`; returns
-        the stored report, which is an earlier one when another caller
-        stored the same key first.  A record with the bytes of the
-        report's p already held replaces the report's own record."""
-        size = len(key[2])
-        record = report._algebra
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                return entry[0]
-            shared = None if record is None else self._algebras.get(record)
-            if shared is None and record is not None:
-                if size + record.nbytes > _REPORT_STORE_BYTES:
-                    return report
-                self._algebras[record] = shared = record
-                self._bytes += record.nbytes
-            if shared is not None:
-                object.__setattr__(report, "_algebra", shared)
-                shared.holders += 1
-            self._entries[key] = (report, size)
-            self._bytes += size
-            self._evict()
-            return report
-
-    def _evict(self) -> None:
-        while self._bytes > _REPORT_STORE_BYTES and self._entries:
-            _, (report, size) = self._entries.popitem(last=False)
-            self._bytes -= size
-            record = report._algebra
-            if record is not None:
-                record.holders -= 1
-                if not record.holders:
-                    del self._algebras[record]
-                    self._bytes -= record.nbytes
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._algebras.clear()
-            self._bytes = 0
-
-
-_REPORTS = _ReportStore()
-
-
 def _packed_dtype(d: int) -> np.dtype:
     """The narrowest of little-endian u1/u2/u4 that holds the classes 0..d."""
     return np.dtype("<u1" if d <= 0xFF else "<u2" if d <= 0xFFFF else "<u4")
 
 
 def _content_key(s: AssociationScheme) -> tuple | None:
-    """(n, d, the relation matrix's bytes, which a loaded scheme file gives
-    back at any width), or None when those bytes alone exceed the store."""
-    if s.relation.nbytes > _REPORT_STORE_BYTES:
-        return None
-    return s.n, s.d, s.relation.tobytes()
+    """The store key of a scheme's report: n, d and the relation matrix's
+    bytes, which a loaded scheme file gives back at any width."""
+    return content_key("axioms", (s.n, s.d), s.relation)
 
 
 def verify_axioms(s: AssociationScheme) -> AxiomReport:
@@ -349,22 +197,18 @@ def verify_axioms(s: AssociationScheme) -> AxiomReport:
     product count differs between two pairs in one class.
 
     The report is kept on the scheme, whose relation matrix is read-only,
-    so later calls on the same scheme return it without checking again.
-    A scheme not yet checked first looks its content up in the report
-    store, so a scheme with the content of one checked earlier gets that
-    report, passed or failed, and a passed report holds the algebra
-    record of its p; the module docstring states how reports and records
-    are kept and shared.  A relation matrix whose key, with the charge
-    of its new algebra record, exceeds the store's `_REPORT_STORE_BYTES`
-    (4 MB) is checked every time.
+    so later calls on the same scheme return it without checking again,
+    and in `_store` per content, so a scheme with the content of one
+    checked earlier gets that report; a relation matrix that with its p
+    exceeds the store's 4 MB is checked every time.
     """
     if s._axioms is None:
         key = _content_key(s)
-        report = None if key is None else _REPORTS.get(key)
+        report = None if key is None else STORE.get(key)
         if report is None:
             report = _check_axioms(s)
             if key is not None:
-                report = _REPORTS.put(key, report)
+                report = STORE.put(key, report, record=report._algebra)
         object.__setattr__(s, "_axioms", report)
     return s._axioms
 
@@ -425,7 +269,7 @@ def _check_axioms(s: AssociationScheme) -> AxiomReport:
         return AxiomReport(violations=tuple(violations), commutative=False)
     commutative = bool(np.array_equal(p, p.swapaxes(0, 1)))
     report = AxiomReport(violations=(), commutative=commutative)
-    object.__setattr__(report, "_algebra", _Algebra(p, commutative))
+    object.__setattr__(report, "_algebra", Algebra(p, commutative))
     return report
 
 
@@ -594,6 +438,13 @@ def _quotient_classes(g: FiniteGroup, class_of, d: int) -> np.ndarray:
     return np.asarray(class_of, dtype=_packed_dtype(d))[g.table[:, np.array(g.inverse)]]
 
 
+def _table_key(kind: str, g: FiniteGroup) -> tuple | None:
+    """A group scheme's key: the table at its elements' (and classes') width."""
+    table = g.table.astype(_packed_dtype(g.order - 1))
+    return content_key(kind, table.shape, table, table.nbytes)
+
+
+@kept("group scheme", _table_key)
 def build_group_scheme(g: FiniteGroup) -> AssociationScheme:
     """The scheme of left translations: (y, z) lies in the class of y * z^-1.
 
@@ -605,6 +456,7 @@ def build_group_scheme(g: FiniteGroup) -> AssociationScheme:
     return AssociationScheme(n=n, d=n - 1, relation=rel)
 
 
+@kept("conjugacy scheme", _table_key)
 def build_conjugacy_scheme(g: FiniteGroup) -> AssociationScheme:
     """Merge the group-scheme classes along conjugacy classes of g.
 
@@ -677,9 +529,15 @@ def build_orbit_scheme(generators: list[list[int]], n: int) -> AssociationScheme
     words = (6 * k + 1) * n * n
     require_within_cap(words, _ORBIT_PASS_WORDS, f"orbital pass over {n} points with {k} "
                        f"distinct generators needs {words} int64 words")
+    return _orbitals(gens, n)
 
+
+@kept("orbit scheme", lambda kind, gens, n: content_key(kind, (n, len(gens)),
+                                                        gens.astype(np.int64), n * n))
+def _orbitals(gens: np.ndarray, n: int) -> AssociationScheme:
+    points = np.arange(n)
     images = (gens[:, :, None] * n + gens[:, None, :]).ravel()
-    labels = _support_components(n * n, np.tile(np.arange(n * n), k), images)
+    labels = _support_components(n * n, np.tile(np.arange(n * n), len(gens)), images)
     diagonal = labels[points * (n + 1)]
     if diagonal.any():
         # a point orbit is labelled z*(n+1) by its smallest point z
@@ -690,6 +548,7 @@ def build_orbit_scheme(generators: list[list[int]], n: int) -> AssociationScheme
     return AssociationScheme(n=n, d=classes.size - 1, relation=rel.reshape(n, n))
 
 
+@kept("johnson")
 def build_johnson(v: int, k: int) -> AssociationScheme:
     """Johnson scheme J(v, k) on the k-subsets of a v-set.
 
@@ -717,6 +576,7 @@ def build_johnson(v: int, k: int) -> AssociationScheme:
     return AssociationScheme(n=n, d=k, relation=k - shared)
 
 
+@kept("grassmann")
 def build_grassmann(q: int, v: int, d: int) -> AssociationScheme:
     """Grassmann scheme J_q(v, d) on the d-dim subspaces of GF(q)^v.
 

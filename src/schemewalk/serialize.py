@@ -34,7 +34,7 @@ from .anyons import FusionSystem
 from .errors import ValidationError, numeric_array, require_distribution, require_integer
 from .groups import FiniteGroup
 from .parameters import IntersectionTensor, KreinTensor
-from .schemes import AssociationScheme, require_axioms
+from .schemes import AssociationScheme, DecodedRelation, require_axioms
 from .spectral import BoseMesnerDecomposition
 
 KINDS = ("scheme", "cayley", "matrix", "tensor", "fusion-system", "distribution")
@@ -108,14 +108,17 @@ def _unpack_bits(raw: np.ndarray, b: int) -> np.ndarray:
     of each byte in byte j of one little-endian k-byte word, as u1 entries.
     Each step halves every field: its upper half moves up by 8*group -
     field bits, to the next group of bytes, and the mask keeps the low
-    `field` bits of every group."""
+    `field` bits of every group.  The steps run over blocks of 2^16
+    words, so the shifted copy they form is one block, not the matrix."""
     k = 8 // b
-    words = raw.astype(f"<u{k}")
-    field, group = 8, k
-    while field > b:
-        field, group = field // 2, group // 2
-        words |= words << (8 * group - field)
-        words &= sum(((1 << field) - 1) << 8 * group * m for m in range(k // group))
+    words, step = raw.astype(f"<u{k}"), 1 << 16
+    for start in range(0, words.size, step):
+        block = words[start:start + step]
+        field, group = 8, k
+        while field > b:
+            field, group = field // 2, group // 2
+            block |= block << (8 * group - field)
+            block &= sum(((1 << field) - 1) << 8 * group * m for m in range(k // group))
     return words.view(np.uint8)
 
 
@@ -239,7 +242,8 @@ def from_jsonable(kind: str, data, validate: bool = True):
         n, relation = require_integer(data["n"], '"n"'), data["relation"]
         # n < 1 is left to AssociationScheme, which refuses it before the relation
         if isinstance(relation, dict) and n >= 1:
-            relation = _unpack_relation(relation, n)
+            # the decoded array is this load's alone, so the scheme may keep it
+            relation = _unpack_relation(relation, n).view(DecodedRelation)
         scheme = AssociationScheme(n=n, d=require_integer(data["d"], '"d"'), relation=relation)
         if validate:
             require_axioms(scheme)

@@ -174,7 +174,7 @@ def decompose(s: AssociationScheme) -> BoseMesnerDecomposition:
 
     Reads only the certified intersection numbers p_ij^k and the
     valencies k_j, so m, P and Q are functions of p, kept on its algebra
-    record (see `schemes`).
+    record (see `_store`).
 
     A row of P is a common eigenvector of the matrices
     p_i = (p_ij^k)_jk, scaled so that its entry 0 is 1.  Conjugated by

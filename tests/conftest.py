@@ -2,9 +2,9 @@
 
 Decompositions are reused across test modules through session-scoped
 fixtures so the whole suite stays fast.  Every test starts with an empty
-store of axiom reports and algebra records (`schemes._REPORTS`), so a
-test that counts checks or patches them sees its own schemes checked and
-decomposed.
+store (`_store.STORE`: builders' results, certified tables, axiom reports
+and algebra records), so a test that counts builds or checks, or patches
+them, sees its own objects built, checked and decomposed.
 
 The hypothesis profile named by HYPOTHESIS_PROFILE is loaded; "ci" draws
 its examples from a fixed seed, so a red CI run reproduces locally with
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import settings
 
 from schemewalk import (
+    _store,
     build_conjugacy_scheme,
     build_grassmann,
     build_group_scheme,
@@ -26,7 +27,6 @@ from schemewalk import (
     groups,
     hypergroup_from,
     krein_parameters,
-    schemes,
 )
 
 settings.register_profile("ci", derandomize=True)
@@ -34,8 +34,8 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(autouse=True)
-def _empty_report_store():
-    schemes._REPORTS.clear()
+def _empty_store():
+    _store.STORE.clear()
 
 
 def _builtin_constructors():

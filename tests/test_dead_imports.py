@@ -50,8 +50,9 @@ def _private_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_no_private_name_of_another(module):
-    """Each module owns its private state: the report store and its
-    algebra records are read and written through `schemes` alone."""
+    """Each module owns its private state: the store of builders' results,
+    reports and algebra records is read and written through the names of
+    `_store` alone."""
     assert _private_imports(module.read_text()) == []
 
 

@@ -20,6 +20,7 @@ import pytest
 
 from schemewalk import (
     CertificationError,
+    _store,
     KreinTensor,
     ValidationError,
     build_group_scheme,
@@ -36,7 +37,7 @@ from schemewalk import (
     spectral,
     verify_axioms,
 )
-from schemewalk.schemes import AssociationScheme
+from schemewalk.schemes import AssociationScheme, AxiomReport
 from tests.conftest import BUILTIN_NAMES, COMMUTATIVE_NAMES, _builtin_constructors
 
 
@@ -77,7 +78,13 @@ def eighs(monkeypatch):
 
 
 def _entries():
-    return list(schemes._REPORTS._entries)
+    return list(_store.STORE._entries)
+
+
+def _reports_only():
+    """Drop what the test's builders kept, so that the store holds only
+    the reports and records of the checks that follow."""
+    _store.STORE.clear()
 
 
 def _assert_same_report(report, fresh):
@@ -170,7 +177,7 @@ def test_served_spectra_equal_fresh_decompositions(name):
     assert again.eigenmatrix_P is dec.eigenmatrix_P
     assert again.eigenmatrix_Q is dec.eigenmatrix_Q
     assert not dec.eigenmatrix_P.flags.writeable and not dec.eigenmatrix_Q.flags.writeable
-    schemes._REPORTS.clear()
+    _store.STORE.clear()
     fresh = decompose(_copy(s))
     assert fresh.eigenmatrix_P is not dec.eigenmatrix_P
     assert fresh.multiplicities == dec.multiplicities
@@ -249,12 +256,13 @@ def test_the_key_width_is_the_narrowest_that_holds_d():
     for n, d, width in [(17, 255, 1), (17, 256, 2), (257, 2 ** 16 - 1, 2), (257, 2 ** 16, 4)]:
         relation = np.arange(n * n).reshape(n, n) % 256
         key = schemes._content_key(AssociationScheme(n=n, d=d, relation=relation))
-        assert key[:2] == (n, d) and len(key[2]) == width * n * n
+        assert key[:2] == ("axioms", (n, d)) and len(key[2]) == width * n * n
 
 
 def test_an_oversized_relation_forms_no_key(monkeypatch, checks):
     s = build_johnson(4, 2)
-    monkeypatch.setattr(schemes, "_REPORT_STORE_BYTES", s.n * s.n - 1)
+    _reports_only()
+    monkeypatch.setattr(_store, "BUDGET_BYTES", s.n * s.n - 1)
     assert schemes._content_key(s) is None
     verify_axioms(s)
     verify_axioms(_copy(s))
@@ -262,24 +270,28 @@ def test_an_oversized_relation_forms_no_key(monkeypatch, checks):
 
 
 def test_an_oversized_report_is_not_stored(monkeypatch, checks):
+    """Not even its key and p fit: nothing is stored."""
     s = build_johnson(4, 2)
+    _reports_only()
     cost = _cost(s)
-    monkeypatch.setattr(schemes, "_REPORT_STORE_BYTES", cost - 1)
+    floor = len(schemes._content_key(s)[2]) + _charge(s, commutative=False)
+    monkeypatch.setattr(_store, "BUDGET_BYTES", floor - 1)
     assert schemes._content_key(s) is not None
     assert verify_axioms(s)._algebra.nbytes == _charge(s) == 936
     verify_axioms(_copy(s))
     assert len(checks) == 2 and _entries() == []
-    monkeypatch.setattr(schemes, "_REPORT_STORE_BYTES", cost)
+    monkeypatch.setattr(_store, "BUDGET_BYTES", cost)
     verify_axioms(_copy(s))
     assert len(checks) == 3 and _entries() == [schemes._content_key(s)]
-    assert schemes._REPORTS._bytes == cost
+    assert _store.STORE._bytes == cost
 
 
 def test_eviction_drops_the_least_recently_used(monkeypatch, checks):
     a, b, c = (build_group_scheme(groups.cyclic(n)) for n in (3, 4, 5))
+    _reports_only()
     sizes = [_cost(s) for s in (a, b, c)]
     # room for a and c, or for b and c, but not for all three
-    monkeypatch.setattr(schemes, "_REPORT_STORE_BYTES", sizes[1] + sizes[2])
+    monkeypatch.setattr(_store, "BUDGET_BYTES", sizes[1] + sizes[2])
     verify_axioms(a)
     verify_axioms(b)
     assert _entries() == [schemes._content_key(a), schemes._content_key(b)]
@@ -287,7 +299,7 @@ def test_eviction_drops_the_least_recently_used(monkeypatch, checks):
     assert _entries() == [schemes._content_key(b), schemes._content_key(a)]
     verify_axioms(c)
     assert _entries() == [schemes._content_key(a), schemes._content_key(c)]
-    assert schemes._REPORTS._bytes == sizes[0] + sizes[2]
+    assert _store.STORE._bytes == sizes[0] + sizes[2]
     assert len(checks) == 3
     verify_axioms(_copy(b))
     assert len(checks) == 4
@@ -299,7 +311,8 @@ def test_concurrent_callers_under_a_tiny_budget(monkeypatch):
     report alone: every lookup, insert and eviction races."""
     made = [build_group_scheme(groups.cyclic(n)) for n in (2, 3, 4, 5, 6)]
     expected = [_CHECK(s) for s in made]
-    monkeypatch.setattr(schemes, "_REPORT_STORE_BYTES", _cost(made[-1]))
+    _reports_only()
+    monkeypatch.setattr(_store, "BUDGET_BYTES", _cost(made[-1]))
     errors = []
 
     def work(offset):
@@ -324,7 +337,7 @@ def test_concurrent_callers_under_a_tiny_budget(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert _entries()
-    _assert_consistent(schemes._REPORTS)
+    _assert_consistent(_store.STORE)
 
 
 def _held_bytes(record):
@@ -340,19 +353,25 @@ def _held_bytes(record):
 
 
 def _assert_consistent(store):
-    """The store's byte count is its entries' key bytes plus each held
-    record's charge once, each record counts the entries holding it, and
-    no record holds more than its charge."""
+    """The store's byte count is its entries' charges plus each held
+    record's charge once, each record counts the entries holding it, a
+    stored passed report holds its record, an entry holds only the record
+    its value reaches (a report's, or a kept scheme's report's), and no
+    record holds more than its charge."""
     holders = {}
-    for report, _ in store._entries.values():
-        if report._algebra is not None:
-            assert store._algebras[report._algebra] is report._algebra
-            assert report.p is report._algebra.p
-            holders[id(report._algebra)] = holders.get(id(report._algebra), 0) + 1
+    for value, _, record in store._entries.values():
+        if isinstance(value, AxiomReport):
+            assert record is value._algebra
+            if value.passed:
+                assert value.p is record.p
+        if record is not None:
+            assert store._algebras[record] is record
+            assert record is getattr(value, "_algebra", None) or record is value._axioms._algebra
+            holders[id(record)] = holders.get(id(record), 0) + 1
     assert {id(r): r.holders for r in store._algebras} == holders
-    assert store._bytes == (sum(size for _, size in store._entries.values())
+    assert store._bytes == (sum(size for _, size, _ in store._entries.values())
                             + sum(r.nbytes for r in store._algebras))
-    assert store._bytes <= schemes._REPORT_STORE_BYTES
+    assert store._bytes <= _store.BUDGET_BYTES
     assert all(_held_bytes(r) <= r.nbytes for r in store._algebras)
 
 
@@ -399,13 +418,13 @@ def test_relabelled_copies_share_one_record_equal_to_a_fresh_computation(name):
     copies = [base, *_relabellings(base, rng)]
     served = [_chain(s) for s in copies]
     record = verify_axioms(base)._algebra
-    assert list(schemes._REPORTS._algebras) == [record]
+    assert list(_store.STORE._algebras) == [record]
     for s, (dec, q, h) in zip(copies, served):
         assert verify_axioms(s)._algebra is record and verify_axioms(s).p is record.p
         assert dec.scheme is s and dec.multiplicities is record.spectrum[0]
         assert all(a is b for a, b in zip(_arrays(dec, q, h), _arrays(*served[0])))
         assert all(not a.flags.writeable for a in _arrays(dec, q, h))
-        schemes._REPORTS.clear()
+        _store.STORE.clear()
         fresh = _chain(_copy(s))
         assert not any(a is b for a, b in zip(_arrays(*fresh), _arrays(dec, q, h)))
         assert dec.multiplicities == fresh[0].multiplicities == h.multiplicities
@@ -437,11 +456,12 @@ def test_each_call_returns_the_kept_object():
 
 def test_the_record_counts_each_array_once():
     s = build_group_scheme(groups.cyclic(8))
+    _reports_only()
     rng = np.random.default_rng(8)
     copies = [s, *_relabellings(s, rng)]
     for c in copies:
         verify_axioms(c)
-    store = schemes._REPORTS
+    store = _store.STORE
     record = verify_axioms(s)._algebra
     keys = sum(len(schemes._content_key(c)[2]) for c in copies)
     assert record.holders == 4 and record.nbytes == _charge(s)
@@ -454,30 +474,35 @@ def test_the_record_counts_each_array_once():
 
 def test_a_non_commutative_record_is_charged_its_p_alone():
     s = build_group_scheme(groups.symmetric(3))
+    _reports_only()
     record = verify_axioms(s)._algebra
     assert record.nbytes == record.p.nbytes == _charge(s, commutative=False)
-    assert schemes._REPORTS._bytes == s.n * s.n + record.nbytes
+    assert _store.STORE._bytes == s.n * s.n + record.nbytes
 
 
 def test_the_chain_moves_no_byte_of_the_store():
     s = build_johnson(6, 3)
+    _reports_only()
     verify_axioms(s)
-    before = schemes._REPORTS._bytes
+    before = _store.STORE._bytes
     dec = decompose(s)
-    assert schemes._REPORTS._bytes == before
+    assert _store.STORE._bytes == before
     q = krein_parameters(dec)
-    assert schemes._REPORTS._bytes == before
+    assert _store.STORE._bytes == before
     hypergroup_from(dec, q)
-    assert schemes._REPORTS._bytes == before == _cost(s)
-    _assert_consistent(schemes._REPORTS)
+    assert _store.STORE._bytes == before == _cost(s)
+    _assert_consistent(_store.STORE)
 
 
 def test_an_unheld_record_computes_each_value_once(monkeypatch, stages):
     s = build_johnson(6, 3)
-    monkeypatch.setattr(schemes, "_REPORT_STORE_BYTES", _cost(s) - 1)
+    _reports_only()
+    # room for neither the full charge nor the key and p alone
+    monkeypatch.setattr(_store, "BUDGET_BYTES",
+                        len(schemes._content_key(s)[2]) + _charge(s, commutative=False) - 1)
     one, two = _chain(s), _chain(s)
     record = verify_axioms(s)._algebra
-    assert _entries() == [] and schemes._REPORTS._bytes == 0
+    assert _entries() == [] and _store.STORE._bytes == 0
     assert stages == {"eigh": 1, "krein": 1, "hypergroup": 1}
     assert all(a is b for a, b in zip(_arrays(*one), _arrays(*two)))
     assert record.hypergroup.convolution is two[2].convolution
@@ -485,20 +510,21 @@ def test_an_unheld_record_computes_each_value_once(monkeypatch, stages):
 
 def test_the_record_leaves_with_its_last_holder(monkeypatch):
     s, other = build_johnson(4, 2), build_johnson(5, 2)
+    _reports_only()
     moved = _copy(s, s.relation[np.ix_([1, 0, 2, 3, 4, 5], [1, 0, 2, 3, 4, 5])])
     assert not np.array_equal(moved.relation, s.relation)
     sizes = [_cost(s), 36, _cost(other)]
     # room for s with its relabelled copy, or for other alone
-    monkeypatch.setattr(schemes, "_REPORT_STORE_BYTES", sizes[2])
+    monkeypatch.setattr(_store, "BUDGET_BYTES", sizes[2])
     record = verify_axioms(s)._algebra
     verify_axioms(moved)
-    assert record.holders == 2 and list(schemes._REPORTS._algebras) == [record]
+    assert record.holders == 2 and list(_store.STORE._algebras) == [record]
     verify_axioms(other)  # evicts both holders, then the record
-    assert list(schemes._REPORTS._algebras) == [verify_axioms(other)._algebra]
-    assert schemes._REPORTS._bytes == sizes[2]
+    assert list(_store.STORE._algebras) == [verify_axioms(other)._algebra]
+    assert _store.STORE._bytes == sizes[2]
     # a record out of the store keeps serving its reports, uncounted
     dec = decompose(moved)
-    assert record.spectrum[1] is dec.eigenmatrix_P and schemes._REPORTS._bytes == sizes[2]
+    assert record.spectrum[1] is dec.eigenmatrix_P and _store.STORE._bytes == sizes[2]
     fresh = verify_axioms(_copy(s))._algebra
     assert fresh is not record and fresh.spectrum is None
 
@@ -506,8 +532,8 @@ def test_the_record_leaves_with_its_last_holder(monkeypatch):
 def test_clear_drops_every_record():
     s = build_johnson(5, 2)
     dec, q, _ = _chain(s)
-    schemes._REPORTS.clear()
-    assert schemes._REPORTS._algebras == {} and schemes._REPORTS._bytes == 0
+    _store.STORE.clear()
+    assert _store.STORE._algebras == {} and _store.STORE._bytes == 0
     again = _chain(_copy(s))
     assert again[0].eigenmatrix_P is not dec.eigenmatrix_P and again[1].q is not q.q
 
@@ -552,7 +578,7 @@ def test_non_commutative_refusals_are_raised_on_each_relabelled_copy():
         with pytest.raises(ValidationError, match="not commutative"):
             decompose(t)
     record = verify_axioms(s)._algebra
-    assert list(schemes._REPORTS._algebras) == [record] and record.spectrum is None
+    assert list(_store.STORE._algebras) == [record] and record.spectrum is None
 
 
 def test_four_threads_end_with_one_record():
@@ -583,9 +609,9 @@ def test_four_threads_end_with_one_record():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    (record,) = schemes._REPORTS._algebras
+    (record,) = _store.STORE._algebras
     kept = [record.spectrum[1], record.spectrum[2], record.krein.q, record.hypergroup.convolution]
     assert len(results) == 24
     for dec, q, h in results:
         assert all(a is b for a, b in zip(_arrays(dec, q, h), kept))
-    _assert_consistent(schemes._REPORTS)
+    _assert_consistent(_store.STORE)

@@ -6,6 +6,7 @@ import pytest
 
 import schemewalk
 from schemewalk import (
+    FusionSystem,
     Hypergroup,
     IntersectionTensor,
     KreinTensor,
@@ -180,7 +181,8 @@ def _rebuilt_hypergroup():
 # tensors and hypergroup are the objects kept on the algebra record, so
 # their entries wrap the kept arrays in new objects through the constructors.
 RESULT_BUILDERS = {
-    "FusionSystem": lambda: cyclic_fusion_system(3),
+    # the builder returns one kept system; the constructor makes a new one
+    "FusionSystem": lambda: FusionSystem(("1", "g1", "g2"), cyclic_fusion_system(3).N),
     "BraidGenerators": lambda: braid_generators(builtin_fusion_system("ising")),
     "Hypergroup": _rebuilt_hypergroup,
     "IntersectionTensor": lambda: IntersectionTensor(intersection_numbers(_J42).p),

@@ -285,7 +285,7 @@ def test_the_file_and_the_store_key_carry_the_schemes_own_bytes(builtin_schemes,
             bits = 1 if case.d < 2 else 2 if case.d < 4 else 4 if case.d < 16 else None
             assert code == (f"b{bits}" if bits else "u1")
             assert (_loop_unpacked(raw, bits, case.n) if bits else raw) == rel.tobytes()
-            assert schemes._content_key(case) == (case.n, case.d, rel.tobytes())
+            assert schemes._content_key(case) == ("axioms", (case.n, case.d), rel.tobytes())
             # the u1 payload of the scheme's own bytes, as files carried it before
             # bit packing, and the wider widths
             widths = [{"dtype": f"u{w}", "base64": base64.b64encode(rel.astype(f"<u{w}")).decode()}

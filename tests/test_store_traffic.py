@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schemewalk import schemes, serialize
+from schemewalk import _store, serialize
 from tests.test_report_store import _assert_consistent
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -48,14 +48,14 @@ def test_every_benchmark_workload_is_served_in_process(workload):
 @pytest.mark.parametrize("workload, rounds", [("catalog", 2), ("spectra", 1)])
 def test_benchmark_traffic_evicts_nothing(workload, rounds, monkeypatch):
     evicted = []
-    evict = schemes._ReportStore._evict
+    evict = _store.Store._evict
 
     def counted(store):
         before = len(store._entries)
         evict(store)
         evicted.append(before - len(store._entries))
 
-    monkeypatch.setattr(schemes._ReportStore, "_evict", counted)
+    monkeypatch.setattr(_store.Store, "_evict", counted)
     stream = gen.RequestStream(workload, 1)
     client = run.Client(pipeline, iter([gen.warmup_round(workload, 1),
                                         *(stream.next_round() for _ in range(rounds))]))
@@ -63,8 +63,8 @@ def test_benchmark_traffic_evicts_nothing(workload, rounds, monkeypatch):
         client.run_round(spans.NullTracer())
     assert client.attempted and client.failed == 0, client.errors
     assert evicted and sum(evicted) == 0
-    store = schemes._REPORTS
-    assert store._algebras and store._bytes <= schemes._REPORT_STORE_BYTES
+    store = _store.STORE
+    assert store._algebras and store._bytes <= _store.BUDGET_BYTES
     _assert_consistent(store)
 
 
