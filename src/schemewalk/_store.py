@@ -5,13 +5,13 @@ it is built from, so one least-recently-used map keeps them per key
 (kind, parameters or shape, content bytes), matched by equality, never
 by a hash alone: what the table-driven builders return, keyed by their
 parameters, by the group's table (group and conjugacy schemes) or by n
-and the distinct generators (orbit schemes); certified groups and fusion
-rules keyed by their tables, so a Cayley or fusion file with the content
-of an earlier one reuses its identity and inverses, or its duals and
-dimensions; and axiom reports keyed by n, d and the relation matrix's
-bytes, so a scheme with the content of an earlier one gets its report,
-passed or failed, with no check run again.  Kept objects are frozen and
-hold read-only arrays, so one object serves every equal request.  A
+and the distinct generators (orbit schemes); and axiom reports keyed by
+n, d and the relation matrix's bytes, so a scheme with the content of an
+earlier one gets its report, passed or failed, with no check run again.
+Kept groups and fusion systems are frozen and hold read-only arrays, so
+one object serves every equal request.  A kept scheme is handed out as a
+new scheme over its read-only relation matrix: the report a check keeps
+on it is the caller's, and reaches the store only as a report entry.  A
 first build runs every certificate it runs without the store, and a
 refusal is never kept.
 
@@ -25,17 +25,18 @@ record, and `intersection_numbers`, `BoseMesnerDecomposition`,
 
 The store holds at most `BUDGET_BYTES`.  An entry costs its key's content
 bytes and the arrays its value holds; a record costs its charge, counted
-once however many entries hold it: p and, for a commutative p, what
-`derive` can keep, unless that does not fit, when it is p alone and the
-record keeps only the intersection tensor, which wraps p.  A record the
-store does not hold, because it left or never fitted, keeps serving the
-reports that hold it, uncounted.  A kept scheme's entry holds its
-report's record from its first hit on.
+once however many report entries hold it: p and, for a commutative p,
+what `derive` can keep, unless that does not fit, when it is p alone and
+the record keeps only the intersection tensor, which wraps p.  A record
+the store does not hold, because it left or never fitted, is reached
+only through callers' schemes and their reports, and goes with them.
 """
 
 from __future__ import annotations
 
+import copy as _copy
 import functools
+import inspect
 import threading
 from collections import OrderedDict
 from collections.abc import Mapping
@@ -142,15 +143,6 @@ class Store:
             self._evict()
             return value
 
-    def hold(self, key: tuple, record: Algebra) -> None:
-        """Make the entry of `key`, whose value reaches `record`, a holder
-        of it, when the store holds the record and the entry holds none."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[2] is None and self._algebras.get(record) is record:
-                self._entries[key] = (*entry[:2], record)
-                record.holders += 1
-
     def _evict(self) -> None:
         while self._bytes > BUDGET_BYTES and self._entries:
             _, (_, size, record) = self._entries.popitem(last=False)
@@ -186,23 +178,32 @@ def content_key(kind: str, params: tuple, array: np.ndarray, nbytes: int = 0) ->
     return kind, params, array.tobytes()
 
 
-def kept(kind: str, key=None):
+def kept(kind: str, key=None, copy: bool = False):
     """Decorate a builder: look its key up before building, and keep what
     it returns.  `key(kind, *args)` gives the key, or None for a result
     not to keep; by default it holds the arguments with their types, so a
-    bool or a float never meets an equal int's entry.  A hit on a scheme
-    makes its entry a holder of its report's record."""
+    bool or a float never meets an equal int's entry.  Keyword arguments
+    are bound to their positions first, and arguments that form no key
+    (unhashable ones) go to the builder, which refuses them as it would
+    without the store.  With `copy`, each caller gets a shallow copy of
+    the kept value, so what a caller keeps on it (a scheme's report) stays
+    off the kept one."""
     def wrap(build):
+        signature = inspect.signature(build)
+
         @functools.wraps(build)
-        def lookup(*args):
-            found = key(kind, *args) if key else (kind, tuple((type(a), a) for a in args), b"")
-            value = None if found is None else STORE.get(found)
+        def lookup(*args, **kwargs):
+            try:
+                if kwargs:
+                    args, kwargs = signature.bind(*args, **kwargs).args, {}
+                found = key(kind, *args) if key else (kind, tuple((type(a), a) for a in args), b"")
+                value = None if found is None else STORE.get(found)
+            except TypeError:
+                return build(*args, **kwargs)
             if value is None:
                 value = build(*args)
-                return value if found is None else STORE.put(found, value, array_bytes(value))
-            report = getattr(value, "_axioms", None)
-            if report is not None and report._algebra is not None:
-                STORE.hold(found, report._algebra)
-            return value
+                if found is not None:
+                    value = STORE.put(found, value, array_bytes(value))
+            return _copy.copy(value) if copy else value
         return lookup
     return wrap

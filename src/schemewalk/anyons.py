@@ -44,7 +44,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import errors
-from ._store import STORE, array_bytes, content_key, kept
+from ._store import kept
 from .errors import (
     ValidationError,
     is_integer,
@@ -87,7 +87,6 @@ class FusionSystem:
     associativity, existence of duals (hence consistent dims), F
     keys (a,b,c,e) and R keys (a,b,c) of label indices, finite entries,
     unitarity of every F block, unit modulus of every R phase and twist.
-    A tensor certified earlier is not checked again (see `_store`).
     """
 
     labels: tuple[str, ...]
@@ -105,10 +104,30 @@ class FusionSystem:
         rank = len(labels)
         require_within_cap(rank, _FUSION_MAX_RANK, f"fusion system has rank {rank}")
         n = numeric_array(self.N, "fusion tensor", ndim=3, size=rank).astype(np.int64)
-        rules = content_key("fusion", (rank,), n, n.nbytes)
-        certified = None if rules is None else STORE.get(rules)
-        n, dual, dims = (_certify_rules(n, labels) if certified is None
-                         else (certified.N, certified.dual, certified.dims))
+        if n.min() < 0:
+            raise ValidationError("fusion multiplicities must be non-negative")
+
+        eye = np.eye(rank, dtype=np.int64)
+        if not np.array_equal(n[0], eye) or not np.array_equal(n[:, 0, :], eye):
+            raise ValidationError("label 0 must be the fusion unit (N_0b^c = delta_bc)")
+        if not np.array_equal(n, n.transpose(1, 0, 2)):
+            raise ValidationError("fusion must be commutative (N_ab^c = N_ba^c)")
+        # left[a,b,c,x] is the multiplicity of x in (ab)c; by commutativity
+        # a(bc) = (bc)a, so its multiplicity of x is left[b,c,a,x].
+        left = np.tensordot(n, n, axes=([2], [0]))
+        right = left.transpose(2, 0, 1, 3)
+        if not np.array_equal(left, right):
+            a, b, c, x = np.argwhere(left != right)[0]
+            raise ValidationError(
+                f"fusion is not associative at ({labels[a]} {labels[b]} {labels[c]} "
+                f"-> {labels[x]})"
+            )
+        # N_ab^0 >= 0, so row a sums to 1 exactly when a has one dual
+        lonely = np.flatnonzero(n[:, :, 0].sum(axis=1) != 1)
+        if lonely.size:
+            raise ValidationError(f"label {labels[lonely[0]]!r} has no unique dual")
+        dual = tuple(n[:, :, 0].argmax(axis=1).tolist())
+        dims = _dims_from_tensor(n)
 
         f_table = {}
         for key, mat in (self.F or {}).items():
@@ -148,8 +167,6 @@ class FusionSystem:
                             ("dims", dims), ("F", MappingProxyType(f_table)),
                             ("R", MappingProxyType(r_table)), ("twist", twist)):
             object.__setattr__(self, name, value)
-        if rules is not None and certified is None:
-            STORE.put(rules, self, array_bytes(self))
 
     @property
     def rank(self) -> int:
@@ -161,33 +178,6 @@ class FusionSystem:
         if label in self.labels:
             return self.labels.index(label)
         raise ValidationError(f"unknown label {label!r}; labels are {self.labels}")
-
-
-def _certify_rules(n: np.ndarray, labels: tuple[str, ...]):
-    """(n, dual, dims) of the fusion tensor n, once its rules are checked."""
-    if n.min() < 0:
-        raise ValidationError("fusion multiplicities must be non-negative")
-
-    eye = np.eye(len(labels), dtype=np.int64)
-    if not np.array_equal(n[0], eye) or not np.array_equal(n[:, 0, :], eye):
-        raise ValidationError("label 0 must be the fusion unit (N_0b^c = delta_bc)")
-    if not np.array_equal(n, n.transpose(1, 0, 2)):
-        raise ValidationError("fusion must be commutative (N_ab^c = N_ba^c)")
-    # left[a,b,c,x] is the multiplicity of x in (ab)c; by commutativity
-    # a(bc) = (bc)a, so its multiplicity of x is left[b,c,a,x].
-    left = np.tensordot(n, n, axes=([2], [0]))
-    right = left.transpose(2, 0, 1, 3)
-    if not np.array_equal(left, right):
-        a, b, c, x = np.argwhere(left != right)[0]
-        raise ValidationError(
-            f"fusion is not associative at ({labels[a]} {labels[b]} {labels[c]} "
-            f"-> {labels[x]})"
-        )
-    # N_ab^0 >= 0, so row a sums to 1 exactly when a has one dual
-    lonely = np.flatnonzero(n[:, :, 0].sum(axis=1) != 1)
-    if lonely.size:
-        raise ValidationError(f"label {labels[lonely[0]]!r} has no unique dual")
-    return n, tuple(n[:, :, 0].argmax(axis=1).tolist()), _dims_from_tensor(n)
 
 
 def _dims_from_tensor(n_tensor: np.ndarray) -> np.ndarray:

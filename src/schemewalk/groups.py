@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._store import STORE, content_key, kept
+from ._store import kept
 from .errors import ValidationError, numeric_array, require_integer, require_within_cap
 
 # Built-in groups, Johnson, Grassmann and orbit schemes may not exceed
@@ -40,8 +40,7 @@ class FiniteGroup:
     inverse : tuple of int
         ``inverse[x]`` = index of x**-1 (derived).
 
-    The table is the only argument.  Groups compare and hash by it.  A
-    table certified earlier is not checked again (see `_store`).
+    The table is the only argument.  Groups compare and hash by it.
     """
 
     table: np.ndarray
@@ -50,12 +49,6 @@ class FiniteGroup:
 
     def __post_init__(self):
         c = np.array(numeric_array(self.table, "Cayley table", ndim=2), dtype=np.int64)
-        key = content_key("cayley", c.shape, c, c.nbytes)
-        certified = None if key is None else STORE.get(key)
-        if certified is not None:
-            for name in ("table", "identity", "inverse"):
-                object.__setattr__(self, name, getattr(certified, name))
-            return
         c.setflags(write=False)
         object.__setattr__(self, "table", c)
         n = c.shape[0]
@@ -89,8 +82,6 @@ class FiniteGroup:
 
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverse", tuple(inverse.tolist()))
-        if key is not None:
-            STORE.put(key, self, c.nbytes)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteGroup):

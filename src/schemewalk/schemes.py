@@ -42,7 +42,8 @@ class, and the scheme is commutative exactly when p_ij^k = p_ji^k
 
 A report is a function of (n, d, relation) alone, so `verify_axioms`
 keeps it per content in the store of `_store`, with the algebra record
-of its p; the builders keep what they return there too.
+of its p.  The builders keep what they return there too, and hand each
+caller a new scheme over the kept relation matrix.
 
 The table-driven builders form the relation matrix without a loop over
 pairs and at its packed width: Johnson and Grassmann schemes from one
@@ -96,9 +97,8 @@ class AssociationScheme:
     so every accepted scheme can be written to its file and read back.
     The relation matrix is range-checked before it is copied at that
     width, so no entry wraps and the scheme never shares memory with the
-    caller; only a `DecodedRelation` already C-contiguous at that width
-    is kept as it is.  The first `verify_axioms` call keeps its report
-    (and with it the intersection tensor) on the scheme.
+    caller.  The first `verify_axioms` call keeps its report (and with it
+    the intersection tensor) on the scheme.
 
     Two schemes are equal when n, d and the relation matrix agree; the
     kept report plays no part.  The read-only relation matrix makes the
@@ -126,8 +126,7 @@ class AssociationScheme:
             raise ValidationError(
                 f"class indices must lie in 0..{self.d}, found {rel.min()}..{rel.max()}"
             )
-        copy = np.asarray if type(self.relation) is DecodedRelation else np.array
-        rel = copy(rel, dtype=_packed_dtype(self.d), order="C")
+        rel = np.array(rel, dtype=_packed_dtype(self.d), order="C")
         rel.setflags(write=False)
         object.__setattr__(self, "relation", rel)
 
@@ -147,10 +146,6 @@ class AssociationScheme:
     def valencies(self) -> np.ndarray:
         """Row-constant class sizes k_j (validated schemes only)."""
         return np.bincount(self.relation[0], minlength=self.d + 1)
-
-
-class DecodedRelation(np.ndarray):
-    """A relation matrix a file loader decoded and holds no other reference to."""
 
 
 @dataclass(frozen=True)
@@ -439,12 +434,15 @@ def _quotient_classes(g: FiniteGroup, class_of, d: int) -> np.ndarray:
 
 
 def _table_key(kind: str, g: FiniteGroup) -> tuple | None:
-    """A group scheme's key: the table at its elements' (and classes') width."""
+    """A group scheme's key: the table at its elements' (and classes') width,
+    or None for what is not a group, which the builder refuses."""
+    if not isinstance(g, FiniteGroup):
+        return None
     table = g.table.astype(_packed_dtype(g.order - 1))
     return content_key(kind, table.shape, table, table.nbytes)
 
 
-@kept("group scheme", _table_key)
+@kept("group scheme", _table_key, copy=True)
 def build_group_scheme(g: FiniteGroup) -> AssociationScheme:
     """The scheme of left translations: (y, z) lies in the class of y * z^-1.
 
@@ -456,7 +454,7 @@ def build_group_scheme(g: FiniteGroup) -> AssociationScheme:
     return AssociationScheme(n=n, d=n - 1, relation=rel)
 
 
-@kept("conjugacy scheme", _table_key)
+@kept("conjugacy scheme", _table_key, copy=True)
 def build_conjugacy_scheme(g: FiniteGroup) -> AssociationScheme:
     """Merge the group-scheme classes along conjugacy classes of g.
 
@@ -533,7 +531,8 @@ def build_orbit_scheme(generators: list[list[int]], n: int) -> AssociationScheme
 
 
 @kept("orbit scheme", lambda kind, gens, n: content_key(kind, (n, len(gens)),
-                                                        gens.astype(np.int64), n * n))
+                                                        gens.astype(np.int64), n * n),
+      copy=True)
 def _orbitals(gens: np.ndarray, n: int) -> AssociationScheme:
     points = np.arange(n)
     images = (gens[:, :, None] * n + gens[:, None, :]).ravel()
@@ -548,7 +547,7 @@ def _orbitals(gens: np.ndarray, n: int) -> AssociationScheme:
     return AssociationScheme(n=n, d=classes.size - 1, relation=rel.reshape(n, n))
 
 
-@kept("johnson")
+@kept("johnson", copy=True)
 def build_johnson(v: int, k: int) -> AssociationScheme:
     """Johnson scheme J(v, k) on the k-subsets of a v-set.
 
@@ -576,7 +575,7 @@ def build_johnson(v: int, k: int) -> AssociationScheme:
     return AssociationScheme(n=n, d=k, relation=k - shared)
 
 
-@kept("grassmann")
+@kept("grassmann", copy=True)
 def build_grassmann(q: int, v: int, d: int) -> AssociationScheme:
     """Grassmann scheme J_q(v, d) on the d-dim subspaces of GF(q)^v.
 

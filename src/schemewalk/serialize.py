@@ -34,7 +34,7 @@ from .anyons import FusionSystem
 from .errors import ValidationError, numeric_array, require_distribution, require_integer
 from .groups import FiniteGroup
 from .parameters import IntersectionTensor, KreinTensor
-from .schemes import AssociationScheme, DecodedRelation, require_axioms
+from .schemes import AssociationScheme, require_axioms
 from .spectral import BoseMesnerDecomposition
 
 KINDS = ("scheme", "cayley", "matrix", "tensor", "fusion-system", "distribution")
@@ -242,8 +242,7 @@ def from_jsonable(kind: str, data, validate: bool = True):
         n, relation = require_integer(data["n"], '"n"'), data["relation"]
         # n < 1 is left to AssociationScheme, which refuses it before the relation
         if isinstance(relation, dict) and n >= 1:
-            # the decoded array is this load's alone, so the scheme may keep it
-            relation = _unpack_relation(relation, n).view(DecodedRelation)
+            relation = _unpack_relation(relation, n)
         scheme = AssociationScheme(n=n, d=require_integer(data["d"], '"d"'), relation=relation)
         if validate:
             require_axioms(scheme)

@@ -2,7 +2,7 @@
 
 Decompositions are reused across test modules through session-scoped
 fixtures so the whole suite stays fast.  Every test starts with an empty
-store (`_store.STORE`: builders' results, certified tables, axiom reports
+store (`_store.STORE`: builders' results, axiom reports
 and algebra records), so a test that counts builds or checks, or patches
 them, sees its own objects built, checked and decomposed.
 

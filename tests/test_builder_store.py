@@ -1,12 +1,13 @@
-"""The store's builder entries, certified tables and large records.
+"""The store's builder entries and large records.
 
-The table-driven builders keep what they return, and the group and
-fusion-system constructors reuse what an equal table certified before.
-Every kept object must equal what a build on an empty store gives, and
-every refusal must be raised again, with the same message, and leave
-nothing behind.  `conftest.py` empties the store before every test.
+The table-driven builders keep what they return; a scheme builder hands
+each caller a new scheme over the kept relation matrix.  Every kept
+object must equal what a build on an empty store gives, and every
+refusal must be raised again, with the same message, and leave nothing
+behind.  `conftest.py` empties the store before every test.
 """
 
+import gc
 import json
 import sys
 import threading
@@ -27,6 +28,8 @@ from schemewalk import (
     cyclic_fusion_system,
     decompose,
     groups,
+    hypergroup_from,
+    krein_parameters,
     schemes,
     serialize,
     verify_axioms,
@@ -96,7 +99,7 @@ def test_every_builtin_fusion_system_is_kept_and_equals_a_fresh_build(make):
     assert make() is kept and kept is not fresh
     _same_fusion(kept, fresh)
     loaded = serialize.from_jsonable("fusion-system", serialize.to_jsonable("fusion-system", kept))
-    assert loaded is not kept and loaded.N is kept.N and loaded.dims is kept.dims
+    assert loaded is not kept
     _same_fusion(loaded, fresh)
 
 
@@ -105,17 +108,20 @@ def test_every_benchmark_slot_is_kept_and_equals_a_fresh_build(family, params):
     tracer = spans.NullTracer()
     fresh = _fresh(lambda: pipeline._build(tracer, family, params))
     kept = pipeline._build(tracer, family, params)
-    assert pipeline._build(tracer, family, params) is kept
+    again = pipeline._build(tracer, family, params)
+    assert again is not kept and again.relation is kept.relation
     _same_scheme(kept, fresh)
-    # a kept scheme keeps its report, so a repeat runs no check
+    # each caller's scheme keeps its own report; the report store serves
+    # the repeat, so it runs no check
     report = verify_axioms(kept)
-    assert verify_axioms(pipeline._build(tracer, family, params)) is report
+    assert again._axioms is None and verify_axioms(again) is report
+    _assert_consistent(_store.STORE)
 
 
 def test_a_builder_hit_runs_no_build(monkeypatch):
     calls = []
     for module, name in [(schemes, "_support_components"), (schemes.galois, "enumerate_subspaces"),
-                         (groups, "_generators"), (anyons, "_certify_rules")]:
+                         (groups, "_generators"), (anyons, "_dims_from_tensor")]:
         run = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, run=run, name=name: calls.append(name)
                             or run(*a))
@@ -124,12 +130,13 @@ def test_a_builder_hit_runs_no_build(monkeypatch):
               lambda: build_orbit_scheme([[1, 2, 3, 4, 0], [0, 4, 3, 2, 1]], 5),
               lambda: builtin_fusion_system("ising")]
     first = [make() for make in makers]
-    assert sorted(calls) == ["_certify_rules", "_generators", "_support_components",
+    assert sorted(calls) == ["_dims_from_tensor", "_generators", "_support_components",
                              "enumerate_subspaces"]
-    assert all(make() is done for make, done in zip(makers, first))
+    assert all(make() == done for make, done in zip(makers, first))
     assert len(calls) == 4
     # the same generators in another order and repeated are the same key
-    assert build_orbit_scheme([[0, 4, 3, 2, 1], [1, 2, 3, 4, 0], [0, 4, 3, 2, 1]], 5) is first[2]
+    again = build_orbit_scheme([[0, 4, 3, 2, 1], [1, 2, 3, 4, 0], [0, 4, 3, 2, 1]], 5)
+    assert again.relation is first[2].relation
 
 
 def test_a_bool_or_a_float_never_meets_an_int_entry():
@@ -138,6 +145,27 @@ def test_a_bool_or_a_float_never_meets_an_int_entry():
         with pytest.raises(ValidationError, match="must be an integer"):
             build_johnson(*args)
     assert build_johnson(np.int64(4), 1) == build_johnson(4, 1)
+
+
+def test_keyword_calls_meet_the_positional_entry():
+    assert build_johnson(v=9, k=4).relation is build_johnson(9, k=4).relation \
+        is build_johnson(9, 4).relation
+    assert groups.cyclic(n=5) is groups.cyclic(5)
+    assert cyclic_fusion_system(order=3) is cyclic_fusion_system(3)
+    assert schemes.build_grassmann(q=2, v=4, d=2) == schemes.build_grassmann(2, 4, 2)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'x'"):
+        groups.cyclic(n=5, x=1)
+
+
+@pytest.mark.parametrize("make", [lambda: groups.cyclic([3]), lambda: groups.cyclic(np.array(3)),
+                                  lambda: build_johnson(v=[9], k=4),
+                                  lambda: cyclic_fusion_system({"order": 3})])
+def test_an_unhashable_argument_is_refused_as_without_the_store(make):
+    """Such an argument forms no key, so the builder's own check refuses it."""
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            make()
+    assert _store.STORE._entries == {}
 
 
 def _relabelled_table(g, perm):
@@ -171,8 +199,8 @@ def test_relabelled_and_corrupted_tables_match_an_empty_store(name):
         assert (fresh[1] is None) == (table is tables[0])
         if fresh[1] is None:
             _same_group(first[0], fresh[0])
-            assert second[0].table is first[0].table and second[0] is not first[0]
-            assert build_group_scheme(second[0]) is build_group_scheme(first[0])
+            assert second[0] is not first[0]
+            assert build_group_scheme(second[0]).relation is build_group_scheme(first[0]).relation
             _same_scheme(build_group_scheme(first[0]), _fresh(lambda: build_group_scheme(fresh[0])))
 
 
@@ -194,7 +222,7 @@ def test_relabelled_and_corrupted_fusion_rules_match_an_empty_store():
         assert first[1] == second[1] == fresh[1]
         assert (fresh[1] is None) == (not refused) and refused in str(fresh[1])
         if fresh[1] is None:
-            assert second[0].N is first[0].N and second[0].dims is first[0].dims
+            assert first[0].N.tobytes() == second[0].N.tobytes() == fresh[0].N.tobytes()
             assert first[0].dims.tobytes() == fresh[0].dims.tobytes()
             assert first[0].dual == fresh[0].dual
 
@@ -218,14 +246,16 @@ def test_a_refusal_raised_twice_leaves_the_store_unchanged(make, match):
 
 def test_eight_threads_building_one_key_get_one_object():
     """More threads than cores, switching every microsecond, released
-    together on an empty store: every caller gets the kept object."""
+    together on an empty store: every caller gets the kept object, or for
+    a scheme a new one over the kept relation matrix."""
     barrier = threading.Barrier(8, timeout=30)
     results, errors = [], []
 
     def work():
         try:
             barrier.wait()
-            results.append((build_johnson(8, 3), groups.dihedral(9), cyclic_fusion_system(7)))
+            results.append((build_johnson(8, 3).relation, groups.dihedral(9),
+                            cyclic_fusion_system(7)))
         except Exception as exc:  # reported below, with the thread's traceback
             errors.append(exc)
 
@@ -268,33 +298,62 @@ def test_named_builders_stay_resident_under_twice_the_budget_in_one_offs(monkeyp
     one_offs = 0
     while one_offs <= 2 * _store.BUDGET_BYTES:
         again = [pipeline._build(tracer, family, params) for family, params in SLOTS]
-        assert all(a is b for a, b in zip(again, kept))
+        assert all(a.relation is b.relation for a, b in zip(again, kept))
         assert all(verify_axioms(s) is r for s, r in zip(again, reports))
         for copy in _relabellings(base, rng, count=4):
             verify_axioms(copy)
             one_offs += copy.relation.nbytes
     print(f"{sum(evicted)} entries evicted by {one_offs} bytes of one-off keys")
     assert sum(evicted) > 0 and _store.STORE._bytes <= _store.BUDGET_BYTES
-    assert all(pipeline._build(tracer, f, p) is s for (f, p), s in zip(SLOTS, kept))
+    assert all(pipeline._build(tracer, f, p).relation is s.relation
+               for (f, p), s in zip(SLOTS, kept))
     _assert_consistent(_store.STORE)
 
 
-def test_a_kept_scheme_holds_its_record_after_its_report_leaves(monkeypatch):
+def test_a_kept_scheme_keeps_no_report_the_store_does_not_count():
+    """Z_81's p (4.25 MB) is over the budget, so its report is not stored.
+    The chain keeps P, Q, q and the convolution on the caller's report
+    alone, so they go with the caller's scheme, as without the store."""
+    tracemalloc.start()
+    try:
+        s = build_group_scheme(groups.cyclic(81))
+        dec = decompose(s)
+        hypergroup_from(dec, krein_parameters(dec))
+        assert [key[0] for key in _store.STORE._entries] == ["cyclic", "group scheme"]
+        assert not _store.STORE._algebras and _store.STORE._bytes <= _store.BUDGET_BYTES
+        _assert_consistent(_store.STORE)
+        held = tracemalloc.get_traced_memory()[0]
+        again = build_group_scheme(groups.cyclic(81))
+        assert again.relation is s.relation and again._axioms is None
+        del s, dec, again
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held > 8 * 81 ** 3 and left < _store.BUDGET_BYTES
+    _assert_consistent(_store.STORE)
+
+
+def test_a_kept_schemes_report_leaves_with_its_entry(monkeypatch):
+    checks = []
+    check = schemes._check_axioms
+    monkeypatch.setattr(schemes, "_check_axioms", lambda s: checks.append(s) or check(s))
     s = build_group_scheme(groups.cyclic(8))
     record = verify_axioms(s)._algebra
-    assert build_group_scheme(groups.cyclic(8)) is s
-    assert record.holders == 2
-    # least recently used first: Z_8's table, the report, the two builders
-    kinds = [key[0] for key in _store.STORE._entries]
-    assert kinds == ["cayley", "axioms", "cyclic", "group scheme"]
-    sizes = dict(zip(kinds, (entry[1] for entry in _store.STORE._entries.values())))
-    failing = AssociationScheme(n=2, d=1, relation=[[0, 1], [0, 0]])
-    monkeypatch.setattr(_store, "BUDGET_BYTES",
-                        _store.STORE._bytes + 4 - sizes["cayley"] - sizes["axioms"])
-    assert not verify_axioms(failing).passed
+    assert record.holders == 1
+    # least recently used first: the two builders, then the report
     assert [key[0] for key in _store.STORE._entries] == ["cyclic", "group scheme", "axioms"]
-    assert _store.STORE._algebras.get(record) is record and record.holders == 1
-    assert verify_axioms(build_group_scheme(groups.cyclic(8))) is verify_axioms(s)
+    # room for the 4-byte key of a failing report alone
+    monkeypatch.setattr(_store, "BUDGET_BYTES", 4)
+    failing = AssociationScheme(n=2, d=1, relation=[[0, 1], [0, 0]])
+    assert not verify_axioms(failing).passed
+    assert [key[0] for key in _store.STORE._entries] == ["axioms"]
+    assert not _store.STORE._algebras
+    monkeypatch.setattr(_store, "BUDGET_BYTES", 2 ** 22)
+    again = build_group_scheme(groups.cyclic(8))
+    assert again is not s and len(checks) == 2
+    assert verify_axioms(again) is not verify_axioms(s) and len(checks) == 3
+    assert verify_axioms(again).p.tobytes() == record.p.tobytes()
     _assert_consistent(_store.STORE)
 
 
@@ -331,22 +390,20 @@ def _load_peak(load) -> int:
         tracemalloc.stop()
 
 
-def test_the_loader_keeps_the_matrix_it_decodes():
-    """J(16,4), n = 1,820, in a b4 file: the public constructor copies the
-    decoded matrix, so that route peaks at two n x n arrays at least; the
-    loader keeps the decoded one, and peaks at it, the n^2 / 2 payload and
-    one block of the unpacking."""
+def test_unpacking_in_blocks_keeps_a_load_near_two_matrices():
+    """J(16,4), n = 1,820, in a b4 file: decoding holds the n^2 / 2
+    payload, the n x n matrix and one block of the unpacking, and the
+    constructor's copy adds a second matrix once the payload is freed.
+    Unpacking the whole matrix at once peaked at 2.5 n^2 for either."""
     s = build_johnson(16, 4)
     data = json.loads(json.dumps(serialize.to_jsonable("scheme", s)))
     assert data["relation"]["dtype"] == "b4"
     square = s.n ** 2
     loaded = serialize.from_jsonable("scheme", data, validate=False)
     assert loaded.relation.tobytes() == s.relation.tobytes()
-    assert not loaded.relation.flags.writeable and loaded.relation.flags.c_contiguous
-    loader = _load_peak(lambda: serialize.from_jsonable("scheme", data, validate=False))
-    public = _load_peak(lambda: AssociationScheme(
-        n=s.n, d=s.d, relation=serialize._unpack_relation(data["relation"], s.n)))
-    assert public >= 2 * square and loader < 1.6 * square
+    decode = _load_peak(lambda: serialize._unpack_relation(data["relation"], s.n))
+    load = _load_peak(lambda: serialize.from_jsonable("scheme", data, validate=False))
+    assert decode < 1.6 * square and 2 * square <= load < 2.1 * square
 
 
 @pytest.mark.parametrize("v, k, code", [(800, 1, "b1"), (33, 2, "b2"), (16, 4, "b4")])

@@ -355,18 +355,19 @@ def _held_bytes(record):
 def _assert_consistent(store):
     """The store's byte count is its entries' charges plus each held
     record's charge once, each record counts the entries holding it, a
-    stored passed report holds its record, an entry holds only the record
-    its value reaches (a report's, or a kept scheme's report's), and no
-    record holds more than its charge."""
+    stored passed report holds its record, only reports hold records, a
+    kept builder value keeps no report (so it reaches no record the store
+    does not count), and no record holds more than its charge."""
     holders = {}
     for value, _, record in store._entries.values():
         if isinstance(value, AxiomReport):
             assert record is value._algebra
             if value.passed:
                 assert value.p is record.p
+        else:
+            assert record is None and getattr(value, "_axioms", None) is None
         if record is not None:
             assert store._algebras[record] is record
-            assert record is getattr(value, "_algebra", None) or record is value._axioms._algebra
             holders[id(record)] = holders.get(id(record), 0) + 1
     assert {id(r): r.holders for r in store._algebras} == holders
     assert store._bytes == (sum(size for _, size, _ in store._entries.values())
