@@ -3,7 +3,12 @@
 A fusion system is a finite set of labels (index 0 = vacuum) with
 non-negative integer multiplicities N_{ab}^c, optionally decorated with
 F-matrices (recoupling), R-phases (exchange), and twists.  The systems
-in scope are commutative and multiplicity-free; the two built-ins are
+in scope are commutative.  F and R data are accepted on multiplicity-free
+systems only (every N_ab^c is 0 or 1): F is stored as label-indexed
+blocks and R as scalar phases, and that format cannot hold a channel with
+N_ab^c > 1, which needs F-matrices with vertex indices and R-matrices
+(Kitaev, Ann. Phys. 321, 2006, App. E).  Fusion rules alone may carry
+multiplicities.  The two built-ins are
 
 * ising:    sigma x sigma = 1 + psi,  sigma x psi = sigma,  psi x psi = 1
 * fibonacci: f x f = 1 + f
@@ -84,9 +89,10 @@ class FusionSystem:
 
     Checks: at most 68 labels (`_FUSION_MAX_RANK`, before any rank^4
     array), integer multiplicities, vacuum unit law, commutativity,
-    associativity, existence of duals (hence consistent dims), F
-    keys (a,b,c,e) and R keys (a,b,c) of label indices, finite entries,
-    unitarity of every F block, unit modulus of every R phase and twist.
+    associativity, existence of duals (hence consistent dims), no N entry
+    above 1 when F or R data is given, F keys (a,b,c,e) and R keys (a,b,c)
+    of label indices, finite entries, unitarity of every F block, unit
+    modulus of every R phase and twist.
     """
 
     labels: tuple[str, ...]
@@ -128,6 +134,12 @@ class FusionSystem:
             raise ValidationError(f"label {labels[lonely[0]]!r} has no unique dual")
         dual = tuple(n[:, :, 0].argmax(axis=1).tolist())
         dims = _dims_from_tensor(n)
+        if (self.F or self.R) and n.max() > 1:
+            a, b, c = np.argwhere(n > 1)[0]
+            raise ValidationError(
+                f"F and R data need a multiplicity-free system; N at ({labels[a]} {labels[b]} "
+                f"-> {labels[c]}) is {n[a, b, c]}"
+            )
 
         f_table = {}
         for key, mat in (self.F or {}).items():
@@ -135,13 +147,11 @@ class FusionSystem:
             rows = _tree_rows(n, a, b, c, e)
             cols = _tree_cols(n, a, b, c, e)
             block = numeric_array(mat, f"F block {key}", kinds="iufc").astype(np.complex128)
-            # rows x cols, square only when the data is consistent: checked here
             if block.shape != (len(rows), len(cols)):
                 raise ValidationError(
                     f"F block {key} must have shape {(len(rows), len(cols))}, got {block.shape}"
                 )
-            if len(rows) != len(cols):
-                raise ValidationError(f"F block {key} is not square; fusion data inconsistent")
+            # square: with N in {0, 1}, len(rows) = sum_x N_ab^x N_xc^e = len(cols) by associativity
             _require_unitary(block, f"F block {key}")
             block.setflags(write=False)
             f_table[key] = block
@@ -297,10 +307,8 @@ def _f_block(fs: FusionSystem, a, b, c, e):
     stored = fs.F.get((a, b, c, e))
     if stored is not None:
         return rows, cols, stored
-    if len(rows) != len(cols):
-        raise ValidationError(
-            f"F block ({a},{b},{c};{e}) is {len(rows)}x{len(cols)}; fusion data inconsistent"
-        )
+    # square: callers pass multiplicity-free systems (with N in {0, 1} associativity
+    # equates the counts) or, in BraidGenerators without R data, the vacuum's 1x1 block
     if len(rows) > 1:
         raise ValidationError(
             f"missing F data: block ({a},{b},{c};{e}) has dimension {len(rows)}"
@@ -316,15 +324,15 @@ def _f_tensor(fs: FusionSystem) -> np.ndarray:
     (N_ab^x N_xc^e) and columns (N_bc^y N_ay^e) of every block, and the
     stored blocks are written over them.  The first block, in
     `itertools.product` order, that is neither stored nor a 1x1 or empty
-    default is refused by `_f_block` with its message."""
+    default is refused by `_f_block` with its message.  Callers pass
+    multiplicity-free systems, whose blocks are square (see `_f_block`)."""
     n = fs.N.astype(bool)
     rows = np.einsum("abx,xce->abcex", n, n)
     cols = np.einsum("bcy,aye->abcey", n, n)
     stored = np.zeros((fs.rank,) * 4, dtype=bool)
     for key in fs.F:
         stored[key] = True
-    height, width = rows.sum(axis=4), cols.sum(axis=4)
-    bad = ~stored & ((height != width) | (height > 1))
+    bad = ~stored & (rows.sum(axis=4) > 1)
     if bad.any():
         _f_block(fs, *np.argwhere(bad)[0].tolist())
     # what is left unstored is 1x1 or empty: one admissible row and column
@@ -348,8 +356,7 @@ def _join(tuples: list[np.ndarray], key: np.ndarray, table: np.ndarray) -> list[
 
 
 def _r_phase(fs: FusionSystem, a, b, c) -> complex:
-    if not fs.N[a, b, c]:
-        raise ValidationError(f"channel {(a, b, c)} is forbidden; no exchange phase exists")
+    # (a, b, c) is admissible: callers take c from _tree_rows (N_ab^c != 0) or argwhere(N)
     stored = fs.R.get((a, b, c))
     if stored is not None:
         return stored

@@ -258,12 +258,13 @@ def iterate_channel(channel, rho0, steps: int) -> ChannelTrajectory:
     come out 1).  Complete positivity is a precondition and is certified
     before iterating, from the multiplier eigenvalue the channel keeps.
 
-    A step forms the next state, checks its trace (below
-    errors.ABSORPTION_FLOOR raises "channel absorbed the state"), then
-    normalizes it in place (a Schur product scaled by 1/trace, as NumPy's
-    complex-by-real division gives it; the dual's real products, divided
-    before they are widened) and copies its diagonal into one
-    (steps + 1) x n array.
+    A step forms the next state, then normalizes it in place (a Schur
+    product scaled by 1/trace, as NumPy's complex-by-real division gives
+    it; the dual's real products, divided before they are widened) and
+    copies its diagonal into one (steps + 1) x n array.  Only a Schur step
+    can absorb the state: a trace below errors.ABSORPTION_FLOOR raises
+    "channel absorbed the state".  The dual's trace stays within about
+    1e-9 of 1 (see the step).
 
     Every state is certified to have least eigenvalue >= -errors.PSD_TOL (as
     `eigvalsh` reads it, from the lower triangle) without a per-step
@@ -331,9 +332,9 @@ def iterate_channel(channel, rho0, steps: int) -> ChannelTrajectory:
 
         def advance(rho, diag):
             real, imag = _dual_parts(root, diag)
+            # no absorption: tr = sum_i Re d_i |r_i|^2, |r_i|^2 within ISOMETRY_TOL of 1 (certified)
+            # and sum_i Re d_i within MASS_TOL of 1, |d|_1 ~ 1 not growing: tr is 1 within ~1e-9
             tr = float(real.trace())
-            if tr < floor:
-                return None, tr
             real /= tr
             if imag is not None:
                 imag /= tr
@@ -452,9 +453,11 @@ def _closed_classes(column_stochastic: np.ndarray) -> list[tuple[int, ...]]:
 
 
 def stationary_distribution(column_stochastic) -> np.ndarray:
-    """Stationary law of a column-stochastic matrix via its unit eigenvector,
-    certified by max|P pi - pi| <= errors.STATIONARY_TOL; it must be unique, so
-    the support graph must have exactly one closed communicating class."""
+    """Stationary law of a column-stochastic matrix, certified by max|P pi -
+    pi| <= errors.STATIONARY_TOL.  It must be unique, so the support graph
+    must have exactly one closed communicating class C.  No state of C
+    leaves it, so P[C, C] is column-stochastic; pi is its unit eigenvector
+    on C and 0 on the transient states, which hold no mass in the limit."""
     mat = _column_stochastic(column_stochastic, "column")
     classes = _closed_classes(mat)
     if len(classes) > 1:
@@ -462,16 +465,18 @@ def stationary_distribution(column_stochastic) -> np.ndarray:
         raise CertificationError(
             f"stationary law is not unique: closed classes {first} and {second}"
         )
-    vals, vecs = np.linalg.eig(mat)
+    closed = list(classes[0])
+    vals, vecs = np.linalg.eig(mat[np.ix_(closed, closed)])
     pick = int(np.argmin(np.abs(vals - 1.0)))
     v = vecs[:, pick]
     with np.errstate(divide="ignore", invalid="ignore"):   # a vector summing to 0 is refused
-        pi = np.real(np.real_if_close(v / v.sum(), tol=1e6))
-        off = float(np.max([-pi.min(), abs(pi.sum() - 1.0)]))
+        law = np.real(np.real_if_close(v / v.sum(), tol=1e6))
+        off = float(np.max([-law.min(), abs(law.sum() - 1.0)]))
         if not off <= errors.STATIONARY_TOL:
             refuse("unit eigenvector as a probability distribution", off, errors.STATIONARY_TOL,
-                   f"least entry {pi.min():.3e}, sum {pi.sum():.12g}")
-    pi = np.clip(pi, 0.0, None)
+                   f"least entry {law.min():.3e}, sum {law.sum():.12g}")
+    pi = np.zeros(len(mat))
+    pi[closed] = np.clip(law, 0.0, None)
     residual = np.abs(mat @ pi - pi)
     if residual.max() > errors.STATIONARY_TOL:
         refuse("P pi = pi", residual, errors.STATIONARY_TOL, lambda v: f"state {v}")

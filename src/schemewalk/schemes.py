@@ -434,10 +434,10 @@ def _quotient_classes(g: FiniteGroup, class_of, d: int) -> np.ndarray:
 
 
 def _table_key(kind: str, g: FiniteGroup) -> tuple | None:
-    """A group scheme's key: the table at its elements' (and classes') width,
-    or None for what is not a group, which the builder refuses."""
+    """A group scheme's key: the table at its elements' (and classes') width.
+    What is not a FiniteGroup is refused here, before the builder runs."""
     if not isinstance(g, FiniteGroup):
-        return None
+        raise ValidationError(f"{kind} needs a FiniteGroup, got {type(g).__name__}")
     table = g.table.astype(_packed_dtype(g.order - 1))
     return content_key(kind, table.shape, table, table.nbytes)
 

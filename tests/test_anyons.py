@@ -654,6 +654,30 @@ def test_ising_data_of_the_wrong_form_is_refused(f_data, r_data, match):
         FusionSystem(ISING.labels, ISING.N, f_data, r_data)
 
 
+@pytest.mark.parametrize("f_data, r_data", [
+    (None, {(1, 1, 0): 1.0}),
+    ({(1, 1, 1, 1): [[1.0]]}, None),
+], ids=["one R phase", "one F block"])
+def test_f_or_r_data_needs_a_multiplicity_free_system(f_data, r_data):
+    # the near-group ring, t x t = 1 + s + 2t, keeps its multiplicities without F and R
+    ring = _one_s_t_ring([1, 1, 2])
+    with pytest.raises(ValidationError, match=re.escape(
+            "F and R data need a multiplicity-free system; N at (t t -> t) is 2")):
+        FusionSystem(ring.labels, ring.N, f_data, r_data)
+
+
+@pytest.mark.parametrize("check, what", [(verify_pentagon, "pentagon"),
+                                         (verify_hexagon, "hexagon")])
+def test_the_consistency_checks_refuse_a_ring_with_multiplicities(check, what):
+    # pentagon on the near-group ring (rank 3); hexagon, capped at rank 2, on f x f = 1 + 2f
+    n = _unit_law(2)
+    n[1, 1] = [1, 2]
+    ring = _one_s_t_ring([1, 1, 2]) if what == "pentagon" else FusionSystem(("1", "f"), n)
+    with pytest.raises(ValidationError,
+                       match=f"^{what} check supports multiplicity-free systems only$"):
+        check(ring)
+
+
 def test_a_phase_inside_the_unit_bound_can_leave_sigma1_outside_it():
     # |R| - 1 = 0.9e-12 passes UNITARITY_TOL, but sigma1'sigma1 - I = |R|^2 - 1 is twice it
     r_data = {**ISING.R, (1, 1, 0): ISING.R[(1, 1, 0)] * (1 + 0.9e-12)}

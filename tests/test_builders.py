@@ -155,6 +155,14 @@ def test_group_schemes_match_cayley_loop(name):
     _assert_same(build_conjugacy_scheme(g), _cayley_oracle(g, _conjugacy_class_of(g)))
 
 
+@pytest.mark.parametrize("build, kind", [(build_group_scheme, "group scheme"),
+                                         (build_conjugacy_scheme, "conjugacy scheme")])
+@pytest.mark.parametrize("g, type_name", [(5, "int"), ("z4", "str"), ([[0, 1], [1, 0]], "list")])
+def test_group_builders_refuse_what_is_not_a_group(build, kind, g, type_name):
+    with pytest.raises(ValidationError, match=f"^{kind} needs a FiniteGroup, got {type_name}$"):
+        build(g)
+
+
 @pytest.mark.parametrize("q,v,d", [(2, 4, 2), (3, 3, 1), (4, 4, 2), (9, 3, 1)])
 def test_subspace_points_are_the_normalised_span(q, v, d):
     field = galois.GF(q)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schemewalk import ValidationError, dilation_unitary, walk
+from schemewalk import CertificationError, ValidationError, dilation_unitary, walk
 from schemewalk.cli import run
 from schemewalk.errors import MASS_TOL
 from schemewalk.serialize import load, loads
@@ -384,6 +384,63 @@ def test_input_a_command_would_ignore_is_refused(argv, message, j42_file, capsys
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["walk", "hypergroup", "SCHEME", "--coin", "abc", "--start", "0", "--steps", "1"],
+     "--coin must be an index or a JSON list"),
+    (["walk", "hypergroup", "SCHEME", "--coin", '{"a": 1}', "--start", "0", "--steps", "1"],
+     "--coin must be an index or a JSON list"),
+    (["scheme", "build", "--family", "orbit", "--generators", "[[1,0]", "--n", "2"],
+     "--generators is not valid JSON: Expecting ',' delimiter"),
+    (["anyon", "--system", "ising", "--op", "fuse", "sigma"],
+     "fuse needs two labels, e.g. --op fuse sigma sigma"),
+    (["anyon", "--system", "ising", "--op", "bridge"], "bridge needs --scheme"),
+    (["qmc", "entangled", "--transition", "[[0.5,0.5],[0.5,0.5]]", "--M", "[1, 2]",
+      "--N", "[[1,0],[0,1]]"],
+     "matrix must be a non-empty list of equal-length rows of numbers or [re, im] pairs"),
+], ids=["coin-not-json", "coin-not-a-list", "generators-not-json", "fuse-one-label",
+        "bridge-without-scheme", "matrix-one-axis"])
+def test_malformed_input_is_refused_with_its_message(argv, message, j42_file, capsys):
+    code = run([str(j42_file) if a == "SCHEME" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_f_or_r_data_on_a_ring_with_multiplicities_exits_1(tmp_path, capsys):
+    # the near-group ring: t x t = 1 + s + 2t
+    n = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+         [[0, 0, 1], [0, 0, 1], [1, 1, 2]]]
+    path = tmp_path / "near_group.json"
+    path.write_text(json.dumps({"labels": ["1", "s", "t"], "N": n, "R": {"1,1,0": 1.0}}))
+    code = run(["anyon", "--system", str(path), "--op", "dims"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("error: F and R data need a multiplicity-free system; "
+                            "N at (t t -> t) is 2\n")
+
+
+def test_scheme_build_without_out_prints_a_scheme_that_verifies(tmp_path, capsys):
+    assert run(["scheme", "build", "--family", "johnson", "--v", "4", "--k", "2"]) == 0
+    path = tmp_path / "printed.json"
+    path.write_text(capsys.readouterr().out)
+    assert load(path, "scheme").n == 6
+    assert run(["scheme", "verify", str(path)]) == 0
+    assert capsys.readouterr().out == "passed, commutative\n"
+
+
+def test_a_certification_failure_exits_2_with_its_message(monkeypatch, capsys):
+    import schemewalk.cli as cli
+
+    def failing(args, fs):
+        raise CertificationError("planted failure")
+
+    monkeypatch.setitem(cli._ANYON_OPS, "dims", failing)
+    code = run(["anyon", "--system", "ising", "--op", "dims"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "certification failure: planted failure\n"
 
 
 def test_exit_codes(tmp_path, capsys):

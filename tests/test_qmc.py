@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+from fractions import Fraction
 import re
 import tracemalloc
 import warnings
@@ -795,31 +796,104 @@ def test_stationary_distribution_refuses_nonstochastic_input(mat):
         stationary_distribution(mat)
 
 
-def _leaky_chain(seed):
-    """State 0 stays with probability 1 - 1e-17, stored as 1.0, and leaks 1e-17
-    into the closed class {1, 2}, a random column-stochastic block."""
-    block = np.random.default_rng(seed).random((2, 2)) + 0.1
-    d = np.zeros((3, 3))
-    d[1:, 1:] = block / block.sum(axis=0)
-    d[0, 0], d[1, 0] = 1.0, 1e-17
+def _two_blocks(seed):
+    """Two random column-stochastic 2x2 blocks, on states {0, 1} and {2, 3}."""
+    rng = np.random.default_rng(seed)
+    d = np.zeros((4, 4))
+    for at in (0, 2):
+        block = rng.random((2, 2))
+        d[at:at + 2, at:at + 2] = block / block.sum(axis=0)
     return d
 
 
+def test_the_stationary_law_lives_on_the_closed_class():
+    # column 0 leaks 1e-17 into {2, 3}, below the rounding of its sum, so
+    # {0, 1} is transient and {2, 3} the closed class; `eig` of the whole
+    # matrix cannot tell the transient eigenvalue 1 - 1e-17 from the closed
+    # class's 1, and took a vector that put most of its mass on {0, 1}
+    for seed in range(200):
+        d = _two_blocks(seed)
+        d[2, 0] = 1e-17
+        a, b = d[3, 2], d[2, 3]                   # the closed block's leaving rates
+        pi = stationary_distribution(d)
+        assert pi[0] == pi[1] == 0.0
+        assert np.max(np.abs(pi[2:] - np.array([b, a]) / (a + b))) <= 1e-12
+
+
 def test_a_unit_eigenvector_that_is_no_distribution_is_refused():
-    # `eig` cannot tell the transient eigenvalue 1 - 1e-17 from the closed
-    # class's 1; whichever vector rounding favours is taken, and on some of
-    # these chains it has a negative entry.  Which ones depends on the LAPACK
-    # build, so 256 chains are tried.
+    # the closed class is the whole matrix, whose eigenvalue 1 is nearly
+    # double; whichever vector rounding favours is taken, and on some of these
+    # chains it has a negative entry.  Which ones depends on the LAPACK build,
+    # so 300 chains are tried.
     refused = []
-    for seed in range(256):
+    for seed in range(300):
+        d = _two_blocks(seed)
+        d[2, 0] = d[0, 2] = 1e-17                 # by its support, one closed class
         try:
-            stationary_distribution(_leaky_chain(seed))
+            stationary_distribution(d)
         except CertificationError as error:
             refused.append(str(error))
     assert refused
     assert all(re.fullmatch(r"unit eigenvector as a probability distribution fails at least "
                             r"entry -\S+, sum \S+: residual \S+ exceeds bound 1e-09", message)
                for message in refused)
+
+
+def _exact_stationary_law(p):
+    """pi with P pi = pi and sum pi = 1 over Fractions: (P - I) pi = 0 with
+    its last row, the negated sum of the others, replaced by sum pi = 1."""
+    n = len(p)
+    rows = [[p[i][j] - (i == j) for j in range(n)] + [Fraction(0)] for i in range(n - 1)]
+    rows.append([Fraction(1)] * (n + 1))
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                ratio = rows[r][col] / rows[col][col]
+                rows[r] = [x - ratio * y for x, y in zip(rows[r], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def _rational_chain(rng, kind):
+    """A column-stochastic matrix of Fractions with one closed class C (states
+    0..m-1 before a random relabelling) and transient states feeding it.
+    "reversible": C carries symmetric weights; "non-reversible": random
+    weights around a cycle; "periodic": C moves group g to group g + 1 of
+    k >= 2, k dividing m."""
+    n = int(rng.integers(2 if kind == "periodic" else 1, 9))
+    m = int(rng.integers(2 if kind == "periodic" else 1, n + 1))
+    w = np.zeros((n, n), dtype=np.int64)
+    ring = np.arange(m)
+    if kind == "reversible":
+        upper = np.triu(rng.integers(0, 4, size=(m, m)))
+        w[:m, :m] = upper + upper.T
+        w[ring, (ring + 1) % m] += 1
+        w[(ring + 1) % m, ring] += 1
+    elif kind == "non-reversible":
+        w[:m, :m] = rng.integers(0, 5, size=(m, m)) * (rng.random((m, m)) < 0.5)
+        w[(ring + 1) % m, ring] += 1
+    else:
+        k = int(rng.choice([k for k in range(2, m + 1) if m % k == 0]))
+        group = ring % k
+        w[:m, :m] = rng.integers(0, 5, size=(m, m)) * (group[:, None] == (group[None, :] + 1) % k)
+        w[(ring + 1) % m, ring] += 1
+    w[:, m:] = rng.integers(0, 5, size=(n, n - m))
+    w[rng.integers(0, m, size=n - m), np.arange(m, n)] += 1     # every transient state leaks
+    perm = rng.permutation(n)
+    w = w[np.ix_(perm, perm)]
+    sums = w.sum(axis=0)
+    return [[Fraction(int(w[i, j]), int(sums[j])) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["reversible", "non-reversible", "periodic"])
+def test_stationary_distribution_agrees_with_an_exact_rational_oracle(kind):
+    rng = np.random.default_rng(["reversible", "non-reversible", "periodic"].index(kind))
+    for _ in range(60):
+        p = _rational_chain(rng, kind)
+        exact = np.array([float(x) for x in _exact_stationary_law(p)])
+        pi = stationary_distribution([[float(x) for x in row] for row in p])
+        assert np.max(np.abs(pi - exact)) <= 1e-12
 
 
 def test_stationary_distribution_certifies_the_fixed_point(monkeypatch):
