@@ -52,20 +52,20 @@ from . import errors
 from ._store import kept
 from .errors import (
     ValidationError,
+    check,
     is_integer,
     numeric_array,
-    refuse,
     require_index,
     require_integer,
     require_within_cap,
 )
-from .groups import DEFAULT_VERTEX_CAP
+from .groups import DEFAULT_BYTE_CAP
 from .parameters import KreinTensor
 from .spectral import BoseMesnerDecomposition
 # The associativity pass of `FusionSystem` holds rank^4 int64 words and a
-# rank^4 boolean mask: 9 rank^4 bytes, kept within the 200 MB budget of
-# DEFAULT_VERTEX_CAP (rank 68; tracemalloc peaks at 198 MB there).
-_FUSION_MAX_RANK = math.isqrt(math.isqrt(DEFAULT_VERTEX_CAP ** 2 * 8 // 9))
+# rank^4 boolean mask: 9 rank^4 bytes, kept within DEFAULT_BYTE_CAP
+# (rank 68; tracemalloc peaks at 198 MB there).
+_FUSION_MAX_RANK = math.isqrt(math.isqrt(DEFAULT_BYTE_CAP // 9))
 _BRIDGE_MAX_RANK = 32
 # Above 109,601 = sum_m 8!/(8-m)!, the whole rank-9 search tree, so every
 # search at rank <= 9 finishes however little its pattern prunes; above
@@ -199,16 +199,14 @@ def _dims_from_tensor(n_tensor: np.ndarray) -> np.ndarray:
 
 
 def _unit(value: complex, what: str, name: str) -> complex:
-    if abs(abs(value) - 1.0) > errors.UNITARITY_TOL:
-        refuse(f"unit modulus of {what}", abs(abs(value) - 1.0), errors.UNITARITY_TOL,
-               f"{name} = {abs(value)!r}", ValidationError)
+    check(f"unit modulus of {what}", abs(abs(value) - 1.0), errors.UNITARITY_TOL,
+          lambda: f"{name} = {abs(value)!r}", ValidationError)
     return value
 
 
 def _require_unitary(mat: np.ndarray, what: str) -> None:
     drift = np.abs(mat.conj().T @ mat - np.eye(len(mat)))
-    if drift.max() > errors.UNITARITY_TOL:
-        refuse(f"unitarity of {what}", drift, errors.UNITARITY_TOL, error=ValidationError)
+    check(f"unitarity of {what}", drift, errors.UNITARITY_TOL, error=ValidationError)
 
 
 def _tree_rows(n, a, b, c, e):

@@ -1,6 +1,8 @@
 """Exception hierarchy shared by all modules, the entry rules for
 numbers, integers, distributions, array shapes, size caps and indices,
-and the certification bounds with their refusal, `refuse`.
+and the certification bounds with `check`, the one comparison against
+them: a residual passes when its largest entry is at most its bound, and
+anything else, NaN included, is refused in one wording.
 
 Two user-facing failure modes exist: the input is malformed or out of
 range (ValidationError, CLI exit code 1), or the input parsed fine but a
@@ -59,9 +61,14 @@ class CertificationError(SchemeWalkError):
     """A numerical or combinatorial certification failed on valid-looking input."""
 
 
-def refuse(identity: str, residual, bound: float, witness=None, error=CertificationError):
-    """Raise `error` "<identity> fails at <witness>: residual r exceeds bound b", r the
-    largest entry (first NaN) of `residual`, named by its index, `witness(*index)` or `witness`."""
+def check(identity: str, residual, bound: float, witness=None, error=CertificationError):
+    """Pass when the largest entry of `residual`, an ndarray or a number, is at most
+    `bound`; anything else, NaN included, raises `error` "<identity> fails at
+    <witness>: residual r exceeds bound b", r the largest entry (first NaN) of
+    `residual`, named by its index, `witness(*index)` or `witness`.  A callable
+    witness is called only to refuse."""
+    if (residual.max() if isinstance(residual, np.ndarray) else residual) <= bound:
+        return
     residual = np.asarray(residual)
     at = np.unravel_index(int(np.argmax(residual)), residual.shape)
     where = witness(*at) if callable(witness) else witness or f"({', '.join(map(str, at))})"

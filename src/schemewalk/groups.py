@@ -25,6 +25,8 @@ from .errors import ValidationError, numeric_array, require_integer, require_wit
 # Built-in groups, Johnson, Grassmann and orbit schemes may not exceed
 # this many elements or vertices (an int64 table of that order takes 200 MB).
 DEFAULT_VERTEX_CAP = 5000
+# Those 200 MB: what a returned trajectory or a fusion pass may hold.
+DEFAULT_BYTE_CAP = 8 * DEFAULT_VERTEX_CAP ** 2
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,13 +27,15 @@ import numpy as np
 from . import errors
 from .errors import (
     ValidationError,
+    check,
     is_integer,
     numeric_array,
-    refuse,
     require_distribution,
     require_index,
     require_integer,
+    require_within_cap,
 )
+from .groups import DEFAULT_BYTE_CAP
 from .parameters import KreinTensor
 from .spectral import BoseMesnerDecomposition
 
@@ -66,20 +68,17 @@ class Hypergroup:
             raise ValidationError(
                 f"multiplicities must be positive and finite, got {mults.tolist()}")
 
-        if conv.min() < errors.CLAMP_FLOOR:
-            refuse("convolution weight >= 0", -conv, -errors.CLAMP_FLOOR)
+        check("convolution weight >= 0", -conv, -errors.CLAMP_FLOOR)
         conv = np.where(conv < 0.0, 0.0, conv)
 
         drift = np.abs(conv.sum(axis=2) - 1.0)
-        if drift.max() > errors.SLICE_SUM_TOL:
-            refuse("total mass 1 of a convolution slice", drift, errors.SLICE_SUM_TOL)
+        check("total mass 1 of a convolution slice", drift, errors.SLICE_SUM_TOL)
 
         # index 0 is the identity: verify, then store it exactly
         delta = np.eye(size)
         gap = np.abs(conv[0] - delta)
-        if gap.max() > errors.SLICE_SUM_TOL:
-            refuse("index 0 as the hypergroup identity", gap, errors.SLICE_SUM_TOL,
-                   lambda j, k: f"weight (0, {j}, {k})")
+        check("index 0 as the hypergroup identity", gap, errors.SLICE_SUM_TOL,
+              lambda j, k: f"weight (0, {j}, {k})")
         conv[0] = delta
         conv[:, 0, :] = delta
         conv.setflags(write=False)
@@ -153,8 +152,12 @@ def classical_chain(h: Hypergroup, coin) -> np.ndarray:
 
 def walk(h: Hypergroup, coin, start, steps: int) -> list[np.ndarray]:
     """Iterate the coin chain from `start`, an index or a distribution;
-    returns steps+1 distributions."""
+    returns steps+1 distributions, refused before the first when they would
+    take more than `groups.DEFAULT_BYTE_CAP` bytes."""
     steps = require_integer(steps, "steps", minimum=0)
+    nbytes = (steps + 1) * 8 * h.size
+    require_within_cap(nbytes, DEFAULT_BYTE_CAP,
+                       f"a walk of {steps} steps on {h.size} indices takes {nbytes} bytes")
     t = classical_chain(h, coin)
     current = _measure(h, start, "start")
     history = [current]

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import errors
-from .errors import ValidationError, numeric_array, refuse
+from .errors import ValidationError, check, numeric_array
 from .schemes import AssociationScheme, require_axioms
 from .spectral import BoseMesnerDecomposition
 
@@ -127,20 +127,17 @@ def _krein(dec: BoseMesnerDecomposition) -> KreinTensor:
     raw = (eq[:, iu] * eq[:, ju]).T @ dec.eigenmatrix_P.T / dec.n
     imag = np.abs(raw.imag)
     name = lambda pair, k: f"q[{iu[pair]}][{ju[pair]}][{k}]"  # noqa: E731
-    if not imag.max() <= errors.KREIN_TOLERANCE:
-        refuse("zero imaginary residue of q", imag, errors.KREIN_TOLERANCE, name)
+    check("zero imaginary residue of q", imag, errors.KREIN_TOLERANCE, name)
     upper = raw.real
 
     # the pairs run through i <= j in C order, so the first minimum here
     # is the first in q, where (i, j, k) precedes its twin (j, i, k)
-    if upper.min() < -errors.KREIN_TOLERANCE:
-        refuse("Krein condition q_ij^k >= 0", -upper, errors.KREIN_TOLERANCE,
-               lambda pair, k: f"{name(pair, k)} = {upper[pair, k]:.3e}")
+    check("Krein condition q_ij^k >= 0", -upper, errors.KREIN_TOLERANCE,
+          lambda pair, k: f"{name(pair, k)} = {upper[pair, k]:.3e}")
 
     residual = np.abs(upper @ m - m[iu] * m[ju])
-    if residual.max() > errors.TRACE_IDENTITY_TOL:
-        refuse("trace identity sum_k m_k q_ij^k = m_i m_j", residual, errors.TRACE_IDENTITY_TOL,
-               lambda pair: f"(i, j) = ({iu[pair]}, {ju[pair]})")
+    check("trace identity sum_k m_k q_ij^k = m_i m_j", residual, errors.TRACE_IDENTITY_TOL,
+          lambda pair: f"(i, j) = ({iu[pair]}, {ju[pair]})")
     q = np.empty((size, size, size))
     q[iu, ju] = upper
     q[ju, iu] = upper

@@ -39,12 +39,13 @@ from . import errors
 from .errors import (
     CertificationError,
     ValidationError,
+    check,
     numeric_array,
-    refuse,
     require_distribution,
     require_integer,
     require_within_cap,
 )
+from .groups import DEFAULT_BYTE_CAP
 
 _PAIR_SPACE_MAX_VERTICES = 64
 
@@ -55,14 +56,12 @@ def _column_stochastic(d_matrix, convention: str) -> np.ndarray:
     mat = np.asarray(numeric_array(d_matrix, "stochastic matrix", "iuf", ndim=2), np.float64)
     if convention not in ("column", "row"):
         raise ValidationError(f"convention must be 'column' or 'row', got {convention!r}")
-    if mat.min() < -errors.STOCHASTIC_TOL:
-        refuse("stochastic matrix entry >= 0", -mat, errors.STOCHASTIC_TOL, error=ValidationError)
+    check("stochastic matrix entry >= 0", -mat, errors.STOCHASTIC_TOL, error=ValidationError)
     mat = np.clip(mat, 0.0, None)
     col = mat if convention == "column" else mat.T
     drift = np.abs(col.sum(axis=0) - 1.0)
-    if drift.max() > errors.STOCHASTIC_TOL:
-        refuse(f"{convention}-stochastic mass 1", drift,
-               errors.STOCHASTIC_TOL, lambda v: f"state {v}", ValidationError)
+    check(f"{convention}-stochastic mass 1", drift,
+          errors.STOCHASTIC_TOL, lambda v: f"state {v}", ValidationError)
     return col
 
 
@@ -75,8 +74,7 @@ class SchurChannel:
     def __post_init__(self):
         e = numeric_array(self.multiplier, "multiplier", "iufc", ndim=2).astype(np.complex128)
         gap = np.abs(e - e.conj().T)
-        if gap.max() > errors.PSD_TOL:
-            refuse("Hermitian multiplier", gap, errors.PSD_TOL, error=ValidationError)
+        check("Hermitian multiplier", gap, errors.PSD_TOL, error=ValidationError)
         e.setflags(write=False)
         object.__setattr__(self, "multiplier", e)
 
@@ -150,8 +148,7 @@ def _certify_isometry(root: np.ndarray, name: str) -> None:
     so name'name is diagonal, with the row sums of root**2 on the diagonal:
     an O(n^2) check."""
     residual = np.abs((root * root).sum(axis=1) - 1.0)
-    if residual.max() > errors.ISOMETRY_TOL:
-        refuse(f"{name}'{name} = I", residual, errors.ISOMETRY_TOL, lambda i: f"({i}, {i})")
+    check(f"{name}'{name} = I", residual, errors.ISOMETRY_TOL, lambda i: f"({i}, {i})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,16 +232,13 @@ def _check_density(rho: np.ndarray, dim: int) -> tuple[np.ndarray, float]:
     """The validated density matrix as complex128, and its least eigenvalue."""
     r = numeric_array(rho, "density matrix", "iufc", ndim=2, size=dim).astype(np.complex128)
     gap = np.abs(r - r.conj().T)
-    if gap.max() > errors.PSD_TOL:
-        refuse("Hermitian density matrix", gap, errors.PSD_TOL, error=ValidationError)
+    check("Hermitian density matrix", gap, errors.PSD_TOL, error=ValidationError)
     trace = float(np.trace(r).real)
-    if abs(trace - 1.0) > errors.MASS_TOL:
-        refuse("trace 1 of the density matrix", abs(trace - 1.0), errors.MASS_TOL,
-               f"trace {trace!r}", ValidationError)
+    check("trace 1 of the density matrix", abs(trace - 1.0), errors.MASS_TOL,
+          lambda: f"trace {trace!r}", ValidationError)
     low = float(np.linalg.eigvalsh(r).min())
-    if low < -errors.PSD_TOL:
-        refuse("positivity of the density matrix", -low, errors.PSD_TOL, f"eigenvalue {low:.3e}",
-               ValidationError)
+    check("positivity of the density matrix", -low, errors.PSD_TOL,
+          lambda: f"eigenvalue {low:.3e}", ValidationError)
     return r, low
 
 
@@ -257,6 +251,8 @@ def iterate_channel(channel, rho0, steps: int) -> ChannelTrajectory:
     `transition_expectation_dual`, which is trace-preserving; factors
     come out 1).  Complete positivity is a precondition and is certified
     before iterating, from the multiplier eigenvalue the channel keeps.
+    A trajectory whose steps + 1 states would take more than
+    `groups.DEFAULT_BYTE_CAP` bytes is refused before any is formed.
 
     A step forms the next state, then normalizes it in place (a Schur
     product scaled by 1/trace, as NumPy's complex-by-real division gives
@@ -305,15 +301,17 @@ def iterate_channel(channel, rho0, steps: int) -> ChannelTrajectory:
     steps = require_integer(steps, "steps", minimum=0)
     psd, floor = errors.PSD_TOL, errors.ABSORPTION_FLOOR
     if isinstance(channel, SchurChannel):
-        if channel._multiplier_min < -psd:
-            low = channel._multiplier_min
-            refuse("complete positivity of the channel", -low, psd,
-                   f"multiplier eigenvalue {low:.3e}")
+        low = channel._multiplier_min
+        check("complete positivity of the channel", -low, psd,
+              lambda: f"multiplier eigenvalue {low:.3e}")
     elif not isinstance(channel, TransitionExpectation):
         raise ValidationError(
             f"cannot iterate {type(channel).__name__}; "
             "expected SchurChannel or TransitionExpectation"
         )
+    nbytes = (steps + 1) * 16 * channel.dim ** 2
+    require_within_cap(nbytes, DEFAULT_BYTE_CAP, f"a trajectory of {steps} steps of "
+                       f"{channel.dim} x {channel.dim} states takes {nbytes} bytes")
     rho, low = _check_density(rho0, channel.dim)
     diags = np.empty((steps + 1, channel.dim), dtype=np.complex128)
     diags[0] = np.diagonal(rho)
@@ -370,10 +368,9 @@ def iterate_channel(channel, rho0, steps: int) -> ChannelTrajectory:
     rounding = 2 * (channel.dim + 4) * np.finfo(np.float64).eps
     for k, (tr, a, b) in enumerate(zip(factors, lead.tolist(), tail.tolist()), start=1):
         eps = (eps * slope + a + eps * eps_m + b) / tr + rounding
-        if eps > psd or k == steps:
+        if not eps <= psd or k == steps:
             low = float(np.linalg.eigvalsh(states[k]).min())
-            if low < -psd:
-                refuse("positivity of the state", -low, psd, f"step {k} (eigenvalue {low:.3e})")
+            check("positivity of the state", -low, psd, lambda: f"step {k} (eigenvalue {low:.3e})")
             eps = max(0.0, -low)
     if absorbed:
         raise CertificationError(absorbed)
@@ -472,12 +469,10 @@ def stationary_distribution(column_stochastic) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):   # a vector summing to 0 is refused
         law = np.real(np.real_if_close(v / v.sum(), tol=1e6))
         off = float(np.max([-law.min(), abs(law.sum() - 1.0)]))
-        if not off <= errors.STATIONARY_TOL:
-            refuse("unit eigenvector as a probability distribution", off, errors.STATIONARY_TOL,
-                   f"least entry {law.min():.3e}, sum {law.sum():.12g}")
+        check("unit eigenvector as a probability distribution", off, errors.STATIONARY_TOL,
+              lambda: f"least entry {law.min():.3e}, sum {law.sum():.12g}")
     pi = np.zeros(len(mat))
     pi[closed] = np.clip(law, 0.0, None)
     residual = np.abs(mat @ pi - pi)
-    if residual.max() > errors.STATIONARY_TOL:
-        refuse("P pi = pi", residual, errors.STATIONARY_TOL, lambda v: f"state {v}")
+    check("P pi = pi", residual, errors.STATIONARY_TOL, lambda v: f"state {v}")
     return pi

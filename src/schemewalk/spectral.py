@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import errors
-from .errors import ValidationError, refuse, require_index
+from .errors import ValidationError, check, require_index
 from .schemes import AssociationScheme, AxiomReport, require_axioms
 
 # Seed for the generic-combination coefficients.  Fixed so that repeated
@@ -109,9 +109,8 @@ def _identity_residual(chars: np.ndarray, p: np.ndarray, k: np.ndarray, h: int) 
     residual = np.abs(chars[:, 1:h + 1, np.newaxis] * chars[:, np.newaxis, :]
                       - products.reshape(h, size, size).transpose(2, 0, 1))
     relative = residual / (k[1:h + 1, np.newaxis] * k)
-    if not relative.max() <= errors.RESIDUAL_TOL:
-        refuse("character identity P[t][i] P[t][j] = sum_k p_ij^k P[t][k] (relative to k_i k_j)",
-               relative, errors.RESIDUAL_TOL, lambda t, g, j: f"row {t}, classes ({g + 1}, {j})")
+    check("character identity P[t][i] P[t][j] = sum_k p_ij^k P[t][k] (relative to k_i k_j)",
+          relative, errors.RESIDUAL_TOL, lambda t, g, j: f"row {t}, classes ({g + 1}, {j})")
     return residual
 
 
@@ -224,9 +223,8 @@ def _spectrum(report: AxiomReport, n: int, k: np.ndarray):
     # is <v_t, v_s> / (v_t0 conj(v_s0)) ~ n d eps for eigh's orthonormal v_t.
     offset = np.max(np.abs(chars - k), axis=1)
     first = int(np.argmin(offset))
-    if not offset[first] < errors.VALENCY_TOL:
-        refuse("a row of P equal to the valencies (E_0 = J/n)",
-               offset[first], errors.VALENCY_TOL, f"row {first}")
+    check("a row of P equal to the valencies (E_0 = J/n)", offset[first], errors.VALENCY_TOL,
+          lambda: f"row {first}")
     # sort keys of row t: -Re P[t][1], -Im P[t][1], -Re P[t][2], ..., rounded
     # (the float view of a complex row interleaves them); lexsort is stable,
     # so ties keep ascending t
@@ -237,17 +235,15 @@ def _spectrum(report: AxiomReport, n: int, k: np.ndarray):
     mult = n / np.sum(np.abs(eigmat_p) ** 2 / k, axis=1)
     multiplicities = tuple(int(round(float(m))) for m in mult)
     drift = np.abs(mult - multiplicities)
-    if drift.max() > errors.INTEGRALITY_TOL:
-        refuse("integrality of the multiplicities", drift, errors.INTEGRALITY_TOL,
-               lambda t: f"m_{t} = {mult[t]:.9g}")
+    check("integrality of the multiplicities", drift, errors.INTEGRALITY_TOL,
+          lambda t: f"m_{t} = {mult[t]:.9g}")
     # They sum to n, unchecked: m_t = n |v_t0|^2 (P[t][j] = v_tj sqrt(k_j) / v_t0) sum to
     # n |row 0 of V|^2 = n (1 + O(d eps)), and d + 1 <= 5000 integers within
     # INTEGRALITY_TOL of them differ from that by < 0.01.
 
     eigmat_q = np.array(multiplicities) * eigmat_p.conj().T / k[:, np.newaxis]
     pq = np.abs(eigmat_p @ eigmat_q - n * np.eye(d + 1))
-    if pq.max() > errors.RESIDUAL_TOL * n:
-        refuse("PQ = nI", pq, errors.RESIDUAL_TOL * n)
+    check("PQ = nI", pq, errors.RESIDUAL_TOL * n)
 
     eigmat_p.setflags(write=False)
     eigmat_q.setflags(write=False)

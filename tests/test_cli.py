@@ -525,6 +525,21 @@ def test_walk_refuses_a_list_that_is_not_all_numbers(coin, start, j42_file, caps
 
 
 @pytest.mark.parametrize("argv", [
+    ["walk", "hypergroup", "SCHEME", "--coin", "1", "--start", "0", "--steps", "STEPS"],
+    ["qmc", "schur", "--scheme", "SCHEME", "--coin", "1",
+     "--rho", json.dumps(np.diag([1.0, 0, 0, 0, 0, 0]).tolist()), "--steps", "STEPS"],
+])
+@pytest.mark.parametrize("steps", [10 ** 12, 10 ** 20])
+def test_a_trajectory_above_the_byte_cap_exits_1(argv, steps, j42_file, capsys):
+    code = run([{"SCHEME": str(j42_file), "STEPS": str(steps)}.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: a ") and "above the cap of 200000000" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
     ["scheme", "spectrum", "SCHEME"],
     ["walk", "hypergroup", "SCHEME", "--coin", "1", "--start", "0", "--steps", "1"],
     ["qmc", "schur", "--scheme", "SCHEME", "--coin", "1",

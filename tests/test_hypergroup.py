@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,19 @@ def test_walk_takes_steps_as_an_integer_alone(steps, j42_hypergroup):
     by_numpy = walk(j42_hypergroup, 1, 0, np.uint8(2))
     assert len(by_numpy) == 3
     assert all(np.array_equal(a, b) for a, b in zip(by_numpy, walk(j42_hypergroup, 1, 0, 2)))
+
+
+@pytest.mark.parametrize("steps", [10 ** 9, 10 ** 20])
+def test_walk_refuses_a_history_above_the_byte_cap_before_allocating(steps, j42_hypergroup):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=f"a walk of {steps} steps on 3 indices takes "
+                           f"{(steps + 1) * 24} bytes, above the cap of 200000000"):
+            walk(j42_hypergroup, 1, 0, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 # A KreinTensor can be built by hand, so hypergroup_from checks what it reads.

@@ -415,6 +415,37 @@ def test_iterate_rejects_non_cp_channel():
         iterate_channel(ch, np.eye(2) / 2, 1)
 
 
+HUGE = 1.7e308 + 1.7e308j   # finite, but eigvalsh's scaling overflows and reads nan
+
+
+def test_a_nan_eigenvalue_refuses_the_state_and_the_channel():
+    rho = np.array([[0.5, HUGE], [np.conj(HUGE), 0.5]])
+    with pytest.raises(ValidationError, match=re.escape(
+            "positivity of the density matrix fails at eigenvalue nan: residual nan")):
+        iterate_channel(SchurChannel(np.ones((2, 2))), rho, 3)
+    channel = SchurChannel([[1, HUGE], [np.conj(HUGE), 1]])
+    assert not certify_cp(channel).is_cp
+    with pytest.raises(CertificationError, match=re.escape(
+            "complete positivity of the channel fails at multiplier eigenvalue nan: residual nan")):
+        iterate_channel(channel, np.eye(2) / 2, 3)
+
+
+@pytest.mark.parametrize("steps", [10 ** 9, 10 ** 20])
+@pytest.mark.parametrize("kind", ["schur", "transition"])
+def test_iterate_refuses_a_trajectory_above_the_byte_cap_before_allocating(kind, steps):
+    channel = SchurChannel(np.ones((2, 2))) if kind == "schur" else TransitionExpectation(
+        np.full((2, 2), 0.5))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=f"a trajectory of {steps} steps of 2 x 2 "
+                           f"states takes {(steps + 1) * 64} bytes, above the cap of 200000000"):
+            iterate_channel(channel, np.eye(2) / 2, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_iterate_refuses_a_non_hermitian_state_and_a_foreign_channel():
     with pytest.raises(ValidationError, match=re.escape(
             "Hermitian density matrix fails at (0, 1): residual 1.000e-01 exceeds bound 1e-10")):
